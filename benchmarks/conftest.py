@@ -17,6 +17,7 @@ into it under ``"sweeps"`` — the harness's own speed is part of the
 tracked perf trajectory.
 """
 
+import gc
 import json
 import os
 import time
@@ -27,6 +28,18 @@ from repro.bench.parallel import resolve_jobs, sweep_report
 from repro.bench.scale import current_scale
 
 _session_started_at = 0.0
+
+
+@pytest.fixture(autouse=True)
+def _collect_between_benchmarks():
+    """Scenario boundary (see "Collector policy" in ``repro.sim.events``).
+
+    Benchmarks that build systems outside ``repro.bench.parallel.execute``
+    leave them behind as cyclic garbage; the next benchmark must not time
+    its engine — or fork shard workers — on top of that heap.
+    """
+    yield
+    gc.collect()
 
 
 @pytest.fixture(scope="session")

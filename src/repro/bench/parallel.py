@@ -41,6 +41,7 @@ harness's own speed is part of the tracked perf trajectory.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -213,7 +214,12 @@ def _run_job(job: ScenarioJob) -> Any:
         raise KeyError(
             f"no executor registered for job kind {job.kind!r} (known: {known})"
         ) from None
-    return executor(seed=job.seed, **job.params)
+    result = executor(seed=job.seed, **job.params)
+    # Scenario boundary: the job's system is cyclic garbage; reclaim it
+    # before the next job builds its own (repro.sim.events, "Collector
+    # policy").
+    gc.collect()
+    return result
 
 
 def parse_count_env(env_var: str, auto_value: Callable[[], int]) -> int:

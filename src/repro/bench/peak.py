@@ -9,6 +9,7 @@ overloaded probe never pollutes the next.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -142,7 +143,14 @@ def find_peak(
             fresh = not (reuse_state and warm_ready)
             result = probe_runner(rate, probe_duration, probe_warmup, fresh)
         else:
-            system = warm.pop() if (reuse_state and warm) else factory()
+            if reuse_state and warm:
+                system = warm.pop()
+            else:
+                # Scenario boundary: the previous probe's system is cyclic
+                # garbage; reclaim it before the rebuild (repro.sim.events,
+                # "Collector policy").
+                gc.collect()
+                system = factory()
             workload = (
                 workload_factory(system) if workload_factory is not None else None
             )

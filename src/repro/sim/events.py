@@ -18,10 +18,33 @@ Two scheduling paths share one calendar queue:
 
 Both paths allocate sequence numbers from the same counter, so mixing them
 preserves the global execution order.
+
+Collector policy
+----------------
+:meth:`Simulator.run` pauses CPython's cyclic garbage collector for the
+duration of the loop and restores the caller's setting on the way out
+(also when a callback raises; a caller that had it off gets it back off).
+The event loop allocates millions of container objects — heap entries,
+in-flight messages, signatures, certificates — that all die by reference
+count; none of them forms a reference cycle, so every generational rescan
+of the live heap finds nothing (``collected: 0``) while costing up to a
+third of a large-N run's host time.  That zero-cycle invariant is what
+makes the pause safe, and ``tests/sim/test_collector_policy.py`` pins it
+for every system, an adversary tap and a reconfiguration run: a callback
+path that starts leaking cycles fails there, and is fixed by breaking the
+cycle at its source.  Whole *systems* are cyclic (replica ↔ transport ↔
+handlers), so a dropped system is reclaimed only by a full collection; the
+harnesses that build systems back to back call ``gc.collect()`` at those
+scenario boundaries (:func:`repro.bench.parallel.run_unit` after each job,
+:func:`repro.bench.peak.find_peak` and the shard worker before a probe that
+rebuilds) — never inside a builder or ``setup_open_loop``, whose time is
+measured.  There is deliberately no opt-out: one loop, one policy, for
+serial runs, shard workers and pool jobs alike.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, List, Optional
 
@@ -174,13 +197,20 @@ class Simulator:
 
         Runs until the queue drains, the clock passes ``until``, or
         ``max_events`` callbacks have executed — whichever comes first.
-        Returns the number of events executed by this call.  When ``until``
-        is given the clock is advanced to exactly ``until`` on return, so
-        subsequent measurements see a consistent window edge.
+        Returns the number of events executed by this call.  When the loop
+        stops on the horizon or an empty queue the clock is advanced to
+        exactly ``until``, so subsequent measurements see a consistent
+        window edge; when it stops on ``max_events`` the clock stays at the
+        last executed event, because earlier events may still be queued.
+
+        The cyclic garbage collector is paused while the loop runs (see
+        "Collector policy" in the module docstring).
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        collector_was_enabled = gc.isenabled()
+        gc.disable()
         executed = 0
         heap = self._heap
         pop = _heappop
@@ -214,10 +244,14 @@ class Simulator:
                     fn(*entry[3])
                 executed += 1
                 if executed >= limit:
-                    break
+                    # Earlier events may still be queued, so the clock
+                    # must not jump to ``until`` below.
+                    return executed
         finally:
             self._running = False
             self.events_executed += executed
+            if collector_was_enabled:
+                gc.enable()
         if until is not None and self.now < until:
             self.now = until
         return executed

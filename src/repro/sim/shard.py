@@ -66,6 +66,7 @@ which would fire on non-owned stale state in every worker.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -457,6 +458,11 @@ def _worker_probe(
     from ..bench.runner import finish_open_loop, setup_open_loop
 
     if params["fresh"] or state.system is None:
+        # Scenario boundary: drop the previous probe's (cyclic) system and
+        # reclaim it before the rebuild (repro.sim.events, "Collector
+        # policy"), so a search never holds two systems per worker.
+        state.system = None
+        gc.collect()
         state.build()
     system = state.system
     sim = system.sim

@@ -93,6 +93,24 @@ def test_max_events_limit():
     assert executed == 10
 
 
+def test_event_limit_does_not_jump_the_clock_to_the_horizon():
+    """Stopping on ``max_events`` leaves earlier events queued: the clock
+    must stay at the last executed event, or it would run backwards."""
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(2.0, fired.append, 2.0)
+    sim.schedule_at(3.0, fired.append, 3.0)
+    assert sim.run(until=5.0, max_events=1) == 1
+    assert sim.now == 2.0
+    sim.call_at(2.5, fired.append, 2.5)  # still the future
+    clock = []
+    sim.schedule_at(4.0, lambda: clock.append(sim.now))
+    assert sim.run(until=5.0) == 3
+    assert fired == [2.0, 2.5, 3.0]
+    assert clock == [4.0]
+    assert sim.now == 5.0  # stopped on the horizon: advanced exactly
+
+
 def test_run_until_idle_raises_on_runaway():
     sim = Simulator()
 
