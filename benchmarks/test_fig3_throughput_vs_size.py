@@ -15,10 +15,24 @@ coalesced curve stays flat there and only decays at larger N where the
 COMMIT-certificate quorum verification takes over.  The paper's decay
 claim is about the uncoalesced protocol; the ordering claims (and the
 other systems' decay) must hold either way.
+
+The estimator guard: every cell's search is seeded with an estimated
+bracket, and a well-placed bracket costs 2 bracket probes +
+``REFINE_STEPS`` bisections.  ``find_peak`` recovers from a misplaced one
+(doubling on / walking down), so a bad estimate shows up only as extra
+probes — which the probe ceiling below bounds.
 """
 
-from repro.bench.fig3 import run_fig3
+from repro.bench.fig3 import REFINE_STEPS, run_fig3
 from repro.bench.systems import resolve_credit_coalesce
+
+#: Extra probes allowed per cell, on average, for brackets that miss.
+#: Set from the measured totals (deterministic for a given scale):
+#: smoke 33 probes = 6 anchors + 6 cells × 4 + 3 extra (ceiling 36);
+#: quick 58 probes = 6 anchors + 12 cells × 4 + 4 extra (ceiling 66);
+#: smoke with REPRO_CREDIT_COALESCE=auto also 33.  Full scale is not
+#: measured here, so its total is printed but not asserted.
+PROBE_SLACK_PER_CELL = 1
 
 
 def test_fig3_throughput_vs_size(benchmark, scale):
@@ -27,6 +41,21 @@ def test_fig3_throughput_vs_size(benchmark, scale):
     )
     print()
     print(result.table())
+
+    cells = len(result.sizes) * len(result.peaks)
+    ceiling = result.anchor_probes + cells * (
+        2 + REFINE_STEPS + PROBE_SLACK_PER_CELL
+    )
+    print(f"[fig3] {result.total_probes} probes "
+          f"(incl. {result.anchor_probes} anchors; ceiling {ceiling})")
+    if scale.name in ("smoke", "quick"):
+        assert result.anchor_probes > 0
+        assert result.total_probes <= ceiling, (
+            f"fig3 spent {result.total_probes} probes on {cells} cells "
+            f"(incl. {result.anchor_probes} anchors): the bracket estimator "
+            f"is missing — ceiling is {ceiling}, per cell "
+            f"{result.probe_counts}"
+        )
 
     bft = result.peaks["bft"]
     astro1 = result.peaks["astro1"]

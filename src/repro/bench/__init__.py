@@ -20,7 +20,6 @@ from .fig4 import Fig4Result, run_fig4
 from .fig8 import Fig8Result, measure_astro_join_series, run_fig8
 from .parallel import (
     ScenarioJob,
-    ScenarioPipeline,
     SweepTiming,
     derive_seed,
     execute,
@@ -55,7 +54,6 @@ __all__ = [
     "measure_astro_join_series",
     "run_fig8",
     "ScenarioJob",
-    "ScenarioPipeline",
     "SweepTiming",
     "derive_seed",
     "execute",

@@ -8,14 +8,8 @@ an :class:`~repro.adversary.InvariantMonitor` sampling the correct
 replicas throughout.  Results — per-second throughput curves plus monitor
 verdicts — land in ``BENCH_byzantine.json``.
 
-Environment knobs:
-
-* ``REPRO_ADVERSARY_ATTACKS`` — comma-separated attack filter
-  (default: every attack applicable to the system);
-* ``REPRO_ADVERSARY_COUNT`` — number of Byzantine replicas
-  (default: ``f``);
-* ``REPRO_ADVERSARY_INTERVAL`` — monitor sampling cadence in simulated
-  seconds (default: 1.0).
+``REPRO_ADVERSARY_ATTACKS`` is a comma-separated attack filter (default:
+every attack applicable to the system).
 
 Cells are independent :class:`~repro.bench.parallel.ScenarioJob`s
 (executor ``"adversary_timeline"``), so ``REPRO_BENCH_JOBS`` parallelizes
@@ -195,13 +189,14 @@ def run_byzantine_robustness(
     size: Optional[int] = None,
     warmup: Optional[float] = None,
     window: Optional[float] = None,
-    monitor_interval: Optional[float] = None,
+    monitor_interval: float = 1.0,
     adversary_count: Optional[int] = None,
 ) -> ByzantineRobustnessResult:
     """Run one timeline per (system × attack) cell, in parallel.
 
-    Defaults come from the bench scale (the Figs. 5/6 small-N shape) and
-    the ``REPRO_ADVERSARY_*`` environment knobs; explicit arguments win.
+    Defaults come from the bench scale (the Figs. 5/6 small-N shape);
+    ``attacks=None`` reads the ``REPRO_ADVERSARY_ATTACKS`` filter and
+    ``adversary_count=None`` means the paper's ``f``.
     """
     if scale is None:
         scale = current_scale()
@@ -216,14 +211,6 @@ def run_byzantine_robustness(
         raw = os.environ.get("REPRO_ADVERSARY_ATTACKS")
         if raw:
             attacks = [name.strip() for name in raw.split(",") if name.strip()]
-    if adversary_count is None:
-        raw = os.environ.get("REPRO_ADVERSARY_COUNT")
-        if raw:
-            adversary_count = int(raw)
-    if monitor_interval is None:
-        monitor_interval = float(
-            os.environ.get("REPRO_ADVERSARY_INTERVAL", "1.0")
-        )
     if size is None:
         size = scale.robustness_small_n
     if warmup is None:

@@ -25,9 +25,7 @@ audits exactly what the measuring host promised.
 
 The model is deliberately generous (safety factor ≈ 4×): it exists to
 catch multi-x blowups, not scheduler noise.  ``REPRO_BUDGET_FACTOR``
-scales every budget (e.g. ``2.0`` on a noisy shared runner) and
-``REPRO_BUDGET_EPS`` pins the calibration (events/second) for
-deterministic tests.
+scales every budget (e.g. ``2.0`` on a noisy shared runner).
 """
 
 from __future__ import annotations
@@ -51,9 +49,8 @@ __all__ = [
     "host_events_per_second",
 ]
 
-#: Environment knobs.
+#: Environment knob.
 FACTOR_ENV = "REPRO_BUDGET_FACTOR"
-EPS_ENV = "REPRO_BUDGET_EPS"
 
 #: Headroom multiplier baked into every budget: the model only has to be
 #: right within ~4× for the guard to separate regressions from noise.
@@ -115,15 +112,9 @@ def host_events_per_second(sample_events: int = 200_000) -> float:
     The kernel churns a bounded heap of ``(time, seq, key)`` tuples with
     a little dict bookkeeping per event — the shape of the simulator's
     inner loop.  Only the *ratio* to :data:`_REFERENCE_EPS` is used.
-    ``REPRO_BUDGET_EPS`` overrides the measurement (deterministic tests,
-    or runners whose first-minute CPU burst is unrepresentative).
+    Tests pin the calibration by setting the memo
+    (``host_events_per_second._cached``).
     """
-    override = os.environ.get(EPS_ENV)
-    if override is not None:
-        eps = float(override)
-        if eps <= 0:
-            raise ValueError(f"{EPS_ENV} must be > 0, got {override!r}")
-        return eps
     cached = getattr(host_events_per_second, "_cached", None)
     if cached is not None:
         return cached
@@ -161,7 +152,7 @@ def _seconds_for_events(events: float) -> float:
 def fig3_cell_budget_seconds(
     system: str, size: int, scale: Optional[BenchScale] = None
 ) -> float:
-    """Wall-clock budget for one size-major ``find_peak`` cell.
+    """Wall-clock budget for one Fig. 3 ``find_peak`` cell.
 
     Every probe simulates ``warmup + duration`` seconds at rates the
     search brackets around the analytic capacity; the payment budget

@@ -1,16 +1,15 @@
-"""Cold-start peak-rate estimation for size-major benchmark sweeps.
+"""Cold-start peak-rate estimation for the Fig. 3 sweep.
 
-Fig. 3's classic execution model chains each system's sizes into a
-warm-start pipeline: size k's peak search starts from size k-1's measured
-peak, so a 17-size sweep serializes 17 searches and a full-scale Fig. 3
-can never use more than ``len(systems)`` workers.  This module replaces
-the *carry* dependency with a prediction: an analytic peak-vs-N curve
-derived from the crypto/CPU cost model (:mod:`repro.crypto.costs`) and
-quorum sizes, calibrated by one or two cheap sub-saturation anchor
-probes at the smallest sizes (bottleneck utilization extrapolated to
-capacity).  Each (system, size) cell then becomes an independent
-cold-start job whose :func:`~repro.bench.peak.find_peak` search is seeded
-with an estimated ``(low, high)`` bracket instead of a warm rate.
+Seeding each size's peak search from the previous size's measured peak
+would serialize a 17-size sweep into 17 searches per system and cap a
+full-scale Fig. 3 at ``len(systems)`` workers.  This module supplies a
+prediction instead: an analytic peak-vs-N curve derived from the
+crypto/CPU cost model (:mod:`repro.crypto.costs`) and quorum sizes,
+calibrated by one or two cheap sub-saturation anchor probes at the
+smallest sizes (bottleneck utilization extrapolated to capacity).  Each
+(system, size) cell is then an independent cold-start job whose
+:func:`~repro.bench.peak.find_peak` search is seeded with an estimated
+``(low, high)`` bracket.
 
 The analytic model is deliberately coarse: absolute accuracy is supplied
 by the anchor calibration, and a bracket that misses only costs the

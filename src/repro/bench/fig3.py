@@ -8,38 +8,21 @@ Paper anchors (single shard, EU WAN, batch 256):
 The reproduced claims: broadcast beats consensus at every size, Astro II
 beats Astro I, and all three decay with N (quorum systems).
 
-Execution strategies (``strategy=`` / ``REPRO_BENCH_FIG3_STRATEGY``):
-
-* ``"size-major"`` (default) — every (system, size) cell is an
-  independent cold-start job, so a full-scale sweep (17 sizes × 3
-  systems) fans out across every available worker.  Each cell's peak
-  search is seeded with an estimated ``(low, high)`` bracket from
-  :mod:`repro.bench.estimate` — the analytic peak-vs-N curve calibrated
-  by up to two cheap sub-saturation anchor probes per system at the
-  smallest sizes (a short ``len(systems × anchors)``-job phase that
-  precedes the main fan-out).
-* ``"pipeline"`` — the legacy warm-start carry: one ordered
-  :class:`~repro.bench.parallel.ScenarioPipeline` per system, each
-  size's search warm-started from the previous size's peak.  At most
-  ``len(systems)`` workers ever run concurrently; kept for A/B
-  validation of the estimator (see
-  ``benchmarks/test_fig3_strategies.py``).
-
-Both strategies measure every cell with the same ``find_peak`` procedure
-and seed; only the search's starting information differs.  At quick
-scale and above the reported peaks agree within the search's own
-granularity (worst cell ~15%, guarded at 35% by the A/B test).  At
-*smoke* scale no such agreement is guaranteed: probe windows are floored
-at 0.4s/0.3s, the probe cap is 9, and ``reuse_state=True`` — under that
-noise the two strategies can land on passing probes tens of percent
-apart (observed: astro2 N=22 differing ~70%), which smoke's purely
-qualitative assertions tolerate by design.  Within a strategy, results
-remain byte-identical across worker counts.
+Execution: every (system, size) cell is an independent cold-start job,
+so a full-scale sweep (17 sizes × 3 systems) fans out across every
+available worker.  Each cell's peak search is seeded with an estimated
+``(low, high)`` bracket from :mod:`repro.bench.estimate` — the analytic
+peak-vs-N curve calibrated by up to two cheap sub-saturation anchor
+probes per system at the smallest sizes (a short
+``len(systems × anchors)``-job phase that precedes the main fan-out).
+The estimate can only cost probes, never correctness: ``find_peak``
+validates its own bracket (a passing high hint resumes doubling, a
+failing low hint walks down).  Results are byte-identical across worker
+counts.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -49,31 +32,26 @@ from .estimate import (
     estimate_peaks,
     job_memory_bytes,
 )
-from .parallel import ScenarioJob, ScenarioPipeline, execute
+from .parallel import ScenarioJob, execute
 from .report import format_table, kilo
 from .scale import BenchScale, current_scale
 from .systems import validate_systems
 
 __all__ = ["Fig3Result", "run_fig3"]
 
-#: Initial search rates at the smallest size (pipeline strategy only;
-#: subsequent sizes warm-start from the previous peak via the
-#: ``fig3_warm_start`` carry rule).
-_START_RATES = {"bft": 2000.0, "astro1": 8000.0, "astro2": 24000.0}
 _LABELS = {
     "bft": "Consensus (BFT-SMaRt)",
     "astro1": "Astro I (echo BRB)",
     "astro2": "Astro II (signed BRB)",
 }
 
-#: Environment override for the execution strategy.
-STRATEGY_ENV = "REPRO_BENCH_FIG3_STRATEGY"
-_STRATEGIES = ("size-major", "pipeline")
-
 #: Calibration anchors per system: at most this many of the smallest
 #: sizes get a saturating probe (two anchor points let the estimator
 #: correct the analytic curve's slope, not just its scale).
 _MAX_ANCHORS = 2
+
+#: Bisections every cell's peak search runs after bracketing.
+REFINE_STEPS = 2
 
 
 @dataclass
@@ -81,10 +59,10 @@ class Fig3Result:
     sizes: List[int]
     peaks: Dict[str, List[float]]  # system -> peak pps per size
     #: Probes spent per cell (same keys/order as ``peaks``) — the cost
-    #: record the size-major vs pipeline A/B comparison audits.
+    #: record the tier-2 probe-ceiling guard audits.
     probe_counts: Dict[str, List[int]] = field(default_factory=dict)
-    #: Calibration anchor probes run before the cell sweep (size-major
-    #: strategy only; counted so probe-budget comparisons stay honest).
+    #: Calibration anchor probes run before the cell sweep (counted so
+    #: the probe ceiling covers everything the estimator costs).
     anchor_probes: int = 0
 
     @property
@@ -110,73 +88,22 @@ class Fig3Result:
         )
 
 
-def _resolve_strategy(strategy: Optional[str]) -> str:
-    if strategy is None:
-        strategy = os.environ.get(STRATEGY_ENV, "").strip().lower() or "size-major"
-    if strategy not in _STRATEGIES:
-        raise ValueError(
-            f"fig3 strategy must be one of {_STRATEGIES}, got {strategy!r}"
-        )
-    return strategy
-
-
-def _peak_search_params(scale: BenchScale) -> Dict[str, object]:
-    """find_peak knobs shared by every cell of either strategy."""
-    return dict(
-        duration=scale.peak_duration,
-        warmup=scale.peak_warmup,
-        refine_steps=2,
-        payment_budget=scale.peak_payment_budget,
-        max_probes=scale.peak_probe_cap,
-        reuse_state=scale.peak_reuse_state,
-    )
-
-
-def _run_pipeline(
-    sizes: List[int],
-    systems: List[str],
-    seed: int,
-    scale: BenchScale,
-    jobs: Optional[int],
-) -> Dict[str, List]:
-    pipelines = [
-        ScenarioPipeline(
-            jobs=tuple(
-                ScenarioJob(
-                    kind="find_peak",
-                    params=dict(
-                        system=name,
-                        size=size,
-                        start_rate=_START_RATES[name],
-                        **_peak_search_params(scale),
-                    ),
-                    seed=seed,
-                    tag=(name, size),
-                )
-                for size in sizes
-            ),
-            carry="fig3_warm_start",
-        )
-        for name in systems
-    ]
-    results = execute(
-        pipelines, jobs=jobs, label=f"fig3[{scale.name}]",
-        per_job_bytes=job_memory_bytes(max(sizes)),
-    )
-    return dict(zip(systems, results))
-
-
-def _run_size_major(
-    sizes: List[int],
-    systems: List[str],
-    seed: int,
-    scale: BenchScale,
-    jobs: Optional[int],
-) -> Dict[str, object]:
+def run_fig3(
+    sizes: Sequence[int] = (),
+    seed: int = 0,
+    scale: Optional[BenchScale] = None,
+    systems: Sequence[str] = ("bft", "astro1", "astro2"),
+    jobs: Optional[int] = None,
+) -> Fig3Result:
     # Imported lazily so ``python -m repro.bench.budget`` (the checker
     # CLI) does not trip runpy's already-imported warning via the
     # package __init__ → fig3 chain.
     from .budget import fig3_budgets
+
+    if scale is None:
+        scale = current_scale()
+    systems = validate_systems(systems)
+    sizes = list(sizes) if sizes else list(scale.fig3_sizes)
 
     # Phase 1 — calibration anchors: one sub-saturation probe per
     # (system, anchor size).  Cheap (budget-capped), short, and the only
@@ -222,7 +149,12 @@ def _run_size_major(
                 size=size,
                 start_rate=estimates[name][size].capacity_pps,
                 bracket=estimates[name][size].bracket,
-                **_peak_search_params(scale),
+                duration=scale.peak_duration,
+                warmup=scale.peak_warmup,
+                refine_steps=REFINE_STEPS,
+                payment_budget=scale.peak_payment_budget,
+                max_probes=scale.peak_probe_cap,
+                reuse_state=scale.peak_reuse_state,
             ),
             seed=seed,
             tag=(name, size),
@@ -235,41 +167,18 @@ def _run_size_major(
         per_job_bytes=job_memory_bytes(max(sizes)),
         budgets=fig3_budgets(sizes, systems, scale),
     )
-    by_system: Dict[str, List] = {name: [] for name in systems}
+    cells: Dict[str, List] = {name: [] for name in systems}
     for unit, peak in zip(units, results):
-        by_system[unit.tag[0]].append(peak)
-    return {"cells": by_system, "anchor_probes": len(anchor_units)}
-
-
-def run_fig3(
-    sizes: Sequence[int] = (),
-    seed: int = 0,
-    scale: Optional[BenchScale] = None,
-    systems: Sequence[str] = ("bft", "astro1", "astro2"),
-    jobs: Optional[int] = None,
-    strategy: Optional[str] = None,
-) -> Fig3Result:
-    if scale is None:
-        scale = current_scale()
-    systems = validate_systems(systems)
-    sizes = list(sizes) if sizes else list(scale.fig3_sizes)
-    strategy = _resolve_strategy(strategy)
-    anchor_probes = 0
-    if strategy == "pipeline":
-        series_by_system = _run_pipeline(sizes, systems, seed, scale, jobs)
-    else:
-        outcome = _run_size_major(sizes, systems, seed, scale, jobs)
-        series_by_system = outcome["cells"]
-        anchor_probes = outcome["anchor_probes"]
+        cells[unit.tag[0]].append(peak)
     return Fig3Result(
         sizes=sizes,
         peaks={
             name: [peak.peak_pps for peak in series]
-            for name, series in series_by_system.items()
+            for name, series in cells.items()
         },
         probe_counts={
             name: [len(peak.probes) for peak in series]
-            for name, series in series_by_system.items()
+            for name, series in cells.items()
         },
-        anchor_probes=anchor_probes,
+        anchor_probes=len(anchor_units),
     )

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..consensus.config import BftConfig
 from ..sim.shard import ShardedOpenLoop, ShardingUnsupported, resolve_shards
-from .parallel import ScenarioJob, register_carry, register_executor, replace_params
+from .parallel import register_executor
 from .peak import SATURATION_GOODPUT, PeakResult, find_peak, shrink_window
 from .runner import RunResult, run_open_loop
 from .systems import SYSTEM_BUILDERS
@@ -127,13 +127,6 @@ def _exec_find_peak(
     )
 
 
-@register_carry("fig3_warm_start")
-def _carry_fig3_warm_start(previous: PeakResult, job: ScenarioJob) -> ScenarioJob:
-    """Warm start: peaks decay with N, so the previous size's peak puts
-    the next size's doubling search 1–2 probes from the answer."""
-    return replace_params(job, start_rate=max(previous.peak_pps * 0.5, 50.0))
-
-
 @register_executor("estimate_anchor")
 def _exec_estimate_anchor(
     seed: int,
@@ -144,7 +137,7 @@ def _exec_estimate_anchor(
     warmup: float,
     payment_budget: int = 12_000,
 ) -> Dict[str, float]:
-    """One cheap sub-saturation probe (size-major calibration anchor).
+    """One cheap sub-saturation probe (Fig. 3 calibration anchor).
 
     Offered ``rate`` sits safely *below* the analytic capacity estimate;
     the bottleneck resource's measured utilization then extrapolates

@@ -1,14 +1,11 @@
-"""Resident memory of the account-state layer: dict vs array stores.
+"""Resident memory of the account-state layer.
 
 ``python -m repro.bench.memory`` builds a deployment's worth of replica
 account states (default: 4 replicas sharing one
 :class:`~repro.core.interning.ClientInterner`) over populations of
-10⁵–10⁶ clients and reports allocated bytes per account for
-
-* the legacy dict-of-objects store
-  (:class:`~repro.core.accounts.DictAccountState`), and
-* the array-backed store (:class:`~repro.core.accounts.AccountState`,
-  int64 slabs + interner, lazy sparse xlogs).
+10⁵–10⁶ clients and reports allocated bytes per account of the
+array-backed store (:class:`~repro.core.accounts.AccountState`, int64
+slabs + interner, lazy sparse xlogs).
 
 Sizes come from :mod:`tracemalloc` — requested allocation sizes, not
 RSS, so numbers are stable across machines and allocator behavior.
@@ -25,7 +22,7 @@ import argparse
 import tracemalloc
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.accounts import AccountState, DictAccountState
+from ..core.accounts import AccountState
 from ..core.interning import ClientInterner
 from ..workloads.uniform import uniform_genesis
 from .report import merge_perf_report, print_table
@@ -40,31 +37,21 @@ DEFAULT_CLIENTS = (100_000, 1_000_000)
 
 
 def measure_bytes_per_account(
-    store: str, num_clients: int, num_replicas: int = DEFAULT_REPLICAS
+    num_clients: int, num_replicas: int = DEFAULT_REPLICAS
 ) -> float:
     """Allocated bytes per account for one replica group.
 
-    ``store`` is ``"dict"`` (legacy per-client PyObjects) or ``"array"``
-    (int64 slabs + shared interner).  The genesis mapping itself is
-    built *before* tracing starts: it is workload input, not account
-    state, and both stores would carry it equally.
+    The genesis mapping itself is built *before* tracing starts: it is
+    workload input, not account state.
     """
     genesis = uniform_genesis(num_clients)
-    states: List[Any] = []
+    states: List[AccountState] = []
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        if store == "array":
-            interner = ClientInterner(genesis)
-            for _ in range(num_replicas):
-                states.append(AccountState(genesis, interner=interner))
-        elif store == "dict":
-            for _ in range(num_replicas):
-                states.append(DictAccountState(genesis))
-        else:
-            raise ValueError(
-                f"store must be 'dict' or 'array'; got {store!r}"
-            )
+        interner = ClientInterner(genesis)
+        for _ in range(num_replicas):
+            states.append(AccountState(genesis, interner=interner))
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -74,36 +61,24 @@ def measure_bytes_per_account(
 def run_memory_cells(
     clients: Sequence[int] = DEFAULT_CLIENTS,
     num_replicas: int = DEFAULT_REPLICAS,
-    include_dict: bool = True,
 ) -> Dict[str, Any]:
     """Measure every population size; returns the report section."""
-    cells = []
-    for num_clients in clients:
-        cell: Dict[str, Any] = {
+    cells = [
+        {
             "num_clients": num_clients,
             "array_bytes_per_account": round(
-                measure_bytes_per_account("array", num_clients, num_replicas),
-                1,
+                measure_bytes_per_account(num_clients, num_replicas), 1
             ),
         }
-        if include_dict:
-            cell["dict_bytes_per_account"] = round(
-                measure_bytes_per_account("dict", num_clients, num_replicas),
-                1,
-            )
-            cell["dict_over_array"] = round(
-                cell["dict_bytes_per_account"]
-                / cell["array_bytes_per_account"],
-                2,
-            )
-        cells.append(cell)
+        for num_clients in clients
+    ]
     return {"num_replicas": num_replicas, "cells": cells}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.memory",
-        description="Measure bytes/account of the account-state stores.",
+        description="Measure bytes/account of the account-state store.",
     )
     parser.add_argument(
         "--clients",
@@ -113,10 +88,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--replicas", type=int, default=DEFAULT_REPLICAS,
         help="replicas per measured group (default: 4)",
-    )
-    parser.add_argument(
-        "--skip-dict", action="store_true",
-        help="measure only the array store (fast CI gate mode)",
     )
     parser.add_argument(
         "--check-max-bytes", type=float, default=None, metavar="BYTES",
@@ -130,23 +101,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"--clients must be positive integers; got {args.clients!r}"
         )
 
-    section = run_memory_cells(
-        clients, num_replicas=args.replicas, include_dict=not args.skip_dict
-    )
+    section = run_memory_cells(clients, num_replicas=args.replicas)
     path = merge_perf_report({"memory": section})
 
-    headers = ["clients", "array B/acct"]
-    if not args.skip_dict:
-        headers += ["dict B/acct", "dict/array"]
-    rows = []
-    for cell in section["cells"]:
-        row = [cell["num_clients"], cell["array_bytes_per_account"]]
-        if not args.skip_dict:
-            row += [cell["dict_bytes_per_account"], cell["dict_over_array"]]
-        rows.append(row)
     print_table(
-        headers,
-        rows,
+        ["clients", "array B/acct"],
+        [
+            [cell["num_clients"], cell["array_bytes_per_account"]]
+            for cell in section["cells"]
+        ],
         title=f"Account-store memory ({args.replicas} replicas, "
               f"shared interner; report: {path})",
     )

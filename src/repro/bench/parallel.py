@@ -6,9 +6,7 @@ only run one simulation per process.  This module turns each benchmark
 from "inline loop that builds systems and measures" into three phases:
 
 1. **enumerate** — the figure module describes every cell of its sweep as
-   a picklable :class:`ScenarioJob` (or an ordered
-   :class:`ScenarioPipeline` when cells feed each other, e.g. Fig. 3's
-   cross-size warm start);
+   a picklable :class:`ScenarioJob`;
 2. **execute** — :func:`execute` runs the descriptors on a backend:
    in-process serial (the default, byte-for-byte identical to the old
    inline loops) or a ``multiprocessing`` pool selected with the
@@ -47,19 +45,16 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ScenarioJob",
-    "ScenarioPipeline",
     "SweepTiming",
     "available_memory_bytes",
     "derive_seed",
     "execute",
     "parse_count_env",
-    "register_carry",
     "register_executor",
-    "replace_params",
     "reset_sweep_log",
     "resolve_jobs",
     "run_unit",
@@ -96,37 +91,11 @@ class ScenarioJob:
     tag: Any = None
 
 
-@dataclass(frozen=True)
-class ScenarioPipeline:
-    """An ordered chain of jobs with a data dependency between stages.
-
-    Jobs run sequentially inside one worker; between stages the ``carry``
-    rule (registered with :func:`register_carry`) rewrites the next job's
-    params from the previous job's result — e.g. Fig. 3 warm-starts each
-    size's peak search from the previous size's peak.  Pipelines for
-    *different* systems have no dependency and run concurrently.
-    """
-
-    jobs: Tuple[ScenarioJob, ...]
-    carry: Optional[str] = None
-
-
-#: A unit of scheduling: one job, or one pipeline of dependent jobs.
-WorkUnit = Union[ScenarioJob, ScenarioPipeline]
-
-
-def replace_params(job: ScenarioJob, **updates: Any) -> ScenarioJob:
-    """A copy of ``job`` with ``updates`` merged into its params (carry
-    rules use this to rewrite the next stage from the previous result)."""
-    return dataclasses.replace(job, params={**job.params, **updates})
-
-
 # ---------------------------------------------------------------------------
 # Registries
 # ---------------------------------------------------------------------------
 
 _EXECUTORS: Dict[str, Callable[..., Any]] = {}
-_CARRY_RULES: Dict[str, Callable[[Any, ScenarioJob], ScenarioJob]] = {}
 
 
 def register_executor(kind: str):
@@ -134,18 +103,6 @@ def register_executor(kind: str):
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         _EXECUTORS[kind] = fn
-        return fn
-
-    return decorator
-
-
-def register_carry(name: str):
-    """Register ``fn(prev_result, next_job) -> ScenarioJob`` as a carry rule."""
-
-    def decorator(
-        fn: Callable[[Any, ScenarioJob], ScenarioJob]
-    ) -> Callable[[Any, ScenarioJob], ScenarioJob]:
-        _CARRY_RULES[name] = fn
         return fn
 
     return decorator
@@ -184,29 +141,13 @@ def derive_seed(root_seed: int, *key: Any) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_unit(unit: WorkUnit) -> Any:
-    """Execute one work unit in this process.
+def run_unit(job: ScenarioJob) -> Any:
+    """Execute one job in this process and return its executor's result.
 
-    Returns the executor's result for a :class:`ScenarioJob`, or the list
-    of per-stage results for a :class:`ScenarioPipeline`.  This is the
-    worker entry point for the process-pool backend and the whole story
-    for the serial backend.
+    This is the worker entry point for the process-pool backend and the
+    whole story for the serial backend.
     """
     _ensure_executors_loaded()
-    if isinstance(unit, ScenarioPipeline):
-        carry = _CARRY_RULES[unit.carry] if unit.carry is not None else None
-        results: List[Any] = []
-        previous: Any = None
-        for index, job in enumerate(unit.jobs):
-            if carry is not None and index > 0:
-                job = carry(previous, job)
-            previous = _run_job(job)
-            results.append(previous)
-        return results
-    return _run_job(unit)
-
-
-def _run_job(job: ScenarioJob) -> Any:
     try:
         executor = _EXECUTORS[job.kind]
     except KeyError:
@@ -341,38 +282,27 @@ class SweepTiming:
     cells: Optional[List[Dict[str, Any]]] = None
 
 
-def _cell_label(unit: "WorkUnit") -> Any:
-    """JSON-ready label for a unit's timing entry (tags are opaque, so
-    anything beyond primitives is rendered via repr)."""
-    if isinstance(unit, ScenarioPipeline):
-        return repr(tuple(job.tag for job in unit.jobs))
-    tag = unit.tag
-    if isinstance(tag, (str, int, float, bool)) or tag is None:
-        return tag
-    return repr(tag)
-
-
 def _cell_entry(
-    unit: "WorkUnit", seconds: float, budgets: Optional[Dict[Any, float]]
+    job: ScenarioJob, seconds: float, budgets: Optional[Dict[Any, float]]
 ) -> Dict[str, Any]:
     """One sweep-log cell record, with its budget when the enumerator
-    declared one for this unit's tag (pipelines have no per-cell tag, so
-    budgets apply to plain jobs only)."""
-    entry: Dict[str, Any] = {
-        "tag": _cell_label(unit),
-        "seconds": round(seconds, 4),
-    }
-    if budgets and not isinstance(unit, ScenarioPipeline):
-        budget = budgets.get(unit.tag)
+    declared one for this job's tag.  Tags are opaque, so anything
+    beyond JSON primitives is rendered via repr."""
+    tag = job.tag
+    if not (isinstance(tag, (str, int, float, bool)) or tag is None):
+        tag = repr(tag)
+    entry: Dict[str, Any] = {"tag": tag, "seconds": round(seconds, 4)}
+    if budgets:
+        budget = budgets.get(job.tag)
         if budget is not None:
             entry["budget_seconds"] = round(budget, 2)
     return entry
 
 
-def _run_unit_timed(unit: "WorkUnit") -> Tuple[Any, float]:
-    """Worker entry point recording the unit's own wall-clock seconds."""
+def _run_unit_timed(job: ScenarioJob) -> Tuple[Any, float]:
+    """Worker entry point recording the job's own wall-clock seconds."""
     start = time.perf_counter()
-    result = run_unit(unit)
+    result = run_unit(job)
     return result, time.perf_counter() - start
 
 
@@ -402,13 +332,13 @@ def _pool_context():
 
 
 def execute(
-    units: Sequence[WorkUnit],
+    units: Sequence[ScenarioJob],
     jobs: Optional[int] = None,
     label: Optional[str] = None,
     per_job_bytes: Optional[int] = None,
     budgets: Optional[Dict[Any, float]] = None,
 ) -> List[Any]:
-    """Run work units on the selected backend; results in submission order.
+    """Run jobs on the selected backend; results in submission order.
 
     ``jobs=None`` reads ``REPRO_BENCH_JOBS`` (default: 1 = serial, the
     pre-refactor behavior).  With ``jobs > 1`` the units run on a

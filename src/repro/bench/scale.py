@@ -50,7 +50,7 @@ class BenchScale:
     peak_payment_budget: int = 150_000
     peak_max_probes: int = 0  # 0 = unlimited
     peak_reuse_state: bool = False
-    #: Payments injected by one size-major calibration anchor probe
+    #: Payments injected by one Fig. 3 calibration anchor probe
     #: (see repro.bench.estimate); anchors run deliberately *below*
     #: saturation (capacity is read from bottleneck utilization), and
     #: this budget shrinks the probe window when the rate is high.

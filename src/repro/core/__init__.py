@@ -5,7 +5,7 @@ dependency mechanism of Astro II (Listings 6–10), and asynchronous
 sharding (§V).
 """
 
-from .accounts import AccountState, DictAccountState
+from .accounts import AccountState
 from .astro1 import Astro1Replica
 from .interning import ClientInterner
 from .astro2 import Astro2Replica
@@ -29,7 +29,6 @@ from .xlog import ExclusiveLog, XlogViolation
 
 __all__ = [
     "AccountState",
-    "DictAccountState",
     "ClientInterner",
     "Astro1Replica",
     "Astro2Replica",

@@ -43,7 +43,7 @@ from .interning import ClientInterner
 from .payment import ClientId, Payment
 from .xlog import ExclusiveLog
 
-__all__ = ["AccountState", "DictAccountState"]
+__all__ = ["AccountState"]
 
 
 def _zero_extend(slab: array, index: int) -> None:
@@ -579,96 +579,6 @@ class AccountState:
                 seq[index] if index < ns else 0,
             )
             for index in order
-        )
-
-    def clients(self) -> Iterable[ClientId]:
-        return self.seqnums.keys()
-
-
-class DictAccountState:
-    """The pre-refactor dict-of-objects store, kept for memory/perf A/B.
-
-    One dict entry per client in each of three maps plus an eager
-    :class:`ExclusiveLog` — O(PyObject) per account.  Semantically
-    identical to :class:`AccountState`; `bench/memory.py` instantiates
-    both to report resident bytes/account side by side.
-    """
-
-    __slots__ = ("balances", "seqnums", "xlogs")
-
-    def __init__(self, genesis: Mapping[ClientId, int]) -> None:
-        for client, amount in genesis.items():
-            if amount < 0:
-                raise ValueError(
-                    f"negative genesis balance for {client!r}: {amount}"
-                )
-        self.balances: Dict[ClientId, int] = dict(genesis)
-        self.seqnums: Dict[ClientId, int] = {client: 0 for client in genesis}
-        self.xlogs: Dict[ClientId, ExclusiveLog] = {
-            client: ExclusiveLog(client) for client in genesis
-        }
-
-    def balance(self, client: ClientId) -> int:
-        return self.balances.get(client, 0)
-
-    def seqnum(self, client: ClientId) -> int:
-        return self.seqnums.get(client, 0)
-
-    def xlog(self, client: ClientId) -> ExclusiveLog:
-        log = self.xlogs.get(client)
-        if log is None:
-            log = ExclusiveLog(client)
-            self.xlogs[client] = log
-        return log
-
-    def knows(self, client: ClientId) -> bool:
-        return client in self.seqnums
-
-    def add_client(self, client: ClientId, balance: int = 0) -> None:
-        if client in self.seqnums:
-            raise ValueError(f"client {client!r} already registered")
-        self.balances[client] = balance
-        self.seqnums[client] = 0
-        self.xlogs[client] = ExclusiveLog(client)
-
-    def credit(self, client: ClientId, amount: int) -> None:
-        self.balances[client] = self.balances.get(client, 0) + amount
-
-    def settle_full(self, payment: Payment) -> None:
-        spender = payment.spender
-        self.balances[spender] = (
-            self.balances.get(spender, 0) - payment.amount
-        )
-        self.credit(payment.beneficiary, payment.amount)
-        self.seqnums[spender] = self.seqnums.get(spender, 0) + 1
-        self.xlog(spender).append(payment)
-
-    def settle_spend_only(self, payment: Payment) -> None:
-        spender = payment.spender
-        self.balances[spender] = (
-            self.balances.get(spender, 0) - payment.amount
-        )
-        self.seqnums[spender] = self.seqnums.get(spender, 0) + 1
-        self.xlog(spender).append(payment)
-
-    def try_settle_spend(self, payment: Payment) -> bool:
-        spender = payment.spender
-        if self.balances.get(spender, 0) < payment.amount:
-            return False
-        self.settle_spend_only(payment)
-        return True
-
-    def total_balance(self) -> int:
-        return sum(self.balances.values())
-
-    def snapshot(self) -> Tuple[Tuple[ClientId, int, int], ...]:
-        return tuple(
-            (
-                client,
-                self.balances.get(client, 0),
-                self.seqnums.get(client, 0),
-            )
-            for client in sorted(self.seqnums, key=repr)
         )
 
     def clients(self) -> Iterable[ClientId]:

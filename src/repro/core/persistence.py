@@ -35,7 +35,6 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from ..transport.framing import FrameError, MAX_FRAME_BYTES, encode_frame
 from .accounts import AccountState
 from .payment import ClientId
-from .xlog import ExclusiveLog
 
 __all__ = [
     "CatchUpReply",
@@ -83,25 +82,18 @@ def _genesis_digest(state: AccountState) -> str:
     return hashlib.sha256(repr(prefix).encode()).hexdigest()
 
 
-def snapshot_account_state(state: Any) -> Dict[str, Any]:
+#: The one snapshot encoding :func:`restore_account_state` accepts.
+SNAPSHOT_FORMAT = 2
+
+
+def snapshot_account_state(state: AccountState) -> Dict[str, Any]:
     """Full picklable capture of an account state (incl. xlogs).
 
-    Array-backed states are captured in the **format-2** encoding: the
-    genesis prefix of the balance/seqnum slabs ships as raw int64 bytes
-    (O(16 bytes/account), no per-client PyObjects in the pickle), with
-    the rare post-genesis members and the non-empty xlogs spelled out
-    per client.  Dict-backed states fall back to the legacy format-1
-    dict capture.
+    The genesis prefix of the balance/seqnum slabs ships as raw int64
+    bytes (O(16 bytes/account), no per-client PyObjects in the pickle),
+    with the rare post-genesis members and the non-empty xlogs spelled
+    out per client.
     """
-    if not isinstance(state, AccountState):
-        return {
-            "balances": dict(state.balances),
-            "seqnums": dict(state.seqnums),
-            "xlogs": {
-                owner: list(log._entries)
-                for owner, log in state.xlogs.items()
-            },
-        }
     genesis_len = state._genesis_len
     bal = state._bal
     seq = state._seq
@@ -115,7 +107,7 @@ def snapshot_account_state(state: Any) -> Dict[str, Any]:
         ]
 
     return {
-        "format": 2,
+        "format": SNAPSHOT_FORMAT,
         "genesis_len": genesis_len,
         "genesis_digest": _genesis_digest(state),
         "balances": bal[:genesis_len].tobytes(),
@@ -131,65 +123,42 @@ def snapshot_account_state(state: Any) -> Dict[str, Any]:
     }
 
 
-def _reset_account_state(state: AccountState) -> None:
-    """Zero an array-backed state ahead of a restore (genesis kept)."""
-    state._bal = array("q", bytes(8 * len(state._bal)))
-    state._seq = array("q", bytes(8 * len(state._seq)))
+def restore_account_state(state: AccountState, data: Dict[str, Any]) -> None:
+    """Rebuild an :class:`AccountState` in place from a capture.
+
+    A capture in any other encoding (missing or unknown ``format`` tag)
+    is refused outright rather than half-applied.
+    """
+    if data.get("format") != SNAPSHOT_FORMAT:
+        raise WalCorruption(
+            f"unsupported snapshot format {data.get('format')!r} "
+            f"(this build reads format {SNAPSHOT_FORMAT})"
+        )
+    if data["genesis_len"] != state._genesis_len or (
+        data["genesis_digest"] != _genesis_digest(state)
+    ):
+        raise WalCorruption(
+            "snapshot genesis does not match this replica's genesis"
+        )
+    bal = array("q")
+    bal.frombytes(data["balances"])
+    seq = array("q")
+    seq.frombytes(data["seqnums"])
+    state._bal = bal
+    state._seq = seq
     state._extra_bal = {}
     state._extra_seq = {}
     state._extra_xlog = {}
     state._xlog_map = {}
     state._snap_order = None
-
-
-def restore_account_state(state: Any, data: Dict[str, Any]) -> None:
-    """Rebuild an :class:`AccountState` in place from a capture.
-
-    Accepts both the format-2 array encoding and legacy format-1 dict
-    pickles (pre-refactor snapshots on disk still replay).
-    """
-    if data.get("format") == 2:
-        if data["genesis_len"] != state._genesis_len or (
-            data["genesis_digest"] != _genesis_digest(state)
-        ):
-            raise WalCorruption(
-                "snapshot genesis does not match this replica's genesis"
-            )
-        _reset_account_state(state)
-        bal = array("q")
-        bal.frombytes(data["balances"])
-        seq = array("q")
-        seq.frombytes(data["seqnums"])
-        state._bal = bal
-        state._seq = seq
-        for client, value in data["extra_balances"]:
-            state.balances[client] = value
-        for client, value in data["extra_seqnums"]:
-            state.seqnums[client] = value
-        for owner in data["xlog_extras"]:
-            state.xlog(owner)
-        for owner, entries in data["xlog_entries"].items():
-            state.xlog(owner)._entries = list(entries)
-        return
-    if isinstance(state, AccountState):
-        # Legacy dict capture restored onto an array-backed state.
-        _reset_account_state(state)
-        for client, value in data["balances"].items():
-            state.balances[client] = value
-        for client, value in data["seqnums"].items():
-            state.seqnums[client] = value
-        for owner, entries in data["xlogs"].items():
-            log = state.xlog(owner)
-            log._entries = list(entries)
-        return
-    state.balances = dict(data["balances"])
-    state.seqnums = dict(data["seqnums"])
-    xlogs: Dict[ClientId, ExclusiveLog] = {}
-    for owner, entries in data["xlogs"].items():
-        log = ExclusiveLog(owner)
-        log._entries = list(entries)
-        xlogs[owner] = log
-    state.xlogs = xlogs
+    for client, value in data["extra_balances"]:
+        state.balances[client] = value
+    for client, value in data["extra_seqnums"]:
+        state.seqnums[client] = value
+    for owner in data["xlog_extras"]:
+        state.xlog(owner)
+    for owner, entries in data["xlog_entries"].items():
+        state.xlog(owner)._entries = list(entries)
 
 
 class WriteAheadLog:

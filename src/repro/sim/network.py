@@ -67,11 +67,6 @@ class Network:
     #: for one message on a commodity VM (~10 µs).
     DEFAULT_RECV_CPU = 10e-6
 
-    #: Minimum same-broadcast local fan-out that rides a single
-    #: *arrival-train* calendar entry instead of one entry per copy.
-    #: Below this the per-copy path is just as fast and allocates less.
-    TRAIN_MIN = 8
-
     def __init__(
         self,
         sim: Simulator,
@@ -271,12 +266,10 @@ class Network:
         extra = self._egress_delay.get(src)
         blocked = self._blocked
         sim = self.sim
-        heap = sim._heap
-        arrive = self._arrive
         owned = self._shard_owned
         outbox = self._shard_outbox
-        #: Local (time, seq, dst) arrivals of this broadcast; batched into
-        #: one calendar entry when the fan-out is large enough.
+        #: Local (time, seq, dst) arrivals of this broadcast; they ride one
+        #: calendar entry (the arrival train below).
         arrivals: List[tuple] = []
         for dst in dsts:
             if blocked and (src, dst) in blocked:
@@ -297,24 +290,22 @@ class Network:
             link._busy_until = busy
             link.busy_time += per * transmitted
             link.jobs_served += transmitted
-        if len(arrivals) < self.TRAIN_MIN:
-            # Small fan-out: one calendar entry per copy, exactly the
-            # per-send path (inlined sim.call_at; never in the past).
-            for time, seq, dst in arrivals:
-                _heappush(heap, (time, seq, arrive, (src, dst, payload, recv_cost)))
+        if not arrivals:
             return
         # Arrival train: the copies' (time, seq) keys are reserved above —
-        # identical to the per-copy path — but only the *head* arrival
-        # occupies the calendar; delivering it re-pushes the train at the
-        # next arrival's reserved key, so the queue holds O(1) entries per
-        # in-flight broadcast instead of O(N).  Delivery order is
-        # unchanged: the heap pops by the same (time, seq) keys either
-        # way.  Sorting is needed because per-destination latency varies,
-        # so arrival times are not monotonic in destination order.
+        # identical to one :meth:`send` per copy — but only the *head*
+        # arrival occupies the calendar (inlined sim.call_at; never in the
+        # past); delivering it re-pushes the train at the next arrival's
+        # reserved key, so the queue holds O(1) entries per in-flight
+        # broadcast instead of O(N).  Delivery order is unchanged: the heap
+        # pops by the same (time, seq) keys either way.  Sorting is needed
+        # because per-destination latency varies, so arrival times are not
+        # monotonic in destination order.
         arrivals.sort()
         time, seq, _dst = arrivals[0]
         _heappush(
-            heap, (time, seq, self._train_step, ([0, arrivals, src, payload, recv_cost],))
+            sim._heap,
+            (time, seq, self._train_step, ([0, arrivals, src, payload, recv_cost],)),
         )
 
     def _train_step(self, train: list) -> None:

@@ -65,16 +65,15 @@ def test_attack_and_system_filters():
     }
 
 
-def test_env_knobs(monkeypatch):
+def test_env_attack_filter_and_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_ADVERSARY_ATTACKS", "mute")
-    monkeypatch.setenv("REPRO_ADVERSARY_COUNT", "1")
-    monkeypatch.setenv("REPRO_ADVERSARY_INTERVAL", "0.25")
     suite = run_byzantine_robustness(
         seed=3, systems=("astro1",), size=7, warmup=0.5, window=2.0,
+        adversary_count=1, monitor_interval=0.25,
     )
     assert set(suite.cells) == {("astro1", "mute")}
     cell = suite.cells[("astro1", "mute")]
-    assert len(cell["byzantine"]) == 1  # REPRO_ADVERSARY_COUNT beats f=2
+    assert len(cell["byzantine"]) == 1  # adversary_count beats f=2
     # 0.25 s cadence over a 2.5 s run plus the final sample.
     assert cell["verdict"]["samples"] >= 9
 

@@ -28,7 +28,9 @@ from repro.bench.scale import _SCALES
 @pytest.fixture(autouse=True)
 def _pinned_eps(monkeypatch):
     """Pin the calibration so budget values are deterministic."""
-    monkeypatch.setenv(budget.EPS_ENV, str(budget._REFERENCE_EPS))
+    monkeypatch.setattr(
+        host_events_per_second, "_cached", budget._REFERENCE_EPS, raising=False
+    )
     monkeypatch.delenv(budget.FACTOR_ENV, raising=False)
 
 
@@ -37,16 +39,7 @@ def _pinned_eps(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_eps_env_override(monkeypatch):
-    monkeypatch.setenv(budget.EPS_ENV, "123456.0")
-    assert host_events_per_second() == 123456.0
-    monkeypatch.setenv(budget.EPS_ENV, "-1")
-    with pytest.raises(ValueError):
-        host_events_per_second()
-
-
 def test_eps_measured_and_memoized(monkeypatch):
-    monkeypatch.delenv(budget.EPS_ENV, raising=False)
     monkeypatch.delattr(host_events_per_second, "_cached", raising=False)
     first = host_events_per_second(sample_events=20_000)
     assert first > 0

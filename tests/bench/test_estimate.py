@@ -1,6 +1,6 @@
-"""Tests for the size-major estimation subsystem: the analytic curve,
-anchor calibration, bracketed peak search, memory-aware worker caps, and
-the fig3 strategies' job enumeration."""
+"""Tests for the Fig. 3 estimation subsystem: the analytic curve, anchor
+calibration, bracketed peak search, memory-aware worker caps, and fig3's
+job enumeration."""
 
 import functools
 
@@ -23,7 +23,6 @@ from repro.bench.fig4 import run_fig4
 from repro.bench.fig8 import run_fig8
 from repro.bench.parallel import (
     ScenarioJob,
-    ScenarioPipeline,
     execute,
     reset_sweep_log,
     sweep_report,
@@ -264,12 +263,7 @@ def _fake_execute_factory(calls):
                           per_job_bytes=per_job_bytes, budgets=budgets))
         results = []
         for unit in units:
-            if isinstance(unit, ScenarioPipeline):
-                results.append([
-                    PeakResult(1000.0, LatencySummary.empty(), [None] * 4)
-                    for _job in unit.jobs
-                ])
-            elif unit.kind == "estimate_anchor":
+            if unit.kind == "estimate_anchor":
                 results.append({
                     "capacity_pps": 10_000.0, "offered": 2_500.0,
                     "achieved": 2_500.0, "utilization": 0.25,
@@ -288,14 +282,13 @@ def _fake_execute_factory(calls):
     return fake_execute
 
 
-class TestFig3SizeMajorEnumeration:
+class TestFig3Enumeration:
     def test_one_job_per_cell(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fig3_mod, "execute", _fake_execute_factory(calls))
         sizes, systems = (4, 7, 10), ("bft", "astro2")
         result = run_fig3(
-            sizes=sizes, systems=systems, scale=_SCALES["smoke"],
-            strategy="size-major", seed=3,
+            sizes=sizes, systems=systems, scale=_SCALES["smoke"], seed=3,
         )
         assert len(calls) == 2  # anchors, then the cell sweep
         anchors, cells = calls
@@ -327,39 +320,6 @@ class TestFig3SizeMajorEnumeration:
         assert result.anchor_probes == len(anchors["units"])
         assert result.probe_counts["bft"] == [3, 3, 3]
         assert result.total_probes == 4 + 18
-
-    def test_pipeline_strategy_keeps_carry(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fig3_mod, "execute", _fake_execute_factory(calls))
-        result = run_fig3(
-            sizes=(4, 7), systems=("astro1",), scale=_SCALES["smoke"],
-            strategy="pipeline",
-        )
-        assert len(calls) == 1
-        (pipeline,) = calls[0]["units"]
-        assert isinstance(pipeline, ScenarioPipeline)
-        assert pipeline.carry == "fig3_warm_start"
-        assert len(pipeline.jobs) == 2
-        assert result.anchor_probes == 0
-        assert result.probe_counts["astro1"] == [4, 4]
-
-    def test_env_selects_strategy(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fig3_mod, "execute", _fake_execute_factory(calls))
-        monkeypatch.setenv("REPRO_BENCH_FIG3_STRATEGY", "pipeline")
-        run_fig3(sizes=(4,), systems=("bft",), scale=_SCALES["smoke"])
-        assert isinstance(calls[0]["units"][0], ScenarioPipeline)
-
-    def test_default_strategy_is_size_major(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fig3_mod, "execute", _fake_execute_factory(calls))
-        monkeypatch.delenv("REPRO_BENCH_FIG3_STRATEGY", raising=False)
-        run_fig3(sizes=(4,), systems=("bft",), scale=_SCALES["smoke"])
-        assert calls[0]["units"][0].kind == "estimate_anchor"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            run_fig3(sizes=(4,), scale=_SCALES["smoke"], strategy="warp")
 
 
 class TestSystemsValidation:

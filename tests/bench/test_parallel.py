@@ -8,15 +8,13 @@ from repro.bench import jobs  # noqa: F401 - registers the standard executors
 from repro.bench.fig3 import Fig3Result
 from repro.bench.parallel import (
     ScenarioJob,
-    ScenarioPipeline,
     derive_seed,
     execute,
-    replace_params,
     resolve_jobs,
     run_unit,
     sweep_report,
 )
-from repro.bench.peak import PeakResult, find_peak
+from repro.bench.peak import find_peak
 from repro.bench.systems import build_astro2
 
 
@@ -125,54 +123,6 @@ class TestExecute:
         before = len(sweep_report())
         execute([_tiny_job("astro2")], jobs=1)
         assert len(sweep_report()) == before
-
-
-class TestPipelines:
-    def _peak_pipeline(self) -> ScenarioPipeline:
-        job = functools.partial(
-            ScenarioJob,
-            kind="find_peak",
-            seed=0,
-        )
-        return ScenarioPipeline(
-            jobs=(
-                job(params=dict(
-                    system="astro2", size=4, start_rate=2000.0, duration=0.4,
-                    warmup=0.3, refine_steps=1, payment_budget=6000,
-                    max_probes=3, reuse_state=True,
-                )),
-                job(params=dict(
-                    system="astro2", size=7, start_rate=2000.0, duration=0.4,
-                    warmup=0.3, refine_steps=1, payment_budget=6000,
-                    max_probes=3, reuse_state=True,
-                )),
-            ),
-            carry="fig3_warm_start",
-        )
-
-    def test_pipeline_runs_stages_in_order(self):
-        results = run_unit(self._peak_pipeline())
-        assert len(results) == 2
-        assert all(isinstance(r, PeakResult) for r in results)
-        # The carry rule warm-started stage 2 from stage 1's peak, not
-        # from the enumerated start_rate.
-        expected_start = max(results[0].peak_pps * 0.5, 50.0)
-        assert results[1].probes[0].offered == pytest.approx(expected_start)
-
-    def test_pipeline_parallel_matches_serial(self):
-        pipeline = self._peak_pipeline()
-        serial = execute([pipeline, pipeline], jobs=1)
-        parallel = execute([pipeline, pipeline], jobs=2)
-        assert [[r.peak_pps for r in unit] for unit in serial] == [
-            [r.peak_pps for r in unit] for unit in parallel
-        ]
-
-    def test_replace_params_merges(self):
-        job = ScenarioJob(kind="k", params={"a": 1, "b": 2}, seed=3, tag="t")
-        updated = replace_params(job, b=9, c=10)
-        assert updated.params == {"a": 1, "b": 9, "c": 10}
-        assert job.params == {"a": 1, "b": 2}  # original untouched
-        assert (updated.kind, updated.seed, updated.tag) == ("k", 3, "t")
 
 
 class TestFig3ResultTable:

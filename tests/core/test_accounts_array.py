@@ -1,19 +1,110 @@
 """Array-backed account store: interning, views, snapshot cache.
 
-The dict-of-objects store (`DictAccountState`) is kept as the
-behavioral reference: both stores expose the same mapping views and
-method surface, and these tests assert they stay indistinguishable —
-including the byte-identity of ``repr(snapshot())``, which the golden
-history fingerprints hash.
+The dict-of-objects store (`DictAccountState`, defined below; it exists
+only here) is the behavioral reference: both stores expose the same
+mapping views and method surface, and these tests assert they stay
+indistinguishable — including the byte-identity of ``repr(snapshot())``,
+which the golden history fingerprints hash.
 """
 
 import random
+from typing import Dict, Iterable, Mapping, Tuple
 
 import pytest
 
-from repro.core.accounts import AccountState, DictAccountState
+from repro.core.accounts import AccountState
 from repro.core.interning import ClientInterner
-from repro.core.payment import Payment
+from repro.core.payment import ClientId, Payment
+from repro.core.xlog import ExclusiveLog
+
+
+class DictAccountState:
+    """Reference oracle: the dict-of-objects store `AccountState` replaced.
+
+    One dict entry per client in each of three maps plus an eager
+    :class:`ExclusiveLog` — plain-dict logic with no interning, slabs or
+    lazy views, which is what makes it a trustworthy reference.
+    """
+
+    __slots__ = ("balances", "seqnums", "xlogs")
+
+    def __init__(self, genesis: Mapping[ClientId, int]) -> None:
+        for client, amount in genesis.items():
+            if amount < 0:
+                raise ValueError(
+                    f"negative genesis balance for {client!r}: {amount}"
+                )
+        self.balances: Dict[ClientId, int] = dict(genesis)
+        self.seqnums: Dict[ClientId, int] = {client: 0 for client in genesis}
+        self.xlogs: Dict[ClientId, ExclusiveLog] = {
+            client: ExclusiveLog(client) for client in genesis
+        }
+
+    def balance(self, client: ClientId) -> int:
+        return self.balances.get(client, 0)
+
+    def seqnum(self, client: ClientId) -> int:
+        return self.seqnums.get(client, 0)
+
+    def xlog(self, client: ClientId) -> ExclusiveLog:
+        log = self.xlogs.get(client)
+        if log is None:
+            log = ExclusiveLog(client)
+            self.xlogs[client] = log
+        return log
+
+    def knows(self, client: ClientId) -> bool:
+        return client in self.seqnums
+
+    def add_client(self, client: ClientId, balance: int = 0) -> None:
+        if client in self.seqnums:
+            raise ValueError(f"client {client!r} already registered")
+        self.balances[client] = balance
+        self.seqnums[client] = 0
+        self.xlogs[client] = ExclusiveLog(client)
+
+    def credit(self, client: ClientId, amount: int) -> None:
+        self.balances[client] = self.balances.get(client, 0) + amount
+
+    def settle_full(self, payment: Payment) -> None:
+        spender = payment.spender
+        self.balances[spender] = (
+            self.balances.get(spender, 0) - payment.amount
+        )
+        self.credit(payment.beneficiary, payment.amount)
+        self.seqnums[spender] = self.seqnums.get(spender, 0) + 1
+        self.xlog(spender).append(payment)
+
+    def settle_spend_only(self, payment: Payment) -> None:
+        spender = payment.spender
+        self.balances[spender] = (
+            self.balances.get(spender, 0) - payment.amount
+        )
+        self.seqnums[spender] = self.seqnums.get(spender, 0) + 1
+        self.xlog(spender).append(payment)
+
+    def try_settle_spend(self, payment: Payment) -> bool:
+        spender = payment.spender
+        if self.balances.get(spender, 0) < payment.amount:
+            return False
+        self.settle_spend_only(payment)
+        return True
+
+    def total_balance(self) -> int:
+        return sum(self.balances.values())
+
+    def snapshot(self) -> Tuple[Tuple[ClientId, int, int], ...]:
+        return tuple(
+            (
+                client,
+                self.balances.get(client, 0),
+                self.seqnums.get(client, 0),
+            )
+            for client in sorted(self.seqnums, key=repr)
+        )
+
+    def clients(self) -> Iterable[ClientId]:
+        return self.seqnums.keys()
 
 
 def fresh_snapshot(state):

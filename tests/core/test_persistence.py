@@ -145,7 +145,7 @@ def test_state_fingerprint_matches_shard_formula():
 
 
 # ---------------------------------------------------------------------------
-# Account-state captures: format-2 array encoding + legacy format-1
+# Account-state captures: the format-2 array encoding, and nothing else
 # ---------------------------------------------------------------------------
 def _populated_state():
     from repro.core.accounts import AccountState
@@ -195,25 +195,24 @@ def test_array_snapshot_rejects_mismatched_genesis():
         restore_account_state(other, payload)
 
 
-def test_legacy_dict_snapshot_restores_onto_array_state():
-    from repro.core.accounts import AccountState, DictAccountState
-    from repro.core.payment import Payment
-    from repro.core.persistence import restore_account_state
+@pytest.mark.parametrize("tag", ["missing", 1, 3, "2"])
+def test_snapshot_unsupported_format_rejected_untouched(tag):
+    from repro.core.persistence import (
+        restore_account_state,
+        snapshot_account_state,
+    )
 
-    legacy = DictAccountState({"a": 50, "b": 50})
-    legacy.settle_full(Payment("a", 1, "b", 9))
-    # The pre-refactor capture shape: plain dicts, as pickled by old WALs.
-    payload = {
-        "balances": dict(legacy.balances),
-        "seqnums": dict(legacy.seqnums),
-        "xlogs": {
-            owner: list(log._entries) for owner, log in legacy.xlogs.items()
-        },
-    }
-    target = AccountState({"a": 50, "b": 50})
-    restore_account_state(target, payload)
-    assert target.snapshot() == legacy.snapshot()
-    assert list(target.xlog("a")) == list(legacy.xlog("a"))
+    payload = snapshot_account_state(_populated_state())
+    if tag == "missing":
+        # The shape of a pre-slab (format-1) capture: plain dicts, no tag.
+        payload = {"balances": {}, "seqnums": {}, "xlogs": {}}
+    else:
+        payload["format"] = tag
+    target = _populated_state()
+    before = state_fingerprint(target)
+    with pytest.raises(WalCorruption, match="unsupported snapshot format"):
+        restore_account_state(target, payload)
+    assert state_fingerprint(target) == before  # refused, not half-applied
 
 
 # ---------------------------------------------------------------------------

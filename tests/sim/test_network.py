@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.events import Simulator
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 
@@ -169,15 +169,23 @@ def test_timer_suppressed_after_crash():
 
 
 # ---------------------------------------------------------------------------
-# Arrival-train broadcast: one calendar entry, unchanged delivery history
+# Broadcast == one send per target: the equivalence Network.broadcast
+# documents (times, order, events executed, drops)
 # ---------------------------------------------------------------------------
 
-def _broadcast_history(n, train_min, monkeypatch, latency_delay=0.01,
-                       block=(), crash_at=None):
-    """Delivery history of staggered all-to-all broadcasts on n nodes."""
-    monkeypatch.setattr(Network, "TRAIN_MIN", train_min)
+class _PairLatency(LatencyModel):
+    """Deterministic pair-varying delay: arrival order != target order."""
+
+    def sample(self, src, dst):
+        return 0.01 + 0.001 * ((7 * src + 13 * dst) % 5)
+
+
+def _fanout_history(fanout, use_broadcast, block=(), crash_at=None):
+    """History of staggered fan-outs from each of 17 nodes to its next
+    ``fanout`` peers, via ``node.broadcast`` or a ``node.send`` loop."""
+    n = 17
     sim = Simulator()
-    network = Network(sim, latency=ConstantLatency(latency_delay))
+    network = Network(sim, latency=_PairLatency())
     nodes = [Node(sim, i, network) for i in range(n)]
     history = []
     for node in nodes:
@@ -185,48 +193,65 @@ def _broadcast_history(n, train_min, monkeypatch, latency_delay=0.01,
                 history.append((sim.now, src, _id, msg)))
     for a, b in block:
         network.block(a, b)
+
+    def fan_out(node, targets, payload):
+        if use_broadcast:
+            node.broadcast(targets, payload, 120)
+        else:
+            for dst in targets:
+                node.send(dst, payload, 120)
+
     for node in nodes:
-        targets = [p.node_id for p in nodes if p is not node]
-        sim.schedule(0.001 * node.node_id, node.broadcast, targets,
-                     ("payload", node.node_id), 120)
+        targets = [(node.node_id + k) % n for k in range(1, fanout + 1)]
+        sim.schedule(0.001 * node.node_id, fan_out, node, targets,
+                     ("payload", node.node_id))
     if crash_at is not None:
         victim, at = crash_at
         sim.schedule(at, network.crash, victim)
     sim.run_until_idle()
-    return history, sim.events_executed, sim.now, network.stats.messages_dropped
+    stats = network.stats
+    return (history, sim.events_executed, sim.now, stats.messages_sent,
+            stats.bytes_sent, stats.messages_delivered, stats.messages_dropped)
 
 
-@pytest.mark.parametrize("n", [10, 16])
-def test_train_history_identical_to_per_copy(monkeypatch, n):
-    train = _broadcast_history(n, 2, monkeypatch)
-    per_copy = _broadcast_history(n, 10**9, monkeypatch)
-    assert train == per_copy
+@pytest.mark.parametrize("fanout", [0, 1, 3, 10, 16])
+def test_broadcast_history_identical_to_send_loop(fanout):
+    broadcast = _fanout_history(fanout, use_broadcast=True)
+    sends = _fanout_history(fanout, use_broadcast=False)
+    assert broadcast == sends
+    assert len(broadcast[0]) == 17 * fanout
 
 
-def test_train_respects_partitions(monkeypatch):
-    blocked = {(0, 3), (0, 7), (2, 5)}
-    train = _broadcast_history(10, 2, monkeypatch, block=blocked)
-    per_copy = _broadcast_history(10, 10**9, monkeypatch, block=blocked)
-    assert train == per_copy
-    assert train[3] == per_copy[3] != 0
+@pytest.mark.parametrize("fanout", [1, 3, 10, 16])
+def test_broadcast_respects_partitions(fanout):
+    blocked = {(0, 1), (0, 3), (0, 7), (2, 3), (2, 5), (16, 0)}
+    broadcast = _fanout_history(fanout, use_broadcast=True, block=blocked)
+    sends = _fanout_history(fanout, use_broadcast=False, block=blocked)
+    assert broadcast == sends
+    assert broadcast[-1] != 0  # the partition did drop copies
 
 
-def test_train_drops_at_crashed_destination(monkeypatch):
-    crash = (4, 0.012)  # mid-flight: some arrivals at node 4 are dropped
-    train = _broadcast_history(10, 2, monkeypatch, crash_at=crash)
-    per_copy = _broadcast_history(10, 10**9, monkeypatch, crash_at=crash)
-    assert train == per_copy
+@pytest.mark.parametrize("fanout", [1, 3, 10, 16])
+def test_broadcast_drops_at_crashed_destination(fanout):
+    crash = (4, 0.012)  # mid-flight: later arrivals at node 4 are dropped
+    broadcast = _fanout_history(fanout, use_broadcast=True, crash_at=crash)
+    sends = _fanout_history(fanout, use_broadcast=False, crash_at=crash)
+    assert broadcast == sends
+    assert broadcast[-1] != 0
 
 
-def test_train_single_calendar_entry_per_broadcast(monkeypatch):
-    monkeypatch.setattr(Network, "TRAIN_MIN", 2)
+def test_broadcast_single_calendar_entry():
     sim = Simulator()
     network = Network(sim, latency=ConstantLatency(0.01))
     nodes = [Node(sim, i, network) for i in range(12)]
     nodes[0].broadcast([n.node_id for n in nodes[1:]], "x", 100)
-    # 11 in-flight arrivals ride one train entry (the per-copy engine
-    # would hold 11).
+    # 11 in-flight arrivals ride one train entry (a send loop would
+    # hold 11).
     assert sim.pending == 1
+    nodes[1].broadcast([2], "y", 100)  # so does a fan-out of one ...
+    assert sim.pending == 2
+    nodes[2].broadcast([], "z", 100)   # ... and an empty one adds nothing
+    assert sim.pending == 2
     got = []
     nodes[5].on(str, lambda src, msg: got.append(msg))
     sim.run_until_idle()
