@@ -51,6 +51,7 @@ import time
 
 import pytest
 
+from repro.bench.jobs import exec_find_peak
 from repro.bench.parallel import ScenarioJob, derive_seed, execute, usable_cpus
 from repro.bench.profile import (
     DEFAULT_DURATION,
@@ -244,7 +245,7 @@ def test_parallel_sweep_speedup(scale):
     # column — with per-job seeds spawned from the jobs' identity keys.
     units = [
         ScenarioJob(
-            kind="find_peak",
+            fn=exec_find_peak,
             params=dict(
                 system="astro2", size=4, start_rate=4000.0,
                 duration=0.5, warmup=0.3, refine_steps=1,

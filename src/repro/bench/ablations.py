@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import AstroConfig
+from .jobs import exec_find_peak, exec_open_loop_messages
 from .parallel import ScenarioJob, execute
 from .report import format_table
 from .estimate import job_memory_bytes
@@ -59,7 +60,7 @@ def run_batching_ablation(
         scale = current_scale()
     units = [
         ScenarioJob(
-            kind="find_peak",
+            fn=exec_find_peak,
             params=dict(
                 system="astro2",
                 size=size,
@@ -119,7 +120,7 @@ def run_message_complexity_ablation(
 ) -> MessageComplexityAblation:
     units = [
         ScenarioJob(
-            kind="open_loop_messages",
+            fn=exec_open_loop_messages,
             params=dict(
                 system=name, size=size, rate=rate, duration=1.0, warmup=0.5
             ),

@@ -12,8 +12,9 @@ verdicts — land in ``BENCH_byzantine.json``.
 every attack applicable to the system).
 
 Cells are independent :class:`~repro.bench.parallel.ScenarioJob`s
-(executor ``"adversary_timeline"``), so ``REPRO_BENCH_JOBS`` parallelizes
-the suite like every other sweep.
+running :func:`run_adversary_cell`, so ``REPRO_BENCH_JOBS`` parallelizes
+the suite like every other sweep.  This is the only bench module that
+imports the adversary subsystem; benign sweeps never load it.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def run_byzantine_robustness(
         for attack in applicable_attacks(system, attacks):
             units.append(
                 ScenarioJob(
-                    kind="adversary_timeline",
+                    fn=run_adversary_cell,
                     params=dict(
                         system=system,
                         size=size,

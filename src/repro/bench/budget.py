@@ -38,6 +38,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..brb.batching import DEFAULT_BATCH_SIZE as _BATCH
 from .estimate import analytic_capacity
 from .scale import BenchScale, current_scale
 
@@ -59,9 +60,6 @@ SAFETY_FACTOR = 4.0
 #: Smallest budget ever emitted — tiny cells are all constant overhead
 #: (interpreter start, system build) that the event model does not see.
 MIN_BUDGET_SECONDS = 10.0
-
-#: Paper batch size (§VI-A); payments amortize per-batch event costs.
-_BATCH = 256
 
 #: Calibration-kernel throughput of the reference host (the dev
 #: container the event-cost constant below was fitted on).  Budgets on

@@ -27,8 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..brb.batching import DEFAULT_BATCH_SIZE as _BATCH
+from ..brb.batching import Batch
 from ..brb.quorums import byzantine_quorum, max_faulty
 from ..crypto import costs
+from ..sim.node import DEFAULT_BANDWIDTH as _NIC_BYTES_PER_SEC
+from ..sim.node import DEFAULT_CORES as _CPU_CORES
 
 __all__ = [
     "PeakEstimate",
@@ -43,16 +47,11 @@ __all__ = [
     "BRACKET_HIGH",
 ]
 
-#: Simulated node resources (mirrors ``sim.resources`` defaults — the
-#: t2.medium profile of §VI-A: 2 vCores, 30 MiB/s NIC).
-_CPU_CORES = 2.0
-_NIC_BYTES_PER_SEC = 30.0 * 1024 * 1024
-
-#: Paper batch size (§VI-A) — the unit the per-batch costs amortize over.
-_BATCH = 256
-
-#: Approximate wire bytes of one payment inside a batch.
-_PAYMENT_BYTES = 100
+#: The model's constants are the simulator's own: node resources
+#: (``sim.node``: the t2.medium profile of §VI-A), the paper batch size
+#: the per-batch costs amortize over (``brb.batching``), and the wire
+#: bytes of one payment inside a batch.
+_PAYMENT_BYTES = Batch.PAYMENT_BYTES
 _BATCH_BYTES = 48 + _BATCH * _PAYMENT_BYTES
 
 #: Anchor probes offer this fraction of the analytic capacity: safely

@@ -32,6 +32,7 @@ from .estimate import (
     estimate_peaks,
     job_memory_bytes,
 )
+from .jobs import exec_estimate_anchor, exec_find_peak
 from .parallel import ScenarioJob, execute
 from .report import format_table, kilo
 from .scale import BenchScale, current_scale
@@ -111,7 +112,7 @@ def run_fig3(
     anchor_sizes = sorted(set(sizes))[:_MAX_ANCHORS]
     anchor_units = [
         ScenarioJob(
-            kind="estimate_anchor",
+            fn=exec_estimate_anchor,
             params=dict(
                 system=name,
                 size=size,
@@ -143,7 +144,7 @@ def run_fig3(
     }
     units = [
         ScenarioJob(
-            kind="find_peak",
+            fn=exec_find_peak,
             params=dict(
                 system=name,
                 size=size,

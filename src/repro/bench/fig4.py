@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .estimate import job_memory_bytes
+from .jobs import exec_fig4_curve
 from .parallel import ScenarioJob, execute
 from .report import format_table
 from .scale import BenchScale, current_scale
@@ -66,7 +67,7 @@ def run_fig4(
         points = scale.fig4_rates_per_system
     units = [
         ScenarioJob(
-            kind="fig4_curve",
+            fn=exec_fig4_curve,
             params=dict(
                 system=name,
                 size=size,

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..crypto.keys import Keychain, replica_owner
+from ..crypto.keys import Keychain
+from ..reconfig.consensus_reconfig import measure_consensus_join_latency
 from ..reconfig.membership import ReconfigReplica
 from ..reconfig.views import View
 from ..sim.events import Simulator
@@ -70,8 +71,7 @@ def measure_astro_join_series(
     keychain = Keychain(seed=seed + 5)
     initial = View(0, range(sizes[0] - 1))
     replicas: Dict[int, ReconfigReplica] = {}
-    for node_id in range(max_size):
-        key = keychain.generate(replica_owner(node_id))
+    for node_id, key in enumerate(keychain.generate_replica_keys(max_size)):
         replicas[node_id] = ReconfigReplica(
             sim, node_id, network, initial, keychain, key,
             state_bytes=state_bytes,
@@ -124,15 +124,15 @@ def run_fig8(
     # sequential: one job); each consensus join is independent.
     units = [
         ScenarioJob(
-            kind="astro_join_series",
+            fn=measure_astro_join_series,
             params=dict(sizes=tuple(sizes), state_bytes=STATE_BYTES),
             seed=seed,
             tag="astro",
         )
     ] + [
         ScenarioJob(
-            kind="consensus_join",
-            params=dict(size=size, state_bytes=STATE_BYTES),
+            fn=measure_consensus_join_latency,
+            params=dict(num_replicas=size, state_bytes=STATE_BYTES),
             seed=seed,
             tag=("bft", size),
         )

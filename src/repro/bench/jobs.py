@@ -1,6 +1,6 @@
-"""Standard scenario executors for the parallel benchmark backend.
+"""Standard scenario functions for the parallel benchmark backend.
 
-Each executor rebuilds its simulator *inside the worker process* from a
+Each function rebuilds its simulator *inside the worker process* from a
 :class:`~repro.bench.parallel.ScenarioJob`'s picklable params, runs one
 self-contained measurement, and returns only small result objects
 (:class:`~repro.bench.runner.RunResult`,
@@ -8,28 +8,31 @@ self-contained measurement, and returns only small result objects
 heavyweight — no simulators, networks, or replicas — ever crosses the
 process boundary.
 
-The figure modules (``fig3``/``fig4``/``ablations``/``table1``/``fig8``/
-``robustness``) enumerate jobs against these kinds; the registrations
-here are imported by :func:`repro.bench.parallel.run_unit` in every
-worker, so job kinds resolve under both ``fork`` and ``spawn`` start
-methods.
+The figure modules (``fig3``/``fig4``/``ablations``/``robustness``) put
+these functions in their jobs' ``fn``; ``table1``, ``fig8`` and
+``bench.adversary`` name their own measurement functions the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..consensus.config import BftConfig
 from ..sim.shard import ShardedOpenLoop, ShardingUnsupported, resolve_shards
-from .parallel import register_executor
 from .peak import SATURATION_GOODPUT, PeakResult, find_peak, shrink_window
 from .runner import RunResult, run_open_loop
 from .systems import SYSTEM_BUILDERS
 from .timeline import TimelineResult, run_timeline
 
-__all__ = []  # imported for registration side effects, not for names
+__all__ = [
+    "exec_estimate_anchor",
+    "exec_fig4_curve",
+    "exec_find_peak",
+    "exec_open_loop_messages",
+    "exec_timeline",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +52,7 @@ def _in_daemon_worker() -> bool:
     return multiprocessing.current_process().daemon
 
 
-@register_executor("find_peak")
-def _exec_find_peak(
+def exec_find_peak(
     seed: int,
     system: str,
     size: int,
@@ -127,8 +129,7 @@ def _exec_find_peak(
     )
 
 
-@register_executor("estimate_anchor")
-def _exec_estimate_anchor(
+def exec_estimate_anchor(
     seed: int,
     system: str,
     size: int,
@@ -183,8 +184,7 @@ def _exec_estimate_anchor(
 # ---------------------------------------------------------------------------
 
 
-@register_executor("open_loop_messages")
-def _exec_open_loop_messages(
+def exec_open_loop_messages(
     seed: int,
     system: str,
     size: int,
@@ -206,8 +206,7 @@ def _exec_open_loop_messages(
 # ---------------------------------------------------------------------------
 
 
-@register_executor("fig4_curve")
-def _exec_fig4_curve(
+def exec_fig4_curve(
     seed: int,
     system: str,
     size: int,
@@ -305,8 +304,7 @@ _FAULTS = {
 }
 
 
-@register_executor("timeline")
-def _exec_timeline(
+def exec_timeline(
     seed: int,
     system: str,
     size: int,
@@ -332,81 +330,3 @@ def _exec_timeline(
         seed=seed,
     )
 
-
-# ---------------------------------------------------------------------------
-# Table I cells (sharded Smallbank + BFT upper bound)
-# ---------------------------------------------------------------------------
-
-
-@register_executor("table1_astro2")
-def _exec_table1_astro2(
-    seed: int,
-    shards: int,
-    shard_size: int,
-    delay_ms: float,
-    duration: float,
-    **knobs: Any,
-) -> Tuple[float, float, float]:
-    from .table1 import measure_astro2_cell
-
-    return measure_astro2_cell(
-        shards, shard_size, delay_ms, duration, seed, **knobs
-    )
-
-
-@register_executor("table1_bft")
-def _exec_table1_bft(
-    seed: int,
-    shard_size: int,
-    delay_ms: float,
-    duration: float,
-    **knobs: Any,
-) -> float:
-    from .table1 import measure_bft_upper_bound
-
-    return measure_bft_upper_bound(
-        shard_size, delay_ms, duration, seed, **knobs
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fig. 8 reconfiguration latencies
-# ---------------------------------------------------------------------------
-
-
-@register_executor("astro_join_series")
-def _exec_astro_join_series(
-    seed: int, sizes: Sequence[int], state_bytes: int
-) -> List[float]:
-    """The whole join series is one job: each join grows the same system,
-    so the sweep is inherently sequential."""
-    from .fig8 import measure_astro_join_series
-
-    return measure_astro_join_series(sizes, seed=seed, state_bytes=state_bytes)
-
-
-@register_executor("consensus_join")
-def _exec_consensus_join(seed: int, size: int, state_bytes: int) -> float:
-    from ..reconfig.consensus_reconfig import measure_consensus_join_latency
-
-    return measure_consensus_join_latency(
-        size, state_bytes=state_bytes, seed=seed
-    )
-
-
-# ---------------------------------------------------------------------------
-# Byzantine robustness cells (BENCH_byzantine)
-# ---------------------------------------------------------------------------
-
-
-@register_executor("adversary_timeline")
-def _exec_adversary_timeline(seed: int, **params: Any) -> Dict[str, Any]:
-    """One (system × attack) Byzantine timeline with invariant monitoring.
-
-    Lazily imported like the Table I executors: ``repro.bench.adversary``
-    pulls in the whole adversary subsystem, which benign sweeps should
-    not pay for.
-    """
-    from .adversary import run_adversary_cell
-
-    return run_adversary_cell(seed=seed, **params)

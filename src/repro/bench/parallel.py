@@ -6,7 +6,8 @@ only run one simulation per process.  This module turns each benchmark
 from "inline loop that builds systems and measures" into three phases:
 
 1. **enumerate** — the figure module describes every cell of its sweep as
-   a picklable :class:`ScenarioJob`;
+   a picklable :class:`ScenarioJob` (a module-level function plus its
+   keyword arguments);
 2. **execute** — :func:`execute` runs the descriptors on a backend:
    in-process serial (the default, byte-for-byte identical to the old
    inline loops) or a ``multiprocessing`` pool selected with the
@@ -43,6 +44,7 @@ import gc
 import hashlib
 import multiprocessing
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,7 +56,6 @@ __all__ = [
     "derive_seed",
     "execute",
     "parse_count_env",
-    "register_executor",
     "reset_sweep_log",
     "resolve_jobs",
     "run_unit",
@@ -77,45 +78,19 @@ JOBS_ENV = "REPRO_BENCH_JOBS"
 class ScenarioJob:
     """One independent simulation, described by picklable values only.
 
-    ``kind`` names an executor registered with :func:`register_executor`
-    (the standard benchmark executors live in :mod:`repro.bench.jobs`);
-    ``params`` are the executor's keyword arguments; ``seed`` is the
-    job's explicit entropy, fixed at enumeration time; ``tag`` is an
-    opaque label the enumerator uses to reassemble results (it is
-    returned untouched, never interpreted).
+    ``fn`` is a module-level function (the standard ones live in
+    :mod:`repro.bench.jobs`; figure modules also name their own) called
+    as ``fn(seed=seed, **params)`` — pickled by reference, so a worker
+    imports its module on arrival under ``fork`` and ``spawn`` alike;
+    ``seed`` is the job's explicit entropy, fixed at enumeration time;
+    ``tag`` is an opaque label the enumerator uses to reassemble results
+    (it is returned untouched, never interpreted).
     """
 
-    kind: str
+    fn: Callable[..., Any]
     params: Dict[str, Any] = field(default_factory=dict)
     seed: int = 0
     tag: Any = None
-
-
-# ---------------------------------------------------------------------------
-# Registries
-# ---------------------------------------------------------------------------
-
-_EXECUTORS: Dict[str, Callable[..., Any]] = {}
-
-
-def register_executor(kind: str):
-    """Register ``fn(seed=..., **params)`` as the executor for ``kind``."""
-
-    def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        _EXECUTORS[kind] = fn
-        return fn
-
-    return decorator
-
-
-def _ensure_executors_loaded() -> None:
-    """Import the standard executor registrations.
-
-    Under the ``spawn`` start method a worker process starts from a clean
-    interpreter, so registration-by-import must be repeated there; under
-    ``fork`` this is a no-op.
-    """
-    from . import jobs  # noqa: F401  (import side effect: registration)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +117,12 @@ def derive_seed(root_seed: int, *key: Any) -> int:
 
 
 def run_unit(job: ScenarioJob) -> Any:
-    """Execute one job in this process and return its executor's result.
+    """Execute one job in this process and return its function's result.
 
     This is the worker entry point for the process-pool backend and the
     whole story for the serial backend.
     """
-    _ensure_executors_loaded()
-    try:
-        executor = _EXECUTORS[job.kind]
-    except KeyError:
-        known = ", ".join(sorted(_EXECUTORS)) or "<none>"
-        raise KeyError(
-            f"no executor registered for job kind {job.kind!r} (known: {known})"
-        ) from None
-    result = executor(seed=job.seed, **job.params)
+    result = job.fn(seed=job.seed, **job.params)
     # Scenario boundary: the job's system is cyclic garbage; reclaim it
     # before the next job builds its own (repro.sim.events, "Collector
     # policy").
@@ -319,18 +286,6 @@ def reset_sweep_log() -> None:
     _SWEEP_LOG.clear()
 
 
-def _pool_context():
-    """The platform's default multiprocessing context.
-
-    Linux defaults to ``fork`` (cheap, inherits the executor registries);
-    macOS and Windows default to ``spawn``, which CPython chose for
-    fork-safety there — workers re-import :mod:`repro.bench.jobs` via
-    :func:`_ensure_executors_loaded`, so both start methods resolve job
-    kinds and produce identical results.
-    """
-    return multiprocessing.get_context()
-
-
 def execute(
     units: Sequence[ScenarioJob],
     jobs: Optional[int] = None,
@@ -360,9 +315,20 @@ def execute(
     ``"budget_seconds"`` field so the recorded sweep log carries its own
     pass/fail criterion.  Budgets never alter execution — the checker
     audits the artifact after the fact.
+
+    Raises ``ValueError`` for a job whose ``fn`` a worker could not
+    import by name (a lambda, a closure) — on every backend, so the
+    mistake does not pass serially and fail only under a pool.
     """
-    _ensure_executors_loaded()
     units = list(units)
+    for unit in units:
+        try:
+            pickle.dumps(unit.fn)
+        except (pickle.PicklingError, AttributeError) as exc:
+            raise ValueError(
+                f"job {unit.tag!r}: fn must be importable by module and "
+                f"qualified name ({exc})"
+            ) from None
     workers, auto = _resolve_jobs_info(jobs)
     if auto and per_job_bytes:
         workers = _memory_capped_workers(workers, per_job_bytes)
@@ -372,7 +338,9 @@ def execute(
         backend = "serial"
         timed = [_run_unit_timed(unit) for unit in units]
     else:
-        context = _pool_context()
+        # The platform default: fork on Linux, spawn on macOS/Windows —
+        # identical results, since unpickling a job imports its fn.
+        context = multiprocessing.get_context()
         backend = f"process-pool({workers}, {context.get_start_method()})"
         with context.Pool(processes=workers) as pool:
             timed = pool.map(_run_unit_timed, units, chunksize=1)

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .estimate import job_memory_bytes
 from .jobs import ASYNC_DELAY  # noqa: F401  (re-exported; value is §VI-D's 100 ms)
+from .jobs import exec_timeline
 from .parallel import ScenarioJob, execute
 from .report import format_series, format_table
 from .scale import BenchScale, current_scale
@@ -114,7 +115,7 @@ def _enumerate_scenarios(
     """One independent ``timeline`` job per fault curve of one figure."""
     return [
         ScenarioJob(
-            kind="timeline",
+            fn=exec_timeline,
             params=dict(
                 system=system,
                 size=size,

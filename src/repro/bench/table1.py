@@ -24,10 +24,10 @@ per-shard throughput decreases slightly with more shards (more cross-shard
 traffic), the 20 ms delay costs throughput and latency, and Astro II's
 totals dominate the consensus upper bound by ~5×.
 
-Execution model: every (shards, tc) cell is one ``table1_astro2`` job and
-every tc value one ``table1_bft`` job (the single-shard upper bound is
-shared across shard counts, exactly as the old per-delay cache did); all
-jobs are independent and run concurrently on the parallel backend.
+Execution model: every (shards, tc) cell is one :func:`measure_astro2_cell`
+job and every tc value one :func:`measure_bft_upper_bound` job (the
+single-shard upper bound is shared across shard counts); all jobs are
+independent and run concurrently on the parallel backend.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def run_table1(
     )
     units: List[ScenarioJob] = [
         ScenarioJob(
-            kind="table1_astro2",
+            fn=measure_astro2_cell,
             params=dict(
                 shards=shards,
                 shard_size=scale.table1_shard_size,
@@ -243,7 +243,7 @@ def run_table1(
     # count: one job per delay value (the old code's per-delay cache).
     units += [
         ScenarioJob(
-            kind="table1_bft",
+            fn=measure_bft_upper_bound,
             params=dict(
                 shard_size=scale.table1_shard_size,
                 delay_ms=delay_ms,

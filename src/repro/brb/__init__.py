@@ -11,7 +11,6 @@ from .batching import (
     DEFAULT_BATCH_SIZE,
     Batch,
     Batcher,
-    group_by_representative,
 )
 from .bracha import BrachaBroadcast, BrbEcho, BrbPrepare, BrbReady
 from .interface import BroadcastLayer, DeliverFn, Identifier
@@ -23,7 +22,6 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "Batch",
     "Batcher",
-    "group_by_representative",
     "BrachaBroadcast",
     "BrbEcho",
     "BrbPrepare",

@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Generic, Hashable, List, Optional, Seque
 from ..crypto.hashing import Digest, digest
 from ..transport.interface import Clock, TimerHandle
 
-__all__ = ["Batch", "Batcher", "KeyedCoalescer", "group_by_representative",
+__all__ = ["Batch", "Batcher", "KeyedCoalescer",
            "DEFAULT_BATCH_SIZE", "DEFAULT_BATCH_DELAY"]
 
 #: Paper's batch size: one signature per 256 payments (§VI-A).
@@ -259,17 +259,3 @@ class KeyedCoalescer(Generic[T]):
     def pending_for(self, key: Hashable) -> int:
         return len(self._pending.get(key, ()))
 
-
-def group_by_representative(
-    items: Sequence[T], representative_of: Callable[[T], Hashable]
-) -> Dict[Hashable, List[T]]:
-    """Astro II's second batching level (§VI-A).
-
-    Splits a batch into sub-batches keyed by the representative replica of
-    each payment's beneficiary; the settling replica then produces one
-    CREDIT signature per sub-batch instead of one per payment.
-    """
-    groups: Dict[Hashable, List[T]] = {}
-    for item in items:
-        groups.setdefault(representative_of(item), []).append(item)
-    return groups

@@ -353,8 +353,9 @@ class Astro2Replica(AstroReplicaBase):
     def _credit_groups(self, settled: List[Payment]) -> Dict[int, List[Payment]]:
         """One delivery's sub-batches, keyed by beneficiary representative.
 
-        Inlined group_by_representative: one dict lookup per payment
-        instead of a lambda plus a method call.  Insertion-ordered, so
+        Astro II's second batching level (§VI-A): the settling replica
+        signs one CREDIT per sub-batch instead of one per payment.  One
+        dict lookup per payment; insertion-ordered, so
         sub-batch content and emission order are pure functions of the
         settle order.
         """

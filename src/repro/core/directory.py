@@ -8,12 +8,12 @@ data distributed out-of-band, not a trusted online service.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..brb.quorums import max_faulty
 from .payment import ClientId
 
-__all__ = ["Directory"]
+__all__ = ["Directory", "assemble_directory"]
 
 
 class Directory:
@@ -91,3 +91,42 @@ class Directory:
             for client, rep in self._rep_of.items()
             if self._shard_of_replica[rep] == shard_id
         ]
+
+
+def assemble_directory(
+    clients: Iterable[ClientId],
+    per_shard: int,
+    num_shards: int = 1,
+    rep_assignment: Optional[Mapping[ClientId, int]] = None,
+    shard_assignment: Optional[Mapping[ClientId, int]] = None,
+) -> Directory:
+    """The directory of a deployment — the one client-assignment rule.
+
+    Shard ``s`` holds node ids ``s·k … (s+1)·k − 1`` for ``k =
+    per_shard``.  Clients, in ``repr``-sorted order, deal round-robin over
+    the shards and, within a shard, round-robin over its members; with
+    one shard that is Astro I's plain round-robin over all replicas.
+    ``shard_assignment`` pins a client's shard, ``rep_assignment`` its
+    representative outright.  Pure in its arguments, so every simulated
+    system and every process of a live cluster derives the same map
+    independently.
+    """
+    directory = Directory()
+    for shard in range(num_shards):
+        directory.register_shard(
+            shard,
+            tuple(range(shard * per_shard, (shard + 1) * per_shard)),
+        )
+    members_of = directory._shard_members
+    for position, client in enumerate(sorted(clients, key=repr)):
+        if rep_assignment is not None:
+            representative = rep_assignment[client]
+        else:
+            if shard_assignment is not None:
+                shard = shard_assignment[client]
+            else:
+                shard = position % num_shards
+            slot = (position // num_shards) % per_shard
+            representative = members_of[shard][slot]
+        directory.register_client(client, representative)
+    return directory

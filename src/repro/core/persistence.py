@@ -69,8 +69,8 @@ class WalCorruption(Exception):
 def state_fingerprint(state: Any) -> str:
     """SHA-256 fingerprint of an :class:`AccountState`.
 
-    Identical to the formula golden-pinned by
-    :func:`repro.sim.shard.state_fingerprints`, so a recovered live
+    The one formula: :func:`repro.sim.shard.state_fingerprints` (the
+    golden-pinned simulator witness) calls this, so a recovered live
     replica can be compared against a simulator prediction directly.
     """
     return hashlib.sha256(repr(state.snapshot()).encode()).hexdigest()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional
 
-from ..crypto.keys import Keychain, replica_owner
+from ..crypto.keys import Keychain
 from ..sim.events import Simulator
 from ..sim.faults import FaultInjector
 from ..sim.latency import LatencyModel, europe_wan
@@ -25,7 +25,7 @@ from .astro1 import Astro1Replica
 from .astro2 import Astro2Replica
 from .client import ClientNode, ConfirmCallback
 from .config import AstroConfig
-from .directory import Directory
+from .directory import assemble_directory
 from .interning import ClientInterner
 from .payment import ClientId, Payment
 from .replica import AstroReplicaBase
@@ -40,23 +40,31 @@ class _AstroSystemBase:
         self,
         genesis: Mapping[ClientId, int],
         config: AstroConfig,
-        total_replicas: int,
         sim: Optional[Simulator],
         network: Optional[Network],
         latency: Optional[LatencyModel],
         seed: int,
         track_kinds: bool,
+        rep_assignment: Optional[Mapping[ClientId, int]],
+        shard_assignment: Optional[Mapping[ClientId, int]],
     ) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.config = config
         self.genesis: Dict[ClientId, int] = dict(genesis)
+        total_replicas = config.num_replicas * config.num_shards
         if network is None:
             if latency is None:
                 latency = europe_wan(total_replicas, seed=seed)
             network = Network(self.sim, latency=latency, track_kinds=track_kinds)
         self.network = network
         self.faults = FaultInjector(self.sim, self.network)
-        self.directory = Directory()
+        self.directory = assemble_directory(
+            self.genesis,
+            config.num_replicas,
+            config.num_shards,
+            rep_assignment,
+            shard_assignment,
+        )
         #: Cached client → representative dict (stable object, hot path).
         self._rep_map = self.directory.rep_map
         #: Lazily filled client → representative *replica object* cache;
@@ -71,9 +79,6 @@ class _AstroSystemBase:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _sorted_clients(self) -> List[ClientId]:
-        return sorted(self.genesis, key=repr)
-
     def _register(self, replica: AstroReplicaBase) -> None:
         self.replicas.append(replica)
         self._replica_by_node[replica.node_id] = replica
@@ -214,22 +219,15 @@ class Astro1System(_AstroSystemBase):
         super().__init__(
             genesis if genesis is not None else {},
             config,
-            config.num_replicas,
             sim,
             network,
             latency,
             seed,
             track_kinds,
+            rep_assignment,
+            None,
         )
-        members = tuple(range(config.num_replicas))
-        self.directory.register_shard(0, members)
-        clients = self._sorted_clients()
-        for position, client in enumerate(clients):
-            if rep_assignment is not None:
-                representative = rep_assignment[client]
-            else:
-                representative = members[position % len(members)]
-            self.directory.register_client(client, representative)
+        members = self.directory.members(0)
         # One ClientId ⇄ index interner for all replicas: their account
         # slabs share the per-client mapping cost.
         interner = ClientInterner(self.genesis)
@@ -279,34 +277,21 @@ class Astro2System(_AstroSystemBase):
     ) -> None:
         if config is None:
             config = AstroConfig(num_replicas=num_replicas, num_shards=num_shards)
-        total = config.num_replicas * config.num_shards
         super().__init__(
             genesis if genesis is not None else {},
             config,
-            total,
             sim,
             network,
             latency,
             seed,
             track_kinds,
+            rep_assignment,
+            shard_assignment,
         )
         self.keychain = keychain if keychain is not None else Keychain(seed=seed + 17)
-        per_shard = config.num_replicas
-        for shard in range(config.num_shards):
-            members = tuple(range(shard * per_shard, (shard + 1) * per_shard))
-            self.directory.register_shard(shard, members)
-        clients = self._sorted_clients()
-        for position, client in enumerate(clients):
-            if rep_assignment is not None:
-                representative = rep_assignment[client]
-            else:
-                if shard_assignment is not None:
-                    shard = shard_assignment[client]
-                else:
-                    shard = position % config.num_shards
-                members = self.directory.members(shard)
-                representative = members[(position // config.num_shards) % len(members)]
-            self.directory.register_client(client, representative)
+        keys = self.keychain.generate_replica_keys(
+            config.num_replicas * config.num_shards
+        )
         for shard in range(config.num_shards):
             shard_clients = set(self.directory.clients_of_shard(shard))
             shard_genesis = {
@@ -318,7 +303,6 @@ class Astro2System(_AstroSystemBase):
             # share one interner (cross-shard ids are interned lazily).
             interner = ClientInterner(shard_genesis)
             for node_id in self.directory.members(shard):
-                key = self.keychain.generate(replica_owner(node_id))
                 transport = Node(self.sim, node_id, self.network)
                 self._register(
                     Astro2Replica(
@@ -327,7 +311,7 @@ class Astro2System(_AstroSystemBase):
                         dict(shard_genesis),
                         self.directory,
                         self.keychain,
-                        key,
+                        keys[node_id],
                         interner=interner,
                     )
                 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Dict, Hashable
+from typing import Dict, Hashable, List
 
 __all__ = ["KeyPair", "Keychain", "CryptoError", "replica_owner", "client_owner"]
 
@@ -70,6 +70,16 @@ class Keychain:
         secret = self._rng.getrandbits(64)
         self._secrets[owner] = secret
         return KeyPair(owner, secret)
+
+    def generate_replica_keys(self, count: int) -> List[KeyPair]:
+        """Key pairs of replicas ``0 … count − 1``, indexed by node id.
+
+        The keychain is RNG-sequential, so this walk — every replica, in
+        node-id order — is what gives a simulated system and each process
+        of a live cluster identical key material; a process keeps the
+        entry at its own node id.
+        """
+        return [self.generate(replica_owner(i)) for i in range(count)]
 
     def has_key(self, owner: Hashable) -> bool:
         return owner in self._secrets

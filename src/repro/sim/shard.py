@@ -67,7 +67,6 @@ which would fire on non-owned stale state in every worker.
 from __future__ import annotations
 
 import gc
-import hashlib
 import multiprocessing
 import os
 import pickle
@@ -76,6 +75,8 @@ import threading
 from heapq import heappush as _heappush
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..core.persistence import state_fingerprint
 
 __all__ = [
     "SHARDS_ENV",
@@ -146,9 +147,7 @@ def state_fingerprints(system: Any) -> Dict[int, str]:
     worker's fingerprints of the replicas it owns.
     """
     return {
-        replica.node_id: hashlib.sha256(
-            repr(replica.state.snapshot()).encode()
-        ).hexdigest()
+        replica.node_id: state_fingerprint(replica.state)
         for replica in system.replicas
     }
 

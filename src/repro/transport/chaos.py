@@ -19,18 +19,18 @@ relative to the start of the measurement window:
 ``heal@8``
     Clear every delay/drop/partition at t=8.
 
-:func:`apply_timeline` feeds parsed events to anything exposing the
-simulator injector's method surface (``crash``, ``recover``,
-``delay_egress``, ``partition``, ``heal`` …): pass
-``system.faults`` for a simulation or a :class:`LiveFaultInjector` for a
-real cluster, and the identical spec produces the analogous fault
-schedule — the basis of the sim-vs-live parity tests.
+:func:`parse_timeline` is where the outside string enters, so it is
+where events are validated; both backends consume the parsed
+:class:`FaultEvent` list.  :func:`apply_timeline` schedules it on a
+simulation's ``system.faults``; a :class:`LiveFaultInjector` executes it
+against a real cluster — the identical spec produces the analogous
+fault schedule, the basis of the sim-vs-live parity tests.
 
 The live side implements transport shaping via :class:`LinkFault`
 control messages (applied to :meth:`TcpTransport.set_link_fault` inside
 each replica process) and process faults via SIGKILL/respawn in the
 cluster parent.  :class:`LiveMonitorFeed` adapts periodic replica state
-snapshots into the ``system`` shape
+views into the ``system`` shape
 :class:`~repro.adversary.monitor.InvariantMonitor` samples, so the same
 five safety invariants verified under simulated attacks run against the
 real cluster during chaos.
@@ -39,6 +39,8 @@ real cluster during chaos.
 from __future__ import annotations
 
 import asyncio
+import math
+from dataclasses import dataclass
 from typing import (
     Any,
     Awaitable,
@@ -60,38 +62,49 @@ __all__ = [
     "LinkFault",
     "LiveFaultInjector",
     "LiveMonitorFeed",
-    "StateSnapshotReply",
-    "StateSnapshotRequest",
     "apply_link_fault",
     "apply_timeline",
+    "check_replica_ids",
     "parse_timeline",
     "replica_state_view",
 ]
 
 
+@dataclass(frozen=True)
 class FaultEvent:
     """One parsed timeline event."""
 
-    __slots__ = ("at", "action", "args")
+    at: float
+    action: str
+    args: Tuple[Any, ...]
 
-    def __init__(self, at: float, action: str, args: Tuple[Any, ...]) -> None:
-        self.at = at
-        self.action = action
-        self.args = args
+    @property
+    def nodes(self) -> Tuple[int, ...]:
+        """Every replica id the event names."""
+        if self.action == "partition":
+            return self.args[0] + self.args[1]
+        return self.args[:1]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FaultEvent {self.action}{self.args}@{self.at}>"
 
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, FaultEvent)
-            and (self.at, self.action, self.args)
-            == (other.at, other.action, other.args)
-        )
+def _node(text: str) -> int:
+    node_id = int(text)
+    if node_id < 0:
+        raise ValueError(f"replica id must be >= 0, got {node_id}")
+    return node_id
+
+
+def _group(text: str) -> Tuple[int, ...]:
+    return tuple(sorted({_node(n) for n in text.split(",") if n.strip()}))
 
 
 def parse_timeline(spec: str) -> List[FaultEvent]:
-    """Parse a timeline spec (see module docstring) into sorted events."""
+    """Parse a timeline spec (see module docstring) into sorted events.
+
+    Raises ``ValueError`` on anything no backend could execute: an
+    unknown action, a time that is negative or not finite, a negative
+    delay, a drop probability outside [0, 1], and empty or overlapping
+    partition groups (a shared member would block a node from itself).
+    """
     events: List[FaultEvent] = []
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -101,27 +114,41 @@ def parse_timeline(spec: str) -> List[FaultEvent]:
         if not sep:
             raise ValueError(f"timeline event {chunk!r} is missing '@time'")
         at = float(when)
+        if not 0 <= at < math.inf:
+            raise ValueError(f"event time must be finite and >= 0: {chunk!r}")
         action, _, body = head.partition(":")
         action = action.strip()
         if action in ("crash", "recover"):
-            events.append(FaultEvent(at, action, (int(body),)))
+            events.append(FaultEvent(at, action, (_node(body),)))
         elif action in ("delay", "drop"):
             node_text, sep, value_text = body.partition("x")
             if not sep:
                 raise ValueError(
                     f"{action} event needs 'node x value', got {body!r}"
                 )
-            events.append(
-                FaultEvent(at, action, (int(node_text), float(value_text)))
-            )
+            value = float(value_text)
+            # A NaN fails either comparison chain.
+            if action == "drop" and not 0 <= value <= 1:
+                raise ValueError(
+                    f"drop probability must be in [0, 1], got {value_text!r}"
+                )
+            if action == "delay" and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"delay must be finite and >= 0, got {value_text!r}"
+                )
+            events.append(FaultEvent(at, action, (_node(node_text), value)))
         elif action == "partition":
             side_a, sep, side_b = body.partition("|")
             if not sep:
                 raise ValueError(
                     f"partition event needs 'a,b|c,d', got {body!r}"
                 )
-            group_a = tuple(int(n) for n in side_a.split(",") if n.strip())
-            group_b = tuple(int(n) for n in side_b.split(",") if n.strip())
+            group_a, group_b = _group(side_a), _group(side_b)
+            if not group_a or not group_b or set(group_a) & set(group_b):
+                raise ValueError(
+                    f"partition groups must be non-empty and disjoint, "
+                    f"got {body!r}"
+                )
             events.append(FaultEvent(at, action, (group_a, group_b)))
         elif action == "heal":
             events.append(FaultEvent(at, "heal", ()))
@@ -131,7 +158,18 @@ def parse_timeline(spec: str) -> List[FaultEvent]:
     return events
 
 
-#: Timeline action → injector method name (sim and live share it).
+def check_replica_ids(events: Sequence[FaultEvent], num_replicas: int) -> None:
+    """Raise ``ValueError`` if an event names a replica the cluster lacks."""
+    for event in events:
+        unknown = [node for node in event.nodes if node >= num_replicas]
+        if unknown:
+            raise ValueError(
+                f"{event.action}@{event.at:g} names replica(s) {unknown}; "
+                f"the cluster has ids 0..{num_replicas - 1}"
+            )
+
+
+#: Timeline action → method of the simulator's FaultInjector.
 _ACTION_METHODS = {
     "crash": "crash",
     "recover": "recover",
@@ -143,7 +181,7 @@ _ACTION_METHODS = {
 
 
 def apply_timeline(injector: Any, events: Sequence[FaultEvent]) -> None:
-    """Schedule ``events`` on any injector with the FaultInjector API."""
+    """Schedule ``events`` on a simulation's ``FaultInjector``."""
     for event in events:
         method = getattr(injector, _ACTION_METHODS[event.action], None)
         if method is None:
@@ -208,30 +246,6 @@ def apply_link_fault(transport: Any, fault: LinkFault) -> None:
         )
 
 
-class StateSnapshotRequest:
-    """Parent asks a replica process for its current state view."""
-
-    __slots__ = ("tag",)
-
-    def __init__(self, tag: int) -> None:
-        self.tag = tag
-
-    def __reduce__(self):
-        return (StateSnapshotRequest, (self.tag,))
-
-
-class StateSnapshotReply:
-    __slots__ = ("tag", "node_id", "view")
-
-    def __init__(self, tag: int, node_id: int, view: Dict[str, Any]) -> None:
-        self.tag = tag
-        self.node_id = node_id
-        self.view = view
-
-    def __reduce__(self):
-        return (StateSnapshotReply, (self.tag, self.node_id, self.view))
-
-
 def replica_state_view(replica: Any) -> Dict[str, Any]:
     """Picklable capture of the state the invariant monitor samples."""
     state = replica.state
@@ -241,7 +255,6 @@ def replica_state_view(replica: Any) -> Dict[str, Any]:
         "xlogs": {
             owner: tuple(log._entries) for owner, log in state.xlogs.items()
         },
-        "settled": sum(state.seqnums.values()),
         "fingerprint": state_fingerprint(state),
     }
     used_deps = getattr(replica, "_used_deps", None)
@@ -251,18 +264,18 @@ def replica_state_view(replica: Any) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Live fault injector (mirrors repro.sim.faults.FaultInjector)
+# Live fault injector
 # ----------------------------------------------------------------------
 FaultFn = Callable[..., Union[None, Awaitable[None]]]
 
 
 class LiveFaultInjector:
-    """Executes a fault schedule against real replica processes.
+    """Executes a parsed fault schedule against real replica processes.
 
-    Same method surface as the simulator's
-    :class:`~repro.sim.faults.FaultInjector` (so :func:`apply_timeline`
-    drives either), but times are relative to the ``t0`` passed to
-    :meth:`run` and execution is an asyncio task in the cluster parent.
+    The simulator schedules the same :class:`FaultEvent` list on its
+    calendar (:func:`apply_timeline`); here times are relative to the
+    ``t0`` passed to :meth:`run` and execution is an asyncio task in the
+    cluster parent.
 
     ``crash_fn(node_id)`` / ``recover_fn(node_id)`` act on processes
     (SIGKILL / respawn) and may be coroutines; ``link_fn(node_id,
@@ -275,53 +288,17 @@ class LiveFaultInjector:
         recover_fn: FaultFn,
         link_fn: Callable[[int, LinkFault], None],
         replica_ids: Iterable[int],
+        events: Sequence[FaultEvent],
     ) -> None:
         self._crash_fn = crash_fn
         self._recover_fn = recover_fn
         self._link_fn = link_fn
         self.replica_ids = list(replica_ids)
-        self._schedule: List[FaultEvent] = []
-        #: Mirrors the simulator injector's ``log``: (t, action, payload).
+        self._schedule = sorted(events, key=lambda event: event.at)
+        #: Executed faults, shaped like the simulator injector's ``log``:
+        #: (t, action, payload).
         self.log: List[Tuple[float, str, Any]] = []
         self._t0: Optional[float] = None
-
-    # -- scheduling (FaultInjector API) --------------------------------
-    def crash(self, node_id: int, at: float = 0.0) -> None:
-        self._schedule.append(FaultEvent(at, "crash", (node_id,)))
-
-    def recover(self, node_id: int, at: float = 0.0) -> None:
-        self._schedule.append(FaultEvent(at, "recover", (node_id,)))
-
-    def delay_egress(self, node_id: int, extra: float, at: float = 0.0) -> None:
-        self._schedule.append(FaultEvent(at, "delay", (node_id, extra)))
-
-    def delay_all(
-        self, node_ids: Iterable[int], extra: float, at: float = 0.0
-    ) -> None:
-        for node_id in node_ids:
-            self.delay_egress(node_id, extra, at=at)
-
-    def drop_egress(
-        self, node_id: int, probability: float, at: float = 0.0
-    ) -> None:
-        self._schedule.append(FaultEvent(at, "drop", (node_id, probability)))
-
-    def partition(
-        self, group_a: Iterable[int], group_b: Iterable[int], at: float = 0.0
-    ) -> None:
-        set_a, set_b = set(group_a), set(group_b)
-        overlap = set_a & set_b
-        if overlap:
-            raise ValueError(
-                f"partition groups must be disjoint; both contain "
-                f"{sorted(overlap)}"
-            )
-        self._schedule.append(
-            FaultEvent(at, "partition", (tuple(sorted(set_a)), tuple(sorted(set_b))))
-        )
-
-    def heal(self, at: float = 0.0) -> None:
-        self._schedule.append(FaultEvent(at, "heal", ()))
 
     # -- execution ------------------------------------------------------
     async def run(self, t0: float) -> None:
@@ -329,7 +306,7 @@ class LiveFaultInjector:
         (loop-clock seconds, e.g. the start of the measurement window)."""
         self._t0 = t0
         loop = asyncio.get_running_loop()
-        for event in sorted(self._schedule, key=lambda e: e.at):
+        for event in self._schedule:
             remaining = t0 + event.at - loop.time()
             if remaining > 0:
                 await asyncio.sleep(remaining)
@@ -339,30 +316,22 @@ class LiveFaultInjector:
         loop = asyncio.get_running_loop()
         now = loop.time() - (self._t0 or 0.0)
         action, args = event.action, event.args
-        if action == "crash":
-            result = self._crash_fn(args[0])
+        if action in ("crash", "recover"):
+            fn = self._crash_fn if action == "crash" else self._recover_fn
+            result = fn(args[0])
             if result is not None:
                 await result
-            self.log.append((now, "crash", args[0]))
-        elif action == "recover":
-            result = self._recover_fn(args[0])
-            if result is not None:
-                await result
-            self.log.append((now, "recover", args[0]))
-        elif action == "delay":
-            node_id, extra = args
-            self._link_fn(node_id, LinkFault(None, delay=extra))
-            self.log.append((now, "delay", (node_id, extra)))
-        elif action == "drop":
-            node_id, probability = args
-            self._link_fn(node_id, LinkFault(None, drop=probability))
-            self.log.append((now, "drop", (node_id, probability)))
+            self.log.append((now, action, args[0]))
+        elif action in ("delay", "drop"):
+            # LinkFault names its shaping fields after the two actions.
+            self._link_fn(args[0], LinkFault(None, **{action: args[1]}))
+            self.log.append((now, action, args))
         elif action == "partition":
             group_a, group_b = args
             for node_id in group_a:
-                self._link_fn(node_id, LinkFault(tuple(group_b), block=True))
+                self._link_fn(node_id, LinkFault(group_b, block=True))
             for node_id in group_b:
-                self._link_fn(node_id, LinkFault(tuple(group_a), block=True))
+                self._link_fn(node_id, LinkFault(group_a, block=True))
             pairs = tuple(sorted((a, b) for a in group_a for b in group_b))
             self.log.append((now, "partition", pairs))
         elif action == "heal":
@@ -402,10 +371,8 @@ class _ReplicaView:
         if deps:
             self._used_deps: Dict[Any, set] = {}
         self.fingerprint: Optional[str] = None
-        self.settled = 0
-        self.updated_at: Optional[float] = None
 
-    def update(self, view: Dict[str, Any], now: Optional[float] = None) -> None:
+    def update(self, view: Dict[str, Any]) -> None:
         state = self.state
         state.balances = dict(view["balances"])
         state.seqnums = dict(view["seqnums"])
@@ -418,15 +385,15 @@ class _ReplicaView:
         if "used_deps" in view and hasattr(self, "_used_deps"):
             self._used_deps = {c: set(s) for c, s in view["used_deps"].items()}
         self.fingerprint = view.get("fingerprint")
-        self.settled = view.get("settled", 0)
-        self.updated_at = now
 
 
 class LiveMonitorFeed:
     """``system``-shaped adapter over live replica snapshots.
 
     Construct before the run (the monitor captures genesis balances from
-    it), then :meth:`update` each arriving :class:`StateSnapshotReply`.
+    it), then :meth:`update` it with each arriving ``"state"`` reading
+    (:func:`replica_state_view`, as served over the cluster's control
+    channel).
     A crashed replica's view simply stops updating — its frozen state
     must still satisfy every invariant, exactly the monitor's contract
     for crashed-but-correct replicas.  Use ``autostart=False`` when
@@ -454,10 +421,10 @@ class LiveMonitorFeed:
     def replica_by_node(self, node_id: int) -> _ReplicaView:
         return self._views[node_id]
 
-    def update(self, reply: StateSnapshotReply, now: Optional[float] = None) -> None:
-        view = self._views.get(reply.node_id)
-        if view is not None:
-            view.update(reply.view, now)
+    def update(self, node_id: int, view: Dict[str, Any]) -> None:
+        replica = self._views.get(node_id)
+        if replica is not None:
+            replica.update(view)
 
     def fingerprints(self) -> Dict[int, Optional[str]]:
         return {

@@ -19,11 +19,19 @@ cluster: SIGKILL/restart of replica processes, partitions, frame
 delay/drop.  A restarted replica rebinds its old port, replays its log
 to the pre-crash state fingerprint, pulls missed batches from a peer
 (bounded catch-up), and rejoins; meanwhile the parent samples every
-replica's state over a control channel and feeds the
+replica's state over the control channel and feeds the
 :class:`~repro.adversary.monitor.InvariantMonitor` — the same five
 safety invariants checked under simulated attacks, now on the real
 cluster.  The chaos verdict, per-replica recovery latency, and final
 cross-replica fingerprints land in ``BENCH_chaos.json``.
+
+The control channel is one request/reply pair riding the replicas'
+ordinary authenticated connections: the parent sends
+:class:`ControlQuery` ``(tag, what)``, :func:`serve_control` answers
+with :class:`ControlReply` ``(tag, node_id, body)``, and
+``_LoadGen.collect(what, timeout)`` waits for all N replies or the
+timeout.  Two readings exist: ``"stats"`` (settled/rejected counters)
+and ``"state"`` (the view the invariant monitor samples).
 
 Determinism note: the simulated crypto derives digests and signature
 tokens from Python's ``hash``, which is per-interpreter randomized.
@@ -55,9 +63,10 @@ __all__ = [
     "default_genesis",
     "payment_stream",
     "run_cluster",
+    "serve_control",
     "ReplicaProcessError",
-    "StatsRequest",
-    "StatsReply",
+    "ControlQuery",
+    "ControlReply",
     "Shutdown",
 ]
 
@@ -75,47 +84,81 @@ GENESIS_BALANCE = 1_000_000_000
 _BIND_RETRIES = 50
 _BIND_RETRY_DELAY = 0.1
 
+#: Chaos mode: seconds between invariant-monitor samples, seconds between
+#: resubmissions of unconfirmed payments, and the longest wait for full
+#: settlement (and for recoveries to finish) after the load stops.
+MONITOR_INTERVAL = 1.0
+RETRY_INTERVAL = 1.0
+DRAIN_TIMEOUT = 30.0
+
 
 class ReplicaProcessError(RuntimeError):
     """A replica process died although no fault was scheduled for it."""
 
 
 # ---------------------------------------------------------------------------
-# Control-plane messages (loadgen <-> replicas)
+# Control channel (loadgen <-> replicas)
 # ---------------------------------------------------------------------------
-class StatsRequest:
-    __slots__ = ("tag",)
+class ControlQuery:
+    """Parent asks a replica for the reading named ``what``."""
 
-    def __init__(self, tag: int) -> None:
+    __slots__ = ("tag", "what")
+
+    def __init__(self, tag: int, what: str) -> None:
         self.tag = tag
+        self.what = what
 
 
-class StatsReply:
-    __slots__ = ("node_id", "tag", "settled", "rejected")
+class ControlReply:
+    __slots__ = ("tag", "node_id", "body")
 
-    def __init__(self, node_id: int, tag: int, settled: int, rejected: int) -> None:
+    def __init__(self, tag: int, node_id: int, body: Dict[str, Any]) -> None:
+        self.tag = tag
         self.node_id = node_id
-        self.tag = tag
-        self.settled = settled
-        self.rejected = rejected
+        self.body = body
 
 
 class Shutdown:
     __slots__ = ()
 
 
+def _stats_reading(replica: Any) -> Dict[str, int]:
+    settled, rejected = replica.settled_count, len(replica.rejected)
+    return {"settled": settled, "rejected": rejected}
+
+
+def serve_control(transport: Any, replica: Any) -> None:
+    """Answer :class:`ControlQuery` on ``transport`` from ``replica``.
+
+    A query for a reading this replica does not have is ignored, as any
+    garbage from a peer must be.
+    """
+    from .chaos import replica_state_view
+
+    readings = {"stats": _stats_reading, "state": replica_state_view}
+
+    def _on_query(src: int, query: ControlQuery) -> None:
+        reading = readings.get(query.what)
+        if reading is not None:
+            body = reading(replica)
+            transport.send(src, ControlReply(query.tag, transport.node_id, body))
+
+    transport.on(ControlQuery, _on_query)
+
+
 # ---------------------------------------------------------------------------
-# Deterministic assembly (mirrors Astro1System / Astro2System exactly)
+# Deterministic assembly
 # ---------------------------------------------------------------------------
 def default_genesis(n: int, workload: Optional[str] = None) -> Dict[str, int]:
     """The cluster's client population: ``4·n`` funded clients.
 
-    Balances follow the resolved ``REPRO_WORKLOAD`` regime: richly
-    funded everywhere except under ``merchant``, where the merchant
-    slice of the (repr-sorted) population starts tight so live payouts
-    exercise credit-funded settlement.  Every process — parent and
-    replica children alike — resolves the same environment knob, so all
-    derive an identical genesis independently.
+    Balances follow the workload's regime: richly funded everywhere
+    except under ``merchant``, where the merchant slice of the
+    (repr-sorted) population starts tight so live payouts exercise
+    credit-funded settlement.  ``workload=None`` resolves the
+    ``REPRO_WORKLOAD`` knob; the cluster parent resolves it once and
+    hands the name to every replica child, so all derive an identical
+    genesis independently.
     """
     from ..workloads.base import resolve_workload_name
 
@@ -130,60 +173,33 @@ def default_genesis(n: int, workload: Optional[str] = None) -> Dict[str, int]:
     return genesis
 
 
-def payment_stream(
-    clients: Sequence[str], workload: Optional[Any] = None
-) -> Iterator[Any]:
+def payment_stream(workload: Any) -> Iterator[Any]:
     """The deterministic payment sequence the load generator emits.
 
-    Without a workload: round-robin spender, next client as beneficiary,
-    amount 1, per-client sequence numbers dense from 1.  Exposed so the
-    sim-parity tests can feed the *same* workload to a simulated system
-    and compare settled sets after an identical fault timeline.
-
-    With a :class:`~repro.workloads.base.Workload`, triples come from
-    ``workload.next()`` (read-only ``None`` operations are skipped) and
-    this generator only adds the dense per-spender sequence numbers.
+    Triples come from ``workload.next()`` (read-only ``None`` operations
+    are skipped); this generator only adds the per-spender sequence
+    numbers, dense from 1.  Exposed so the sim-parity tests can feed the
+    *same* stream to a simulated system and compare settled sets after
+    an identical fault timeline.
     """
     from ..core.payment import Payment
 
     next_seq: Dict[str, int] = {}
-    if workload is not None:
-        while True:
-            operation = workload.next()
-            if operation is None:
-                continue
-            spender, beneficiary, amount = operation
-            seq = next_seq.get(spender, 0) + 1
-            next_seq[spender] = seq
-            yield Payment(spender, seq, beneficiary, amount)
-    num = len(clients)
-    index = 0
     while True:
-        spender = clients[index % num]
-        beneficiary = clients[(index + 1) % num]
-        index += 1
+        operation = workload.next()
+        if operation is None:
+            continue
+        spender, beneficiary, amount = operation
         seq = next_seq.get(spender, 0) + 1
         next_seq[spender] = seq
-        yield Payment(spender, seq, beneficiary, 1)
+        yield Payment(spender, seq, beneficiary, amount)
 
 
 def _build_directory(n: int, clients: List[str]):
-    """One shard of ``n`` replicas; clients round-robin by sorted order.
+    """One shard of ``n`` replicas, clients assigned by the system rule."""
+    from ..core.directory import assemble_directory
 
-    Replicates the single-shard assignment rule of
-    :class:`~repro.core.system.Astro2System` (which, with one shard,
-    coincides with :class:`~repro.core.system.Astro1System`'s), so every
-    process — replicas and load generator alike — derives the same
-    client → representative map independently.
-    """
-    from ..core.directory import Directory
-
-    directory = Directory()
-    members = tuple(range(n))
-    directory.register_shard(0, members)
-    for position, client in enumerate(sorted(clients, key=repr)):
-        directory.register_client(client, members[position % n])
-    return directory
+    return assemble_directory(clients, n)
 
 
 def build_replica(
@@ -209,7 +225,7 @@ def build_replica(
     from ..core.astro1 import Astro1Replica
     from ..core.astro2 import Astro2Replica
     from ..core.config import AstroConfig
-    from ..crypto.keys import Keychain, replica_owner
+    from ..crypto.keys import Keychain
 
     config = AstroConfig(num_replicas=n, brb_resend_acks=resend_acks)
     directory = _build_directory(n, list(genesis))
@@ -219,15 +235,8 @@ def build_replica(
             transport, config, dict(genesis), directory, list(range(n))
         )
     elif system == "astro2":
-        # Every process generates all replica keys in node-id order (the
-        # keychain is RNG-sequential), keeping its own — identical key
-        # material everywhere, like Astro2System's construction loop.
         keychain = Keychain(seed=seed + 17)
-        key = None
-        for member in range(n):
-            generated = keychain.generate(replica_owner(member))
-            if member == node_id:
-                key = generated
+        key = keychain.generate_replica_keys(n)[node_id]
         replica = Astro2Replica(
             transport, config, dict(genesis), directory, keychain, key
         )
@@ -243,24 +252,9 @@ def build_replica(
 # ---------------------------------------------------------------------------
 # Replica child process
 # ---------------------------------------------------------------------------
-def _replica_main(
-    system: str,
-    n: int,
-    node_id: int,
-    conn,
-    secret: bytes,
-    seed: int,
-    port: int = 0,
-    wal_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    fingerprint_every: Optional[int] = None,
-) -> None:
-    asyncio.run(
-        _replica_async(
-            system, n, node_id, conn, secret, seed,
-            port, wal_dir, snapshot_every, fingerprint_every,
-        )
-    )
+def _replica_main(*args) -> None:
+    """Process entry point: :func:`_replica_async` to completion."""
+    asyncio.run(_replica_async(*args))
 
 
 async def _run_catch_up(
@@ -327,43 +321,29 @@ async def _replica_async(
     conn,
     secret: bytes,
     seed: int,
-    port: int = 0,
-    wal_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    fingerprint_every: Optional[int] = None,
+    port: int,
+    wal_dir: Optional[str],
+    workload: str,
 ) -> None:
     from ..core.persistence import (
-        FINGERPRINT_INTERVAL,
-        SNAPSHOT_INTERVAL,
         CatchUpReply,
         CatchUpRequest,
         ReplicaStore,
         WalCorruption,
         serve_catch_up,
     )
-    from .chaos import (
-        LinkFault,
-        StateSnapshotReply,
-        StateSnapshotRequest,
-        apply_link_fault,
-        replica_state_view,
-    )
+    from .chaos import LinkFault, apply_link_fault
 
     loop = asyncio.get_running_loop()
     transport = TcpTransport(node_id, secret, clock=RealTimeClock(loop))
     replica = build_replica(
-        system, n, transport, default_genesis(n), seed=seed, loadgen_node=n,
-        resend_acks=wal_dir is not None,
+        system, n, transport, default_genesis(n, workload), seed=seed,
+        loadgen_node=n, resend_acks=wal_dir is not None,
     )
     store = None
     report = None
     if wal_dir is not None:
-        store = ReplicaStore(
-            wal_dir,
-            node_id,
-            snapshot_interval=snapshot_every or SNAPSHOT_INTERVAL,
-            fingerprint_interval=fingerprint_every or FINGERPRINT_INTERVAL,
-        )
+        store = ReplicaStore(wal_dir, node_id)
         try:
             # Replay must precede transport start: replayed sends
             # (confirms, CREDITs) fall on the floor instead of reaching
@@ -388,26 +368,8 @@ async def _replica_async(
 
     stop = asyncio.Event()
     transport.on(Shutdown, lambda src, msg: stop.set())
-
-    def _on_stats(src: int, message: StatsRequest) -> None:
-        transport.send(
-            src,
-            StatsReply(
-                node_id,
-                message.tag,
-                replica.settled_count,
-                len(replica.rejected),
-            ),
-        )
-
-    transport.on(StatsRequest, _on_stats)
+    serve_control(transport, replica)
     transport.on(LinkFault, lambda src, msg: apply_link_fault(transport, msg))
-    transport.on(
-        StateSnapshotRequest,
-        lambda src, msg: transport.send(
-            src, StateSnapshotReply(msg.tag, node_id, replica_state_view(replica))
-        ),
-    )
     catch_up_replies: asyncio.Queue = asyncio.Queue()
     if store is not None:
         transport.on(
@@ -465,11 +427,15 @@ async def _replica_async(
 class _ClusterProcs:
     """Spawns, SIGKILLs, and restarts the replica processes."""
 
-    def __init__(self, ctx, args, secret: bytes, wal_dir: Optional[str]) -> None:
+    def __init__(
+        self, ctx, args, secret: bytes, wal_dir: Optional[str], workload: str
+    ) -> None:
         self.ctx = ctx
         self.args = args
         self.secret = secret
         self.wal_dir = wal_dir
+        #: Resolved workload name; children derive their genesis from it.
+        self.workload = workload
         self.procs: Dict[int, Any] = {}
         self.conns: Dict[int, Any] = {}
         self.ports: Dict[int, int] = {}
@@ -478,7 +444,7 @@ class _ClusterProcs:
         #: from the watchdog until restarted.
         self.down: set = set()
 
-    def spawn(self, node_id: int, port: int = 0):
+    def spawn(self, node_id: int, port: int = 0) -> None:
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_replica_main,
@@ -491,43 +457,39 @@ class _ClusterProcs:
                 self.args.seed,
                 port,
                 self.wal_dir,
-                getattr(self.args, "snapshot_every", None),
-                getattr(self.args, "fingerprint_every", None),
+                self.workload,
             ),
             daemon=True,
         )
         proc.start()
         self.procs[node_id] = proc
         self.conns[node_id] = parent_conn
-        return parent_conn
 
     def spawn_all(self) -> None:
         for node_id in range(self.args.n):
             self.spawn(node_id)
 
+    async def _recv(self, node_id: int, loop, expected: str) -> tuple:
+        """The child's next pipe message, which must be ``expected``."""
+        message = await loop.run_in_executor(None, self.conns[node_id].recv)
+        if message[0] != expected:
+            raise ReplicaProcessError(
+                f"replica {node_id} sent {message!r} instead of {expected!r}"
+            )
+        return message
+
     async def handshake(self, node_id: int, loop) -> Optional[Dict[str, Any]]:
         """Read the child's port announcement; returns its recovery report."""
-        conn = self.conns[node_id]
-        message = await loop.run_in_executor(None, conn.recv)
-        if message[0] == "failed":
-            raise ReplicaProcessError(
-                f"replica {node_id} failed to start: {message[2]}"
-            )
-        assert message[0] == "port"
+        message = await self._recv(node_id, loop, "port")
         self.ports[node_id] = message[2]
         return message[3]
 
     async def finish_boot(self, node_id: int, loop) -> None:
-        conn = self.conns[node_id]
-        conn.send(self.peer_map)
-        message = await loop.run_in_executor(None, conn.recv)
-        assert message[0] == "ready"
+        self.conns[node_id].send(self.peer_map)
+        await self._recv(node_id, loop, "ready")
 
     async def wait_caught_up(self, node_id: int, loop) -> Dict[str, Any]:
-        conn = self.conns[node_id]
-        message = await loop.run_in_executor(None, conn.recv)
-        assert message[0] == "caught_up"
-        return message[2]
+        return (await self._recv(node_id, loop, "caught_up"))[2]
 
     def kill(self, node_id: int) -> None:
         """SIGKILL — no flush, no goodbye; recovery must come from the WAL."""
@@ -578,23 +540,19 @@ class _LoadGen:
     def __init__(
         self,
         transport: TcpTransport,
-        system: str,
         n: int,
         genesis: Dict[str, int],
-        workload: Optional[Any] = None,
+        workload: Any,
     ) -> None:
         from ..core.messages import ClientConfirm
-        from .chaos import StateSnapshotReply
 
         self.transport = transport
         self.n = n
-        self.clients = sorted(genesis, key=repr)
         self.rep_map = _build_directory(n, list(genesis)).rep_map
-        self._stream = payment_stream(self.clients, workload)
-        self._sent_at: Dict[tuple, float] = {}
-        #: identifier -> Payment, for every submitted-but-unconfirmed
-        #: payment (retried during chaos drains).
-        self._pending: Dict[tuple, Any] = {}
+        self._stream = payment_stream(workload)
+        #: identifier -> (Payment, submit time), for every
+        #: submitted-but-unconfirmed payment (retried during chaos drains).
+        self._pending: Dict[tuple, Tuple[Any, float]] = {}
         self.submitted = 0
         self.confirmed = 0
         self.retries = 0
@@ -602,86 +560,56 @@ class _LoadGen:
         #: replica re-settling relaunched batches produces these).
         self.duplicate_confirms = 0
         self.latencies: List[float] = []
-        self._stats_waiters: Dict[int, Tuple[asyncio.Event, Dict[int, StatsReply]]] = {}
-        self._stats_tag = 0
-        self._snap_waiters: Dict[int, Tuple[asyncio.Event, Dict[int, Any]]] = {}
-        self._snap_tag = 0
+        #: tag -> (all-answered event, node_id -> body) per open collect().
+        self._waiters: Dict[int, Tuple[asyncio.Event, Dict[int, Any]]] = {}
+        self._tag = 0
         transport.on(ClientConfirm, self._on_confirm)
-        transport.on(StatsReply, self._on_stats_reply)
-        transport.on(StateSnapshotReply, self._on_snapshot_reply)
+        transport.on(ControlReply, self._on_control_reply)
 
     @property
     def pending(self) -> int:
         return len(self._pending)
 
     def _on_confirm(self, src: int, message) -> None:
-        identifier = message.payment.identifier
-        if self._pending.pop(identifier, None) is None:
+        entry = self._pending.pop(message.payment.identifier, None)
+        if entry is None:
             self.duplicate_confirms += 1
             return
         self.confirmed += 1
-        sent = self._sent_at.pop(identifier, None)
-        if sent is not None:
-            self.latencies.append(self.transport.clock.now - sent)
+        self.latencies.append(self.transport.clock.now - entry[1])
 
-    def _on_stats_reply(self, src: int, message: StatsReply) -> None:
-        waiter = self._stats_waiters.get(message.tag)
+    def _on_control_reply(self, src: int, reply: ControlReply) -> None:
+        waiter = self._waiters.get(reply.tag)
         if waiter is None:
-            return
+            return  # answered after its collect() timed out
         event, replies = waiter
-        replies[message.node_id] = message
+        replies[reply.node_id] = reply.body
         if len(replies) == self.n:
             event.set()
 
-    def _on_snapshot_reply(self, src: int, message) -> None:
-        waiter = self._snap_waiters.get(message.tag)
-        if waiter is None:
-            return
-        event, replies = waiter
-        replies[message.node_id] = message
-        if len(replies) == self.n:
-            event.set()
+    async def collect(self, what: str, timeout: float = 5.0) -> Dict[int, Any]:
+        """Ask every replica for reading ``what``; ``node_id -> body``.
 
-    async def collect_stats(self, timeout: float = 5.0) -> Dict[int, StatsReply]:
-        """Snapshot every replica's settled counter (waits for all N)."""
-        self._stats_tag += 1
-        tag = self._stats_tag
-        event = asyncio.Event()
-        replies: Dict[int, StatsReply] = {}
-        self._stats_waiters[tag] = (event, replies)
-        for node_id in range(self.n):
-            self.transport.send(node_id, StatsRequest(tag))
-        try:
-            await asyncio.wait_for(event.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass
-        self._stats_waiters.pop(tag, None)
-        return replies
-
-    async def collect_snapshots(self, timeout: float = 2.0) -> Dict[int, Any]:
-        """Ask every replica for a state view; returns whoever answered.
-
-        A crashed replica simply does not answer — its monitor view
-        stays frozen, which is exactly the invariant contract for
+        Waits for all N replies or ``timeout``, and returns whoever
+        answered.  A crashed replica simply does not answer — its monitor
+        view stays frozen, which is exactly the invariant contract for
         crashed-but-correct replicas.
         """
-        from .chaos import StateSnapshotRequest
-
-        self._snap_tag += 1
-        tag = self._snap_tag
+        self._tag += 1
+        tag = self._tag
         event = asyncio.Event()
         replies: Dict[int, Any] = {}
-        self._snap_waiters[tag] = (event, replies)
+        self._waiters[tag] = (event, replies)
         for node_id in range(self.n):
-            self.transport.send(node_id, StateSnapshotRequest(tag))
+            self.transport.send(node_id, ControlQuery(tag, what))
         try:
             await asyncio.wait_for(event.wait(), timeout)
         except asyncio.TimeoutError:
             pass
-        self._snap_waiters.pop(tag, None)
+        del self._waiters[tag]
         return replies
 
-    def retry_pending(self) -> int:
+    def retry_pending(self) -> None:
         """Resubmit every unconfirmed payment to its representative.
 
         Safe against duplicates: a representative that already accepted
@@ -691,12 +619,11 @@ class _LoadGen:
         """
         from ..core.messages import ClientSubmit
 
-        for payment in list(self._pending.values()):
+        for payment, _sent in list(self._pending.values()):
             self.transport.send(
                 self.rep_map[payment.spender], ClientSubmit(payment)
             )
             self.retries += 1
-        return len(self._pending)
 
     async def drain(self, timeout: float, retry_interval: float) -> bool:
         """Wait (with periodic retries) until every payment confirmed."""
@@ -724,8 +651,7 @@ class _LoadGen:
             carry -= burst
             for _ in range(burst):
                 payment = next(self._stream)
-                self._sent_at[payment.identifier] = clock.now
-                self._pending[payment.identifier] = payment
+                self._pending[payment.identifier] = (payment, clock.now)
                 self.transport.send(
                     rep_map[payment.spender], ClientSubmit(payment)
                 )
@@ -733,37 +659,61 @@ class _LoadGen:
             await asyncio.sleep(self.TICK)
 
 
-def _percentile(values: List[float], fraction: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[rank]
+def _report(args, loadgen, final, wall_start, **fields) -> Dict[str, Any]:
+    """The fields both reports share, around the mode's own ``fields``."""
+    return {
+        "system": args.system,
+        "n": args.n,
+        "transport": "tcp-localhost",
+        "offered_pps": args.rate,
+        "warmup_s": args.warmup,
+        "duration_s": args.duration,
+        **fields,
+        "submitted": loadgen.submitted,
+        "confirmed": loadgen.confirmed,
+        "settled_final_by_replica": {
+            str(k): final[k]["settled"] for k in sorted(final)
+        },
+        "rejected_final": {
+            str(k): final[k]["rejected"] for k in sorted(final)
+        },
+        "confirm_latency_ms": _latency_ms(loadgen.latencies),
+        "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
+    }
 
 
-def _ms(seconds: Optional[float]) -> Optional[float]:
-    return None if seconds is None else round(seconds * 1e3, 2)
+def _latency_ms(latencies: List[float]) -> Dict[str, float]:
+    """Confirm-latency summary of a report, in milliseconds."""
+    from ..sim.metrics import summarize_values
+
+    if not latencies:
+        return {}
+    summary = summarize_values(latencies)
+    return {
+        name: round(getattr(summary, name) * 1e3, 2)
+        for name in ("p50", "p95", "p99", "mean")
+    }
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
-async def _run_bench(args, cluster, transport, loadgen, loop) -> Dict[str, Any]:
+async def _run_bench(args, transport, loadgen) -> Dict[str, Any]:
     """The steady-state throughput measurement (``BENCH_live.json``)."""
     wall_start = time.monotonic()
     # Warmup: bring connections up and fill the batching pipeline.
     await loadgen.run(args.rate, args.warmup)
-    before = await loadgen.collect_stats()
+    before = await loadgen.collect("stats")
     measure_start = transport.clock.now
     await loadgen.run(args.rate, args.duration)
     measure_elapsed = transport.clock.now - measure_start
-    after = await loadgen.collect_stats()
+    after = await loadgen.collect("stats")
     # Grace: let in-flight batches/credits settle before the final count.
     await asyncio.sleep(args.grace)
-    final = await loadgen.collect_stats()
+    final = await loadgen.collect("stats")
 
     deltas = {
-        node_id: after[node_id].settled - before[node_id].settled
+        node_id: after[node_id]["settled"] - before[node_id]["settled"]
         for node_id in after
         if node_id in before
     }
@@ -773,49 +723,26 @@ async def _run_bench(args, cluster, transport, loadgen, loop) -> Dict[str, Any]:
     measured_pps = (
         min(deltas.values()) / measure_elapsed if deltas else 0.0
     )
-    return {
-        "system": args.system,
-        "n": args.n,
-        "transport": "tcp-localhost",
-        "offered_pps": args.rate,
-        "warmup_s": args.warmup,
-        "duration_s": args.duration,
-        "measured_pps": round(measured_pps, 1),
-        "measure_elapsed_s": round(measure_elapsed, 3),
-        "submitted": loadgen.submitted,
-        "confirmed": loadgen.confirmed,
-        "settled_delta_by_replica": {
+    return _report(
+        args, loadgen, final, wall_start,
+        measured_pps=round(measured_pps, 1),
+        measure_elapsed_s=round(measure_elapsed, 3),
+        settled_delta_by_replica={
             str(k): v for k, v in sorted(deltas.items())
         },
-        "settled_final_by_replica": {
-            str(k): final[k].settled for k in sorted(final)
-        },
-        "rejected_final": {
-            str(k): final[k].rejected for k in sorted(final)
-        },
-        "confirm_latency_ms": {
-            "p50": _ms(_percentile(loadgen.latencies, 0.50)),
-            "p95": _ms(_percentile(loadgen.latencies, 0.95)),
-        },
-        "loadgen_frames_sent": transport.stats.frames_sent,
-        "loadgen_frames_received": transport.stats.frames_received,
-        "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
-    }
-
-
-async def _run_chaos(args, cluster, transport, loadgen, loop) -> Dict[str, Any]:
-    """Drive the fault timeline against the live cluster
-    (``BENCH_chaos.json``)."""
-    from ..adversary.monitor import InvariantMonitor
-    from .chaos import (
-        LiveFaultInjector,
-        LiveMonitorFeed,
-        apply_timeline,
-        parse_timeline,
+        loadgen_frames_sent=transport.stats.frames_sent,
+        loadgen_frames_received=transport.stats.frames_received,
     )
 
-    events = parse_timeline(args.chaos)
-    genesis = default_genesis(args.n, getattr(args, "workload", None))
+
+async def _run_chaos(
+    args, events, genesis, cluster, transport, loadgen, loop
+) -> Dict[str, Any]:
+    """Drive the fault timeline ``events`` against the live cluster
+    (``BENCH_chaos.json``)."""
+    from ..adversary.monitor import InvariantMonitor
+    from .chaos import LiveFaultInjector, LiveMonitorFeed
+
     directory = _build_directory(args.n, list(genesis))
     feed = LiveMonitorFeed(
         range(args.n), genesis, directory, deps=args.system == "astro2"
@@ -824,7 +751,7 @@ async def _run_chaos(args, cluster, transport, loadgen, loop) -> Dict[str, Any]:
     # freshly materialized dependency may precede its crediting payment
     # in a settler's view by one sample.
     monitor = InvariantMonitor(
-        feed, interval=args.monitor_interval, autostart=False, dep_grace=1
+        feed, interval=MONITOR_INTERVAL, autostart=False, dep_grace=1
     )
 
     recoveries: Dict[int, Dict[str, Any]] = {}
@@ -857,37 +784,37 @@ async def _run_chaos(args, cluster, transport, loadgen, loop) -> Dict[str, Any]:
 
         recovery_tasks.append(asyncio.ensure_future(_await_catch_up()))
 
-    def link_fn(node_id: int, fault) -> None:
-        transport.send(node_id, fault)
-
-    injector = LiveFaultInjector(crash_fn, recover_fn, link_fn, range(args.n))
-    apply_timeline(injector, events)
+    injector = LiveFaultInjector(
+        crash_fn, recover_fn, transport.send, range(args.n), events
+    )
 
     wall_start = time.monotonic()
     await loadgen.run(args.rate, args.warmup)
     t0 = loop.time()
     chaos_task = asyncio.ensure_future(injector.run(t0))
 
+    async def sample(timeout: float) -> Dict[int, Any]:
+        """One monitor sample over whoever answers within ``timeout``."""
+        views = await loadgen.collect("state", timeout)
+        for node_id, view in views.items():
+            feed.update(node_id, view)
+        monitor.sample(now=loop.time() - t0)
+        return views
+
     monitor_stop = asyncio.Event()
 
     async def monitor_loop() -> None:
         while not monitor_stop.is_set():
-            replies = await loadgen.collect_snapshots(
-                timeout=args.monitor_interval * 0.5
-            )
-            now = loop.time() - t0
-            for reply in replies.values():
-                feed.update(reply, now)
-            monitor.sample(now=now)
-            await asyncio.sleep(args.monitor_interval)
+            await sample(MONITOR_INTERVAL * 0.5)
+            await asyncio.sleep(MONITOR_INTERVAL)
 
     monitor_task = asyncio.ensure_future(monitor_loop())
 
     await loadgen.run(args.rate, args.duration)
     await chaos_task  # the full fault schedule has executed
     if recovery_tasks:
-        await asyncio.wait(recovery_tasks, timeout=args.drain_timeout)
-    drained = await loadgen.drain(args.drain_timeout, args.retry_interval)
+        await asyncio.wait(recovery_tasks, timeout=DRAIN_TIMEOUT)
+    drained = await loadgen.drain(DRAIN_TIMEOUT, RETRY_INTERVAL)
 
     monitor_stop.set()
     await monitor_task
@@ -895,90 +822,48 @@ async def _run_chaos(args, cluster, transport, loadgen, loop) -> Dict[str, Any]:
     # Final verdict round: settled counters, state fingerprints on every
     # replica (the recovered one must match the never-crashed controls),
     # one last invariant sample over the final views.
-    final_stats = await loadgen.collect_stats()
-    final_snaps = await loadgen.collect_snapshots(timeout=5.0)
-    now = loop.time() - t0
-    for reply in final_snaps.values():
-        feed.update(reply, now)
-    monitor.sample(now=now)
+    final_stats = await loadgen.collect("stats")
+    final_views = await sample(5.0)
     fingerprints = {
-        node_id: reply.view["fingerprint"]
-        for node_id, reply in sorted(final_snaps.items())
+        node_id: view["fingerprint"]
+        for node_id, view in sorted(final_views.items())
     }
     fingerprints_equal = (
         len(fingerprints) == args.n and len(set(fingerprints.values())) == 1
     )
     verdict = monitor.verdict()
-    ok = drained and verdict["ok"] and fingerprints_equal
-    return {
-        "system": args.system,
-        "n": args.n,
-        "transport": "tcp-localhost",
-        "mode": "chaos",
-        "timeline": args.chaos,
-        "wal_dir": cluster.wal_dir,
-        "offered_pps": args.rate,
-        "warmup_s": args.warmup,
-        "duration_s": args.duration,
-        "submitted": loadgen.submitted,
-        "confirmed": loadgen.confirmed,
-        "retries": loadgen.retries,
-        "duplicate_confirms": loadgen.duplicate_confirms,
-        "unconfirmed": loadgen.pending,
-        "drained": drained,
-        "settled_final_by_replica": {
-            str(k): final_stats[k].settled for k in sorted(final_stats)
-        },
-        "rejected_final": {
-            str(k): final_stats[k].rejected for k in sorted(final_stats)
-        },
-        "fingerprints": {str(k): v for k, v in fingerprints.items()},
-        "fingerprints_equal": fingerprints_equal,
-        "monitor": verdict,
-        "recoveries": {str(k): v for k, v in sorted(recoveries.items())},
-        "injected": [
+    return _report(
+        args, loadgen, final_stats, wall_start,
+        mode="chaos",
+        timeline=args.chaos,
+        wal_dir=cluster.wal_dir,
+        retries=loadgen.retries,
+        duplicate_confirms=loadgen.duplicate_confirms,
+        unconfirmed=loadgen.pending,
+        drained=drained,
+        fingerprints={str(k): v for k, v in fingerprints.items()},
+        fingerprints_equal=fingerprints_equal,
+        monitor=verdict,
+        recoveries={str(k): v for k, v in sorted(recoveries.items())},
+        injected=[
             [round(t, 3), action, payload]
             for t, action, payload in injector.log
         ],
-        "confirm_latency_ms": {
-            "p50": _ms(_percentile(loadgen.latencies, 0.50)),
-            "p95": _ms(_percentile(loadgen.latencies, 0.95)),
-        },
-        "ok": ok,
-        "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
-    }
-
-
-def _resolve_loadgen_workload(args, genesis: Dict[str, int]) -> Optional[Any]:
-    """Workload object for the load generator, or ``None`` for legacy.
-
-    ``uniform`` (the unset-knob resolution) keeps the original
-    round-robin/amount-1 ``payment_stream`` — the shape every live and
-    chaos golden expectation was calibrated against; ``zipf`` and
-    ``merchant`` switch the stream to workload-drawn triples.
-    """
-    from ..workloads.base import make_workload, resolve_workload_name
-
-    name = resolve_workload_name(getattr(args, "workload", None))
-    if name == "uniform":
-        return None
-    return make_workload(
-        name, sorted(genesis, key=repr), seed=getattr(args, "seed", 0)
+        ok=drained and verdict["ok"] and fingerprints_equal,
     )
 
 
-async def _orchestrate(args, cluster: _ClusterProcs) -> Dict[str, Any]:
+async def _orchestrate(args, cluster: _ClusterProcs, events) -> Dict[str, Any]:
+    from ..workloads.base import make_workload
+
     loop = asyncio.get_running_loop()
     transport = TcpTransport(args.n, cluster.secret, clock=RealTimeClock(loop))
     await transport.start()
-    genesis = default_genesis(args.n, getattr(args, "workload", None))
-    loadgen = _LoadGen(
-        transport,
-        args.system,
-        args.n,
-        genesis,
-        workload=_resolve_loadgen_workload(args, genesis),
+    genesis = default_genesis(args.n, cluster.workload)
+    workload = make_workload(
+        cluster.workload, sorted(genesis, key=repr), seed=args.seed
     )
+    loadgen = _LoadGen(transport, args.n, genesis, workload)
 
     for node_id in range(args.n):
         await cluster.handshake(node_id, loop)
@@ -1007,11 +892,13 @@ async def _orchestrate(args, cluster: _ClusterProcs) -> Dict[str, Any]:
             cluster.poll_unexpected()
             await asyncio.sleep(0.25)
 
-    chaos = bool(getattr(args, "chaos", None))
-    runner = _run_chaos if chaos else _run_bench
-    main_task = asyncio.ensure_future(
-        runner(args, cluster, transport, loadgen, loop)
-    )
+    if events is None:
+        runner = _run_bench(args, transport, loadgen)
+    else:
+        runner = _run_chaos(
+            args, events, genesis, cluster, transport, loadgen, loop
+        )
+    main_task = asyncio.ensure_future(runner)
     watchdog_task = asyncio.ensure_future(watchdog())
     done, _pending = await asyncio.wait(
         {main_task, watchdog_task}, return_when=asyncio.FIRST_COMPLETED
@@ -1037,6 +924,9 @@ async def _orchestrate(args, cluster: _ClusterProcs) -> Dict[str, Any]:
 
 def run_cluster(args) -> Dict[str, Any]:
     """Spawn the replica processes, drive load, return the report."""
+    from ..workloads.base import resolve_workload_name
+    from .chaos import check_replica_ids, parse_timeline
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         ctx = multiprocessing.get_context("fork")
@@ -1046,26 +936,26 @@ def run_cluster(args) -> Dict[str, Any]:
         os.environ.setdefault("PYTHONHASHSEED", "0")
         ctx = multiprocessing.get_context("spawn")
     secret = args.secret.encode() if isinstance(args.secret, str) else args.secret
-    # Replica children rebuild genesis themselves via default_genesis's
-    # REPRO_WORKLOAD resolution, so an explicit --workload must reach
-    # them through the environment (inherited under fork and spawn).
-    workload = getattr(args, "workload", None)
-    if workload:
-        os.environ["REPRO_WORKLOAD"] = workload
-    wal_dir = getattr(args, "wal_dir", None)
-    if getattr(args, "chaos", None) and wal_dir is None:
+    # Resolved once here; every child gets the name as an argument.
+    workload = resolve_workload_name(args.workload)
+    events = None  # bench mode
+    if args.chaos:
+        events = parse_timeline(args.chaos)
+        check_replica_ids(events, args.n)
+    wal_dir = args.wal_dir
+    if events is not None and wal_dir is None:
         wal_dir = tempfile.mkdtemp(prefix="astro-wal-")
     if wal_dir is not None:
         os.makedirs(wal_dir, exist_ok=True)
-    cluster = _ClusterProcs(ctx, args, secret, wal_dir)
+    cluster = _ClusterProcs(ctx, args, secret, wal_dir, workload)
     cluster.spawn_all()
     try:
-        return asyncio.run(_orchestrate(args, cluster))
+        return asyncio.run(_orchestrate(args, cluster, events))
     finally:
         cluster.terminate()
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.transport.cluster",
         description="Run an Astro replica cluster on localhost TCP.",
@@ -1087,7 +977,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--grace", type=float, default=1.5,
         help="post-load drain before the final settled count",
     )
-    parser.add_argument("--seed", type=int, default=0, help="keychain seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="keychain and workload seed"
+    )
     parser.add_argument(
         "--workload", choices=("uniform", "zipf", "merchant"), default=None,
         help="payment demand distribution (default: the REPRO_WORKLOAD "
@@ -1108,30 +1000,14 @@ def main(argv: Optional[List[str]] = None) -> int:
              "state; defaults to a temp dir when --chaos is given)",
     )
     parser.add_argument(
-        "--snapshot-every", type=int, default=None,
-        help="WAL records between snapshots (default: persistence module)",
-    )
-    parser.add_argument(
-        "--fingerprint-every", type=int, default=None,
-        help="WAL records between fingerprint self-checks",
-    )
-    parser.add_argument(
-        "--monitor-interval", type=float, default=1.0,
-        help="seconds between invariant-monitor samples (chaos mode)",
-    )
-    parser.add_argument(
-        "--retry-interval", type=float, default=1.0,
-        help="seconds between resubmissions of unconfirmed payments",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=30.0,
-        help="max seconds to wait for full settlement after the load",
-    )
-    parser.add_argument(
         "--out", default=None, help="report output path "
         "(default: BENCH_chaos.json with --chaos, else BENCH_live.json)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     out = args.out or ("BENCH_chaos.json" if args.chaos else "BENCH_live.json")
     report = run_cluster(args)
     with open(out, "w") as handle:

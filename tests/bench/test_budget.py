@@ -18,7 +18,6 @@ from repro.bench.budget import (
 from repro.bench.parallel import (
     ScenarioJob,
     execute,
-    register_executor,
     reset_sweep_log,
     sweep_report,
 )
@@ -93,8 +92,7 @@ def test_fig3_budgets_covers_every_cell():
 # ---------------------------------------------------------------------------
 
 
-@register_executor("_budget_test_noop")
-def _noop_executor(seed=0, **params):
+def _noop_job(seed=0, **params):
     return params.get("value")
 
 
@@ -102,7 +100,7 @@ def test_execute_records_budget_seconds():
     reset_sweep_log()
     try:
         units = [
-            ScenarioJob(kind="_budget_test_noop", params=dict(value=index),
+            ScenarioJob(fn=_noop_job, params=dict(value=index),
                         tag=("astro2", index))
             for index in (4, 10)
         ]

@@ -21,6 +21,12 @@ from repro.bench.estimate import (
 from repro.bench.fig3 import Fig3Result, run_fig3
 from repro.bench.fig4 import run_fig4
 from repro.bench.fig8 import run_fig8
+from repro.bench.jobs import (
+    exec_estimate_anchor,
+    exec_find_peak,
+    exec_open_loop_messages,
+    exec_timeline,
+)
 from repro.bench.parallel import (
     ScenarioJob,
     execute,
@@ -236,7 +242,7 @@ class TestPerCellTimings:
         reset_sweep_log()
         units = [
             ScenarioJob(
-                kind="open_loop_messages",
+                fn=exec_open_loop_messages,
                 params=dict(system="astro2", size=4, rate=400.0,
                             duration=0.4, warmup=0.3),
                 seed=0,
@@ -254,7 +260,7 @@ class TestPerCellTimings:
 
 def _fake_execute_factory(calls):
     """Stand-in backend: records every execute() call, fabricates
-    result shapes per job kind."""
+    result shapes per job function."""
 
     def fake_execute(units, jobs=None, label=None, per_job_bytes=None,
                      budgets=None):
@@ -263,20 +269,20 @@ def _fake_execute_factory(calls):
                           per_job_bytes=per_job_bytes, budgets=budgets))
         results = []
         for unit in units:
-            if unit.kind == "estimate_anchor":
+            if unit.fn is exec_estimate_anchor:
                 results.append({
                     "capacity_pps": 10_000.0, "offered": 2_500.0,
                     "achieved": 2_500.0, "utilization": 0.25,
                 })
-            elif unit.kind == "find_peak":
+            elif unit.fn is exec_find_peak:
                 results.append(
                     PeakResult(unit.params["bracket"][0],
                                LatencySummary.empty(), [None] * 3)
                 )
-            elif unit.kind == "timeline":
+            elif unit.fn is exec_timeline:
                 results.append(f"timeline:{unit.tag}")
             else:  # pragma: no cover - defensive
-                raise AssertionError(f"unexpected kind {unit.kind}")
+                raise AssertionError(f"unexpected fn {unit.fn}")
         return results
 
     return fake_execute
@@ -294,13 +300,15 @@ class TestFig3Enumeration:
         anchors, cells = calls
         # Anchor phase: up to two smallest sizes per system.
         assert len(anchors["units"]) == len(systems) * 2
-        assert all(u.kind == "estimate_anchor" for u in anchors["units"])
+        assert all(
+            u.fn is exec_estimate_anchor for u in anchors["units"]
+        )
         assert sorted({u.params["size"] for u in anchors["units"]}) == [4, 7]
         # The sweep proper: exactly len(sizes) x len(systems) independent
         # jobs, every one a bracketed cold-start cell.
         assert len(cells["units"]) == len(sizes) * len(systems)
         assert all(isinstance(u, ScenarioJob) for u in cells["units"])
-        assert all(u.kind == "find_peak" for u in cells["units"])
+        assert all(u.fn is exec_find_peak for u in cells["units"])
         assert {u.tag for u in cells["units"]} == {
             (name, size) for name in systems for size in sizes
         }
@@ -439,7 +447,7 @@ class TestRobustnessSuite:
         # figures: 3 (Fig. 5) + 4 (Fig. 6) + 4 (Fig. 7).
         assert len(calls) == 1
         assert len(calls[0]["units"]) == 11
-        assert all(u.kind == "timeline" for u in calls[0]["units"])
+        assert all(u.fn is exec_timeline for u in calls[0]["units"])
         assert calls[0]["per_job_bytes"] == job_memory_bytes(
             _SCALES["smoke"].robustness_large_n
         )

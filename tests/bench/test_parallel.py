@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from repro.bench import jobs  # noqa: F401 - registers the standard executors
+from repro.bench import jobs
 from repro.bench.fig3 import Fig3Result
 from repro.bench.parallel import (
     ScenarioJob,
@@ -18,9 +18,13 @@ from repro.bench.peak import find_peak
 from repro.bench.systems import build_astro2
 
 
+def _echo(seed, value):
+    return seed, value
+
+
 def _tiny_job(system: str, rate: float = 400.0, seed: int = 0) -> ScenarioJob:
     return ScenarioJob(
-        kind="open_loop_messages",
+        fn=jobs.exec_open_loop_messages,
         params=dict(system=system, size=4, rate=rate, duration=0.4, warmup=0.3),
         seed=seed,
         tag=system,
@@ -83,9 +87,31 @@ class TestResolveJobs:
 
 
 class TestExecute:
-    def test_unknown_kind_raises(self):
-        with pytest.raises(KeyError, match="no executor registered"):
-            run_unit(ScenarioJob(kind="no-such-kind"))
+    def test_run_unit_passes_seed_and_params(self):
+        job = ScenarioJob(fn=_echo, params=dict(value="v"), seed=9)
+        assert run_unit(job) == (9, "v")
+
+    def test_refuses_fn_a_worker_could_not_import(self):
+        """A closure or lambda would run fine serially and fail only
+        under REPRO_BENCH_JOBS=2; refuse it on every backend."""
+
+        def closure(seed, value):
+            return value
+
+        for fn in (closure, lambda seed, value: value):
+            with pytest.raises(ValueError, match="importable"):
+                execute(
+                    [ScenarioJob(fn=fn, params=dict(value=1), tag="cell")],
+                    jobs=1,
+                )
+        # Module-level functions and partials of them are fine.
+        assert execute(
+            [
+                ScenarioJob(fn=_echo, params=dict(value=1), seed=2),
+                ScenarioJob(fn=functools.partial(_echo, value=3), seed=4),
+            ],
+            jobs=1,
+        ) == [(2, 1), (4, 3)]
 
     def test_results_in_submission_order(self):
         units = [_tiny_job("astro1"), _tiny_job("astro2")]

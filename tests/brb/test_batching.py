@@ -7,10 +7,10 @@ from repro.brb.batching import (
     Batch,
     Batcher,
     KeyedCoalescer,
-    group_by_representative,
 )
 from repro.brb.quorums import byzantine_quorum, max_faulty, validate_system_size
 from repro.core.payment import Payment
+from repro.core.system import Astro2System
 from repro.sim import Simulator
 
 
@@ -267,14 +267,19 @@ class TestKeyedCoalescer:
 
 
 class TestGrouping:
-    def test_group_by_representative(self):
+    def test_credit_groups_by_beneficiary_representative(self):
+        """Astro II's second batching level, on the code that runs it."""
+        reps = {"a": 0, "x": 1, "b": 2, "c": 3}
+        system = Astro2System(
+            num_replicas=4, genesis=dict.fromkeys(reps, 10),
+            rep_assignment=reps,
+        )
         payments = [Payment("a", 1, "b", 1), Payment("a", 2, "c", 1),
                     Payment("x", 1, "b", 1)]
-        reps = {"b": 10, "c": 20}
-        groups = group_by_representative(payments, lambda p: reps[p.beneficiary])
-        assert set(groups) == {10, 20}
-        assert [p.beneficiary for p in groups[10]] == ["b", "b"]
-        assert [p.beneficiary for p in groups[20]] == ["c"]
+        groups = system.replicas[0]._credit_groups(payments)
+        assert set(groups) == {2, 3}
+        assert [p.beneficiary for p in groups[2]] == ["b", "b"]
+        assert [p.beneficiary for p in groups[3]] == ["c"]
 
 
 class TestQuorums:

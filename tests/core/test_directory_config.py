@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import AstroConfig
-from repro.core.directory import Directory
+from repro.core.directory import Directory, assemble_directory
+from repro.core.system import Astro1System, Astro2System
 
 
 class TestDirectory:
@@ -57,6 +58,97 @@ class TestDirectory:
         directory.register_client("b", 2)
         assert directory.clients_of_shard(0) == ["a"]
         assert directory.clients_of_shard(1) == ["b"]
+
+
+class TestAssembleDirectory:
+    """The one client → representative rule every backend calls."""
+
+    CLIENTS = [f"c{i:02d}" for i in range(13)]  # not a multiple of 2, 3 or 4
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_default_rule_deals_round_robin(self, num_shards):
+        per_shard = 4
+        directory = assemble_directory(self.CLIENTS, per_shard, num_shards)
+        assert directory.shard_ids == list(range(num_shards))
+        for shard in range(num_shards):
+            assert directory.members(shard) == tuple(
+                range(shard * per_shard, (shard + 1) * per_shard)
+            )
+        # Registration order is the repr-sorted order (state fingerprints
+        # and golden histories depend on it).
+        assert directory.clients == sorted(self.CLIENTS, key=repr)
+        for position, client in enumerate(directory.clients):
+            shard = position % num_shards
+            assert directory.shard_of_client(client) == shard
+            slot = (position // num_shards) % per_shard
+            assert directory.rep_of(client) == shard * per_shard + slot
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_shard_assignment_pins_the_shard(self, num_shards):
+        pinned = {
+            client: (index * 7) % num_shards
+            for index, client in enumerate(self.CLIENTS)
+        }
+        directory = assemble_directory(
+            self.CLIENTS, 4, num_shards, shard_assignment=pinned
+        )
+        for position, client in enumerate(sorted(self.CLIENTS, key=repr)):
+            assert directory.shard_of_client(client) == pinned[client]
+            members = directory.members(pinned[client])
+            assert directory.rep_of(client) == members[
+                (position // num_shards) % 4
+            ]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_rep_assignment_wins_outright(self, num_shards):
+        total = 4 * num_shards
+        reps = {
+            client: (index * 5) % total
+            for index, client in enumerate(self.CLIENTS)
+        }
+        # shard_assignment is ignored once the representative is given.
+        directory = assemble_directory(
+            self.CLIENTS, 4, num_shards,
+            rep_assignment=reps,
+            shard_assignment={client: 0 for client in self.CLIENTS},
+        )
+        assert directory.rep_map == reps
+
+    def test_rep_assignment_must_name_a_replica(self):
+        with pytest.raises(ValueError, match="not a replica"):
+            assemble_directory(["a"], 4, rep_assignment={"a": 4})
+
+    def test_astro1_is_astro2_with_one_shard(self):
+        """Astro I's ``position % n`` is the ``num_shards = 1`` case, so
+        both systems — and a live cluster's every process — derive one
+        map."""
+        genesis = {client: 10 for client in self.CLIENTS}
+        expected = assemble_directory(genesis, 4).rep_map
+        assert expected == {
+            client: position % 4
+            for position, client in enumerate(sorted(genesis, key=repr))
+        }
+        astro1 = Astro1System(num_replicas=4, genesis=genesis)
+        astro2 = Astro2System(num_replicas=4, num_shards=1, genesis=genesis)
+        assert astro1.directory.rep_map == expected
+        assert astro2.directory.rep_map == expected
+        assert list(astro1.directory.rep_map) == list(astro2.directory.rep_map)
+
+    def test_systems_pass_their_assignments_through(self):
+        genesis = {client: 10 for client in self.CLIENTS}
+        reps = {client: 3 for client in genesis}
+        assert Astro1System(
+            num_replicas=4, genesis=genesis, rep_assignment=reps
+        ).directory.rep_map == reps
+        shards = {client: 1 for client in genesis}
+        sharded = Astro2System(
+            num_replicas=4, num_shards=2, genesis=genesis,
+            shard_assignment=shards,
+        )
+        assert sharded.directory.rep_map == assemble_directory(
+            genesis, 4, 2, shard_assignment=shards
+        ).rep_map
+        assert set(sharded.directory.rep_map.values()) <= {4, 5, 6, 7}
 
 
 class TestAstroConfig:

@@ -257,6 +257,7 @@ def test_coalesced_credit_path_hashseed_independent():
 
 _SHARD_SNIPPET = """
 import os
+from repro.bench.jobs import exec_find_peak
 from repro.bench.parallel import ScenarioJob, run_unit
 from repro.bench.systems import SYSTEM_BUILDERS
 
@@ -293,7 +294,7 @@ def main():
             )
     else:
         peak = run_unit(ScenarioJob(
-            kind="find_peak", params=dict(params, sim_shards=shards), seed=9))
+            fn=exec_find_peak, params=dict(params, sim_shards=shards), seed=9))
     for probe in peak.probes:
         print("probe", probe.offered, probe.achieved, probe.injected,
               probe.confirmed,
@@ -407,12 +408,13 @@ def test_shard_start_method_invariant_histories(tmp_path):
 
 _ADVERSARY_SNIPPET = """
 import json
+from repro.bench.adversary import run_adversary_cell
 from repro.bench.parallel import ScenarioJob, run_unit
 
 for system, attack in (("astro1", "selective"), ("astro2", "forge_credit"),
                        ("astro2", "replay")):
     cell = run_unit(ScenarioJob(
-        kind="adversary_timeline",
+        fn=run_adversary_cell,
         params=dict(system=system, size=7, attack=attack, num_clients=6,
                     warmup=1.0, window=4.0, attack_offset=1.0,
                     monitor_interval=0.5),

@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from repro.bench.jobs import exec_open_loop_messages
 from repro.bench.parallel import ScenarioJob, execute
 from repro.bench.runner import setup_open_loop
 from repro.bench.systems import SYSTEM_BUILDERS
@@ -188,7 +189,7 @@ def astro2_witness(monkeypatch):
 
 def test_serial_jobs_do_not_stack_systems(astro2_witness):
     job = ScenarioJob(
-        kind="open_loop_messages",
+        fn=exec_open_loop_messages,
         params=dict(
             system="astro2", size=4, rate=400.0, duration=0.4, warmup=0.3
         ),

@@ -247,6 +247,7 @@ def test_find_peak_job_falls_back_to_serial_on_unshardable_model(monkeypatch):
 
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("builder patch only reaches workers under fork")
+    from repro.bench.jobs import exec_find_peak
     from repro.bench.parallel import ScenarioJob, run_unit
 
     monkeypatch.setitem(
@@ -256,7 +257,7 @@ def test_find_peak_job_falls_back_to_serial_on_unshardable_model(monkeypatch):
         ),
     )
     result = run_unit(ScenarioJob(
-        kind="find_peak",
+        fn=exec_find_peak,
         params=dict(system="astro2", size=4, start_rate=500.0,
                     duration=0.4, warmup=0.3, refine_steps=0,
                     payment_budget=2000, max_probes=2,

@@ -1,6 +1,8 @@
 """Knob census: every ``REPRO_*`` name the code mentions is a row of the
 README "Configuration" table, and vice versa — a new knob cannot land
-undocumented, and a documented knob cannot silently disappear."""
+undocumented, and a documented knob cannot silently disappear.  The
+live cluster's command-line flags are counted the same way against
+README's "Live cluster" section."""
 
 import pathlib
 import re
@@ -42,3 +44,24 @@ def test_code_mentions_exactly_the_documented_knobs():
     # Growing this number needs two callers that want different values;
     # with one value in use, make it a constant instead.
     assert len(documented) == 10
+
+
+def test_cluster_cli_flags_are_exactly_the_documented_ones():
+    from repro.transport.cluster import _parser
+
+    flags = {
+        option
+        for action in _parser()._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Live cluster (real TCP)\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert flags == documented, (
+        f"undocumented: {flags - documented}; stale: {documented - flags}"
+    )
+    # Deployment settings (addresses, paths, credentials) and what two
+    # callers set differently stay flags; one-valued tuning is a constant.
+    assert len(flags) == 12

@@ -1,11 +1,12 @@
 """Chaos harness: timeline grammar, injectors, link faults, monitor feed.
 
 The point of the harness is that ONE timeline spec drives both backends:
-:func:`apply_timeline` schedules the same events on the simulator's
-``FaultInjector`` and on a :class:`LiveFaultInjector` wired to process
-kill/restart callables.  These tests pin the grammar, both injectors'
-logs, TCP-level link-fault shaping, and the live adapter that feeds the
-invariant monitor replica snapshots instead of simulator objects.
+the parsed events are scheduled on the simulator's ``FaultInjector`` by
+:func:`apply_timeline` and executed by a :class:`LiveFaultInjector`
+wired to process kill/restart callables.  These tests pin the grammar
+(and what it rejects), both injectors' logs, TCP-level link-fault
+shaping, and the live adapter that feeds the invariant monitor replica
+snapshots instead of simulator objects.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from repro.transport.chaos import (
     LinkFault,
     LiveFaultInjector,
     LiveMonitorFeed,
-    StateSnapshotReply,
     apply_link_fault,
     apply_timeline,
+    check_replica_ids,
     parse_timeline,
     replica_state_view,
 )
@@ -109,11 +110,43 @@ def test_parse_timeline_ignores_empty_chunks():
         "partition:0,1@4",  # missing '|'
         "reboot:1@5",  # unknown action
         "crash:x@5",  # non-integer node
+        "crash:1@-5",  # negative time
+        "crash:1@nan",  # NaN time (would also unorder the sort)
+        "crash:1@inf",  # never
+        "crash:-1@5",  # negative replica id
+        "delay:2x-0.05@3",  # negative delay
+        "delay:2xinf@3",  # unbounded delay
+        "drop:2x1.7@3",  # probability above 1
+        "drop:2x-0.1@3",  # probability below 0
+        "drop:2xnan@3",  # NaN probability
+        "partition:|2@1",  # empty group
+        "partition:0,1|1,2@4",  # overlapping groups (was the live
+        # injector's own check)
     ],
 )
 def test_parse_timeline_rejects_malformed(spec):
     with pytest.raises(ValueError):
         parse_timeline(spec)
+
+
+def test_parse_timeline_normalizes_partition_groups():
+    """Duplicates within a group are tolerated, as the simulator's
+    injector tolerates them; members come out sorted."""
+    (event,) = parse_timeline("partition:3,2,2|0@1")
+    assert event.args == ((2, 3), (0,))
+    assert event.nodes == (2, 3, 0)
+
+
+def test_check_replica_ids_rejects_ids_the_cluster_lacks():
+    """``--chaos "crash:9@1"`` on N=4 used to KeyError mid-run."""
+    events = parse_timeline("crash:1@1;partition:0,1|2,3@2;heal@3")
+    check_replica_ids(events, 4)
+    with pytest.raises(ValueError, match=r"\[9\]"):
+        check_replica_ids(parse_timeline("crash:9@1"), 4)
+    with pytest.raises(ValueError, match=r"\[4\]"):
+        check_replica_ids(parse_timeline("partition:0|4@1"), 4)
+    with pytest.raises(ValueError, match=r"\[3\]"):
+        check_replica_ids(events, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +195,7 @@ def test_live_injector_executes_schedule():
         recover_fn=recover_fn,
         link_fn=lambda node_id, fault: shipped.append((node_id, fault)),
         replica_ids=[0, 1, 2, 3],
-    )
-    apply_timeline(
-        injector,
-        parse_timeline(
+        events=parse_timeline(
             "crash:1@0.01;delay:2x0.05@0.02;drop:3x0.25@0.03;"
             "partition:0,1|2,3@0.04;recover:1@0.05;heal@0.06"
         ),
@@ -195,17 +225,6 @@ def test_live_injector_executes_schedule():
     heal_orders = shipped[6:]
     assert [n for n, _ in heal_orders] == [0, 1, 2, 3]
     assert all(f.clear for _, f in heal_orders)
-
-
-def test_live_injector_rejects_overlapping_partition():
-    injector = LiveFaultInjector(
-        crash_fn=lambda n: None,
-        recover_fn=lambda n: None,
-        link_fn=lambda n, f: None,
-        replica_ids=[0, 1, 2],
-    )
-    with pytest.raises(ValueError, match="disjoint"):
-        injector.partition([0, 1], [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +298,7 @@ def test_live_feed_samples_real_snapshots_safe():
 
     for round_no in (1, 2):
         for replica in system.replicas:
-            reply = StateSnapshotReply(
-                round_no, replica.node_id, replica_state_view(replica)
-            )
-            feed.update(reply, now=float(round_no))
+            feed.update(replica.node_id, replica_state_view(replica))
         monitor.sample(now=float(round_no))
     assert monitor.verdict()["ok"]
     expected = {
@@ -304,22 +320,14 @@ def test_live_feed_frozen_crashed_view_stays_safe():
     )
     monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
     for replica in system.replicas:
-        feed.update(
-            StateSnapshotReply(1, replica.node_id, replica_state_view(replica)),
-            now=1.0,
-        )
+        feed.update(replica.node_id, replica_state_view(replica))
     monitor.sample(now=1.0)
     # Replica 1 "crashes": rounds 2..4 only update the survivors.
     for round_no in (2, 3, 4):
         for replica in system.replicas:
             if replica.node_id == 1:
                 continue
-            feed.update(
-                StateSnapshotReply(
-                    round_no, replica.node_id, replica_state_view(replica)
-                ),
-                now=float(round_no),
-            )
+            feed.update(replica.node_id, replica_state_view(replica))
         monitor.sample(now=float(round_no))
     assert monitor.verdict()["ok"]
 
@@ -335,7 +343,7 @@ def test_live_feed_flags_tampered_balance():
         if replica.node_id == 2:
             victim = next(iter(view["balances"]))
             view["balances"][victim] = -5
-        feed.update(StateSnapshotReply(1, replica.node_id, view), now=1.0)
+        feed.update(replica.node_id, view)
     monitor.sample(now=1.0)
     verdict = monitor.verdict()
     assert not verdict["ok"]
@@ -368,7 +376,6 @@ def _settler_view(resolved_credit: bool) -> Dict[str, Any]:
         "seqnums": {},
         "xlogs": {},
         "used_deps": {"a": {("z", 1)}},
-        "settled": 0,
         "fingerprint": "irrelevant",
     }
 
@@ -379,7 +386,6 @@ def _crediting_view() -> Dict[str, Any]:
         "balances": {"a": 100, "z": 95},
         "seqnums": {"z": 1},
         "xlogs": {"z": (Payment("z", 1, "a", 5),)},
-        "settled": 1,
         "fingerprint": "irrelevant",
         "used_deps": {},
     }
@@ -390,11 +396,11 @@ def test_dep_grace_absorbs_one_sample_of_skew():
     monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
     # Round 1: the settler's capture arrived before the crediting
     # replica's — the dependency looks unknown for exactly one sample.
-    feed.update(StateSnapshotReply(1, 0, _settler_view(True)), now=1.0)
+    feed.update(0, _settler_view(True))
     monitor.sample(now=1.0)
     assert monitor.verdict()["ok"]
     # Round 2: the crediting payment shows up; the dependency resolves.
-    feed.update(StateSnapshotReply(2, 1, _crediting_view()), now=2.0)
+    feed.update(1, _crediting_view())
     monitor.sample(now=2.0)
     monitor.sample(now=3.0)
     assert monitor.verdict()["ok"]
@@ -403,7 +409,7 @@ def test_dep_grace_absorbs_one_sample_of_skew():
 def test_dep_grace_still_flags_fabricated_certificates():
     feed = _deps_feed()
     monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
-    feed.update(StateSnapshotReply(1, 0, _settler_view(True)), now=1.0)
+    feed.update(0, _settler_view(True))
     monitor.sample(now=1.0)
     assert monitor.verdict()["ok"]  # within grace
     monitor.sample(now=2.0)  # never resolves: flag it
@@ -418,7 +424,7 @@ def test_dep_grace_still_flags_fabricated_certificates():
 def test_dep_grace_zero_keeps_simulator_strictness():
     feed = _deps_feed()
     monitor = InvariantMonitor(feed, autostart=False, dep_grace=0)
-    feed.update(StateSnapshotReply(1, 0, _settler_view(True)), now=1.0)
+    feed.update(0, _settler_view(True))
     monitor.sample(now=1.0)
     assert not monitor.verdict()["ok"]
 
@@ -432,14 +438,14 @@ class _FakeProc:
 
 
 def test_poll_unexpected_names_the_dead_replica():
-    cluster = _ClusterProcs(None, None, b"", None)
+    cluster = _ClusterProcs(None, None, b"", None, "uniform")
     cluster.procs = {0: _FakeProc(None), 1: _FakeProc(None), 2: _FakeProc(-9)}
     with pytest.raises(ReplicaProcessError, match="replica 2 .*-9"):
         cluster.poll_unexpected()
 
 
 def test_poll_unexpected_exempts_planned_kills():
-    cluster = _ClusterProcs(None, None, b"", None)
+    cluster = _ClusterProcs(None, None, b"", None, "uniform")
     cluster.procs = {0: _FakeProc(None), 1: _FakeProc(-9)}
     cluster.down = {1}
     cluster.poll_unexpected()  # no raise: replica 1 is down on purpose

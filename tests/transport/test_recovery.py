@@ -32,7 +32,7 @@ from repro.core.system import Astro2System
 from repro.sim.faults import FaultInjector
 from repro.transport.chaos import apply_timeline, parse_timeline
 from repro.transport.cluster import (
-    StatsRequest,
+    ControlQuery,
     _build_directory,
     _run_catch_up,
     build_replica,
@@ -40,6 +40,7 @@ from repro.transport.cluster import (
     payment_stream,
 )
 from repro.transport.tcp import TcpTransport
+from repro.workloads.base import make_workload
 
 SECRET = b"recovery-test-secret"
 
@@ -79,7 +80,7 @@ def _simulator_prediction():
     apply_timeline(injector, parse_timeline(TIMELINE))
 
     clients = sorted(genesis, key=repr)
-    stream = payment_stream(clients)
+    stream = payment_stream(make_workload("uniform", clients, seed=0))
     phase_a = [next(stream) for _ in range(PHASE_A)]
     phase_b = [next(stream) for _ in range(PHASE_B)]
     for payment in phase_a:
@@ -192,7 +193,7 @@ def test_live_crash_recovery_matches_sim_prediction(tmp_path):
 
         rep_map = _build_directory(N, list(genesis)).rep_map
         clients = sorted(genesis, key=repr)
-        stream = payment_stream(clients)
+        stream = payment_stream(make_workload("uniform", clients, seed=0))
 
         def submit(count: int) -> List[Any]:
             payments = [next(stream) for _ in range(count)]
@@ -214,7 +215,7 @@ def test_live_crash_recovery_matches_sim_prediction(tmp_path):
         # be lost in flight to the dead peer.
         failures = loadgen.stats.connect_failures
         while loadgen.stats.connect_failures == failures:
-            loadgen.send(1, StatsRequest(0))
+            loadgen.send(1, ControlQuery(0, "stats"))
             await asyncio.sleep(0.05)
 
         phase_b = submit(PHASE_B)
