@@ -236,6 +236,24 @@ class DependencyCertificate:
             )
         return value
 
+    def __eq__(self, other: object) -> bool:
+        # Value equality: two unpickled copies of one certificate (and so
+        # of any payout carrying it, via ``Payment.__eq__``'s ``deps ==``)
+        # are the same certificate to the live monitor's convergence check.
+        return (
+            isinstance(other, DependencyCertificate)
+            and self.shard_id == other.shard_id
+            and self.payment.core == other.payment.core
+            and self.subbatch_digest == other.subbatch_digest
+            and self.signatures == other.signatures
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.shard_id, self.payment.core, self.subbatch_digest,
+             self.signatures)
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DependencyCertificate {self.payment!r} "

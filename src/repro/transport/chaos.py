@@ -9,9 +9,10 @@ relative to the start of the measurement window:
 ``recover:1@10``
     Restart replica 1 at t=10 (simulator: un-crash).
 ``delay:2x0.05@3``
-    From t=3, add 50 ms to every frame leaving replica 2.
+    From t=3, everything leaving replica 2 arrives 50 ms later (added
+    latency, not a rate limit).
 ``drop:2x0.3@3``
-    From t=3, drop 30 % of frames leaving replica 2 (live only — the
+    From t=3, drop 30 % of messages leaving replica 2 (live only — the
     simulator's :class:`~repro.sim.faults.FaultInjector` has no
     probabilistic loss).
 ``partition:0,1|2,3@4``

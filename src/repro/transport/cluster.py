@@ -723,6 +723,7 @@ async def _run_bench(args, transport, loadgen) -> Dict[str, Any]:
     measured_pps = (
         min(deltas.values()) / measure_elapsed if deltas else 0.0
     )
+    stats = transport.stats
     return _report(
         args, loadgen, final, wall_start,
         measured_pps=round(measured_pps, 1),
@@ -730,8 +731,15 @@ async def _run_bench(args, transport, loadgen) -> Dict[str, Any]:
         settled_delta_by_replica={
             str(k): v for k, v in sorted(deltas.items())
         },
-        loadgen_frames_sent=transport.stats.frames_sent,
-        loadgen_frames_received=transport.stats.frames_received,
+        # The load generator's side of the wire: trains written/read, the
+        # payloads they carried out, and how full its trains ran (1.0 would
+        # mean one-message frames again).
+        loadgen_frames_sent=stats.frames_sent,
+        loadgen_frames_received=stats.frames_received,
+        loadgen_payloads_sent=stats.payloads_sent,
+        payloads_per_frame=round(
+            stats.payloads_sent / max(stats.frames_sent, 1), 2
+        ),
     )
 
 

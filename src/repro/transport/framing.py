@@ -1,11 +1,22 @@
-"""Length-framed pickle streams for the TCP backend.
+"""Length-framed pickle streams: the codec under the TCP backend and the WAL.
 
-One frame is a 4-byte big-endian payload length followed by the pickled
-payload.  The payloads are the same compact ``__reduce__`` wire classes
-the sharded simulator ships through its cross-shard outbox
-(Payment, Batch, CreditMessage/CreditBundle, Sb*/Brb*, ...), so one
-serialization format covers both parallelism inside a simulation and
-real sockets between processes.
+One frame is a 4-byte big-endian body length followed by the pickled
+body.  This module is a generic codec — it frames whatever object it is
+handed and knows nothing of what the body means:
+
+* on the wire (:mod:`repro.transport.tcp`) the body is a **train**, a
+  tuple of payloads — everything a node sent one peer during a loop
+  turn, at most 32 — so class globals are pickled and resolved once per
+  train, not once per message, and the receiver rejects any body that is
+  not a tuple;
+* in the write-ahead log (:mod:`repro.core.persistence`) the body is one
+  record, framed and flushed on its own.
+
+The payloads are the same compact ``__reduce__`` wire classes the
+sharded simulator ships through its cross-shard outbox (Payment, Batch,
+CreditMessage/CreditBundle, Sb*/Brb*, ...), so one serialization format
+covers both parallelism inside a simulation and real sockets between
+processes.
 
 Pickle between mutually authenticated replicas matches the paper's
 trust model: the handshake (:mod:`repro.transport.tcp`) ensures frames
@@ -31,8 +42,9 @@ __all__ = [
 
 #: Frames above this are rejected and the connection dropped.  The
 #: largest legitimate payload is a full batch of 256 payments with
-#: attached certificates — well under a megabyte; 16 MiB leaves room for
-#: future payloads while bounding a malicious length prefix.
+#: attached certificates — well under a megabyte, and a train carries at
+#: most 32 payloads; 16 MiB leaves room for both while bounding a
+#: malicious length prefix.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Length prefix: one unsigned 32-bit big-endian integer.

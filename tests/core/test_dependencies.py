@@ -1,5 +1,7 @@
 """Unit tests for CREDIT messages and dependency certificates (§IV-A)."""
 
+import pickle
+
 import pytest
 
 from repro.core.dependencies import (
@@ -140,6 +142,56 @@ class TestCertificateVerification:
 
     def test_wire_bytes(self):
         assert certificate_wire_bytes(1) == 40 + 2 * 72
+
+
+class TestCertificateEquality:
+    """Value equality: copies that crossed a wire are the same certificate
+    (the live monitor's convergence check compares replicas' payouts)."""
+
+    def test_unpickled_copy_is_equal_and_hashes_alike(self, setup):
+        directory, keys = setup
+        cert = _certificate(keys, (Payment("alice", 1, "bob", 10),))
+        clone = pickle.loads(pickle.dumps(cert))
+        assert clone is not cert
+        assert clone == cert
+        assert hash(clone) == hash(cert)
+
+    def test_tampered_signatures_compare_unequal(self, setup):
+        directory, keys = setup
+        payments = (Payment("alice", 1, "bob", 10),)
+        cert = _certificate(keys, payments, signers=(0, 1))
+        other_signers = _certificate(keys, payments, signers=(0, 2))
+        truncated = DependencyCertificate(
+            payments[0], 0, payments, cert.signatures[:1]
+        )
+        assert cert != other_signers
+        assert cert != truncated
+        assert cert != "not a certificate"
+
+    def test_other_payment_or_shard_compares_unequal(self, setup):
+        directory, keys = setup
+        payments = (
+            Payment("alice", 1, "bob", 10),
+            Payment("alice", 2, "bob", 5),
+        )
+        cert = _certificate(keys, payments)
+        sibling = DependencyCertificate(
+            payments[1], 0, payments, cert.signatures
+        )
+        moved = DependencyCertificate(
+            payments[0], 1, payments, cert.signatures
+        )
+        assert cert != sibling
+        assert cert != moved
+
+    def test_two_unpickled_copies_of_a_payout_are_equal(self, setup):
+        directory, keys = setup
+        cert = _certificate(keys, (Payment("alice", 1, "bob", 10),))
+        payout = Payment("bob", 1, "alice", 7, deps=(cert,))
+        wire = pickle.dumps(payout)
+        first, second = pickle.loads(wire), pickle.loads(wire)
+        assert first.deps[0] is not second.deps[0]
+        assert first == second == payout
 
 
 class TestDependencyCollector:

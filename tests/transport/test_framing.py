@@ -128,8 +128,8 @@ def batches(draw):
 @given(payments(with_deps=True))
 def test_payment_roundtrip(payment):
     decoded = roundtrip(payment)
-    # DependencyCertificate compares by identity, so compare the core and
-    # the identifier rather than the full Payment equality.
+    # Compare the derived forms; ``==`` of certificate-bearing copies is
+    # pinned in tests/core/test_dependencies.py.
     assert decoded.core == payment.core
     assert decoded.identifier == payment.identifier
     assert len(decoded.deps) == len(payment.deps)

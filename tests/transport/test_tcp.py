@@ -7,16 +7,21 @@ loop through ``asyncio.run``.  All sockets bind 127.0.0.1 port 0.
 from __future__ import annotations
 
 import asyncio
+import os
+import random
 import socket
 import struct
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro.transport.framing import encode_frame
 from repro.transport.tcp import (
     _MAGIC,
     _NONCE_BYTES,
     _TAG_BYTES,
+    TRAIN_MAX_PAYLOADS,
     _tag,
     TcpTransport,
 )
@@ -171,6 +176,9 @@ def test_sender_side_cap_drops_before_wire():
         a, b = await make_pair(a={"max_frame": 512})
         inbox = collect(b)
         a.send(1, Ping("y" * 2048))
+        # Encoding happens when the train is sealed — by the sender task,
+        # once it has dialed — not inside ``send``.
+        await wait_for(lambda: a.stats.frames_dropped)
         assert a.stats.frames_dropped == 1
         a.send(1, Ping("fits"))
         await wait_for(lambda: inbox)
@@ -469,6 +477,242 @@ def test_handler_exception_does_not_kill_receiver():
         await wait_for(lambda: good)
         assert good == ["fine"]
         assert b.stats.handler_errors == 1
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Payload trains: the wire unit is a tuple of payloads, at most
+# TRAIN_MAX_PAYLOADS of them, one frame per peer per loop turn
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("burst", [1, 31, 32, 33, 256])
+def test_burst_rides_ceil_k_over_32_trains_in_order(burst):
+    async def scenario():
+        a, b = await make_pair()
+        inbox = collect(b)
+        await wait_for(lambda: a.stats.connects == 1)
+        for value in range(burst):
+            a.send(1, Ping(value))  # one synchronous burst, no yield
+        await wait_for(lambda: len(inbox) == burst)
+        assert [msg.value for _, msg in inbox] == list(range(burst))
+        trains = -(-burst // TRAIN_MAX_PAYLOADS)
+        assert a.stats.frames_sent == trains
+        assert a.stats.payloads_sent == burst
+        assert b.stats.frames_received == trains
+        assert b.stats.payloads_received == burst
+        assert a.queue_depth(1) == 0
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_interleaved_sends_keep_each_peers_order():
+    async def scenario():
+        nodes = [TcpTransport(i, SECRET) for i in range(3)]
+        peers = {n.node_id: ("127.0.0.1", await n.start()) for n in nodes}
+        for node in nodes:
+            node.connect(peers)
+        a, b, c = nodes
+        inbox_b, inbox_c = collect(b), collect(c)
+        for value in range(100):
+            a.send(1 + value % 2, Ping(value))
+        await wait_for(lambda: len(inbox_b) + len(inbox_c) == 100)
+        assert [msg.value for _, msg in inbox_b] == list(range(0, 100, 2))
+        assert [msg.value for _, msg in inbox_c] == list(range(1, 100, 2))
+        for node in nodes:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_drop_fault_draws_once_per_payload_in_send_order():
+    async def scenario():
+        a, b = await make_pair()
+        inbox = collect(b)
+        a.set_link_fault(1, drop=0.5)
+        for value in range(100):
+            a.send(1, Ping(value))
+        # The reference: one draw per payload of the node's fault RNG.
+        reference = random.Random(a.node_id * 7919 + 17)
+        survivors = [v for v in range(100) if reference.random() >= 0.5]
+        await wait_for(lambda: len(inbox) == len(survivors))
+        assert [msg.value for _, msg in inbox] == survivors
+        assert a.stats.fault_dropped == 100 - len(survivors)
+        assert a.stats.payloads_sent == len(survivors)
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_block_fault_counts_every_payload():
+    async def scenario():
+        a, b = await make_pair()
+        inbox = collect(b)
+        a.set_link_fault(1, block=True)
+        for value in range(40):
+            a.send(1, Ping(value))
+        await wait_for(lambda: a.stats.fault_dropped == 40)
+        assert a.queue_depth(1) == 0
+        assert a.stats.frames_sent == 0
+        a.clear_link_fault(1)
+        a.send(1, Ping("healed"))
+        await wait_for(lambda: inbox)
+        assert inbox == [(0, Ping("healed"))]
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_delay_fault_adds_latency_not_a_rate_limit():
+    async def scenario():
+        a, b = await make_pair()
+        inbox = collect(b)
+        await wait_for(lambda: a.stats.connects == 1)
+        a.set_link_fault(1, delay=0.05)
+        loop = asyncio.get_running_loop()
+        began = loop.time()
+        for value in range(100):
+            a.send(1, Ping(value))
+        await wait_for(lambda: len(inbox) == 100, interval=0.005)
+        elapsed = loop.time() - began
+        # One sleep per flush: 100 sends are 50 ms late, not 100 x 50 ms.
+        assert 0.05 <= elapsed < 0.25
+        assert [msg.value for _, msg in inbox] == list(range(100))
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_close_with_an_open_train_leaks_nothing():
+    async def scenario():
+        a, b = await make_pair()
+        for value in range(5):
+            a.send(1, Ping(value))
+        assert a.queue_depth(1) == 5  # still objects, nothing sealed
+        await a.close()
+        await b.close()
+        assert not a._sender_tasks and not a._receiver_tasks
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+
+    asyncio.run(scenario())
+
+
+class _Probe(Ping):
+    """A Ping a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_payload_object_is_released_within_one_train_of_sends():
+    """The collector argument of the module docstring, as a test: queued
+    payload *objects* must not outlive TRAIN_MAX_PAYLOADS further sends,
+    loop turn or not — the train is sealed to bytes inside ``send``."""
+
+    async def scenario():
+        port = free_port()  # nobody listening: nothing is ever flushed
+        a = TcpTransport(0, SECRET)
+        await a.start()
+        a.connect({1: ("127.0.0.1", port)})
+        probe = _Probe("watched")
+        watcher = weakref.ref(probe)
+        a.send(1, probe)
+        del probe
+        assert watcher() is not None  # riding the open train
+        for value in range(TRAIN_MAX_PAYLOADS):
+            a.send(1, Ping(value))
+        assert watcher() is None
+        assert a.queue_depth(1) == TRAIN_MAX_PAYLOADS + 1
+        await a.close()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Decoders never trust bytes; senders never die
+# ---------------------------------------------------------------------------
+async def raw_dial(port: int, node_id: int) -> asyncio.StreamWriter:
+    """Hand-rolled dialer: a real handshake, then the caller's bytes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    nonce_d = os.urandom(_NONCE_BYTES)
+    writer.write(_MAGIC + struct.pack(">I", node_id) + nonce_d)
+    await writer.drain()
+    reply = await reader.readexactly(
+        len(_MAGIC) + 4 + _NONCE_BYTES + _TAG_BYTES
+    )
+    nonce_a = reply[len(_MAGIC) + 4 : len(_MAGIC) + 4 + _NONCE_BYTES]
+    writer.write(_tag(SECRET, b"dial", nonce_a, node_id))
+    await writer.drain()
+    return writer
+
+
+def test_frame_that_is_not_a_train_drops_the_connection():
+    async def scenario():
+        b = TcpTransport(1, SECRET)
+        port = await b.start()
+        inbox = collect(b)
+        writer = await raw_dial(port, 7)
+        writer.write(encode_frame((Ping("in a train"),)))
+        writer.write(encode_frame(Ping("bare")))  # well-formed, not a tuple
+        writer.write(encode_frame((Ping("after"),)))
+        await writer.drain()
+        await wait_for(lambda: b.stats.stream_errors == 1)
+        await wait_for(lambda: not b._receiver_tasks)  # connection dropped
+        assert inbox == [(7, Ping("in a train"))]
+        assert b.stats.frames_received == 1
+        writer.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "offender", [Ping(lambda: None), Ping("y" * 2048)],
+    ids=["unpicklable", "oversized"],
+)
+def test_bad_payload_in_a_train_is_dropped_alone(offender):
+    async def scenario():
+        a, b = await make_pair(a={"max_frame": 512})
+        inbox = collect(b)
+        a.send(1, Ping("before"))
+        a.send(1, offender)
+        a.send(1, Ping("after"))
+        await wait_for(lambda: len(inbox) == 2)
+        assert [msg.value for _, msg in inbox] == ["before", "after"]
+        assert a.stats.frames_dropped == 1
+        assert a.stats.payloads_sent == 2
+        # The sender task survived: the link still works.
+        a.send(1, Ping("later"))
+        await wait_for(lambda: len(inbox) == 3)
+        assert not a._sender_tasks[1].done()
+        await a.close()
+        await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_handler_exception_mid_train_spares_the_rest_of_the_train():
+    async def scenario():
+        a, b = await make_pair()
+        good: List[Any] = []
+
+        def handler(src: int, msg: Ping) -> None:
+            if msg.value == "boom":
+                raise RuntimeError("handler bug")
+            good.append(msg.value)
+
+        b.on(Ping, handler)
+        for value in ("first", "boom", "last"):
+            a.send(1, Ping(value))
+        await wait_for(lambda: len(good) == 2)
+        assert good == ["first", "last"]
+        assert b.stats.handler_errors == 1
+        assert b.stats.frames_received == 1  # all three rode one train
         await a.close()
         await b.close()
 
