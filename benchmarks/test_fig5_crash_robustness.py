@@ -11,8 +11,8 @@ Regenerates the three timelines and asserts the paper's claims:
 """
 
 def test_fig5_crash_robustness(scale, robustness_suite):
-    # Measured via the pooled Figs. 5-7 scheduler (see conftest);
-    # identical to run_crash_robustness(scale=scale) cell for cell.
+    # Fig. 5's three timelines, measured by the one pooled Figs. 5-7
+    # schedule (``run_robustness_suite``, see conftest).
     result, _fig6, _fig7 = robustness_suite
     print()
     print(result.table())

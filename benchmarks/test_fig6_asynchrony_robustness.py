@@ -8,8 +8,8 @@ its own clients.
 """
 
 def test_fig6_asynchrony_robustness(scale, robustness_suite):
-    # Measured via the pooled Figs. 5-7 scheduler (see conftest);
-    # identical to run_asynchrony_robustness(scale=scale) cell for cell.
+    # Fig. 6's four timelines, measured by the one pooled Figs. 5-7
+    # schedule (``run_robustness_suite``, see conftest).
     _fig5, result, _fig7 = robustness_suite
     print()
     print(result.table())

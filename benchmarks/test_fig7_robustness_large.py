@@ -7,8 +7,8 @@ merely sheds the affected replica's clients in both cases.
 """
 
 def test_fig7_robustness_large(scale, robustness_suite):
-    # Measured via the pooled Figs. 5-7 scheduler (see conftest);
-    # identical to run_large_scale_robustness(scale=scale) cell for cell.
+    # Fig. 7's four timelines, measured by the one pooled Figs. 5-7
+    # schedule (``run_robustness_suite``, see conftest).
     _fig5, _fig6, result = robustness_suite
     print()
     print(result.table())

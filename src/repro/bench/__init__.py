@@ -31,9 +31,6 @@ from .peak import PeakResult, find_peak
 from .report import format_series, format_table, kilo, print_table
 from .robustness import (
     RobustnessResult,
-    run_asynchrony_robustness,
-    run_crash_robustness,
-    run_large_scale_robustness,
 )
 from .runner import RunResult, run_open_loop
 from .scale import BenchScale, current_scale
@@ -67,9 +64,6 @@ __all__ = [
     "kilo",
     "print_table",
     "RobustnessResult",
-    "run_asynchrony_robustness",
-    "run_crash_robustness",
-    "run_large_scale_robustness",
     "RunResult",
     "run_open_loop",
     "BenchScale",

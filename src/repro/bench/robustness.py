@@ -41,9 +41,6 @@ from .timeline import TimelineResult
 
 __all__ = [
     "RobustnessResult",
-    "run_crash_robustness",
-    "run_asynchrony_robustness",
-    "run_large_scale_robustness",
     "run_robustness_suite",
 ]
 
@@ -141,77 +138,6 @@ def _assemble(
     return RobustnessResult(title=title, size=size, timelines=timelines)
 
 
-def _run_scenarios(
-    scenarios: List[_Scenario],
-    title: str,
-    size: int,
-    scale: BenchScale,
-    seed: int,
-    label: str,
-    jobs: Optional[int],
-) -> RobustnessResult:
-    units = _enumerate_scenarios(scenarios, size, scale, seed)
-    results = execute(
-        units, jobs=jobs, label=f"{label}[{scale.name}]",
-        per_job_bytes=job_memory_bytes(size),
-    )
-    return _assemble(units, results, title, size)
-
-
-def run_crash_robustness(
-    size: int = 0,
-    scale: Optional[BenchScale] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> RobustnessResult:
-    """Fig. 5: crash-stop at t = warmup + offset."""
-    if scale is None:
-        scale = current_scale()
-    if size == 0:
-        size = scale.robustness_small_n
-    return _run_scenarios(
-        _FIG5_SCENARIOS,
-        title=f"Fig. 5 — throughput under crash-stop (N={size})",
-        size=size, scale=scale, seed=seed, label="fig5", jobs=jobs,
-    )
-
-
-def run_asynchrony_robustness(
-    size: int = 0,
-    scale: Optional[BenchScale] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> RobustnessResult:
-    """Fig. 6: 100 ms egress delay at one replica."""
-    if scale is None:
-        scale = current_scale()
-    if size == 0:
-        size = scale.robustness_small_n
-    return _run_scenarios(
-        _FIG6_SCENARIOS,
-        title=f"Fig. 6 — throughput under asynchrony (N={size})",
-        size=size, scale=scale, seed=seed, label="fig6", jobs=jobs,
-    )
-
-
-def run_large_scale_robustness(
-    size: int = 0,
-    scale: Optional[BenchScale] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> RobustnessResult:
-    """Fig. 7: both fault kinds at the large size (paper: N=100)."""
-    if scale is None:
-        scale = current_scale()
-    if size == 0:
-        size = scale.robustness_large_n
-    return _run_scenarios(
-        _FIG7_SCENARIOS,
-        title=f"Fig. 7 — robustness at large scale (N={size})",
-        size=size, scale=scale, seed=seed, label="fig7", jobs=jobs,
-    )
-
-
 def run_robustness_suite(
     scale: Optional[BenchScale] = None,
     seed: int = 0,
@@ -227,8 +153,8 @@ def run_robustness_suite(
     dominant N=100 cells, so the suite's wall-clock approaches the single
     slowest timeline instead of the sum of three stragglers.
 
-    Results are byte-identical to the per-figure entry points: the same
-    descriptors run with the same per-cell seeds, only scheduling differs.
+    Each cell's result is a pure function of its descriptor and seed;
+    pooling changes scheduling only.
     """
     if scale is None:
         scale = current_scale()

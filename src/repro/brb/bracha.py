@@ -22,9 +22,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..crypto import costs
-from ..crypto.hashing import Digest, digest
+from ..crypto.hashing import Digest
 from ..transport.interface import Transport
 from .interface import BroadcastLayer, DeliverFn
+from .interface import _payload_digest, _payload_items
 from .quorums import byzantine_quorum, max_faulty
 
 __all__ = ["BrachaBroadcast", "BrbPrepare", "BrbEcho", "BrbReady"]
@@ -83,19 +84,6 @@ class _Instance:
         self.echoes: Dict[Digest, Tuple[Any, Set[int]]] = {}
         self.readys: Dict[Digest, Tuple[Any, Set[int]]] = {}
         self.delivered = False
-
-
-def _payload_items(payload: Any) -> int:
-    """Number of hashable items in a payload (1 for non-batches)."""
-    return getattr(payload, "batch_items", 1)
-
-
-def _payload_digest(payload: Any) -> Digest:
-    """Payload digest, using the payload's cached value when available."""
-    cached = getattr(payload, "cached_digest", None)
-    if cached is not None:
-        return cached
-    return digest(payload)
 
 
 class BrachaBroadcast(BroadcastLayer):

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Tuple
 
+from ..crypto.hashing import Digest, digest
+
 __all__ = ["BroadcastLayer", "DeliverFn", "Identifier"]
 
 #: BRB payload identifier: (origin, sequence-number).
@@ -31,6 +33,19 @@ Identifier = Tuple[Hashable, int]
 
 #: Delivery callback: ``deliver(origin, seq, payload)``.
 DeliverFn = Callable[[Hashable, int, Any], None]
+
+
+def _payload_items(payload: Any) -> int:
+    """Number of hashable items in a payload (1 for non-batches)."""
+    return getattr(payload, "batch_items", 1)
+
+
+def _payload_digest(payload: Any) -> Digest:
+    """Payload digest, using the payload's cached value when available."""
+    cached = getattr(payload, "cached_digest", None)
+    if cached is not None:
+        return cached
+    return digest(payload)
 
 
 class BroadcastLayer:

@@ -24,11 +24,12 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..crypto import costs
-from ..crypto.hashing import Digest, digest
+from ..crypto.hashing import Digest
 from ..crypto.keys import Keychain, KeyPair, replica_owner
 from ..crypto.signatures import Signature, sign, verify
 from ..transport.interface import Transport
 from .interface import BroadcastLayer, DeliverFn
+from .interface import _payload_digest, _payload_items
 from .quorums import byzantine_quorum, max_faulty
 
 __all__ = ["SignedBroadcast", "SbPrepare", "SbAck", "SbCommit"]
@@ -92,17 +93,6 @@ class SbCommit:
 def _ack_content(origin: int, seq: int, payload_digest: Digest) -> tuple:
     """The statement an ACK signature endorses."""
     return ("brb-ack", origin, seq, payload_digest)
-
-
-def _payload_items(payload: Any) -> int:
-    return getattr(payload, "batch_items", 1)
-
-
-def _payload_digest(payload: Any) -> Digest:
-    cached = getattr(payload, "cached_digest", None)
-    if cached is not None:
-        return cached
-    return digest(payload)
 
 
 class _Instance:

@@ -1,24 +1,26 @@
 """Payment execution on top of a total order.
 
-The consensus baseline executes payments in decided-sequence order.  Like
-Astro I, an insufficiently funded (or out-of-client-order) payment waits
-until the state allows it — total order makes the outcome identical at
-every correct replica.
+The consensus baseline executes payments in decided-sequence order.  It
+is Astro's :class:`~repro.core.replica.ApprovalQueue` — the same account
+state, the same approval rule, the same drain loop — fed one ordered
+payment at a time: like Astro I, an insufficiently funded (or
+out-of-client-order) payment waits until the state allows it, and total
+order makes the outcome identical at every correct replica.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
-from ..core.accounts import AccountState
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment
+from ..core.replica import WAIT, ApprovalQueue
 
 __all__ = ["PaymentLedger"]
 
 
-class PaymentLedger:
+class PaymentLedger(ApprovalQueue):
     """Sequentially applies totally-ordered payments to account state."""
 
     def __init__(
@@ -27,51 +29,30 @@ class PaymentLedger:
         on_settle: Optional[Callable[[Payment], None]] = None,
         interner: Optional[ClientInterner] = None,
     ) -> None:
-        self.state = AccountState(genesis, interner=interner)
+        super().__init__(genesis, interner)
         self.on_settle = on_settle
-        self._waiting: Dict[ClientId, Dict[int, Payment]] = {}
-        self.settled_count = 0
 
     def apply(self, payment: Payment) -> None:
         """Apply one ordered payment (settling everything it unblocks)."""
         spender = payment.spender
-        waiting = self._waiting
-        queue = waiting.get(spender)
+        awaiting = self._awaiting_seq
+        queue = awaiting.get(spender)
         if queue is None:
-            queue = waiting[spender] = {}
+            queue = awaiting[spender] = {}
         queue[payment.seq] = payment
         self._drain(deque((spender,)))
 
-    def _drain(self, worklist: Deque[ClientId]) -> None:
+    def _settle(self, payment: Payment) -> Any:
         # Executes once per payment per replica — the consensus baseline's
         # hottest code.  settle_full operates directly on the int64 slabs.
-        state = self.state
-        seqnum = state.seqnum
-        balance = state.balance
-        settle = state.settle_full
-        waiting = self._waiting
-        on_settle = self.on_settle
-        while worklist:
-            client = worklist.popleft()
-            queue = waiting.get(client)
-            if not queue:
-                continue
-            while True:
-                next_seq = seqnum(client) + 1
-                payment = queue.get(next_seq)
-                if payment is None:
-                    break
-                if balance(client) < payment.amount:
-                    break
-                queue.pop(next_seq)
-                settle(payment)
-                self.settled_count += 1
-                if on_settle is not None:
-                    on_settle(payment)
-                worklist.append(payment.beneficiary)
-            if not queue:
-                waiting.pop(client, None)
+        if self.state.balance(payment.spender) < payment.amount:
+            return WAIT
+        self.state.settle_full(payment)
+        self.settled_count += 1
+        if self.on_settle is not None:
+            self.on_settle(payment)
+        return payment.beneficiary
 
     @property
     def waiting_count(self) -> int:
-        return sum(len(queue) for queue in self._waiting.values())
+        return sum(len(queue) for queue in self._awaiting_seq.values())

@@ -32,6 +32,7 @@ from ..transport.endpoint import ProtocolEndpoint
 from ..transport.interface import Transport
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment, PaymentId
+from ..core.replica import Recoverable
 from .config import BftConfig
 from .ledger import PaymentLedger
 from .messages import (
@@ -67,7 +68,7 @@ class _Instance:
         self.decided = False
 
 
-class BftReplica(ProtocolEndpoint):
+class BftReplica(Recoverable, ProtocolEndpoint):
     """One replica of the consensus-based payment system.
 
     A plain protocol object over a
@@ -121,8 +122,6 @@ class BftReplica(ProtocolEndpoint):
         self._view_entered_at = 0.0
         self.executed_count = 0
         self.view_changes = 0
-        # Durable state (live cluster only; ``None`` in simulations).
-        self._wal = None
         #: External hooks: fn(payment) on each local execution.
         self.exec_hooks: List[Any] = []
         self.client_nodes: Dict[ClientId, int] = {}
@@ -530,83 +529,42 @@ class BftReplica(ProtocolEndpoint):
 
     # ------------------------------------------------------------------
     # Durable state & crash recovery (live cluster only)
+    #
+    # The consensus baseline logs one ``exec`` record per decided slot
+    # (write-ahead of execution); replay re-applies the slots past the
+    # snapshot in order.
     # ------------------------------------------------------------------
-    def bind_persistence(self, store):
-        """Attach a WAL/snapshot store and recover any prior state.
+    def _replay_record(self, record: Tuple[Any, ...]) -> None:
+        if record[0] != "exec":
+            super()._replay_record(record)
+        elif record[1] > self._last_executed:
+            self._last_executed = record[1]
+            for payment in record[2]:
+                self.ledger.apply(payment)
 
-        The consensus baseline logs one ``exec`` record per decided slot
-        (write-ahead of execution); replay re-applies the slots past the
-        snapshot in order.  Must run before the transport starts, so
-        replayed client replies fall on the floor.
-        """
-        from ..core.persistence import (
-            RecoveryReport,
-            WalCorruption,
-            restore_account_state,
-            state_fingerprint,
+    def _snapshot_data(self) -> Dict[str, Any]:
+        data = super()._snapshot_data()
+        ledger = self.ledger
+        data.update(
+            settled_count=ledger.settled_count,
+            waiting={c: dict(q) for c, q in ledger._awaiting_seq.items()},
+            last_executed=self._last_executed,
+            executed_count=self.executed_count,
         )
+        return data
 
-        self._wal = store
-        snapshot = store.load_snapshot()
-        replay_from = 0
-        if snapshot is not None:
-            restore_account_state(self.ledger.state, snapshot["account"])
-            self.ledger.settled_count = snapshot["settled_count"]
-            self.ledger._waiting = {
-                c: dict(q) for c, q in snapshot["waiting"].items()
-            }
-            self._last_executed = snapshot["last_executed"]
-            self.executed_count = snapshot["executed_count"]
-            replay_from = snapshot["wal_count"]
-            if snapshot["fingerprint"] != state_fingerprint(self.ledger.state):
-                raise WalCorruption(
-                    f"replica {self.node_id}: snapshot fingerprint mismatch"
-                )
-        replayed = 0
-        for index, record in enumerate(store.recovery_records()):
-            if index < replay_from:
-                continue
-            kind = record[0]
-            if kind == "exec":
-                slot, batch = record[1], record[2]
-                if slot <= self._last_executed:
-                    continue  # already captured by the snapshot
-                self._last_executed = slot
-                for payment in batch:
-                    self.ledger.apply(payment)
-            elif kind == "fp":
-                actual = state_fingerprint(self.ledger.state)
-                if record[1] != actual:
-                    raise WalCorruption(
-                        f"replica {self.node_id}: replay diverged at WAL "
-                        f"fingerprint {record[1][:12]}.."
-                    )
-            replayed += 1
+    def _restore_snapshot(self, data: Dict[str, Any]) -> None:
+        super()._restore_snapshot(data)
+        ledger = self.ledger
+        ledger.settled_count = data["settled_count"]
+        ledger._awaiting_seq = {c: dict(q) for c, q in data["waiting"].items()}
+        self._last_executed = data["last_executed"]
+        self.executed_count = data["executed_count"]
+
+    def _finish_recovery(self) -> None:
         # Slots above the replayed frontier must be re-decided; the
         # ordering protocol (or a view change) re-proposes them.
         self._next_propose = max(self._next_propose, self._last_executed + 1)
-        store.finish_recovery()
-        return RecoveryReport(
-            snapshot is not None, replayed, state_fingerprint(self.ledger.state)
-        )
-
-    def _wal_checkpoint(self) -> None:
-        from ..core.persistence import snapshot_account_state, state_fingerprint
-
-        store = self._wal
-        if store.fingerprint_due():
-            store.record_fingerprint(state_fingerprint(self.ledger.state))
-        if store.snapshot_due():
-            store.write_snapshot({
-                "fingerprint": state_fingerprint(self.ledger.state),
-                "account": snapshot_account_state(self.ledger.state),
-                "settled_count": self.ledger.settled_count,
-                "waiting": {
-                    c: dict(q) for c, q in self.ledger._waiting.items()
-                },
-                "last_executed": self._last_executed,
-                "executed_count": self.executed_count,
-            })
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,9 +1,11 @@
 """Assembly of the consensus-based payment system (baseline).
 
-Mirrors the driving surface of the Astro systems so workloads and
-benchmarks are generic over the two designs.  The BFT-SMaRt client
-pattern is preserved: every request reaches every replica, and a client
-accepts a result after f+1 matching replies (§VI-B).
+A :class:`~repro.core.system.SimulatedSystem` like the Astro systems —
+same simulator/network/fault/genesis scaffold, same driving surface, so
+workloads and benchmarks are generic over the two designs — that keeps
+what the BFT-SMaRt client pattern needs: every request reaches every
+replica, and a client accepts a result after f+1 matching replies
+(§VI-B).
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment, PaymentId
+from ..core.system import SimulatedSystem
 from ..sim.events import Simulator
-from ..sim.faults import FaultInjector
-from ..sim.latency import LatencyModel, europe_wan
+from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.node import Node
 from .config import BftConfig
@@ -88,8 +90,10 @@ class BftClientNode(Node):
         return len(self._in_flight)
 
 
-class BftSystem:
+class BftSystem(SimulatedSystem):
     """N-replica consensus-based payment service."""
+
+    replicas: List[BftReplica]
 
     def __init__(
         self,
@@ -104,26 +108,19 @@ class BftSystem:
     ) -> None:
         if config is None:
             config = BftConfig(num_replicas=num_replicas)
-        self.config = config
-        self.sim = sim if sim is not None else Simulator()
-        if network is None:
-            if latency is None:
-                latency = europe_wan(config.num_replicas, seed=seed)
-            network = Network(self.sim, latency=latency, track_kinds=track_kinds)
-        self.network = network
-        self.faults = FaultInjector(self.sim, self.network)
-        self.genesis: Dict[ClientId, int] = dict(genesis or {})
+        super().__init__(
+            genesis or {}, config, config.num_replicas, sim, network, latency,
+            seed, track_kinds,
+        )
         peers = list(range(config.num_replicas))
         # One ClientId ⇄ index interner for all replicas: their account
         # slabs share the per-client mapping cost.
         interner = ClientInterner(self.genesis)
-        self.replicas: List[BftReplica] = [
+        self.replicas.extend(
             BftReplica(Node(self.sim, node_id, self.network), config,
                        dict(self.genesis), peers, interner=interner)
             for node_id in peers
-        ]
-        self._next_seq: Dict[ClientId, int] = {}
-        self._next_client_node = config.num_replicas
+        )
         # f+1 execution tracking for generator-driven confirmation latency.
         self._exec_counts: Dict[PaymentId, int] = {}
         self._submit_times: Dict[PaymentId, float] = {}
@@ -132,21 +129,8 @@ class BftSystem:
             replica.exec_hooks.append(self._on_replica_exec)
 
     # ------------------------------------------------------------------
-    # Driving (mirrors the Astro systems)
+    # Driving
     # ------------------------------------------------------------------
-    def next_seq(self, client: ClientId) -> int:
-        seq = self._next_seq.get(client, 0) + 1
-        self._next_seq[client] = seq
-        return seq
-
-    def make_payment(
-        self, spender: ClientId, beneficiary: ClientId, amount: int
-    ) -> Payment:
-        return Payment(
-            spender, self.next_seq(spender), beneficiary, amount,
-            submitted_at=self.sim.now,
-        )
-
     def submit(self, spender: ClientId, beneficiary: ClientId, amount: int) -> Payment:
         payment = self.make_payment(spender, beneficiary, amount)
         self.submit_payment(payment)
@@ -223,26 +207,11 @@ class BftSystem:
                 stable = 0
                 last_snapshot = snapshot
 
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def replica(self, index: int) -> BftReplica:
-        return self.replicas[index]
-
     def settled_counts(self) -> List[int]:
         return [replica.executed_count for replica in self.replicas]
 
-    def balances_at(self, index: int = 0) -> Dict[ClientId, int]:
-        return dict(self.replicas[index].state.balances)
-
     def total_value(self, index: int = 0) -> int:
         return self.replicas[index].state.total_balance()
-
-    @property
-    def leader(self) -> BftReplica:
-        """Current leader from replica 0's perspective (experiments)."""
-        reference = self.replicas[0]
-        return self.replicas[reference.leader_of(reference.view) % len(self.replicas)]

@@ -21,7 +21,7 @@ from .dependencies import (
     verify_certificate,
 )
 from .directory import Directory
-from .messages import BalanceQuery, BalanceReply, ClientConfirm, ClientSubmit
+from .messages import ClientConfirm, ClientSubmit
 from .payment import ClientId, Payment, PaymentId
 from .replica import AstroReplicaBase
 from .system import Astro1System, Astro2System
@@ -42,8 +42,6 @@ __all__ = [
     "subbatch_digest_of",
     "verify_certificate",
     "Directory",
-    "BalanceQuery",
-    "BalanceReply",
     "ClientConfirm",
     "ClientSubmit",
     "ClientId",

@@ -18,9 +18,15 @@ key set and insertion-order iteration of the former plain dicts, so
 every consumer — invariant monitors, auditors, fingerprints, tests —
 observes byte-identical behavior.
 
-Invariant the views rely on: a slab slot of a *non-member* index is
+Invariants the views rely on: (i) a slab slot of a *non-member* index is
 always 0, so ``get(client, 0)`` and arithmetic reads skip membership
-checks entirely.
+checks entirely; (ii) :class:`AccountState` mutates its slabs and member
+dicts **in place and never rebinds them** — ``balances``/``seqnums`` hold
+the ``array('q')``, the member dict and the interner's index dict
+themselves (one attribute hop fewer on ``seqnums.get``, which the
+replicas' delivery and drain loops call per payment), so a snapshot
+restore goes through :meth:`AccountState.refill` (empty and refill), and
+no module outside this one assigns a store attribute.
 
 Values are int64: balances and sequence numbers beyond ±2⁶³ raise
 ``OverflowError`` (every existing workload stays ≤ ~10¹⁵).
@@ -30,8 +36,8 @@ from __future__ import annotations
 
 from array import array
 from typing import (
+    Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -51,29 +57,39 @@ def _zero_extend(slab: array, index: int) -> None:
     slab.frombytes(bytes(8 * (index + 1 - len(slab))))
 
 
-class _BalancesView:
-    """Dict-like view over the balance slab (insertion-order parity)."""
+class _SlabView:
+    """Dict-like view over one int64 slab — ``balances`` or ``seqnums``.
 
-    __slots__ = ("_state",)
+    Holds the slab, the post-genesis member dict and the interner's index
+    dict *directly* (``seqnums.get`` runs once per delivered payment), so
+    it stays valid only because :class:`AccountState` never rebinds them.
+    Key set and iteration order match the former plain dicts: genesis
+    clients first, then post-genesis members in first-touch order.
+    """
 
-    def __init__(self, state: "AccountState") -> None:
+    __slots__ = ("_state", "_slab", "_extra", "_index", "_genesis_len")
+
+    def __init__(
+        self, state: "AccountState", slab: array, extra: Dict[int, None]
+    ) -> None:
         self._state = state
+        self._slab = slab
+        self._extra = extra
+        self._index = state._interner._index
+        self._genesis_len = state._genesis_len
 
     def _indices(self) -> Iterator[int]:
-        st = self._state
-        yield from range(st._genesis_len)
-        yield from st._extra_bal
+        yield from range(self._genesis_len)
+        yield from self._extra
 
     def __len__(self) -> int:
-        st = self._state
-        return st._genesis_len + len(st._extra_bal)
+        return self._genesis_len + len(self._extra)
 
     def __contains__(self, client: ClientId) -> bool:
-        st = self._state
-        index = st._interner._index.get(client)
+        index = self._index.get(client)
         if index is None:
             return False
-        return index < st._genesis_len or index in st._extra_bal
+        return index < self._genesis_len or index in self._extra
 
     def __iter__(self) -> Iterator[ClientId]:
         clients = self._state._interner._clients
@@ -84,8 +100,7 @@ class _BalancesView:
         return list(self)
 
     def values(self) -> List[int]:
-        st = self._state
-        slab = st._bal
+        slab = self._slab
         length = len(slab)
         return [
             slab[index] if index < length else 0
@@ -93,104 +108,8 @@ class _BalancesView:
         ]
 
     def items(self) -> List[Tuple[ClientId, int]]:
-        st = self._state
-        clients = st._interner._clients
-        slab = st._bal
-        length = len(slab)
-        return [
-            (clients[index], slab[index] if index < length else 0)
-            for index in self._indices()
-        ]
-
-    def __getitem__(self, client: ClientId) -> int:
-        st = self._state
-        index = st._interner._index.get(client)
-        if index is None or not (
-            index < st._genesis_len or index in st._extra_bal
-        ):
-            raise KeyError(client)
-        slab = st._bal
-        return slab[index] if index < len(slab) else 0
-
-    def get(self, client: ClientId, default: Optional[int] = None):
-        st = self._state
-        index = st._interner._index.get(client)
-        if index is None:
-            return default
-        slab = st._bal
-        value = slab[index] if index < len(slab) else 0
-        if value == 0 and not (
-            index < st._genesis_len or index in st._extra_bal
-        ):
-            return default
-        return value
-
-    def __setitem__(self, client: ClientId, value: int) -> None:
-        st = self._state
-        index = st._interner.intern(client)
-        slab = st._bal
-        if index >= len(slab):
-            _zero_extend(slab, index)
-        if index >= st._genesis_len and index not in st._extra_bal:
-            st._extra_bal[index] = None
-        slab[index] = value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (_BalancesView, _SeqnumsView)):
-            other = dict(other.items())
-        if isinstance(other, Mapping):
-            return dict(self.items()) == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_BalancesView({dict(self.items())!r})"
-
-
-class _SeqnumsView:
-    """Dict-like view over the sequence-number slab."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: "AccountState") -> None:
-        self._state = state
-
-    def _indices(self) -> Iterator[int]:
-        st = self._state
-        yield from range(st._genesis_len)
-        yield from st._extra_seq
-
-    def __len__(self) -> int:
-        st = self._state
-        return st._genesis_len + len(st._extra_seq)
-
-    def __contains__(self, client: ClientId) -> bool:
-        st = self._state
-        index = st._interner._index.get(client)
-        if index is None:
-            return False
-        return index < st._genesis_len or index in st._extra_seq
-
-    def __iter__(self) -> Iterator[ClientId]:
         clients = self._state._interner._clients
-        for index in self._indices():
-            yield clients[index]
-
-    def keys(self) -> List[ClientId]:
-        return list(self)
-
-    def values(self) -> List[int]:
-        st = self._state
-        slab = st._seq
-        length = len(slab)
-        return [
-            slab[index] if index < length else 0
-            for index in self._indices()
-        ]
-
-    def items(self) -> List[Tuple[ClientId, int]]:
-        st = self._state
-        clients = st._interner._clients
-        slab = st._seq
+        slab = self._slab
         length = len(slab)
         return [
             (clients[index], slab[index] if index < length else 0)
@@ -198,48 +117,48 @@ class _SeqnumsView:
         ]
 
     def __getitem__(self, client: ClientId) -> int:
-        st = self._state
-        index = st._interner._index.get(client)
+        index = self._index.get(client)
         if index is None or not (
-            index < st._genesis_len or index in st._extra_seq
+            index < self._genesis_len or index in self._extra
         ):
             raise KeyError(client)
-        slab = st._seq
+        slab = self._slab
         return slab[index] if index < len(slab) else 0
 
     def get(self, client: ClientId, default: Optional[int] = None):
-        st = self._state
-        index = st._interner._index.get(client)
+        index = self._index.get(client)
         if index is None:
             return default
-        slab = st._seq
+        slab = self._slab
         value = slab[index] if index < len(slab) else 0
         if value == 0 and not (
-            index < st._genesis_len or index in st._extra_seq
+            index < self._genesis_len or index in self._extra
         ):
             return default
         return value
 
     def __setitem__(self, client: ClientId, value: int) -> None:
-        st = self._state
-        index = st._interner.intern(client)
-        slab = st._seq
+        state = self._state
+        index = state._interner.intern(client)
+        slab = self._slab
         if index >= len(slab):
             _zero_extend(slab, index)
-        if index >= st._genesis_len and index not in st._extra_seq:
-            st._extra_seq[index] = None
-            st._snap_order = None
+        if index >= self._genesis_len and index not in self._extra:
+            self._extra[index] = None
+            # Only a new ``seqnums`` member changes the snapshot order;
+            # dropping the cache for a new balance member too is harmless.
+            state._snap_order = None
         slab[index] = value
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (_BalancesView, _SeqnumsView)):
+        if isinstance(other, _SlabView):
             other = dict(other.items())
         if isinstance(other, Mapping):
             return dict(self.items()) == dict(other)
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_SeqnumsView({dict(self.items())!r})"
+        return f"_SlabView({dict(self.items())!r})"
 
 
 class _XlogsView:
@@ -389,8 +308,8 @@ class AccountState:
         #: Cached repr-sorted member indices for :meth:`snapshot`;
         #: invalidated whenever the seqnum member set changes.
         self._snap_order: Optional[List[int]] = None
-        self.balances = _BalancesView(self)
-        self.seqnums = _SeqnumsView(self)
+        self.balances = _SlabView(self, self._bal, extra_bal)
+        self.seqnums = _SlabView(self, self._seq, extra_seq)
         self.xlogs = _XlogsView(self)
 
     # ------------------------------------------------------------------
@@ -472,7 +391,7 @@ class AccountState:
 
         This is Astro I's (and the consensus baseline's) settle, where the
         beneficiary is credited directly.  Astro II uses
-        :meth:`settle_spend_only` plus dependency materialization.  Runs
+        :meth:`try_settle_spend` plus dependency materialization.  Runs
         once per payment per replica — the hottest code in Astro I.
         """
         interner = self._interner
@@ -498,32 +417,15 @@ class AccountState:
             log = self._materialize(sp, spender)
         log.append(payment)
 
-    def settle_spend_only(self, payment: Payment) -> None:
-        """Listing 9's spend half: withdraw, bump sn, append to xlog.
+    def try_settle_spend(self, payment: Payment) -> bool:
+        """Listing 9's spend half, funds-checked: withdraw, bump sn, append.
 
         The beneficiary side is handled by CREDIT messages / dependency
-        certificates, never by a direct deposit.
-        """
-        interner = self._interner
-        spender = payment.spender
-        sp = interner._index.get(spender)
-        if sp is None:
-            sp = interner.intern(spender)
-        self._ensure_spender(sp)
-        self._bal[sp] -= payment.amount
-        self._seq[sp] += 1
-        log = self._xlog_map.get(sp)
-        if log is None:
-            log = self._materialize(sp, spender)
-        log.append(payment)
-
-    def try_settle_spend(self, payment: Payment) -> bool:
-        """Funds-checked :meth:`settle_spend_only` in one pass.
-
-        Returns ``False`` (state untouched) when the spender's balance
-        does not cover the amount — Listing 9 l.49, Astro II's
-        drop-without-advancing-sn path.  One interner lookup and int64
-        slab ops per call: Astro II's hottest code.
+        certificates, never by a direct deposit.  Returns ``False`` (state
+        untouched) when the spender's balance does not cover the amount —
+        Listing 9 l.49, Astro II's drop-without-advancing-sn path.  One
+        interner lookup and int64 slab ops per call: Astro II's hottest
+        code.
         """
         interner = self._interner
         spender = payment.spender
@@ -544,6 +446,65 @@ class AccountState:
             log = self._materialize(sp, spender)
         log.append(payment)
         return True
+
+    # ------------------------------------------------------------------
+    # Capture / refill (the layout half of ``core.persistence`` snapshots)
+    # ------------------------------------------------------------------
+    def capture(self) -> Dict[str, Any]:
+        """Picklable copy of every store (incl. xlogs).
+
+        The genesis prefix of the balance/seqnum slabs ships as raw int64
+        bytes (O(16 bytes/account), no per-client PyObjects in the pickle),
+        with the rare post-genesis members and the non-empty xlogs spelled
+        out per client.
+        """
+        genesis_len = self._genesis_len
+        clients = self._interner._clients
+
+        def _extras(slab: array, members: Dict[int, None]) -> List[Any]:
+            length = len(slab)
+            return [
+                (clients[index], slab[index] if index < length else 0)
+                for index in members
+            ]
+
+        return {
+            "genesis_len": genesis_len,
+            "balances": self._bal[:genesis_len].tobytes(),
+            "seqnums": self._seq[:genesis_len].tobytes(),
+            "extra_balances": _extras(self._bal, self._extra_bal),
+            "extra_seqnums": _extras(self._seq, self._extra_seq),
+            "xlog_extras": [clients[index] for index in self._extra_xlog],
+            "xlog_entries": {
+                log.owner: list(log._entries)
+                for log in self._xlog_map.values()
+                if log._entries
+            },
+        }
+
+    def refill(self, data: Mapping[str, Any]) -> None:
+        """Replace every store's content with a :meth:`capture` — in place.
+
+        Slabs and member dicts are emptied and refilled, never rebound:
+        the views (and any caller holding ``state.balances`` /
+        ``state.seqnums``) keep reading the restored values.
+        """
+        for slab, key in ((self._bal, "balances"), (self._seq, "seqnums")):
+            del slab[:]
+            slab.frombytes(data[key])
+        self._extra_bal.clear()
+        self._extra_seq.clear()
+        self._extra_xlog.clear()
+        self._xlog_map.clear()
+        self._snap_order = None
+        for client, value in data["extra_balances"]:
+            self.balances[client] = value
+        for client, value in data["extra_seqnums"]:
+            self.seqnums[client] = value
+        for owner in data["xlog_extras"]:
+            self.xlog(owner)
+        for owner, entries in data["xlog_entries"].items():
+            self.xlog(owner)._entries = list(entries)
 
     # ------------------------------------------------------------------
     # Introspection (tests, invariants)
@@ -580,6 +541,3 @@ class AccountState:
             )
             for index in order
         )
-
-    def clients(self) -> Iterable[ClientId]:
-        return self.seqnums.keys()

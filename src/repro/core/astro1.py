@@ -9,7 +9,7 @@ them until enough funds arrive", §IV-A Comparison).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..brb.batching import Batch
 from ..brb.bracha import BrachaBroadcast
@@ -18,7 +18,7 @@ from .config import AstroConfig
 from .directory import Directory
 from .interning import ClientInterner
 from .payment import ClientId, Payment
-from .replica import AstroReplicaBase
+from .replica import WAIT, AstroReplicaBase
 
 __all__ = ["Astro1Replica"]
 
@@ -55,20 +55,20 @@ class Astro1Replica(AstroReplicaBase):
             return
         self._deliver_batch(origin, batch)
 
-    def _approve_funds(self, payment: Payment) -> bool:
+    def _settle(self, payment: Payment) -> Any:
         # Criterion (2) of Listing 3: the balance must cover the amount.
-        # When it does not, the caller leaves the payment queued; a later
-        # settle crediting this client re-runs the check (totality of
-        # Bracha's BRB guarantees the credit eventually arrives).
-        return self.state.balance(payment.spender) >= payment.amount
-
-    def _settle(self, payment: Payment) -> Optional[ClientId]:
+        # When it does not, the payment stays queued; a later settle
+        # crediting this client re-runs the check (totality of Bracha's
+        # BRB guarantees the credit eventually arrives).
+        state = self.state
+        spender = payment.spender
+        if state.balance(spender) < payment.amount:
+            return WAIT
         # Listing 4: withdraw, deposit, bump sn, append to the xlog.
         # settle_full works directly on the int64 slabs — two interner
         # lookups plus C array ops per payment, no per-client PyObjects.
-        self.state.settle_full(payment)
+        state.settle_full(payment)
         self.settled_count += 1
-        spender = payment.spender
         if self._rep_map.get(spender) == self.node_id:
             self._confirm(payment)
         return payment.beneficiary

@@ -298,15 +298,9 @@ class Astro2Replica(AstroReplicaBase):
     # ------------------------------------------------------------------
     # Settlement (Listings 8–9)
     # ------------------------------------------------------------------
-    #: Astro II approval waits only on the sequence number (Listing 8);
-    #: the funds decision happens inside settle and never blocks, so the
-    #: drain loop skips the per-payment approval call.
-    _approval_is_trivial = True
-
-    def _approve_funds(self, payment: Payment) -> bool:
-        return True
-
-    def _settle(self, payment: Payment) -> Optional[ClientId]:
+    def _settle(self, payment: Payment) -> None:
+        # Astro II approval waits only on the sequence number (Listing 8):
+        # the funds decision below rejects, it never returns ``WAIT``.
         spender = payment.spender
         if payment.deps:
             used = self._used_deps.get(spender)

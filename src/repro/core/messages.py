@@ -2,16 +2,16 @@
 
 Clients are lightweight, intermittently connected participants (§II); they
 exchange exactly two message kinds with their representative: a payment
-submission and (optionally) a settlement confirmation.  Balance queries
-are a read of the representative's local state (§III "Checking the
-Balance") and are modelled as a request/response pair.
+submission and (optionally) a settlement confirmation.  A balance query
+is a read of the representative's local state (§III "Checking the
+Balance"): :meth:`~repro.core.replica.AstroReplicaBase.balance_of`.
 """
 
 from __future__ import annotations
 
-from .payment import ClientId, Payment
+from .payment import Payment
 
-__all__ = ["ClientSubmit", "ClientConfirm", "BalanceQuery", "BalanceReply"]
+__all__ = ["ClientSubmit", "ClientConfirm"]
 
 #: Wire size of a client request: three fields plus client authentication
 #: data, "roughly 100 bytes" (§VI-B).
@@ -37,18 +37,3 @@ class ClientConfirm:
     def __init__(self, payment: Payment, settled_at: float) -> None:
         self.payment = payment
         self.settled_at = settled_at
-
-
-class BalanceQuery:
-    __slots__ = ("client",)
-
-    def __init__(self, client: ClientId) -> None:
-        self.client = client
-
-
-class BalanceReply:
-    __slots__ = ("client", "balance")
-
-    def __init__(self, client: ClientId, balance: int) -> None:
-        self.client = client
-        self.balance = balance

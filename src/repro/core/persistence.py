@@ -29,12 +29,10 @@ import hashlib
 import os
 import pickle
 import struct
-from array import array
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..transport.framing import FrameError, MAX_FRAME_BYTES, encode_frame
+from ..transport.framing import MAX_FRAME_BYTES, encode_frame
 from .accounts import AccountState
-from .payment import ClientId
 
 __all__ = [
     "CatchUpReply",
@@ -89,38 +87,13 @@ SNAPSHOT_FORMAT = 2
 def snapshot_account_state(state: AccountState) -> Dict[str, Any]:
     """Full picklable capture of an account state (incl. xlogs).
 
-    The genesis prefix of the balance/seqnum slabs ships as raw int64
-    bytes (O(16 bytes/account), no per-client PyObjects in the pickle),
-    with the rare post-genesis members and the non-empty xlogs spelled
-    out per client.
+    :meth:`AccountState.capture` owns the store layout; this module adds
+    what makes it a *file*: the format tag and the genesis digest.
     """
-    genesis_len = state._genesis_len
-    bal = state._bal
-    seq = state._seq
-    clients = state._interner._clients
-
-    def _extras(slab: Any, members: Any) -> List[Tuple[ClientId, int]]:
-        length = len(slab)
-        return [
-            (clients[index], slab[index] if index < length else 0)
-            for index in members
-        ]
-
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "genesis_len": genesis_len,
-        "genesis_digest": _genesis_digest(state),
-        "balances": bal[:genesis_len].tobytes(),
-        "seqnums": seq[:genesis_len].tobytes(),
-        "extra_balances": _extras(bal, state._extra_bal),
-        "extra_seqnums": _extras(seq, state._extra_seq),
-        "xlog_extras": [clients[index] for index in state._extra_xlog],
-        "xlog_entries": {
-            log.owner: list(log._entries)
-            for log in state._xlog_map.values()
-            if log._entries
-        },
-    }
+    data = state.capture()
+    data["format"] = SNAPSHOT_FORMAT
+    data["genesis_digest"] = _genesis_digest(state)
+    return data
 
 
 def restore_account_state(state: AccountState, data: Dict[str, Any]) -> None:
@@ -140,25 +113,7 @@ def restore_account_state(state: AccountState, data: Dict[str, Any]) -> None:
         raise WalCorruption(
             "snapshot genesis does not match this replica's genesis"
         )
-    bal = array("q")
-    bal.frombytes(data["balances"])
-    seq = array("q")
-    seq.frombytes(data["seqnums"])
-    state._bal = bal
-    state._seq = seq
-    state._extra_bal = {}
-    state._extra_seq = {}
-    state._extra_xlog = {}
-    state._xlog_map = {}
-    state._snap_order = None
-    for client, value in data["extra_balances"]:
-        state.balances[client] = value
-    for client, value in data["extra_seqnums"]:
-        state.seqnums[client] = value
-    for owner in data["xlog_extras"]:
-        state.xlog(owner)
-    for owner, entries in data["xlog_entries"].items():
-        state.xlog(owner)._entries = list(entries)
+    state.refill(data)
 
 
 class WriteAheadLog:

@@ -1,12 +1,34 @@
-"""Common machinery of Astro replicas (both variants).
+"""Common machinery of replicas: approval, recovery, and the Astro base.
 
 A replica (i) ingests payments from the clients it represents, (ii)
 broadcasts them in batches through a BRB layer, and (iii) approves and
-settles every payment delivered by the broadcast (Listings 2–4).  The two
-variants differ in the broadcast protocol and in settle semantics; this
-base class holds everything else: batching with flow control, the
-per-client sequence-gap queue that implements approval's *wait* (Listing
-3), settlement bookkeeping, and client confirmations.
+settles every payment delivered by the broadcast (Listings 2–4).  The
+paper defines *one* replica state and *one* approval rule and compares
+three ways of agreeing on what to feed them, so the two pieces every
+replica kind shares have one owner each, here:
+
+* :class:`ApprovalQueue` — the account state plus the per-client
+  sequence-gap queue that implements approval's *wait* (Listing 3), and
+  the ``_drain`` worklist loop over them.  The single hook ``_settle``
+  applies a payment and returns the beneficiary to re-examine, ``None``,
+  or :data:`WAIT` when funds do not cover it yet (criterion (2)); the
+  payment leaves the queue only after a non-``WAIT`` settle.  Inherited
+  by :class:`AstroReplicaBase` and by the consensus baseline's
+  :class:`~repro.consensus.ledger.PaymentLedger`.
+* :class:`Recoverable` — the crash-recovery skeleton (snapshot → restore
+  → replay the WAL suffix → resume appending) with four hooks that
+  ``AstroReplicaBase``, ``Astro2Replica`` and the consensus
+  :class:`~repro.consensus.replica.BftReplica` *extend* with their own
+  record kinds and fields.
+
+They live in this module rather than one of their own because the
+repository's benchmark addresses ``_drain`` by file and function name
+and rebinds this module's ``state_fingerprint`` binding when tracing.
+
+:class:`AstroReplicaBase` holds everything else the two Astro variants
+share — batching with flow control, settlement bookkeeping, client
+confirmations; the variants differ in the broadcast protocol and in
+settle semantics.
 """
 
 from __future__ import annotations
@@ -32,13 +54,165 @@ from .persistence import (
     state_fingerprint,
 )
 
-__all__ = ["AstroReplicaBase"]
+__all__ = ["ApprovalQueue", "AstroReplicaBase", "Recoverable", "WAIT"]
 
 #: Confirmation hook: ``fn(payment, settled_at_representative)``.
 ConfirmFn = Callable[[Payment, float], None]
 
+#: ``_settle``'s "not yet": approval criterion (2) does not hold, leave
+#: the payment queued until a credit re-examines its spender.
+WAIT: Any = object()
 
-class AstroReplicaBase(ProtocolEndpoint):
+
+class ApprovalQueue:
+    """Replica state (Listing 2) and the approval rule (Listing 3).
+
+    Delivered payments wait in ``_awaiting_seq`` for their client's
+    preceding payment (criterion (1)) and — where the variant says so —
+    for funds (criterion (2)); :meth:`_drain` settles whatever became
+    approvable.
+    """
+
+    def __init__(
+        self,
+        genesis: Dict[ClientId, int],
+        interner: Optional[ClientInterner] = None,
+    ) -> None:
+        #: ``interner`` is shared by all replicas of one system when the
+        #: system builds them — the ClientId ⇄ index map is then paid
+        #: once per process, not once per replica.
+        self.state = AccountState(genesis, interner=interner)
+        #: Delivered payments waiting on approval: client → seq → payment.
+        self._awaiting_seq: Dict[ClientId, Dict[int, Payment]] = {}
+        self.settled_count = 0
+
+    def _drain(self, worklist: Deque[ClientId]) -> None:
+        """Settle every payment whose approval criteria now hold.
+
+        Settling a payment may unblock others (its beneficiary can now
+        afford queued spends), so this cascades via a worklist until no
+        progress remains.  Runs once per payment per replica.
+        """
+        awaiting = self._awaiting_seq
+        seqnums = self.state.seqnums
+        settle = self._settle
+        while worklist:
+            client = worklist.popleft()
+            queue = awaiting.get(client)
+            if not queue:
+                continue
+            while True:
+                next_seq = seqnums.get(client, 0) + 1
+                payment = queue.get(next_seq)
+                if payment is None:
+                    break  # criterion (1): wait for the predecessor
+                beneficiary = settle(payment)
+                if beneficiary is WAIT:
+                    break  # criterion (2): wait for credits (Listing 3 l.18)
+                del queue[next_seq]
+                if beneficiary is not None:
+                    worklist.append(beneficiary)
+            if not queue:
+                awaiting.pop(client, None)
+
+    def _settle(self, payment: Payment) -> Any:
+        """Variant hook: apply the payment (Listing 4 / Listing 9).
+
+        Returns :data:`WAIT` (state untouched) when the payment must stay
+        queued for funds, the beneficiary to re-examine when the settle
+        credited a local balance (Astro I, the consensus ledger), else
+        ``None`` (settled or rejected without a local credit, Astro II).
+        """
+        raise NotImplementedError
+
+
+class Recoverable:
+    """Crash recovery over a :class:`ReplicaStore`, for any replica kind.
+
+    Needs ``self.state`` and ``self.node_id``.  Subclasses extend the
+    four hooks — :meth:`_replay_record`, :meth:`_snapshot_data`,
+    :meth:`_restore_snapshot`, :meth:`_finish_recovery` — with their own
+    record kinds and fields, and call :meth:`_wal_checkpoint` after each
+    durable step.
+    """
+
+    #: Durable state is live-cluster only: ``None`` in simulations, which
+    #: keeps every simulator code path byte-identical.
+    _wal: Optional[ReplicaStore] = None
+
+    def bind_persistence(self, store: ReplicaStore) -> RecoveryReport:
+        """Attach a WAL/snapshot store and recover any prior state.
+
+        Must run **before** the transport starts: replay re-executes the
+        delivery path, and replayed sends (confirms, CREDITs, replies)
+        must fall on the floor rather than reach the network.  Replay
+        lands exactly on the pre-crash state or raises
+        :class:`WalCorruption` — as does a snapshot the WAL cannot back
+        (fewer readable records than the snapshot covers: new records
+        would be appended at indices the next recovery skips), before any
+        state is touched.
+        """
+        snapshot = store.load_snapshot()
+        records = store.recovery_records()
+        replay_from = 0 if snapshot is None else snapshot["wal_count"]
+        if replay_from > len(records):
+            raise WalCorruption(
+                f"replica {self.node_id}: snapshot covers {replay_from} WAL "
+                f"records but only {len(records)} are readable"
+            )
+        self._wal = store
+        if snapshot is not None:
+            self._restore_snapshot(snapshot)
+        for record in records[replay_from:]:
+            self._replay_record(record)
+        self._finish_recovery()
+        store.finish_recovery()
+        return RecoveryReport(
+            snapshot is not None,
+            len(records) - replay_from,
+            state_fingerprint(self.state),
+        )
+
+    def _replay_record(self, record: Tuple[Any, ...]) -> None:
+        """Re-apply one WAL record (``recording`` is off, so nothing is
+        re-appended and no checkpoint fires).  Unknown kinds are ignored
+        (forward compatibility)."""
+        if record[0] == "fp":
+            actual = state_fingerprint(self.state)
+            if record[1] != actual:
+                raise WalCorruption(
+                    f"replica {self.node_id}: replay diverged at WAL "
+                    f"fingerprint {record[1][:12]}.. (got {actual[:12]}..)"
+                )
+
+    def _wal_checkpoint(self) -> None:
+        """Periodic fingerprint self-check + snapshot, driven by record
+        count.  No-ops during replay (``recording`` is off)."""
+        store = self._wal
+        if store.fingerprint_due():
+            store.record_fingerprint(state_fingerprint(self.state))
+        if store.snapshot_due():
+            store.write_snapshot(self._snapshot_data())
+
+    def _snapshot_data(self) -> Dict[str, Any]:
+        """Picklable capture of everything replay cannot reconstruct."""
+        return {
+            "fingerprint": state_fingerprint(self.state),
+            "account": snapshot_account_state(self.state),
+        }
+
+    def _restore_snapshot(self, data: Dict[str, Any]) -> None:
+        restore_account_state(self.state, data["account"])
+        if data["fingerprint"] != state_fingerprint(self.state):
+            raise WalCorruption(
+                f"replica {self.node_id}: snapshot fingerprint mismatch"
+            )
+
+    def _finish_recovery(self) -> None:
+        """Post-replay fixups, before the store starts recording."""
+
+
+class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
     """Shared replica behaviour; concrete variants override the hooks.
 
     A replica is a plain protocol object over a
@@ -48,10 +222,6 @@ class AstroReplicaBase(ProtocolEndpoint):
     identical code serves real sockets.
     """
 
-    #: Set by variants whose :meth:`_approve_funds` unconditionally
-    #: returns True; lets the drain loop skip the call per payment.
-    _approval_is_trivial = False
-
     def __init__(
         self,
         transport: Transport,
@@ -60,7 +230,8 @@ class AstroReplicaBase(ProtocolEndpoint):
         directory: Directory,
         interner: Optional[ClientInterner] = None,
     ) -> None:
-        super().__init__(transport)
+        ProtocolEndpoint.__init__(self, transport)
+        ApprovalQueue.__init__(self, genesis, interner)
         self.config = config
         self.directory = directory
         #: Cached reference to the directory's client → representative
@@ -70,10 +241,6 @@ class AstroReplicaBase(ProtocolEndpoint):
         self._ingest_cost = config.ingest_cost
         self._settle_cost = config.settle_cost
         self._confirm_cost = config.confirm_cost
-        #: ``interner`` is shared by all replicas of one system when the
-        #: system builds them — the ClientId ⇄ index map is then paid
-        #: once per process, not once per replica.
-        self.state = AccountState(genesis, interner=interner)
         self.batcher: Batcher[Payment] = Batcher(
             transport.clock,
             self._flush_batch,
@@ -83,14 +250,10 @@ class AstroReplicaBase(ProtocolEndpoint):
         self._broadcast_seq = 0
         self._inflight_batches = 0
         self._batch_backlog: Deque[Batch] = deque()
-        #: Delivered payments waiting on approval criterion (1): their
-        #: client's preceding payment (Listing 3 l.17).
-        self._awaiting_seq: Dict[ClientId, Dict[int, Payment]] = {}
         #: Highest sequence number accepted from each represented client;
         #: a correct representative never broadcasts two payments with the
         #: same identifier (the Byzantine-client defense of §II).
         self._accepted_seq: Dict[ClientId, int] = {}
-        self.settled_count = 0
         self.rejected: List[Payment] = []
         #: External hooks fired when this replica, acting as the spender's
         #: representative, observes a settlement (latency measurement and
@@ -98,9 +261,7 @@ class AstroReplicaBase(ProtocolEndpoint):
         self.confirm_hooks: List[ConfirmFn] = []
         #: node id of each client's own node, when clients run as nodes.
         self.client_nodes: Dict[ClientId, int] = {}
-        # --- durable state (live cluster only; ``None`` in simulations,
-        # --- keeping every simulator code path byte-identical) ---
-        self._wal: Optional[ReplicaStore] = None
+        # --- durable state (used only once a store is bound) ---
         #: Per-origin highest contiguously delivered broadcast sequence.
         self._delivered_frontier: Dict[int, int] = {}
         #: Out-of-order delivered ``(origin, seq)`` above the frontier.
@@ -222,53 +383,9 @@ class AstroReplicaBase(ProtocolEndpoint):
                 continue  # duplicate identifier: first delivery wins
             queue[seq] = payment
             touched[spender] = None
-        self._drain(deque(touched), origin)
+        self._drain(deque(touched))
         if origin == self.node_id:
             self._batch_done()
-
-    def _drain(self, worklist: Deque[ClientId], origin: int) -> None:
-        """Settle every payment whose approval criteria now hold.
-
-        Settling a payment may unblock others (its beneficiary can now
-        afford queued spends), so this cascades via a worklist until no
-        progress remains.
-        """
-        awaiting = self._awaiting_seq
-        seqnums = self.state.seqnums
-        # Variants whose approval criterion (2) never blocks (Astro II,
-        # Listing 8) skip the per-payment approval call entirely.
-        approve = self._approve_funds if not self._approval_is_trivial else None
-        settle = self._settle
-        while worklist:
-            client = worklist.popleft()
-            queue = awaiting.get(client)
-            if not queue:
-                continue
-            while True:
-                next_seq = seqnums.get(client, 0) + 1
-                payment = queue.get(next_seq)
-                if payment is None:
-                    break
-                if approve is not None and not approve(payment):
-                    break  # criterion (2): wait for credits (Listing 3 l.18)
-                queue.pop(next_seq)
-                beneficiary = settle(payment)
-                if beneficiary is not None:
-                    worklist.append(beneficiary)
-            if not queue:
-                awaiting.pop(client, None)
-
-    def _approve_funds(self, payment: Payment) -> bool:
-        """Variant hook: approval criterion (2), sufficient funds."""
-        raise NotImplementedError
-
-    def _settle(self, payment: Payment) -> Optional[ClientId]:
-        """Variant hook: apply the payment (Listing 4 / Listing 9).
-
-        Returns the beneficiary to re-examine when the settle credited a
-        local balance (Astro I), else ``None``.
-        """
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Confirmation (§III "Client notification")
@@ -290,51 +407,18 @@ class AstroReplicaBase(ProtocolEndpoint):
     # ------------------------------------------------------------------
     # Durable state & crash recovery (live cluster only)
     # ------------------------------------------------------------------
-    def bind_persistence(self, store: ReplicaStore) -> RecoveryReport:
-        """Attach a WAL/snapshot store and recover any prior state.
-
-        Must run **before** the transport starts: replay re-executes the
-        delivery path, and replayed sends (confirms, CREDITs) must fall
-        on the floor rather than reach the network.  Replay lands exactly
-        on the pre-crash state or raises :class:`WalCorruption`.
-        """
-        self._wal = store
-        snapshot = store.load_snapshot()
-        replay_from = 0
-        if snapshot is not None:
-            self._restore_snapshot(snapshot)
-            replay_from = snapshot["wal_count"]
-        replayed = 0
-        for index, record in enumerate(store.recovery_records()):
-            if index < replay_from:
-                continue  # state already captured by the snapshot
-            self._replay_record(record)
-            replayed += 1
-        self._finish_recovery()
-        store.finish_recovery()
-        return RecoveryReport(
-            snapshot is not None, replayed, state_fingerprint(self.state)
-        )
-
     def _replay_record(self, record: Tuple[Any, ...]) -> None:
         kind = record[0]
         if kind == "deliver":
-            # Re-run the full delivery path; ``recording`` is off, so
-            # nothing is re-appended and no checkpoint fires.
+            # Re-run the full delivery path.
             self._on_brb_deliver(record[1], record[2], record[3])
         elif kind == "launch":
             seq, batch = record[1], record[2]
             if self._broadcast_seq < seq:
                 self._broadcast_seq = seq
             self._launched_pending[seq] = batch
-        elif kind == "fp":
-            actual = state_fingerprint(self.state)
-            if record[1] != actual:
-                raise WalCorruption(
-                    f"replica {self.node_id}: replay diverged at WAL "
-                    f"fingerprint {record[1][:12]}.. (got {actual[:12]}..)"
-                )
-        # unknown kinds are ignored (forward compatibility)
+        else:
+            super()._replay_record(record)
 
     def _on_brb_deliver(self, origin: int, seq: int, batch: Batch) -> None:
         """Variant hook: BRB delivery entry point (replayed verbatim)."""
@@ -370,32 +454,22 @@ class AstroReplicaBase(ProtocolEndpoint):
             self._delivered_extra.add((origin, seq))
         return True
 
-    def _wal_checkpoint(self) -> None:
-        """Periodic fingerprint self-check + snapshot, driven by record
-        count.  No-ops during replay (``recording`` is off)."""
-        store = self._wal
-        if store.fingerprint_due():
-            store.record_fingerprint(state_fingerprint(self.state))
-        if store.snapshot_due():
-            store.write_snapshot(self._snapshot_data())
-
     def _snapshot_data(self) -> Dict[str, Any]:
-        """Picklable capture of everything replay cannot reconstruct."""
-        return {
-            "fingerprint": state_fingerprint(self.state),
-            "account": snapshot_account_state(self.state),
-            "settled_count": self.settled_count,
-            "rejected": list(self.rejected),
-            "broadcast_seq": self._broadcast_seq,
-            "launched_pending": dict(self._launched_pending),
-            "frontier": dict(self._delivered_frontier),
-            "extra": frozenset(self._delivered_extra),
-            "awaiting": {c: dict(q) for c, q in self._awaiting_seq.items()},
-            "accepted_seq": dict(self._accepted_seq),
-        }
+        data = super()._snapshot_data()
+        data.update(
+            settled_count=self.settled_count,
+            rejected=list(self.rejected),
+            broadcast_seq=self._broadcast_seq,
+            launched_pending=dict(self._launched_pending),
+            frontier=dict(self._delivered_frontier),
+            extra=frozenset(self._delivered_extra),
+            awaiting={c: dict(q) for c, q in self._awaiting_seq.items()},
+            accepted_seq=dict(self._accepted_seq),
+        )
+        return data
 
     def _restore_snapshot(self, data: Dict[str, Any]) -> None:
-        restore_account_state(self.state, data["account"])
+        super()._restore_snapshot(data)
         self.settled_count = data["settled_count"]
         self.rejected = list(data["rejected"])
         self._broadcast_seq = data["broadcast_seq"]
@@ -404,15 +478,9 @@ class AstroReplicaBase(ProtocolEndpoint):
         self._delivered_extra = set(data["extra"])
         self._awaiting_seq = {c: dict(q) for c, q in data["awaiting"].items()}
         self._accepted_seq = dict(data["accepted_seq"])
-        if data["fingerprint"] != state_fingerprint(self.state):
-            raise WalCorruption(
-                f"replica {self.node_id}: snapshot fingerprint mismatch"
-            )
 
     def _finish_recovery(self) -> None:
-        """Post-replay fixups (variants extend this).
-
-        Marks everything already applied as delivered in the BRB layer —
+        """Marks everything already applied as delivered in the BRB layer —
         stale frames redelivered by reconnecting peers are then dropped
         cheaply and FIFO drains skip imported sequence numbers — and
         rebuilds a conservative ``_accepted_seq`` so a client retrying an

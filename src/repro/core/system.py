@@ -6,14 +6,17 @@ These classes are the primary public entry points of the library:
 * :class:`Astro2System` — signed BRB with dependency certificates,
   optionally sharded (Astro II, §V).
 
-Both expose the same driving surface (``submit`` / ``add_client_node`` /
-``settle_all`` / state introspection) so workloads and benchmarks are
-generic over the variant.
+Both — and the consensus baseline's
+:class:`~repro.consensus.system.BftSystem` — build on
+:class:`SimulatedSystem`: one simulator, network, fault injector,
+genesis and client-side payment numbering, with the same driving surface
+(``submit`` / ``add_client_node`` / ``settle_all`` / state
+introspection), so workloads and benchmarks are generic over the design.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..crypto.keys import Keychain
 from ..sim.events import Simulator
@@ -30,62 +33,44 @@ from .interning import ClientInterner
 from .payment import ClientId, Payment
 from .replica import AstroReplicaBase
 
-__all__ = ["Astro1System", "Astro2System"]
+__all__ = ["Astro1System", "Astro2System", "SimulatedSystem"]
 
 
-class _AstroSystemBase:
-    """Construction and driving logic shared by both variants."""
+class SimulatedSystem:
+    """What every simulated deployment owns, whatever it agrees with.
+
+    The simulator, the network (EU-WAN latency unless told otherwise),
+    the fault injector, a private copy of the genesis, the replica list
+    and the client-side sequence numbering.  Subclasses build the
+    replicas and add what differs: how a payment reaches them, how a
+    confirmation is observed, when the run is quiescent.
+    """
 
     def __init__(
         self,
         genesis: Mapping[ClientId, int],
-        config: AstroConfig,
+        config: Any,
+        total_replicas: int,
         sim: Optional[Simulator],
         network: Optional[Network],
         latency: Optional[LatencyModel],
         seed: int,
         track_kinds: bool,
-        rep_assignment: Optional[Mapping[ClientId, int]],
-        shard_assignment: Optional[Mapping[ClientId, int]],
     ) -> None:
         self.sim = sim if sim is not None else Simulator()
         self.config = config
         self.genesis: Dict[ClientId, int] = dict(genesis)
-        total_replicas = config.num_replicas * config.num_shards
         if network is None:
             if latency is None:
                 latency = europe_wan(total_replicas, seed=seed)
             network = Network(self.sim, latency=latency, track_kinds=track_kinds)
         self.network = network
         self.faults = FaultInjector(self.sim, self.network)
-        self.directory = assemble_directory(
-            self.genesis,
-            config.num_replicas,
-            config.num_shards,
-            rep_assignment,
-            shard_assignment,
-        )
-        #: Cached client → representative dict (stable object, hot path).
-        self._rep_map = self.directory.rep_map
-        #: Lazily filled client → representative *replica object* cache;
-        #: representatives never change after registration, only new
-        #: clients appear (which simply miss once).
-        self._rep_replica: Dict[ClientId, AstroReplicaBase] = {}
-        self.replicas: List[AstroReplicaBase] = []
-        self._replica_by_node: Dict[int, AstroReplicaBase] = {}
+        self.replicas: List[Any] = []
         self._next_seq: Dict[ClientId, int] = {}
+        #: Client nodes are numbered after the replicas.
         self._next_client_node = total_replicas
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _register(self, replica: AstroReplicaBase) -> None:
-        self.replicas.append(replica)
-        self._replica_by_node[replica.node_id] = replica
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
     def next_seq(self, client: ClientId) -> int:
         """Allocate the client's next sequence number (Listing 1 l.6)."""
         seq = self._next_seq.get(client, 0) + 1
@@ -103,6 +88,68 @@ class _AstroSystemBase:
             submitted_at=self.sim.now,
         )
 
+    def run(self, until: float) -> None:
+        self.sim.run(until=until)
+
+    def replica(self, index: int) -> Any:
+        return self.replicas[index]
+
+    def balances_at(self, index: int = 0) -> Dict[ClientId, int]:
+        return dict(self.replicas[index].state.balances)
+
+
+class _AstroSystemBase(SimulatedSystem):
+    """Construction and driving logic shared by both Astro variants."""
+
+    replicas: List[AstroReplicaBase]
+
+    def __init__(
+        self,
+        genesis: Mapping[ClientId, int],
+        config: AstroConfig,
+        sim: Optional[Simulator],
+        network: Optional[Network],
+        latency: Optional[LatencyModel],
+        seed: int,
+        track_kinds: bool,
+        rep_assignment: Optional[Mapping[ClientId, int]],
+        shard_assignment: Optional[Mapping[ClientId, int]],
+    ) -> None:
+        super().__init__(
+            genesis,
+            config,
+            config.num_replicas * config.num_shards,
+            sim,
+            network,
+            latency,
+            seed,
+            track_kinds,
+        )
+        self.directory = assemble_directory(
+            self.genesis,
+            config.num_replicas,
+            config.num_shards,
+            rep_assignment,
+            shard_assignment,
+        )
+        #: Cached client → representative dict (stable object, hot path).
+        self._rep_map = self.directory.rep_map
+        #: Lazily filled client → representative *replica object* cache;
+        #: representatives never change after registration, only new
+        #: clients appear (which simply miss once).
+        self._rep_replica: Dict[ClientId, AstroReplicaBase] = {}
+        self._replica_by_node: Dict[int, AstroReplicaBase] = {}
+
+    # ------------------------------------------------------------------
+    # Construction helpers
+    # ------------------------------------------------------------------
+    def _register(self, replica: AstroReplicaBase) -> None:
+        self.replicas.append(replica)
+        self._replica_by_node[replica.node_id] = replica
+
+    # ------------------------------------------------------------------
+    # Driving
+    # ------------------------------------------------------------------
     def submit(self, spender: ClientId, beneficiary: ClientId, amount: int) -> Payment:
         """Create and inject a payment at the spender's representative.
 
@@ -164,9 +211,6 @@ class _AstroSystemBase:
         """Run the simulation until no events remain (quiescence)."""
         self.sim.run_until_idle(max_events=max_events)
 
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -181,9 +225,6 @@ class _AstroSystemBase:
         """
         return sorted(self._replica_by_node)
 
-    def replica(self, index: int) -> AstroReplicaBase:
-        return self.replicas[index]
-
     def replica_by_node(self, node_id: int) -> AstroReplicaBase:
         return self._replica_by_node[node_id]
 
@@ -192,9 +233,6 @@ class _AstroSystemBase:
 
     def settled_counts(self) -> List[int]:
         return [replica.settled_count for replica in self.replicas]
-
-    def balances_at(self, index: int = 0) -> Dict[ClientId, int]:
-        return dict(self.replicas[index].state.balances)
 
 
 class Astro1System(_AstroSystemBase):

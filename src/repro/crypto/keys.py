@@ -81,9 +81,6 @@ class Keychain:
         """
         return [self.generate(replica_owner(i)) for i in range(count)]
 
-    def has_key(self, owner: Hashable) -> bool:
-        return owner in self._secrets
-
     def _secret_of(self, owner: Hashable) -> int:
         try:
             return self._secrets[owner]

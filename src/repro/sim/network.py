@@ -58,9 +58,8 @@ class NetworkStats:
 class Network:
     """Connects :class:`~repro.sim.node.Node` instances.
 
-    Nodes register with unique integer ids.  ``send`` runs the full
-    resource pipeline; ``deliver_direct`` bypasses it (used by test
-    harnesses that only care about logical behaviour).
+    Nodes register with unique integer ids; every message runs the full
+    resource pipeline.
     """
 
     #: Default per-message receive CPU cost: kernel/network-stack overhead
@@ -114,13 +113,6 @@ class Network:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
-
-    def unregister(self, node_id: int) -> None:
-        self.nodes.pop(node_id, None)
-
-    @property
-    def node_ids(self) -> List[int]:
-        return list(self.nodes)
 
     # ------------------------------------------------------------------
     # Fault state (driven by repro.sim.faults.FaultInjector)
@@ -335,17 +327,11 @@ class Network:
             self.stats.messages_dropped += 1
             return
         self.stats.messages_delivered += 1
-        # Inlined Node.on_message — one dispatch per delivered message.
+        # The node's handler table, read here rather than through a Node
+        # method: one dispatch per delivered message.
         handler = node._handlers.get(payload.__class__)
         if handler is None:
             node.handle_unknown(src, payload)
         else:
             handler(src, payload)
 
-    def deliver_direct(self, src: int, dst: int, payload: Any) -> None:
-        """Logical delivery without the resource pipeline (tests only)."""
-        node = self.nodes.get(dst)
-        if node is None or dst in self._crashed or src in self._crashed:
-            return
-        self.stats.messages_delivered += 1
-        node.on_message(src, payload)

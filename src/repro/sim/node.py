@@ -15,7 +15,7 @@ the simulator itself, which satisfies
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Type
+from typing import Any, Callable, Dict, Optional, Sequence, Type
 
 from .events import Event, Simulator
 from .network import Network
@@ -68,13 +68,6 @@ class Node:
         """Register ``handler(src, msg)`` for messages of ``message_type``."""
         self._handlers[message_type] = handler
 
-    def on_message(self, src: int, payload: Any) -> None:
-        handler = self._handlers.get(type(payload))
-        if handler is None:
-            self.handle_unknown(src, payload)
-        else:
-            handler(src, payload)
-
     def handle_unknown(self, src: int, payload: Any) -> None:
         """Hook for unregistered message types; default is to ignore them.
 
@@ -94,21 +87,6 @@ class Node:
         if send_cost:
             self.cpu.occupy(send_cost)
         self.network.send(self.node_id, dst, payload, size=size, recv_cost=recv_cost)
-
-    def send_all(
-        self,
-        targets: Iterable[int],
-        payload: Any,
-        size: int = 256,
-        recv_cost: Optional[float] = None,
-        send_cost: float = 0.0,
-        include_self: bool = True,
-    ) -> None:
-        """Send ``payload`` to every node in ``targets``."""
-        for dst in targets:
-            if not include_self and dst == self.node_id:
-                continue
-            self.send(dst, payload, size=size, recv_cost=recv_cost, send_cost=send_cost)
 
     def broadcast(
         self,
@@ -141,8 +119,7 @@ class Node:
 
         ``tap.bind(raw_send, raw_broadcast)`` receives the untapped bound
         methods, then ``tap.send`` / ``tap.broadcast`` shadow this
-        instance's :meth:`send` and :meth:`broadcast` (``send_all`` is
-        covered too — it calls ``self.send``).  Installation is
+        instance's :meth:`send` and :meth:`broadcast`.  Installation is
         per-instance attribute shadowing, so nodes without a tap pay
         nothing on the hot path, and an installed tap that merely
         forwards reproduces the untapped history byte-for-byte.

@@ -9,15 +9,13 @@ thin delegators.
 
 Delegation rules encoded here (and relied on by ``repro.adversary``):
 
-* ``send`` / ``send_all`` / ``broadcast`` / ``charge`` are *cached
-  bound methods* of the transport — they sit on per-payment hot paths
-  and a delegating def would add a Python frame to every message.  An
-  egress tap shadows the transport instance's ``send``/``broadcast``,
-  so :meth:`install_egress_tap` / :meth:`remove_egress_tap` re-resolve
-  the cache; taps MUST be installed through the endpoint, never
-  directly on the transport, or replica-originated sends bypass them.
-  (``send_all`` needs no refresh: both backends implement it over the
-  transport's own ``self.send``, which is what the tap shadows.)
+* ``send`` / ``broadcast`` / ``charge`` are *cached bound methods* of
+  the transport — they sit on per-payment hot paths and a delegating
+  def would add a Python frame to every message.  An egress tap shadows
+  the transport instance's ``send``/``broadcast``, so
+  :meth:`install_egress_tap` / :meth:`remove_egress_tap` re-resolve the
+  cache; taps MUST be installed through the endpoint, never directly on
+  the transport, or replica-originated sends bypass them.
 * ``cpu`` / ``link`` / ``sim`` / ``network`` resolve through the
   transport and therefore only exist on the simulator backend; protocol
   logic must not touch them (instrumentation and tests may).
@@ -40,7 +38,6 @@ class ProtocolEndpoint:
         self.node_id = transport.node_id
         self.clock = transport.clock
         self.charge = transport.charge
-        self.send_all = transport.send_all
         self._sync_egress()
 
     def _sync_egress(self) -> None:

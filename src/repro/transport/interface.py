@@ -31,9 +31,12 @@ Contract notes (the parts a new backend must get right):
 * **Egress taps** (``install_egress_tap`` / ``remove_egress_tap``)
   shadow the instance's ``send``/``broadcast`` with the tap's, binding
   the raw bound methods via ``tap.bind(raw_send, raw_broadcast)``.
-  Protocol code must therefore always call ``transport.send(...)``
-  dynamically — never cache the bound method — so a tap armed mid-run
-  (``repro.adversary``) sees every message.
+  Whoever caches a bound ``send``/``broadcast`` must re-resolve it when
+  a tap is armed or removed mid-run (``repro.adversary``):
+  :class:`~repro.transport.endpoint.ProtocolEndpoint` caches both and
+  re-syncs in its own ``install_egress_tap``/``remove_egress_tap``, so
+  taps are installed *through the endpoint*; the BRB layers hold the
+  transport and call ``transport.send(...)`` dynamically.
 * **``owns(node_id)``** says whether this process executes that node's
   events: the sharded simulator replicates builds across workers and
   owns a subset (:meth:`repro.sim.network.Network.executes`); a real
@@ -46,7 +49,6 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
-    Iterable,
     Optional,
     Protocol,
     Sequence,
@@ -112,17 +114,6 @@ class Transport(Protocol):
         size: int = 256,
         recv_cost: Optional[float] = None,
         send_cost: float = 0.0,
-    ) -> None:
-        ...
-
-    def send_all(
-        self,
-        targets: Iterable[int],
-        payload: Any,
-        size: int = 256,
-        recv_cost: Optional[float] = None,
-        send_cost: float = 0.0,
-        include_self: bool = True,
     ) -> None:
         ...
 

@@ -62,7 +62,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -348,20 +347,6 @@ class TcpTransport:
                 ]
             self.stats.frames_dropped += 1
             return []
-
-    def send_all(
-        self,
-        targets: Iterable[int],
-        payload: Any,
-        size: int = 256,
-        recv_cost: Optional[float] = None,
-        send_cost: float = 0.0,
-        include_self: bool = True,
-    ) -> None:
-        for dst in targets:
-            if not include_self and dst == self.node_id:
-                continue
-            self.send(dst, payload, size=size, recv_cost=recv_cost)
 
     def broadcast(
         self,

@@ -267,3 +267,38 @@ class TestViews:
     def test_negative_genesis_rejected(self):
         with pytest.raises(ValueError):
             AccountState({"a": -1})
+
+    def test_views_taken_before_restore_read_restored_values(self):
+        """The never-rebind invariant: ``balances``/``seqnums`` hold the
+        slab and member dict themselves, so a restore must refill them in
+        place — a handle cached before it (as the replicas' delivery
+        loops do) keeps reading the live values."""
+        from repro.core.persistence import (
+            restore_account_state,
+            snapshot_account_state,
+        )
+
+        genesis = {"a": 10, "b": 0}
+        source = AccountState(genesis)
+        source.settle_full(Payment("a", 1, "b", 4))
+        source.settle_full(Payment("late", 1, "a", 0))  # post-genesis member
+        source.credit("walk-in", 9)
+        capture = snapshot_account_state(source)
+
+        target = AccountState(genesis)
+        target.settle_full(Payment("b", 1, "ghost", 0))  # state to be dropped
+        balances, seqnums = target.balances, target.seqnums
+        assert type(balances) is type(seqnums)
+        stores = ("_bal", "_seq", "_extra_bal", "_extra_seq")
+        before = [getattr(target, name) for name in stores]
+        restore_account_state(target, capture)
+        assert balances is target.balances and seqnums is target.seqnums
+        for name, store in zip(stores, before):
+            assert getattr(target, name) is store, f"{name} was rebound"
+        assert balances == dict(source.balances) == {
+            "a": 6, "b": 4, "late": 0, "walk-in": 9,
+        }
+        assert seqnums == dict(source.seqnums) == {"a": 1, "b": 0, "late": 1}
+        assert "ghost" not in balances and seqnums.get("b") == 0
+        assert list(balances) == list(source.balances)
+        assert target.snapshot() == source.snapshot()

@@ -134,7 +134,7 @@ class TestAccountState:
 
     def test_settle_spend_only_defers_deposit(self):
         state = AccountState({"a": 100, "b": 0})
-        state.settle_spend_only(Payment("a", 1, "b", 30))
+        assert state.try_settle_spend(Payment("a", 1, "b", 30)) is True
         assert state.balance("a") == 70
         assert state.balance("b") == 0  # credited via dependencies later
         assert state.total_balance() == 70

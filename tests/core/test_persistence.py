@@ -10,6 +10,7 @@ a fresh system and recover the replica purely from disk.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -336,6 +337,52 @@ def test_bft_exec_replay(tmp_path):
         )
         assert report.fingerprint == before[replica.node_id]
         assert replica.executed_count == executed[replica.node_id]
+
+
+def _zero_record_header(path, index):
+    """Corrupt WAL record ``index`` in place (a zero length header): the
+    scan treats it as end-of-log, so only ``index`` records stay readable."""
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        offset = 0
+        for _ in range(index):
+            offset += 4 + int.from_bytes(data[offset : offset + 4], "big")
+        assert offset + 4 <= len(data)
+        fh.seek(offset)
+        fh.write(bytes(4))
+
+
+@pytest.mark.parametrize("name", ["astro1", "astro2", "bft"])
+def test_snapshot_the_wal_cannot_back_is_refused_untouched(name, tmp_path):
+    """One bad record in the middle of the WAL leaves fewer readable
+    records than the snapshot covers.  Recovering anyway would restart
+    ``wal.count`` below the stamp and append new records at indices the
+    *next* recovery skips — so the shared skeleton refuses, for every
+    replica kind, before touching any state."""
+    system = SYSTEM_BUILDERS[name](4, seed=9)
+    _bind_all(system, tmp_path, snapshot_interval=2, fingerprint_interval=64)
+    for _ in range(4):  # several rounds: the baseline logs one slot each
+        _run_workload(system, 6)
+    victim = system.replicas[0]
+    store = victim._wal
+    assert store.wal.count >= 4
+    for replica in system.replicas:
+        replica._wal.close()
+    stamped = store.load_snapshot()["wal_count"]
+    assert stamped >= 2
+    _zero_record_header(store.wal.path, 1)
+
+    rebuilt = SYSTEM_BUILDERS[name](4, seed=9).replicas[0]
+    before = state_fingerprint(rebuilt.state)
+    reopened = ReplicaStore(str(tmp_path), rebuilt.node_id)
+    assert len(reopened.recovery_records()) == 1 < stamped
+    size = os.path.getsize(store.wal.path)
+    with pytest.raises(WalCorruption, match="only 1 are readable"):
+        rebuilt.bind_persistence(reopened)
+    assert state_fingerprint(rebuilt.state) == before
+    assert rebuilt._wal is None and not reopened.recording
+    # The damaged log was not truncated behind the operator's back.
+    assert os.path.getsize(store.wal.path) == size
 
 
 # ---------------------------------------------------------------------------

@@ -37,26 +37,6 @@ def test_handler_overwrite():
     assert seen == [("second", "x")]
 
 
-def test_send_all_excluding_self():
-    sim, network, nodes = build()
-    got = {i: [] for i in range(4)}
-    for i in range(4):
-        nodes[i].on(str, (lambda i: lambda src, m: got[i].append(m))(i))
-    nodes[0].send_all(range(4), "hello", include_self=False)
-    sim.run_until_idle()
-    assert got[0] == []
-    assert got[1] == got[2] == got[3] == ["hello"]
-
-
-def test_send_all_including_self():
-    sim, network, nodes = build()
-    got = []
-    nodes[0].on(str, lambda src, m: got.append(m))
-    nodes[0].send_all([0], "loop", include_self=True)
-    sim.run_until_idle()
-    assert got == ["loop"]
-
-
 def test_send_cost_occupies_cpu():
     sim, network, nodes = build()
     before = nodes[0].cpu.busy_time
