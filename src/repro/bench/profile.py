@@ -9,8 +9,8 @@ exercises.  Run it before and after touching any hot-path module::
     PYTHONPATH=src python -m repro.bench.profile --system astro1 --size 32
     PYTHONPATH=src python -m repro.bench.profile --size 32 --shards 2
 
-Prints the achieved simulated-payments-per-wall-clock-second (the metric
-``benchmarks/test_perf_regression.py`` guards), a phase breakdown
+Prints the achieved simulated-payments-per-wall-clock-second (what
+``perfbench``'s simulator workloads report as ``pps``), a phase breakdown
 (crypto / network / scheduler / protocol / workload) so hot-path PRs can
 cite where the time went, and the full profile table.  ``--shards N``
 runs the probe on the intra-simulation sharded engine

@@ -366,7 +366,12 @@ def serve_catch_up(store: ReplicaStore, request: CatchUpRequest) -> CatchUpReply
     The WAL is append-only and never truncated, so it holds this
     replica's full delivery history (including batches it imported via
     its own catch-up) — a single surviving correct peer suffices.
+
+    ``max_batches`` is the peer's number, so it is clamped here: a huge
+    one must not pickle the whole history into one reply, and one below
+    1 must not be answered "incomplete" with no batch for ever.
     """
+    limit = min(max(request.max_batches, 1), CATCH_UP_MAX_BATCHES)
     frontier = request.frontier
     have: Set[Tuple[int, int]] = set(request.extra)
     batches: List[Tuple[int, int, Any]] = []
@@ -377,7 +382,7 @@ def serve_catch_up(store: ReplicaStore, request: CatchUpRequest) -> CatchUpReply
         origin, seq = record[1], record[2]
         if seq <= frontier.get(origin, 0) or (origin, seq) in have:
             continue
-        if len(batches) >= request.max_batches:
+        if len(batches) >= limit:
             complete = False
             break
         have.add((origin, seq))

@@ -11,9 +11,11 @@ implement them:
   with length-framed, HMAC-authenticated streams and a wall-clock timer
   (:class:`repro.transport.clock.RealTimeClock`).
 
-``python -m repro.transport.cluster`` boots a localhost N-replica
-cluster (one OS process per replica) behind an open-loop load generator
-and measures wall-clock throughput.
+:mod:`repro.transport.live` holds the parts of a live deployment
+(assembly rule, :class:`~repro.transport.live.ReplicaHost`, control
+channel, open-loop load generator); ``python -m repro.transport.cluster``
+places N of those hosts — one OS process each — on localhost, drives
+load and faults against them and measures wall-clock throughput.
 """
 
 from .interface import Clock, Transport, TimerHandle

@@ -5,7 +5,7 @@ triples behind the same minimal :class:`Workload` protocol, so the
 bench harness (``bench/systems.py`` genesis construction,
 ``bench/runner.py``/``bench/peak.py``/``bench/jobs.py`` open-loop
 driving) and the live cluster's load generator
-(``repro.transport.cluster``) are generic over the demand distribution.
+(``repro.transport.live``) are generic over the demand distribution.
 
 ``REPRO_WORKLOAD`` selects the distribution by name:
 

@@ -55,8 +55,7 @@ def merchant_split(
     """Split a population into ``(consumers, merchants)``.
 
     Ids minted by :func:`merchant_genesis` split by their ``merchant-``
-    prefix; any other population (``uniform_genesis``, the live
-    cluster's ``c0000``-style ids) uses its last
+    prefix; any other population (``uniform_genesis``) uses its last
     :data:`MERCHANT_FRACTION` as merchants, so genesis builders and the
     workload agree on the merchant set by sharing this function.
     """

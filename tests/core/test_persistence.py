@@ -17,6 +17,7 @@ import pytest
 
 from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
 from repro.core.persistence import (
+    CATCH_UP_MAX_BATCHES,
     CatchUpRequest,
     ReplicaStore,
     WalCorruption,
@@ -409,6 +410,41 @@ def test_serve_catch_up_filters_and_bounds(tmp_path):
     )
     assert not bounded.complete
     assert len(bounded.batches) == 3
+
+
+def _long_history(tmp_path) -> ReplicaStore:
+    """A WAL of more deliveries than one catch-up reply may carry."""
+    store = ReplicaStore(str(tmp_path), 0)
+    store.finish_recovery()
+    for seq in range(1, CATCH_UP_MAX_BATCHES + 89):
+        store.record(("deliver", 0, seq, f"b{seq}"))
+    return store
+
+
+def test_serve_catch_up_caps_what_a_greedy_peer_is_served(tmp_path):
+    """The bound is the server's: an authenticated (possibly Byzantine)
+    peer cannot have the whole history pickled into one reply."""
+    greedy = serve_catch_up(
+        _long_history(tmp_path), CatchUpRequest(1, {}, (), 10**9)
+    )
+    assert len(greedy.batches) == CATCH_UP_MAX_BATCHES
+    assert not greedy.complete
+
+
+def test_serve_catch_up_makes_progress_on_a_bound_below_one(tmp_path):
+    """... nor, asking for 0 or -1, be told "incomplete" with no batch
+    for ever: it is served one at a time and gets there."""
+    store = _long_history(tmp_path)
+    newest = CATCH_UP_MAX_BATCHES + 88
+    for frontier, bound in enumerate((-1, 0, -(10**9))):
+        reply = serve_catch_up(
+            store, CatchUpRequest(2, {0: frontier}, (), bound)
+        )
+        assert [seq for _origin, seq, _batch in reply.batches] == [frontier + 1]
+        assert not reply.complete
+    last = serve_catch_up(store, CatchUpRequest(3, {0: newest - 1}, (), -1))
+    assert [seq for _origin, seq, _batch in last.batches] == [newest]
+    assert last.complete
 
 
 def test_catch_up_messages_pickle_roundtrip():

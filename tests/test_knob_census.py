@@ -2,8 +2,10 @@
 README "Configuration" table, and vice versa — a new knob cannot land
 undocumented, and a documented knob cannot silently disappear.  The
 live cluster's command-line flags are counted the same way against
-README's "Live cluster" section."""
+README's "Live cluster" section, and the live harness's seams are
+checked for knobs smuggled in as default arguments."""
 
+import inspect
 import pathlib
 import re
 
@@ -65,3 +67,23 @@ def test_cluster_cli_flags_are_exactly_the_documented_ones():
     # Deployment settings (addresses, paths, credentials) and what two
     # callers set differently stay flags; one-valued tuning is a constant.
     assert len(flags) == 12
+
+
+def test_live_seams_take_no_default_argument_knobs():
+    """How a replica boots and where it is placed are decisions, not
+    settings: every parameter of the host, the in-loop placement and the
+    boot choreography is one the caller must pass."""
+    from repro.transport.cluster import LoopContext, _ClusterProcs
+    from repro.transport.live import ReplicaHost
+
+    seams = [
+        ReplicaHost.__init__, ReplicaHost.start, ReplicaHost.rejoin,
+        ReplicaHost.close, LoopContext.Process, _ClusterProcs.boot,
+    ]
+    defaulted = {
+        f"{seam.__qualname__}({name})"
+        for seam in seams
+        for name, parameter in inspect.signature(seam).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    }
+    assert not defaulted

@@ -1,10 +1,13 @@
 """Live-cluster assembly and in-process end-to-end settlement.
 
-The multi-process runner is exercised by the CI ``live-smoke`` job; here
-we pin the pieces that make it correct — deterministic cross-process
-assembly, the control channel, and the same protocol objects reaching
-settlement over real TCP sockets — with all N transports on one
-in-process event loop so the test stays fast and debuggable.
+The pieces that make the live cluster correct — deterministic
+cross-process assembly, the control channel, the open loop's pacing, and
+the same protocol objects reaching settlement over real TCP sockets —
+with every :class:`~repro.transport.live.ReplicaHost` on the test's own
+event loop (``conftest.boot_hosts``) so the tests stay fast and
+debuggable.  The orchestrator and both placements are
+``test_orchestrate.py``'s; the multi-process CLI itself runs in the CI
+``live-smoke`` job.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import asyncio
 import inspect
 import os
+import time
 from typing import Any, Dict, List
 
 import pytest
@@ -21,17 +25,14 @@ from repro.core.messages import ClientConfirm, ClientSubmit
 from repro.core.payment import Payment
 from repro.crypto.signatures import sign
 from repro.transport import cluster as cluster_module
-from repro.transport.cluster import (
+from repro.transport.cluster import _ClusterProcs, _replica_async, run_cluster
+from repro.transport.live import (
     ControlQuery,
     ControlReply,
     _build_directory,
-    _ClusterProcs,
     _LoadGen,
-    _replica_async,
     build_replica,
     default_genesis,
-    run_cluster,
-    serve_control,
 )
 from repro.transport.tcp import TcpTransport
 from repro.workloads.base import make_workload
@@ -76,37 +77,34 @@ def test_build_replica_rejects_unknown_system():
 
 
 # ---------------------------------------------------------------------------
+# What perfbench/ imports from the cluster module
+# ---------------------------------------------------------------------------
+def test_perfbench_import_surface_is_pinned():
+    """``perfbench/live.py`` does ``from repro.transport.cluster import
+    _build_directory, build_replica`` and passes ``seed=``,
+    ``loadgen_node=`` and ``resend_acks=``: a rename must fail here, not
+    only in the CI step that runs the benchmark's own tests."""
+    assert cluster_module._build_directory is _build_directory
+    assert cluster_module.build_replica is build_replica
+    parameters = inspect.signature(build_replica).parameters
+    assert list(parameters)[:4] == ["system", "n", "transport", "genesis"]
+    assert {"seed", "loadgen_node", "resend_acks"} <= set(parameters)
+    assert list(inspect.signature(_build_directory).parameters) == [
+        "n", "clients",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # In-process end-to-end settlement over real sockets
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize("system", ["astro1", "astro2"])
-def test_in_process_cluster_settles_payments(system):
+def test_in_process_cluster_settles_payments(system, boot_hosts):
     async def scenario():
         n = 4
         genesis = default_genesis(n)
         loop = asyncio.get_running_loop()
-
-        transports: List[TcpTransport] = []
-        replicas = []
-        for node_id in range(n):
-            transport = TcpTransport(node_id, SECRET)
-            await transport.start()
-            transports.append(transport)
-        loadgen = TcpTransport(n, SECRET)
-        await loadgen.start()
-
-        peer_map = {
-            t.node_id: ("127.0.0.1", t.port) for t in transports
-        }
-        peer_map[n] = ("127.0.0.1", loadgen.port)
-        for transport in transports:
-            replicas.append(
-                build_replica(
-                    system, n, transport, genesis, loadgen_node=n
-                )
-            )
-            transport.connect(peer_map)
-        loadgen.connect(peer_map)
+        hosts, loadgen, _peer_map = await boot_hosts(system, n, serving=n)
 
         confirms: List[Payment] = []
         loadgen.on(
@@ -117,8 +115,6 @@ def test_in_process_cluster_settles_payments(system):
             ControlReply,
             lambda src, msg: stats.__setitem__(msg.node_id, msg.body),
         )
-        for transport in transports:
-            serve_control(transport, replicas[transport.node_id])
 
         rep_map = _build_directory(n, list(genesis)).rep_map
         clients = sorted(genesis, key=repr)
@@ -139,8 +135,8 @@ def test_in_process_cluster_settles_payments(system):
             await asyncio.sleep(0.05)
 
         # Every replica settled the full batch set, none rejected.
-        for transport in transports:
-            loadgen.send(transport.node_id, ControlQuery(1, "stats"))
+        for node_id in range(n):
+            loadgen.send(node_id, ControlQuery(1, "stats"))
         deadline = loop.time() + 5.0
         while len(stats) < n and loop.time() < deadline:
             await asyncio.sleep(0.02)
@@ -149,8 +145,8 @@ def test_in_process_cluster_settles_payments(system):
             assert body == {"settled": num_payments, "rejected": 0}
 
         await loadgen.close()
-        for transport in transports:
-            await transport.close()
+        for host in hosts:
+            await host.close()
 
     asyncio.run(scenario())
 
@@ -158,42 +154,27 @@ def test_in_process_cluster_settles_payments(system):
 # ---------------------------------------------------------------------------
 # Control channel: one query/reply pair, collected with a deadline
 # ---------------------------------------------------------------------------
-async def _control_pair(serving: int):
-    """A load generator expecting 2 replicas, ``serving`` of which exist.
+def _control_scenario(boot_hosts, serving: int, body) -> None:
+    """Run ``body(loadgen, hosts)`` against a load generator expecting 2
+    replicas, ``serving`` of which exist and have settled nothing yet."""
 
-    Returns ``(loadgen, replica transports)``; each transport serves a
-    real replica object that has settled nothing yet.
-    """
-    n = 2
-    genesis = default_genesis(n)
-    parent = TcpTransport(n, SECRET)
-    await parent.start()
-    peers = {n: ("127.0.0.1", parent.port)}
-    transports = []
-    for node_id in range(serving):
-        transport = TcpTransport(node_id, SECRET)
-        await transport.start()
-        peers[node_id] = ("127.0.0.1", transport.port)
-        transports.append(transport)
-    for transport in transports:
-        serve_control(
-            transport, build_replica("astro2", n, transport, genesis)
-        )
-        transport.connect(peers)
-    parent.connect(peers)
-    workload = make_workload("uniform", sorted(genesis, key=repr), seed=0)
-    return _LoadGen(parent, n, genesis, workload), transports
-
-
-async def _close(loadgen, transports) -> None:
-    await loadgen.transport.close()
-    for transport in transports:
-        await transport.close()
-
-
-def test_collect_gathers_both_readings_from_every_replica():
     async def scenario():
-        loadgen, transports = await _control_pair(serving=2)
+        n = 2
+        genesis = default_genesis(n)
+        hosts, parent, _peer_map = await boot_hosts("astro2", n, serving)
+        workload = make_workload("uniform", sorted(genesis, key=repr), seed=0)
+        try:
+            await body(_LoadGen(parent, n, genesis, workload), hosts)
+        finally:
+            await parent.close()
+            for host in hosts:
+                await host.close()
+
+    asyncio.run(scenario())
+
+
+def test_collect_gathers_both_readings_from_every_replica(boot_hosts):
+    async def body(loadgen, hosts):
         stats = await loadgen.collect("stats")
         assert stats == {
             0: {"settled": 0, "rejected": 0},
@@ -204,51 +185,79 @@ def test_collect_gathers_both_readings_from_every_replica():
         assert state[0]["fingerprint"] == state[1]["fingerprint"]
         assert state[0]["balances"] == default_genesis(2)
         assert loadgen._waiters == {}
-        await _close(loadgen, transports)
 
-    asyncio.run(scenario())
+    _control_scenario(boot_hosts, 2, body)
 
 
-def test_unknown_reading_is_ignored_and_collect_times_out_empty():
-    async def scenario():
-        loadgen, transports = await _control_pair(serving=2)
+def test_unknown_reading_is_ignored_and_collect_times_out_empty(boot_hosts):
+    async def body(loadgen, hosts):
         loop = asyncio.get_running_loop()
         started = loop.time()
         assert await loadgen.collect("no-such-reading", timeout=0.3) == {}
         assert loop.time() - started >= 0.3
         # The replicas are unharmed: the next real query is answered.
         assert sorted(await loadgen.collect("stats")) == [0, 1]
-        await _close(loadgen, transports)
 
-    asyncio.run(scenario())
+    _control_scenario(boot_hosts, 2, body)
 
 
-def test_collect_timeout_returns_the_partial_reply_set():
+def test_collect_timeout_returns_the_partial_reply_set(boot_hosts):
     """A crashed replica simply does not answer (here: never existed)."""
 
-    async def scenario():
-        loadgen, transports = await _control_pair(serving=1)
+    async def body(loadgen, hosts):
         replies = await loadgen.collect("stats", timeout=0.5)
         assert replies == {0: {"settled": 0, "rejected": 0}}
-        await _close(loadgen, transports)
 
-    asyncio.run(scenario())
+    _control_scenario(boot_hosts, 1, body)
 
 
-def test_reply_with_a_stale_tag_is_dropped():
-    async def scenario():
-        loadgen, transports = await _control_pair(serving=1)
+def test_reply_with_a_stale_tag_is_dropped(boot_hosts):
+    async def body(loadgen, hosts):
         first = await loadgen.collect("stats", timeout=0.3)
         assert sorted(first) == [0]
         # Tag 1 has timed out; an answer to it arriving now (a slow
         # replica) must not leak into the next collection or linger.
-        transports[0].send(2, ControlReply(1, 1, {"settled": 99}))
+        hosts[0].transport.send(2, ControlReply(1, 1, {"settled": 99}))
         second = await loadgen.collect("stats", timeout=0.5)
         assert second == {0: {"settled": 0, "rejected": 0}}
         assert loadgen._waiters == {}
-        await _close(loadgen, transports)
 
-    asyncio.run(scenario())
+    _control_scenario(boot_hosts, 1, body)
+
+
+# ---------------------------------------------------------------------------
+# Open loop: paced against the clock, not by counting wake-ups
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("rate", [300.0, 1700.0])
+def test_open_loop_offers_the_nominal_rate_when_wakeups_are_late(
+    rate, boot_hosts
+):
+    duration = 1.0
+
+    async def scenario():
+        n = 4
+        genesis = default_genesis(n)
+        # No replica exists: every submission is dropped at the socket
+        # layer, which is all a pacing test needs.
+        _hosts, parent, _peer_map = await boot_hosts("astro2", n, serving=0)
+        workload = make_workload("uniform", sorted(genesis, key=repr), seed=0)
+        loadgen = _LoadGen(parent, n, genesis, workload)
+        loop = asyncio.get_running_loop()
+
+        def busy() -> None:
+            time.sleep(0.004)  # holds the loop: the next tick fires late
+            loop.call_later(0.007, busy)
+
+        busy()
+        started = loop.time()
+        await loadgen.run(rate, duration)
+        elapsed = loop.time() - started
+        await parent.close()
+        return loadgen.submitted, elapsed
+
+    submitted, elapsed = asyncio.run(scenario())
+    assert submitted == round(rate * duration)
+    assert duration - 0.001 <= elapsed < duration + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ class _RecordingContext:
     def Process(self, target, args, daemon):
         assert target is cluster_module._replica_main
         self.process_args.append(args)
-        return argparse.Namespace(start=lambda: None, is_alive=lambda: False)
+        return argparse.Namespace(start=lambda: None, exitcode=0)
 
 
 def test_run_cluster_passes_workload_by_argument_not_environment(monkeypatch):

@@ -1,11 +1,12 @@
 """Crash-recovery end to end: WAL replay, catch-up, and sim parity.
 
-The slow test here is the in-process twin of the CI ``chaos-smoke``
-lane: N=4 astro2 replicas with WAL+snapshots on, all transports on one
-event loop.  Replica 1 "dies" (transport and store closed, object
-dropped) mid-load, is rebuilt from scratch, replays its WAL to the
-pre-crash fingerprint, catches up from a peer, and the cluster settles
-100% of the offered payments.  The same workload and an equivalent
+The slow test here drives :class:`~repro.transport.live.ReplicaHost`
+by hand through what the CI ``chaos-smoke`` lane does to it: N=4 astro2
+hosts with WAL+snapshots on, all on one event loop.  Replica 1 "dies"
+(host closed, object dropped) mid-load, a new host is built over the
+same directory on disk, replays its WAL to the pre-crash fingerprint,
+rebinds the old port, rejoins (catch-up from a peer, then relaunch), and
+the cluster settles 100% of the offered payments.  The same workload and an equivalent
 crash/recover timeline then run on the simulator (``sim/faults.py``) and
 the live cluster's post-recovery settled state must match the
 simulator's prediction for the correct replicas — same fingerprint
@@ -15,34 +16,24 @@ formula on both backends.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Set
+from typing import Any, List, Set
 
 import pytest
 
 from repro.core.config import AstroConfig
 from repro.core.messages import ClientConfirm, ClientSubmit
-from repro.core.persistence import (
-    CatchUpReply,
-    CatchUpRequest,
-    ReplicaStore,
-    serve_catch_up,
-    state_fingerprint,
-)
+from repro.core.persistence import ReplicaStore, state_fingerprint
 from repro.core.system import Astro2System
 from repro.sim.faults import FaultInjector
 from repro.transport.chaos import apply_timeline, parse_timeline
-from repro.transport.cluster import (
+from repro.transport.live import (
     ControlQuery,
+    ReplicaHost,
     _build_directory,
-    _run_catch_up,
-    build_replica,
     default_genesis,
     payment_stream,
 )
-from repro.transport.tcp import TcpTransport
 from repro.workloads.base import make_workload
-
-SECRET = b"recovery-test-secret"
 
 N = 4
 PHASE_A = 24  # settled before the crash
@@ -117,49 +108,15 @@ def _simulator_prediction():
     return prints.pop(), PHASE_A + PHASE_B, crashed.settled_count
 
 
-class _LiveReplica:
-    """One in-process live replica: transport + protocol object + store."""
-
-    def __init__(self, node_id: int, genesis: Dict[str, int], wal_root: str):
-        self.node_id = node_id
-        self.transport = TcpTransport(node_id, SECRET)
-        self.replica = build_replica(
-            "astro2", N, self.transport, genesis,
-            loadgen_node=N, resend_acks=True,
-        )
-        self.store = ReplicaStore(
-            wal_root, node_id, snapshot_interval=8, fingerprint_interval=4
-        )
-        self.report = self.replica.bind_persistence(self.store)
-        self.catch_up_replies: asyncio.Queue = asyncio.Queue()
-        self.transport.on(
-            CatchUpRequest,
-            lambda src, msg: self.transport.send(
-                src, serve_catch_up(self.store, msg)
-            ),
-        )
-        self.transport.on(
-            CatchUpReply,
-            lambda src, msg: self.catch_up_replies.put_nowait(msg),
-        )
-
-    async def start(self, port: int = 0) -> int:
-        for attempt in range(50):
-            try:
-                return await self.transport.start(port)
-            except OSError:
-                if attempt == 49:
-                    raise
-                await asyncio.sleep(0.05)
-
-    async def crash(self) -> None:
-        """Drop everything a SIGKILL would: sockets, store, object."""
-        await self.transport.close()
-        self.store.close()
+def _store(wal_root: str, node_id: int) -> ReplicaStore:
+    """Short intervals, so 36 payments cross several snapshots."""
+    return ReplicaStore(
+        wal_root, node_id, snapshot_interval=8, fingerprint_interval=4
+    )
 
 
 @pytest.mark.slow
-def test_live_crash_recovery_matches_sim_prediction(tmp_path):
+def test_live_crash_recovery_matches_sim_prediction(tmp_path, boot_hosts):
     expected_fp, expected_settled, sim_crashed_settled = (
         _simulator_prediction()
     )
@@ -172,18 +129,13 @@ def test_live_crash_recovery_matches_sim_prediction(tmp_path):
         wal_root = str(tmp_path)
         loop = asyncio.get_running_loop()
 
-        nodes = [_LiveReplica(i, genesis, wal_root) for i in range(N)]
-        for node in nodes:
-            assert node.report.replayed == 0  # first boot: empty store
-        loadgen = TcpTransport(N, SECRET)
-
-        ports = [await node.start() for node in nodes]
-        await loadgen.start()
-        peer_map = {i: ("127.0.0.1", ports[i]) for i in range(N)}
-        peer_map[N] = ("127.0.0.1", loadgen.port)
-        for node in nodes:
-            node.transport.connect(peer_map)
-        loadgen.connect(peer_map)
+        hosts, loadgen, peer_map = await boot_hosts(
+            "astro2", N, N, [_store(wal_root, i) for i in range(N)]
+        )
+        for host in hosts:
+            assert host.report.replayed == 0  # first boot: empty store
+            first_boot = await host.rejoin()
+            assert first_boot["imported"] == first_boot["relaunched"] == 0
 
         confirmed: Set[Any] = set()
         loadgen.on(
@@ -206,10 +158,11 @@ def test_live_crash_recovery_matches_sim_prediction(tmp_path):
             lambda: {p.identifier for p in phase_a} <= confirmed
         )
 
-        victim = nodes[1]
+        victim = hosts[1]
         pre_crash_fp = state_fingerprint(victim.replica.state)
         pre_crash_settled = victim.replica.settled_count
-        await victim.crash()
+        # Everything a SIGKILL would drop: sockets, store, object.
+        await victim.close()
         # Prove the loadgen's sender is back in its redial loop (where it
         # never dequeues) before offering phase B, so no ClientSubmit can
         # be lost in flight to the dead peer.
@@ -222,40 +175,41 @@ def test_live_crash_recovery_matches_sim_prediction(tmp_path):
         assert any(rep_map[p.spender] == 1 for p in phase_b)
 
         # Rebuild replica 1 from nothing but its directory on disk.
-        revived = _LiveReplica(1, genesis, wal_root)
+        revived = ReplicaHost(
+            "astro2", N, 1, victim.transport.secret, genesis, 0,
+            _store(wal_root, 1),
+        )
+        assert revived.report.had_snapshot
         assert revived.report.fingerprint == pre_crash_fp
         assert state_fingerprint(revived.replica.state) == pre_crash_fp
         assert revived.replica.settled_count == pre_crash_settled
-        await revived.start(ports[1])  # same address: peers just redial
+        # Same address: peers just redial.
+        assert await revived.start(peer_map[1][1]) == peer_map[1][1]
         revived.transport.connect(peer_map)
-        nodes[1] = revived
+        hosts[1] = revived
 
         started = loop.time()
-        await _run_catch_up(
-            revived.replica,
-            revived.transport,
-            revived.catch_up_replies,
-            [0, 2, 3],
-        )
-        revived.replica.relaunch_pending()
+        rejoined = await revived.rejoin()
         recovery_latency = loop.time() - started
         assert recovery_latency < 30.0
+        assert rejoined["recovery"] == revived.report.as_dict()
+        assert rejoined["imported"] > 0
 
         everything = {p.identifier for p in phase_a + phase_b}
         await wait_for(lambda: everything <= confirmed)
         await wait_for(
             lambda: all(
-                node.replica.settled_count == expected_settled
-                for node in nodes
+                host.replica.settled_count == expected_settled
+                for host in hosts
             )
         )
 
-        prints = {state_fingerprint(node.replica.state) for node in nodes}
+        prints = {state_fingerprint(host.replica.state) for host in hosts}
         assert prints == {expected_fp}
-        assert all(not node.replica.rejected for node in nodes)
+        assert all(not host.replica.rejected for host in hosts)
 
         await loadgen.close()
-        for node in nodes:
-            await node.crash()
+        for host in hosts:
+            await host.close()
 
     asyncio.run(scenario())
