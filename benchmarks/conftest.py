@@ -36,7 +36,7 @@ def _collect_between_benchmarks():
 
     Benchmarks that build systems outside ``repro.bench.parallel.execute``
     leave them behind as cyclic garbage; the next benchmark must not time
-    its engine — or fork shard workers — on top of that heap.
+    its engine — or fork pool workers — on top of that heap.
     """
     yield
     gc.collect()

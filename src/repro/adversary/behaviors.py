@@ -12,12 +12,6 @@ Every behaviour draws randomness from a :func:`~repro.sim.rng.stable_rng`
 stream handed in by the controller, so injected faults are deterministic
 and independent of ``PYTHONHASHSEED`` (golden/byte-identity tests compare
 attacked histories across fresh interpreters).
-
-Sharded engines (``REPRO_SIM_SHARDS`` > 1) build the full system — taps
-included — in every worker.  *Reactive* tampering (triggered by an
-outgoing message) executes only at the worker that owns the attacker, so
-it is shard-safe by construction.  Behaviours that start their own timers
-(:class:`OverloadClient`) gate on shard ownership in :meth:`on_arm`.
 """
 
 from __future__ import annotations
@@ -195,8 +189,7 @@ class EquivocatingRepresentative(ByzantineBehavior):
     to the real batch via READY amplification; in Astro II they simply
     never deliver that batch (the commit certificate names a digest they
     did not ACK), so their xlogs lag as a prefix.  Either way at most one
-    payload per identifier can ever gather a certificate.  RNG-free, so
-    the attack is usable in serial-vs-sharded byte-identity tests.
+    payload per identifier can ever gather a certificate.  RNG-free.
     """
 
     name = "equivocate"
@@ -421,8 +414,7 @@ class ReplayStaleTraffic(ByzantineBehavior):
     shrug: duplicate PREPAREs hit the idempotent instance state, stale
     CREDITs hit the collector's straggler/dedup paths, duplicate commits
     are delivered-once.  Replays ride the replica's own timer, so they
-    stop if the attacker crashes and only ever run at the shard worker
-    that owns the attacker.
+    stop if the attacker crashes.
     """
 
     name = "replay"
@@ -474,9 +466,7 @@ class OverloadClient(ByzantineBehavior):
     every submit is dropped after the ingest CPU charge — a pure
     computational DoS against one correct representative that must not
     corrupt any client's sequence state.  The flood ticker is a timer the
-    behaviour starts itself, so :meth:`on_arm` refuses to start it at
-    shard workers that do not own the attacker (flood cells are run on
-    the serial engine; see the module docstring).
+    behaviour starts itself in :meth:`on_arm`.
     """
 
     name = "flood"
@@ -487,8 +477,6 @@ class OverloadClient(ByzantineBehavior):
     BURST = 16
 
     def on_arm(self) -> None:
-        if not self.replica.owns(self.replica.node_id):
-            return
         correct = [
             r for r in self.system.replica_node_ids
             if r not in self.adversary_ids

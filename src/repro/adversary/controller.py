@@ -9,8 +9,7 @@ casing, and the correct-replica set is a stable prefix for the monitor
 and for flood-victim selection.
 
 Arming is either synchronous (``at`` not in the future — no event is
-scheduled, so construction-time installs stay byte-identical across
-sharded workers) or via one simulator event at ``at``.
+scheduled) or via one simulator event at ``at``.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ def install_adversary(
     * ``attack`` — name from :data:`ATTACKS` (required);
     * ``count`` — number of Byzantine replicas (default ``config.f``);
     * ``at`` — simulated arm time (default ``0.0``: armed immediately,
-      with no scheduler event, so builder-time installs are shard-safe).
+      with no scheduler event).
 
     Each behaviour draws from ``stable_rng(seed, "adversary", attack,
     node_id)`` — hashseed-independent and private per attacker.  The

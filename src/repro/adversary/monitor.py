@@ -27,9 +27,9 @@ Violations are recorded with their simulated first-violation time;
 :meth:`verdict` summarizes for timeline results and
 ``BENCH_byzantine.json``.
 
-The monitor is strictly read-only and is meant for serial timelines (its
-sampling events would perturb sharded event interleaving; byte-identity
-tests run the attacks without a monitor and compare histories instead).
+The monitor is strictly read-only, but its sampling events take
+``(time, seq)`` keys of their own; byte-identity tests run the attacks
+without a monitor and compare histories instead.
 """
 
 from __future__ import annotations

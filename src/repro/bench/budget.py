@@ -3,7 +3,7 @@
 The scheduled ``fig3-full`` workflow (``.github/workflows/fig3-full.yml``)
 runs ``REPRO_BENCH_SCALE=full`` Fig. 3 end-to-end and must fail loudly
 when any (system, size) cell gets dramatically slower — a harness
-regression (e.g. the sharded engine livelocking on null-message chatter)
+regression (e.g. a calendar-queue change that turns a cell quadratic)
 would otherwise only surface as a silently longer nightly run.  This
 module supplies that guard in three pieces:
 

@@ -16,11 +16,9 @@ these functions in their jobs' ``fn``; ``table1``, ``fig8`` and
 from __future__ import annotations
 
 import functools
-import multiprocessing
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..consensus.config import BftConfig
-from ..sim.shard import ShardedOpenLoop, ShardingUnsupported, resolve_shards
 from .peak import SATURATION_GOODPUT, PeakResult, find_peak, shrink_window
 from .runner import RunResult, run_open_loop
 from .systems import SYSTEM_BUILDERS
@@ -46,12 +44,6 @@ def _system_factory(system: str, size: int, seed: int,
     return functools.partial(builder, size, seed=seed, **(builder_kwargs or {}))
 
 
-def _in_daemon_worker() -> bool:
-    """True inside a daemonic process (e.g. a REPRO_BENCH_JOBS pool
-    worker), which the OS forbids from spawning shard children."""
-    return multiprocessing.current_process().daemon
-
-
 def exec_find_peak(
     seed: int,
     system: str,
@@ -65,28 +57,17 @@ def exec_find_peak(
     reuse_state: bool = False,
     bracket: Optional[Tuple[float, float]] = None,
     builder_kwargs: Optional[Dict[str, Any]] = None,
-    sim_shards: Optional[int] = None,
 ) -> PeakResult:
     """One whole peak-throughput search (internally adaptive = one job).
-
-    With ``REPRO_SIM_SHARDS`` (or ``sim_shards``) > 1 the Astro cells run
-    each probe on the intra-simulation sharded engine — the replicas of
-    the *single* simulated deployment are partitioned across worker
-    processes paced by per-channel conservative clocks
-    (:mod:`repro.sim.shard`) and the merged probe results are
-    byte-identical to the serial engine's, so the search takes the same
-    decisions.  BFT cells always run serial (consensus replicas schedule
-    timeout machinery at construction, which sharded workers cannot
-    suppress on non-owned replicas).
 
     Astro II cells at N ≥
     :data:`~repro.bench.systems.CREDIT_COALESCE_AUTO_MIN_N` default to
     the ``auto`` CREDIT coalescing window unless ``REPRO_CREDIT_COALESCE``
     says otherwise — resolved inside the builders
-    (:func:`repro.bench.systems.resolve_credit_coalesce`), so serial and
-    sharded probes of one cell agree on the window.
+    (:func:`repro.bench.systems.resolve_credit_coalesce`).
     """
-    search_kwargs = dict(
+    return find_peak(
+        _system_factory(system, size, seed, builder_kwargs),
         start_rate=start_rate,
         duration=duration,
         warmup=warmup,
@@ -96,36 +77,6 @@ def exec_find_peak(
         max_probes=max_probes,
         reuse_state=reuse_state,
         bracket=tuple(bracket) if bracket is not None else None,
-    )
-    shards = resolve_shards(sim_shards)
-    if shards > 1 and _in_daemon_worker():
-        # A REPRO_BENCH_JOBS pool worker is daemonic and cannot spawn
-        # shard processes; budget the two knobs against each other
-        # (jobs × shards <= cores) and pick one axis per run.
-        shards = 1
-    if shards > 1 and system in ("astro1", "astro2"):
-        spec = dict(
-            system=system, size=size, seed=seed,
-            builder_kwargs=builder_kwargs or None,
-        )
-        try:
-            with ShardedOpenLoop(spec, shards=shards) as cluster:
-                def sharded_probe(rate, probe_duration, probe_warmup, fresh):
-                    return cluster.probe(
-                        rate=rate, duration=probe_duration,
-                        warmup=probe_warmup, fresh=fresh, seed=seed,
-                    )
-
-                return find_peak(None, probe_runner=sharded_probe, **search_kwargs)
-        except ShardingUnsupported:
-            # Raised either up front (non-Astro spec) or by the workers'
-            # build validation relayed through the coordinator (latency
-            # model without lookahead / pair streams / continuous jitter)
-            # — always before any probe measured, so the serial engine
-            # can simply run the whole search.
-            pass
-    return find_peak(
-        _system_factory(system, size, seed, builder_kwargs), **search_kwargs
     )
 
 

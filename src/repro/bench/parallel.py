@@ -55,7 +55,6 @@ __all__ = [
     "available_memory_bytes",
     "derive_seed",
     "execute",
-    "parse_count_env",
     "reset_sweep_log",
     "resolve_jobs",
     "run_unit",
@@ -130,29 +129,6 @@ def run_unit(job: ScenarioJob) -> Any:
     return result
 
 
-def parse_count_env(env_var: str, auto_value: Callable[[], int]) -> int:
-    """Parse a worker-count environment variable.
-
-    The shared grammar of ``REPRO_BENCH_JOBS`` and ``REPRO_SIM_SHARDS``:
-    unset/``""``/``"1"`` → 1, ``"0"``/``"auto"`` → ``auto_value()``,
-    else a positive integer.
-    """
-    raw = os.environ.get(env_var, "1").strip().lower()
-    if raw in ("", "1"):
-        return 1
-    if raw in ("0", "auto"):
-        return auto_value()
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{env_var} must be a positive integer, 0, or 'auto'; got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ValueError(f"{env_var} must be >= 1, got {count}")
-    return count
-
-
 def usable_cpus() -> int:
     """CPUs actually available to this process.
 
@@ -173,29 +149,24 @@ def _resolve_jobs_info(jobs: Optional[int] = None) -> Tuple[int, bool]:
     memory-aware cap may shrink it.  An explicit worker count, argument
     or env, is always honored verbatim.
     """
-    if jobs is None:
-        auto = False
-
-        def auto_jobs() -> int:
-            nonlocal auto
-            auto = True
-            # The two parallelism axes cannot nest: pool workers are
-            # daemonic, so a job running inside one falls back to the
-            # serial engine (see repro.bench.jobs).  When the operator
-            # asked for intra-simulation sharding, ``auto`` therefore
-            # hands the whole machine to the shards (serial in-process
-            # execution, one sharded cell at a time) instead of spawning
-            # a pool in which sharding would silently disable itself.
-            from ..sim.shard import resolve_shards
-
-            if resolve_shards() > 1:
-                return 1
-            return usable_cpus()
-
-        return parse_count_env(JOBS_ENV, auto_jobs), auto
-    if jobs < 1:
-        raise ValueError(f"worker count must be >= 1, got {jobs}")
-    return jobs, False
+    if jobs is not None:
+        if jobs < 1:
+            raise ValueError(f"worker count must be >= 1, got {jobs}")
+        return jobs, False
+    raw = os.environ.get(JOBS_ENV, "1").strip().lower()
+    if raw in ("", "1"):
+        return 1, False
+    if raw in ("0", "auto"):
+        return usable_cpus(), True
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{JOBS_ENV} must be a positive integer, 0, or 'auto'; got {raw!r}"
+        ) from None
+    if count < 1:
+        raise ValueError(f"{JOBS_ENV} must be >= 1, got {count}")
+    return count, False
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:

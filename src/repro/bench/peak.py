@@ -71,7 +71,7 @@ def _probe_ok(result: RunResult, envelope: float) -> bool:
 
 
 def find_peak(
-    factory: Optional[Callable[[], Any]],
+    factory: Callable[[], Any],
     start_rate: float = 500.0,
     latency_envelope: float = 1.5,
     duration: float = 1.5,
@@ -84,7 +84,6 @@ def find_peak(
     max_probes: Optional[int] = None,
     reuse_state: bool = False,
     bracket: Optional[Tuple[float, float]] = None,
-    probe_runner: Optional[Callable[[float, float, float, bool], RunResult]] = None,
 ) -> PeakResult:
     """Find peak sustainable throughput for systems built by ``factory``.
 
@@ -117,51 +116,34 @@ def find_peak(
     ``high_hint`` resumes doubling above it, a failing ``low_hint`` falls
     into the standard walk-down.  ``start_rate`` is ignored when a
     bracket is supplied.
-
-    ``probe_runner(rate, duration, warmup, fresh)`` replaces the
-    build-and-measure cycle — the hook the sharded engine
-    (:class:`repro.sim.shard.ShardedOpenLoop`) plugs in.  ``fresh``
-    encodes the same warm-reuse decision the serial path makes with its
-    one-slot system cache, so both paths run identical probe sequences;
-    ``factory``/``workload_factory`` are unused (``factory`` may be
-    ``None``).
     """
     probes: List[RunResult] = []
     #: One-slot cache holding a system left quiesced by a passing probe.
     warm: List[Any] = []
-    #: probe_runner mode: did the previous probe leave the (persistent,
-    #: worker-held) system quiesced?  Mirrors the warm cache exactly.
-    warm_ready = False
 
     def probe(rate: float) -> RunResult:
-        nonlocal warm_ready
         probe_duration, probe_warmup = shrink_window(
             rate, duration, warmup, payment_budget
         )
-        if probe_runner is not None:
-            system = None
-            fresh = not (reuse_state and warm_ready)
-            result = probe_runner(rate, probe_duration, probe_warmup, fresh)
+        if reuse_state and warm:
+            system = warm.pop()
         else:
-            if reuse_state and warm:
-                system = warm.pop()
-            else:
-                # Scenario boundary: the previous probe's system is cyclic
-                # garbage; reclaim it before the rebuild (repro.sim.events,
-                # "Collector policy").
-                gc.collect()
-                system = factory()
-            workload = (
-                workload_factory(system) if workload_factory is not None else None
-            )
-            result = run_open_loop(
-                system,
-                rate=rate,
-                duration=probe_duration,
-                warmup=probe_warmup,
-                seed=seed,
-                workload=workload,
-            )
+            # Scenario boundary: the previous probe's system is cyclic
+            # garbage; reclaim it before the rebuild (repro.sim.events,
+            # "Collector policy").
+            gc.collect()
+            system = factory()
+        workload = (
+            workload_factory(system) if workload_factory is not None else None
+        )
+        result = run_open_loop(
+            system,
+            rate=rate,
+            duration=probe_duration,
+            warmup=probe_warmup,
+            seed=seed,
+            workload=workload,
+        )
         probes.append(result)
         quiesced = (
             reuse_state
@@ -169,9 +151,7 @@ def find_peak(
             and result.injected - result.confirmed
             <= max(16, result.injected // 100)
         )
-        if probe_runner is not None:
-            warm_ready = quiesced
-        elif quiesced:
+        if quiesced:
             warm.append(system)
         return result
 

@@ -7,15 +7,11 @@ exercises.  Run it before and after touching any hot-path module::
     PYTHONPATH=src python -m repro.bench.profile
     PYTHONPATH=src python -m repro.bench.profile --rate 32000 --sort cumulative
     PYTHONPATH=src python -m repro.bench.profile --system astro1 --size 32
-    PYTHONPATH=src python -m repro.bench.profile --size 32 --shards 2
 
 Prints the achieved simulated-payments-per-wall-clock-second (what
 ``perfbench``'s simulator workloads report as ``pps``), a phase breakdown
 (crypto / network / scheduler / protocol / workload) so hot-path PRs can
-cite where the time went, and the full profile table.  ``--shards N``
-runs the probe on the intra-simulation sharded engine
-(:mod:`repro.sim.shard`); the work then happens in worker processes, so
-only wall-clock is reported (cProfile sees the coordinator only).
+cite where the time went, and the full profile table.
 """
 
 from __future__ import annotations
@@ -91,34 +87,6 @@ def standard_run(
     return result, wall, system
 
 
-def sharded_run(
-    system_name: str,
-    num_replicas: int,
-    shards: int,
-    rate: float = DEFAULT_RATE,
-    duration: float = DEFAULT_DURATION,
-    warmup: float = DEFAULT_WARMUP,
-    seed: int = DEFAULT_SEED,
-    builder_kwargs: Optional[Dict[str, Any]] = None,
-) -> tuple:
-    """The standard run on the intra-simulation sharded engine."""
-    from ..sim.shard import ShardedOpenLoop
-
-    spec = dict(system=system_name, size=num_replicas, seed=seed,
-                builder_kwargs=builder_kwargs or None)
-    with ShardedOpenLoop(spec, shards=shards) as cluster:
-        # Build outside the timed window, like standard_run (which calls
-        # the factory before starting its clock) — otherwise the sharded
-        # pps would be understated by worker-side construction.
-        cluster.prepare()
-        start = time.perf_counter()
-        result = cluster.probe(
-            rate=rate, duration=duration, warmup=warmup, fresh=False, seed=seed
-        )
-        wall = time.perf_counter() - start
-    return result, wall
-
-
 def phase_breakdown(stats: pstats.Stats) -> Dict[str, float]:
     """Total in-function seconds per engine phase.
 
@@ -165,21 +133,13 @@ def main(argv=None) -> int:
     parser.add_argument("-n", "--num-replicas", "--size", type=int,
                         dest="num_replicas", default=DEFAULT_NUM_REPLICAS,
                         help="deployment size N (--size is an alias)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="run the probe on the intra-simulation sharded "
-                             "engine with this many worker processes "
-                             "(REPRO_SIM_SHARDS equivalent; Astro systems "
-                             "only, disables cProfile)")
     parser.add_argument("--coalesce", default=None, metavar="SECONDS|auto",
                         help="astro2 only: cross-delivery CREDIT coalescing "
                              "window (AstroConfig.credit_coalesce_delay; "
                              "'auto' = one batch window).  Also enables "
                              "per-message-kind counters so the CREDIT "
                              "message count is reported alongside the "
-                             "phase breakdown (serial runs only: with "
-                             "--shards the counters live in worker "
-                             "processes and kind accounting is "
-                             "unavailable).  Default: the "
+                             "phase breakdown.  Default: the "
                              "REPRO_CREDIT_COALESCE environment knob.")
     parser.add_argument("--rate", type=float, default=DEFAULT_RATE,
                         help="offered payments/sec (simulated)")
@@ -206,56 +166,34 @@ def main(argv=None) -> int:
             credit_coalesce_delay=resolve_credit_coalesce(
                 args.num_replicas, args.coalesce
             ),
-            # Kind counters live in worker processes under --shards and
-            # can't be read back; don't pay the per-send accounting there.
-            track_kinds=args.shards <= 1,
+            track_kinds=True,
         )
 
-    if args.shards > 1:
-        from ..sim.shard import ShardingUnsupported
-
-        # The simulation executes in shard worker processes; profiling
-        # the coordinator would only show pipe waits.
-        try:
-            result, wall = sharded_run(
-                args.system, args.num_replicas, args.shards, args.rate,
-                args.duration, args.warmup, args.seed,
-                builder_kwargs=builder_kwargs or None,
-            )
-        except ShardingUnsupported as exc:
-            parser.error(f"--shards {args.shards}: {exc}")
+    run = lambda: standard_run(  # noqa: E731 - tiny closure over args
+        args.system, args.num_replicas, args.rate, args.duration,
+        args.warmup, args.seed, builder_kwargs=builder_kwargs or None,
+    )
+    if args.no_profile:
+        result, wall, system = run()
         profiler = None
-        system = None
     else:
-        run = lambda: standard_run(  # noqa: E731 - tiny closure over args
-            args.system, args.num_replicas, args.rate, args.duration,
-            args.warmup, args.seed, builder_kwargs=builder_kwargs or None,
-        )
-        if args.no_profile:
-            result, wall, system = run()
-            profiler = None
-        else:
-            profiler = cProfile.Profile()
-            profiler.enable()
-            result, wall, system = run()
-            profiler.disable()
+        profiler = cProfile.Profile()
+        profiler.enable()
+        result, wall, system = run()
+        profiler.disable()
 
     pps = result.confirmed / wall if wall > 0 else float("inf")
-    shard_note = f" shards={args.shards}" if args.shards > 1 else ""
     coalesce = builder_kwargs.get("credit_coalesce_delay")
     coalesce_note = f" coalesce={coalesce:.3f}s" if coalesce else ""
     print(
-        f"[profile] system={args.system} N={args.num_replicas}{shard_note}"
+        f"[profile] system={args.system} N={args.num_replicas}"
         f"{coalesce_note} rate={args.rate:.0f}/s window={args.duration}s"
     )
-    if system is not None and system.network.stats.track_kinds:
+    if system.network.stats.track_kinds:
         by_kind = system.network.stats.by_kind
         credits = by_kind.get("CreditMessage", 0) + by_kind.get("CreditBundle", 0)
         print(f"[profile] CREDIT transport messages sent={credits} "
               f"(all kinds: {dict(sorted(by_kind.items()))})")
-    elif args.shards > 1 and args.coalesce is not None:
-        print("[profile] (message-kind accounting unavailable with --shards: "
-              "the counters live in the shard worker processes)")
     print(
         f"[profile] confirmed={result.confirmed} wall={wall:.3f}s "
         f"simulated-payments/wall-clock-second={pps:,.0f}"
@@ -264,9 +202,6 @@ def main(argv=None) -> int:
         stats = pstats.Stats(profiler)
         _print_phase_breakdown(stats)
         stats.sort_stats(args.sort).print_stats(args.limit)
-    elif args.shards > 1:
-        print("[profile] (phase breakdown unavailable: work ran in shard "
-              "worker processes)")
     return 0
 
 

@@ -31,6 +31,9 @@ def merge_perf_report(
         with open(path) as fh:
             report = json.load(fh)
     except (OSError, ValueError):
+        report = None
+    if not isinstance(report, dict):
+        # Unreadable, invalid or not a JSON object: restart the report.
         report = {}
     report.update(updates)
     with open(path, "w") as fh:

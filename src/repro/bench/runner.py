@@ -46,25 +46,20 @@ def setup_open_loop(
     warmup: float,
     workload: Optional[Any] = None,
     seed: int = 0,
-    recorder: Optional[LatencyRecorder] = None,
 ) -> Tuple[OpenLoopDriver, ThroughputMeter, LatencyRecorder, float, float]:
     """Install the standard open-loop measurement on ``system``.
 
     Returns ``(driver, meter, recorder, window_start, window_end)``.
-    Factored out of :func:`run_open_loop` so the sharded engine
-    (:mod:`repro.sim.shard`) replicates the *exact* serial measurement
-    discipline in every worker — same workload construction, meter
-    bucket width, and observation window.  A caller-supplied
-    ``recorder`` must expose ``record(submitted_at, completed_at)``; its
-    window attributes are (re)pinned here.
+    Factored out of :func:`run_open_loop` so a caller that steps the
+    simulation itself (``perfbench/sim.py`` runs it in slices) gets the
+    same workload construction, meter bucket width and observation
+    window.
     """
     if workload is None:
         # ``REPRO_WORKLOAD`` selects the demand distribution; unset
         # resolves to ``uniform``, which constructs exactly the
         # pre-knob ``UniformWorkload(clients, seed=seed)`` default
-        # (golden-pinned).  Resolution happens here — inside the
-        # function sharded workers replicate — so serial and sharded
-        # runs agree on the workload by construction.
+        # (golden-pinned).
         workload = make_workload(
             resolve_workload_name(), client_ids_of(system), seed=seed
         )
@@ -75,11 +70,7 @@ def setup_open_loop(
     meter = ThroughputMeter(bucket_width=min(0.25, duration / 4))
     window_start = system.sim.now + warmup
     window_end = window_start + duration
-    if recorder is None:
-        recorder = LatencyRecorder(window_start, window_end)
-    else:
-        recorder.window_start = window_start
-        recorder.window_end = window_end
+    recorder = LatencyRecorder(window_start, window_end)
     driver = OpenLoopDriver(
         system,
         workload,

@@ -7,11 +7,9 @@ batches of 256, N = 3f+1.
 The Astro builders construct their WAN model with ``pair_streams=True``:
 each (src, dst) pair draws its latency jitter from an independent
 deterministic stream, which makes measured histories a pure function of
-scenario + seed regardless of global send interleaving — the property
-intra-simulation sharding (:mod:`repro.sim.shard`) relies on, applied to
-the serial engine too so ``REPRO_SIM_SHARDS=1/2/4`` are byte-identical.
-Same jitter distribution as before, different draws, so figure results
-shift within measurement noise relative to the shared-RNG sampling.
+scenario + seed regardless of global send interleaving.  Every Astro
+figure number and golden history is recorded under these draws (same
+jitter distribution as the shared-RNG sampling, different draws).
 """
 
 from __future__ import annotations
@@ -102,23 +100,6 @@ def resolve_credit_coalesce(
     return delay
 
 
-def _install_adversary_kwarg(system: Any, adversary: Any, seed: int) -> Any:
-    """Shared ``adversary=`` handling for the Astro builders.
-
-    ``adversary`` is an attack name or spec dict for
-    :func:`repro.adversary.install_adversary` (imported lazily — benign
-    builds never load the adversary subsystem).  Installation happens at
-    construction time with no scheduler event unless the spec carries a
-    future ``at``, so sharded workers building the same system get
-    byte-identical event streams.
-    """
-    if adversary is not None:
-        from ..adversary import install_adversary
-
-        install_adversary(system, adversary, seed=seed)
-    return system
-
-
 def _bench_genesis(num_clients: int) -> Dict[Any, int]:
     """Genesis for the benchmark builders, workload-aware.
 
@@ -135,7 +116,6 @@ def build_astro1(
     seed: int = 0,
     clients_per_replica: int = CLIENTS_PER_REPLICA,
     config: Optional[AstroConfig] = None,
-    adversary: Any = None,
 ) -> Astro1System:
     genesis = _bench_genesis(num_replicas * clients_per_replica)
     if config is None:
@@ -143,7 +123,7 @@ def build_astro1(
             num_replicas=num_replicas,
             batch_delay=scaled_batch_delay(num_replicas),
         )
-    system = Astro1System(
+    return Astro1System(
         num_replicas=num_replicas,
         genesis=genesis,
         config=config,
@@ -152,7 +132,6 @@ def build_astro1(
             num_replicas + len(genesis) + 64, seed=seed, pair_streams=True
         ),
     )
-    return _install_adversary_kwarg(system, adversary, seed)
 
 
 def build_astro2(
@@ -163,7 +142,6 @@ def build_astro2(
     config: Optional[AstroConfig] = None,
     credit_coalesce_delay: Optional[float] = None,
     track_kinds: bool = False,
-    adversary: Any = None,
 ) -> Astro2System:
     """Standard Astro II deployment.
 
@@ -185,7 +163,7 @@ def build_astro2(
             batch_delay=scaled_batch_delay(num_replicas),
             credit_coalesce_delay=credit_coalesce_delay,
         )
-    system = Astro2System(
+    return Astro2System(
         num_replicas=num_replicas,
         num_shards=num_shards,
         genesis=genesis,
@@ -196,7 +174,6 @@ def build_astro2(
             total + len(genesis) + 64, seed=seed, pair_streams=True
         ),
     )
-    return _install_adversary_kwarg(system, adversary, seed)
 
 
 def build_bft(

@@ -82,7 +82,7 @@ class Batch:
         return value
 
     def __reduce__(self):
-        # Compact cross-process pickling (repro.sim.shard): items only;
+        # Compact cross-process pickling (TCP framing, WAL): items only;
         # sizes and memoized digests are recomputed on arrival.
         return (Batch, (self.items,))
 

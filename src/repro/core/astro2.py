@@ -479,7 +479,7 @@ class Astro2Replica(AstroReplicaBase):
         # Representative- and replica-side Astro II state that WAL replay
         # alone cannot reconstruct (CREDIT aggregation is cumulative).
         # Everything here pickles via the compact ``__reduce__`` wire
-        # encodings already used cross-process by the sharded simulator.
+        # encodings the TCP framing already uses between processes.
         data["deps"] = {c: list(certs) for c, certs in self._deps.items()}
         data["projected"] = dict(self._projected)
         data["attached_projection"] = dict(self._attached_projection)

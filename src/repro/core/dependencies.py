@@ -116,10 +116,10 @@ class CreditMessage:
         return cls(shard_id, payments, signature, subbatch_digest=batch_digest)
 
     def __reduce__(self):
-        # Compact cross-process pickling (repro.sim.shard).  The digest
+        # Compact cross-process pickling (TCP framing, WAL).  The digest
         # ships along: it is a pure function of content and the shared
-        # worker hash seed, and recomputing it per copy would repeat an
-        # O(|sub-batch|) hash on the receiving shard.
+        # process hash seed, and recomputing it per copy would repeat an
+        # O(|sub-batch|) hash at the receiver.
         return (
             CreditMessage,
             (self.shard_id, self.payments, self.signature,
@@ -163,7 +163,7 @@ class CreditBundle:
         return len(self.messages)
 
     def __reduce__(self):
-        # Compact cross-process pickling (repro.sim.shard).
+        # Compact cross-process pickling (TCP framing, WAL).
         return (CreditBundle, (self.messages,))
 
 
@@ -198,7 +198,7 @@ class DependencyCertificate:
         self._canonical: Optional[tuple] = None
 
     def __reduce__(self):
-        # Compact cross-process pickling (repro.sim.shard); the memoized
+        # Compact cross-process pickling (TCP framing, WAL); the memoized
         # canonical form is rebuilt on demand at the receiver.
         return (
             DependencyCertificate,

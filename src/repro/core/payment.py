@@ -132,13 +132,13 @@ class Payment:
         return value
 
     def __reduce__(self):
-        """Compact pickling for cross-shard transport (repro.sim.shard).
+        """Compact pickling for the TCP framing and the WAL.
 
         Only the defining fields travel; derived forms and memoized
-        digests are rebuilt on the receiving shard — identically, because
-        shard workers share one interpreter hash seed.  This roughly
-        halves the bytes per payment versus default slot pickling (which
-        would ship identifier/core/wire_bytes/caches too).
+        digests are rebuilt by the receiver — identically, because
+        replica processes share one hash seed (``transport.cluster``).
+        This roughly halves the bytes per payment versus default slot
+        pickling (which would ship identifier/core/wire_bytes/caches too).
         """
         return (
             Payment,

@@ -45,6 +45,7 @@ __all__ = [
     "serve_catch_up",
     "snapshot_account_state",
     "state_fingerprint",
+    "state_fingerprints",
 ]
 
 _unpack_header = struct.Struct(">I").unpack_from
@@ -67,11 +68,20 @@ class WalCorruption(Exception):
 def state_fingerprint(state: Any) -> str:
     """SHA-256 fingerprint of an :class:`AccountState`.
 
-    The one formula: :func:`repro.sim.shard.state_fingerprints` (the
-    golden-pinned simulator witness) calls this, so a recovered live
-    replica can be compared against a simulator prediction directly.
+    The one formula: :func:`state_fingerprints` (the golden-pinned
+    simulator witness) calls this, so a recovered live replica can be
+    compared against a simulator prediction directly.
     """
     return hashlib.sha256(repr(state.snapshot()).encode()).hexdigest()
+
+
+def state_fingerprints(system: Any) -> Dict[int, str]:
+    """:func:`state_fingerprint` of every replica of ``system``, by node
+    id — the byte-identity witness of the determinism tests."""
+    return {
+        replica.node_id: state_fingerprint(replica.state)
+        for replica in system.replicas
+    }
 
 
 def _genesis_digest(state: AccountState) -> str:

@@ -216,13 +216,7 @@ class _AstroSystemBase(SimulatedSystem):
     # ------------------------------------------------------------------
     @property
     def replica_node_ids(self) -> List[int]:
-        """Node ids of all replicas, ascending.
-
-        The partitioning domain of the sharded engine
-        (:mod:`repro.sim.shard`): every replica is owned by exactly one
-        shard worker; clients drive the system through :meth:`submit`
-        and are not separate nodes in open-loop runs.
-        """
+        """Node ids of all replicas, ascending."""
         return sorted(self._replica_by_node)
 
     def replica_by_node(self, node_id: int) -> AstroReplicaBase:

@@ -39,7 +39,7 @@ class Signature:
         self._token = token
 
     def __reduce__(self):
-        # Compact cross-process pickling (repro.sim.shard): two fields,
+        # Compact cross-process pickling (TCP framing, WAL): two fields,
         # no slot-state dict.
         return (Signature, (self.signer, self._token))
 

@@ -17,7 +17,7 @@ from .latency import (
     UniformLatency,
     europe_wan,
 )
-from .metrics import Counter, LatencyRecorder, LatencySummary, ThroughputMeter
+from .metrics import LatencyRecorder, LatencySummary, ThroughputMeter
 from .network import Network, NetworkStats
 from .node import Node
 from .resources import CpuServer, FifoServer, LinkServer
@@ -34,7 +34,6 @@ __all__ = [
     "UniformLatency",
     "EUROPE_REGIONS",
     "europe_wan",
-    "Counter",
     "LatencyRecorder",
     "LatencySummary",
     "ThroughputMeter",

@@ -36,10 +36,10 @@ cycle at its source.  Whole *systems* are cyclic (replica ↔ transport ↔
 handlers), so a dropped system is reclaimed only by a full collection; the
 harnesses that build systems back to back call ``gc.collect()`` at those
 scenario boundaries (:func:`repro.bench.parallel.run_unit` after each job,
-:func:`repro.bench.peak.find_peak` and the shard worker before a probe that
-rebuilds) — never inside a builder or ``setup_open_loop``, whose time is
-measured.  There is deliberately no opt-out: one loop, one policy, for
-serial runs, shard workers and pool jobs alike.
+:func:`repro.bench.peak.find_peak` before a probe that rebuilds) — never
+inside a builder or ``setup_open_loop``, whose time is measured.  There is
+deliberately no opt-out: one loop, one policy, for serial runs and pool
+jobs alike.
 """
 
 from __future__ import annotations

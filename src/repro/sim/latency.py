@@ -47,116 +47,6 @@ class LatencyModel:
         """Mean one-way delay (used by analytic helpers and tests)."""
         raise NotImplementedError
 
-    def min_delay(self) -> float:
-        """Smallest one-way delay any :meth:`sample` call can return.
-
-        This is the *lookahead contract* of conservative parallel
-        simulation (:mod:`repro.sim.shard`): no message sent at time ``t``
-        may arrive before ``t + min_delay()``, so shards can safely
-        execute ``min_delay()`` of simulated time between barriers.
-        Returning 0.0 (the conservative default) declares "no lookahead
-        available" and disables intra-simulation sharding for the model.
-        """
-        return 0.0
-
-    def pair_min_delay(self, src: int, dst: int) -> float:
-        """Smallest delay :meth:`sample` can return *for this pair*.
-
-        The per-channel lookahead contract of asynchronous conservative
-        sharding (:mod:`repro.sim.shard`): no message src→dst sent at
-        time ``t`` may arrive before ``t + pair_min_delay(src, dst)``.
-        Topology-aware models override this with the pair's own floor
-        (e.g. the inter-region delay), which is what lets distant shards
-        run far ahead of the global :meth:`min_delay`.  The default is
-        the global floor — always safe.
-        """
-        return self.min_delay()
-
-    def channel_lookaheads(
-        self, node_ids: Sequence[int], owner: Dict[int, int]
-    ) -> Dict[Tuple[int, int], float]:
-        """Per-channel lookahead for a shard partition.
-
-        Returns ``{(src_shard, dst_shard): floor}`` for every ordered
-        pair of distinct shards, where ``floor`` is the minimum
-        :meth:`pair_min_delay` over node pairs crossing that channel.
-        Pure function of ``(node_ids, owner)`` so every shard worker
-        computes the identical map.  A channel with no crossing node
-        pair (an empty shard on either end) gets ``inf`` — nothing can
-        ever be sent on it, so it never constrains the receiver.
-        """
-        shards = sorted(set(owner.values()))
-        floors: Dict[Tuple[int, int], float] = {
-            (p, q): float("inf") for p in shards for q in shards if p != q
-        }
-        by_shard: Dict[int, List[int]] = {shard: [] for shard in shards}
-        for node in node_ids:
-            by_shard[owner[node]].append(node)
-        pair_min = self.pair_min_delay
-        for p in shards:
-            for q in shards:
-                if p == q:
-                    continue
-                floor = floors[(p, q)]
-                for src in by_shard[p]:
-                    for dst in by_shard[q]:
-                        delay = pair_min(src, dst)
-                        if delay < floor:
-                            floor = delay
-                floors[(p, q)] = floor
-        return floors
-
-    @property
-    def pair_decomposable(self) -> bool:
-        """True when sampling for one (src, dst) pair never consumes
-        entropy shared with another pair.
-
-        Sharded execution samples each pair's delays in the sending
-        shard; with a shared RNG the draw a pair receives would depend on
-        the global interleaving of all sends — i.e. on the shard count.
-        Only pair-decomposable models produce shard-count-independent
-        histories.
-        """
-        return False
-
-    @property
-    def continuous_delays(self) -> bool:
-        """True when per-message delays are drawn from a continuous
-        distribution, making exact arrival-time ties between distinct
-        sends measure-zero.
-
-        Sharded execution requires this: two arrivals at one node at the
-        *identical* float timestamp would be ordered by local scheduling
-        seq in the serial engine but by the canonical barrier merge in a
-        sharded run — and which pairs cross shards depends on the
-        partition, so tie order would be shard-count-dependent.  With
-        continuous jitter such ties cannot occur (up to float
-        coincidence), which is what makes the byte-identity guarantee
-        hold.
-        """
-        return False
-
-    def shard_partition(
-        self, node_ids: Sequence[int], shards: int
-    ) -> Tuple[Dict[int, int], float]:
-        """Assign nodes to shards; return ``(owner map, cross-shard lookahead)``.
-
-        The partition choice is pure performance — histories are
-        partition-independent — but the *lookahead* is the minimum delay
-        between nodes in **different** shards, which bounds how much
-        simulated time shards may run between barriers.  The default is
-        topology-blind round-robin with the global :meth:`min_delay`;
-        topology-aware models override this to co-locate close nodes so
-        every cross-shard pair is a slow pair (e.g.
-        :class:`RegionLatency` keeps each region's replicas in one
-        shard, widening the window from the intra-region floor to the
-        inter-region floor — an order of magnitude fewer barriers).
-        """
-        return (
-            {node_id: node_id % shards for node_id in node_ids},
-            self.min_delay(),
-        )
-
 
 class ConstantLatency(LatencyModel):
     """Every pair of nodes observes the same fixed one-way delay."""
@@ -172,13 +62,6 @@ class ConstantLatency(LatencyModel):
     def expected(self, src: int, dst: int) -> float:
         return self.delay
 
-    def min_delay(self) -> float:
-        return self.delay
-
-    @property
-    def pair_decomposable(self) -> bool:
-        return True  # stateless: no entropy consumed at all
-
 
 class _PairStreams:
     """Per-(src, dst) deterministic RNG streams.
@@ -186,12 +69,11 @@ class _PairStreams:
     Each pair draws from its own :class:`random.Random` seeded by a pure
     function of ``(seed, src, dst)``; the n-th message src→dst receives
     the n-th draw of that stream regardless of how sends from *other*
-    pairs interleave.  This is what makes a jittered model
-    pair-decomposable (and therefore usable under intra-simulation
-    sharding): a pair's draw index equals the number of prior src→dst
-    messages, which is itself a deterministic function of the protocol
-    history.  String seeds go through ``random.Random``'s SHA-512 path,
-    so streams are uncorrelated and PYTHONHASHSEED-independent.
+    pairs interleave: a pair's draw index equals the number of prior
+    src→dst messages, which is itself a deterministic function of the
+    protocol history.  String seeds go through ``random.Random``'s
+    SHA-512 path, so streams are uncorrelated and
+    PYTHONHASHSEED-independent.
     """
 
     __slots__ = ("_seed", "_streams")
@@ -215,9 +97,8 @@ class UniformLatency(LatencyModel):
 
     ``pair_streams=True`` switches from one shared RNG to a
     deterministic per-(src, dst) stream (see :class:`_PairStreams`),
-    making histories independent of global send interleaving — required
-    for sharded execution, and harmless otherwise (same distribution,
-    different draws).
+    making histories independent of global send interleaving (same
+    distribution, different draws).
     """
 
     def __init__(
@@ -238,17 +119,6 @@ class UniformLatency(LatencyModel):
 
     def expected(self, src: int, dst: int) -> float:
         return (self.low + self.high) / 2.0
-
-    def min_delay(self) -> float:
-        return self.low
-
-    @property
-    def pair_decomposable(self) -> bool:
-        return self._pairs is not None
-
-    @property
-    def continuous_delays(self) -> bool:
-        return self.high > self.low
 
 
 class RegionLatency(LatencyModel):
@@ -274,8 +144,8 @@ class RegionLatency(LatencyModel):
         self._rng = random.Random(seed)
         #: Bound method cached for the per-message sampling hot path.
         self._uniform = self._rng.uniform
-        #: Per-(src, dst) jitter streams (pair-decomposable mode); None
-        #: keeps the original shared-RNG sampling.
+        #: Per-(src, dst) jitter streams; None keeps the shared-RNG
+        #: sampling.
         self._pairs = _PairStreams(seed) if pair_streams else None
         self._delays: Dict[Tuple[str, str], float] = {}
         for (a, b), delay in pair_delays.items():
@@ -313,147 +183,6 @@ class RegionLatency(LatencyModel):
     def expected(self, src: int, dst: int) -> float:
         return self.base_delay(src, dst)
 
-    def min_delay(self) -> float:
-        # ``default``: a single-region mesh has no inter-region pairs.
-        smallest = min(
-            self.intra_delay, min(self._delays.values(), default=self.intra_delay)
-        )
-        jitter = self.jitter
-        if jitter > 0:
-            smallest *= 1.0 - jitter
-        return smallest
-
-    def pair_min_delay(self, src: int, dst: int) -> float:
-        # Same arithmetic shape as sample(): base * (1 + u) with
-        # u >= -jitter, and float rounding is monotone, so
-        # base * (1 - jitter) is a true lower bound on any draw.
-        base = self.base_delay(src, dst)
-        jitter = self.jitter
-        if jitter > 0:
-            base *= 1.0 - jitter
-        return base
-
-    @property
-    def pair_decomposable(self) -> bool:
-        return self.jitter <= 0 or self._pairs is not None
-
-    @property
-    def continuous_delays(self) -> bool:
-        return self.jitter > 0
-
-    def shard_partition(
-        self, node_ids: Sequence[int], shards: int
-    ) -> Tuple[Dict[int, int], float]:
-        """Region-aware partition: each region's nodes stay together.
-
-        With whole regions per shard, every cross-shard message is
-        inter-region, so the conservative window widens from the
-        intra-region floor (~0.35 ms) to the slowest-cut inter-region
-        floor (≥ 4 ms on the paper's EU mesh) — over an order of
-        magnitude fewer barriers per simulated second.  Among the
-        assignments of regions to shards the most node-balanced one wins
-        (parallel speedup is bounded by the largest shard), with the
-        cross-shard delay floor as tie-break; the search is brute force
-        over ``shards^regions ≤ 4^4`` candidates, deterministic by
-        enumeration order.
-
-        Beyond one shard per populated region the partition goes
-        *hierarchical*: regions are split into sub-shards proportionally
-        to population (see :meth:`_split_regions`).  Sibling sub-shards
-        of one region face each other over the intra-region floor, so
-        the scalar lookahead returned collapses to it — useless for a
-        single global window, but the asynchronous engine
-        (:mod:`repro.sim.shard`) paces every channel by
-        :meth:`channel_lookaheads`, where only the sibling channels are
-        narrow and every inter-region channel keeps its wide floor.
-        """
-        import itertools
-
-        node_ids = list(node_ids)
-        count = len(self.assignment)
-        regions = sorted({self.assignment[node % count] for node in node_ids})
-        if shards > len(regions):
-            return self._split_regions(node_ids, shards, regions)
-        population: Dict[str, int] = {region: 0 for region in regions}
-        for node in node_ids:
-            population[self.assignment[node % count]] += 1
-
-        def cross_floor(combo: Tuple[int, ...]) -> float:
-            floor = float("inf")
-            for i, region_a in enumerate(regions):
-                for j, region_b in enumerate(regions):
-                    if i < j and combo[i] != combo[j]:
-                        floor = min(floor, self._delays[(region_a, region_b)])
-            return floor
-
-        best = None
-        best_score = None
-        for combo in itertools.product(range(shards), repeat=len(regions)):
-            if len(set(combo)) != shards:
-                continue  # some shard would own no region
-            counts = [0] * shards
-            for region, shard in zip(regions, combo):
-                counts[shard] += population[region]
-            if 0 in counts:
-                continue
-            score = (-(max(counts) - min(counts)), cross_floor(combo))
-            if best_score is None or score > best_score:
-                best, best_score = combo, score
-        if best is None:
-            return LatencyModel.shard_partition(self, node_ids, shards)
-        shard_of_region = dict(zip(regions, best))
-        owner = {
-            node: shard_of_region[self.assignment[node % count]]
-            for node in node_ids
-        }
-        lookahead = cross_floor(best)
-        if self.jitter > 0:
-            lookahead *= 1.0 - self.jitter
-        return owner, lookahead
-
-    def _split_regions(
-        self, node_ids: List[int], shards: int, regions: List[str]
-    ) -> Tuple[Dict[int, int], float]:
-        """Hierarchical partition for ``shards > len(regions)``.
-
-        Every region gets at least one sub-shard; the remaining shards
-        go one at a time to the region with the highest population per
-        sub-shard (deterministic tie-break on region name).  Shard
-        indices are dense: regions in sorted order own consecutive index
-        blocks, and a region's nodes round-robin over its block in
-        ``node_ids`` order.  Sub-shards may end up empty when there are
-        more shards than nodes — harmless under per-channel pacing (an
-        empty shard never sends, so its outgoing channels are ``inf``).
-        """
-        count = len(self.assignment)
-        population: Dict[str, int] = {region: 0 for region in regions}
-        for node in node_ids:
-            population[self.assignment[node % count]] += 1
-        splits: Dict[str, int] = {region: 1 for region in regions}
-        for _ in range(shards - len(regions)):
-            region = max(
-                regions,
-                key=lambda name: (population[name] / splits[name], name),
-            )
-            splits[region] += 1
-        base_index: Dict[str, int] = {}
-        next_index = 0
-        for region in regions:
-            base_index[region] = next_index
-            next_index += splits[region]
-        owner: Dict[int, int] = {}
-        cursor: Dict[str, int] = {region: 0 for region in regions}
-        for node in node_ids:
-            region = self.assignment[node % count]
-            owner[node] = base_index[region] + cursor[region] % splits[region]
-            cursor[region] += 1
-        # Some region is split, so the tightest cross-shard pair is
-        # intra-region (the scalar floor; per-channel floors stay wide).
-        lookahead = self.intra_delay
-        if self.jitter > 0:
-            lookahead *= 1.0 - self.jitter
-        return owner, lookahead
-
 
 def europe_wan(
     num_nodes: int, seed: int = 0, jitter: float = 0.10,
@@ -464,8 +193,8 @@ def europe_wan(
     Nodes are spread uniformly (round-robin over a seeded shuffle) across
     the four EU regions, as the paper deploys replicas "randomly across the
     corresponding regions".  ``pair_streams=True`` draws each pair's
-    jitter from an independent deterministic stream (required for
-    intra-simulation sharding; the benchmark builders enable it).
+    jitter from an independent deterministic stream (the benchmark
+    builders enable it).
     """
     rng = random.Random(seed)
     assignment = [EUROPE_REGIONS[i % len(EUROPE_REGIONS)] for i in range(num_nodes)]

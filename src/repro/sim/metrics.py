@@ -16,7 +16,6 @@ __all__ = [
     "LatencyRecorder",
     "ThroughputMeter",
     "LatencySummary",
-    "Counter",
     "summarize_values",
 ]
 
@@ -63,11 +62,8 @@ class LatencySummary:
 def summarize_values(values: Sequence[float]) -> LatencySummary:
     """Summarize a latency sample sequence.
 
-    Shared by :class:`LatencyRecorder` and the sharded engine's
-    cross-shard merge (:mod:`repro.sim.shard`): the mean is computed by
-    numpy over the values *in the given order*, so a merge that
-    reproduces the serial engine's sample order reproduces the summary
-    bit-for-bit.
+    Shared by :class:`LatencyRecorder` and the live cluster's reports
+    (:mod:`repro.transport.cluster`).
     """
     if not values:
         return LatencySummary.empty()
@@ -180,22 +176,3 @@ class ThroughputMeter:
     def reset(self) -> None:
         self._buckets.clear()
         self.total = 0
-
-
-class Counter:
-    """Named integer counters (message/protocol statistics)."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()

@@ -79,32 +79,6 @@ class Network:
         self._crashed: Set[int] = set()
         self._egress_delay: Dict[int, float] = {}
         self._blocked: Set[Tuple[int, int]] = set()
-        #: Intra-simulation sharding (repro.sim.shard): node ids whose
-        #: events execute in this process, or None when not sharded.
-        self._shard_owned: Optional[frozenset] = None
-        #: Cross-shard send buffer: (arrival_time, src, src_seq, dst,
-        #: payload, recv_cost) tuples, drained after every conservative
-        #: run slice and shipped on the owning shard's channel.
-        self._shard_outbox: Optional[List[tuple]] = None
-
-    # ------------------------------------------------------------------
-    # Intra-simulation sharding (repro.sim.shard)
-    # ------------------------------------------------------------------
-    def configure_sharding(
-        self, owned: frozenset, outbox: List[tuple]
-    ) -> None:
-        """Route sends to nodes outside ``owned`` into ``outbox``.
-
-        Installed by a shard worker after system construction: the
-        worker holds the full node set but executes only ``owned``;
-        messages to other nodes are buffered with their already-computed
-        arrival time, shipped on the per-shard-pair channel after the
-        current conservative run slice, and merged into the owning
-        shard's calendar in canonical ``(arrival_time, src, src_seq)``
-        order per channel batch.
-        """
-        self._shard_owned = owned
-        self._shard_outbox = outbox
 
     # ------------------------------------------------------------------
     # Membership
@@ -136,15 +110,6 @@ class Network:
         test on hot paths.  Callers must treat it as read-only.
         """
         return self._crashed
-
-    def executes(self, node_id: int) -> bool:
-        """Whether this process executes ``node_id``'s events.
-
-        Always true in an unsharded simulation; under intra-simulation
-        sharding (:meth:`configure_sharding`) each worker holds the full
-        node set but executes only its owned subset.
-        """
-        return self._shard_owned is None or node_id in self._shard_owned
 
     def set_egress_delay(self, node_id: int, extra: float) -> None:
         """Add ``extra`` seconds to every message leaving ``node_id``.
@@ -204,15 +169,6 @@ class Network:
         extra = self._egress_delay.get(src)
         if extra:
             delay += extra
-        owned = self._shard_owned
-        if owned is not None and dst not in owned:
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            self._shard_outbox.append(
-                (serialized_at + delay, src, seq, dst, payload, recv_cost)
-            )
-            return
         self.sim.call_at(
             serialized_at + delay, self._arrive, src, dst, payload, recv_cost
         )
@@ -258,9 +214,7 @@ class Network:
         extra = self._egress_delay.get(src)
         blocked = self._blocked
         sim = self.sim
-        owned = self._shard_owned
-        outbox = self._shard_outbox
-        #: Local (time, seq, dst) arrivals of this broadcast; they ride one
+        #: (time, seq, dst) arrivals of this broadcast; they ride one
         #: calendar entry (the arrival train below).
         arrivals: List[tuple] = []
         for dst in dsts:
@@ -274,10 +228,7 @@ class Network:
                 delay += extra
             seq = sim._seq
             sim._seq = seq + 1
-            if owned is not None and dst not in owned:
-                outbox.append((busy + delay, src, seq, dst, payload, recv_cost))
-            else:
-                arrivals.append((busy + delay, seq, dst))
+            arrivals.append((busy + delay, seq, dst))
         if transmitted:
             link._busy_until = busy
             link.busy_time += per * transmitted

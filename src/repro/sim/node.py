@@ -151,14 +151,5 @@ class Node:
     def alive(self) -> bool:
         return self.node_id not in self._crashed_ref
 
-    def owns(self, node_id: int) -> bool:
-        """Whether this process executes ``node_id``'s events.
-
-        Delegates to :meth:`repro.sim.network.Network.executes`: true in
-        an unsharded simulation, restricted to the worker's owned subset
-        under intra-simulation sharding.
-        """
-        return self.network.executes(node_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} id={self.node_id}>"

@@ -56,7 +56,7 @@ class ProtocolEndpoint:
         self.transport.on(message_type, handler)
 
     # ------------------------------------------------------------------
-    # Timers / liveness / placement
+    # Timers / liveness
     # ------------------------------------------------------------------
     def set_timer(
         self, delay: float, fn: Callable[..., Any], *args: Any
@@ -66,9 +66,6 @@ class ProtocolEndpoint:
     @property
     def alive(self) -> bool:
         return self.transport.alive
-
-    def owns(self, node_id: int) -> bool:
-        return self.transport.owns(node_id)
 
     # ------------------------------------------------------------------
     # Egress taps (repro.adversary)

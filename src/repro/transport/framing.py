@@ -12,11 +12,9 @@ handed and knows nothing of what the body means:
 * in the write-ahead log (:mod:`repro.core.persistence`) the body is one
   record, framed and flushed on its own.
 
-The payloads are the same compact ``__reduce__`` wire classes the
-sharded simulator ships through its cross-shard outbox (Payment, Batch,
-CreditMessage/CreditBundle, Sb*/Brb*, ...), so one serialization format
-covers both parallelism inside a simulation and real sockets between
-processes.
+The payloads are the compact ``__reduce__`` wire classes (Payment,
+Batch, CreditMessage/CreditBundle, Sb*/Brb*, ...), so one serialization
+format covers real sockets between processes and the log on disk.
 
 Pickle between mutually authenticated replicas matches the paper's
 trust model: the handshake (:mod:`repro.transport.tcp`) ensures frames

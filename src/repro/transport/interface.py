@@ -37,11 +37,6 @@ Contract notes (the parts a new backend must get right):
   re-syncs in its own ``install_egress_tap``/``remove_egress_tap``, so
   taps are installed *through the endpoint*; the BRB layers hold the
   transport and call ``transport.send(...)`` dynamically.
-* **``owns(node_id)``** says whether this process executes that node's
-  events: the sharded simulator replicates builds across workers and
-  owns a subset (:meth:`repro.sim.network.Network.executes`); a real
-  transport owns exactly its own node.  Behaviours that start their own
-  timers consult it to avoid double-arming on replicated builds.
 """
 
 from __future__ import annotations
@@ -145,10 +140,6 @@ class Transport(Protocol):
 
     @property
     def alive(self) -> bool:
-        ...
-
-    def owns(self, node_id: int) -> bool:
-        """Whether this process executes ``node_id``'s events."""
         ...
 
     def install_egress_tap(self, tap: Any) -> None:

@@ -160,8 +160,7 @@ def build_replica(
     """Construct one live replica over ``transport``.
 
     Pure function of ``(system, n, genesis, seed, node_id)`` so each OS
-    process assembles a replica consistent with every other's (as
-    :mod:`repro.sim.shard` replicates builds across shard workers).
+    process assembles a replica consistent with every other's.
     ``loadgen_node`` homes every represented client at that node id, so
     confirmations flow back to the load generator.  ``resend_acks`` turns
     on the signed BRB's duplicate-PREPARE re-ACK path (needed for crash

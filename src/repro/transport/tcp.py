@@ -5,8 +5,7 @@ One OS process per node.  Design (exemplar: the lightning bolts
 08-transport framing/handshake design referenced from ROADMAP):
 
 * **Length-framed pickle streams** (:mod:`repro.transport.framing`) —
-  the same compact ``__reduce__`` wire classes the sharded simulator
-  ships cross-process.
+  over the protocol classes' compact ``__reduce__`` encodings.
 * **The wire unit is a train** — one frame carries a *tuple* of
   payloads, everything one node sent one peer during a loop turn (at
   most :data:`TRAIN_MAX_PAYLOADS`).  The paper batches at the broadcast
@@ -375,10 +374,6 @@ class TcpTransport:
     @property
     def alive(self) -> bool:
         return not self._closed
-
-    def owns(self, node_id: int) -> bool:
-        """A real transport executes exactly its own node."""
-        return node_id == self.node_id
 
     # ------------------------------------------------------------------
     # Egress taps (same shadowing contract as the simulator Node)

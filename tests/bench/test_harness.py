@@ -1,11 +1,17 @@
 """Tests for the benchmark harness (small scales: fast, deterministic)."""
 
 import functools
+import json
 
 import pytest
 
 from repro.bench.peak import find_peak
-from repro.bench.report import format_series, format_table, kilo
+from repro.bench.report import (
+    format_series,
+    format_table,
+    kilo,
+    merge_perf_report,
+)
 from repro.bench.runner import run_open_loop
 from repro.bench.scale import current_scale
 from repro.bench.systems import (
@@ -145,6 +151,17 @@ class TestReport:
 
     def test_format_series(self):
         assert format_series([1.0, 2.5], precision=1) == "[1.0, 2.5]"
+
+    @pytest.mark.parametrize("document", ["[]", "null", '"x"'])
+    def test_merge_perf_report_restarts_from_a_non_object_document(
+        self, tmp_path, document
+    ):
+        """A readable report that is not a JSON object (a truncated or
+        foreign file) restarts from ``{}`` like an unreadable one."""
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(document)
+        assert merge_perf_report({"memory": {"rows": 1}}, str(path)) == str(path)
+        assert json.loads(path.read_text()) == {"memory": {"rows": 1}}
 
 
 class TestScale:

@@ -196,20 +196,3 @@ class TestFindPeakGuards:
         )
         assert result.injected_total == sum(p.injected for p in result.probes)
         assert result.injected_total > 0
-
-
-def test_auto_jobs_yield_to_sim_shards(monkeypatch):
-    """The axes cannot nest (pool workers are daemonic, so sharding
-    silently disables inside them): ``auto`` must hand the machine to
-    the shards when the operator asked for them.  Explicit worker
-    counts stay verbatim."""
-    import repro.bench.parallel as parallel
-
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "auto")
-    monkeypatch.delenv("REPRO_SIM_SHARDS", raising=False)
-    assert parallel.resolve_jobs() == 8
-    monkeypatch.setenv("REPRO_SIM_SHARDS", "4")
-    assert parallel.resolve_jobs() == 1
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "6")   # explicit: never shrunk
-    assert parallel.resolve_jobs() == 6

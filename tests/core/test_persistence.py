@@ -24,8 +24,8 @@ from repro.core.persistence import (
     WriteAheadLog,
     serve_catch_up,
     state_fingerprint,
+    state_fingerprints,
 )
-from repro.sim.shard import state_fingerprints
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_fingerprint_intervals(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fingerprint formula parity with the shard-determinism witness
+# Fingerprint formula parity with the per-system determinism witness
 # ---------------------------------------------------------------------------
 def test_state_fingerprint_matches_shard_formula():
     system = SYSTEM_BUILDERS["astro1"](4, seed=9)

@@ -247,160 +247,56 @@ def test_coalesced_credit_path_hashseed_independent():
 
 
 # ---------------------------------------------------------------------------
-# Intra-simulation sharding: shard-count / hash-seed / start-method matrix
+# One fig3-style peak-search cell: hash-seed independence of the probe chain
 # ---------------------------------------------------------------------------
-# One fig3-style peak-search cell (tight budget) whose *entire history* —
-# every probe's RunResult floats plus per-replica state fingerprints —
-# must be byte-identical for REPRO_SIM_SHARDS=1 (the serial engine),
-# 2 and 4, in fresh interpreters under different PYTHONHASHSEEDs, and
-# under both fork and spawn start methods.
+# A tight-budget peak search whose *entire history* — every probe's
+# RunResult floats — must be identical in fresh interpreters under
+# different PYTHONHASHSEEDs, with and without CREDIT coalescing.  With
+# ``reuse_state`` a passing probe hands its warm system to the next, so
+# an ordering leak anywhere in one probe would compound down the chain;
+# nothing else runs a warm-probe chain across hash seeds.
 
-_SHARD_SNIPPET = """
-import os
+_FIG3_CELL_SNIPPET = """
 from repro.bench.jobs import exec_find_peak
 from repro.bench.parallel import ScenarioJob, run_unit
-from repro.bench.systems import SYSTEM_BUILDERS
 
-def main():
-    shards = int(os.environ.get("TEST_SIM_SHARDS", "1"))
-    start_method = os.environ.get("TEST_START_METHOD") or None
-    coalesce = os.environ.get("TEST_COALESCE")
-    builder_kwargs = (
-        dict(credit_coalesce_delay=float(coalesce)) if coalesce else None
-    )
-    adversary = os.environ.get("TEST_ADVERSARY")
-    if adversary:
-        # Armed at t=0 with no scheduler event, so every shard worker
-        # builds an identical attacked system.
-        builder_kwargs = dict(builder_kwargs or {}, adversary=adversary)
-    params = dict(system="astro2", size=6, start_rate=800.0, duration=0.5,
-                  warmup=0.3, refine_steps=1, payment_budget=6000,
-                  max_probes=3, reuse_state=True,
-                  builder_kwargs=builder_kwargs)
-    if shards > 1 and start_method is not None:
-        # drive the engine directly so the start method is selectable
-        from repro.bench.peak import find_peak
-        from repro.sim.shard import ShardedOpenLoop
-        spec = dict(system="astro2", size=6, seed=9,
-                    builder_kwargs=builder_kwargs)
-        with ShardedOpenLoop(spec, shards=shards,
-                             start_method=start_method) as cluster:
-            peak = find_peak(
-                None, start_rate=800.0, duration=0.5, warmup=0.3,
-                refine_steps=1, seed=9, payment_budget=6000, max_probes=3,
-                reuse_state=True,
-                probe_runner=lambda rate, d, w, fresh: cluster.probe(
-                    rate=rate, duration=d, warmup=w, fresh=fresh, seed=9),
-            )
-    else:
-        peak = run_unit(ScenarioJob(
-            fn=exec_find_peak, params=dict(params, sim_shards=shards), seed=9))
-    for probe in peak.probes:
-        print("probe", probe.offered, probe.achieved, probe.injected,
-              probe.confirmed,
-              probe.latency.mean.hex() if probe.latency.count else None,
-              probe.latency.p95.hex() if probe.latency.count else None)
-    print("peak", peak.peak_pps, peak.peak_probe_index)
-
-if __name__ == "__main__":
-    main()
+peak = run_unit(ScenarioJob(
+    fn=exec_find_peak,
+    params=dict(system="astro2", size=6, start_rate=800.0, duration=0.5,
+                warmup=0.3, refine_steps=1, payment_budget=6000,
+                max_probes=3, reuse_state=True,
+                builder_kwargs=BUILDER_KWARGS),
+    seed=9))
+for probe in peak.probes:
+    print("probe", probe.offered, probe.achieved, probe.injected,
+          probe.confirmed,
+          probe.latency.mean.hex() if probe.latency.count else None,
+          probe.latency.p95.hex() if probe.latency.count else None)
+print("peak", peak.peak_pps, peak.peak_probe_index)
 """
 
 
-def _run_shard_snippet(tmp_path, hashseed, shards, start_method=None,
-                       coalesce=None, adversary=None):
-    script = tmp_path / "shard_snippet.py"
-    script.write_text(_SHARD_SNIPPET)
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(
-        os.environ,
-        PYTHONHASHSEED=str(hashseed),
-        PYTHONPATH=str(src),
-        TEST_SIM_SHARDS=str(shards),
-        REPRO_SIM_SHARDS=str(shards),
-    )
-    if start_method is not None:
-        env["TEST_START_METHOD"] = start_method
-    else:
-        env.pop("TEST_START_METHOD", None)
-    if coalesce is not None:
-        env["TEST_COALESCE"] = str(coalesce)
-    else:
-        env.pop("TEST_COALESCE", None)
-    if adversary is not None:
-        env["TEST_ADVERSARY"] = str(adversary)
-    else:
-        env.pop("TEST_ADVERSARY", None)
-    result = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-def test_shard_count_and_hashseed_invariant_histories(tmp_path):
-    """REPRO_SIM_SHARDS 1/2/4 × PYTHONHASHSEED variation: one history."""
-    outputs = {
-        _run_shard_snippet(tmp_path, hashseed, shards)
-        for shards in (1, 2, 4)
-        for hashseed in (0, 4242)
-    }
-    assert len(outputs) == 1, (
-        f"fig3-cell histories diverged across shard counts / hash seeds: "
-        f"{outputs}"
-    )
-
-
-def test_coalesced_serial_vs_sharded_identical(tmp_path):
-    """With CREDIT coalescing on, the sharded engine must still merge a
-    byte-identical history (coalescer timers are shard-local; the bigger
-    CREDIT envelopes cross the shard outbox pickled compactly)."""
-    outputs = {
-        _run_shard_snippet(tmp_path, 0, shards, coalesce="0.02")
-        for shards in (1, 2)
-    }
-    assert len(outputs) == 1, (
-        f"coalesced fig3-cell histories diverged serial vs sharded: {outputs}"
-    )
-
-
-def test_coalesced_shard_hashseed_matrix(tmp_path):
-    """The ISSUE-6 acceptance matrix: serial baseline vs shards ∈ {2,3,8}
-    × PYTHONHASHSEED ∈ {0,1,4242}, all with CREDIT coalescing on, each in
-    a fresh interpreter.  shards=8 exceeds the 6-node population, so the
-    async engine's empty-shard path (inf channel floors, whole-probe
-    slices) is part of the identity claim."""
-    baseline = _run_shard_snippet(tmp_path, 0, 1, coalesce="0.02")
-    for shards in (2, 3, 8):
-        for hashseed in (0, 1, 4242):
-            output = _run_shard_snippet(
-                tmp_path, hashseed, shards, coalesce="0.02"
-            )
-            assert output == baseline, (
-                f"history diverged from serial at shards={shards}, "
-                f"hashseed={hashseed}"
-            )
-
-
-def test_shard_start_method_invariant_histories(tmp_path):
-    """fork and spawn workers must produce the same history."""
-    outputs = {
-        _run_shard_snippet(tmp_path, 0, 2, start_method=method)
-        for method in ("fork", "spawn")
-    }
-    assert len(outputs) == 1, (
-        f"histories diverged across start methods: {outputs}"
-    )
+def test_fig3_cell_probe_history_hashseed_independent():
+    for builder_kwargs in (None, {"credit_coalesce_delay": 0.02}):
+        snippet = _FIG3_CELL_SNIPPET.replace(
+            "BUILDER_KWARGS", repr(builder_kwargs)
+        )
+        outputs = {
+            _run_fresh_interpreter(seed, snippet) for seed in (0, 4242)
+        }
+        assert len(outputs) == 1, (
+            f"fig3-cell histories diverged across hash seeds with "
+            f"builder_kwargs={builder_kwargs}: {outputs}"
+        )
+        assert outputs.pop().count("probe ") == 3  # the whole chain ran
 
 
 # ---------------------------------------------------------------------------
-# Byzantine adversary timelines: hash-seed and engine invariance
+# Byzantine adversary timelines: hash-seed invariance
 # ---------------------------------------------------------------------------
 # Attacked histories must be a pure function of scenario + seed like
 # benign ones: behaviours draw from SHA-256 stable_rng streams (never
-# hash()), and reactive tampering executes only at the shard worker that
-# owns the attacker.  One timeline per system, using attacks that *do*
+# hash()).  One timeline per system, using attacks that *do*
 # consume behaviour RNG (selective's starved-set sample, replay's
 # probabilistic redelivery), so the stable-stream claim is actually
 # exercised; the forged-CREDIT attack additionally covers forged-message
@@ -436,20 +332,6 @@ def test_adversary_timeline_hashseed_independent():
     # The single shared output must show safe, actually-attacked runs.
     output = outputs.pop()
     assert output.count('"ok": true') == 3, output
-
-
-def test_adversary_serial_vs_sharded_identical(tmp_path):
-    """A Byzantine behavior (equivocating representative) active inside
-    the sharded engine must merge a history byte-identical to the serial
-    engine: the tap is installed at construction in every worker, arming
-    is event-free at t=0, and equivocation is reactive and RNG-free."""
-    outputs = {
-        _run_shard_snippet(tmp_path, 0, shards, adversary="equivocate")
-        for shards in (1, 2)
-    }
-    assert len(outputs) == 1, (
-        f"attacked histories diverged serial vs sharded: {outputs}"
-    )
 
 
 def test_fault_injection_reproducible():

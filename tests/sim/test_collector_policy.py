@@ -6,20 +6,22 @@ pinned here for every system, and the harnesses' scenario-boundary
 collections — which reclaim whole (cyclic) systems — are pinned beside it.
 """
 
+import functools
 import gc
 import weakref
 
 import pytest
 
+from repro.adversary import install_adversary
 from repro.bench.jobs import exec_open_loop_messages
 from repro.bench.parallel import ScenarioJob, execute
+from repro.bench.peak import find_peak
 from repro.bench.runner import setup_open_loop
 from repro.bench.systems import SYSTEM_BUILDERS
 from repro.reconfig.dbrb import DynamicBroadcast
 from repro.reconfig.views import View
 from repro.sim import ConstantLatency, Network, Node, Simulator
 from repro.sim.events import SimulationError
-from repro.sim.shard import _WorkerState, _worker_probe
 
 #: Events each invariant run must execute before it is judged.
 EVENTS = 100_000
@@ -36,9 +38,11 @@ def collector_off():
         gc.enable()
 
 
-def _drive_open_loop(name, size, **builder_kwargs):
+def _drive_open_loop(name, size, attack=None):
     """Run ``name`` at N=``size`` under open-loop load for EVENTS events."""
-    system = SYSTEM_BUILDERS[name](size, seed=3, **builder_kwargs)
+    system = SYSTEM_BUILDERS[name](size, seed=3)
+    if attack is not None:
+        install_adversary(system, attack, seed=3)
     setup_open_loop(system, rate=100.0, duration=600.0, warmup=0.0, seed=3)
     # Builders and drivers are cyclic by design; only the loop is judged.
     gc.collect()
@@ -75,7 +79,7 @@ def test_certificate_path_allocates_no_cycles(collector_off, monkeypatch):
 def test_adversary_tap_allocates_no_cycles(collector_off):
     """An installed egress tap (replayed stale traffic) shadows the
     replicas' send/broadcast for the whole run."""
-    system = _drive_open_loop("astro2", 4, adversary="replay")
+    system = _drive_open_loop("astro2", 4, attack="replay")
     assert system.adversary.byzantine_ids
     assert gc.collect() == 0
 
@@ -200,33 +204,12 @@ def test_serial_jobs_do_not_stack_systems(astro2_witness):
     assert unreachable < 50
 
 
-class _Mailbox:
-    """Stands in for the coordinator pipe and the mesh sender of a
-    one-shard fleet: nothing to pace against, replies are kept."""
-
-    error = None
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, message):
-        self.sent.append(message)
-
-
-def test_fresh_shard_worker_probes_do_not_stack_systems(astro2_witness):
-    state = _WorkerState(dict(system="astro2", size=4, seed=0), 0, 1)
-    mailbox = _Mailbox()
-    params = dict(
-        rate=400.0, duration=0.4, warmup=0.3, drain=0.5, seed=0, fresh=True
+def test_fresh_peak_probes_do_not_stack_systems(astro2_witness):
+    result = find_peak(
+        functools.partial(SYSTEM_BUILDERS["astro2"], 4, seed=0),
+        start_rate=400.0, duration=0.4, warmup=0.3, max_probes=2,
     )
-    for _ in range(2):
-        _worker_probe(mailbox, state, params, {}, mailbox)
-    assert [message[0] for message in mailbox.sent] == [
-        "probe_info",
-        "probe_result",
-        "probe_info",
-        "probe_result",
-    ]
+    assert len(result.probes) == 2
     [(previous_dead, unreachable)] = astro2_witness.observations
     assert previous_dead
     assert unreachable < 50

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.latency import (
     EUROPE_REGIONS,
     ConstantLatency,
-    RegionLatency,
     UniformLatency,
     europe_wan,
 )
@@ -93,42 +92,11 @@ def test_all_four_regions_used():
 
 
 # ---------------------------------------------------------------------------
-# Lookahead contract (min_delay) and pair-decomposable sampling
+# Per-pair jitter streams (what the benchmark builders sample from)
 # ---------------------------------------------------------------------------
 
-def test_min_delay_contract():
-    from repro.sim.latency import LatencyModel
-
-    assert LatencyModel().min_delay() == 0.0  # base: no lookahead
-    assert ConstantLatency(0.02).min_delay() == 0.02
-    assert UniformLatency(0.005, 0.02).min_delay() == 0.005
-    wan = europe_wan(16, seed=3)
-    floor = wan.min_delay()
-    assert floor > 0
-    for src in range(16):
-        for dst in range(16):
-            if src != dst:
-                for _ in range(5):
-                    assert wan.sample(src, dst) >= floor
-
-
-def test_min_delay_without_jitter_is_intra_region():
-    wan = europe_wan(8, seed=0, jitter=0.0)
-    assert wan.min_delay() == pytest.approx(0.00035)
-
-
-def test_pair_decomposable_flags():
-    assert ConstantLatency(0.01).pair_decomposable
-    assert not UniformLatency(0.001, 0.002).pair_decomposable
-    assert UniformLatency(0.001, 0.002, pair_streams=True).pair_decomposable
-    assert not europe_wan(8, seed=1).pair_decomposable
-    assert europe_wan(8, seed=1, pair_streams=True).pair_decomposable
-    assert europe_wan(8, seed=1, jitter=0.0).pair_decomposable  # no entropy
-
-
 def test_pair_streams_independent_of_interleaving():
-    """A pair's n-th draw must not depend on other pairs' sampling order —
-    the property sharded execution relies on."""
+    """A pair's n-th draw must not depend on other pairs' sampling order."""
     a = europe_wan(8, seed=5, pair_streams=True)
     b = europe_wan(8, seed=5, pair_streams=True)
     # a: sample pair (0, 1) five times straight.
@@ -149,105 +117,3 @@ def test_pair_streams_differ_across_pairs_and_seeds():
     other_seed = europe_wan(8, seed=6, pair_streams=True)
     assert wan.sample(0, 1) != wan.sample(1, 0)
     assert wan.sample(0, 2) != other_seed.sample(0, 2)
-
-
-def test_continuous_delays_flags():
-    assert not ConstantLatency(0.01).continuous_delays
-    assert UniformLatency(0.001, 0.002).continuous_delays
-    assert not UniformLatency(0.002, 0.002).continuous_delays
-    assert europe_wan(8, seed=1).continuous_delays
-    assert not europe_wan(8, seed=1, jitter=0.0).continuous_delays
-
-
-def test_min_delay_single_region_mesh():
-    model = RegionLatency(["solo"], {}, intra_delay=0.0004, jitter=0.0)
-    assert model.min_delay() == pytest.approx(0.0004)
-
-
-# ---------------------------------------------------------------------------
-# Per-channel lookaheads and the hierarchical shard partition
-# ---------------------------------------------------------------------------
-
-def test_pair_min_delay_bounds_samples():
-    wan = europe_wan(16, seed=7, pair_streams=True)
-    for src in range(16):
-        for dst in range(16):
-            if src != dst:
-                floor = wan.pair_min_delay(src, dst)
-                assert floor > 0
-                for _ in range(5):
-                    assert wan.sample(src, dst) >= floor
-
-
-def test_channel_lookaheads_wide_across_regions():
-    """With whole regions per shard, every channel's floor is an
-    inter-region delay — far above the global min_delay."""
-    wan = europe_wan(16, seed=1, pair_streams=True)
-    node_ids = list(range(16))
-    owner, _scalar = wan.shard_partition(node_ids, 4)
-    floors = wan.channel_lookaheads(node_ids, owner)
-    shards = sorted(set(owner.values()))
-    assert set(floors) == {
-        (p, q) for p in shards for q in shards if p != q
-    }
-    for floor in floors.values():
-        assert floor >= 0.004  # inter-region, not the ~0.315 ms intra floor
-    assert min(floors.values()) > wan.min_delay()
-
-
-def test_channel_lookaheads_empty_shard_is_inf():
-    """A shard present in the owner map but owning none of the sweep's
-    node_ids has no crossing pairs: its channels must be inf (never
-    constraining), while populated channels stay finite."""
-    wan = europe_wan(8, seed=1, pair_streams=True)
-    node_ids = list(range(8))
-    owner = {node: (0 if node < 4 else 1) for node in node_ids}
-    owner[99] = 2  # node 99 is not in node_ids: shard 2 stays empty
-    floors = wan.channel_lookaheads(node_ids, owner)
-    for (p, q), floor in floors.items():
-        if 2 in (p, q):
-            assert floor == float("inf")
-        else:
-            assert 0 < floor < float("inf")
-
-
-def test_split_regions_partition_properties():
-    """shards > regions: hierarchical sub-splitting must be deterministic,
-    dense, population-proportional, and channel-pacing friendly."""
-    wan = europe_wan(48, seed=2, pair_streams=True)
-    node_ids = list(range(48))
-    owner, scalar = wan.shard_partition(node_ids, 8)
-    again, _ = wan.shard_partition(list(node_ids), 8)
-    assert owner == again  # deterministic
-    assert set(owner.values()) == set(range(8))  # dense indices, all used
-    # Sub-shards of one region are contiguous blocks; nodes of a region
-    # only appear in that region's block.
-    shard_regions = {}
-    for node, shard in owner.items():
-        region = wan.region_of(node)
-        shard_regions.setdefault(shard, set()).add(region)
-    assert all(len(regions) == 1 for regions in shard_regions.values())
-    # The scalar lookahead collapses to the intra-region floor...
-    assert scalar == pytest.approx(0.00035 * 0.9)
-    # ...but per-channel floors stay wide wherever regions differ.
-    floors = wan.channel_lookaheads(node_ids, owner)
-    for (p, q), floor in floors.items():
-        if shard_regions[p] == shard_regions[q]:
-            assert floor == pytest.approx(scalar, rel=1e-9)
-        else:
-            assert floor >= 0.004
-
-
-def test_split_regions_more_shards_than_nodes():
-    """Empty sub-shards are permitted; their channels are inf."""
-    wan = europe_wan(6, seed=3, pair_streams=True)
-    node_ids = list(range(6))
-    owner, _ = wan.shard_partition(node_ids, 8)
-    assert set(owner.values()) <= set(range(8))
-    populated = set(owner.values())
-    floors = wan.channel_lookaheads(node_ids, owner)
-    # channel_lookaheads only sees populated shards via the owner map;
-    # every populated-to-populated channel must be finite and positive.
-    for (p, q), floor in floors.items():
-        assert p in populated and q in populated
-        assert 0 < floor < float("inf")

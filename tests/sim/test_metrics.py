@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import Counter, LatencyRecorder, ThroughputMeter
+from repro.sim.metrics import LatencyRecorder, ThroughputMeter
 
 
 class TestLatencyRecorder:
@@ -135,19 +135,3 @@ class TestThroughputMeter:
         for at in times:
             meter.record(at)
         assert sum(meter.series(0.0, 10.0)) == pytest.approx(len(times))
-
-
-class TestCounter:
-    def test_incr_and_get(self):
-        counter = Counter()
-        counter.incr("x")
-        counter.incr("x", 4)
-        assert counter.get("x") == 5
-        assert counter.get("missing") == 0
-
-    def test_as_dict_and_reset(self):
-        counter = Counter()
-        counter.incr("a")
-        assert counter.as_dict() == {"a": 1}
-        counter.reset()
-        assert counter.as_dict() == {}

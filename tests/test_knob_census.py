@@ -2,7 +2,8 @@
 README "Configuration" table, and vice versa — a new knob cannot land
 undocumented, and a documented knob cannot silently disappear.  The
 live cluster's command-line flags are counted the same way against
-README's "Live cluster" section, and the live harness's seams are
+README's "Live cluster" section, the ``Transport`` protocol's members
+against "The transport contract", and the live harness's seams are
 checked for knobs smuggled in as default arguments."""
 
 import inspect
@@ -45,7 +46,7 @@ def test_code_mentions_exactly_the_documented_knobs():
     )
     # Growing this number needs two callers that want different values;
     # with one value in use, make it a constant instead.
-    assert len(documented) == 10
+    assert len(documented) == 9
 
 
 def test_cluster_cli_flags_are_exactly_the_documented_ones():
@@ -67,6 +68,25 @@ def test_cluster_cli_flags_are_exactly_the_documented_ones():
     # Deployment settings (addresses, paths, credentials) and what two
     # callers set differently stay flags; one-valued tuning is a constant.
     assert len(flags) == 12
+
+
+def test_transport_contract_is_exactly_the_documented_surface():
+    """A backend-specific hook cannot join the ``Transport`` protocol
+    unnoticed: its public members are the names README lists."""
+    from repro.transport.interface import Transport
+
+    members = {
+        name
+        for name in set(vars(Transport)) | set(Transport.__annotations__)
+        if not name.startswith("_")
+    }
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### The transport contract\n", 1)[1]
+    listed = re.search(r"`Transport` is[^(]*\(([^)]*)\)", section).group(1)
+    documented = set(re.findall(r"`(\w+)`", listed))
+    assert members == documented, (
+        f"undocumented: {members - documented}; stale: {documented - members}"
+    )
 
 
 def test_live_seams_take_no_default_argument_knobs():

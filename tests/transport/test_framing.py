@@ -3,8 +3,8 @@
 The property tests pin the PR-4 compact ``__reduce__`` wire classes to
 the TCP framing: every protocol payload must survive
 pickle → length-framed encode → decode *bit-identically* (re-pickling
-the decoded object yields the original pickle bytes), so the simulator's
-cross-shard outbox and the live cluster ship interchangeable frames.
+the decoded object yields the original pickle bytes), so what one
+replica process frames is what another — or the WAL — reads back.
 """
 
 from __future__ import annotations

@@ -74,25 +74,6 @@ def test_crashed_view_is_live_and_shared(sim, network):
     assert 3 not in view
 
 
-def test_executes_unsharded_and_sharded(sim, network):
-    assert network.executes(0) and network.executes(99)
-    node = Node(sim, 0, network)
-    other = Node(sim, 1, network)
-    assert node.owns(0) and node.owns(1)
-    network.configure_sharding(frozenset({0}), [])
-    assert network.executes(0)
-    assert not network.executes(1)
-    assert node.owns(0) and not node.owns(1)
-    assert not other.owns(1)
-
-
-def test_tcp_owns_only_itself():
-    transport = TcpTransport(7, b"secret")
-    assert transport.owns(7)
-    assert not transport.owns(0)
-    assert transport.alive
-
-
 # ---------------------------------------------------------------------------
 # ProtocolEndpoint delegation
 # ---------------------------------------------------------------------------
