@@ -82,9 +82,12 @@ class Batch:
         return value
 
     def __reduce__(self):
-        # Compact cross-process pickling (TCP framing, WAL): items only;
-        # sizes and memoized digests are recomputed on arrival.
-        return (Batch, (self.items,))
+        # Cross-process form (TCP framing, WAL): the items as one flat
+        # tuple of core fields; sizes and memoized digests are recomputed
+        # on arrival.  Imported here because ``core`` imports this module.
+        from ..core.payment import pack_payments
+
+        return (_batch_from_wire, pack_payments(self.items))
 
     def __iter__(self):
         return iter(self.items)
@@ -94,6 +97,14 @@ class Batch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Batch n={self.batch_items}>"
+
+
+def _batch_from_wire(flat: tuple, extras: tuple) -> Batch:
+    """Inverse of :meth:`Batch.__reduce__`; malformed columns raise
+    ``ValueError``, which the frame decoder turns into ``FrameError``."""
+    from ..core.payment import unpack_payments
+
+    return Batch(unpack_payments(flat, extras))
 
 
 class Batcher(Generic[T]):

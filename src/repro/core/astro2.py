@@ -39,6 +39,7 @@ from .dependencies import (
 from .directory import Directory
 from .interning import ClientInterner
 from .payment import ClientId, Payment, PaymentId
+from .persistence import WalCorruption
 from .replica import AstroReplicaBase
 
 __all__ = ["Astro2Replica"]
@@ -484,19 +485,26 @@ class Astro2Replica(AstroReplicaBase):
         data["projected"] = dict(self._projected)
         data["attached_projection"] = dict(self._attached_projection)
         data["held"] = {c: list(q) for c, q in self._held.items()}
-        data["collector"] = self._collector
+        data["collector"] = self._collector.capture()
         data["seen_payments"] = dict(self._seen_payments)
         data["used_deps"] = {c: set(s) for c, s in self._used_deps.items()}
         data["verified_certs"] = set(self._verified_certs)
         return data
 
     def _restore_snapshot(self, data) -> None:
+        if not isinstance(data["collector"], dict):
+            # Written before captures: a whole collector object, with a
+            # directory and keychain that are not this replica's.
+            raise WalCorruption(
+                f"replica {self.node_id}: snapshot holds a collector "
+                "object, not its capture"
+            )
         super()._restore_snapshot(data)
         self._deps = {c: list(certs) for c, certs in data["deps"].items()}
         self._projected = dict(data["projected"])
         self._attached_projection = dict(data["attached_projection"])
         self._held = {c: deque(q) for c, q in data["held"].items()}
-        self._collector = data["collector"]
+        self._collector.refill(data["collector"])
         self._seen_payments = dict(data["seen_payments"])
         self._used_deps = {c: set(s) for c, s in data["used_deps"].items()}
         self._verified_certs = set(data["verified_certs"])

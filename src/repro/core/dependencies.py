@@ -17,18 +17,42 @@ beneficiary's shard accept a dependency signed by f+1 replicas of the
 Per the paper's 2-level batching (§VI-A), a CREDIT covers a *sub-batch*
 (all settled payments of one batch whose beneficiaries share a
 representative) under a single signature.
+
+Every settler ships the sub-batch by value (Listings 9–10), so a
+representative receives each one ``N - 1`` times and needs the payload
+once: a CREDIT from the wire stays packed until :attr:`CreditMessage.payments`
+is read, which :meth:`DependencyCollector.add_credit` does for the first
+arrival of a sub-batch only.  Certificates cross the wire as core fields
+(``core.payment.pack_payments``), never with the crediting payments' own
+dependencies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..crypto import costs
 from ..crypto.hashing import Digest
 from ..crypto.keys import Keychain, replica_owner
 from ..crypto.signatures import Signature, sign, verify
 from .directory import Directory
-from .payment import ClientId, Payment, PaymentId
+from .payment import (
+    ClientId,
+    Payment,
+    PaymentId,
+    pack_payments,
+    unpack_payments,
+)
 
 __all__ = [
     "CreditBundle",
@@ -84,9 +108,18 @@ class CreditMessage:
     Unicast by each settling replica to the representative of the
     sub-batch's beneficiaries.  One signature covers the whole sub-batch
     (2-level batching, §VI-A).
+
+    A message that arrived from the wire or the WAL keeps its sub-batch
+    packed (``core.payment.pack_payments``) and leaves the ``payments``
+    slot empty: reading ``payments`` builds the ``Payment`` objects, once.
+    The collector reads it for the first CREDIT of a sub-batch only, so
+    the other ``N - 1`` copies of every sub-batch cost a signature check
+    and no construction.  A message built locally has the slot filled
+    and reads at slot speed.
     """
 
-    __slots__ = ("shard_id", "payments", "subbatch_digest", "signature", "size")
+    __slots__ = ("shard_id", "payments", "subbatch_digest", "signature",
+                 "size", "_packed")
 
     def __init__(
         self,
@@ -105,6 +138,15 @@ class CreditMessage:
         )
         self.signature = signature
         self.size = 48 + costs.SIGNATURE_BYTES + 100 * len(payments)
+        self._packed: Optional[Tuple[tuple, tuple]] = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an empty slot: ``payments`` of a wire-built
+        # message.  A sub-batch that does not unpack raises ValueError.
+        if name != "payments":
+            raise AttributeError(name)
+        payments = self.payments = unpack_payments(*self._packed)
+        return payments
 
     @classmethod
     def create(
@@ -116,15 +158,37 @@ class CreditMessage:
         return cls(shard_id, payments, signature, subbatch_digest=batch_digest)
 
     def __reduce__(self):
-        # Compact cross-process pickling (TCP framing, WAL).  The digest
-        # ships along: it is a pure function of content and the shared
-        # process hash seed, and recomputing it per copy would repeat an
-        # O(|sub-batch|) hash at the receiver.
+        # Cross-process form (TCP framing, WAL): the sub-batch packed —
+        # as it arrived, when it did.  The digest ships along: it is a
+        # pure function of content and the shared process hash seed, and
+        # recomputing it per copy would repeat an O(|sub-batch|) hash at
+        # the receiver.
+        packed = self._packed
+        if packed is None:
+            packed = pack_payments(self.payments)
         return (
-            CreditMessage,
-            (self.shard_id, self.payments, self.signature,
-             self.subbatch_digest),
+            _credit_from_wire,
+            (self.shard_id, *packed, self.signature, self.subbatch_digest),
         )
+
+
+def _credit_from_wire(
+    shard_id: int,
+    flat: tuple,
+    extras: tuple,
+    signature: Signature,
+    subbatch_digest: Digest,
+) -> CreditMessage:
+    """Inverse of :meth:`CreditMessage.__reduce__`: nothing is unpacked
+    here, so a malformed sub-batch surfaces where it is read."""
+    message = CreditMessage.__new__(CreditMessage)
+    message.shard_id = shard_id
+    message.subbatch_digest = subbatch_digest
+    message.signature = signature
+    count = len(flat) // 4 if flat.__class__ is tuple else 0
+    message.size = 48 + costs.SIGNATURE_BYTES + 100 * count
+    message._packed = (flat, extras)
+    return message
 
 
 class CreditBundle:
@@ -198,11 +262,15 @@ class DependencyCertificate:
         self._canonical: Optional[tuple] = None
 
     def __reduce__(self):
-        # Compact cross-process pickling (TCP framing, WAL); the memoized
-        # canonical form is rebuilt on demand at the receiver.
+        # Cross-process form (TCP framing, WAL): core fields only — all
+        # that the digest, ``__eq__`` and ``verify_certificate`` bind.
+        # The crediting payments' own ``deps`` never ship, or every hop
+        # of a credit-funded chain would re-embed the history before it
+        # (``Payment.core_canonical``).
         return (
-            DependencyCertificate,
-            (self.payment, self.shard_id, self.subbatch, self.signatures,
+            _certificate_from_wire,
+            (self.payment.core, self.shard_id,
+             pack_payments(self.subbatch)[0], self.signatures,
              self.subbatch_digest),
         )
 
@@ -259,6 +327,22 @@ class DependencyCertificate:
             f"<DependencyCertificate {self.payment!r} "
             f"sigs={len(self.signatures)} shard={self.shard_id}>"
         )
+
+
+def _certificate_from_wire(
+    core: tuple,
+    shard_id: int,
+    flat: tuple,
+    signatures: Tuple[Signature, ...],
+    subbatch_digest: Digest,
+) -> DependencyCertificate:
+    """Inverse of :meth:`DependencyCertificate.__reduce__` (malformed
+    columns raise, which the frame decoder turns into ``FrameError``)."""
+    spender, seq, beneficiary, amount = core
+    return DependencyCertificate(
+        Payment(spender, seq, beneficiary, amount), shard_id,
+        unpack_payments(flat), signatures, subbatch_digest,
+    )
 
 
 def verify_certificate(
@@ -430,10 +514,14 @@ class DependencyCollector:
             # (their signatures endorse the digest, which already matches
             # the buffered payments), so re-hashing them per CREDIT would
             # spend O(|sub-batch|) per message for nothing.
-            if subbatch_digest_of(message.payments) != message.subbatch_digest:
+            try:
+                payments = message.payments
+            except ValueError:
+                return []  # a sub-batch that does not unpack: as forged
+            if subbatch_digest_of(payments) != message.subbatch_digest:
                 return []
             bucket = self._partial[key] = {}
-            self._payments[key] = message.payments
+            self._payments[key] = payments
             if len(self._partial) > self.max_pending:
                 self._evict_oldest_pending()
         bucket[src] = message.signature
@@ -475,6 +563,30 @@ class DependencyCollector:
         del self._partial[oldest]
         self._payments.pop(oldest, None)
         self.evicted_pending += 1
+
+    def capture(self) -> Dict[str, Any]:
+        """Picklable copy of the aggregation state — what a snapshot
+        keeps.  The directory, the keychain (every replica's signing
+        secret) and the bounds are the owning replica's, not state."""
+        return {
+            "partial": {k: dict(sigs) for k, sigs in self._partial.items()},
+            "payments": dict(self._payments),
+            "certified": {k: set(left) for k, left in self._certified.items()},
+            "evicted_pending": self.evicted_pending,
+            "evicted_certified": self.evicted_certified,
+            "minted_subbatches": self.minted_subbatches,
+        }
+
+    def refill(self, data: Mapping[str, Any]) -> None:
+        """Replace the aggregation state with a :meth:`capture`."""
+        self._partial = {k: dict(sigs) for k, sigs in data["partial"].items()}
+        self._payments = dict(data["payments"])
+        self._certified = {
+            k: set(left) for k, left in data["certified"].items()
+        }
+        self.evicted_pending = data["evicted_pending"]
+        self.evicted_certified = data["evicted_certified"]
+        self.minted_subbatches = data["minted_subbatches"]
 
     @property
     def pending_subbatches(self) -> int:

@@ -5,13 +5,24 @@ assigned, the *beneficiary*, and the *amount*.  The pair
 ``(spender, seq)`` is the payment's identifier (§IV) — the unit on which
 the broadcast layer's agreement property is stated, and the key for
 double-spend prevention: at most one payment per identifier ever settles.
+
+A payment *sequence* — a batch's items, a CREDIT's sub-batch, the
+sub-batch a certificate covers — has one wire form, owned here:
+:func:`pack_payments` / :func:`unpack_payments`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from itertools import chain
+from typing import Hashable, Optional, Sequence, Tuple
 
-__all__ = ["Payment", "PaymentId", "ClientId"]
+__all__ = [
+    "Payment",
+    "PaymentId",
+    "ClientId",
+    "pack_payments",
+    "unpack_payments",
+]
 
 #: Clients are identified by any hashable id (ints in benchmarks,
 #: strings in examples).
@@ -132,7 +143,8 @@ class Payment:
         return value
 
     def __reduce__(self):
-        """Compact pickling for the TCP framing and the WAL.
+        """Compact pickling of a *single* payment (client messages,
+        snapshots); sequences travel through :func:`pack_payments`.
 
         Only the defining fields travel; derived forms and memoized
         digests are rebuilt by the receiver — identically, because
@@ -167,3 +179,53 @@ class Payment:
             f"<Payment {self.spender!r}#{self.seq}: "
             f"{self.amount} -> {self.beneficiary!r}>"
         )
+
+
+def pack_payments(payments: Sequence[Payment]) -> Tuple[tuple, tuple]:
+    """The wire form of a payment sequence: ``(flat, extras)``.
+
+    ``flat`` is every payment's four core fields in order, one tuple of
+    ``4·k`` scalars, so pickle walks one container instead of ``k``
+    nested ``__reduce__`` tuples.  ``extras`` lists ``(index, deps,
+    submitted_at)`` for the payments that carry either — none under
+    uniform load, the credit-funded payouts under merchant load.
+    """
+    flat = tuple(chain.from_iterable([p.core for p in payments]))
+    extras = tuple([
+        (index, p.deps, p.submitted_at)
+        for index, p in enumerate(payments)
+        if p.deps or p.submitted_at is not None
+    ])
+    return flat, extras
+
+
+def unpack_payments(flat: tuple, extras: tuple = ()) -> Tuple[Payment, ...]:
+    """Rebuild the sequence :func:`pack_payments` flattened.
+
+    The input is a peer's or a disk's: anything but ``4·k`` well-formed
+    core fields and in-range extras raises :class:`ValueError` (from
+    ``Payment`` itself for ``seq < 1`` or a negative amount).
+    """
+    if (
+        flat.__class__ is not tuple
+        or extras.__class__ is not tuple
+        or len(flat) % 4
+    ):
+        raise ValueError("packed payments: not 4 core fields per payment")
+    columns = [flat[0::4], flat[1::4], flat[2::4], flat[3::4]]
+    try:
+        if extras:
+            count = len(flat) // 4
+            deps_column: list = [()] * count
+            submitted_column: list = [None] * count
+            for index, deps, submitted_at in extras:
+                if index.__class__ is not int or not 0 <= index < count:
+                    raise ValueError(f"packed payments: no payment {index!r}")
+                if deps.__class__ is not tuple:
+                    raise ValueError("packed payments: deps is not a tuple")
+                deps_column[index] = deps
+                submitted_column[index] = submitted_at
+            columns += [deps_column, submitted_column]
+        return tuple(map(Payment, *columns))
+    except TypeError as exc:
+        raise ValueError(f"packed payments: {exc}") from exc

@@ -48,6 +48,7 @@ from .live import (
     Shutdown,
     _build_directory,
     _LoadGen,
+    _wire_reading,
     build_replica,
     default_genesis,
 )
@@ -290,8 +291,15 @@ class _ClusterProcs:
                 proc.kill()
 
 
-def _report(args, loadgen, final, wall_start, **fields) -> Dict[str, Any]:
-    """The fields both reports share, around the mode's own ``fields``."""
+async def _report(args, loadgen, wall_start, **fields) -> Dict[str, Any]:
+    """The fields both reports share, around the mode's own ``fields``,
+    from a last round of ``"stats"`` and ``"wire"`` readings."""
+    final = await loadgen.collect("stats")
+    # Everything written to a socket (frame headers included) by the load
+    # generator and the replica processes alive now, per confirmed
+    # payment: what the wire format costs end to end.
+    wire = [*(await loadgen.collect("wire")).values(), _wire_reading(loadgen)]
+    confirmed = max(loadgen.confirmed, 1)
     return {
         "system": args.system,
         "n": args.n,
@@ -309,6 +317,12 @@ def _report(args, loadgen, final, wall_start, **fields) -> Dict[str, Any]:
             str(k): final[k]["rejected"] for k in sorted(final)
         },
         "confirm_latency_ms": _latency_ms(loadgen.latencies),
+        "wire_bytes_per_payment": round(
+            sum(reading["bytes_sent"] for reading in wire) / confirmed, 1
+        ),
+        "wire_payloads_per_payment": round(
+            sum(reading["payloads_sent"] for reading in wire) / confirmed, 2
+        ),
         "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
     }
 
@@ -339,7 +353,6 @@ async def _run_bench(args, transport, loadgen) -> Dict[str, Any]:
     after = await loadgen.collect("stats")
     # Grace: let in-flight batches/credits settle before the final count.
     await asyncio.sleep(args.grace)
-    final = await loadgen.collect("stats")
 
     deltas = {
         node_id: after[node_id]["settled"] - before[node_id]["settled"]
@@ -353,8 +366,8 @@ async def _run_bench(args, transport, loadgen) -> Dict[str, Any]:
         min(deltas.values()) / measure_elapsed if deltas else 0.0
     )
     stats = transport.stats
-    return _report(
-        args, loadgen, final, wall_start,
+    return await _report(
+        args, loadgen, wall_start,
         measured_pps=round(measured_pps, 1),
         measure_elapsed_s=round(measure_elapsed, 3),
         settled_delta_by_replica={
@@ -457,10 +470,9 @@ async def _run_chaos(
     monitor_stop.set()
     await monitor_task
 
-    # Final verdict round: settled counters, state fingerprints on every
-    # replica (the recovered one must match the never-crashed controls),
-    # one last invariant sample over the final views.
-    final_stats = await loadgen.collect("stats")
+    # Final verdict round: state fingerprints on every replica (the
+    # recovered one must match the never-crashed controls), one last
+    # invariant sample over the final views; the report adds the counters.
     final_views = await sample(5.0)
     fingerprints = {
         node_id: view["fingerprint"]
@@ -470,8 +482,8 @@ async def _run_chaos(
         len(fingerprints) == args.n and len(set(fingerprints.values())) == 1
     )
     verdict = monitor.verdict()
-    return _report(
-        args, loadgen, final_stats, wall_start,
+    return await _report(
+        args, loadgen, wall_start,
         mode="chaos",
         timeline=args.chaos,
         wal_dir=cluster.wal_dir,

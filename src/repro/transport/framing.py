@@ -14,7 +14,11 @@ handed and knows nothing of what the body means:
 
 The payloads are the compact ``__reduce__`` wire classes (Payment,
 Batch, CreditMessage/CreditBundle, Sb*/Brb*, ...), so one serialization
-format covers real sockets between processes and the log on disk.
+format covers real sockets between processes and the log on disk.  A
+payment *sequence* inside them is one flat tuple of core fields
+(:func:`repro.core.payment.pack_payments`), not a nest of per-payment
+pickles; and a payload bound for several peers is pickled once, as an
+:class:`Encoded`, which every train then carries as bytes.
 
 Pickle between mutually authenticated replicas matches the paper's
 trust model: the handshake (:mod:`repro.transport.tcp`) ensures frames
@@ -31,6 +35,7 @@ import struct
 from typing import Any, List, Optional
 
 __all__ = [
+    "Encoded",
     "FrameDecoder",
     "FrameError",
     "MAX_FRAME_BYTES",
@@ -64,6 +69,24 @@ def encode_frame(payload: Any, max_frame: int = MAX_FRAME_BYTES) -> bytes:
             f"frame of {len(body)} bytes exceeds the {max_frame}-byte cap"
         )
     return _pack_header(len(body)) + body
+
+
+class Encoded:
+    """A payload pickled once, to ride in any number of frames.
+
+    Pickling an ``Encoded`` copies its bytes and emits a call to
+    ``pickle.loads`` on them, so the decoder hands out the payload itself
+    — never this wrapper.  A broadcast builds one per payload and puts it
+    on every peer's train (:meth:`repro.transport.tcp.TcpTransport.broadcast`).
+    """
+
+    __slots__ = ("body",)
+
+    def __init__(self, payload: Any) -> None:
+        self.body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def __reduce__(self):
+        return (pickle.loads, (self.body,))
 
 
 class FrameDecoder:

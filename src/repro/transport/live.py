@@ -15,8 +15,9 @@ or tasks on one loop — and orchestrating them is
 * the **control channel** — :class:`ControlQuery` ``(tag, what)`` →
   :class:`ControlReply` ``(tag, node_id, body)`` on the replicas'
   ordinary authenticated connections (:func:`serve_control`); readings
-  ``"stats"`` (settled/rejected counters) and ``"state"`` (the view the
-  invariant monitor samples);
+  ``"stats"`` (settled/rejected counters), ``"state"`` (the view the
+  invariant monitor samples) and ``"wire"`` (bytes and payloads this
+  process wrote to its sockets);
 * :class:`_LoadGen` — the open-loop client population, paced against
   the clock; ``collect(what, timeout)`` gathers a reading from all N
   replicas or whoever answers in time.
@@ -97,10 +98,24 @@ def _stats_reading(replica: Any) -> Dict[str, int]:
     return {"settled": settled, "rejected": rejected}
 
 
+def _wire_reading(node: Any) -> Dict[str, int]:
+    """Socket counters of ``node.transport`` — a replica's, or the load
+    generator's own (``cluster._report`` sums both)."""
+    stats = node.transport.stats
+    return {
+        "bytes_sent": stats.bytes_sent,
+        "payloads_sent": stats.payloads_sent,
+    }
+
+
 def serve_control(transport: Any, replica: Any) -> None:
     """Answer :class:`ControlQuery` on ``transport`` from ``replica``;
     a query for an unknown reading is ignored, as any garbage must be."""
-    readings = {"stats": _stats_reading, "state": replica_state_view}
+    readings = {
+        "stats": _stats_reading,
+        "state": replica_state_view,
+        "wire": _wire_reading,
+    }
 
     def _on_query(src: int, query: ControlQuery) -> None:
         reading = readings.get(query.what)

@@ -14,6 +14,12 @@ One OS process per node.  Design (exemplar: the lightning bolts
   ``ClientSubmit``/``ClientConfirm`` messages batching cannot reach:
   one pickle (class globals emitted and resolved once), one frame, one
   ``write`` per peer per loop turn instead of per message.
+* **A broadcast payload is encoded once** — ``broadcast`` pickles it
+  into a :class:`~repro.transport.framing.Encoded` and puts that on
+  every target's train, so a PREPARE of 256 payments is walked by pickle
+  once, not once per peer, each train copies its bytes, and receivers
+  decode the payload itself.  ``encode_frame`` still runs exactly once
+  per wire frame.
 * **HMAC-authenticated handshake** — a shared cluster secret and an
   HMAC-SHA256 challenge-response in both directions before any frame is
   accepted, realizing the authenticated point-to-point links the paper
@@ -40,7 +46,7 @@ runs full collections over the whole replica state.  Measured on
 message, 16 with an unbounded lazy train (which gave back half the
 gain), 10 with the train sealed to ``bytes`` at 32 payloads — so no
 payload object outlives 32 further sends to its peer or the current loop
-turn.
+turn, and a broadcast payload is ``bytes`` from the start.
 
 Everything runs on one asyncio loop per process; protocol handlers are
 synchronous callbacks invoked from receiver tasks, so replica code needs
@@ -69,7 +75,13 @@ from typing import (
 )
 
 from .clock import RealTimeClock
-from .framing import MAX_FRAME_BYTES, FrameDecoder, FrameError, encode_frame
+from .framing import (
+    MAX_FRAME_BYTES,
+    Encoded,
+    FrameDecoder,
+    FrameError,
+    encode_frame,
+)
 
 __all__ = ["TcpTransport", "HandshakeError", "TransportStats"]
 
@@ -88,7 +100,7 @@ RECONNECT_CAP = 2.0
 #: entry is dropped — a sealed train whole, else the open train's first
 #: payload (the protocols tolerate loss to faulty peers, and newer
 #: payloads are the ones a recovering peer can still use).
-OUTBOUND_QUEUE_FRAMES = 4096
+OUTBOUND_QUEUE_PAYLOADS = 4096
 
 #: Payloads per train.  ``send`` seals the open train to ``bytes`` when
 #: it reaches this many, so queued payload *objects* stay young (module
@@ -167,7 +179,7 @@ class TcpTransport:
         clock: Optional[RealTimeClock] = None,
         host: str = "127.0.0.1",
         max_frame: int = MAX_FRAME_BYTES,
-        max_queue: int = OUTBOUND_QUEUE_FRAMES,
+        max_queue: int = OUTBOUND_QUEUE_PAYLOADS,
         reconnect_initial: float = RECONNECT_INITIAL,
         reconnect_cap: float = RECONNECT_CAP,
     ) -> None:
@@ -355,11 +367,31 @@ class TcpTransport:
         recv_cost: Optional[float] = None,
         send_cost: float = 0.0,
     ) -> None:
+        """Encode ``payload`` once and put it on every target's train.
+
+        Each train then copies the bytes instead of pickling the payload
+        again, the receivers decode the payload itself
+        (:class:`~repro.transport.framing.Encoded`), and what waits in
+        the backlogs is ``bytes``, not the object graph.  A loopback
+        target gets the object.  A payload that does not pickle goes
+        out as it is: each peer's train then drops and counts it, as
+        for ``send`` (and one alone above ``max_frame``).
+        """
+        if self._closed:
+            return
+        try:
+            shared: Any = Encoded(payload)
+        except Exception:
+            shared = payload
         # Class-level send on purpose: like Node.broadcast (which goes
         # straight to Network.broadcast), a raw broadcast must not
         # re-enter an installed egress tap via the shadowed self.send.
+        node_id = self.node_id
         for dst in targets:
-            TcpTransport.send(self, dst, payload, size=size, recv_cost=recv_cost)
+            TcpTransport.send(
+                self, dst, payload if dst == node_id else shared,
+                size=size, recv_cost=recv_cost,
+            )
 
     def charge(self, cost: float) -> None:
         """Modelled CPU is a no-op here: the work burned real cycles."""

@@ -8,14 +8,16 @@ from repro.core.dependencies import (
     CreditMessage,
     DependencyCertificate,
     DependencyCollector,
+    _credit_from_wire,
     certificate_wire_bytes,
     credit_content,
     subbatch_digest_of,
     verify_certificate,
 )
 from repro.core.directory import Directory
-from repro.core.payment import Payment
+from repro.core.payment import Payment, pack_payments
 from repro.crypto import replica_owner, sign
+from repro.crypto.signatures import Signature
 
 
 @pytest.fixture
@@ -192,6 +194,249 @@ class TestCertificateEquality:
         first, second = pickle.loads(wire), pickle.loads(wire)
         assert first.deps[0] is not second.deps[0]
         assert first == second == payout
+
+
+class TestCertificateWireForm:
+    """Certificates ship core fields only (satellite of PR 20): what the
+    digest, ``__eq__`` and ``verify_certificate`` bind, and nothing of
+    the history behind the crediting payment."""
+
+    @staticmethod
+    def _chain(keys, hops):
+        """``hops`` credit-funded spends in a row, one-payment sub-batches:
+        each payment carries the certificate of the one that funded it."""
+        clients = [f"c{i}" for i in range(hops + 1)]
+        certs = []
+        deps = ()
+        for hop in range(hops):
+            payment = Payment(clients[hop], 1, clients[hop + 1], 10, deps=deps)
+            cert = _certificate(keys, (payment,))
+            certs.append(cert)
+            deps = (cert,)
+        return certs
+
+    def test_wire_size_does_not_grow_along_a_chain(self, setup):
+        directory, keys = setup
+        certs = self._chain(keys, 8)
+        assert certs[7].payment.deps[0].payment.deps  # history is there...
+        # Same-width digest and tokens at every hop (a 64-bit hash pickles
+        # in 8 or 9 bytes), so the sizes compare exactly.
+        wide = 1 << 62
+        signatures = tuple(Signature(replica_owner(i), wide) for i in (0, 1))
+        sizes = [
+            len(pickle.dumps(DependencyCertificate(
+                cert.payment, 0, cert.subbatch, signatures,
+                subbatch_digest=wide,
+            ), protocol=5))
+            for cert in certs
+        ]
+        assert len(set(sizes)) == 1, sizes  # ...and stays home
+
+    def test_sibling_deps_do_not_ship(self, setup):
+        directory, keys = setup
+        funded = self._chain(keys, 3)[-1].payment  # carries a certificate
+        plain = Payment("zed", 1, "bob", 1)
+        with_history = _certificate(keys, (plain, funded))
+        without = _certificate(
+            keys, (plain, Payment(*funded.core)), signers=(0, 1)
+        )
+        assert pickle.dumps(with_history) == pickle.dumps(without)
+
+    def test_receiver_side_copy_verifies(self, setup, keychain):
+        directory, keys = setup
+        for cert in self._chain(keys, 8):
+            clone = pickle.loads(pickle.dumps(cert))
+            assert clone == cert and hash(clone) == hash(cert)
+            assert clone.payment in clone.subbatch
+            assert clone.payment.deps == ()
+            assert clone.canonical() == cert.canonical()
+            assert verify_certificate(clone, directory, keychain)
+
+    def test_forged_membership_survives_the_wire_and_is_rejected(
+        self, setup, keychain
+    ):
+        """The form can still say 'payment not in sub-batch' — it must, so
+        that the receiver is the one who rejects it."""
+        directory, keys = setup
+        payments = (Payment("alice", 1, "bob", 10),)
+        honest = _certificate(keys, payments)
+        forged = DependencyCertificate(
+            Payment("alice", 1, "bob", 10_000), 0, payments, honest.signatures
+        )
+        clone = pickle.loads(pickle.dumps(forged))
+        assert clone.payment.amount == 10_000
+        assert clone.payment not in clone.subbatch
+        assert not verify_certificate(clone, directory, keychain)
+
+
+class _InitProbe:
+    """Counts ``Payment.__init__`` calls while installed."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        original = Payment.__init__
+
+        def counting(payment, *args, **kwargs):
+            self.calls += 1
+            original(payment, *args, **kwargs)
+
+        monkeypatch.setattr(Payment, "__init__", counting)
+
+
+def _over_the_wire(message):
+    clone = pickle.loads(pickle.dumps(message, protocol=5))
+    assert clone is not message
+    return clone
+
+
+class TestLazyCreditPayload:
+    """A CREDIT from the wire keeps its sub-batch packed; the collector
+    reads ``payments`` for the first arrival of a sub-batch only."""
+
+    def test_wire_copy_is_equivalent_and_builds_on_first_read(
+        self, setup, monkeypatch
+    ):
+        directory, keys = setup
+        payments = (
+            Payment("alice", 1, "bob", 10),
+            Payment("alice", 2, "bob", 5, submitted_at=2.5),
+        )
+        message = CreditMessage.create(keys[0], 0, payments)
+        probe = _InitProbe(monkeypatch)
+        clone = _over_the_wire(message)
+        assert probe.calls == 0
+        assert clone.size == message.size
+        assert clone.subbatch_digest == message.subbatch_digest
+        assert clone.signature == message.signature
+        assert pickle.dumps(clone) == pickle.dumps(message)  # re-logged packed
+        assert probe.calls == 0
+        assert clone.payments == payments
+        assert clone.payments[1].submitted_at == 2.5
+        assert probe.calls == 2
+        assert clone.payments is clone.payments  # built once, then a slot
+        with pytest.raises(AttributeError):
+            clone.no_such_field
+
+    def test_non_first_and_straggler_credits_build_no_payment(
+        self, setup, keychain, monkeypatch
+    ):
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        payments = tuple(Payment("alice", s, "bob", 1) for s in range(1, 65))
+        from_wire = [
+            _over_the_wire(CreditMessage.create(keys[i], 0, payments))
+            for i in range(4)
+        ]
+        probe = _InitProbe(monkeypatch)
+        # First arrival: the payload is read, validated and buffered.
+        assert collector.add_credit(0, from_wire[0]) == []
+        assert probe.calls == 64
+        # Second arrival completes f+1: certificates from the buffer.
+        minted = collector.add_credit(1, from_wire[1])
+        assert len(minted) == 64
+        # Stragglers of the minted sub-batch.
+        assert collector.add_credit(2, from_wire[2]) == []
+        assert collector.add_credit(3, from_wire[3]) == []
+        assert probe.calls == 64
+        assert collector.certified_count == 0
+        assert verify_certificate(minted[0], directory, keychain)
+
+    def test_own_delivery_first_means_no_construction_at_all(
+        self, setup, keychain, monkeypatch
+    ):
+        """The live shape: the representative's own settle (a locally
+        built message) nearly always arrives first."""
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=0)
+        directory.register_client("carl", 0)
+        payments = (Payment("alice", 1, "carl", 10),)
+        own = CreditMessage.create(keys[0], 0, payments)
+        remote = [
+            _over_the_wire(CreditMessage.create(keys[i], 0, payments))
+            for i in (1, 2, 3)
+        ]
+        probe = _InitProbe(monkeypatch)
+        assert collector.add_credit(0, own) == []
+        assert len(collector.add_credit(1, remote[0])) == 1
+        assert collector.add_credit(2, remote[1]) == []
+        assert collector.add_credit(3, remote[2]) == []
+        assert probe.calls == 0
+
+    def test_subbatch_that_does_not_unpack_is_an_ignored_credit(
+        self, setup, keychain, malformed_columns
+    ):
+        """Validly signed, transport-authentic, undecodable: the handler
+        must neither raise nor buffer anything, and the honest flow for
+        the same digest still mints."""
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        real = (Payment("alice", 1, "bob", 10),)
+        claimed = subbatch_digest_of(real)
+        signature = sign(keys[0], credit_content(0, claimed))
+        poisoned = _over_the_wire(
+            _credit_from_wire(0, *malformed_columns, signature, claimed)
+        )
+        assert collector.add_credit(0, poisoned) == []
+        assert collector.pending_subbatches == 0
+        create = CreditMessage.create
+        collector.add_credit(0, create(keys[0], 0, real))
+        minted = collector.add_credit(1, create(keys[1], 0, real))
+        assert [cert.amount for cert in minted] == [10]
+
+    def test_malformed_straggler_costs_nothing_and_raises_nothing(
+        self, setup, keychain
+    ):
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        real = (Payment("alice", 1, "bob", 10),)
+        for node in (0, 1):
+            message = CreditMessage.create(keys[node], 0, real)
+            collector.add_credit(node, message)
+        claimed = subbatch_digest_of(real)
+        signature = sign(keys[2], credit_content(0, claimed))
+        junk = _credit_from_wire(0, 7, "x", signature, claimed)
+        assert collector.add_credit(2, junk) == []
+
+
+class TestCollectorCapture:
+    """What a snapshot keeps of the collector: its aggregation state,
+    never the directory or the keychain."""
+
+    def test_capture_refill_resumes_mid_collection(self, setup, keychain):
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        done = (Payment("alice", 1, "bob", 10),)
+        half = (Payment("alice", 2, "bob", 5),)
+        for node in (0, 1):
+            message = CreditMessage.create(keys[node], 0, done)
+            collector.add_credit(node, message)
+        collector.add_credit(0, CreditMessage.create(keys[0], 0, half))
+        captured = pickle.loads(pickle.dumps(collector.capture()))
+        assert set(captured) == {
+            "partial", "payments", "certified", "evicted_pending",
+            "evicted_certified", "minted_subbatches",
+        }
+
+        restored = DependencyCollector(directory, keychain, my_node=4)
+        restored.refill(captured)
+        assert restored.directory is directory
+        assert restored.keychain is keychain
+        assert restored.minted_subbatches == 1
+        assert restored.pending_subbatches == 1
+        assert restored.certified_count == 1
+        # The half-collected sub-batch completes; the minted one does not
+        # re-mint; its stragglers retire the dedup entry.
+        minted = restored.add_credit(1, CreditMessage.create(keys[1], 0, half))
+        assert [cert.amount for cert in minted] == [5]
+        assert verify_certificate(minted[0], directory, keychain)
+        for node in (2, 3):
+            for subbatch in (done, half):
+                message = CreditMessage.create(keys[node], 0, subbatch)
+                assert restored.add_credit(node, message) == []
+        assert restored.certified_count == 0
+        # The original was not touched through shared containers.
+        assert collector.pending_subbatches == 1
+        assert collector.certified_count == 1
 
 
 class TestDependencyCollector:

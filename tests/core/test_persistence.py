@@ -281,6 +281,9 @@ def test_replay_without_snapshot_covers_whole_log(name, tmp_path):
 
 
 def test_replay_detects_fingerprint_divergence(tmp_path):
+    from repro.brb.batching import Batch
+    from repro.core.payment import Payment
+
     system = SYSTEM_BUILDERS["astro1"](4, seed=7)
     _bind_all(system, tmp_path, snapshot_interval=10_000,
               fingerprint_interval=2)
@@ -296,11 +299,14 @@ def test_replay_detects_fingerprint_divergence(tmp_path):
     poisoned = False
     for record in records:
         if not poisoned and record[0] == "deliver":
-            batch = record[3]
-            if batch.items:
-                payment = batch.items[0]
-                payment.amount += 1  # double the damage, same identifier
-                poisoned = True
+            # Same identifier, one unit more: payments are immutable, so
+            # the record is rebuilt around a new one.
+            first, *rest = record[3].items
+            forged = Payment(
+                first.spender, first.seq, first.beneficiary, first.amount + 1
+            )
+            record = (*record[:3], Batch([forged, *rest]), *record[4:])
+            poisoned = True
         mutated.append(record)
     assert poisoned
     store.wal.open_for_append()
@@ -384,6 +390,75 @@ def test_snapshot_the_wal_cannot_back_is_refused_untouched(name, tmp_path):
     assert rebuilt._wal is None and not reopened.recording
     # The damaged log was not truncated behind the operator's back.
     assert os.path.getsize(store.wal.path) == size
+
+
+# ---------------------------------------------------------------------------
+# Astro II snapshots keep the collector's state, not the collector
+# ---------------------------------------------------------------------------
+def test_restored_collector_is_still_the_replicas_own(tmp_path):
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=4, fingerprint_interval=2)
+    _run_workload(system, 24)
+    minted = {
+        r.node_id: r._collector.minted_subbatches for r in system.replicas
+    }
+    assert any(minted.values())
+    for replica in system.replicas:
+        replica._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    collectors = {r.node_id: r._collector for r in rebuilt.replicas}
+    reports = _bind_all(rebuilt, tmp_path, snapshot_interval=4,
+                        fingerprint_interval=2)
+    for replica in rebuilt.replicas:
+        assert reports[replica.node_id].had_snapshot
+        collector = replica._collector
+        assert collector is collectors[replica.node_id]  # refilled in place
+        assert collector.directory is replica.directory
+        assert collector.keychain is replica.keychain
+        assert collector.minted_subbatches == minted[replica.node_id]
+
+
+def test_fresh_snapshot_is_small_and_holds_no_key_material():
+    """1024 accounts: the int64 slabs are 16 kB of it.  The collector
+    object used to add its directory (linear in accounts) and its
+    keychain — every replica's signing secret and the RNG state."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5, clients_per_replica=256)
+    replica = system.replicas[0]
+    blob = pickle.dumps(
+        replica._snapshot_data(), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    assert len(blob) < 24_000
+    secrets = list(replica.keychain._secrets.values())
+    assert len(secrets) >= 4
+    for secret in secrets:
+        assert secret.to_bytes(8, "little") not in blob
+    for name in (b"Keychain", b"KeyPair", b"Directory", b"Collector"):
+        assert name not in blob
+
+
+def test_snapshot_holding_a_collector_object_is_refused_untouched(tmp_path):
+    """What PR 19 and earlier wrote: ``data["collector"]`` is the object.
+    Its directory and keychain are copies, not this replica's — refuse,
+    before the account state is touched."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=10_000)
+    _run_workload(system, 12)
+    writer = system.replicas[0]
+    data = writer._snapshot_data()
+    data["collector"] = writer._collector
+    writer._wal.write_snapshot(data)
+    for replica in system.replicas:
+        replica._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5).replicas[0]
+    before = state_fingerprint(rebuilt.state)
+    collector = rebuilt._collector
+    with pytest.raises(WalCorruption, match="collector object"):
+        rebuilt.bind_persistence(ReplicaStore(str(tmp_path), rebuilt.node_id))
+    assert state_fingerprint(rebuilt.state) == before
+    assert rebuilt._collector is collector
+    assert collector.minted_subbatches == 0
 
 
 # ---------------------------------------------------------------------------

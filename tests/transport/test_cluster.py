@@ -225,6 +225,41 @@ def test_reply_with_a_stale_tag_is_dropped(boot_hosts):
     _control_scenario(boot_hosts, 1, body)
 
 
+def test_wire_reading_and_the_reports_bytes_per_payment(boot_hosts):
+    """``"wire"`` is each process's own socket counters; the report sums
+    them with the load generator's, per confirmed payment."""
+
+    async def body(loadgen, hosts):
+        await loadgen.run(rate=200, duration=0.2)
+        assert await loadgen.drain(timeout=10.0, retry_interval=5.0)
+        await asyncio.sleep(0.1)  # trailing CREDITs
+        wire = await loadgen.collect("wire")
+        assert sorted(wire) == [0, 1]
+        for node_id, reading in wire.items():
+            stats = hosts[node_id].transport.stats
+            assert set(reading) == {"bytes_sent", "payloads_sent"}
+            assert 0 < reading["bytes_sent"] <= stats.bytes_sent
+            assert 0 < reading["payloads_sent"] <= stats.payloads_sent
+
+        args = argparse.Namespace(
+            system="astro2", n=2, rate=200.0, warmup=0.0, duration=0.2
+        )
+        report = await cluster_module._report(args, loadgen, time.monotonic())
+        assert report["confirmed"] == loadgen.confirmed == 40
+        written = loadgen.transport.stats.bytes_sent + sum(
+            host.transport.stats.bytes_sent for host in hosts
+        )
+        # The report's own two queries were written after it read the
+        # counters; nothing else is in flight.
+        assert 0 < report["wire_bytes_per_payment"] <= written / 40
+        assert report["wire_bytes_per_payment"] > 0.9 * written / 40
+        # Per payment a submit and a confirm; per *batch*, between two
+        # replicas, a PREPARE, an ACK, a COMMIT and a CREDIT.
+        assert 2 <= report["wire_payloads_per_payment"] <= 7
+
+    _control_scenario(boot_hosts, 2, body)
+
+
 # ---------------------------------------------------------------------------
 # Open loop: paced against the clock, not by counting wake-ups
 # ---------------------------------------------------------------------------

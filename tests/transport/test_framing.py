@@ -14,7 +14,7 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.brb.batching import Batch
+from repro.brb.batching import Batch, _batch_from_wire
 from repro.brb.bracha import BrbEcho, BrbPrepare, BrbReady
 from repro.brb.signed import SbAck, SbCommit, SbPrepare
 from repro.core.dependencies import (
@@ -23,12 +23,13 @@ from repro.core.dependencies import (
     DependencyCertificate,
 )
 from repro.core.messages import ClientConfirm, ClientSubmit
-from repro.core.payment import Payment
+from repro.core.payment import Payment, pack_payments, unpack_payments
 from repro.crypto import Keychain, replica_owner
 from repro.crypto.signatures import Signature, sign
 from repro.transport.framing import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
+    Encoded,
     FrameDecoder,
     FrameError,
     decode_exactly_one,
@@ -205,6 +206,154 @@ def test_brb_wire_messages_roundtrip(seq, batch):
 def test_client_messages_roundtrip(payment):
     roundtrip(ClientSubmit(payment))
     roundtrip(ClientConfirm(payment, 12.5))
+
+
+# ---------------------------------------------------------------------------
+# Payment sequences: one packed form, and what the parent wrote still loads
+# ---------------------------------------------------------------------------
+@settings(**SETTINGS)
+@given(st.lists(payments(with_deps=True), max_size=8))
+def test_pack_unpack_roundtrip(items):
+    flat, extras = pack_payments(items)
+    assert len(flat) == 4 * len(items)
+    # Extras only for the payments that need them, in order.
+    assert [index for index, _deps, _at in extras] == [
+        index for index, p in enumerate(items)
+        if p.deps or p.submitted_at is not None
+    ]
+    rebuilt = unpack_payments(flat, extras)
+    assert rebuilt == tuple(items)  # core and deps
+    assert [p.submitted_at for p in rebuilt] == [p.submitted_at for p in items]
+    assert unpack_payments(flat) == tuple(
+        Payment(*p.core) for p in items
+    )  # cores only: what a certificate ships
+
+
+#: ``pickle.dumps(obj, protocol=5)`` at bf0ad7e (PR 19), when each class
+#: reduced to its constructor over nested ``Payment`` pickles.  A WAL
+#: written then holds these forms.  ``paid`` = cl-a#3 -> cl-b 40 at t=1.5,
+#: ``other`` = cl-c#1 -> cl-b 2, ``cert`` certifies ``paid`` in
+#: ``(paid, other)`` (digest 77, two signatures), ``payout`` = cl-b#1 ->
+#: cl-d 41 carrying ``cert``.
+PARENT_BATCH = (  # Batch([other, payout])
+    b'\x80\x05\x95&\x01\x00\x00\x00\x00\x00\x00\x8c\x12repro.brb.batching'
+    b'\x94\x8c\x05Batch\x94\x93\x94\x8c\x12repro.core.payment\x94\x8c\x07Pa'
+    b'yment\x94\x93\x94(\x8c\x04cl-c\x94K\x01\x8c\x04cl-b\x94K\x02)Nt\x94R'
+    b'\x94h\x05(h\x07K\x01\x8c\x04cl-d\x94K)\x8c\x17repro.core.dependencies'
+    b'\x94\x8c\x15DependencyCertificate\x94\x93\x94(h\x05(\x8c\x04cl-a\x94K'
+    b'\x03h\x07K()G?\xf8\x00\x00\x00\x00\x00\x00t\x94R\x94K\x00h\x10h\t\x86'
+    b'\x94\x8c\x17repro.crypto.signatures\x94\x8c\tSignature\x94\x93\x94'
+    b'\x8c\x07replica\x94K\x00\x86\x94M\xe8\x03\x86\x94R\x94h\x14h\x15K\x01'
+    b'\x86\x94M\xe9\x03\x86\x94R\x94\x86\x94KMt\x94R\x94\x85\x94Nt\x94R\x94'
+    b'\x86\x94\x85\x94R\x94.'
+)
+PARENT_CREDIT = (  # CreditMessage(0, (paid, other), sig(2), 77)
+    b'\x80\x05\x95\xcd\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.core.depend'
+    b'encies\x94\x8c\rCreditMessage\x94\x93\x94(K\x00\x8c\x12repro.core.pay'
+    b'ment\x94\x8c\x07Payment\x94\x93\x94(\x8c\x04cl-a\x94K\x03\x8c\x04cl-b'
+    b'\x94K()G?\xf8\x00\x00\x00\x00\x00\x00t\x94R\x94h\x05(\x8c\x04cl-c\x94'
+    b'K\x01h\x07K\x02)Nt\x94R\x94\x86\x94\x8c\x17repro.crypto.signatures'
+    b'\x94\x8c\tSignature\x94\x93\x94\x8c\x07replica\x94K\x02\x86\x94M\xea'
+    b'\x03\x86\x94R\x94KMt\x94R\x94.'
+)
+PARENT_BUNDLE = (  # CreditBundle((it, CreditMessage(0, (other,), sig(3), 78)))
+    b'\x80\x05\x95\x04\x01\x00\x00\x00\x00\x00\x00\x8c\x17repro.core.depend'
+    b'encies\x94\x8c\x0cCreditBundle\x94\x93\x94h\x00\x8c\rCreditMessage'
+    b'\x94\x93\x94(K\x00\x8c\x12repro.core.payment\x94\x8c\x07Payment\x94'
+    b'\x93\x94(\x8c\x04cl-a\x94K\x03\x8c\x04cl-b\x94K()G?\xf8\x00\x00\x00'
+    b'\x00\x00\x00t\x94R\x94h\x07(\x8c\x04cl-c\x94K\x01h\tK\x02)Nt\x94R\x94'
+    b'\x86\x94\x8c\x17repro.crypto.signatures\x94\x8c\tSignature\x94\x93'
+    b'\x94\x8c\x07replica\x94K\x02\x86\x94M\xea\x03\x86\x94R\x94KMt\x94R'
+    b'\x94h\x04(K\x00h\x0e\x85\x94h\x12h\x13K\x03\x86\x94M\xeb\x03\x86\x94R'
+    b'\x94KNt\x94R\x94\x86\x94\x85\x94R\x94.'
+)
+PARENT_CERTIFICATE = (  # cert
+    b'\x80\x05\x95\xe8\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.core.depend'
+    b'encies\x94\x8c\x15DependencyCertificate\x94\x93\x94(\x8c\x12repro.cor'
+    b'e.payment\x94\x8c\x07Payment\x94\x93\x94(\x8c\x04cl-a\x94K\x03\x8c'
+    b'\x04cl-b\x94K()G?\xf8\x00\x00\x00\x00\x00\x00t\x94R\x94K\x00h\th\x05('
+    b'\x8c\x04cl-c\x94K\x01h\x07K\x02)Nt\x94R\x94\x86\x94\x8c\x17repro.cryp'
+    b'to.signatures\x94\x8c\tSignature\x94\x93\x94\x8c\x07replica\x94K\x00'
+    b'\x86\x94M\xe8\x03\x86\x94R\x94h\x10h\x11K\x01\x86\x94M\xe9\x03\x86'
+    b'\x94R\x94\x86\x94KMt\x94R\x94.'
+)
+
+
+def test_pickles_written_by_the_parent_still_load():
+    """Old WAL records replay: the constructors the parent's forms name
+    are unchanged, and what loads re-pickles in today's form."""
+    paid = Payment("cl-a", 3, "cl-b", 40, submitted_at=1.5)
+    other = Payment("cl-c", 1, "cl-b", 2)
+
+    cert = pickle.loads(PARENT_CERTIFICATE)
+    assert isinstance(cert, DependencyCertificate)
+    assert cert.payment == paid and cert.subbatch == (paid, other)
+    assert (cert.shard_id, cert.subbatch_digest) == (0, 77)
+    assert cert.signatures == (
+        Signature(("replica", 0), 1000), Signature(("replica", 1), 1001)
+    )
+
+    batch = pickle.loads(PARENT_BATCH)
+    assert isinstance(batch, Batch)
+    payout = Payment("cl-b", 1, "cl-d", 41, deps=(cert,))
+    assert batch.items == (other, payout)
+    assert batch.size_bytes == other.wire_bytes + payout.wire_bytes
+
+    credit = pickle.loads(PARENT_CREDIT)
+    assert isinstance(credit, CreditMessage)
+    assert credit.payments == (paid, other)
+    assert credit.payments[0].submitted_at == 1.5
+    assert (credit.shard_id, credit.subbatch_digest) == (0, 77)
+    assert credit.signature == Signature(("replica", 2), 1002)
+
+    bundle = pickle.loads(PARENT_BUNDLE)
+    assert isinstance(bundle, CreditBundle)
+    assert [m.payments for m in bundle] == [(paid, other), (other,)]
+    assert bundle.size == CreditBundle((credit, bundle.messages[1])).size
+
+    for loaded in (cert, batch, credit, bundle):
+        roundtrip(loaded)
+
+
+class _Call:
+    """Pickles as a call ``fn(*args)``: what a peer that controls its
+    bytes can put in a frame."""
+
+    def __init__(self, fn, *args) -> None:
+        self.call = (fn, args)
+
+    def __reduce__(self):
+        return self.call
+
+
+def test_malformed_columns_never_unpack(malformed_columns):
+    with pytest.raises(ValueError):
+        unpack_payments(*malformed_columns)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["plain", "encoded"])
+def test_malformed_batch_columns_are_frame_errors(malformed_columns, nested):
+    """A Batch is built while its frame decodes — in a train directly, or
+    inside a broadcast's pre-encoded payload — so bad columns kill the
+    frame (and with it the connection), never reach a handler."""
+    forged = _Call(_batch_from_wire, *malformed_columns)
+    train = (Encoded(forged) if nested else forged,)
+    with pytest.raises(FrameError):
+        FrameDecoder().feed(encode_frame(train))
+
+
+def test_encoded_decodes_to_the_payload_itself():
+    batch = Batch([Payment("a", 1, "b", 5), Payment("a", 2, "c", 6)])
+    shared = Encoded(batch)
+    # One body, copied into any number of frames; never an Encoded out.
+    first, second = (
+        decode_exactly_one(encode_frame((shared, "tail"))) for _ in range(2)
+    )
+    assert first[1] == second[1] == "tail"
+    for decoded in (first[0], second[0]):
+        assert isinstance(decoded, Batch)
+        assert decoded.items == batch.items
+    assert shared.body == pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # ---------------------------------------------------------------------------

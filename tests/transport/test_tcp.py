@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.transport.framing import encode_frame
+from repro.transport.framing import Encoded, encode_frame
 from repro.transport.tcp import (
     _MAGIC,
     _NONCE_BYTES,
@@ -715,5 +715,179 @@ def test_handler_exception_mid_train_spares_the_rest_of_the_train():
         assert b.stats.frames_received == 1  # all three rode one train
         await a.close()
         await b.close()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Broadcast: the payload is encoded once, whoever and however many the peers
+# ---------------------------------------------------------------------------
+class _Counted(Ping):
+    """A Ping that counts how often it is pickled (class-wide)."""
+
+    __slots__ = ()
+    reduced = 0
+
+    def __reduce__(self):
+        _Counted.reduced += 1
+        return (_Counted, (self.value,))
+
+
+async def make_cluster(count: int, **kwargs) -> List[TcpTransport]:
+    """``count`` fully connected transports; ``kwargs`` go to node 0."""
+    nodes = [
+        TcpTransport(i, SECRET, **(kwargs if i == 0 else {}))
+        for i in range(count)
+    ]
+    peers = {n.node_id: ("127.0.0.1", await n.start()) for n in nodes}
+    for node in nodes:
+        node.connect(peers)
+    return nodes
+
+
+def collect_any(transport: TcpTransport, kind: type) -> List[Tuple[int, Any]]:
+    inbox: List[Tuple[int, Any]] = []
+    transport.on(kind, lambda src, msg: inbox.append((src, msg)))
+    return inbox
+
+
+def test_broadcast_pickles_its_payload_once_for_all_peers():
+    async def scenario():
+        nodes = await make_cluster(4)
+        a = nodes[0]
+        inboxes = [collect_any(node, _Counted) for node in nodes]
+        stray = [collect_any(node, Encoded) for node in nodes]
+        payload = _Counted(("batch", 7))
+        _Counted.reduced = 0
+        a.broadcast([0, 1, 2, 3], payload)
+        await wait_for(lambda: all(inboxes))
+        assert _Counted.reduced == 1  # not once per peer train
+        # The loopback target got the object itself, asynchronously...
+        assert inboxes[0] == [(0, payload)] and inboxes[0][0][1] is payload
+        # ...every peer an equal payload of the payload's own class.
+        for inbox in inboxes[1:]:
+            assert inbox == [(0, payload)]
+            assert type(inbox[0][1]) is _Counted
+        assert not any(stray)  # no handler ever sees the wrapper
+        assert a.stats.frames_sent == 3 and a.stats.payloads_sent == 3
+        assert a.stats.frames_dropped == 0
+        for node in nodes:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_broadcast_shares_trains_with_sends_in_order():
+    async def scenario():
+        nodes = await make_cluster(3)
+        a = nodes[0]
+        inboxes = [collect(node) for node in nodes[1:]]
+        await wait_for(lambda: a.stats.connects == 2)
+        a.send(1, Ping("before"))
+        a.broadcast([1, 2], Ping("shared"))
+        a.send(1, Ping("after"))
+        await wait_for(lambda: len(inboxes[0]) == 3 and len(inboxes[1]) == 1)
+        assert [m.value for _, m in inboxes[0]] == [
+            "before", "shared", "after",
+        ]
+        assert [m.value for _, m in inboxes[1]] == ["shared"]
+        assert a.stats.frames_sent == 2  # one train per peer
+        for node in nodes:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "offender", [Ping(lambda: None), Ping("y" * 2048)],
+    ids=["unpicklable", "oversized"],
+)
+@pytest.mark.parametrize("tapped", [False, True], ids=["raw", "tapped"])
+def test_bad_broadcast_payload_is_dropped_per_peer_without_raising(
+    offender, tapped
+):
+    async def scenario():
+        nodes = await make_cluster(4, max_frame=512)
+        a = nodes[0]
+        inboxes = [collect(node) for node in nodes]
+        if tapped:
+            tap = _DropTap()
+            a.install_egress_tap(tap)
+        a.broadcast([1, 2, 3], Ping("before"))
+        a.broadcast([0, 1, 2, 3], offender)  # must not raise
+        a.broadcast([1, 2, 3], Ping("after"))
+        await wait_for(lambda: all(len(inbox) == 2 for inbox in inboxes[1:]))
+        for inbox in inboxes[1:]:
+            assert [msg.value for _, msg in inbox] == ["before", "after"]
+        # Dropped and counted once per remote peer; loopback needs no
+        # encoding, so the local handler still got the object.
+        assert a.stats.frames_dropped == 3
+        assert a.stats.payloads_sent == 6
+        assert [msg for _, msg in inboxes[0]] == [offender]
+        if tapped:
+            assert [entry[0] for entry in tap.seen] == ["broadcast"] * 3
+            assert tap.seen[1][2] is offender  # taps see objects, not bytes
+        assert not any(task.done() for task in a._sender_tasks.values())
+        for node in nodes:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_broadcast_under_block_and_drop_faults():
+    """Link faults act per payload when a train is sealed; a pre-encoded
+    payload is one payload like any other (one RNG draw, in send order)."""
+
+    async def scenario():
+        nodes = await make_cluster(4)
+        a = nodes[0]
+        inboxes = [collect(node) for node in nodes]
+        await wait_for(lambda: a.stats.connects == 3)
+        a.set_link_fault(1, block=True)
+        a.set_link_fault(2, drop=0.5)
+        for value in range(60):
+            a.broadcast([1, 2, 3], Ping(value))
+        reference = random.Random(a.node_id * 7919 + 17)
+        survivors = [v for v in range(60) if reference.random() >= 0.5]
+        await wait_for(
+            lambda: len(inboxes[3]) == 60 and len(inboxes[2]) == len(survivors)
+        )
+        assert [msg.value for _, msg in inboxes[3]] == list(range(60))
+        assert [msg.value for _, msg in inboxes[2]] == survivors
+        assert inboxes[1] == []
+        assert a.stats.fault_dropped == 60 + (60 - len(survivors))
+        assert a.stats.frames_dropped == 0
+        # The unpicklable case under a fault: still no raise, still counted
+        # per peer that would have encoded it (the blocked peer's train is
+        # emptied before encoding).
+        a.clear_link_fault(2)
+        a.broadcast([1, 2, 3], Ping(lambda: None))
+        a.broadcast([1, 2, 3], Ping("tail"))
+        await wait_for(lambda: len(inboxes[3]) == 61)
+        await wait_for(lambda: len(inboxes[2]) == len(survivors) + 1)
+        assert a.stats.frames_dropped == 2
+        assert a.stats.fault_dropped == 60 + (60 - len(survivors)) + 2
+        for node in nodes:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_queued_broadcast_payload_is_bytes_not_the_object():
+    """What waits in a backlog for a dead peer is the encoded body: the
+    payload's object graph is not kept alive by the transport."""
+
+    async def scenario():
+        port = free_port()  # nobody listening: nothing is ever flushed
+        a = TcpTransport(0, SECRET)
+        await a.start()
+        a.connect({1: ("127.0.0.1", port), 2: ("127.0.0.1", port)})
+        probe = _Probe("watched")
+        watcher = weakref.ref(probe)
+        a.broadcast([1, 2], probe)
+        del probe
+        assert watcher() is None
+        assert a.queue_depth(1) == a.queue_depth(2) == 1
+        await a.close()
 
     asyncio.run(scenario())
