@@ -11,9 +11,8 @@ Benchmarks print the reproduced rows/series to stdout — run with ``-s``
 (or read the captured output) to see the paper-style tables.
 
 At session end the per-sweep wall-clock log collected by
-``repro.bench.parallel`` is written to ``BENCH_sweeps.json`` (override
-with ``REPRO_SWEEPS_JSON``) and, when ``BENCH_perf.json`` exists, merged
-into it under ``"sweeps"`` — the harness's own speed is part of the
+``repro.bench.parallel`` is written to ``BENCH_sweeps.json`` and, when
+``BENCH_perf.json`` exists, merged into it under ``"sweeps"`` — the harness's own speed is part of the
 tracked perf trajectory.
 """
 
@@ -25,6 +24,7 @@ import time
 import pytest
 
 from repro.bench.parallel import resolve_jobs, sweep_report
+from repro.bench.report import PERF_JSON
 from repro.bench.scale import current_scale
 
 _session_started_at = 0.0
@@ -80,22 +80,20 @@ def pytest_sessionfinish(session, exitstatus):
         "total_sweep_seconds": round(sum(s["seconds"] for s in sweeps), 3),
         "sweeps": sweeps,
     }
-    path = os.environ.get("REPRO_SWEEPS_JSON", "BENCH_sweeps.json")
-    with open(path, "w") as fh:
+    with open("BENCH_sweeps.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    perf_path = os.environ.get("REPRO_PERF_JSON", "BENCH_perf.json")
     try:
         # Merge only into a perf report written by *this* session: a stale
         # BENCH_perf.json from an earlier run (the perf test may have been
         # deselected) must not be paired with today's sweep timings.
-        if os.path.getmtime(perf_path) < _session_started_at:
+        if os.path.getmtime(PERF_JSON) < _session_started_at:
             return
-        with open(perf_path) as fh:
+        with open(PERF_JSON) as fh:
             perf = json.load(fh)
     except (OSError, ValueError):
         return
     perf["sweeps"] = report
-    with open(perf_path, "w") as fh:
+    with open(PERF_JSON, "w") as fh:
         json.dump(perf, fh, indent=2)
         fh.write("\n")

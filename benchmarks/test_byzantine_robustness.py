@@ -5,14 +5,16 @@ f = ⌊(N−1)/3⌋ adversary bound: f Byzantine replicas arm a quarter into
 the observation window while an invariant monitor samples the correct
 replicas throughout.  Asserts the safety claim — every monitor verdict
 clean — plus coarse liveness (settlement never stops), and writes the
-full per-second curves and verdicts to ``BENCH_byzantine.json``
-(override the path with ``REPRO_BYZANTINE_JSON``).
+full per-second curves and verdicts to ``BENCH_byzantine.json``.
 """
 
 import json
-import os
 
-from repro.bench.adversary import applicable_attacks, run_byzantine_robustness
+from repro.bench.adversary import (
+    ADVERSARY_SYSTEMS,
+    applicable_attacks,
+    run_byzantine_robustness,
+)
 
 
 def test_byzantine_robustness(scale):
@@ -20,14 +22,11 @@ def test_byzantine_robustness(scale):
     print()
     print(suite.table())
 
+    # Every applicable cell of the filter the suite resolved, no fewer.
     expected = {
         (system, attack)
-        for system in ("astro1", "astro2")
-        for attack in applicable_attacks(
-            system,
-            os.environ.get("REPRO_ADVERSARY_ATTACKS", "").split(",")
-            if os.environ.get("REPRO_ADVERSARY_ATTACKS") else None,
-        )
+        for system in ADVERSARY_SYSTEMS
+        for attack in applicable_attacks(system, suite.attacks)
     }
     assert set(suite.cells) == expected
 
@@ -48,7 +47,7 @@ def test_byzantine_robustness(scale):
             f"{system}/{attack} halted settlement: {cell['series']}"
         )
 
-    path = os.environ.get("REPRO_BYZANTINE_JSON", "BENCH_byzantine.json")
+    path = "BENCH_byzantine.json"
     with open(path, "w") as fh:
         json.dump(suite.report(), fh, indent=2)
         fh.write("\n")

@@ -7,11 +7,11 @@ systems and asserts the qualitative claims:
 * Astro II beats Astro I at every size;
 * throughput decays as the system grows (quorum systems).
 
-With cross-delivery CREDIT coalescing on (``REPRO_CREDIT_COALESCE``,
-CI's coalesce matrix cell), Astro II's decay assertion is skipped at
-benchmark sizes: the per-delivery CREDIT fan-out is exactly the term
-whose growth drove the decay between the smoke sizes (N=4 vs 22), so the
-coalesced curve stays flat there and only decays at larger N where the
+Where the largest cell coalesces its CREDITs across deliveries (the
+builders do from N = 50: ``credit_coalesce_window``), Astro II's decay
+assertion is skipped: the per-delivery CREDIT fan-out is exactly the
+term whose growth drives the decay between the smaller sizes, so the
+coalesced end of the curve only decays at larger N where the
 COMMIT-certificate quorum verification takes over.  The paper's decay
 claim is about the uncoalesced protocol; the ordering claims (and the
 other systems' decay) must hold either way.
@@ -24,14 +24,14 @@ probes — which the probe ceiling below bounds.
 """
 
 from repro.bench.fig3 import REFINE_STEPS, run_fig3
-from repro.bench.systems import resolve_credit_coalesce
+from repro.bench.systems import credit_coalesce_window
 
 #: Extra probes allowed per cell, on average, for brackets that miss.
 #: Set from the measured totals (deterministic for a given scale):
 #: smoke 33 probes = 6 anchors + 6 cells × 4 + 3 extra (ceiling 36);
-#: quick 58 probes = 6 anchors + 12 cells × 4 + 4 extra (ceiling 66);
-#: smoke with REPRO_CREDIT_COALESCE=auto also 33.  Full scale is not
-#: measured here, so its total is printed but not asserted.
+#: quick 58 probes = 6 anchors + 12 cells × 4 + 4 extra (ceiling 66).
+#: Full scale is not measured here, so its total is printed but not
+#: asserted.
 PROBE_SLACK_PER_CELL = 1
 
 
@@ -74,7 +74,7 @@ def test_fig3_throughput_vs_size(benchmark, scale):
             f"{astro2[index]:.0f} vs {astro1[index]:.0f}"
         )
     # Decay with system size: smallest size beats largest for each system.
-    coalesced = resolve_credit_coalesce(max(result.sizes)) > 0
+    coalesced = credit_coalesce_window(max(result.sizes)) > 0
     for name, series in result.peaks.items():
         if name == "astro2" and coalesced:
             continue  # see module docstring: coalescing defers the decay

@@ -25,8 +25,8 @@ Whether a *change* made the engine slower is not judged here: that is
 is this file's large cell), in interleaved parent/change pairs on one
 host.
 
-The assertion floors are the module constants below; the report path is
-``REPRO_PERF_JSON`` (default ``BENCH_perf.json``).
+The assertion floors are the module constants below; the report is
+``BENCH_perf.json`` (:data:`repro.bench.report.PERF_JSON`).
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def test_credit_coalescing_speedup(scale):
     mint the same sub-batches under the same pair-varying europe_wan
     latency the builders always use, and strand nothing."""
     cores = usable_cpus()
-    window = scaled_batch_delay(LARGE_N)  # REPRO_CREDIT_COALESCE=auto
+    window = scaled_batch_delay(LARGE_N)  # what N >= 50 builds get
 
     def run_once(delay):
         built = build_astro2(

@@ -41,8 +41,7 @@ def main() -> None:
         num_clients=NUM_CLIENTS,
         warmup=WARMUP,
         window=WINDOW,
-        fault=lambda s, t: s.faults.crash(s.replicas[0].node_id, at=t),
-        fault_offset=FAULT_OFFSET,
+        timeline=f"crash:0@{FAULT_OFFSET}",  # replica 0 leads view 0
     )
 
     astro = build_astro1(SIZE, seed=3)
@@ -51,8 +50,7 @@ def main() -> None:
         num_clients=NUM_CLIENTS,
         warmup=WARMUP,
         window=WINDOW,
-        fault=lambda s, t: s.faults.crash(s.replicas[NUM_CLIENTS - 1].node_id, at=t),
-        fault_offset=FAULT_OFFSET,
+        timeline=f"crash:{NUM_CLIENTS - 1}@{FAULT_OFFSET}",
     )
 
     print("Per-second settled payments (one char per second, fault at ^):")

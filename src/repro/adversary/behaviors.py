@@ -45,13 +45,13 @@ __all__ = [
 ]
 
 
-def _forged_copy(payment: Payment, bump: int = 1) -> Payment:
+def _forged_copy(payment: Payment) -> Payment:
     """A payment with the same identifier but conflicting content."""
     return Payment(
         payment.spender,
         payment.seq,
         payment.beneficiary,
-        payment.amount + bump,
+        payment.amount + 1,
         deps=payment.deps,
         submitted_at=payment.submitted_at,
     )

@@ -25,9 +25,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adversary import ATTACKS, InvariantMonitor, install_adversary
 from .estimate import job_memory_bytes
+from .jobs import _build_timeline_system
 from .parallel import ScenarioJob, derive_seed, execute
 from .scale import BenchScale, current_scale
-from .systems import SYSTEM_BUILDERS, validate_systems
+from .systems import validate_systems
 from .timeline import run_timeline
 
 __all__ = [
@@ -62,14 +63,6 @@ def applicable_attacks(system: str, attacks: Optional[Sequence[str]] = None) -> 
     return [name for name in selected if system in ATTACKS[name].systems]
 
 
-def _no_fault(system: Any, at: float) -> None:
-    """Benign-fault slot left empty: the adversary *is* the fault.
-
-    Passing a no-op keeps :func:`run_timeline` recording ``fault_at`` so
-    the before/after split lines up with the attack's arm time.
-    """
-
-
 def run_adversary_cell(
     seed: int,
     system: str,
@@ -89,8 +82,7 @@ def run_adversary_cell(
     seconds from t=0 through the end of the window, plus one final
     post-run sample.  Returns a picklable, JSON-ready dict.
     """
-    builder = SYSTEM_BUILDERS[system]
-    built = builder(size, seed=seed)
+    built = _build_timeline_system(system, None, size, seed)
     end = warmup + window
     attack_at = warmup + attack_offset
     adversary = install_adversary(
@@ -109,9 +101,8 @@ def run_adversary_cell(
         num_clients=num_clients,
         warmup=warmup,
         window=window,
-        fault=_no_fault,
-        fault_offset=attack_offset,
         seed=seed,
+        split=attack_offset,  # the adversary *is* the fault
     )
     monitor.stop()
     monitor.sample()  # final state, after the window closed
@@ -140,6 +131,8 @@ class ByzantineRobustnessResult:
     warmup: float
     window: float
     attack_offset: float
+    #: The attack filter the run resolved (``None``: every applicable one).
+    attacks: Optional[Sequence[str]] = None
     cells: Dict[Tuple[str, str], Dict[str, Any]] = field(default_factory=dict)
 
     @property
@@ -247,7 +240,8 @@ def run_byzantine_robustness(
         per_job_bytes=job_memory_bytes(size),
     )
     suite = ByzantineRobustnessResult(
-        size=size, warmup=warmup, window=window, attack_offset=attack_offset
+        size=size, warmup=warmup, window=window,
+        attack_offset=attack_offset, attacks=attacks,
     )
     for unit, cell in zip(units, results):
         suite.cells[unit.tag] = cell

@@ -33,6 +33,7 @@ from ..brb.quorums import byzantine_quorum, max_faulty
 from ..crypto import costs
 from ..sim.node import DEFAULT_BANDWIDTH as _NIC_BYTES_PER_SEC
 from ..sim.node import DEFAULT_CORES as _CPU_CORES
+from .systems import credit_coalesce_window, scaled_batch_delay
 
 __all__ = [
     "PeakEstimate",
@@ -104,21 +105,8 @@ def credit_amortization(n: int, credit_coalesce_delay: float) -> float:
     """
     if credit_coalesce_delay <= 0:
         return 1.0
-    from .systems import scaled_batch_delay
-
     window = scaled_batch_delay(n)
     return max(1.0, n * min(credit_coalesce_delay, window) / window)
-
-
-def _resolve_coalesce(n: int, credit_coalesce_delay: Optional[float]) -> float:
-    """``None`` means "whatever the environment knob says" — keeping the
-    figure enumeration automatically consistent with what
-    :func:`~repro.bench.systems.build_astro2` will actually build."""
-    if credit_coalesce_delay is not None:
-        return credit_coalesce_delay
-    from .systems import resolve_credit_coalesce
-
-    return resolve_credit_coalesce(n)
 
 
 def _per_batch_cpu_astro2(
@@ -274,8 +262,9 @@ def analytic_capacity(
 
     ``credit_coalesce_delay`` (Astro II only; other systems ignore it)
     bends the curve for the cross-delivery CREDIT coalescer;  ``None``
-    resolves the ``REPRO_CREDIT_COALESCE`` environment knob so figure
-    enumeration estimates the same system the builders will construct.
+    is the window :func:`~repro.bench.systems.build_astro2` gives a
+    system of this size, so figure enumeration estimates the system the
+    builders will construct.
     """
     try:
         cpu_fn, nic_fn = _PER_BATCH[system]
@@ -284,7 +273,9 @@ def analytic_capacity(
             f"unknown system {system!r}; expected one of {sorted(_PER_BATCH)}"
         ) from None
     if system == "astro2":
-        delay = _resolve_coalesce(size, credit_coalesce_delay)
+        delay = credit_coalesce_delay
+        if delay is None:
+            delay = credit_coalesce_window(size)
         bottleneck = max(cpu_fn(size, delay) / _CPU_CORES, nic_fn(size, delay))
     else:
         bottleneck = max(cpu_fn(size) / _CPU_CORES, nic_fn(size))
@@ -295,7 +286,6 @@ def calibrated_capacity(
     system: str,
     size: int,
     anchors: Optional[Dict[int, float]] = None,
-    credit_coalesce_delay: Optional[float] = None,
 ) -> float:
     """Capacity estimate scaled through measured anchor probes.
 
@@ -305,12 +295,11 @@ def calibrated_capacity(
     log-linearly in N (and clamped beyond the anchor span, so a noisy
     slope cannot run away at large extrapolated sizes).
     """
-    base = analytic_capacity(system, size, credit_coalesce_delay)
+    base = analytic_capacity(system, size)
     if not anchors:
         return base
     points = sorted(
-        (a_size, measured / analytic_capacity(system, a_size,
-                                              credit_coalesce_delay))
+        (a_size, measured / analytic_capacity(system, a_size))
         for a_size, measured in anchors.items()
         if measured > 0
     )
@@ -327,16 +316,12 @@ def calibrated_capacity(
     return base * correction
 
 
-def bracket_for(
-    capacity_pps: float,
-    low_fraction: float = BRACKET_LOW,
-    high_fraction: float = BRACKET_HIGH,
-) -> Tuple[float, float]:
+def bracket_for(capacity_pps: float) -> Tuple[float, float]:
     """``find_peak`` bracket around an estimated capacity."""
     if capacity_pps <= 0:
         raise ValueError(f"capacity must be positive, got {capacity_pps}")
-    low = max(capacity_pps * low_fraction, 50.0)
-    high = max(capacity_pps * high_fraction, low * 2.0)
+    low = max(capacity_pps * BRACKET_LOW, 50.0)
+    high = max(capacity_pps * BRACKET_HIGH, low * 2.0)
     return (low, high)
 
 
@@ -344,14 +329,11 @@ def estimate_peaks(
     system: str,
     sizes: Sequence[int],
     anchors: Optional[Dict[int, float]] = None,
-    credit_coalesce_delay: Optional[float] = None,
 ) -> Dict[int, PeakEstimate]:
     """Per-size peak estimates for one system, calibrated by ``anchors``."""
     estimates: Dict[int, PeakEstimate] = {}
     for size in sizes:
-        capacity = calibrated_capacity(
-            system, size, anchors, credit_coalesce_delay
-        )
+        capacity = calibrated_capacity(system, size, anchors)
         estimates[size] = PeakEstimate(
             system=system,
             size=size,

@@ -58,14 +58,7 @@ def exec_find_peak(
     bracket: Optional[Tuple[float, float]] = None,
     builder_kwargs: Optional[Dict[str, Any]] = None,
 ) -> PeakResult:
-    """One whole peak-throughput search (internally adaptive = one job).
-
-    Astro II cells at N ≥
-    :data:`~repro.bench.systems.CREDIT_COALESCE_AUTO_MIN_N` default to
-    the ``auto`` CREDIT coalescing window unless ``REPRO_CREDIT_COALESCE``
-    says otherwise — resolved inside the builders
-    (:func:`repro.bench.systems.resolve_credit_coalesce`).
-    """
+    """One whole peak-throughput search (internally adaptive = one job)."""
     return find_peak(
         _system_factory(system, size, seed, builder_kwargs),
         start_rate=start_rate,
@@ -205,9 +198,6 @@ _BFT_VARIANTS: Dict[str, Dict[str, Any]] = {
     "aggressive": {"request_timeout": 0.12, "timeout_check_interval": 0.05},
 }
 
-#: The paper's asynchrony injection: 100 ms on all outgoing packets.
-ASYNC_DELAY = 0.100
-
 
 def _build_timeline_system(system: str, variant: Optional[str], size: int,
                            seed: int):
@@ -219,65 +209,22 @@ def _build_timeline_system(system: str, variant: Optional[str], size: int,
     return SYSTEM_BUILDERS[system](size, seed=seed, **kwargs)
 
 
-def _random_victim(system: Any, num_clients: int) -> int:
-    """A non-leader replica representing exactly one active client.
-
-    Matches the paper's observation that crashing a random Astro replica
-    costs the throughput share of the clients it represented (~1 of 10).
-    """
-    index = min(num_clients, len(system.replicas)) - 1
-    return system.replicas[index].node_id
-
-
-def _fault_crash_leader(system: Any, at: float, num_clients: int) -> None:
-    system.faults.crash(system.replicas[0].node_id, at=at)
-
-
-def _fault_crash_random(system: Any, at: float, num_clients: int) -> None:
-    system.faults.crash(_random_victim(system, num_clients), at=at)
-
-
-def _fault_delay_leader(system: Any, at: float, num_clients: int) -> None:
-    system.faults.delay_egress(system.replicas[0].node_id, ASYNC_DELAY, at=at)
-
-
-def _fault_delay_random(system: Any, at: float, num_clients: int) -> None:
-    system.faults.delay_egress(
-        _random_victim(system, num_clients), ASYNC_DELAY, at=at
-    )
-
-
-_FAULTS = {
-    "crash_leader": _fault_crash_leader,
-    "crash_random": _fault_crash_random,
-    "delay_leader": _fault_delay_leader,
-    "delay_random": _fault_delay_random,
-}
-
-
 def exec_timeline(
     seed: int,
     system: str,
     size: int,
-    fault: Optional[str],
+    timeline: str,
     num_clients: int,
     warmup: float,
     window: float,
-    fault_offset: float,
     variant: Optional[str] = None,
 ) -> TimelineResult:
     built = _build_timeline_system(system, variant, size, seed)
-    fault_fn = None
-    if fault is not None:
-        handler = _FAULTS[fault]
-        fault_fn = functools.partial(handler, num_clients=num_clients)
     return run_timeline(
         built,
         num_clients=num_clients,
         warmup=warmup,
         window=window,
-        fault=fault_fn,
-        fault_offset=fault_offset,
+        timeline=timeline,
         seed=seed,
     )
-

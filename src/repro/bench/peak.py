@@ -23,6 +23,9 @@ __all__ = ["PeakResult", "SATURATION_GOODPUT", "find_peak", "shrink_window"]
 #: which must judge saturation exactly like the searches they seed.
 SATURATION_GOODPUT = 0.85
 
+#: Tail-latency envelope (p95 seconds) a probe must stay inside.
+LATENCY_ENVELOPE = 1.5
+
 
 def shrink_window(
     rate: float, duration: float, warmup: float, payment_budget: int
@@ -62,18 +65,17 @@ class PeakResult:
         return f"<PeakResult {self.peak_pps:.0f} pps over {len(self.probes)} probes>"
 
 
-def _probe_ok(result: RunResult, envelope: float) -> bool:
+def _probe_ok(result: RunResult) -> bool:
     if result.goodput_ratio < SATURATION_GOODPUT:
         return False
     if result.latency.count == 0:
         return False
-    return result.latency.p95 <= envelope
+    return result.latency.p95 <= LATENCY_ENVELOPE
 
 
 def find_peak(
     factory: Callable[[], Any],
     start_rate: float = 500.0,
-    latency_envelope: float = 1.5,
     duration: float = 1.5,
     warmup: float = 1.0,
     max_doublings: int = 12,
@@ -147,7 +149,7 @@ def find_peak(
         probes.append(result)
         quiesced = (
             reuse_state
-            and _probe_ok(result, latency_envelope)
+            and _probe_ok(result)
             and result.injected - result.confirmed
             <= max(16, result.injected // 100)
         )
@@ -178,12 +180,12 @@ def find_peak(
         rate = low_hint
         if budget_left():
             result = probe(low_hint)
-            if _probe_ok(result, latency_envelope):
+            if _probe_ok(result):
                 best = result
                 rate = high_hint
                 if budget_left():
                     result = probe(high_hint)
-                    if _probe_ok(result, latency_envelope):
+                    if _probe_ok(result):
                         # Estimate too low: resume doubling above the hint.
                         best = result
                         rate = high_hint * 2.0
@@ -197,7 +199,7 @@ def find_peak(
             if not budget_left():
                 break
             result = probe(rate)
-            if _probe_ok(result, latency_envelope):
+            if _probe_ok(result):
                 best = result
                 rate *= 2.0
             else:
@@ -208,7 +210,7 @@ def find_peak(
         while rate > 1.0 and budget_left():
             rate /= 2.0
             result = probe(rate)
-            if _probe_ok(result, latency_envelope):
+            if _probe_ok(result):
                 best = result
                 break
         if best is None:
@@ -243,7 +245,7 @@ def find_peak(
                 break
             mid = (low + high) / 2.0
             result = probe(mid)
-            if _probe_ok(result, latency_envelope):
+            if _probe_ok(result):
                 best = result
                 low = mid
             else:

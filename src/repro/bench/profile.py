@@ -17,16 +17,17 @@ cite where the time went, and the full profile table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import os
 import pstats
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .runner import RunResult, run_open_loop
+from .runner import run_open_loop
 from .systems import SYSTEM_BUILDERS
 
-__all__ = ["standard_run", "phase_breakdown", "main"]
+__all__ = ["phase_breakdown", "main"]
 
 #: Defaults of the "standard Astro II run": N = 3f+1 = 4, EU WAN latency,
 #: offered load high enough to keep every replica's settle pipeline busy
@@ -58,33 +59,6 @@ _PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ),
     ("workload", ("/repro/workloads/", "/repro/bench/")),
 )
-
-
-def standard_run(
-    system_name: str = DEFAULT_SYSTEM,
-    num_replicas: int = DEFAULT_NUM_REPLICAS,
-    rate: float = DEFAULT_RATE,
-    duration: float = DEFAULT_DURATION,
-    warmup: float = DEFAULT_WARMUP,
-    seed: int = DEFAULT_SEED,
-    builder_kwargs: Optional[Dict[str, Any]] = None,
-) -> tuple:
-    """Build and drive one standard measurement run.
-
-    Returns ``(result, wall_seconds, system)`` where ``result`` is the
-    :class:`~repro.bench.runner.RunResult` of the open-loop window and
-    ``system`` the driven deployment (message-kind counters live on its
-    network).  ``builder_kwargs`` are forwarded to the system factory
-    (e.g. ``credit_coalesce_delay``/``track_kinds`` for Astro II).
-    """
-    builder = SYSTEM_BUILDERS[system_name]
-    system: Any = builder(num_replicas, seed=seed, **(builder_kwargs or {}))
-    start = time.perf_counter()
-    result: RunResult = run_open_loop(
-        system, rate=rate, duration=duration, warmup=warmup, seed=seed
-    )
-    wall = time.perf_counter() - start
-    return result, wall, system
 
 
 def phase_breakdown(stats: pstats.Stats) -> Dict[str, float]:
@@ -133,14 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument("-n", "--num-replicas", "--size", type=int,
                         dest="num_replicas", default=DEFAULT_NUM_REPLICAS,
                         help="deployment size N (--size is an alias)")
-    parser.add_argument("--coalesce", default=None, metavar="SECONDS|auto",
-                        help="astro2 only: cross-delivery CREDIT coalescing "
-                             "window (AstroConfig.credit_coalesce_delay; "
-                             "'auto' = one batch window).  Also enables "
-                             "per-message-kind counters so the CREDIT "
-                             "message count is reported alongside the "
-                             "phase breakdown.  Default: the "
-                             "REPRO_CREDIT_COALESCE environment knob.")
     parser.add_argument("--rate", type=float, default=DEFAULT_RATE,
                         help="offered payments/sec (simulated)")
     parser.add_argument("--duration", type=float, default=DEFAULT_DURATION)
@@ -155,45 +121,21 @@ def main(argv=None) -> int:
                         help="timing only (no cProfile overhead)")
     args = parser.parse_args(argv)
 
-    builder_kwargs: Dict[str, Any] = {}
-    if args.coalesce is not None:
-        if args.system != "astro2":
-            parser.error("--coalesce only applies to astro2 (CREDIT "
-                         "messages exist only in the dependency protocol)")
-        from .systems import resolve_credit_coalesce
-
-        builder_kwargs = dict(
-            credit_coalesce_delay=resolve_credit_coalesce(
-                args.num_replicas, args.coalesce
-            ),
-            track_kinds=True,
+    system = SYSTEM_BUILDERS[args.system](args.num_replicas, seed=args.seed)
+    profiler = None if args.no_profile else cProfile.Profile()
+    start = time.perf_counter()
+    with profiler or contextlib.nullcontext():
+        result = run_open_loop(
+            system, rate=args.rate, duration=args.duration,
+            warmup=args.warmup, seed=args.seed,
         )
-
-    run = lambda: standard_run(  # noqa: E731 - tiny closure over args
-        args.system, args.num_replicas, args.rate, args.duration,
-        args.warmup, args.seed, builder_kwargs=builder_kwargs or None,
-    )
-    if args.no_profile:
-        result, wall, system = run()
-        profiler = None
-    else:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result, wall, system = run()
-        profiler.disable()
+    wall = time.perf_counter() - start
 
     pps = result.confirmed / wall if wall > 0 else float("inf")
-    coalesce = builder_kwargs.get("credit_coalesce_delay")
-    coalesce_note = f" coalesce={coalesce:.3f}s" if coalesce else ""
     print(
-        f"[profile] system={args.system} N={args.num_replicas}"
-        f"{coalesce_note} rate={args.rate:.0f}/s window={args.duration}s"
+        f"[profile] system={args.system} N={args.num_replicas} "
+        f"rate={args.rate:.0f}/s window={args.duration}s"
     )
-    if system.network.stats.track_kinds:
-        by_kind = system.network.stats.by_kind
-        credits = by_kind.get("CreditMessage", 0) + by_kind.get("CreditBundle", 0)
-        print(f"[profile] CREDIT transport messages sent={credits} "
-              f"(all kinds: {dict(sorted(by_kind.items()))})")
     print(
         f"[profile] confirmed={result.confirmed} wall={wall:.3f}s "
         f"simulated-payments/wall-clock-second={pps:,.0f}"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
@@ -12,21 +11,20 @@ __all__ = [
     "format_series",
     "kilo",
     "merge_perf_report",
+    "PERF_JSON",
 ]
 
+#: The merged perf report, in the working directory.
+PERF_JSON = "BENCH_perf.json"
 
-def merge_perf_report(
-    updates: Dict[str, Any], path: Optional[str] = None
-) -> str:
+
+def merge_perf_report(updates: Dict[str, Any], path: str = PERF_JSON) -> str:
     """Merge keys into ``BENCH_perf.json`` (create if absent).
 
     Every producer — the perf regression suite, the workload sweep,
     ``repro.bench.memory`` — writes through here, so sections never
-    truncate each other regardless of execution order.  ``path``
-    defaults to the ``REPRO_PERF_JSON`` environment knob.
+    truncate each other regardless of execution order.
     """
-    if path is None:
-        path = os.environ.get("REPRO_PERF_JSON", "BENCH_perf.json")
     try:
         with open(path) as fh:
             report = json.load(fh)

@@ -20,10 +20,11 @@ observations emerge" at other sizes); ``REPRO_BENCH_SCALE=full`` restores
 N=49/100.
 
 Execution model: every timeline (one curve of one figure) is an
-independent ``timeline`` job — system builder, config variant, and fault
-are all named in the picklable descriptor (resolved in the worker by
-:mod:`repro.bench.jobs`) — so a figure's curves run concurrently on the
-parallel backend.
+independent ``timeline`` job — system builder and config variant are
+named in the picklable descriptor (resolved in the worker by
+:mod:`repro.bench.jobs`), the fault is spelled there as a
+:mod:`repro.transport.chaos` timeline string — so a figure's curves run
+concurrently on the parallel backend.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .estimate import job_memory_bytes
-from .jobs import ASYNC_DELAY  # noqa: F401  (re-exported; value is §VI-D's 100 ms)
 from .jobs import exec_timeline
 from .parallel import ScenarioJob, execute
 from .report import format_series, format_table
@@ -46,6 +46,9 @@ __all__ = [
 
 #: Clients in every robustness run (§VI-D).
 NUM_CLIENTS = 10
+
+#: The paper's asynchrony injection: 100 ms on all outgoing packets.
+ASYNC_DELAY = 0.100
 
 
 @dataclass
@@ -75,13 +78,18 @@ class RobustnessResult:
         return "\n".join(lines)
 
 
-#: (curve name, system, config variant, fault) per figure.
+#: (curve name, system, config variant, fault) per figure.  The fault is
+#: a :mod:`repro.transport.chaos` timeline with the scale-dependent parts
+#: left open: ``{leader}`` is replica 0, ``{random}`` a non-leader replica
+#: representing exactly one active client (the paper: crashing a random
+#: Astro replica costs the throughput share of the clients it
+#: represented, ~1 of 10), ``{at}`` the window's first quarter.
 _Scenario = Tuple[str, str, Optional[str], str]
 
 _FIG5_SCENARIOS: List[_Scenario] = [
-    ("Consensus-Leader", "bft", None, "crash_leader"),
-    ("Consensus-Random", "bft", None, "crash_random"),
-    ("Broadcast-Random", "astro1", None, "crash_random"),
+    ("Consensus-Leader", "bft", None, "crash:{leader}@{at}"),
+    ("Consensus-Random", "bft", None, "crash:{random}@{at}"),
+    ("Broadcast-Random", "astro1", None, "crash:{random}@{at}"),
 ]
 
 # Fig. 6: ``Consensus-Leader-A`` keeps a long request timeout, so the
@@ -89,17 +97,17 @@ _FIG5_SCENARIOS: List[_Scenario] = [
 # uses an aggressive timeout, so a view change deposes the leader and
 # throughput recovers — the trade-off the paper discusses.
 _FIG6_SCENARIOS: List[_Scenario] = [
-    ("Consensus-Leader-A", "bft", "patient", "delay_leader"),
-    ("Consensus-Leader-B", "bft", "aggressive", "delay_leader"),
-    ("Consensus-Random", "bft", None, "delay_random"),
-    ("Broadcast-Random", "astro1", None, "delay_random"),
+    ("Consensus-Leader-A", "bft", "patient", "delay:{leader}x{delay}@{at}"),
+    ("Consensus-Leader-B", "bft", "aggressive", "delay:{leader}x{delay}@{at}"),
+    ("Consensus-Random", "bft", None, "delay:{random}x{delay}@{at}"),
+    ("Broadcast-Random", "astro1", None, "delay:{random}x{delay}@{at}"),
 ]
 
 _FIG7_SCENARIOS: List[_Scenario] = [
-    ("Consensus-Fail", "bft", None, "crash_leader"),
-    ("Consensus-Async", "bft", None, "delay_leader"),
-    ("Broadcast-Fail", "astro1", None, "crash_random"),
-    ("Broadcast-Async", "astro1", None, "delay_random"),
+    ("Consensus-Fail", "bft", None, "crash:{leader}@{at}"),
+    ("Consensus-Async", "bft", None, "delay:{leader}x{delay}@{at}"),
+    ("Broadcast-Fail", "astro1", None, "crash:{random}@{at}"),
+    ("Broadcast-Async", "astro1", None, "delay:{random}x{delay}@{at}"),
 ]
 
 
@@ -117,11 +125,13 @@ def _enumerate_scenarios(
                 system=system,
                 size=size,
                 variant=variant,
-                fault=fault,
+                timeline=fault.format(
+                    leader=0, random=min(NUM_CLIENTS, size) - 1,
+                    delay=ASYNC_DELAY, at=scale.robustness_window / 4,
+                ),
                 num_clients=NUM_CLIENTS,
                 warmup=scale.robustness_warmup,
                 window=scale.robustness_window,
-                fault_offset=scale.robustness_window / 4,
             ),
             seed=seed,
             tag=name,

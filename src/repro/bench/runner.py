@@ -100,20 +100,19 @@ def run_open_loop(
     rate: float,
     duration: float = 2.0,
     warmup: float = 1.0,
-    drain: float = 0.5,
     workload: Optional[Any] = None,
     seed: int = 0,
 ) -> RunResult:
     """Drive ``system`` at ``rate`` payments/sec; measure the steady window.
 
     The measured window is [warmup, warmup+duration); the run continues
-    ``drain`` seconds longer so confirmations of late submissions inside
-    the window are still observed.
+    half a second longer so confirmations of late submissions inside the
+    window are still observed.
     """
     driver, meter, recorder, window_start, window_end = setup_open_loop(
         system, rate, duration, warmup, workload=workload, seed=seed
     )
-    system.run(window_end + drain)
+    system.run(window_end + 0.5)
     finish_open_loop(system, driver)
     achieved = meter.rate(window_start, window_end)
     return RunResult(

@@ -14,7 +14,6 @@ jitter distribution as the shared-RNG sampling, different draws).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import AstroConfig
@@ -25,7 +24,7 @@ from ..sim.latency import europe_wan
 from ..workloads.base import resolve_workload_name, workload_genesis
 
 __all__ = ["build_astro1", "build_astro2", "build_bft", "SYSTEM_BUILDERS",
-           "client_ids_of", "validate_systems", "resolve_credit_coalesce",
+           "client_ids_of", "validate_systems", "credit_coalesce_window",
            "scaled_batch_delay", "CREDIT_COALESCE_AUTO_MIN_N"]
 
 #: Spenders per replica in microbenchmarks; enough to spread load over
@@ -45,59 +44,23 @@ def scaled_batch_delay(num_replicas: int) -> float:
     return 0.05 * max(1.0, num_replicas / 12.0)
 
 
-#: Deployment size at which an *unset* ``REPRO_CREDIT_COALESCE`` flips to
-#: the auto window.  Below it coalescing saves little (few CREDIT targets
-#: per window) and per-delivery unicasts stay byte-identical to previous
-#: releases; at N ≳ 50 the CREDIT fan-in dominates NIC time and the
-#: envelope-level bundling is measured safe (cert parity is
-#: golden-tested), so large Fig. 3 cells get it by default.
+#: Deployment size from which the Astro II builder coalesces CREDITs.
+#: Below it coalescing saves little (few CREDIT targets per window) and
+#: per-delivery unicasts stay byte-identical to the golden histories;
+#: from it the CREDIT fan-in dominates NIC time.
 CREDIT_COALESCE_AUTO_MIN_N = 50
 
 
-def resolve_credit_coalesce(
-    num_replicas: int, value: Optional[str] = None
-) -> float:
-    """Resolve the ``REPRO_CREDIT_COALESCE`` knob to a window in seconds.
-
-    * unset — per-delivery CREDIT unicasts below
-      :data:`CREDIT_COALESCE_AUTO_MIN_N` replicas, the ``auto`` window at
-      or above it;
-    * ``0`` / ``off`` — per-delivery CREDIT unicasts (the default
-      protocol behavior at any size, byte-identical to previous
-      releases);
-    * a float — that many seconds of cross-delivery transport coalescing
-      (:attr:`~repro.core.config.AstroConfig.credit_coalesce_delay`);
-    * ``auto`` — one batch window (:func:`scaled_batch_delay`): every
-      representative broadcasts about one batch per window, so each
-      CREDIT bundle carries ~N per-delivery sub-batches — the paper's
-      2-level amortization extended across a full batch round at the
-      envelope level (sub-batch content and digests stay per-delivery).
-    """
-    raw = value if value is not None else os.environ.get(
-        "REPRO_CREDIT_COALESCE"
-    )
-    if raw is None:
-        if num_replicas >= CREDIT_COALESCE_AUTO_MIN_N:
-            return scaled_batch_delay(num_replicas)
-        return 0.0
-    raw = raw.strip().lower()
-    if raw in ("", "0", "off", "none"):
-        return 0.0
-    if raw == "auto":
+def credit_coalesce_window(num_replicas: int) -> float:
+    """CREDIT coalescing window (seconds) of the standard Astro II build,
+    a function of N alone: per-delivery unicasts (0) below
+    :data:`CREDIT_COALESCE_AUTO_MIN_N`; from there one batch window —
+    every representative broadcasts about one batch per window, so each
+    CREDIT bundle carries ~N per-delivery sub-batches (content and
+    digests stay per-delivery)."""
+    if num_replicas >= CREDIT_COALESCE_AUTO_MIN_N:
         return scaled_batch_delay(num_replicas)
-    try:
-        delay = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CREDIT_COALESCE must be seconds >= 0, 'auto' or "
-            f"'off'; got {raw!r}"
-        ) from None
-    if delay < 0:
-        raise ValueError(
-            f"REPRO_CREDIT_COALESCE must be seconds >= 0, 'auto' or "
-            f"'off'; got {raw!r}"
-        )
-    return delay
+    return 0.0
 
 
 def _bench_genesis(num_clients: int) -> Dict[Any, int]:
@@ -146,17 +109,17 @@ def build_astro2(
     """Standard Astro II deployment.
 
     ``credit_coalesce_delay`` sets the cross-delivery CREDIT coalescing
-    window explicitly; when omitted it resolves from the
-    ``REPRO_CREDIT_COALESCE`` environment knob (default: off).  An
-    explicit ``config`` wins over both — callers constructing their own
-    config control every knob.  ``track_kinds`` enables the network's
+    window explicitly; when omitted it is
+    :func:`credit_coalesce_window` of N.  An explicit ``config`` wins
+    over both — callers constructing their own config control every
+    field.  ``track_kinds`` enables the network's
     per-message-class counters (CREDIT message accounting in perf tests).
     """
     total = num_replicas * num_shards
     genesis = _bench_genesis(total * clients_per_replica)
     if config is None:
         if credit_coalesce_delay is None:
-            credit_coalesce_delay = resolve_credit_coalesce(num_replicas)
+            credit_coalesce_delay = credit_coalesce_window(num_replicas)
         config = AstroConfig(
             num_replicas=num_replicas,
             num_shards=num_shards,

@@ -61,6 +61,10 @@ __all__ = [
 #: Account owners per shard in the Smallbank population.
 OWNERS_PER_SHARD = 32
 
+#: Table I's two network settings: the WAN as is, and +20 ms of
+#: ``tc`` delay on every replica's egress.
+TC_DELAYS_MS = (0.0, 20.0)
+
 
 @dataclass
 class Table1Row:
@@ -213,7 +217,6 @@ def measure_bft_upper_bound(
 def run_table1(
     scale: Optional[BenchScale] = None,
     seed: int = 0,
-    delays_ms: Tuple[float, ...] = (0.0, 20.0),
     jobs: Optional[int] = None,
 ) -> Table1Result:
     if scale is None:
@@ -237,7 +240,7 @@ def run_table1(
             tag=("astro2", shards, delay_ms),
         )
         for shards in scale.table1_shard_counts
-        for delay_ms in delays_ms
+        for delay_ms in TC_DELAYS_MS
     ]
     # The BFT column is a single-shard upper bound shared by every shard
     # count: one job per delay value (the old code's per-delay cache).
@@ -253,7 +256,7 @@ def run_table1(
             seed=seed,
             tag=("bft", delay_ms),
         )
-        for delay_ms in delays_ms
+        for delay_ms in TC_DELAYS_MS
     ]
     results = execute(
         units, jobs=jobs, label=f"table1[{scale.name}]",
@@ -264,7 +267,7 @@ def run_table1(
     by_tag = dict(zip((unit.tag for unit in units), results))
     rows: List[Table1Row] = []
     for shards in scale.table1_shard_counts:
-        for delay_ms in delays_ms:
+        for delay_ms in TC_DELAYS_MS:
             total, avg, p95 = by_tag[("astro2", shards, delay_ms)]
             bft_per_shard = by_tag[("bft", delay_ms)]
             rows.append(

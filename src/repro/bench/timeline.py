@@ -4,16 +4,21 @@ Reproduces the paper's §VI-D methodology: closed-loop clients (one request
 in flight each), a warm-up period, a fault injected mid-run (crash-stop or
 100 ms egress delay), and the per-second settled-payment series over the
 observation window.
+
+The fault is a :mod:`repro.transport.chaos` timeline string — the
+grammar ``python -m repro.transport.cluster --chaos`` takes — so one
+scenario line names the same experiment on either backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from ..sim.metrics import ThroughputMeter
+from ..transport.chaos import apply_timeline, parse_timeline
+from ..workloads.base import make_workload, resolve_workload_name
 from ..workloads.drivers import ClosedLoopDriver
-from ..workloads.uniform import UniformWorkload
 from .systems import client_ids_of
 
 __all__ = ["TimelineResult", "run_timeline"]
@@ -61,20 +66,24 @@ def run_timeline(
     num_clients: int = 10,
     warmup: float = 20.0,
     window: float = 40.0,
-    fault: Optional[Callable[[Any, float], None]] = None,
-    fault_offset: float = 10.0,
+    timeline: str = "",
     seed: int = 0,
-    clients: Optional[Sequence] = None,
+    split: Optional[float] = None,
 ) -> TimelineResult:
     """Run the §VI-D experiment shape on ``system``.
 
-    ``fault(system, at_time)`` — e.g. ``lambda s, t: s.faults.crash(0, t)``
-    — is scheduled ``fault_offset`` seconds into the observation window
-    (the paper warms up 20 s and injects at 30 s).
+    ``timeline`` — e.g. ``"crash:0@10"`` — is scheduled on
+    ``system.faults`` with its times relative to the start of the
+    observation window, as on the live CLI (the paper warms up 20 s and
+    injects at 30 s).  The before/after statistics divide ``split``
+    seconds into the window: by default at the first event, and a caller
+    whose fault is not a timeline event (an adversary's arm time) names
+    it.  Demand comes from the ``REPRO_WORKLOAD`` distribution, like the
+    genesis the builders gave ``system``.
     """
-    population = list(clients) if clients is not None else client_ids_of(system)
+    population = client_ids_of(system)
     active = population[:num_clients]
-    workload = UniformWorkload(population, seed=seed)
+    workload = make_workload(resolve_workload_name(), population, seed=seed)
     meter = ThroughputMeter(bucket_width=1.0)
     end = warmup + window
     driver = ClosedLoopDriver(
@@ -84,14 +93,14 @@ def run_timeline(
         stop_at=end,
         meter=meter,
     )
-    fault_at: Optional[float] = None
-    if fault is not None:
-        fault_at = warmup + fault_offset
-        fault(system, fault_at)
+    events = parse_timeline(timeline)
+    apply_timeline(system.faults, events, start=warmup)
+    if split is None and events:
+        split = events[0].at
     system.run(end)
     return TimelineResult(
         series=meter.series(warmup, end),
         window_start=warmup,
-        fault_at=fault_at,
+        fault_at=None if split is None else warmup + split,
         completed=driver.completed,
     )

@@ -180,7 +180,7 @@ class BftSystem(SimulatedSystem):
         else:
             self._exec_counts[key] = count
 
-    def settle_all(self, max_time: float = 120.0, slice_width: float = 0.5) -> None:
+    def settle_all(self, max_time: float = 120.0) -> None:
         """Run until execution quiesces.
 
         The replicas' periodic timeout timers keep the event queue
@@ -189,6 +189,7 @@ class BftSystem(SimulatedSystem):
         few consecutive time slices.
         """
         deadline = self.sim.now + max_time
+        slice_width = 0.5
         stable = 0
         # A pending-but-stalled request only makes progress after the
         # request timeout fires, so the stability window must outlast it.

@@ -72,3 +72,12 @@ class Astro1Replica(AstroReplicaBase):
         if self._rep_map.get(spender) == self.node_id:
             self._confirm(payment)
         return payment.beneficiary
+
+    @property
+    def held_payments(self) -> int:
+        """Its own clients' payments queued for funds: what Astro II,
+        which waits before it broadcasts, calls *held*."""
+        return sum(
+            len(queue) for client, queue in self._awaiting_seq.items()
+            if self._rep_map.get(client) == self.node_id
+        )

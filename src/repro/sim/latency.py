@@ -133,13 +133,12 @@ class RegionLatency(LatencyModel):
         self,
         assignment: Sequence[str],
         pair_delays: Dict[Tuple[str, str], float],
-        intra_delay: float = _INTRA_REGION_ONE_WAY,
         jitter: float = 0.10,
         seed: int = 0,
         pair_streams: bool = False,
     ) -> None:
         self.assignment: List[str] = list(assignment)
-        self.intra_delay = intra_delay
+        self.intra_delay = _INTRA_REGION_ONE_WAY
         self.jitter = jitter
         self._rng = random.Random(seed)
         #: Bound method cached for the per-message sampling hot path.

@@ -23,9 +23,12 @@ relative to the start of the measurement window:
 :func:`parse_timeline` is where the outside string enters, so it is
 where events are validated; both backends consume the parsed
 :class:`FaultEvent` list.  :func:`apply_timeline` schedules it on a
-simulation's ``system.faults``; a :class:`LiveFaultInjector` executes it
-against a real cluster — the identical spec produces the analogous
-fault schedule, the basis of the sim-vs-live parity tests.
+simulation's ``system.faults`` (:func:`repro.bench.timeline.run_timeline`
+takes the string; Figs. 5–7 are spelled in it); a
+:class:`LiveFaultInjector` executes it against a real cluster
+(``--chaos``) — the identical spec produces the analogous fault
+schedule, the basis of the sim-vs-live parity tests.  The empty spec is
+the fault-free run on both.
 
 The live side implements transport shaping via :class:`LinkFault`
 control messages (applied to :meth:`TcpTransport.set_link_fault` inside
@@ -34,7 +37,7 @@ cluster parent.  :class:`LiveMonitorFeed` adapts periodic replica state
 views into the ``system`` shape
 :class:`~repro.adversary.monitor.InvariantMonitor` samples, so the same
 five safety invariants verified under simulated attacks run against the
-real cluster during chaos.
+real cluster, in every run's verdict.
 """
 
 from __future__ import annotations
@@ -181,15 +184,19 @@ _ACTION_METHODS = {
 }
 
 
-def apply_timeline(injector: Any, events: Sequence[FaultEvent]) -> None:
-    """Schedule ``events`` on a simulation's ``FaultInjector``."""
+def apply_timeline(
+    injector: Any, events: Sequence[FaultEvent], start: float = 0.0
+) -> None:
+    """Schedule ``events`` on a simulation's ``FaultInjector``, their
+    times counted from ``start`` (the measurement window's first second
+    on the simulation clock)."""
     for event in events:
         method = getattr(injector, _ACTION_METHODS[event.action], None)
         if method is None:
             raise ValueError(
                 f"injector {injector!r} does not support {event.action!r}"
             )
-        method(*event.args, at=event.at)
+        method(*event.args, at=start + event.at)
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,26 @@
-"""Localhost live cluster: placement, orchestration, reports and the CLI.
+"""Localhost live cluster: placement, orchestration, the report and the CLI.
 
 ``python -m repro.transport.cluster --n 4 --system astro2`` boots N
 :class:`~repro.transport.live.ReplicaHost`s, one OS process each, behind
 the open-loop load generator of :mod:`repro.transport.live` in the
-parent, measures settled wall-clock throughput over a steady-state
-window, and writes the result to ``BENCH_live.json``.
+parent, and runs one scenario (:func:`_run`): warm-up, a measurement
+window, drain, verdict.  ``--chaos`` names the fault timeline
+(:mod:`repro.transport.chaos`: kill/restart, partition, delay, drop)
+driven against the window; without it the timeline is empty and nothing
+else differs.  Either way the report (``BENCH_live.json``, or
+``BENCH_chaos.json`` under ``--chaos``) carries settled wall-clock
+throughput, confirm latency, wire cost per payment, and the verdict —
+no payment stranded (unconfirmed and not *held* by a representative
+waiting to prove funds), :class:`~repro.adversary.monitor.InvariantMonitor`
+SAFE over the replicas' sampled state, one state fingerprint — which is
+the exit code.  ``--wal-dir`` gives every replica a WAL and snapshots
+(a timeline that crashes one gets a temp dir).
 
 *Where* a replica runs is the context :class:`_ClusterProcs` is handed:
 a ``multiprocessing`` context (a process, SIGKILLed — what
 :func:`run_cluster` passes) or :class:`LoopContext` (a task on the
 caller's loop, cancelled — what lets a test run this orchestrator).
 Either way it is :func:`_replica_async`: a host behind a pipe.
-
-``--wal-dir`` gives every replica a WAL and snapshots; ``--chaos`` drives
-a fault timeline (:mod:`repro.transport.chaos`: kill/restart, partition,
-delay, drop) against the running cluster while the parent samples every
-replica's state into :class:`~repro.adversary.monitor.InvariantMonitor`;
-verdict, recoveries and final fingerprints land in ``BENCH_chaos.json``.
 
 Determinism note: the simulated crypto derives digests and signature
 tokens from Python's ``hash``, which is per-interpreter randomized, so
@@ -67,9 +71,9 @@ __all__ = [
 #: ``--secret`` for anything that leaves the loopback interface).
 DEFAULT_SECRET = b"astro-localhost-cluster"
 
-#: Chaos mode: seconds between invariant-monitor samples, seconds between
-#: resubmissions of unconfirmed payments, and the longest wait for full
-#: settlement (and for recoveries to finish) after the load stops.
+#: Seconds between invariant-monitor samples while faults are scheduled,
+#: seconds between resubmissions of unconfirmed payments, and the longest
+#: wait for full settlement (and for recoveries) after the load stops.
 MONITOR_INTERVAL = 1.0
 RETRY_INTERVAL = 1.0
 DRAIN_TIMEOUT = 30.0
@@ -291,42 +295,6 @@ class _ClusterProcs:
                 proc.kill()
 
 
-async def _report(args, loadgen, wall_start, **fields) -> Dict[str, Any]:
-    """The fields both reports share, around the mode's own ``fields``,
-    from a last round of ``"stats"`` and ``"wire"`` readings."""
-    final = await loadgen.collect("stats")
-    # Everything written to a socket (frame headers included) by the load
-    # generator and the replica processes alive now, per confirmed
-    # payment: what the wire format costs end to end.
-    wire = [*(await loadgen.collect("wire")).values(), _wire_reading(loadgen)]
-    confirmed = max(loadgen.confirmed, 1)
-    return {
-        "system": args.system,
-        "n": args.n,
-        "transport": "tcp-localhost",
-        "offered_pps": args.rate,
-        "warmup_s": args.warmup,
-        "duration_s": args.duration,
-        **fields,
-        "submitted": loadgen.submitted,
-        "confirmed": loadgen.confirmed,
-        "settled_final_by_replica": {
-            str(k): final[k]["settled"] for k in sorted(final)
-        },
-        "rejected_final": {
-            str(k): final[k]["rejected"] for k in sorted(final)
-        },
-        "confirm_latency_ms": _latency_ms(loadgen.latencies),
-        "wire_bytes_per_payment": round(
-            sum(reading["bytes_sent"] for reading in wire) / confirmed, 1
-        ),
-        "wire_payloads_per_payment": round(
-            sum(reading["payloads_sent"] for reading in wire) / confirmed, 2
-        ),
-        "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
-    }
-
-
 def _latency_ms(latencies: List[float]) -> Dict[str, float]:
     """Confirm-latency summary of a report, in milliseconds."""
     if not latencies:
@@ -338,58 +306,45 @@ def _latency_ms(latencies: List[float]) -> Dict[str, float]:
     }
 
 
+async def _wire_cost(loadgen) -> Dict[str, float]:
+    """The report's wire fields.  Per confirmed payment, everything
+    written to a socket (frame headers included) by the load generator
+    and the replica processes alive now — what the wire format costs end
+    to end; and the load generator's own side: trains written/read and
+    how full they ran (1.0 would mean one-message frames again)."""
+    wire = [*(await loadgen.collect("wire")).values(), _wire_reading(loadgen)]
+    confirmed = max(loadgen.confirmed, 1)
+    stats = loadgen.transport.stats
+    return {
+        "loadgen_frames_sent": stats.frames_sent,
+        "loadgen_frames_received": stats.frames_received,
+        "loadgen_payloads_sent": stats.payloads_sent,
+        "payloads_per_frame": round(
+            stats.payloads_sent / max(stats.frames_sent, 1), 2
+        ),
+        "wire_bytes_per_payment": round(
+            sum(reading["bytes_sent"] for reading in wire) / confirmed, 1
+        ),
+        "wire_payloads_per_payment": round(
+            sum(reading["payloads_sent"] for reading in wire) / confirmed, 2
+        ),
+    }
+
+
+def _by_replica(readings: Dict[int, Dict[str, int]], key: str) -> Dict[str, int]:
+    """One counter of a ``"stats"`` round, keyed the way reports are."""
+    return {str(k): readings[k][key] for k in sorted(readings)}
+
+
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
-async def _run_bench(args, transport, loadgen) -> Dict[str, Any]:
-    """The steady-state throughput measurement (``BENCH_live.json``)."""
-    wall_start = time.monotonic()
-    # Warmup: bring connections up and fill the batching pipeline.
-    await loadgen.run(args.rate, args.warmup)
-    before = await loadgen.collect("stats")
-    measure_start = transport.clock.now
-    await loadgen.run(args.rate, args.duration)
-    measure_elapsed = transport.clock.now - measure_start
-    after = await loadgen.collect("stats")
-    # Grace: let in-flight batches/credits settle before the final count.
-    await asyncio.sleep(args.grace)
-
-    deltas = {
-        node_id: after[node_id]["settled"] - before[node_id]["settled"]
-        for node_id in after
-        if node_id in before
-    }
-    # A payment counts as live throughput once settled at *every*
-    # replica (the conservative reading; per-replica deltas are reported
-    # alongside).
-    measured_pps = (
-        min(deltas.values()) / measure_elapsed if deltas else 0.0
-    )
-    stats = transport.stats
-    return await _report(
-        args, loadgen, wall_start,
-        measured_pps=round(measured_pps, 1),
-        measure_elapsed_s=round(measure_elapsed, 3),
-        settled_delta_by_replica={
-            str(k): v for k, v in sorted(deltas.items())
-        },
-        # The load generator's side of the wire: trains written/read, the
-        # payloads they carried out, and how full its trains ran (1.0 would
-        # mean one-message frames again).
-        loadgen_frames_sent=stats.frames_sent,
-        loadgen_frames_received=stats.frames_received,
-        loadgen_payloads_sent=stats.payloads_sent,
-        payloads_per_frame=round(
-            stats.payloads_sent / max(stats.frames_sent, 1), 2
-        ),
-    )
-
-
-async def _run_chaos(
+async def _run(
     args, events, genesis, cluster, transport, loadgen
 ) -> Dict[str, Any]:
-    """Drive the fault timeline ``events`` against the live cluster
-    (``BENCH_chaos.json``)."""
+    """One scenario against the live cluster: warm-up, the measurement
+    window with the fault timeline ``events`` running (none in bench
+    mode), recoveries, drain, and the verdict every report carries."""
     from ..adversary.monitor import InvariantMonitor
     from .chaos import LiveFaultInjector, LiveMonitorFeed
 
@@ -439,11 +394,6 @@ async def _run_chaos(
         crash_fn, recover_fn, transport.send, range(args.n), events
     )
 
-    wall_start = time.monotonic()
-    await loadgen.run(args.rate, args.warmup)
-    t0 = clock.now
-    chaos_task = asyncio.ensure_future(injector.run(t0))
-
     async def sample(timeout: float) -> Dict[int, Any]:
         """One monitor sample over whoever answers within ``timeout``."""
         views = await loadgen.collect("state", timeout)
@@ -459,48 +409,98 @@ async def _run_chaos(
             await sample(MONITOR_INTERVAL * 0.5)
             await asyncio.sleep(MONITOR_INTERVAL)
 
-    monitor_task = asyncio.ensure_future(monitor_loop())
-
+    wall_start = time.monotonic()
+    # Warmup: bring connections up and fill the batching pipeline.
+    await loadgen.run(args.rate, args.warmup)
+    before = await loadgen.collect("stats")
+    t0 = clock.now
+    chaos_task = asyncio.ensure_future(injector.run(t0))
+    # A view ships whole xlogs — O(history) per sample on the load
+    # generator's own loop — so the window is watched only while
+    # something is being done to the cluster.
+    monitor_task = asyncio.ensure_future(monitor_loop()) if events else None
     await loadgen.run(args.rate, args.duration)
+    measure_elapsed = clock.now - t0
+    after = await loadgen.collect("stats")
+
     await chaos_task  # the full fault schedule has executed
     if recovery_tasks:
         await asyncio.wait(recovery_tasks, timeout=DRAIN_TIMEOUT)
     drained = await loadgen.drain(DRAIN_TIMEOUT, RETRY_INTERVAL)
-
     monitor_stop.set()
-    await monitor_task
+    if monitor_task is not None:
+        await monitor_task
 
-    # Final verdict round: state fingerprints on every replica (the
-    # recovered one must match the never-crashed controls), one last
-    # invariant sample over the final views; the report adds the counters.
+    deltas = {
+        str(k): after[k]["settled"] - before[k]["settled"]
+        for k in sorted(after)
+        if k in before
+    }
+    # A payment counts as live throughput once settled at *every*
+    # replica (the conservative reading; per-replica deltas are reported
+    # alongside).
+    measured_pps = min(deltas.values()) / measure_elapsed if deltas else 0.0
+    # Read before the verdict round: its state views are not payment
+    # traffic.
+    wire_cost = await _wire_cost(loadgen)
+    final = await loadgen.collect("stats")
+    pending = loadgen.pending  # read with ``final``: one instant for both
+
+    # Verdict round: state fingerprints on every replica (a recovered one
+    # must match the never-crashed controls) and the invariants over the
+    # final views, sampled twice so the one-sample dependency grace can
+    # run out.
+    await sample(5.0)
     final_views = await sample(5.0)
     fingerprints = {
-        node_id: view["fingerprint"]
+        str(node_id): view["fingerprint"]
         for node_id, view in sorted(final_views.items())
     }
     fingerprints_equal = (
         len(fingerprints) == args.n and len(set(fingerprints.values())) == 1
     )
     verdict = monitor.verdict()
-    return await _report(
-        args, loadgen, wall_start,
-        mode="chaos",
-        timeline=args.chaos,
-        wal_dir=cluster.wal_dir,
-        retries=loadgen.retries,
-        duplicate_confirms=loadgen.duplicate_confirms,
-        unconfirmed=loadgen.pending,
-        drained=drained,
-        fingerprints={str(k): v for k, v in fingerprints.items()},
-        fingerprints_equal=fingerprints_equal,
-        monitor=verdict,
-        recoveries={str(k): v for k, v in sorted(recoveries.items())},
-        injected=[
+    # Unconfirmed is not yet failed: a representative *holds* a payment
+    # until it can prove funds (Listing 7; Astro I queues it everywhere
+    # instead).  Stranded is what nobody holds.
+    held = _by_replica(final, "held")
+    stranded = pending - sum(held.values())
+    return {
+        "system": args.system,
+        "n": args.n,
+        "transport": "tcp-localhost",
+        "offered_pps": args.rate,
+        "warmup_s": args.warmup,
+        "duration_s": args.duration,
+        "timeline": args.chaos or "",
+        "wal_dir": cluster.wal_dir,
+        "measured_pps": round(measured_pps, 1),
+        "measure_elapsed_s": round(measure_elapsed, 3),
+        "settled_delta_by_replica": deltas,
+        "submitted": loadgen.submitted,
+        "confirmed": loadgen.confirmed,
+        "retries": loadgen.retries,
+        "duplicate_confirms": loadgen.duplicate_confirms,
+        "unconfirmed": pending,
+        "held_final": held,
+        "queued_final": _by_replica(final, "queued"),
+        "stranded": stranded,
+        "drained": drained,
+        "settled_final_by_replica": _by_replica(final, "settled"),
+        "rejected_final": _by_replica(final, "rejected"),
+        "confirm_latency_ms": _latency_ms(loadgen.latencies),
+        **wire_cost,
+        "fingerprints": fingerprints,
+        "fingerprints_equal": fingerprints_equal,
+        "monitor": verdict,
+        "recoveries": {str(k): v for k, v in sorted(recoveries.items())},
+        "injected": [
             [round(t, 3), action, payload]
             for t, action, payload in injector.log
         ],
-        ok=drained and verdict["ok"] and fingerprints_equal,
-    )
+        "ok": stranded == 0 and verdict["ok"] and fingerprints_equal,
+        "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
+    }
 
 
 async def _orchestrate(args, cluster: _ClusterProcs, events) -> Dict[str, Any]:
@@ -526,11 +526,9 @@ async def _orchestrate(args, cluster: _ClusterProcs, events) -> Dict[str, Any]:
             cluster.poll_unexpected()
             await asyncio.sleep(0.25)
 
-    if events is None:
-        runner = _run_bench(args, transport, loadgen)
-    else:
-        runner = _run_chaos(args, events, genesis, cluster, transport, loadgen)
-    main_task = asyncio.ensure_future(runner)
+    main_task = asyncio.ensure_future(
+        _run(args, events, genesis, cluster, transport, loadgen)
+    )
     watchdog_task = asyncio.ensure_future(watchdog())
     try:
         await asyncio.wait(
@@ -566,12 +564,11 @@ def run_cluster(args) -> Dict[str, Any]:
     secret = args.secret.encode() if isinstance(args.secret, str) else args.secret
     # Resolved once here; every child gets the name as an argument.
     workload = resolve_workload_name(args.workload)
-    events = None  # bench mode
-    if args.chaos:
-        events = parse_timeline(args.chaos)
-        check_replica_ids(events, args.n)
+    events = parse_timeline(args.chaos or "")  # bench mode: no events
+    check_replica_ids(events, args.n)
     wal_dir = args.wal_dir
-    if events is not None and wal_dir is None:
+    if wal_dir is None and any(event.action == "crash" for event in events):
+        # What is killed must have somewhere to come back from.
         wal_dir = tempfile.mkdtemp(prefix="astro-wal-")
     if wal_dir is not None:
         os.makedirs(wal_dir, exist_ok=True)
@@ -602,10 +599,6 @@ def _parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=10.0, help="measurement seconds"
     )
     parser.add_argument(
-        "--grace", type=float, default=1.5,
-        help="post-load drain before the final settled count",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="keychain and workload seed"
     )
     parser.add_argument(
@@ -625,7 +618,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wal-dir", default=None,
         help="directory for per-replica WALs/snapshots (enables durable "
-             "state; defaults to a temp dir when --chaos is given)",
+             "state; defaults to a temp dir when --chaos crashes a replica)",
     )
     parser.add_argument(
         "--out", default=None, help="report output path "
@@ -643,9 +636,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         handle.write("\n")
     print(f"[cluster] wrote {out}")
     print(json.dumps(report, indent=2))
-    if args.chaos:
-        return 0 if report["ok"] else 1
-    return 0 if report["measured_pps"] > 0 else 1
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI live-smoke

@@ -15,9 +15,9 @@ or tasks on one loop — and orchestrating them is
 * the **control channel** — :class:`ControlQuery` ``(tag, what)`` →
   :class:`ControlReply` ``(tag, node_id, body)`` on the replicas'
   ordinary authenticated connections (:func:`serve_control`); readings
-  ``"stats"`` (settled/rejected counters), ``"state"`` (the view the
-  invariant monitor samples) and ``"wire"`` (bytes and payloads this
-  process wrote to its sockets);
+  ``"stats"`` (settled/rejected/held/queued counters), ``"state"`` (the
+  view the invariant monitor samples) and ``"wire"`` (bytes and payloads
+  this process wrote to its sockets);
 * :class:`_LoadGen` — the open-loop client population, paced against
   the clock; ``collect(what, timeout)`` gathers a reading from all N
   replicas or whoever answers in time.
@@ -94,13 +94,21 @@ class Shutdown:
 
 
 def _stats_reading(replica: Any) -> Dict[str, int]:
-    settled, rejected = replica.settled_count, len(replica.rejected)
-    return {"settled": settled, "rejected": rejected}
+    """Counters of ``replica``: payments settled and rejected; ``held``
+    by it as a representative until funds are there (Listing 7; under
+    Astro I its own clients' queued ones) and ``queued``, delivered but
+    not yet approved."""
+    return {
+        "settled": replica.settled_count,
+        "rejected": len(replica.rejected),
+        "held": replica.held_payments,
+        "queued": replica.queued_payments,
+    }
 
 
 def _wire_reading(node: Any) -> Dict[str, int]:
     """Socket counters of ``node.transport`` — a replica's, or the load
-    generator's own (``cluster._report`` sums both)."""
+    generator's own (``cluster._wire_cost`` sums both)."""
     stats = node.transport.stats
     return {
         "bytes_sent": stats.bytes_sent,
@@ -406,7 +414,8 @@ class _LoadGen:
             await asyncio.wait_for(event.wait(), timeout)
         except asyncio.TimeoutError:
             pass
-        del self._waiters[tag]
+        finally:  # also when the collecting task is cancelled
+            del self._waiters[tag]
         return replies
 
     def retry_pending(self) -> None:
@@ -423,13 +432,25 @@ class _LoadGen:
             self.retries += 1
 
     async def drain(self, timeout: float, retry_interval: float) -> bool:
-        """Wait (with periodic retries) until every payment confirmed."""
+        """Wait (with periodic retries) until every payment confirmed.
+
+        Also over, unconfirmed payments remaining, once they are all
+        *held*: as many as the representatives report holding for want
+        of provable funds, on two ``"stats"`` rounds a retry apart.
+        Income that is not coming does not arrive by waiting.
+        """
         clock = self.transport.clock
         deadline = clock.now + timeout
         next_retry = clock.now + retry_interval
+        all_held = False
         while self._pending and clock.now < deadline:
             await asyncio.sleep(0.05)
             if self._pending and clock.now >= next_retry:
+                stats = await self.collect("stats", retry_interval)
+                held = sum(reading["held"] for reading in stats.values())
+                if held == self.pending and all_held:
+                    break
+                all_held = held == self.pending
                 self.retry_pending()
                 next_retry = clock.now + retry_interval
         return not self._pending

@@ -23,11 +23,13 @@ PaymentSystemLike = Any
 class OpenLoopDriver:
     """Injects payments at a fixed aggregate rate, independent of progress.
 
-    Arrivals are smoothed over small ticks (default 5 ms): per tick the
+    Arrivals are smoothed over small ticks (5 ms): per tick the
     driver injects ``rate * tick`` payments (with fractional carry), which
     keeps simulator event counts proportional to the injected load while
     preserving the offered rate exactly.
     """
+
+    tick = 0.005
 
     def __init__(
         self,
@@ -36,7 +38,6 @@ class OpenLoopDriver:
         rate: float,
         duration: float,
         start: float = 0.0,
-        tick: float = 0.005,
         meter: Optional[ThroughputMeter] = None,
         recorder: Optional[LatencyRecorder] = None,
     ) -> None:
@@ -47,7 +48,6 @@ class OpenLoopDriver:
         self.rate = rate
         self.start = start
         self.end = start + duration
-        self.tick = tick
         self.meter = meter
         self.recorder = recorder
         self.injected = 0
@@ -101,7 +101,6 @@ class ClosedLoopDriver:
         think_time: float = 0.0,
         meter: Optional[ThroughputMeter] = None,
         recorder: Optional[LatencyRecorder] = None,
-        stagger: float = 0.1,
     ) -> None:
         self.system = system
         self.workload = workload
@@ -116,7 +115,8 @@ class ClosedLoopDriver:
                 client, on_confirm=self._make_confirm(client)
             )
             self.nodes.append(node)
-            offset = stagger * position / max(len(client_ids), 1)
+            # First requests staggered over 100 ms, not one burst.
+            offset = 0.1 * position / max(len(client_ids), 1)
             system.sim.schedule_at(offset, self._issue, client, node)
 
     def _make_confirm(self, client: ClientId) -> Callable[[Payment, float], None]:

@@ -35,13 +35,13 @@ __all__ = [
 #: Fraction of the population that is a merchant (rounded up to >= 1).
 MERCHANT_FRACTION = 0.05
 
-#: Default tight merchant genesis balance — well under one payout, so
-#: payouts are funded by settled purchase income, not genesis money.
+#: Tight merchant genesis balance — well under one payout, so payouts
+#: are funded by settled purchase income, not genesis money.
 MERCHANT_BALANCE = 25
 
 
-def _num_merchants(num_clients: int, fraction: float) -> int:
-    return max(1, round(num_clients * fraction))
+def _num_merchants(num_clients: int) -> int:
+    return max(1, round(num_clients * MERCHANT_FRACTION))
 
 
 def is_merchant(client: ClientId) -> bool:
@@ -63,21 +63,14 @@ def merchant_split(
     merchants = [c for c in population if is_merchant(c)]
     if merchants:
         return [c for c in population if not is_merchant(c)], merchants
-    split = len(population) - _num_merchants(
-        len(population), MERCHANT_FRACTION
-    )
+    split = len(population) - _num_merchants(len(population))
     return population[:split], population[split:]
 
 
-def merchant_genesis(
-    num_clients: int,
-    consumer_balance: int = 10**9,
-    merchant_balance: int = MERCHANT_BALANCE,
-    fraction: float = MERCHANT_FRACTION,
-) -> Dict[ClientId, int]:
+def merchant_genesis(num_clients: int) -> Dict[ClientId, int]:
     """Genesis with ample consumers and deliberately tight merchants.
 
-    ``merchant_balance`` defaults to well under one payout, so almost
+    :data:`MERCHANT_BALANCE` is well under one payout, so almost
     every merchant payout must wait for settled purchase income
     (queued drains in Astro I / BFT, dependency certificates in
     Astro II).
@@ -87,18 +80,13 @@ def merchant_genesis(
             "merchant_genesis needs at least two clients (one consumer "
             f"and one merchant); got {num_clients}"
         )
-    merchants = _num_merchants(num_clients, fraction)
+    merchants = _num_merchants(num_clients)
     consumers = num_clients - merchants
-    if consumers <= 0:
-        raise ValueError(
-            f"merchant fraction {fraction} leaves no consumers for "
-            f"{num_clients} clients"
-        )
     genesis: Dict[ClientId, int] = {
-        f"client-{i}": consumer_balance for i in range(consumers)
+        f"client-{i}": 10**9 for i in range(consumers)
     }
     for i in range(merchants):
-        genesis[f"merchant-{i}"] = merchant_balance
+        genesis[f"merchant-{i}"] = MERCHANT_BALANCE
     return genesis
 
 

@@ -34,6 +34,7 @@ def test_suite_runs_all_cells_and_stays_safe():
         for attack in applicable_attacks(system)
     }
     assert set(suite.cells) == expected
+    assert suite.attacks is None  # no filter given, none in the environment
     assert len(suite.cells) == 12
     assert suite.all_safe
     for (system, attack), cell in suite.cells.items():
@@ -63,6 +64,7 @@ def test_attack_and_system_filters():
     assert set(suite.cells) == {
         ("astro2", "mute"), ("astro2", "forge_credit"),
     }
+    assert suite.attacks == ("mute", "forge_credit")
 
 
 def test_env_attack_filter_and_overrides(monkeypatch):
@@ -72,6 +74,9 @@ def test_env_attack_filter_and_overrides(monkeypatch):
         adversary_count=1, monitor_interval=0.25,
     )
     assert set(suite.cells) == {("astro1", "mute")}
+    # The suite says which filter it resolved, so a caller can check
+    # completeness without reading the environment again.
+    assert suite.attacks == ["mute"]
     cell = suite.cells[("astro1", "mute")]
     assert len(cell["byzantine"]) == 1  # adversary_count beats f=2
     # 0.25 s cadence over a 2.5 s run plus the final sample.

@@ -39,7 +39,7 @@ from repro.bench.scale import _SCALES
 from repro.bench.systems import (
     build_astro2,
     build_bft,
-    resolve_credit_coalesce,
+    credit_coalesce_window,
     scaled_batch_delay,
     validate_systems,
 )
@@ -94,50 +94,42 @@ class TestCreditCoalesceEstimation:
                 system, 32, credit_coalesce_delay=1.0
             ) == analytic_capacity(system, 32, credit_coalesce_delay=0.0)
 
-    def test_env_knob_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CREDIT_COALESCE", raising=False)
-        assert resolve_credit_coalesce(32) == 0.0
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "off")
-        assert resolve_credit_coalesce(32) == 0.0
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "0.25")
-        assert resolve_credit_coalesce(32) == 0.25
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "auto")
-        assert resolve_credit_coalesce(32) == scaled_batch_delay(32)
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "-1")
-        with pytest.raises(ValueError):
-            resolve_credit_coalesce(32)
-
-    def test_unset_env_flips_to_auto_at_large_n(self, monkeypatch):
-        """Unset coalescing defaults to the auto window once the CREDIT
-        fan-in dominates (N >= CREDIT_COALESCE_AUTO_MIN_N); an explicit
-        ``off`` still wins at any size."""
+    def test_window_is_a_function_of_n_alone(self, monkeypatch):
+        """Per-delivery CREDITs below CREDIT_COALESCE_AUTO_MIN_N, one
+        batch window once the CREDIT fan-in dominates — and nothing in
+        the environment moves it."""
         from repro.bench.systems import CREDIT_COALESCE_AUTO_MIN_N
 
         threshold = CREDIT_COALESCE_AUTO_MIN_N
-        monkeypatch.delenv("REPRO_CREDIT_COALESCE", raising=False)
-        assert resolve_credit_coalesce(threshold - 1) == 0.0
-        assert resolve_credit_coalesce(threshold) == scaled_batch_delay(
-            threshold
-        )
-        assert resolve_credit_coalesce(100) == scaled_batch_delay(100)
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "off")
-        assert resolve_credit_coalesce(100) == 0.0
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "0")
-        assert resolve_credit_coalesce(100) == 0.0
+        for stale_knob in (None, "off", "auto", "0.25"):
+            if stale_knob is not None:
+                monkeypatch.setenv("REPRO_CREDIT_COALESCE", stale_knob)
+            assert credit_coalesce_window(32) == 0.0
+            assert credit_coalesce_window(threshold - 1) == 0.0
+            assert credit_coalesce_window(threshold) == scaled_batch_delay(
+                threshold
+            )
+            assert credit_coalesce_window(100) == scaled_batch_delay(100)
 
-    def test_analytic_capacity_follows_env_when_unspecified(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CREDIT_COALESCE", raising=False)
-        off = analytic_capacity("astro2", 32)
-        monkeypatch.setenv("REPRO_CREDIT_COALESCE", "auto")
-        assert analytic_capacity("astro2", 32) > off
+    def test_unspecified_capacity_follows_builders(self):
+        for size in (32, 100):
+            assert analytic_capacity("astro2", size) == analytic_capacity(
+                "astro2", size,
+                credit_coalesce_delay=credit_coalesce_window(size),
+            )
+        assert analytic_capacity("astro2", 100) > analytic_capacity(
+            "astro2", 100, credit_coalesce_delay=0.0
+        )
 
     def test_builder_env_and_explicit_precedence(self, monkeypatch):
+        # The environment no longer reaches the builder: N decides.
         monkeypatch.setenv("REPRO_CREDIT_COALESCE", "auto")
         system = build_astro2(4, seed=1)
-        assert system.config.credit_coalesce_delay == scaled_batch_delay(4)
-        # Explicit parameter beats the environment.
-        system = build_astro2(4, seed=1, credit_coalesce_delay=0.0)
         assert system.config.credit_coalesce_delay == 0.0
+        # An explicit parameter beats the N-rule.
+        window = scaled_batch_delay(4)
+        system = build_astro2(4, seed=1, credit_coalesce_delay=window)
+        assert system.config.credit_coalesce_delay == window
         # An explicit config beats both.
         from repro.core.config import AstroConfig
 
@@ -459,6 +451,46 @@ class TestRobustnessSuite:
         assert fig7.size == _SCALES["smoke"].robustness_large_n
         # Reassembly kept figure/curve pairing intact.
         assert fig6.timelines["Broadcast-Random"] == "timeline:Broadcast-Random"
+
+
+    def test_fault_strings_name_the_victims_the_systems_have(self, monkeypatch):
+        """Each curve's fault is spelled at enumeration, without a built
+        system: the string must parse to the replica a built one has at
+        that position — the leader, or the last representative of an
+        active client — at the window's first quarter."""
+        from repro.bench.jobs import _build_timeline_system
+        from repro.transport.chaos import parse_timeline
+
+        calls = []
+        monkeypatch.setattr(
+            robustness_mod, "execute", _fake_execute_factory(calls)
+        )
+        scale = _SCALES["smoke"]
+        run_robustness_suite(scale=scale, seed=1)
+        scenarios = (
+            robustness_mod._FIG5_SCENARIOS
+            + robustness_mod._FIG6_SCENARIOS
+            + robustness_mod._FIG7_SCENARIOS
+        )
+        assert len(scenarios) == len(calls[0]["units"])
+        for (_name, _system, _variant, fault), unit in zip(
+            scenarios, calls[0]["units"]
+        ):
+            params = unit.params
+            (event,) = parse_timeline(params["timeline"])
+            built = _build_timeline_system(
+                params["system"], params["variant"], params["size"], unit.seed
+            )
+            active = min(params["num_clients"], len(built.replicas))
+            victim = built.replicas[
+                0 if "{leader}" in fault else active - 1
+            ].node_id
+            assert event.at == scale.robustness_window / 4
+            assert event.action == fault.split(":")[0]
+            assert event.args == (
+                (victim,) if event.action == "crash"
+                else (victim, robustness_mod.ASYNC_DELAY)
+            )
 
 
 class TestFig3ResultProbeAccounting:

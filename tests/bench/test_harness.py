@@ -102,7 +102,7 @@ class TestTimeline:
     def test_timeline_without_fault_is_steady(self):
         system = build_astro1(4, seed=4)
         result = run_timeline(
-            system, num_clients=4, warmup=2.0, window=6.0, fault=None
+            system, num_clients=4, warmup=2.0, window=6.0, timeline=""
         )
         assert len(result.series) == 6
         assert all(v > 0 for v in result.series)
@@ -115,10 +115,57 @@ class TestTimeline:
             num_clients=4,
             warmup=2.0,
             window=8.0,
-            fault=lambda s, t: s.faults.crash(s.replicas[3].node_id, at=t),
-            fault_offset=3.0,
+            timeline=f"crash:{system.replicas[3].node_id}@3.0",
         )
+        assert result.fault_at == 5.0
         assert result.before_fault() > result.after_fault() > 0
+
+    def test_timeline_string_schedules_what_direct_calls_did(self):
+        """A ``partition``/``heal`` string is the same experiment as the
+        injector calls it replaces: same fault log, same history."""
+        spelled = build_astro1(4, seed=4)
+        by_string = run_timeline(
+            spelled, num_clients=4, warmup=1.0, window=4.0,
+            timeline="partition:0,1|2,3@1.0;heal@2.5",
+        )
+        direct = build_astro1(4, seed=4)
+        direct.faults.partition((0, 1), (2, 3), at=2.0)
+        direct.faults.heal(at=3.5)
+        by_calls = run_timeline(direct, num_clients=4, warmup=1.0, window=4.0)
+        assert [kind for _t, kind, _what in spelled.faults.log] == [
+            "partition", "heal",
+        ]
+        assert spelled.faults.log == direct.faults.log
+        assert by_string.series == by_calls.series
+        assert by_string.completed == by_calls.completed > 0
+        # No quorum on either side of a 2|2 split: the window shows it.
+        assert by_string.series[0] > 0.0 == by_string.series[2]
+        assert (by_string.fault_at, by_calls.fault_at) == (2.0, None)
+
+    def test_split_names_a_fault_that_is_not_a_timeline_event(self):
+        result = run_timeline(
+            build_astro1(4, seed=4), num_clients=4, warmup=1.0, window=3.0,
+            split=2.0,
+        )
+        assert result.fault_at == 3.0
+
+    def test_demand_follows_the_workload_knob(self, monkeypatch):
+        """Genesis and demand resolve one knob: a merchant system gets
+        merchant operations (every closed-loop consumer buys from a
+        merchant), not a uniform stream over merchant balances."""
+        from repro.workloads.merchant import is_merchant
+
+        monkeypatch.setenv("REPRO_WORKLOAD", "merchant")
+        system = build_astro1(4, seed=4)
+        result = run_timeline(system, num_clients=4, warmup=0.5, window=1.5)
+        assert result.completed > 0
+        settled = [
+            payment
+            for log in system.replicas[0].state.xlogs.values()
+            for payment in log
+        ]
+        assert len(settled) >= result.completed
+        assert all(is_merchant(payment.beneficiary) for payment in settled)
 
     def test_summary_helpers(self):
         from repro.bench.timeline import TimelineResult

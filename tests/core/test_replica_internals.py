@@ -59,6 +59,17 @@ def test_queued_payments_visible():
     system.submit("a", "b", 50)  # unfunded: delivered but queued
     system.settle_all()
     assert all(replica.queued_payments == 1 for replica in system.replicas)
+    # Held is the representative's reading of the same payment: queued
+    # everywhere, answered for by one replica.
+    rep = system.representative_of("a")
+    assert [r.held_payments for r in system.replicas] == [
+        int(r is rep) for r in system.replicas
+    ]
+    system.submit("b", "a", 50)  # the funds arrive
+    system.settle_all()
+    assert all(
+        r.queued_payments == r.held_payments == 0 for r in system.replicas
+    )
 
 
 def test_astro2_projected_balance_tracks_held_queue():

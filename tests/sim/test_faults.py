@@ -140,16 +140,15 @@ def test_crash_recover_timeline():
     system = build_astro1(7, seed=3)
     victim = system.replica_node_ids[-1]
 
-    def crash_then_recover(sys_, at):
-        sys_.faults.crash(victim, at=at)
-        sys_.faults.recover(victim, at=at + 1.5)
-
     result = run_timeline(
         system, num_clients=6, warmup=1.0, window=4.0,
-        fault=crash_then_recover, fault_offset=1.0, seed=3,
+        timeline=f"crash:{victim}@1.0;recover:{victim}@2.5", seed=3,
     )
-    kinds = [entry[1] for entry in system.faults.log]
-    assert kinds == ["crash", "recover"]
+    # Timeline times count from the start of the window (warmup=1.0).
+    assert system.faults.log == [
+        (2.0, "crash", victim), (3.5, "recover", victim),
+    ]
+    assert result.fault_at == 2.0
     assert not system.network.is_crashed(victim)
     assert system.replica_by_node(victim).alive
     assert result.completed > 0

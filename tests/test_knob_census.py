@@ -46,7 +46,7 @@ def test_code_mentions_exactly_the_documented_knobs():
     )
     # Growing this number needs two callers that want different values;
     # with one value in use, make it a constant instead.
-    assert len(documented) == 9
+    assert len(documented) == 5
 
 
 def test_cluster_cli_flags_are_exactly_the_documented_ones():
@@ -67,7 +67,7 @@ def test_cluster_cli_flags_are_exactly_the_documented_ones():
     )
     # Deployment settings (addresses, paths, credentials) and what two
     # callers set differently stay flags; one-valued tuning is a constant.
-    assert len(flags) == 12
+    assert len(flags) == 11
 
 
 def test_transport_contract_is_exactly_the_documented_surface():

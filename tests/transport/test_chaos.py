@@ -173,6 +173,25 @@ def test_apply_timeline_drives_sim_injector():
     ]
 
 
+def test_apply_timeline_start_offsets_every_action():
+    """Timeline times count from the measurement window's first second:
+    ``start`` shifts each event, whatever its action."""
+    injector = _sim_injector()
+    apply_timeline(
+        injector,
+        parse_timeline(
+            "crash:1@0.5;delay:2x0.1@1.0;partition:0|3@1.25;"
+            "recover:1@1.5;heal@2.0"
+        ),
+        start=4.0,
+    )
+    injector.sim.run(until=7.0)
+    assert [(at, action) for at, action, _what in injector.log] == [
+        (4.5, "crash"), (5.0, "delay"), (5.25, "partition"),
+        (5.5, "recover"), (6.0, "heal"),
+    ]
+
+
 def test_drop_is_live_only():
     """The sim injector has no probabilistic loss; the spec must say so."""
     with pytest.raises(ValueError, match="does not support"):

@@ -142,7 +142,9 @@ def test_in_process_cluster_settles_payments(system, boot_hosts):
             await asyncio.sleep(0.02)
         assert sorted(stats) == list(range(n))
         for body in stats.values():
-            assert body == {"settled": num_payments, "rejected": 0}
+            assert body == {
+                "settled": num_payments, "rejected": 0, "held": 0, "queued": 0,
+            }
 
         await loadgen.close()
         for host in hosts:
@@ -154,6 +156,10 @@ def test_in_process_cluster_settles_payments(system, boot_hosts):
 # ---------------------------------------------------------------------------
 # Control channel: one query/reply pair, collected with a deadline
 # ---------------------------------------------------------------------------
+#: The ``"stats"`` reading of a replica nothing was submitted to.
+_IDLE_STATS = {"settled": 0, "rejected": 0, "held": 0, "queued": 0}
+
+
 def _control_scenario(boot_hosts, serving: int, body) -> None:
     """Run ``body(loadgen, hosts)`` against a load generator expecting 2
     replicas, ``serving`` of which exist and have settled nothing yet."""
@@ -177,8 +183,8 @@ def test_collect_gathers_both_readings_from_every_replica(boot_hosts):
     async def body(loadgen, hosts):
         stats = await loadgen.collect("stats")
         assert stats == {
-            0: {"settled": 0, "rejected": 0},
-            1: {"settled": 0, "rejected": 0},
+            0: _IDLE_STATS,
+            1: _IDLE_STATS,
         }
         state = await loadgen.collect("state")
         assert sorted(state) == [0, 1]
@@ -206,7 +212,7 @@ def test_collect_timeout_returns_the_partial_reply_set(boot_hosts):
 
     async def body(loadgen, hosts):
         replies = await loadgen.collect("stats", timeout=0.5)
-        assert replies == {0: {"settled": 0, "rejected": 0}}
+        assert replies == {0: _IDLE_STATS}
 
     _control_scenario(boot_hosts, 1, body)
 
@@ -219,7 +225,7 @@ def test_reply_with_a_stale_tag_is_dropped(boot_hosts):
         # replica) must not leak into the next collection or linger.
         hosts[0].transport.send(2, ControlReply(1, 1, {"settled": 99}))
         second = await loadgen.collect("stats", timeout=0.5)
-        assert second == {0: {"settled": 0, "rejected": 0}}
+        assert second == {0: _IDLE_STATS}
         assert loadgen._waiters == {}
 
     _control_scenario(boot_hosts, 1, body)
@@ -241,15 +247,12 @@ def test_wire_reading_and_the_reports_bytes_per_payment(boot_hosts):
             assert 0 < reading["bytes_sent"] <= stats.bytes_sent
             assert 0 < reading["payloads_sent"] <= stats.payloads_sent
 
-        args = argparse.Namespace(
-            system="astro2", n=2, rate=200.0, warmup=0.0, duration=0.2
-        )
-        report = await cluster_module._report(args, loadgen, time.monotonic())
-        assert report["confirmed"] == loadgen.confirmed == 40
+        report = await cluster_module._wire_cost(loadgen)
+        assert loadgen.confirmed == 40
         written = loadgen.transport.stats.bytes_sent + sum(
             host.transport.stats.bytes_sent for host in hosts
         )
-        # The report's own two queries were written after it read the
+        # The reading's own two queries were written after it read the
         # counters; nothing else is in flight.
         assert 0 < report["wire_bytes_per_payment"] <= written / 40
         assert report["wire_bytes_per_payment"] > 0.9 * written / 40
@@ -327,6 +330,7 @@ def test_run_cluster_passes_workload_by_argument_not_environment(monkeypatch):
     async def orchestrate(args, cluster, events):
         seen["workload"] = cluster.workload
         seen["events"] = events
+        seen["wal_dir"] = cluster.wal_dir
         return {"stub": True}
 
     monkeypatch.setattr(_ClusterProcs, "spawn_all", spawn_all)
@@ -337,7 +341,8 @@ def test_run_cluster_passes_workload_by_argument_not_environment(monkeypatch):
     )
     assert run_cluster(args) == {"stub": True}
     assert dict(os.environ) == environment
-    assert seen == {"workload": "merchant", "events": None}
+    # Bench mode is the empty timeline; with nothing to kill, no WAL.
+    assert seen == {"workload": "merchant", "events": [], "wal_dir": None}
     # Every child is told the name: the entry point forwards its
     # arguments verbatim to _replica_async.
     parameters = list(inspect.signature(_replica_async).parameters)
@@ -347,6 +352,34 @@ def test_run_cluster_passes_workload_by_argument_not_environment(monkeypatch):
         assert bound["workload"] == "merchant"
         assert bound["node_id"] == node_id
         assert default_genesis(4, bound["workload"]) != default_genesis(4)
+
+
+@pytest.mark.parametrize(
+    "chaos,wants_wal",
+    [("delay:1x0.05@1;heal@2", False), ("crash:1@1;recover:1@2", True)],
+)
+def test_only_a_timeline_that_crashes_a_replica_gets_a_wal_dir(
+    chaos, wants_wal, monkeypatch, tmp_path
+):
+    """What is killed must have somewhere to come back from; shaping a
+    link needs no durable state."""
+    seen: Dict[str, Any] = {}
+
+    async def orchestrate(args, cluster, events):
+        seen["wal_dir"] = cluster.wal_dir
+        return {}
+
+    monkeypatch.setattr(_ClusterProcs, "spawn_all", lambda self: None)
+    monkeypatch.setattr(cluster_module, "_orchestrate", orchestrate)
+    monkeypatch.setattr(
+        cluster_module.tempfile, "mkdtemp", lambda prefix: str(tmp_path)
+    )
+    args = argparse.Namespace(
+        n=4, system="astro2", seed=0, workload=None,
+        secret="s", chaos=chaos, wal_dir=None,
+    )
+    run_cluster(args)
+    assert seen["wal_dir"] == (str(tmp_path) if wants_wal else None)
 
 
 def test_run_cluster_rejects_unknown_replica_before_spawning(monkeypatch):

@@ -1,7 +1,8 @@
 """The cluster's own orchestrator, run in-process.
 
-``_orchestrate`` / ``_run_bench`` / ``_run_chaos`` and ``_ClusterProcs``
-are the code the CLI runs; only the placement differs: the context
+``_orchestrate`` / ``_run`` and ``_ClusterProcs`` are the code the CLI
+runs — one scenario runner, bench mode being the empty fault timeline;
+only the placement differs: the context
 handed to ``_ClusterProcs`` is :class:`LoopContext`, so each replica is
 a task on this test's loop instead of an OS process.  What the CI
 ``live-smoke`` / ``chaos-smoke`` lanes check once per push is therefore
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import itertools
 import signal
 import threading
 
@@ -25,6 +27,9 @@ from repro.transport.cluster import (
     _ClusterProcs,
     _orchestrate,
 )
+from repro.transport.live import _LoadGen, default_genesis, payment_stream
+from repro.workloads.base import make_workload
+from repro.workloads.merchant import is_merchant
 
 SECRET = b"in-loop-cluster"
 
@@ -32,7 +37,7 @@ SECRET = b"in-loop-cluster"
 def _args(**overrides) -> argparse.Namespace:
     settings = dict(
         n=4, system="astro2", rate=300.0, warmup=0.5, duration=2.0,
-        grace=1.0, seed=0, chaos=None,
+        seed=0, chaos=None,
     )
     settings.update(overrides)
     return argparse.Namespace(**settings)
@@ -47,7 +52,7 @@ def _run(args, workload="uniform", wal_dir=None, before=None) -> dict:
         if before is not None:
             before(cluster)
         cluster.spawn_all()
-        events = parse_timeline(args.chaos) if args.chaos else None
+        events = parse_timeline(args.chaos or "")
         try:
             return await _orchestrate(args, cluster, events)
         finally:
@@ -56,9 +61,47 @@ def _run(args, workload="uniform", wal_dir=None, before=None) -> dict:
     return asyncio.run(scenario())
 
 
+def _held_by_fifo_replay(operations: int, n: int = 4, seed: int = 0) -> int:
+    """Merchant payouts of the first ``operations`` payments that all of
+    the run's purchase income cannot fund, spent first come first served
+    per merchant — a payout that cannot be funded holds its successors."""
+    genesis = default_genesis(n, "merchant")
+    workload = make_workload("merchant", sorted(genesis, key=repr), seed=seed)
+    payments = list(itertools.islice(payment_stream(workload), operations))
+    funds = dict(genesis)
+    for payment in payments:
+        if not is_merchant(payment.spender):
+            funds[payment.beneficiary] += payment.amount
+    blocked, held = set(), 0
+    for payment in payments:
+        if not is_merchant(payment.spender):
+            continue
+        if payment.spender in blocked or funds[payment.spender] < payment.amount:
+            blocked.add(payment.spender)
+            held += 1
+        else:
+            funds[payment.spender] -= payment.amount
+    return held
+
+
+def test_fifo_replay_of_the_merchant_stream():
+    assert [_held_by_fifo_replay(ops) for ops in (1200, 2000, 4500)] == [
+        0, 28, 44,
+    ]
+
+
 @pytest.mark.slow
-def test_bench_mode_confirms_every_payment_on_every_replica():
+def test_bench_mode_confirms_every_payment_on_every_replica(monkeypatch):
+    collected = []
+    collect = _LoadGen.collect
+
+    async def probed_collect(self, what, timeout=5.0):
+        collected.append(what)
+        return await collect(self, what, timeout)
+
+    monkeypatch.setattr(_LoadGen, "collect", probed_collect)
     args = _args()
+    assert parse_timeline(args.chaos or "") == []
     report = _run(args)
     assert report["submitted"] == round(args.rate * (args.warmup + args.duration))
     assert report["confirmed"] == report["submitted"]
@@ -67,6 +110,44 @@ def test_bench_mode_confirms_every_payment_on_every_replica():
         str(node_id): report["submitted"] for node_id in range(args.n)
     }
     assert set(report["rejected_final"].values()) == {0}
+    # Bench mode is the empty timeline, verdict included.
+    assert report["ok"] and report["drained"]
+    assert report["unconfirmed"] == report["stranded"] == 0
+    assert report["monitor"]["ok"] and report["fingerprints_equal"]
+    assert report["injected"] == [] and report["recoveries"] == {}
+    assert report["wal_dir"] is None
+    # Nothing is done to the cluster, so nothing watches the window: the
+    # only state views are the verdict round's two, and the "wire"
+    # reading behind wire_bytes_per_payment is taken before them.
+    assert report["monitor"]["samples"] == 2
+    assert collected == ["stats", "stats", "wire", "stats", "state", "state"]
+    assert report["wire_bytes_per_payment"] > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("system, queued", [("astro2", 0), ("astro1", 28)])
+def test_bench_mode_tells_held_payouts_from_stranded_ones(system, queued):
+    """2,000 merchant operations, no fault: the payouts that purchase
+    income cannot fund stay *held* at the merchant's representative
+    (Listing 7) — unconfirmed, not stranded, and not waited for.  Astro I
+    broadcasts them first and waits at settle (§IV-A): queued at every
+    replica, held where the representative answers for them."""
+    args = _args(system=system, rate=500.0, warmup=1.0, duration=3.0)
+    report = _run(args, workload="merchant")
+    assert report["submitted"] == 2000
+    held = report["held_final"]
+    assert report["unconfirmed"] == sum(held.values()) == 28
+    assert report["unconfirmed"] == _held_by_fifo_replay(report["submitted"])
+    assert sorted(held.values()) == [0, 0, 0, 28]  # one merchant, one rep
+    assert report["stranded"] == 0 and not report["drained"]
+    assert set(report["queued_final"].values()) == {queued}
+    assert set(report["rejected_final"].values()) == {0}
+    assert report["ok"], report
+    # The drain gave up on payments nobody will fund two retry rounds
+    # in, not at DRAIN_TIMEOUT.
+    assert report["wall_elapsed_s"] < (
+        args.warmup + args.duration + cluster_module.DRAIN_TIMEOUT / 2
+    )
 
 
 @pytest.mark.slow
@@ -77,6 +158,8 @@ def test_chaos_mode_kills_and_recovers_a_replica(tmp_path):
     assert report["drained"] and report["unconfirmed"] == 0
     assert report["fingerprints_equal"] and len(report["fingerprints"]) == 4
     assert report["monitor"]["ok"]
+    assert report["monitor"]["samples"] > 2  # the window was watched
+    assert report["measured_pps"] > 0
     assert [action for _t, action, _who in report["injected"]] == [
         "crash", "recover",
     ]
@@ -88,25 +171,44 @@ def test_chaos_mode_kills_and_recovers_a_replica(tmp_path):
     assert recovered["imported"] > 0
 
 
+def _merchant_crash(victim: int, wal_dir) -> dict:
+    """The documented chaos command, in-process: ``--workload merchant
+    --rate 200 --duration 8 --chaos "crash:V@2;recover:V@5"``."""
+    args = _args(
+        rate=200.0, warmup=2.0, duration=8.0,
+        chaos=f"crash:{victim}@2;recover:{victim}@5",
+    )
+    return _run(args, workload="merchant", wal_dir=str(wal_dir))
+
+
+@pytest.mark.slow
+def test_merchant_payouts_survive_a_crash(tmp_path):
+    """Crashing a replica that represents no merchant changes nothing:
+    the same 28 unfundable payouts stay held as with no fault at all."""
+    report = _merchant_crash(1, tmp_path)
+    assert report["monitor"]["ok"]
+    assert report["unconfirmed"] == sum(report["held_final"].values()) == 28
+    assert set(report["queued_final"].values()) == {0}
+    assert report["stranded"] == 0
+    assert report["ok"], report
+
+
 @pytest.mark.slow
 @pytest.mark.xfail(
     strict=False,
-    reason="ROADMAP item 1(ii): merchant payouts submitted around the "
-    "outage never confirm (CREDITs sent to the dead replica are lost and "
-    "nothing re-requests a certificate); the PR that fixes stranded "
-    "payouts flips this",
+    reason="ROADMAP item 1: a merchant's own representative, back from a "
+    "crash, over-projects the merchant's funds; one payout is rejected at "
+    "every replica and its successors queue behind it for ever (Listing 9 "
+    "l.49 does not advance sn); the PR that fixes it flips this",
 )
-def test_merchant_payouts_survive_a_crash(tmp_path, monkeypatch):
-    """The documented red command, in-process: ``--workload merchant
-    --rate 200 --duration 8 --chaos "crash:1@2;recover:1@5"``."""
+def test_merchant_payouts_survive_a_crash_of_their_representative(
+    tmp_path, monkeypatch
+):
     monkeypatch.setattr(cluster_module, "DRAIN_TIMEOUT", 5.0)
-    args = _args(
-        rate=200.0, warmup=2.0, duration=8.0, chaos="crash:1@2;recover:1@5"
-    )
-    report = _run(args, workload="merchant", wal_dir=str(tmp_path))
+    report = _merchant_crash(3, tmp_path)
     assert report["monitor"]["ok"]
-    assert report["unconfirmed"] == 0
-    assert report["ok"]
+    assert set(report["rejected_final"].values()) == {0}
+    assert set(report["queued_final"].values()) == {0}
 
 
 @pytest.mark.slow
