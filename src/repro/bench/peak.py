@@ -54,13 +54,6 @@ class PeakResult:
     #: failing probe with the highest achieved rate.
     peak_probe_index: Optional[int] = None
 
-    @property
-    def injected_total(self) -> int:
-        """Payments injected across every probe of the search — the
-        quantity ``payment_budget`` rations, surfaced so budget
-        accounting is observable."""
-        return sum(probe.injected for probe in self.probes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PeakResult {self.peak_pps:.0f} pps over {len(self.probes)} probes>"
 

@@ -258,15 +258,7 @@ class KeyedCoalescer(Generic[T]):
         self.items_coalesced += len(items)
         self.flush_fn(key, items)
 
-    def flush_all(self) -> None:
-        """Flush every pending bucket, in key-insertion order."""
-        for key in list(self._pending):
-            self.flush_key(key)
-
     @property
     def pending_count(self) -> int:
         return sum(len(bucket) for bucket in self._pending.values())
-
-    def pending_for(self, key: Hashable) -> int:
-        return len(self._pending.get(key, ()))
 

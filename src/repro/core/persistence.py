@@ -144,23 +144,45 @@ class WriteAheadLog:
     # -- recovery-side reading -----------------------------------------
     def scan(self) -> Tuple[List[Any], int]:
         """Return (records, valid_byte_length), tolerating a torn tail."""
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return [], 0
-        records, valid = _parse_records(data)
+        records: List[Any] = []
+        valid = 0
+        for record, valid in self._read():
+            records.append(record)
         return records, valid
 
     def iter_records(self) -> Iterator[Any]:
-        """Iterate the complete records currently on disk.
-
-        Safe to call while the log is being appended (serves catch-up
-        from a live replica): a torn or partially flushed tail simply
-        ends the iteration.
+        """Iterate the complete records currently on disk, one read and
+        unpickled at a time: catch-up, stopping at its batch limit,
+        leaves the rest of the history on disk.  Safe to call while the
+        log is being appended (a live replica serving catch-up): a torn
+        or partially flushed tail simply ends the iteration.
         """
-        records, _ = self.scan()
-        return iter(records)
+        for record, _ in self._read():
+            yield record
+
+    def _read(self) -> Iterator[Tuple[Any, int]]:
+        """``(record, end offset)`` of each complete record; a missing
+        file, a corrupt header or a torn tail ends it silently."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            offset = 0
+            while True:
+                header = fh.read(4)
+                length = _unpack_header(header)[0] if len(header) == 4 else 0
+                if length == 0 or length > MAX_FRAME_BYTES:
+                    return  # end of file, or a corrupt header
+                body = fh.read(length)
+                if len(body) < length:
+                    return  # torn tail
+                try:
+                    record = pickle.loads(body)
+                except Exception:
+                    return
+                offset += 4 + length
+                yield record, offset
 
     # -- append-side writing -------------------------------------------
     def open_for_append(self) -> int:
@@ -190,25 +212,6 @@ class WriteAheadLog:
         if self._file is not None:
             self._file.close()
             self._file = None
-
-
-def _parse_records(data: bytes) -> Tuple[List[Any], int]:
-    records: List[Any] = []
-    offset = 0
-    total = len(data)
-    while total - offset >= 4:
-        (length,) = _unpack_header(data, offset)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            break  # corrupt header: treat the rest as a torn tail
-        end = offset + 4 + length
-        if end > total:
-            break  # torn tail
-        try:
-            records.append(pickle.loads(data[offset + 4 : end]))
-        except Exception:
-            break
-        offset = end
-    return records, offset
 
 
 class RecoveryReport:

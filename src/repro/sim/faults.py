@@ -70,11 +70,6 @@ class FaultInjector:
         self.network.set_egress_delay(node_id, extra)
         self.log.append((self.sim.now, "delay", (node_id, extra)))
 
-    def delay_all(self, node_ids: Iterable[int], extra: float, at: float = 0.0) -> None:
-        """Uniform extra delay at several nodes (Table I's +20 ms setup)."""
-        for node_id in node_ids:
-            self.delay_egress(node_id, extra, at=at)
-
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------

@@ -107,10 +107,6 @@ class FifoServer:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
 
-    def reset_stats(self) -> None:
-        self.busy_time = 0.0
-        self.jobs_served = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FifoServer {self.name!r} backlog={self.backlog:.6f}s>"
 

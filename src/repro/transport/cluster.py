@@ -332,7 +332,7 @@ async def _wire_cost(loadgen) -> Dict[str, float]:
 
 
 def _by_replica(readings: Dict[int, Dict[str, int]], key: str) -> Dict[str, int]:
-    """One counter of a ``"stats"`` round, keyed the way reports are."""
+    """One counter of a control round, keyed the way reports are."""
     return {str(k): readings[k][key] for k in sorted(readings)}
 
 
@@ -443,28 +443,32 @@ async def _run(
     # Read before the verdict round: its state views are not payment
     # traffic.
     wire_cost = await _wire_cost(loadgen)
+    paced = await loadgen.collect("collector")
     final = await loadgen.collect("stats")
     pending = loadgen.pending  # read with ``final``: one instant for both
 
     # Verdict round: state fingerprints on every replica (a recovered one
     # must match the never-crashed controls) and the invariants over the
     # final views, sampled twice so the one-sample dependency grace can
-    # run out.
-    await sample(5.0)
-    final_views = await sample(5.0)
+    # run out.  A view ships whole xlogs, which can take many seconds:
+    # every replica that is up is waited for, and a view that did not
+    # arrive is reported missing, never as a disagreement.
+    await sample(DRAIN_TIMEOUT)
+    final_views = await sample(DRAIN_TIMEOUT)
     fingerprints = {
         str(node_id): view["fingerprint"]
         for node_id, view in sorted(final_views.items())
     }
-    fingerprints_equal = (
-        len(fingerprints) == args.n and len(set(fingerprints.values())) == 1
-    )
+    views_missing = sorted(set(range(args.n)) - set(final_views))
+    fingerprints_equal = len(set(fingerprints.values())) == 1
+    agreed = fingerprints_equal and not views_missing
     verdict = monitor.verdict()
     # Unconfirmed is not yet failed: a representative *holds* a payment
     # until it can prove funds (Listing 7; Astro I queues it everywhere
     # instead).  Stranded is what nobody holds.
     held = _by_replica(final, "held")
     stranded = pending - sum(held.values())
+    wall_elapsed = time.monotonic() - wall_start
     return {
         "system": args.system,
         "n": args.n,
@@ -492,14 +496,21 @@ async def _run(
         **wire_cost,
         "fingerprints": fingerprints,
         "fingerprints_equal": fingerprints_equal,
+        "views_missing": views_missing,
+        # The pacer's (transport/collector.py) share of wall time.
+        "full_collections_by_replica": _by_replica(paced, "full_collections"),
+        "full_collection_share": round(
+            sum(reading["full_seconds"] for reading in paced.values())
+            / (max(len(paced), 1) * wall_elapsed), 4
+        ),
         "monitor": verdict,
         "recoveries": {str(k): v for k, v in sorted(recoveries.items())},
         "injected": [
             [round(t, 3), action, payload]
             for t, action, payload in injector.log
         ],
-        "ok": stranded == 0 and verdict["ok"] and fingerprints_equal,
-        "wall_elapsed_s": round(time.monotonic() - wall_start, 3),
+        "ok": agreed and stranded == 0 and verdict["ok"],
+        "wall_elapsed_s": round(wall_elapsed, 3),
     }
 
 
@@ -511,6 +522,7 @@ async def _orchestrate(args, cluster: _ClusterProcs, events) -> Dict[str, Any]:
         cluster.workload, sorted(genesis, key=repr), seed=args.seed
     )
     loadgen = _LoadGen(transport, args.n, genesis, workload)
+    loadgen.down = cluster.down  # a collect() waits for who is up
     await cluster.boot(("127.0.0.1", transport.port))
     transport.connect(cluster.peer_map)
 

@@ -16,8 +16,9 @@ or tasks on one loop — and orchestrating them is
   :class:`ControlReply` ``(tag, node_id, body)`` on the replicas'
   ordinary authenticated connections (:func:`serve_control`); readings
   ``"stats"`` (settled/rejected/held/queued counters), ``"state"`` (the
-  view the invariant monitor samples) and ``"wire"`` (bytes and payloads
-  this process wrote to its sockets);
+  view the invariant monitor samples), ``"wire"`` (bytes and payloads
+  this process wrote to its sockets) and ``"collector"`` (what the
+  full-collection pacer of :mod:`repro.transport.collector` did here);
 * :class:`_LoadGen` — the open-loop client population, paced against
   the clock; ``collect(what, timeout)`` gathers a reading from all N
   replicas or whoever answers in time.
@@ -42,6 +43,7 @@ from ..core.persistence import (
 )
 from ..crypto.keys import Keychain
 from ..workloads.base import resolve_workload_name, workload_genesis
+from . import collector
 from .chaos import LinkFault, apply_link_fault, replica_state_view
 from .tcp import TcpTransport
 
@@ -123,6 +125,7 @@ def serve_control(transport: Any, replica: Any) -> None:
         "stats": _stats_reading,
         "state": replica_state_view,
         "wire": _wire_reading,
+        "collector": lambda _replica: collector.reading(),
     }
 
     def _on_query(src: int, query: ControlQuery) -> None:
@@ -371,6 +374,7 @@ class _LoadGen:
         #: tag -> (all-answered event, node_id -> body) per open collect().
         self._waiters: Dict[int, Tuple[asyncio.Event, Dict[int, Any]]] = {}
         self._tag = 0
+        self.down: set = set()  # killed replicas: nothing waits for them
         transport.on(ClientConfirm, self._on_confirm)
         transport.on(ControlReply, self._on_control_reply)
 
@@ -392,12 +396,12 @@ class _LoadGen:
             return  # answered after its collect() timed out
         event, replies = waiter
         replies[reply.node_id] = reply.body
-        if len(replies) == self.n:
+        if len(replies.keys() - self.down) >= self.n - len(self.down):
             event.set()
 
     async def collect(self, what: str, timeout: float = 5.0) -> Dict[int, Any]:
         """Ask every replica for reading ``what``; ``node_id -> body``
-        of whoever answered when all N have, or at ``timeout``.
+        of whoever answered when all that are up have, or at ``timeout``.
 
         A crashed replica simply does not answer — its monitor view
         stays frozen, the invariant contract for crashed-but-correct

@@ -40,13 +40,11 @@ One OS process per node.  Design (exemplar: the lightning bolts
 
 Why the open train is bounded and sealed eagerly: payload objects that
 wait for the flush survive the young collections, get promoted, and
-CPython's ``long_lived_pending > long_lived_total / 4`` trigger then
-runs full collections over the whole replica state.  Measured on
-``live_uniform``'s closed loop: 7 full collections with one frame per
-message, 16 with an unbounded lazy train (which gave back half the
-gain), 10 with the train sealed to ``bytes`` at 32 payloads — so no
-payload object outlives 32 further sends to its peer or the current loop
-turn, and a broadcast payload is ``bytes`` from the start.
+feed CPython's ``long_lived_pending > long_lived_total / 4`` trigger for
+full collections over the whole replica state — so no payload object
+outlives 32 further sends to its peer or the current loop turn, and a
+broadcast payload is ``bytes`` from the start.  What full collections
+may cost is the policy every started transport holds: :mod:`.collector`.
 
 Everything runs on one asyncio loop per process; protocol handlers are
 synchronous callbacks invoked from receiver tasks, so replica code needs
@@ -74,6 +72,7 @@ from typing import (
     Type,
 )
 
+from . import collector
 from .clock import RealTimeClock
 from .framing import (
     MAX_FRAME_BYTES,
@@ -219,6 +218,7 @@ class TcpTransport:
         self._server = await asyncio.start_server(
             self._accept, host=self.host, port=port
         )
+        collector.hold()  # bound: given back by close(), once
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
@@ -239,10 +239,11 @@ class TcpTransport:
     async def close(self) -> None:
         """Stop accepting, drop every connection, cancel all tasks."""
         self._closed = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            collector.release()
+            server.close()
+            await server.wait_closed()
         for task in list(self._sender_tasks.values()):
             task.cancel()
         for task in list(self._receiver_tasks):

@@ -161,13 +161,6 @@ class SmallbankWorkload:
                 partner = self._owner()
         return checking(owner), checking(partner), self._amount()
 
-    def next_write(self) -> Tuple[ClientId, ClientId, int]:
-        """Next write operation (skipping Balance reads)."""
-        while True:
-            operation = self.next()
-            if operation is not None:
-                return operation
-
     @property
     def observed_cross_fraction(self) -> float:
         if self.total_writes == 0:

@@ -187,12 +187,3 @@ class TestFindPeakGuards:
         )
         assert len(result.probes) == 1
         assert result.peak_pps > 0
-
-    def test_injected_total_sums_probes(self):
-        factory = functools.partial(build_astro2, 4, seed=3)
-        result = find_peak(
-            factory, start_rate=2000, duration=0.4, warmup=0.3,
-            refine_steps=1, max_probes=3, payment_budget=6000,
-        )
-        assert result.injected_total == sum(p.injected for p in result.probes)
-        assert result.injected_total > 0

@@ -148,7 +148,7 @@ class TestKeyedCoalescer:
         coalescer.add("b", 9)
         coalescer.add("a", 2)
         assert flushed == [("a", [1, 2])]
-        assert coalescer.pending_for("b") == 1
+        assert coalescer.pending_count == 1  # b's
         sim.run_until_idle()
         assert flushed == [("a", [1, 2]), ("b", [9])]
 
@@ -171,17 +171,6 @@ class TestKeyedCoalescer:
         coalescer.add("a", 1)
         assert flushed == [("a", [1])]
         assert sim.pending == 0  # no timer left behind
-
-    def test_flush_all_in_key_insertion_order(self):
-        sim = Simulator()
-        coalescer, flushed = self._make(sim, max_size=100, max_delay=1.0)
-        coalescer.add_many("b", [1, 2])
-        coalescer.add("a", 3)
-        coalescer.flush_all()
-        assert flushed == [("b", [1, 2]), ("a", [3])]
-        assert coalescer.pending_count == 0
-        sim.run_until_idle()
-        assert len(flushed) == 2  # cancelled timers do not re-flush
 
     def test_manual_flush_key_cancels_timer(self):
         sim = Simulator()
@@ -225,7 +214,7 @@ class TestKeyedCoalescer:
         assert flushed == []
         coalescer.add("a", [3, 4, 5])  # weight 2 + 3 >= 5
         assert flushed == [("a", [[1, 2], [3, 4, 5]])]
-        assert coalescer.pending_for("a") == 0
+        assert coalescer.pending_count == 0
 
     def test_weight_fn_oversized_first_item_flushes_immediately(self):
         sim = Simulator()

@@ -522,6 +522,44 @@ def test_serve_catch_up_makes_progress_on_a_bound_below_one(tmp_path):
     assert last.complete
 
 
+def test_serve_catch_up_reads_no_further_than_it_answers(
+    tmp_path, monkeypatch
+):
+    """``iter_records`` is a generator: a request served 8 batches from a
+    5,000-record WAL unpickles those, the record that shows there is more,
+    and what it skipped on the way — not the whole history (per request,
+    on the payment path's own loop)."""
+    store = ReplicaStore(str(tmp_path), 0)
+    store.finish_recovery()
+    for index in range(5000):
+        if index % 4 == 0:
+            store.record(("fp", f"{index:x}"))
+        else:
+            store.record(("deliver", index % 3, index, f"b{index}"))
+    records, _valid = store.wal.scan()
+    assert len(records) == 5000
+    delivers = [record[1:] for record in records if record[0] == "deliver"]
+
+    loads, real_loads = [], pickle.loads
+    monkeypatch.setattr(
+        pickle, "loads", lambda data: loads.append(1) or real_loads(data)
+    )
+    reply = serve_catch_up(store, CatchUpRequest(1, {}, (), 8))
+    monkeypatch.undo()
+    assert list(reply.batches) == delivers[:8] and not reply.complete
+    skipped = 3  # records 0, 4 and 8 are fingerprints
+    assert len(loads) == 8 + skipped + 1
+
+    # A torn tail still ends the iteration silently, wherever it stops.
+    with open(store.wal.path, "ab") as fh:
+        fh.write(b"\x00\x00\x01\x00" + b"half a record")
+    assert sum(1 for _ in store.wal.iter_records()) == 5000
+    frontier = {origin: 4996 for origin in range(3)}
+    tail = serve_catch_up(store, CatchUpRequest(2, frontier, (), 8))
+    assert [seq for _origin, seq, _batch in tail.batches] == [4997, 4998, 4999]
+    assert tail.complete
+
+
 def test_catch_up_messages_pickle_roundtrip():
     request = CatchUpRequest(3, {0: 2}, ((1, 5),), max_batches=9)
     clone = pickle.loads(pickle.dumps(request))

@@ -126,6 +126,20 @@ def test_run_pauses_and_restores_collector():
     assert gc.isenabled()
 
 
+def test_run_installs_no_collector_callback():
+    """The live loop's pacer (``repro.transport.collector``) is held by
+    started ``TcpTransport``s; no simulator run starts one, so the two
+    policies never meet."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=3)
+    setup_open_loop(system, rate=100.0, duration=1.0, warmup=0.0, seed=3)
+    callbacks, thresholds = list(gc.callbacks), gc.get_threshold()
+    inside = []
+    system.sim.schedule(0.5, lambda: inside.append(list(gc.callbacks)))
+    system.run(2.0)
+    assert inside == [callbacks]
+    assert gc.callbacks == callbacks and gc.get_threshold() == thresholds
+
+
 def test_run_restores_collector_when_callback_raises():
     sim = Simulator()
 

@@ -49,13 +49,6 @@ def test_delay_egress_applies_at_time():
     assert received[1] >= 1.2
 
 
-def test_delay_all():
-    sim, network, nodes, faults = build()
-    faults.delay_all([0, 1, 2], 0.05, at=0.0)
-    sim.run_until_idle()
-    assert network._egress_delay == {0: 0.05, 1: 0.05, 2: 0.05}
-
-
 def test_partition_and_heal():
     sim, network, nodes, faults = build()
     received = []

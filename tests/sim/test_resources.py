@@ -55,8 +55,6 @@ def test_utilization_tracking():
     sim.run_until_idle()
     assert server.utilization(2.0) == pytest.approx(0.5)
     assert server.jobs_served == 1
-    server.reset_stats()
-    assert server.busy_time == 0.0
 
 
 def test_negative_service_time_rejected():

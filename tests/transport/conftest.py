@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 from typing import List, Optional
 
 import pytest
 
+from repro.transport import collector
 from repro.transport.live import ReplicaHost, default_genesis
 from repro.transport.tcp import TcpTransport
 
@@ -44,3 +46,18 @@ async def _boot_hosts(
 def boot_hosts():
     """``await boot_hosts(system, n, serving, stores)``, on the test's loop."""
     return _boot_hosts
+
+
+@pytest.fixture(autouse=True)
+def no_collector_hold_outlives_its_test():
+    """Every started transport is closed: the pacer it held is gone from
+    ``gc.callbacks`` and the thresholds are the ones the test found."""
+    thresholds = gc.get_threshold()
+    yield
+    held = collector._holds
+    if held:  # do not fail every later test for this one's leak
+        collector._holds = 1
+        collector.release()
+    assert held == 0, f"{held} started TcpTransport(s) never closed"
+    assert collector._on_collection not in gc.callbacks
+    assert gc.get_threshold() == thresholds

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro.transport import cluster as cluster_module
+from repro.transport import live as live_module
 from repro.transport.chaos import parse_timeline
 from repro.transport.cluster import (
     LoopContext,
@@ -27,7 +28,12 @@ from repro.transport.cluster import (
     _ClusterProcs,
     _orchestrate,
 )
-from repro.transport.live import _LoadGen, default_genesis, payment_stream
+from repro.transport.live import (
+    ControlQuery,
+    _LoadGen,
+    default_genesis,
+    payment_stream,
+)
 from repro.workloads.base import make_workload
 from repro.workloads.merchant import is_merchant
 
@@ -117,11 +123,18 @@ def test_bench_mode_confirms_every_payment_on_every_replica(monkeypatch):
     assert report["injected"] == [] and report["recoveries"] == {}
     assert report["wal_dir"] is None
     # Nothing is done to the cluster, so nothing watches the window: the
-    # only state views are the verdict round's two, and the "wire"
-    # reading behind wire_bytes_per_payment is taken before them.
+    # only state views are the verdict round's two, and the "wire" and
+    # "collector" readings are taken before them.
     assert report["monitor"]["samples"] == 2
-    assert collected == ["stats", "stats", "wire", "stats", "state", "state"]
+    assert collected == [
+        "stats", "stats", "wire", "collector", "stats", "state", "state",
+    ]
     assert report["wire_bytes_per_payment"] > 0
+    assert report["views_missing"] == []
+    assert sorted(report["full_collections_by_replica"]) == list("0123")
+    # The pacer's counters are the process's; this one has run many
+    # deployments, so only the CLI's fresh processes can pin <= 1/20.
+    assert report["full_collection_share"] >= 0.0
 
 
 @pytest.mark.slow
@@ -209,6 +222,51 @@ def test_merchant_payouts_survive_a_crash_of_their_representative(
     assert report["monitor"]["ok"]
     assert set(report["rejected_final"].values()) == {0}
     assert set(report["queued_final"].values()) == {0}
+
+
+def _slow_state_views(monkeypatch, node_id: int, delay) -> None:
+    """Replica ``node_id`` answers a ``"state"`` query ``delay`` seconds
+    late (``None``: never); every other reading is served as usual."""
+    serve = live_module.serve_control
+
+    def serve_late(transport, replica) -> None:
+        serve(transport, replica)
+        if transport.node_id != node_id:
+            return
+        answer = transport._handlers[ControlQuery]
+
+        def on_query(src, query) -> None:
+            if query.what != "state":
+                answer(src, query)
+            elif delay is not None:
+                transport.clock.loop.call_later(delay, answer, src, query)
+
+        transport.on(ControlQuery, on_query)
+
+    monkeypatch.setattr(live_module, "serve_control", serve_late)
+
+
+@pytest.mark.slow
+def test_a_view_that_takes_longer_than_five_seconds_is_waited_for(monkeypatch):
+    """A view ships whole xlogs; the verdict round used to give it 5 s
+    and read a late one as a disagreement (``fingerprints: {}``)."""
+    _slow_state_views(monkeypatch, 2, 5.2)
+    report = _run(_args(duration=1.0))
+    assert sorted(report["fingerprints"]) == list("0123")
+    assert report["views_missing"] == []
+    assert report["fingerprints_equal"] and report["ok"], report
+
+
+@pytest.mark.slow
+def test_a_view_that_never_arrives_is_missing_not_unequal(monkeypatch):
+    monkeypatch.setattr(cluster_module, "DRAIN_TIMEOUT", 1.0)
+    _slow_state_views(monkeypatch, 2, None)
+    report = _run(_args(duration=1.0))
+    assert report["views_missing"] == [2]
+    assert sorted(report["fingerprints"]) == list("013")
+    assert report["fingerprints_equal"]  # computed over those that came
+    assert report["stranded"] == 0 and report["monitor"]["ok"]
+    assert not report["ok"]
 
 
 @pytest.mark.slow
