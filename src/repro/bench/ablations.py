@@ -21,7 +21,6 @@ from ..core.config import AstroConfig
 from .jobs import exec_find_peak, exec_open_loop_messages
 from .parallel import ScenarioJob, execute
 from .report import format_table
-from .estimate import job_memory_bytes
 from .scale import BenchScale, current_scale
 
 __all__ = [
@@ -81,8 +80,7 @@ def run_batching_ablation(
         for batch in batch_sizes
     ]
     results = execute(
-        units, jobs=jobs, label=f"ablation_batching[{scale.name}]",
-        per_job_bytes=job_memory_bytes(size),
+        units, jobs=jobs, label=f"ablation_batching[{scale.name}]"
     )
     return BatchingAblation(
         size=size,
@@ -130,10 +128,7 @@ def run_message_complexity_ablation(
         for size in sizes
         for name in ("astro1", "astro2")
     ]
-    results = execute(
-        units, jobs=jobs, label="ablation_messages",
-        per_job_bytes=job_memory_bytes(max(sizes)),
-    )
+    results = execute(units, jobs=jobs, label="ablation_messages")
     messages: Dict[str, List[float]] = {"astro1": [], "astro2": []}
     for unit, (result, sent) in zip(units, results):
         name, _size = unit.tag

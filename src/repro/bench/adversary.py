@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adversary import ATTACKS, InvariantMonitor, install_adversary
-from .estimate import job_memory_bytes
 from .jobs import _build_timeline_system
 from .parallel import ScenarioJob, derive_seed, execute
 from .scale import BenchScale, current_scale
@@ -233,12 +232,7 @@ def run_byzantine_robustness(
                     tag=(system, attack),
                 )
             )
-    results = execute(
-        units,
-        jobs=jobs,
-        label="byzantine",
-        per_job_bytes=job_memory_bytes(size),
-    )
+    results = execute(units, jobs=jobs, label="byzantine")
     suite = ByzantineRobustnessResult(
         size=size, warmup=warmup, window=window,
         attack_offset=attack_offset, attacks=attacks,

@@ -15,10 +15,6 @@ The analytic model is deliberately coarse: absolute accuracy is supplied
 by the anchor calibration, and a bracket that misses only costs the
 search a few extra doubling/walk-down probes — results are measured, the
 estimate never appears in any reported number.
-
-The same cost model supplies :func:`job_memory_bytes`, the per-worker
-memory footprint estimate behind ``REPRO_BENCH_JOBS=auto``'s
-memory-aware cap (worker memory scales with ``jobs × O(N²)`` at large N).
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "calibrated_capacity",
     "credit_amortization",
     "estimate_peaks",
-    "job_memory_bytes",
     "ANCHOR_RATE_FRACTION",
     "BRACKET_LOW",
     "BRACKET_HIGH",
@@ -342,15 +337,3 @@ def estimate_peaks(
         )
     return estimates
 
-
-def job_memory_bytes(max_size: int) -> int:
-    """Rough peak RSS of one worker simulating an N=``max_size`` cell.
-
-    Message state, per-pair latency tables, and replicated xlogs all grow
-    with N² (every replica holds every representative's batches); the
-    constants are calibrated loosely against observed worker footprints —
-    the cap this feeds only needs the right order of magnitude.
-    """
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    return int(60e6 + 25_000 * max_size * max_size)

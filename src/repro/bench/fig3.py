@@ -26,12 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .estimate import (
-    ANCHOR_RATE_FRACTION,
-    analytic_capacity,
-    estimate_peaks,
-    job_memory_bytes,
-)
+from .estimate import ANCHOR_RATE_FRACTION, analytic_capacity, estimate_peaks
 from .jobs import exec_estimate_anchor, exec_find_peak
 from .parallel import ScenarioJob, execute
 from .report import format_table, kilo
@@ -96,11 +91,6 @@ def run_fig3(
     systems: Sequence[str] = ("bft", "astro1", "astro2"),
     jobs: Optional[int] = None,
 ) -> Fig3Result:
-    # Imported lazily so ``python -m repro.bench.budget`` (the checker
-    # CLI) does not trip runpy's already-imported warning via the
-    # package __init__ → fig3 chain.
-    from .budget import fig3_budgets
-
     if scale is None:
         scale = current_scale()
     systems = validate_systems(systems)
@@ -128,9 +118,7 @@ def run_fig3(
         for size in anchor_sizes
     ]
     anchor_results = execute(
-        anchor_units, jobs=jobs, label=f"fig3-anchors[{scale.name}]",
-        per_job_bytes=job_memory_bytes(max(anchor_sizes)),
-        budgets=fig3_budgets(anchor_sizes, systems, scale, anchors=True),
+        anchor_units, jobs=jobs, label=f"fig3-anchors[{scale.name}]"
     )
     anchors: Dict[str, Dict[int, float]] = {name: {} for name in systems}
     for unit, result in zip(anchor_units, anchor_results):
@@ -163,11 +151,7 @@ def run_fig3(
         for name in systems
         for size in sizes
     ]
-    results = execute(
-        units, jobs=jobs, label=f"fig3[{scale.name}]",
-        per_job_bytes=job_memory_bytes(max(sizes)),
-        budgets=fig3_budgets(sizes, systems, scale),
-    )
+    results = execute(units, jobs=jobs, label=f"fig3[{scale.name}]")
     cells: Dict[str, List] = {name: [] for name in systems}
     for unit, peak in zip(units, results):
         cells[unit.tag[0]].append(peak)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .estimate import job_memory_bytes
 from .jobs import exec_fig4_curve
 from .parallel import ScenarioJob, execute
 from .report import format_table
@@ -81,8 +80,5 @@ def run_fig4(
         )
         for name in systems
     ]
-    results = execute(
-        units, jobs=jobs, label=f"fig4[{scale.name}]",
-        per_job_bytes=job_memory_bytes(size),
-    )
+    results = execute(units, jobs=jobs, label=f"fig4[{scale.name}]")
     return Fig4Result(size=size, curves=dict(zip(systems, results)))

@@ -20,7 +20,6 @@ from ..sim.latency import europe_wan
 from ..sim.network import Network
 from .parallel import ScenarioJob, execute
 from .report import format_table
-from .estimate import job_memory_bytes
 from .scale import BenchScale, current_scale
 
 __all__ = ["Fig8Result", "run_fig8", "measure_astro_join_series"]
@@ -138,10 +137,7 @@ def run_fig8(
         )
         for size in sizes
     ]
-    results = execute(
-        units, jobs=jobs, label=f"fig8[{scale.name}]",
-        per_job_bytes=job_memory_bytes(max(sizes)),
-    )
+    results = execute(units, jobs=jobs, label=f"fig8[{scale.name}]")
     return Fig8Result(
         sizes=sizes, astro_latencies=results[0], bft_latencies=results[1:]
     )

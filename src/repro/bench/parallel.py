@@ -32,9 +32,13 @@ same conditions), which also keeps the serial backend's output identical
 to the pre-refactor inline loops.
 
 Every :func:`execute` call with a ``label`` records its wall-clock
-seconds into a process-global sweep log (:func:`sweep_report`); the
-benchmark suite writes the log next to ``BENCH_perf.json`` so the
-harness's own speed is part of the tracked perf trajectory.
+seconds, and each cell's as timed inside its worker, into a
+process-global sweep log (:func:`sweep_report`); the benchmark suite
+writes the log next to ``BENCH_perf.json`` so the harness's own speed is
+part of the tracked perf trajectory.  That is all the harness knows
+about its host: the worker count is used as given (``auto`` is
+:func:`usable_cpus`), and no cell carries an expected cost — engine
+speed is judged by ``perfbench``, against the parent, on every PR.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "ScenarioJob",
     "SweepTiming",
-    "available_memory_bytes",
     "derive_seed",
     "execute",
     "reset_sweep_log",
@@ -134,30 +137,27 @@ def usable_cpus() -> int:
 
     Respects CPU affinity masks / cgroup cpusets where the platform
     exposes them (``auto`` in a container pinned to 4 of 64 host cores
-    must mean 4, not 64 — worker memory scales with ``jobs × N²``).
+    must mean 4, not 64).
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
-def _resolve_jobs_info(jobs: Optional[int] = None) -> Tuple[int, bool]:
-    """``(worker count, came from auto-detection)``.
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker count: explicit argument, else ``REPRO_BENCH_JOBS``, else 1.
 
-    The boolean is True only when the count was inferred from the CPU
-    count (``REPRO_BENCH_JOBS=auto``/``0``) — the one case where the
-    memory-aware cap may shrink it.  An explicit worker count, argument
-    or env, is always honored verbatim.
+    ``auto``/``0`` is :func:`usable_cpus`; every count is used verbatim.
     """
     if jobs is not None:
         if jobs < 1:
             raise ValueError(f"worker count must be >= 1, got {jobs}")
-        return jobs, False
+        return jobs
     raw = os.environ.get(JOBS_ENV, "1").strip().lower()
     if raw in ("", "1"):
-        return 1, False
+        return 1
     if raw in ("0", "auto"):
-        return usable_cpus(), True
+        return usable_cpus()
     try:
         count = int(raw)
     except ValueError:
@@ -166,43 +166,7 @@ def _resolve_jobs_info(jobs: Optional[int] = None) -> Tuple[int, bool]:
         ) from None
     if count < 1:
         raise ValueError(f"{JOBS_ENV} must be >= 1, got {count}")
-    return count, False
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``REPRO_BENCH_JOBS``, else 1."""
-    return _resolve_jobs_info(jobs)[0]
-
-
-def available_memory_bytes() -> Optional[int]:
-    """Memory currently available to new processes, or None if unknown.
-
-    Reads ``MemAvailable`` from ``/proc/meminfo`` (Linux; the platform
-    every CI/large-box run of this suite uses).  Elsewhere returns None,
-    which disables the memory-aware cap.
-    """
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
-def _memory_capped_workers(workers: int, per_job_bytes: int) -> int:
-    """Shrink an auto-detected worker count to what memory can hold.
-
-    Worker memory is ``jobs × O(N²)`` message/xlog state at large N, so
-    ``auto`` on a many-core box must not schedule more simultaneous
-    simulations than RAM fits.  Leaves 20% headroom; never returns < 1.
-    """
-    available = available_memory_bytes()
-    if available is None or per_job_bytes <= 0:
-        return workers
-    fit = int(available * 0.8 // per_job_bytes)
-    return max(1, min(workers, fit))
+    return count
 
 
 @dataclass(frozen=True)
@@ -220,21 +184,13 @@ class SweepTiming:
     cells: Optional[List[Dict[str, Any]]] = None
 
 
-def _cell_entry(
-    job: ScenarioJob, seconds: float, budgets: Optional[Dict[Any, float]]
-) -> Dict[str, Any]:
-    """One sweep-log cell record, with its budget when the enumerator
-    declared one for this job's tag.  Tags are opaque, so anything
-    beyond JSON primitives is rendered via repr."""
+def _cell_entry(job: ScenarioJob, seconds: float) -> Dict[str, Any]:
+    """One sweep-log cell record.  Tags are opaque, so anything beyond
+    JSON primitives is rendered via repr."""
     tag = job.tag
     if not (isinstance(tag, (str, int, float, bool)) or tag is None):
         tag = repr(tag)
-    entry: Dict[str, Any] = {"tag": tag, "seconds": round(seconds, 4)}
-    if budgets:
-        budget = budgets.get(job.tag)
-        if budget is not None:
-            entry["budget_seconds"] = round(budget, 2)
-    return entry
+    return {"tag": tag, "seconds": round(seconds, 4)}
 
 
 def _run_unit_timed(job: ScenarioJob) -> Tuple[Any, float]:
@@ -261,8 +217,6 @@ def execute(
     units: Sequence[ScenarioJob],
     jobs: Optional[int] = None,
     label: Optional[str] = None,
-    per_job_bytes: Optional[int] = None,
-    budgets: Optional[Dict[Any, float]] = None,
 ) -> List[Any]:
     """Run jobs on the selected backend; results in submission order.
 
@@ -273,19 +227,6 @@ def execute(
     ``label`` records the sweep's wall-clock seconds — including a
     per-unit breakdown timed inside the workers — in the process-global
     log (:func:`sweep_report`).
-
-    ``per_job_bytes`` is the enumerator's estimate of one worker's memory
-    footprint (e.g. :func:`repro.bench.estimate.job_memory_bytes` of the
-    sweep's largest N).  It caps **auto-detected** worker counts
-    (``REPRO_BENCH_JOBS=auto``) to what available memory fits — worker
-    memory is ``jobs × O(N²)`` at large N, so core count alone is the
-    wrong ceiling on many-core boxes.  Explicit counts are never capped.
-
-    ``budgets`` maps unit tags to wall-clock ceilings in seconds (see
-    :mod:`repro.bench.budget`); a matching cell's timing entry gains a
-    ``"budget_seconds"`` field so the recorded sweep log carries its own
-    pass/fail criterion.  Budgets never alter execution — the checker
-    audits the artifact after the fact.
 
     Raises ``ValueError`` for a job whose ``fn`` a worker could not
     import by name (a lambda, a closure) — on every backend, so the
@@ -300,10 +241,7 @@ def execute(
                 f"job {unit.tag!r}: fn must be importable by module and "
                 f"qualified name ({exc})"
             ) from None
-    workers, auto = _resolve_jobs_info(jobs)
-    if auto and per_job_bytes:
-        workers = _memory_capped_workers(workers, per_job_bytes)
-    workers = min(workers, max(len(units), 1))
+    workers = min(resolve_jobs(jobs), max(len(units), 1))
     start = time.perf_counter()
     if workers <= 1:
         backend = "serial"
@@ -325,7 +263,7 @@ def execute(
                 jobs=workers,
                 backend=backend,
                 cells=[
-                    _cell_entry(unit, seconds, budgets)
+                    _cell_entry(unit, seconds)
                     for unit, (_result, seconds) in zip(units, timed)
                 ],
             )

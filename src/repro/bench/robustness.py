@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .estimate import job_memory_bytes
 from .jobs import exec_timeline
 from .parallel import ScenarioJob, execute
 from .report import format_series, format_table
@@ -180,8 +179,7 @@ def run_robustness_suite(
     ]
     units = [unit for figure_units in per_figure_units for unit in figure_units]
     results = execute(
-        units, jobs=jobs, label=f"robustness-suite[{scale.name}]",
-        per_job_bytes=job_memory_bytes(large),
+        units, jobs=jobs, label=f"robustness-suite[{scale.name}]"
     )
     assembled = []
     cursor = 0

@@ -47,7 +47,6 @@ from .parallel import ScenarioJob, execute
 from .peak import find_peak
 from .report import format_table
 from .runner import run_open_loop
-from .estimate import job_memory_bytes
 from .scale import BenchScale, current_scale
 
 __all__ = [
@@ -258,12 +257,7 @@ def run_table1(
         )
         for delay_ms in TC_DELAYS_MS
     ]
-    results = execute(
-        units, jobs=jobs, label=f"table1[{scale.name}]",
-        per_job_bytes=job_memory_bytes(
-            max(scale.table1_shard_counts) * scale.table1_shard_size
-        ),
-    )
+    results = execute(units, jobs=jobs, label=f"table1[{scale.name}]")
     by_tag = dict(zip((unit.tag for unit in units), results))
     rows: List[Table1Row] = []
     for shards in scale.table1_shard_counts:

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from ..sim.metrics import ThroughputMeter
-from ..transport.chaos import apply_timeline, parse_timeline
+from ..transport.chaos import (
+    apply_timeline,
+    check_replica_ids,
+    parse_timeline,
+)
 from ..workloads.base import make_workload, resolve_workload_name
 from ..workloads.drivers import ClosedLoopDriver
 from .systems import client_ids_of
@@ -75,10 +79,11 @@ def run_timeline(
     ``timeline`` — e.g. ``"crash:0@10"`` — is scheduled on
     ``system.faults`` with its times relative to the start of the
     observation window, as on the live CLI (the paper warms up 20 s and
-    injects at 30 s).  The before/after statistics divide ``split``
-    seconds into the window: by default at the first event, and a caller
-    whose fault is not a timeline event (an adversary's arm time) names
-    it.  Demand comes from the ``REPRO_WORKLOAD`` distribution, like the
+    injects at 30 s); one that names a replica ``system`` does not have
+    is a ``ValueError``, as there.  The before/after statistics divide
+    ``split`` seconds into the window: by default at the first event,
+    and a caller whose fault is not a timeline event (an adversary's arm
+    time) names it.  Demand comes from the ``REPRO_WORKLOAD`` distribution, like the
     genesis the builders gave ``system``.
     """
     population = client_ids_of(system)
@@ -94,6 +99,7 @@ def run_timeline(
         meter=meter,
     )
     events = parse_timeline(timeline)
+    check_replica_ids(events, len(system.replicas))
     apply_timeline(system.faults, events, start=warmup)
     if split is None and events:
         split = events[0].at

@@ -130,7 +130,9 @@ class Network:
         self._blocked.discard((a, b))
 
     def heal(self) -> None:
+        """Clear every partition and egress delay (crashes stay)."""
         self._blocked.clear()
+        self._egress_delay.clear()
 
     # ------------------------------------------------------------------
     # Transmission

@@ -106,8 +106,9 @@ def parse_timeline(spec: str) -> List[FaultEvent]:
 
     Raises ``ValueError`` on anything no backend could execute: an
     unknown action, a time that is negative or not finite, a negative
-    delay, a drop probability outside [0, 1], and empty or overlapping
-    partition groups (a shared member would block a node from itself).
+    delay, a drop probability outside [0, 1], empty or overlapping
+    partition groups (a shared member would block a node from itself),
+    and a body on ``heal``.
     """
     events: List[FaultEvent] = []
     for chunk in spec.split(";"):
@@ -155,6 +156,11 @@ def parse_timeline(spec: str) -> List[FaultEvent]:
                 )
             events.append(FaultEvent(at, action, (group_a, group_b)))
         elif action == "heal":
+            if body.strip():
+                raise ValueError(
+                    f"heal clears every link fault and takes no body, "
+                    f"got {body!r}"
+                )
             events.append(FaultEvent(at, "heal", ()))
         else:
             raise ValueError(f"unknown timeline action {action!r}")

@@ -1,6 +1,5 @@
 """Tests for the Fig. 3 estimation subsystem: the analytic curve, anchor
-calibration, bracketed peak search, memory-aware worker caps, and fig3's
-job enumeration."""
+calibration, bracketed peak search, and fig3's job enumeration."""
 
 import functools
 
@@ -8,7 +7,6 @@ import pytest
 
 import repro.bench.fig3 as fig3_mod
 import repro.bench.robustness as robustness_mod
-from repro.bench import parallel
 from repro.bench.estimate import (
     PeakEstimate,
     analytic_capacity,
@@ -16,7 +14,6 @@ from repro.bench.estimate import (
     calibrated_capacity,
     credit_amortization,
     estimate_peaks,
-    job_memory_bytes,
 )
 from repro.bench.fig3 import Fig3Result, run_fig3
 from repro.bench.fig4 import run_fig4
@@ -191,44 +188,6 @@ class TestBrackets:
             assert estimate.bracket[0] < estimate.capacity_pps < estimate.bracket[1]
 
 
-class TestJobMemory:
-    def test_monotone_in_size(self):
-        assert job_memory_bytes(100) > job_memory_bytes(10) > 0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            job_memory_bytes(0)
-
-
-class TestMemoryAwareAutoCap:
-    def test_explicit_jobs_never_capped(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_memory_bytes", lambda: 10)
-        assert parallel._memory_capped_workers(4, 10**9) == 1
-        # execute() only consults the cap for auto resolution:
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "1")
-        info = parallel._resolve_jobs_info(None)
-        assert info == (1, False)
-
-    def test_auto_capped_by_memory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "auto")
-        workers, auto = parallel._resolve_jobs_info(None)
-        assert auto is True
-        monkeypatch.setattr(
-            parallel, "available_memory_bytes", lambda: 10 * 10**9
-        )
-        # 10 GB * 0.8 headroom / 2 GB per job = 4 workers max.
-        assert parallel._memory_capped_workers(64, 2 * 10**9) == 4
-        assert parallel._memory_capped_workers(2, 2 * 10**9) == 2
-
-    def test_unknown_memory_leaves_count(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_memory_bytes", lambda: None)
-        assert parallel._memory_capped_workers(8, 10**9) == 8
-
-    def test_available_memory_readable_or_none(self):
-        value = parallel.available_memory_bytes()
-        assert value is None or value > 0
-
-
 class TestPerCellTimings:
     def test_cells_recorded_with_tags(self):
         reset_sweep_log()
@@ -254,11 +213,9 @@ def _fake_execute_factory(calls):
     """Stand-in backend: records every execute() call, fabricates
     result shapes per job function."""
 
-    def fake_execute(units, jobs=None, label=None, per_job_bytes=None,
-                     budgets=None):
+    def fake_execute(units, jobs=None, label=None):
         units = list(units)
-        calls.append(dict(label=label, units=units, jobs=jobs,
-                          per_job_bytes=per_job_bytes, budgets=budgets))
+        calls.append(dict(label=label, units=units, jobs=jobs))
         results = []
         for unit in units:
             if unit.fn is exec_estimate_anchor:
@@ -308,12 +265,6 @@ class TestFig3Enumeration:
             low, high = unit.params["bracket"]
             assert 0 < low < high
             assert unit.seed == 3
-        assert cells["per_job_bytes"] == job_memory_bytes(10)
-        # Both phases ship a wall-clock budget for every cell tag.
-        for phase in (anchors, cells):
-            budgets = phase["budgets"]
-            assert set(budgets) == {u.tag for u in phase["units"]}
-            assert all(b > 0 for b in budgets.values())
         # Assembly: per-system series in size order, probe accounting on.
         assert list(result.peaks) == list(systems)
         assert result.sizes == list(sizes)
@@ -440,9 +391,6 @@ class TestRobustnessSuite:
         assert len(calls) == 1
         assert len(calls[0]["units"]) == 11
         assert all(u.fn is exec_timeline for u in calls[0]["units"])
-        assert calls[0]["per_job_bytes"] == job_memory_bytes(
-            _SCALES["smoke"].robustness_large_n
-        )
         assert list(fig5.timelines) == [
             "Consensus-Leader", "Consensus-Random", "Broadcast-Random"
         ]
@@ -491,6 +439,28 @@ class TestRobustnessSuite:
                 (victim,) if event.action == "crash"
                 else (victim, robustness_mod.ASYNC_DELAY)
             )
+
+
+    def test_fault_strings_pass_the_replica_id_check_at_every_scale(
+        self, monkeypatch
+    ):
+        """``run_timeline`` refuses a replica id ≥ N; no scale's Figs. 5–7
+        name one."""
+        from repro.transport.chaos import check_replica_ids, parse_timeline
+
+        calls = []
+        monkeypatch.setattr(
+            robustness_mod, "execute", _fake_execute_factory(calls)
+        )
+        for scale in _SCALES.values():
+            run_robustness_suite(scale=scale)
+        assert len(calls) == len(_SCALES)
+        for call in calls:
+            for unit in call["units"]:
+                check_replica_ids(
+                    parse_timeline(unit.params["timeline"]),
+                    unit.params["size"],
+                )
 
 
 class TestFig3ResultProbeAccounting:

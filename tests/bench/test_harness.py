@@ -142,6 +142,35 @@ class TestTimeline:
         assert by_string.series[0] > 0.0 == by_string.series[2]
         assert (by_string.fault_at, by_calls.fault_at) == (2.0, None)
 
+    def test_heal_ends_a_delay_as_on_the_live_backend(self):
+        """``heal`` clears delays too ("every delay/drop/partition"): the
+        string is the direct calls, and the slowed replica's client gets
+        its throughput back in the second after the heal."""
+        spelled = build_astro1(4, seed=4)
+        by_string = run_timeline(
+            spelled, num_clients=4, warmup=1.0, window=5.0,
+            timeline="delay:2x0.2@1;heal@2",
+        )
+        direct = build_astro1(4, seed=4)
+        direct.faults.delay_egress(2, 0.2, at=2.0)
+        direct.faults.heal(at=3.0)
+        by_calls = run_timeline(direct, num_clients=4, warmup=1.0, window=5.0)
+        assert spelled.faults.log == direct.faults.log == [
+            (2.0, "delay", (2, 0.2)), (3.0, "heal", None),
+        ]
+        assert by_string.series == by_calls.series
+        before, delayed, *healed = by_string.series
+        assert delayed < 0.8 * before
+        assert all(second > 0.9 * before for second in healed)
+
+    def test_timeline_naming_a_replica_the_system_lacks_is_refused(self):
+        """As on the live CLI: ``crash:99`` on N=4 is a mistake, not a
+        fault-free run split at a "fault"."""
+        system = build_astro1(4, seed=4)
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            run_timeline(system, num_clients=4, timeline="crash:99@1")
+        assert system.faults.log == [] and system.sim.now == 0.0
+
     def test_split_names_a_fault_that_is_not_a_timeline_event(self):
         result = run_timeline(
             build_astro1(4, seed=4), num_clients=4, warmup=1.0, window=3.0,

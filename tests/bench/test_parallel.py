@@ -1,6 +1,7 @@
 """Tests for the scenario-level parallel execution subsystem."""
 
 import functools
+import inspect
 
 import pytest
 
@@ -67,12 +68,22 @@ class TestResolveJobs:
         assert resolve_jobs() == 4
 
     def test_env_auto(self, monkeypatch):
+        """``auto`` is the usable core count and nothing else: no file
+        about the host is opened on the way, through ``execute`` too."""
         from repro.bench.parallel import usable_cpus
 
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"auto opened {args[0]!r}")
+
+        monkeypatch.setattr("builtins.open", no_open)
         monkeypatch.setenv("REPRO_BENCH_JOBS", "auto")
         assert resolve_jobs() == usable_cpus()
         monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
         assert resolve_jobs() == usable_cpus()
+        # One unit keeps the run in this process, under the patched open.
+        job = ScenarioJob(fn=_echo, params=dict(value="v"), seed=1)
+        assert execute([job], label="auto-sweep") == [(1, "v")]
+        assert sweep_report()[-1]["jobs"] == 1
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_JOBS", "8")
@@ -87,6 +98,13 @@ class TestResolveJobs:
 
 
 class TestExecute:
+    def test_signature_is_units_jobs_label(self):
+        """A pool and a log: nothing about the host or the cells' expected
+        cost is an input."""
+        assert list(inspect.signature(execute).parameters) == [
+            "units", "jobs", "label",
+        ]
+
     def test_run_unit_passes_seed_and_params(self):
         job = ScenarioJob(fn=_echo, params=dict(value="v"), seed=9)
         assert run_unit(job) == (9, "v")
@@ -144,6 +162,9 @@ class TestExecute:
         assert entry["units"] == 1
         assert entry["backend"] == "serial"
         assert entry["seconds"] > 0
+        (cell,) = entry["cells"]
+        assert sorted(cell) == ["seconds", "tag"]
+        assert cell["tag"] == "astro2" and cell["seconds"] > 0
 
     def test_unlabelled_sweeps_not_recorded(self):
         before = len(sweep_report())

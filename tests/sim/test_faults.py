@@ -50,10 +50,14 @@ def test_delay_egress_applies_at_time():
 
 
 def test_partition_and_heal():
+    """``heal`` clears every link fault — partitions and egress delays,
+    as the chaos grammar and the live injector say — and no crash."""
     sim, network, nodes, faults = build()
     received = []
-    nodes[2].on(str, lambda src, msg: received.append(msg))
+    nodes[2].on(str, lambda src, msg: received.append((sim.now, msg)))
     faults.partition([0, 1], [2, 3], at=0.0)
+    faults.delay_egress(0, 0.2, at=0.0)
+    faults.crash(3, at=0.0)
     sim.run(until=0.1)
     nodes[0].send(2, "lost")
     sim.run(until=0.5)
@@ -62,7 +66,9 @@ def test_partition_and_heal():
     sim.run(until=0.7)
     nodes[0].send(2, "found")
     sim.run_until_idle()
-    assert received == ["found"]
+    # Sent at 0.7 over a 10 ms link: the 200 ms delay is gone too.
+    assert received == [(pytest.approx(0.71, abs=1e-3), "found")]
+    assert network.is_crashed(3)
 
 
 def test_fault_log_records_all_kinds():

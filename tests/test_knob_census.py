@@ -46,7 +46,7 @@ def test_code_mentions_exactly_the_documented_knobs():
     )
     # Growing this number needs two callers that want different values;
     # with one value in use, make it a constant instead.
-    assert len(documented) == 5
+    assert len(documented) == 4
 
 
 def test_cluster_cli_flags_are_exactly_the_documented_ones():

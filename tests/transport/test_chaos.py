@@ -122,6 +122,7 @@ def test_parse_timeline_ignores_empty_chunks():
         "partition:|2@1",  # empty group
         "partition:0,1|1,2@4",  # overlapping groups (was the live
         # injector's own check)
+        "heal:1@8",  # heal is global; a body would be silently ignored
     ],
 )
 def test_parse_timeline_rejects_malformed(spec):
