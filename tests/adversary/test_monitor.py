@@ -121,7 +121,7 @@ def test_unvouched_dependency_detected():
     system, monitor = build("astro2")
     drive(system)
     replica = system.replicas[0]
-    replica._used_deps.setdefault("client-0", set()).add(("ghost", 1))
+    replica._used_deps.setdefault("client-0", {})[("ghost", 1)] = None
     monitor.sample()
     records = [v for v in monitor.violations if "unknown_dep" in v]
     assert records, monitor.violations
