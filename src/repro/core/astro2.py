@@ -102,15 +102,14 @@ class Astro2Replica(AstroReplicaBase):
         #: Payment-identifier conflict log backing the ACK guard.
         self._seen_payments: Dict[PaymentId, tuple] = {}
         #: usedDeps (Listing 9 l.39): materialized dependency ids per
-        #: client.  A set kept, like ``_verified_certs``, as an
-        #: insertion-ordered dict: both only grow, so a checkpoint writes
-        #: only what they gained since the previous one
-        #: (``core.persistence.HISTORIES``).
+        #: client.  A set kept as an insertion-ordered dict: it only
+        #: grows, so a checkpoint writes only what it gained since the
+        #: previous one (``core.persistence.HISTORIES``).
         self._used_deps: Dict[ClientId, Dict[PaymentId, None]] = {}
         #: Sub-batch certificates already verified on this replica, keyed
         #: by (shard, sub-batch digest).  One verification covers every
-        #: payment of the sub-batch — the point of 2-level batching
-        #: (§VI-A): signature work is per sub-batch, not per payment.
+        #: payment of the sub-batch (§VI-A's 2-level batching).  Not
+        #: checkpointed: ``_cert_valid`` refills it on first sight.
         self._verified_certs: Dict[Tuple[int, int], None] = {}
         #: Payments settled in the current batch, pending CREDIT fan-out.
         self._credit_buffer: List[Payment] = []
@@ -220,8 +219,6 @@ class Astro2Replica(AstroReplicaBase):
 
     def _release_held(self, client: ClientId) -> None:
         held = self._held.get(client)
-        if not held:
-            return
         while held and self._projected.get(client, 0) >= held[0].amount:
             payment = held.popleft()
             self._projected[client] = self._projected.get(client, 0) - payment.amount
@@ -457,7 +454,8 @@ class Astro2Replica(AstroReplicaBase):
             return
         deps = self._deps
         projected = self._projected
-        held = self._held
+        # Replay releases nothing: projections are derived after it.
+        held = self._held if self._wal is None or self._wal.recording else ()
         for cert in certs:
             payment = cert.payment
             beneficiary = payment.beneficiary
@@ -481,18 +479,15 @@ class Astro2Replica(AstroReplicaBase):
 
     def _snapshot_data(self):
         data = super()._snapshot_data()
-        # Representative- and replica-side Astro II state that WAL replay
-        # alone cannot reconstruct (CREDIT aggregation is cumulative).
-        # Everything here pickles via the compact ``__reduce__`` wire
-        # encodings the TCP framing already uses between processes.
+        # State WAL replay cannot rebuild (CREDIT aggregation is cumulative;
+        # projections are derived), pickled via the ``__reduce__`` wire
+        # forms.  ``seen_payments`` guards ACKed, undelivered payments;
+        # deriving ``used_deps`` would re-verify every certificate.
         data["deps"] = {c: list(certs) for c, certs in self._deps.items()}
-        data["projected"] = dict(self._projected)
-        data["attached_projection"] = dict(self._attached_projection)
         data["held"] = {c: list(q) for c, q in self._held.items()}
         data["collector"] = self._collector.capture()
         data["seen_payments"] = dict(self._seen_payments)
         data["used_deps"] = {c: dict(s) for c, s in self._used_deps.items()}
-        data["verified_certs"] = dict(self._verified_certs)
         return data
 
     def _restore_snapshot(self, data) -> None:
@@ -505,13 +500,10 @@ class Astro2Replica(AstroReplicaBase):
             )
         super()._restore_snapshot(data)
         self._deps = {c: list(certs) for c, certs in data["deps"].items()}
-        self._projected = dict(data["projected"])
-        self._attached_projection = dict(data["attached_projection"])
         self._held = {c: deque(q) for c, q in data["held"].items()}
         self._collector.refill(data["collector"])
         self._seen_payments = dict(data["seen_payments"])
         self._used_deps = {c: dict(s) for c, s in data["used_deps"].items()}
-        self._verified_certs = dict(data["verified_certs"])
 
     def _finish_recovery(self) -> None:
         super()._finish_recovery()
@@ -524,16 +516,42 @@ class Astro2Replica(AstroReplicaBase):
         for log in self.state.xlogs.values():
             for payment in log._entries:
                 seen.setdefault(payment.identifier, payment.core)
-        for queue in self._awaiting_seq.values():
-            for payment in queue.values():
+        unsettled: Dict[ClientId, List[Payment]] = {}
+        queues = [queue.values() for queue in self._awaiting_seq.values()]
+        queues += [batch.items for batch in self._launched_pending.values()]
+        for queue in queues:
+            for payment in queue:
                 seen.setdefault(payment.identifier, payment.core)
-        for batch in self._launched_pending.values():
-            for payment in batch.items:
-                seen.setdefault(payment.identifier, payment.core)
-        # ``_projected`` may over-state after a crash (ingest-time debits
-        # between the last snapshot and the crash are not logged).  That
-        # is the safe direction for safety — an over-projected payment is
-        # rejected at settle (Listing 9 l.49) without advancing sn.
+                unsettled.setdefault(payment.spender, []).append(payment)
+        # Projections are derived, not restored: replay re-mints every
+        # logged CREDIT but not the ingest-time attach and debit.  ``debt``
+        # is the unsettled spend less the unspent certificates riding it.
+        me = self.node_id
+        for client in [c for c, rep in self._rep_map.items() if rep == me]:
+            spends, debt = unsettled.get(client, ()), 0
+            if spends or client in self._deps:
+                used = self._used_deps.get(client, {})
+                riding = {c.dep_id: c.amount for p in spends for c in p.deps}
+                riding = {d: a for d, a in riding.items() if d not in used}
+                pending = {
+                    c.dep_id: c
+                    for c in self._deps.pop(client, ())
+                    if c.dep_id not in used and c.dep_id not in riding
+                }
+                if pending:
+                    self._deps[client] = list(pending.values())
+                debt = sum(p.amount for p in spends) - sum(riding.values())
+            self._attached_projection[client] = self.balance_of(client) - debt
+            self._projected[client] = self.available_balance(client) - debt
+        # Held payments launched since the checkpoint leave the queue; the
+        # rest are released against the derived projections.
+        seqnums = self.state.seqnums
+        for client, held in list(self._held.items()):
+            spends = unsettled.get(client, ())
+            top = max([seqnums.get(client, 0)] + [p.seq for p in spends])
+            while held and held[0].seq <= top:
+                held.popleft()
+            self._release_held(client)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,10 +14,10 @@ any instant.  Everything it must not lose flows through this module:
 * an **append-only checkpoint log** (:class:`CheckpointLog`) that bounds
   replay time.  Every 256 WAL records the replica's capture is appended
   as one frame in the WAL's framing: the head state whole (slabs,
-  collector, projections, queues, frontier, counters, ``wal_count``) and
-  each grow-only history (:data:`HISTORIES`: xlogs, the ACK guard's
-  payment log, ``usedDeps``, verified sub-batches) as the tail added
-  since the previous frame.  A checkpoint therefore writes what changed,
+  collector, pending certificates, queues, frontier, counters,
+  ``wal_count``) and each grow-only history (:data:`HISTORIES`: xlogs,
+  the ACK guard's payment log, ``usedDeps``) as the tail added since the
+  previous frame (projections are derived).  A checkpoint writes what changed,
   not what exists.  Loading *folds* the complete frames back into the
   capture of the last one.  A torn last frame (a SIGKILL mid-write)
   leaves the previous checkpoint standing and is truncated before the
@@ -247,7 +247,6 @@ HISTORIES: Dict[Tuple[str, ...], bool] = {
     ("account", "xlog_entries"): True,  # owner -> settled payments
     ("seen_payments",): False,  # Astro II ACK guard: identifier -> core
     ("used_deps",): True,  # Astro II usedDeps: client -> {dep_id: None}
-    ("verified_certs",): False,  # Astro II: {(shard, digest): None}
 }
 
 #: First element of every checkpoint frame.

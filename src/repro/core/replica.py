@@ -165,8 +165,8 @@ class Recoverable:
             self._restore_snapshot(snapshot)
         for record in records[replay_from:]:
             self._replay_record(record)
-        self._finish_recovery()
         store.finish_recovery()
+        self._finish_recovery()
         return RecoveryReport(
             snapshot is not None,
             len(records) - replay_from,
@@ -209,7 +209,7 @@ class Recoverable:
             )
 
     def _finish_recovery(self) -> None:
-        """Post-replay fixups, before the store starts recording."""
+        """Post-replay fixups, once the store records (a launch logs)."""
 
 
 class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):

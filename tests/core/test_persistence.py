@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
+from repro.core.astro2 import Astro2Replica
 from repro.core.payment import Payment
 from repro.core.persistence import (
     CATCH_UP_MAX_BATCHES,
+    HISTORIES,
     CatchUpRequest,
     ReplicaStore,
     WalCorruption,
@@ -284,6 +286,7 @@ def test_checkpoint_bytes_do_not_grow_with_history(tmp_path):
         for index, client in enumerate(clients):
             system.submit(client, clients[(index + 1) % len(clients)], amount)
         system.settle_all()
+        _assert_projections_derived(system.replicas)
     assert not system.replicas[0].rejected
     assert system.replicas[0]._used_deps  # certificates were spent
     frames = []
@@ -320,6 +323,7 @@ def test_recovery_unpickles_each_wal_record_once(
         ReplicaStore(str(tmp_path), rebuilt.node_id)
     )
     monkeypatch.undo()
+    _assert_projections_derived([rebuilt])
     assert report.had_snapshot == (frames > 0)
     assert len(loads) == len(records) + frames
     # ... and still appends after what it read.
@@ -427,11 +431,68 @@ def _run_workload(system, payments):
 
 
 def _bind_all(system, root, **kwargs):
-    reports = {}
-    for replica in system.replicas:
-        store = ReplicaStore(str(root), replica.node_id, **kwargs)
-        reports[replica.node_id] = replica.bind_persistence(store)
+    """Bind a store to every replica with the simulated network muted.
+
+    A live transport that has not started yet drops what replay sends;
+    the simulator would deliver it, and the rebuilt replicas' replayed
+    CREDITs would then reach collectors whose dedup entries have retired
+    and mint certificates a second time — an artifact of rebuilding a
+    whole simulated system, not of recovery.  The simulator's own crash
+    model is ROADMAP item 2."""
+    network = system.network
+    network.send = network.broadcast = lambda *_args, **_kw: None
+    try:
+        reports = {}
+        for replica in system.replicas:
+            store = ReplicaStore(str(root), replica.node_id, **kwargs)
+            reports[replica.node_id] = replica.bind_persistence(store)
+    finally:
+        del network.send, network.broadcast
+    _assert_projections_derived(system.replicas)
     return reports
+
+
+def _assert_projections_derived(replicas):
+    """Each Astro II representative's projections are what its durable
+    facts say: settled balance, less its clients' unsettled spends, plus
+    the unspent certificates riding them (attached), plus the pending
+    certificates (projected) — none of which is spent already."""
+    for replica in replicas:
+        if not isinstance(replica, Astro2Replica):
+            continue
+        unsettled = [
+            payment
+            for queue in replica._awaiting_seq.values()
+            for payment in queue.values()
+        ]
+        unsettled += [
+            payment
+            for batch in [*replica._launched_pending.values(),
+                          *replica._batch_backlog]
+            for payment in batch.items
+        ]
+        unsettled += replica.batcher._pending  # released, not yet launched
+        represented = replica.directory.rep_map.items()
+        for client in [c for c, rep in represented if rep == replica.node_id]:
+            used = replica._used_deps.get(client, {})
+            spends = [p for p in unsettled if p.spender == client]
+            riding = {
+                cert.dep_id: cert.amount
+                for payment in spends
+                for cert in payment.deps
+                if cert.dep_id not in used
+            }
+            pending = replica._deps.get(client, [])
+            assert not any(cert.dep_id in used for cert in pending)
+            assert not any(cert.dep_id in riding for cert in pending)
+            attached = (
+                replica.state.balance(client)
+                - sum(payment.amount for payment in spends)
+                + sum(riding.values())
+            )
+            projected = attached + sum(cert.amount for cert in pending)
+            assert replica._attached_projection.get(client, 0) == attached
+            assert replica._projected.get(client, 0) == projected
 
 
 @pytest.mark.parametrize("name", ["astro1", "astro2"])
@@ -476,6 +537,7 @@ def test_replay_without_snapshot_covers_whole_log(name, tmp_path):
     assert not report.had_snapshot
     assert report.replayed > 0
     assert state_fingerprint(replica.state) == before
+    _assert_projections_derived([replica])
 
 
 def test_replay_detects_fingerprint_divergence(tmp_path):
@@ -548,10 +610,8 @@ def _payout_phase(system, seqs, payer):
     """Everyone else pays ``payer`` 1 per round; ``payer`` then pays out
     more than its genesis balance (under Astro II: attaching the
     certificates those rounds earned), and three more rounds follow so
-    that later checkpoints cover the payout.  (A ring in which every
-    client spends its whole balance every round attaches certificates
-    too, but after a recovery it ends with rejected payments — an open
-    defect of the dependency path, ROADMAP item 1, not of persistence.)"""
+    that later checkpoints cover the payout.  Every round ends quiescent
+    with the Astro II projections equal to their derivation."""
     clients = client_ids_of(system)
     others = [client for client in clients if client != payer]
 
@@ -567,6 +627,7 @@ def _payout_phase(system, seqs, payer):
         for client in others:
             pay(client, payer, 1)
         system.settle_all()
+        _assert_projections_derived(system.replicas)
 
 
 def _settled(replica):
@@ -626,6 +687,109 @@ def test_two_recoveries_in_a_row_land_on_the_never_crashed_twin(
             assert mine._seen_payments == theirs._seen_payments
             assert mine._used_deps == theirs._used_deps
             assert any(mine._used_deps.values())
+            assert mine._projected == theirs._projected
+            assert mine._attached_projection == theirs._attached_projection
+            assert _pending_dep_ids(mine) == _pending_dep_ids(theirs)
+
+
+def _pending_dep_ids(replica):
+    return {
+        client: {cert.dep_id for cert in certs}
+        for client, certs in replica._deps.items()
+        if certs
+    }
+
+
+@pytest.mark.parametrize("interval", [10**6, 8])
+def test_a_whole_balance_ring_settles_every_payment_across_a_crash(
+    interval, tmp_path
+):
+    """Every round, each of 16 clients pays its whole genesis balance to
+    the next, so each payment spends the certificate the previous round
+    earned.  Replay re-mints every logged CREDIT but not the ingest-time
+    attach: a representative that restored its projections came back
+    holding certificates it had already spent, over-projected, and its
+    next payout was rejected at every replica (Listing 9 l.49), leaving
+    that client's later payments stranded.  Pure WAL replay (10**6) and
+    checkpoints every 8 records both settle all 160."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=11)
+    _bind_all(system, tmp_path, snapshot_interval=interval)
+    clients = client_ids_of(system)
+    assert len(clients) == 16
+    for round_index in range(10):
+        if round_index == 3:  # crash: drop all in-memory state
+            for replica in system.replicas:
+                replica._wal.close()
+            system = SYSTEM_BUILDERS["astro2"](4, seed=11)
+            _bind_all(system, tmp_path, snapshot_interval=interval)
+        for index, client in enumerate(clients):
+            beneficiary = clients[(index + 1) % len(clients)]
+            amount = system.genesis[client]
+            system.submit_payment(
+                Payment(client, round_index + 1, beneficiary, amount)
+            )
+        system.settle_all()
+        _assert_projections_derived(system.replicas)
+    outcomes = [(r.settled_count, len(r.rejected)) for r in system.replicas]
+    assert outcomes == [(160, 0)] * 4
+
+
+def test_a_payment_held_across_a_checkpoint_stays_held_through_replay(
+    tmp_path,
+):
+    """The payer spends all but 1 of its genesis, then hands its
+    representative a payment of its whole genesis: held.  A checkpoint
+    covers the hold, a CREDIT of 1 to the payer lands in the WAL after
+    it, and every replica crashes.  Replay must not release the held
+    payment on a projection not yet derived (the constructor's genesis
+    would cover it, and it would ship without certificates and be
+    rejected at every replica).  Income then releases and settles it
+    with no checkpoint after, and the replicas crash again: the payment
+    is in the last checkpoint's held queue and settled in the WAL after
+    it, so recovery must drop it, not launch it a second time (its
+    duplicate would be skipped at delivery, its debit never undone)."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=11)
+    _bind_all(system, tmp_path, snapshot_interval=1)
+    payer, payee, funder, topup = client_ids_of(system)[:4]
+    genesis = system.genesis[payer]
+    rep_node = system.directory.rep_of(payer)
+    system.submit_payment(Payment(payer, 1, payee, genesis - 1))
+    system.settle_all()
+    held = Payment(payer, 2, payee, genesis)
+    system.submit_payment(held)
+    system.submit_payment(Payment(funder, 1, payer, 1))
+    system.settle_all()
+    assert list(system.replicas[rep_node]._held[payer]) == [held]
+
+    def crash_and_rebind(interval):
+        for replica in system.replicas:  # drop all in-memory state
+            replica._wal.close()
+        store = ReplicaStore(str(tmp_path), rep_node)
+        snapshot = store.load_snapshot()
+        tail = store.recovery_records()[snapshot["wal_count"]:]
+        assert list(snapshot["held"][payer]) == [held]
+        store.close()
+        rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=11)
+        _bind_all(rebuilt, tmp_path, snapshot_interval=interval)
+        return rebuilt, tail
+
+    system, tail = crash_and_rebind(10**6)
+    assert any(record[0] == "credit" for record in tail)
+    assert list(system.replicas[rep_node]._held[payer]) == [held]
+    system.submit_payment(Payment(topup, 1, payer, genesis))
+    system.settle_all()
+    assert not system.replicas[rep_node]._held
+
+    system, tail = crash_and_rebind(10**6)
+    launched = [p for r in tail if r[0] == "launch" for p in r[2].items]
+    assert [p.identifier for p in launched] == [held.identifier]
+    assert not system.replicas[rep_node]._held
+    system.submit_payment(Payment(payer, 3, payee, 2))  # all it has left
+    system.settle_all()
+    _assert_projections_derived(system.replicas)
+    assert not system.replicas[rep_node]._held
+    outcomes = [(r.settled_count, len(r.rejected)) for r in system.replicas]
+    assert outcomes == [(5, 0)] * 4
 
 
 def _zero_record_header(path, index):
@@ -704,12 +868,20 @@ def test_restored_collector_is_still_the_replicas_own(tmp_path):
 def test_fresh_snapshot_is_small_and_holds_no_key_material():
     """1024 accounts: the int64 slabs are 16 kB of it.  The collector
     object used to add its directory (linear in accounts) and its
-    keychain — every replica's signing secret and the RNG state."""
+    keychain — every replica's signing secret and the RNG state.  What
+    recovery derives is not in it either: the projections, and the
+    verified sub-batch cache."""
     system = SYSTEM_BUILDERS["astro2"](4, seed=5, clients_per_replica=256)
     replica = system.replicas[0]
-    blob = pickle.dumps(
-        replica._snapshot_data(), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    data = replica._snapshot_data()
+    for derived in ("projected", "attached_projection", "verified_certs"):
+        assert derived not in data
+    assert set(HISTORIES) == {
+        ("account", "xlog_entries"),
+        ("seen_payments",),
+        ("used_deps",),
+    }
+    blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(blob) < 24_000
     secrets = list(replica.keychain._secrets.values())
     assert len(secrets) >= 4

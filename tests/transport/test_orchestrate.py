@@ -207,21 +207,22 @@ def test_merchant_payouts_survive_a_crash(tmp_path):
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(
-    strict=False,
-    reason="ROADMAP item 1: a merchant's own representative, back from a "
-    "crash, over-projects the merchant's funds; one payout is rejected at "
-    "every replica and its successors queue behind it for ever (Listing 9 "
-    "l.49 does not advance sn); the PR that fixes it flips this",
-)
 def test_merchant_payouts_survive_a_crash_of_their_representative(
     tmp_path, monkeypatch
 ):
+    """The merchant's own representative crashes.  Back from its WAL, it
+    derives the merchant's projected funds instead of restoring them, so
+    no payout is over-projected: none is rejected at settle (Listing 9
+    l.49 would leave its successors queued for ever), and what the run's
+    income cannot fund stays held."""
     monkeypatch.setattr(cluster_module, "DRAIN_TIMEOUT", 5.0)
     report = _merchant_crash(3, tmp_path)
     assert report["monitor"]["ok"]
     assert set(report["rejected_final"].values()) == {0}
     assert set(report["queued_final"].values()) == {0}
+    assert report["unconfirmed"] == sum(report["held_final"].values())
+    assert report["stranded"] == 0
+    assert report["ok"], report
 
 
 def _slow_state_views(monkeypatch, node_id: int, delay) -> None:
