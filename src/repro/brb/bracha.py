@@ -83,13 +83,20 @@ class _Instance:
         #: digest -> (payload, set of replicas that echoed it)
         self.echoes: Dict[Digest, Tuple[Any, Set[int]]] = {}
         self.readys: Dict[Digest, Tuple[Any, Set[int]]] = {}
+        #: READY quorum reached (FIFO delivery may still wait).
         self.delivered = False
 
 
 class BrachaBroadcast(BroadcastLayer):
-    """Bracha BRB endpoint attached to one replica node."""
+    """Bracha BRB endpoint attached to one replica node.
+
+    An instance retires at FIFO delivery once it has sent its ECHO; one
+    delivered through READY amplification alone stays until the PREPARE
+    it still echoes arrives.
+    """
 
     provides_totality = True
+    _instance_type = _Instance
 
     def __init__(
         self,
@@ -97,31 +104,21 @@ class BrachaBroadcast(BroadcastLayer):
         peers: Sequence[int],
         deliver: DeliverFn,
         f: Optional[int] = None,
-        fifo: bool = True,
     ) -> None:
+        super().__init__(deliver)
         self.node = node
         self.peers: List[int] = list(peers)
         if node.node_id not in self.peers:
             raise ValueError("broadcast endpoint must be a member of its peer set")
-        self.deliver_fn = deliver
         self.n = len(self.peers)
         self.f = f if f is not None else max_faulty(self.n)
         self.echo_quorum = byzantine_quorum(self.n, self.f)
         self.ready_quorum = 2 * self.f + 1
         self.amplify_threshold = self.f + 1
-        self.fifo = fifo
         #: Peers minus ourselves, in peer order — the fan-out target list.
         self._others: List[int] = [p for p in self.peers if p != node.node_id]
-        self._instances: Dict[Tuple[int, int], _Instance] = {}
-        #: Per-origin: highest contiguously delivered sequence number.
-        self._delivered_up_to: Dict[int, int] = {}
         #: Out-of-order complete payloads awaiting FIFO drain.
         self._completed: Dict[int, Dict[int, Any]] = {}
-        #: Sequence numbers delivered out-of-band (WAL replay / catch-up
-        #: import); the FIFO drain skips them instead of waiting for a
-        #: READY quorum that may never re-form.  Empty in simulations.
-        self._external: Dict[int, Set[int]] = {}
-        self._delivered_count = 0
         node.on(BrbPrepare, self._on_prepare)
         node.on(BrbEcho, self._on_echo)
         node.on(BrbReady, self._on_ready)
@@ -141,9 +138,16 @@ class BrachaBroadcast(BroadcastLayer):
         # Local short-circuit: the broadcaster processes its own PREPARE.
         self._handle_prepare(self.node.node_id, message)
 
-    @property
-    def delivered_count(self) -> int:
-        return self._delivered_count
+    def deliver_out_of_band(self, origin: int, seq: int, payload: Any) -> bool:
+        """Also drains the FIFO successors the delivery unblocked — after
+        the callback, so they reach it in order."""
+        if not super().deliver_out_of_band(origin, seq, payload):
+            return False
+        pending = self._completed.get(origin)
+        if pending:
+            pending.pop(seq, None)
+            self._advance(origin, pending)
+        return True
 
     # ------------------------------------------------------------------
     # Cost model
@@ -166,33 +170,28 @@ class BrachaBroadcast(BroadcastLayer):
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _instance(self, origin: int, seq: int) -> _Instance:
-        key = (origin, seq)
-        instance = self._instances.get(key)
-        if instance is None:
-            instance = _Instance()
-            self._instances[key] = instance
-        return instance
-
     def _on_prepare(self, src: int, message: BrbPrepare) -> None:
         self._handle_prepare(src, message)
 
     def _handle_prepare(self, src: int, message: BrbPrepare) -> None:
         # The origin of a PREPARE is its (authenticated) sender, so a
         # Byzantine replica cannot broadcast under another identity.
-        instance = self._instance(src, message.seq)
-        if instance.echo_sent:
+        key = (src, message.seq)
+        instance = self._instance(key)
+        if instance is None or instance.echo_sent:
             return
         instance.echo_sent = True
         echo = BrbEcho(src, message.seq, message.payload, message.size)
         self._send_and_self_apply(echo, self._apply_echo)
+        if instance.delivered and key in self.delivered:
+            self._instances.pop(key, None)  # the late ECHO was all it owed
 
     def _on_echo(self, src: int, message: BrbEcho) -> None:
         self._apply_echo(src, message)
 
     def _apply_echo(self, src: int, message: BrbEcho) -> None:
-        instance = self._instance(message.origin, message.seq)
-        if instance.ready_sent:
+        instance = self._instance((message.origin, message.seq))
+        if instance is None or instance.ready_sent:
             # Quorum already reached: late ECHOes can never change our
             # vote, so skip the digest lookup and vote bookkeeping.
             return
@@ -212,8 +211,8 @@ class BrachaBroadcast(BroadcastLayer):
         self._apply_ready(src, message)
 
     def _apply_ready(self, src: int, message: BrbReady) -> None:
-        instance = self._instance(message.origin, message.seq)
-        if instance.delivered and instance.ready_sent:
+        instance = self._instance((message.origin, message.seq))
+        if instance is None or (instance.delivered and instance.ready_sent):
             # Both READY-driven transitions already happened; late READYs
             # are pure noise for this instance.
             return
@@ -233,53 +232,27 @@ class BrachaBroadcast(BroadcastLayer):
             self._send_and_self_apply(ready, self._apply_ready)
         if count >= self.ready_quorum and not instance.delivered:
             instance.delivered = True
-            self._complete(message.origin, message.seq, message.payload)
+            pending = self._completed.setdefault(message.origin, {})
+            pending[message.seq] = message.payload
+            self._advance(message.origin, pending)
 
     # ------------------------------------------------------------------
     # Delivery (FIFO per origin, Listing 5 l.32)
     # ------------------------------------------------------------------
-    def _complete(self, origin: int, seq: int, payload: Any) -> None:
-        if not self.fifo:
+    def _advance(self, origin: int, pending: Dict[int, Any]) -> None:
+        """Deliver what ``pending`` holds right past the origin's frontier."""
+        delivered, instances = self.delivered, self._instances
+        while True:
+            seq = delivered.front.get(origin, 0) + 1
+            if seq not in pending:
+                return
+            payload = pending.pop(seq)
+            delivered.add(origin, seq)
+            key = (origin, seq)
+            if instances[key].echo_sent:
+                del instances[key]
             self._delivered_count += 1
             self.deliver_fn(origin, seq, payload)
-            return
-        pending = self._completed.setdefault(origin, {})
-        pending[seq] = payload
-        self._advance(origin, pending)
-
-    def _advance(self, origin: int, pending: Dict[int, Any]) -> None:
-        """Drain the FIFO frontier, skipping out-of-band deliveries."""
-        external = self._external.get(origin)
-        delivered_up_to = self._delivered_up_to.get(origin, 0)
-        while True:
-            next_seq = delivered_up_to + 1
-            if next_seq in pending:
-                delivered_up_to = next_seq
-                ready_payload = pending.pop(next_seq)
-                self._delivered_count += 1
-                self.deliver_fn(origin, next_seq, ready_payload)
-            elif external is not None and next_seq in external:
-                external.discard(next_seq)
-                delivered_up_to = next_seq
-            else:
-                break
-        self._delivered_up_to[origin] = delivered_up_to
-
-    def mark_delivered(self, origin: int, seq: int) -> None:
-        """Record an out-of-band delivery (WAL replay / catch-up import).
-
-        The instance is flagged so READY quorums for it no longer
-        deliver, and the FIFO drain treats the sequence number as done.
-        """
-        self._instance(origin, seq).delivered = True
-        if not self.fifo:
-            return
-        if seq <= self._delivered_up_to.get(origin, 0):
-            return
-        self._external.setdefault(origin, set()).add(seq)
-        pending = self._completed.setdefault(origin, {})
-        pending.pop(seq, None)
-        self._advance(origin, pending)
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -16,17 +16,26 @@ Astro's replication layer is a BRB primitive with the properties of §IV
   the signed protocol does not (Astro II compensates with dependency
   certificates, §IV-A).
 
+The layer owns Integrity, across a crash too: its
+:class:`DeliveryFrontier` is the one record of what this replica has
+delivered — live, replayed from its write-ahead log, or imported from a
+peer's (:meth:`BroadcastLayer.deliver_out_of_band`) — and what its
+checkpoint and catch-up requests carry.  Per-identifier protocol state is
+transient: an instance retires once nothing can change what it sends or
+delivers, and a message for a delivered identifier is dropped before any
+state is created for it.
+
 Concrete implementations: :class:`~repro.brb.bracha.BrachaBroadcast`
 (Astro I) and :class:`~repro.brb.signed.SignedBroadcast` (Astro II).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from ..crypto.hashing import Digest, digest
 
-__all__ = ["BroadcastLayer", "DeliverFn", "Identifier"]
+__all__ = ["BroadcastLayer", "DeliverFn", "DeliveryFrontier", "Identifier"]
 
 #: BRB payload identifier: (origin, sequence-number).
 Identifier = Tuple[Hashable, int]
@@ -48,6 +57,45 @@ def _payload_digest(payload: Any) -> Digest:
     return digest(payload)
 
 
+class DeliveryFrontier:
+    """The identifiers delivered so far: per origin, the highest ``seq``
+    below which every sequence number is delivered, plus the identifiers
+    delivered above it.  With FIFO broadcasters ``extra`` stays small."""
+
+    __slots__ = ("front", "extra")
+
+    def __init__(
+        self,
+        front: Optional[Dict[Hashable, int]] = None,
+        extra: Iterable[Identifier] = (),
+    ) -> None:
+        self.front: Dict[Hashable, int] = dict(front or {})
+        self.extra: Set[Identifier] = set(extra)
+
+    def __contains__(self, key: Identifier) -> bool:
+        return key[1] <= self.front.get(key[0], 0) or key in self.extra
+
+    def add(self, origin: Hashable, seq: int) -> bool:
+        """Record ``(origin, seq)`` as delivered; ``False`` if it was."""
+        front = self.front.get(origin, 0)
+        extra = self.extra
+        if seq <= front or (origin, seq) in extra:
+            return False
+        if seq != front + 1:
+            extra.add((origin, seq))
+            return True
+        while (origin, seq + 1) in extra:
+            seq += 1
+            extra.discard((origin, seq))
+        self.front[origin] = seq
+        return True
+
+    def capture(self) -> Tuple[Dict[Hashable, int], Tuple[Identifier, ...]]:
+        """``(front, extra)`` as plain values, ``extra`` sorted: what a
+        checkpoint stores and a catch-up request carries."""
+        return dict(self.front), tuple(sorted(self.extra))
+
+
 class BroadcastLayer:
     """Abstract BRB endpoint living on one replica.
 
@@ -58,6 +106,17 @@ class BroadcastLayer:
 
     #: Whether this implementation provides the totality property.
     provides_totality: bool = False
+
+    #: The implementation's per-identifier protocol state.
+    _instance_type: Callable[[], Any]
+
+    def __init__(self, deliver: DeliverFn) -> None:
+        self.deliver_fn = deliver
+        #: Everything delivered, by any path.
+        self.delivered = DeliveryFrontier()
+        #: Protocol state of identifiers not retired yet.
+        self._instances: Dict[Identifier, Any] = {}
+        self._delivered_count = 0
 
     def broadcast(self, seq: int, payload: Any, payload_bytes: int) -> None:
         """Reliably broadcast ``payload`` as this replica's ``seq``-th message.
@@ -70,4 +129,28 @@ class BroadcastLayer:
 
     @property
     def delivered_count(self) -> int:
-        raise NotImplementedError
+        """Deliveries the protocol itself produced (not out-of-band)."""
+        return self._delivered_count
+
+    def deliver_out_of_band(self, origin: int, seq: int, payload: Any) -> bool:
+        """Deliver a payload whose quorum this replica did not witness:
+        WAL replay, or a batch imported from a peer's WAL.
+
+        ``False`` (and nothing happens) when the identifier is already
+        delivered.  Otherwise it is recorded *before* the callback runs,
+        like a live delivery, so a checkpoint the callback writes covers
+        it; its instance retires, and late frames for it are dropped.
+        """
+        if not self.delivered.add(origin, seq):
+            return False
+        self._instances.pop((origin, seq), None)
+        self.deliver_fn(origin, seq, payload)
+        return True
+
+    def _instance(self, key: Identifier) -> Any:
+        """The live instance for ``key``, created on first sight;
+        ``None`` once ``key`` is delivered."""
+        instance = self._instances.get(key)
+        if instance is None and key not in self.delivered:
+            instance = self._instances[key] = self._instance_type()
+        return instance

@@ -96,7 +96,7 @@ def _ack_content(origin: int, seq: int, payload_digest: Digest) -> tuple:
 
 
 class _Instance:
-    __slots__ = ("pending", "pending_digest", "acks", "committed", "delivered",
+    __slots__ = ("pending", "pending_digest", "acks", "committed",
                  "buffered_commit")
 
     def __init__(self) -> None:
@@ -106,16 +106,20 @@ class _Instance:
         #: Collected ACK signatures by digest (broadcaster side).
         self.acks: Dict[Digest, Dict[int, Signature]] = {}
         self.committed = False
-        self.delivered = False
         #: COMMIT that arrived before its PREPARE (possible with a
         #: Byzantine broadcaster or message reordering).
         self.buffered_commit: Optional[SbCommit] = None
 
 
 class SignedBroadcast(BroadcastLayer):
-    """Signed BRB endpoint attached to one replica node."""
+    """Signed BRB endpoint attached to one replica node.
+
+    An instance retires at delivery: every later PREPARE, ACK or COMMIT
+    for its identifier is dropped on arrival.
+    """
 
     provides_totality = False
+    _instance_type = _Instance
 
     def __init__(
         self,
@@ -128,11 +132,11 @@ class SignedBroadcast(BroadcastLayer):
         ack_guard: Optional[Any] = None,
         resend_acks: bool = False,
     ) -> None:
+        super().__init__(deliver)
         self.node = node
         self.peers: List[int] = list(peers)
         if node.node_id not in self.peers:
             raise ValueError("broadcast endpoint must be a member of its peer set")
-        self.deliver_fn = deliver
         self.keychain = keychain
         self.key = key
         #: Re-ACK a byte-identical duplicate PREPARE.  Off by default (a
@@ -152,8 +156,6 @@ class SignedBroadcast(BroadcastLayer):
         self.ack_quorum = byzantine_quorum(self.n, self.f)
         #: Peers minus ourselves, in peer order — the fan-out target list.
         self._others: List[int] = [p for p in self.peers if p != node.node_id]
-        self._instances: Dict[Tuple[int, int], _Instance] = {}
-        self._delivered_count = 0
         node.on(SbPrepare, self._on_prepare)
         node.on(SbAck, self._on_ack)
         node.on(SbCommit, self._on_commit)
@@ -180,35 +182,16 @@ class SignedBroadcast(BroadcastLayer):
         )
         self._handle_prepare(self.node.node_id, message)
 
-    @property
-    def delivered_count(self) -> int:
-        return self._delivered_count
-
-    def mark_delivered(self, origin: int, seq: int) -> None:
-        """Record an out-of-band delivery (WAL replay / peer catch-up).
-
-        A stale COMMIT redelivered by a reconnecting peer then short-
-        circuits before certificate verification instead of reaching the
-        payment layer's dedup.
-        """
-        self._instance(origin, seq).delivered = True
-
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _instance(self, origin: int, seq: int) -> _Instance:
-        key = (origin, seq)
-        instance = self._instances.get(key)
-        if instance is None:
-            instance = _Instance()
-            self._instances[key] = instance
-        return instance
-
     def _on_prepare(self, src: int, message: SbPrepare) -> None:
         self._handle_prepare(src, message)
 
     def _handle_prepare(self, src: int, message: SbPrepare) -> None:
-        instance = self._instance(src, message.seq)
+        instance = self._instance((src, message.seq))
+        if instance is None:
+            return  # delivered already
         if instance.pending is not None:
             # Second PREPARE for the same identifier: if it conflicts, the
             # broadcaster is equivocating and we do nothing (Listing 6
@@ -268,16 +251,16 @@ class SignedBroadcast(BroadcastLayer):
         if message.origin != self.node.node_id:
             return  # ACKs only matter to the broadcaster
         instance = self._instances.get((message.origin, message.seq))
-        if instance is not None and instance.committed:
-            # Quorum already gathered and COMMIT sent: late ACKs cannot
-            # matter, so skip the signature verification.
+        if instance is None or instance.committed:
+            # Never broadcast, or quorum already gathered and COMMIT sent
+            # (then perhaps delivered): late ACKs cannot matter, so skip
+            # the signature verification.
             return
         content = _ack_content(message.origin, message.seq, message.payload_digest)
         if not verify(self.keychain, message.signature, content):
             return
         if message.signature.signer != self._signer_for(src):
             return
-        instance = self._instance(message.origin, message.seq)
         bucket = instance.acks.setdefault(message.payload_digest, {})
         bucket[src] = message.signature
         if len(bucket) >= self.ack_quorum and not instance.committed:
@@ -306,9 +289,10 @@ class SignedBroadcast(BroadcastLayer):
         self._apply_commit(message)
 
     def _apply_commit(self, message: SbCommit) -> None:
-        instance = self._instance(message.origin, message.seq)
-        if instance.delivered:
-            return
+        key = (message.origin, message.seq)
+        instance = self._instance(key)
+        if instance is None:
+            return  # delivered already
         if instance.pending is None:
             instance.buffered_commit = message
             return
@@ -316,7 +300,8 @@ class SignedBroadcast(BroadcastLayer):
             return  # certificate for a payload we never saw: equivocation
         if not self._valid_certificate(message):
             return
-        instance.delivered = True
+        del self._instances[key]
+        self.delivered.add(message.origin, message.seq)
         self._delivered_count += 1
         self.deliver_fn(message.origin, message.seq, instance.pending)
 

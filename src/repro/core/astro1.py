@@ -37,7 +37,7 @@ class Astro1Replica(AstroReplicaBase):
     ) -> None:
         super().__init__(transport, config, genesis, directory, interner)
         self.brb = BrachaBroadcast(
-            transport, peers, self._on_brb_deliver, f=config.f, fifo=True
+            transport, peers, self._on_brb_deliver, f=config.f
         )
 
     # ------------------------------------------------------------------
@@ -47,13 +47,12 @@ class Astro1Replica(AstroReplicaBase):
         self.brb.broadcast(seq, batch, batch.size_bytes)
 
     def _on_brb_deliver(self, origin: int, seq: int, batch: Batch) -> None:
-        if self._wal is not None:
-            if not self._wal_deliver(origin, seq, batch):
-                return
+        if self._wal is None:
             self._deliver_batch(origin, batch)
-            self._wal_checkpoint()
             return
+        self._wal_deliver(origin, seq, batch)
         self._deliver_batch(origin, batch)
+        self._wal_checkpoint()
 
     def _settle(self, payment: Payment) -> Any:
         # Criterion (2) of Listing 3: the balance must cover the amount.

@@ -251,8 +251,8 @@ class Astro2Replica(AstroReplicaBase):
         self.brb.broadcast(seq, batch, batch.size_bytes)
 
     def _on_brb_deliver(self, origin: int, seq: int, batch: Batch) -> None:
-        if self._wal is not None and not self._wal_deliver(origin, seq, batch):
-            return  # duplicate: replayed, imported, or redelivered frame
+        if self._wal is not None:
+            self._wal_deliver(origin, seq, batch)
         # Charge verification of attached dependency certificates once per
         # *sub-batch* certificate (f+1 signatures each) — verification,
         # like signing, is amortized by the 2-level batching scheme.
@@ -507,6 +507,8 @@ class Astro2Replica(AstroReplicaBase):
 
     def _finish_recovery(self) -> None:
         super()._finish_recovery()
+        # A held payment was accepted: a retry of it must not be.
+        self._accept_through(p.identifier for q in self._held.values() for p in q)
         # Rebuild the ACK-guard conflict log from every payment this
         # replica durably knows: payments ACKed between the last WAL
         # record and the crash are unavoidably forgotten, but quorum

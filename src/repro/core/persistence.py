@@ -14,8 +14,8 @@ any instant.  Everything it must not lose flows through this module:
 * an **append-only checkpoint log** (:class:`CheckpointLog`) that bounds
   replay time.  Every 256 WAL records the replica's capture is appended
   as one frame in the WAL's framing: the head state whole (slabs,
-  collector, pending certificates, queues, frontier, counters,
-  ``wal_count``) and each grow-only history (:data:`HISTORIES`: xlogs,
+  collector, pending certificates, queues, the BRB layer's delivery
+  frontier, counters, ``wal_count``) and each grow-only history (:data:`HISTORIES`: xlogs,
   the ACK guard's payment log, ``usedDeps``) as the tail added since the
   previous frame (projections are derived).  A checkpoint writes what changed,
   not what exists.  Loading *folds* the complete frames back into the
@@ -45,8 +45,9 @@ import os
 import pickle
 import struct
 from itertools import islice
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..brb.interface import DeliveryFrontier
 from ..transport.framing import MAX_FRAME_BYTES, FrameError, encode_frame
 from .accounts import AccountState
 
@@ -577,9 +578,11 @@ class ReplicaStore:
 class CatchUpRequest:
     """A recovering replica asks a peer for batches past its frontier.
 
-    ``frontier`` maps origin → highest contiguously delivered broadcast
-    sequence; ``extra`` holds out-of-order ``(origin, seq)`` pairs already
-    delivered above the frontier.  The peer serves from its own WAL.
+    ``frontier`` and ``extra`` are its BRB layer's
+    :class:`~repro.brb.interface.DeliveryFrontier`, captured: origin →
+    highest contiguously delivered broadcast sequence, and the
+    ``(origin, seq)`` pairs delivered above it.  The peer serves from its
+    own WAL.
     """
 
     __slots__ = ("tag", "frontier", "extra", "max_batches")
@@ -632,19 +635,15 @@ def serve_catch_up(store: ReplicaStore, request: CatchUpRequest) -> CatchUpReply
     1 must not be answered "incomplete" with no batch for ever.
     """
     limit = min(max(request.max_batches, 1), CATCH_UP_MAX_BATCHES)
-    frontier = request.frontier
-    have: Set[Tuple[int, int]] = set(request.extra)
+    have = DeliveryFrontier(request.frontier, request.extra)
     batches: List[Tuple[int, int, Any]] = []
     complete = True
     for record in store.wal.iter_records():
-        if record[0] != "deliver":
-            continue
-        origin, seq = record[1], record[2]
-        if seq <= frontier.get(origin, 0) or (origin, seq) in have:
+        if record[0] != "deliver" or (record[1], record[2]) in have:
             continue
         if len(batches) >= limit:
             complete = False
             break
-        have.add((origin, seq))
-        batches.append((origin, seq, record[3]))
+        have.add(record[1], record[2])
+        batches.append(record[1:4])
     return CatchUpReply(request.tag, tuple(batches), complete)

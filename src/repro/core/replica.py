@@ -28,15 +28,19 @@ and rebinds this module's ``state_fingerprint`` binding when tracing.
 :class:`AstroReplicaBase` holds everything else the two Astro variants
 share — batching with flow control, settlement bookkeeping, client
 confirmations; the variants differ in the broadcast protocol and in
-settle semantics.
+settle semantics.  What it has delivered is its BRB layer's record
+(:class:`~repro.brb.interface.DeliveryFrontier`): a checkpoint stores
+it, and WAL replay and catch-up imports deliver through the layer
+(:meth:`AstroReplicaBase.import_batch`), which refuses a duplicate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..brb.batching import Batch, Batcher
+from ..brb.interface import DeliveryFrontier
 from ..transport.endpoint import ProtocolEndpoint
 from ..transport.interface import Transport
 from .accounts import AccountState
@@ -262,10 +266,6 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         #: node id of each client's own node, when clients run as nodes.
         self.client_nodes: Dict[ClientId, int] = {}
         # --- durable state (used only once a store is bound) ---
-        #: Per-origin highest contiguously delivered broadcast sequence.
-        self._delivered_frontier: Dict[int, int] = {}
-        #: Out-of-order delivered ``(origin, seq)`` above the frontier.
-        self._delivered_extra: Set[Tuple[int, int]] = set()
         #: Our own batches launched but not yet BRB-delivered back to us;
         #: rebroadcast after a crash (``relaunch_pending``).
         self._launched_pending: Dict[int, Batch] = {}
@@ -410,8 +410,7 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
     def _replay_record(self, record: Tuple[Any, ...]) -> None:
         kind = record[0]
         if kind == "deliver":
-            # Re-run the full delivery path.
-            self._on_brb_deliver(record[1], record[2], record[3])
+            self.import_batch(record[1], record[2], record[3])
         elif kind == "launch":
             seq, batch = record[1], record[2]
             if self._broadcast_seq < seq:
@@ -424,47 +423,27 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         """Variant hook: BRB delivery entry point (replayed verbatim)."""
         raise NotImplementedError
 
-    def _wal_deliver(self, origin: int, seq: int, batch: Batch) -> bool:
-        """Frontier dedup + durable record for one BRB delivery.
+    def _wal_deliver(self, origin: int, seq: int, batch: Batch) -> None:
+        """Durable record of one BRB delivery (persistence bound only).
 
-        Returns ``False`` when ``(origin, seq)`` was already applied —
-        the unified idempotency guard covering WAL replay, catch-up
-        imports, and stale frames a reconnecting peer redelivers.
-        Only called when persistence is bound.
+        The BRB layer delivers each identifier once, so nothing here
+        deduplicates.
         """
-        if not self._note_delivered(origin, seq):
-            return False
         self._wal.record(("deliver", origin, seq, batch))
         if origin == self.node_id:
             self._launched_pending.pop(seq, None)
-        return True
-
-    def _note_delivered(self, origin: int, seq: int) -> bool:
-        front = self._delivered_frontier.get(origin, 0)
-        if seq <= front or (origin, seq) in self._delivered_extra:
-            return False
-        if seq == front + 1:
-            front += 1
-            extra = self._delivered_extra
-            while (origin, front + 1) in extra:
-                extra.discard((origin, front + 1))
-                front += 1
-            self._delivered_frontier[origin] = front
-        else:
-            self._delivered_extra.add((origin, seq))
-        return True
 
     def _snapshot_data(self) -> Dict[str, Any]:
         data = super()._snapshot_data()
+        frontier, extra = self.brb.delivered.capture()
         data.update(
             settled_count=self.settled_count,
             rejected=list(self.rejected),
             broadcast_seq=self._broadcast_seq,
             launched_pending=dict(self._launched_pending),
-            frontier=dict(self._delivered_frontier),
-            extra=frozenset(self._delivered_extra),
+            frontier=frontier,
+            extra=extra,
             awaiting={c: dict(q) for c, q in self._awaiting_seq.items()},
-            accepted_seq=dict(self._accepted_seq),
         )
         return data
 
@@ -474,40 +453,27 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         self.rejected = list(data["rejected"])
         self._broadcast_seq = data["broadcast_seq"]
         self._launched_pending = dict(data["launched_pending"])
-        self._delivered_frontier = dict(data["frontier"])
-        self._delivered_extra = set(data["extra"])
+        self.brb.delivered = DeliveryFrontier(data["frontier"], data["extra"])
         self._awaiting_seq = {c: dict(q) for c, q in data["awaiting"].items()}
-        self._accepted_seq = dict(data["accepted_seq"])
 
     def _finish_recovery(self) -> None:
-        """Marks everything already applied as delivered in the BRB layer —
-        stale frames redelivered by reconnecting peers are then dropped
-        cheaply and FIFO drains skip imported sequence numbers — and
-        rebuilds a conservative ``_accepted_seq`` so a client retrying an
-        already-broadcast payment cannot create a duplicate identifier.
+        """Derives ``_accepted_seq`` from what is durable — settled,
+        launched, delivered-but-unsettled — so a client retrying a
+        payment already broadcast cannot create a duplicate identifier,
+        and one retrying a payment that died in the batcher is accepted.
         """
-        mark = self.brb.mark_delivered
-        for origin, front in self._delivered_frontier.items():
-            for seq in range(1, front + 1):
-                mark(origin, seq)
-        for origin, seq in self._delivered_extra:
-            mark(origin, seq)
-        accepted = self._accepted_seq
-        rep_get = self._rep_map.get
-        me = self.node_id
-        for client, seq in self.state.seqnums.items():
-            if seq > 0 and rep_get(client) == me and accepted.get(client, 0) < seq:
+        accept = self._accept_through
+        accept(self.state.seqnums.items())
+        accept(p.identifier for b in self._launched_pending.values() for p in b.items)
+        accept(p.identifier for q in self._awaiting_seq.values() for p in q.values())
+
+    def _accept_through(self, identifiers: Iterable[Tuple[ClientId, int]]) -> None:
+        """Raise ``_accepted_seq`` to every ``(client, seq)`` of a client
+        this replica represents."""
+        accepted, rep_get, me = self._accepted_seq, self._rep_map.get, self.node_id
+        for client, seq in identifiers:
+            if rep_get(client) == me and accepted.get(client, 0) < seq:
                 accepted[client] = seq
-        for batch in self._launched_pending.values():
-            for payment in batch.items:
-                spender = payment.spender
-                if rep_get(spender) == me and accepted.get(spender, 0) < payment.seq:
-                    accepted[spender] = payment.seq
-        for client, queue in self._awaiting_seq.items():
-            if rep_get(client) == me and queue:
-                top = max(queue)
-                if accepted.get(client, 0) < top:
-                    accepted[client] = top
 
     def relaunch_pending(self) -> List[int]:
         """Rebroadcast batches launched but never delivered pre-crash.
@@ -516,7 +482,9 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         arrives via import (which pops it from ``_launched_pending``), so
         only genuinely undelivered batches are rebroadcast — at their
         original sequence numbers, with identical content, which the
-        signed BRB's re-ACK path (``resend_acks``) completes.
+        signed BRB's re-ACK path (``resend_acks``) completes.  No peer
+        has retired such a batch's instance: its COMMIT is queued in the
+        same handler that logs our own delivery, so it never left.
         """
         seqs = sorted(self._launched_pending)
         for seq in seqs:
@@ -525,26 +493,14 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         return seqs
 
     def import_batch(self, origin: int, seq: int, batch: Batch) -> bool:
-        """Apply a batch fetched from a peer's WAL (catch-up).
+        """Apply a batch from a WAL: a peer's (catch-up) or, during
+        replay, this replica's own.
 
-        Goes through the normal delivery path with recording on, so the
-        import itself is durable, then marks the BRB instance delivered.
-        Returns ``False`` for duplicates.
+        The BRB layer delivers it out of band through the normal delivery
+        path — durable when the store records — unless its frontier says
+        the identifier is delivered already: then ``False``.
         """
-        front = self._delivered_frontier.get(origin, 0)
-        if seq <= front or (origin, seq) in self._delivered_extra:
-            return False
-        self._on_brb_deliver(origin, seq, batch)
-        self.brb.mark_delivered(origin, seq)
-        return True
-
-    @property
-    def delivered_frontier(self) -> Dict[int, int]:
-        return dict(self._delivered_frontier)
-
-    @property
-    def delivered_extra(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._delivered_extra))
+        return self.brb.deliver_out_of_band(origin, seq, batch)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -311,9 +311,7 @@ class ReplicaHost:
         imported = 0
         backoff = 0.1
         for tag in range(1, _CATCH_UP_MAX_ROUNDS + 1):
-            request = CatchUpRequest(
-                tag, replica.delivered_frontier, replica.delivered_extra
-            )
+            request = CatchUpRequest(tag, *replica.brb.delivered.capture())
             transport.send(peers[(tag - 1) % len(peers)], request)
             deadline = clock.now + _CATCH_UP_TIMEOUT
             try:

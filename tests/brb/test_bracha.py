@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.brb.bracha import BrachaBroadcast, BrbPrepare, BrbReady
+from repro.brb.bracha import BrachaBroadcast, BrbEcho, BrbPrepare, BrbReady
 from repro.sim import ConstantLatency, Network, Node, Simulator, UniformLatency
 
 
-def build(n=4, latency=None, fifo=True):
+def build(n=4, latency=None):
     sim = Simulator()
     network = Network(sim, latency=latency or ConstantLatency(0.005))
     nodes = [Node(sim, i, network) for i in range(n)]
@@ -16,11 +16,23 @@ def build(n=4, latency=None, fifo=True):
             nodes[i],
             range(n),
             (lambda i: lambda o, s, p: delivered[i].append((o, s, p)))(i),
-            fifo=fifo,
         )
         for i in range(n)
     ]
     return sim, network, nodes, layers, delivered
+
+
+def spy_sends(node):
+    """Record every message ``node`` sends or fans out."""
+    sent = []
+    send, broadcast = node.send, node.broadcast
+    node.send = lambda dst, message, **kw: (
+        sent.append(message), send(dst, message, **kw)
+    )
+    node.broadcast = lambda targets, message, **kw: (
+        sent.append(message), broadcast(targets, message, **kw)
+    )
+    return sent
 
 
 def test_reliability_all_correct_deliver():
@@ -110,14 +122,81 @@ def test_byzantine_echo_flood_cannot_force_delivery():
 def test_ready_amplification_from_f_plus_one():
     """f+1 READYs trigger a correct replica's own READY (Listing 5 l.26)."""
     sim, network, nodes, layers, delivered = build(n=4)
+    sent = spy_sends(nodes[1])
     # Simulate two distinct replicas (2 = f+1) sending READY for a payload
     # that replica 1 never saw a PREPARE for.
     ready = BrbReady(0, 1, "amplified", 148)
     network.send(2, 1, ready, size=148)
     network.send(3, 1, ready, size=148)
     sim.run_until_idle()
-    instance = layers[1]._instances[(0, 1)]
-    assert instance.ready_sent
+    assert [(type(m), m.origin, m.seq, m.payload) for m in sent] == [
+        (BrbReady, 0, 1, "amplified")
+    ]
+
+
+def test_late_prepare_after_amplified_delivery_is_still_echoed():
+    """Delivered on READYs alone, replica 1 still echoes the PREPARE when
+    it arrives — and only then retires the instance."""
+    sim, network, nodes, layers, delivered = build(n=4)
+    ready = BrbReady(0, 1, "amplified", 148)
+    network.send(2, 1, ready, size=148)
+    network.send(3, 1, ready, size=148)
+    sim.run_until_idle()
+    assert delivered[1] == [(0, 1, "amplified")]
+    assert (0, 1) in layers[1]._instances
+    sent = spy_sends(nodes[1])
+    network.send(0, 1, BrbPrepare(1, "amplified", 148), size=148)
+    sim.run_until_idle()
+    assert [type(m) for m in sent] == [BrbEcho]
+    assert layers[1]._instances == {}
+    assert delivered[1] == [(0, 1, "amplified")]
+
+
+def test_instances_retire_once_delivered():
+    sim, network, nodes, layers, delivered = build(
+        latency=UniformLatency(0.001, 0.03, seed=4)
+    )
+    for seq in range(1, 6):
+        for layer in layers:
+            layer.broadcast(seq, (layer.node.node_id, seq), 100)
+    sim.run_until_idle()
+    for layer in layers:
+        assert layer.delivered_count == 20
+        assert layer._instances == {}
+        assert layer.delivered.front == {0: 5, 1: 5, 2: 5, 3: 5}
+
+
+def test_a_delivered_identifiers_messages_are_dropped():
+    """Integrity is the frontier's: re-injected PREPAREs (same payload or
+    a conflicting one), ECHOes and READYs for a delivered identifier
+    create no state, send nothing and deliver nothing."""
+    sim, network, nodes, layers, delivered = build()
+    layers[0].broadcast(1, "x", 100)
+    sim.run_until_idle()
+    sent = spy_sends(nodes[1])
+    for payload in ("x", "conflicting"):
+        network.send(0, 1, BrbPrepare(1, payload, 148), size=148)
+        for src in (0, 2, 3):
+            network.send(src, 1, BrbEcho(0, 1, payload, 148), size=148)
+            network.send(src, 1, BrbReady(0, 1, payload, 148), size=148)
+    sim.run_until_idle()
+    assert sent == []
+    assert delivered[1] == [(0, 1, "x")]
+    assert layers[1]._instances == {}
+
+
+def test_out_of_band_delivery_drains_its_fifo_successors_after_it():
+    sim, network, nodes, layers, delivered = build()
+    for src in (2, 3):  # seq 2 completes at replica 1, seq 1 never does
+        network.send(src, 1, BrbReady(0, 2, "second", 148), size=148)
+    sim.run_until_idle()
+    assert delivered[1] == []
+    assert layers[1].deliver_out_of_band(0, 1, "first")
+    assert not layers[1].deliver_out_of_band(0, 1, "first")
+    assert not layers[1].deliver_out_of_band(0, 2, "second")
+    assert delivered[1] == [(0, 1, "first"), (0, 2, "second")]
+    assert layers[1].delivered_count == 1  # seq 1 came out of band
+    assert layers[1].delivered.front == {0: 2}
 
 
 def test_out_of_order_completion_buffers_for_fifo():
@@ -129,13 +208,6 @@ def test_out_of_order_completion_buffers_for_fifo():
     sim.run_until_idle()
     for i in range(4):
         assert [s for (_, s, _) in delivered[i]] == [1, 2]
-
-
-def test_non_fifo_mode_delivers_immediately():
-    sim, network, nodes, layers, delivered = build(fifo=False)
-    layers[0].broadcast(5, "gap", 100)
-    sim.run_until_idle()
-    assert delivered[1] == [(0, 5, "gap")]
 
 
 def test_delivered_count():

@@ -51,6 +51,55 @@ def test_integrity_at_most_once():
     assert len(delivered[1]) == 1
 
 
+def spy_sends(node):
+    """Record every message ``node`` sends or fans out."""
+    sent = []
+    send, broadcast = node.send, node.broadcast
+    node.send = lambda dst, message, **kw: (
+        sent.append(message), send(dst, message, **kw)
+    )
+    node.broadcast = lambda targets, message, **kw: (
+        sent.append(message), broadcast(targets, message, **kw)
+    )
+    return sent
+
+
+def test_instances_retire_at_delivery():
+    sim, network, keychain, nodes, keys, layers, delivered = build()
+    for seq in (1, 2, 4):  # a gap: 4 sits above the frontier
+        for layer in layers:
+            layer.broadcast(seq, (layer.node.node_id, seq), 100)
+    sim.run_until_idle()
+    for layer in layers:
+        assert layer.delivered_count == 12
+        assert layer._instances == {}
+        assert layer.delivered.front == {0: 2, 1: 2, 2: 2, 3: 2}
+        assert layer.delivered.extra == {(0, 4), (1, 4), (2, 4), (3, 4)}
+
+
+def test_a_delivered_identifiers_messages_are_dropped():
+    """Re-injected PREPARE, ACK and COMMIT for a delivered identifier
+    create no state, send nothing and deliver nothing — at a replica and
+    at the broadcaster."""
+    sim, network, keychain, nodes, keys, layers, delivered = build()
+    layers[0].broadcast(1, "x", 100)
+    sim.run_until_idle()
+    payload_digest = digest("x")
+    content = ("brb-ack", 0, 1, payload_digest)
+    proof = tuple(sign(keys[i], content) for i in (1, 2, 3))
+    sent = [spy_sends(nodes[0]), spy_sends(nodes[1])]
+    network.send(0, 1, SbPrepare(1, "x", 148), size=148)
+    network.send(2, 0, SbAck(0, 1, payload_digest, sign(keys[2], content)),
+                 size=112)
+    for dst in (0, 1):
+        network.send(2, dst, SbCommit(0, 1, payload_digest, proof, 264),
+                     size=264)
+    sim.run_until_idle()
+    assert sent == [[], []]
+    assert delivered[0] == delivered[1] == [(0, 1, "x")]
+    assert layers[0]._instances == layers[1]._instances == {}
+
+
 def test_out_of_order_seq_delivers_without_fifo():
     sim, network, keychain, nodes, keys, layers, delivered = build()
     layers[0].broadcast(7, "gap-ok", 100)

@@ -792,6 +792,131 @@ def test_a_payment_held_across_a_checkpoint_stays_held_through_replay(
     assert outcomes == [(5, 0)] * 4
 
 
+@pytest.mark.parametrize("name", ["astro1", "astro2"])
+def test_a_payment_that_died_in_the_batcher_is_accepted_again(name, tmp_path):
+    """A checkpoint taken while a payment waits in its representative's
+    batcher: the payment dies with the process, so the client's retry of
+    the same seq must be accepted — and settle everywhere — after
+    recovery, not refused as already seen."""
+    system = SYSTEM_BUILDERS[name](4, seed=11)
+    _bind_all(system, tmp_path, snapshot_interval=10**6)
+    payer, payee = client_ids_of(system)[:2]
+    system.submit_payment(Payment(payer, 1, payee, 1))
+    system.settle_all()
+    retried = Payment(payer, 2, payee, 1)
+    system.submit_payment(retried)
+    rep = system.replica_by_node(system.directory.rep_of(payer))
+    assert rep.batcher._pending == [retried]
+    rep._wal.write_snapshot(rep._snapshot_data())
+    for replica in system.replicas:  # crash: drop all in-memory state
+        replica._wal.close()
+
+    system = SYSTEM_BUILDERS[name](4, seed=11)
+    _bind_all(system, tmp_path, snapshot_interval=10**6)
+    system.submit_payment(retried)
+    system.settle_all()
+    assert [r.state.seqnums.get(payer) for r in system.replicas] == [2] * 4
+    assert [r.settled_count for r in system.replicas] == [2] * 4
+
+
+def test_a_retry_of_a_payment_queued_for_funds_is_refused_after_recovery(
+    tmp_path,
+):
+    """Astro I queues an underfunded payment at every replica.  Recovery
+    derives its seq as accepted from the approval queue, so the client's
+    retry is refused instead of broadcast a second time."""
+    system = SYSTEM_BUILDERS["astro1"](4, seed=11)
+    _bind_all(system, tmp_path)
+    payer, payee = client_ids_of(system)[:2]
+    queued = Payment(payer, 1, payee, system.genesis[payer] + 1)
+    system.submit_payment(queued)
+    system.settle_all()
+    assert [r.queued_payments for r in system.replicas] == [1] * 4
+    for replica in system.replicas:
+        replica._wal.close()
+
+    system = SYSTEM_BUILDERS["astro1"](4, seed=11)
+    _bind_all(system, tmp_path)
+    rep = system.replica_by_node(system.directory.rep_of(payer))
+    assert rep._accepted_seq == {payer: 1}
+    system.submit_payment(queued)
+    system.settle_all()
+    assert rep._broadcast_seq == 1 and rep.batcher._pending == []
+    assert [r.queued_payments for r in system.replicas] == [1] * 4
+
+
+@pytest.mark.parametrize("name", ["astro1", "astro2"])
+def test_bind_over_a_history_builds_no_broadcast_instance(name, tmp_path):
+    """Recovery restores the BRB layer's delivery frontier from the
+    checkpoint and replay; it creates no per-identifier state."""
+    system = SYSTEM_BUILDERS[name](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=4)
+    _run_workload(system, 24)
+    frontiers = [r.brb.delivered.capture() for r in system.replicas]
+    for replica in system.replicas:
+        replica._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS[name](4, seed=5)
+    reports = _bind_all(rebuilt, tmp_path, snapshot_interval=4)
+    assert all(report.had_snapshot for report in reports.values())
+    assert [r.brb.delivered.capture() for r in rebuilt.replicas] == frontiers
+    assert all(r.brb._instances == {} for r in rebuilt.replicas)
+
+
+def test_a_stale_commit_for_a_replayed_identifier_is_not_delivered(tmp_path):
+    from repro.brb.signed import SbCommit, _ack_content
+    from repro.crypto import sign
+
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=10**6)
+    _run_workload(system, 24)
+    for replica in system.replicas:
+        replica._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(rebuilt, tmp_path, snapshot_interval=10**6)
+    replica = rebuilt.replicas[1]
+    records = ReplicaStore(str(tmp_path), 1).recovery_records()
+    origin, seq, batch = next(r[1:4] for r in records if r[0] == "deliver")
+    content = _ack_content(origin, seq, batch.cached_digest)
+    proof = tuple(sign(r.key, content) for r in rebuilt.replicas[:3])
+    commit = SbCommit(origin, seq, batch.cached_digest, proof, 264)
+    assert replica.brb._valid_certificate(commit)
+    before = (state_fingerprint(replica.state), replica._wal.wal.count)
+    replica.brb._on_commit(origin, commit)
+    assert (state_fingerprint(replica.state), replica._wal.wal.count) == before
+    assert replica.brb.delivered_count == 0
+    assert replica.brb._instances == {}
+
+
+@pytest.mark.parametrize("name", ["astro1", "astro2"])
+def test_a_checkpoint_written_during_an_import_covers_it(name, tmp_path):
+    """The frontier records an imported identifier before the delivery
+    path runs, so a checkpoint that delivery writes already holds it:
+    recovered from that checkpoint, the replica refuses every batch it
+    imported instead of applying the last one twice."""
+    source = SYSTEM_BUILDERS[name](4, seed=5)
+    _bind_all(source, tmp_path / "source")
+    _run_workload(source, 24)
+    request = CatchUpRequest(1, {}, ())
+    batches = serve_catch_up(source.replicas[0]._wal, request).batches
+    assert len(batches) > 1
+
+    def importer():
+        replica = SYSTEM_BUILDERS[name](4, seed=5).replicas[1]
+        store = ReplicaStore(str(tmp_path / "importer"), 1, snapshot_interval=1)
+        return replica, replica.bind_persistence(store)
+
+    replica, _ = importer()
+    assert all([replica.import_batch(*entry) for entry in batches])
+    fingerprint = state_fingerprint(replica.state)
+    replica._wal.close()
+    replica, report = importer()
+    assert report.had_snapshot and report.replayed == 0
+    assert state_fingerprint(replica.state) == fingerprint
+    assert not any([replica.import_batch(*entry) for entry in batches])
+
+
 def _zero_record_header(path, index):
     """Corrupt WAL record ``index`` in place (a zero length header): the
     scan treats it as end-of-log, so only ``index`` records stay readable."""

@@ -1,5 +1,6 @@
 """Tests for replica-internal mechanics: flow control, ingestion rules."""
 
+import pytest
 
 from repro.core.config import AstroConfig
 from repro.core.payment import Payment
@@ -122,3 +123,18 @@ def test_confirm_hooks_only_fire_at_spender_rep():
     rep = system.directory.rep_of("a")
     assert fired[rep] == 1
     assert sum(fired.values()) == 1
+
+
+@pytest.mark.parametrize("system_type", [Astro1System, Astro2System])
+def test_broadcast_instances_retire_once_delivered(system_type):
+    """With correct broadcasters every BRB instance retires: what a
+    replica keeps per delivered identifier is its frontier entry."""
+    system = system_type(num_replicas=4, genesis=dict(GENESIS), seed=3)
+    clients = sorted(GENESIS)
+    for index in range(300):
+        system.submit(clients[index % 4], clients[(index + 1) % 4], 1)
+    system.settle_all()
+    for replica in system.replicas:
+        assert replica.settled_count == 300
+        assert replica.brb._instances == {}
+        assert not replica.brb.delivered.extra
