@@ -5,7 +5,7 @@ account states (default: 4 replicas sharing one
 :class:`~repro.core.interning.ClientInterner`) over populations of
 10⁵–10⁶ clients and reports allocated bytes per account of the
 array-backed store (:class:`~repro.core.accounts.AccountState`, int64
-slabs + interner, lazy sparse xlogs).
+slabs + interner, lazy sparse xlogs), then bytes per settled payment.
 
 Sizes come from :mod:`tracemalloc` — requested allocation sizes, not
 RSS, so numbers are stable across machines and allocator behavior.
@@ -22,12 +22,16 @@ import argparse
 import tracemalloc
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..brb.batching import Batch
 from ..core.accounts import AccountState
 from ..core.interning import ClientInterner
+from ..core.payment import Payment
+from ..transport.framing import decode_exactly_one, encode_frame
 from ..workloads.uniform import uniform_genesis
 from .report import merge_perf_report, print_table
 
-__all__ = ["measure_bytes_per_account", "run_memory_cells", "main"]
+__all__ = ["measure_bytes_per_account", "measure_bytes_per_payment",
+           "run_memory_cells", "main"]
 
 #: Deployment size of the measured replica group (Astro's N = 3f+1
 #: minimum); the interner is shared across the group, as in a system.
@@ -58,6 +62,32 @@ def measure_bytes_per_account(
     return (traced - base) / (num_clients * num_replicas)
 
 
+def measure_bytes_per_payment() -> float:
+    """Allocated bytes per payment a replica decodes from 512 frames of
+    32 (pickled before tracing starts), digests and settles: what stays
+    is each payment in its spender's xlog, 16 per account of 1024."""
+    genesis = uniform_genesis(1024)
+    ids, state = list(genesis), AccountState(genesis)
+    frames = [encode_frame(Batch([
+        Payment(ids[k % 1024], k // 1024 + 1, ids[(7 * k + 1) % 1024], 1)
+        for k in range(start, start + 32)
+    ])) for start in range(0, 16_384, 32)]
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for frame in frames:
+            batch = decode_exactly_one(frame)
+            batch.cached_digest
+            for payment in batch:
+                payment.core_digest()
+                state.try_settle_spend(payment)
+        del batch, payment
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (traced - base) / (32 * len(frames))
+
+
 def run_memory_cells(
     clients: Sequence[int] = DEFAULT_CLIENTS,
     num_replicas: int = DEFAULT_REPLICAS,
@@ -72,7 +102,8 @@ def run_memory_cells(
         }
         for num_clients in clients
     ]
-    return {"num_replicas": num_replicas, "cells": cells}
+    return {"num_replicas": num_replicas, "cells": cells,
+            "payment_bytes": round(measure_bytes_per_payment(), 1)}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -105,11 +136,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     path = merge_perf_report({"memory": section})
 
     print_table(
-        ["clients", "array B/acct"],
+        ["bytes per", "B"],
         [
-            [cell["num_clients"], cell["array_bytes_per_account"]]
+            [f"account, {cell['num_clients']} clients",
+             cell["array_bytes_per_account"]]
             for cell in section["cells"]
-        ],
+        ] + [["settled decoded payment", section["payment_bytes"]]],
         title=f"Account-store memory ({args.replicas} replicas, "
               f"shared interner; report: {path})",
     )

@@ -22,9 +22,9 @@ Every settler ships the sub-batch by value (Listings 9–10), so a
 representative receives each one ``N - 1`` times and needs the payload
 once: a CREDIT from the wire stays packed until :attr:`CreditMessage.payments`
 is read, which :meth:`DependencyCollector.add_credit` does for the first
-arrival of a sub-batch only.  Certificates cross the wire as core fields
-(``core.payment.pack_payments``), never with the crediting payments' own
-dependencies.
+arrival of a sub-batch only.  CREDITs and certificates cross the wire
+as core fields (``core.payment.pack_payments``), never with the crediting
+payments' own dependencies or ``submitted_at``.
 """
 
 from __future__ import annotations
@@ -158,17 +158,16 @@ class CreditMessage:
         return cls(shard_id, payments, signature, subbatch_digest=batch_digest)
 
     def __reduce__(self):
-        # Cross-process form (TCP framing, WAL): the sub-batch packed —
-        # as it arrived, when it did.  The digest ships along: it is a
-        # pure function of content and the shared process hash seed, and
-        # recomputing it per copy would repeat an O(|sub-batch|) hash at
-        # the receiver.
+        # Cross-process form (TCP framing, WAL): the sub-batch's core
+        # fields, all that signature and digest bind.  The digest ships
+        # along: it is a pure function of content and the shared process
+        # hash seed, and recomputing it per copy would repeat an
+        # O(|sub-batch|) hash at the receiver.
         packed = self._packed
-        if packed is None:
-            packed = pack_payments(self.payments)
+        flat = pack_payments(self.payments)[0] if packed is None else packed[0]
         return (
             _credit_from_wire,
-            (self.shard_id, *packed, self.signature, self.subbatch_digest),
+            (self.shard_id, flat, (), self.signature, self.subbatch_digest),
         )
 
 
@@ -180,7 +179,8 @@ def _credit_from_wire(
     subbatch_digest: Digest,
 ) -> CreditMessage:
     """Inverse of :meth:`CreditMessage.__reduce__`: nothing is unpacked
-    here, so a malformed sub-batch surfaces where it is read."""
+    here, so a malformed sub-batch surfaces where it is read.  Older WAL
+    records carry the payouts' ``extras`` too, and still replay."""
     message = CreditMessage.__new__(CreditMessage)
     message.shard_id = shard_id
     message.subbatch_digest = subbatch_digest
@@ -241,7 +241,7 @@ class DependencyCertificate:
     """
 
     __slots__ = ("payment", "shard_id", "subbatch", "subbatch_digest",
-                 "signatures", "_canonical")
+                 "signatures")
 
     def __init__(
         self,
@@ -259,7 +259,6 @@ class DependencyCertificate:
             else subbatch_digest_of(subbatch)
         )
         self.signatures = signatures
-        self._canonical: Optional[tuple] = None
 
     def __reduce__(self):
         # Cross-process form (TCP framing, WAL): core fields only — all
@@ -293,16 +292,14 @@ class DependencyCertificate:
         return 40 + len(self.signatures) * (costs.SIGNATURE_BYTES + 8)
 
     def canonical(self) -> tuple:
-        value = self._canonical
-        if value is None:
-            value = self._canonical = (
-                "depcert",
-                self.shard_id,
-                self.payment.core_canonical(),
-                self.subbatch_digest,
-                tuple(s.canonical() for s in self.signatures),
-            )
-        return value
+        # Not memoized: xlogs keep a payout's certificates for good.
+        return (
+            "depcert",
+            self.shard_id,
+            self.payment.core_canonical(),
+            self.subbatch_digest,
+            tuple(s.canonical() for s in self.signatures),
+        )
 
     def __eq__(self, other: object) -> bool:
         # Value equality: two unpickled copies of one certificate (and so

@@ -14,6 +14,7 @@ sub-batch a certificate covers — has one wire form, owned here:
 from __future__ import annotations
 
 from itertools import chain
+from sys import intern
 from typing import Hashable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -43,11 +44,11 @@ class Payment:
     excluded from the canonical form, so it never affects digests or
     signatures.
 
-    Payments are immutable once constructed; every replica of a deployment
-    touches each payment several times (ack guards, settle, sub-batch
-    digests), so derived forms — the identifier, the flat core tuple, the
-    wire size, the canonical form, and both digests — are computed once
-    and cached on the instance.
+    Payments are immutable, and every replica's xlogs keep each settled
+    one for good, so an instance holds what is read per payment (the
+    identifier, core tuple, wire size and memoized core digest) and
+    shares its interned string ids with every payment naming them.  The
+    full canonical form and digest are computed on demand.
     """
 
     __slots__ = (
@@ -60,8 +61,6 @@ class Payment:
         "identifier",
         "core",
         "wire_bytes",
-        "_canonical",
-        "_digest",
         "_core_digest",
     )
 
@@ -74,6 +73,12 @@ class Payment:
         deps: tuple = (),
         submitted_at: Optional[float] = None,
     ) -> None:
+        if seq.__class__ is not int or amount.__class__ is not int:
+            raise TypeError(f"seq and amount must be int: {seq!r}, {amount!r}")
+        if spender.__class__ is str:
+            spender = intern(spender)
+        if beneficiary.__class__ is str:
+            beneficiary = intern(beneficiary)
         if seq < 1:
             raise ValueError(f"sequence numbers start at 1, got {seq}")
         if amount < 0:
@@ -96,8 +101,6 @@ class Payment:
             self.wire_bytes = wire
         else:
             self.wire_bytes = 100
-        self._canonical: Optional[tuple] = None
-        self._digest: Optional[int] = None
         self._core_digest: Optional[int] = None
 
     def core_canonical(self) -> tuple:
@@ -118,29 +121,17 @@ class Payment:
         return value
 
     def canonical(self) -> tuple:
-        value = self._canonical
-        if value is None:
-            deps_src = self.deps
-            if deps_src:
-                deps = tuple(
-                    dep.canonical() if hasattr(dep, "canonical") else dep
-                    for dep in deps_src
-                )
-            else:
-                deps = ()
-            value = self._canonical = self.core + (deps,)
-        return value
+        if not self.deps:
+            return self.core + ((),)
+        return self.core + (tuple(
+            dep.canonical() if hasattr(dep, "canonical") else dep
+            for dep in self.deps
+        ),)
 
     @property
     def cached_digest(self) -> int:
-        """Memoized full-content digest (consulted by ``crypto.digest``)."""
-        value = self._digest
-        if value is None:
-            c = self._canonical
-            if c is None:
-                c = self.canonical()
-            value = self._digest = hash(("payment", c)) & _MASK
-        return value
+        """Full-content digest (consulted by ``crypto.digest``)."""
+        return hash(("payment", self.canonical())) & _MASK
 
     def __reduce__(self):
         """Compact pickling of a *single* payment (client messages,
@@ -203,8 +194,9 @@ def unpack_payments(flat: tuple, extras: tuple = ()) -> Tuple[Payment, ...]:
     """Rebuild the sequence :func:`pack_payments` flattened.
 
     The input is a peer's or a disk's: anything but ``4·k`` well-formed
-    core fields and in-range extras raises :class:`ValueError` (from
-    ``Payment`` itself for ``seq < 1`` or a negative amount).
+    core fields and in-range extras raises :class:`ValueError`, also for
+    the fields ``Payment`` refuses: a non-``int`` seq or amount, ``seq <
+    1``, a negative amount.
     """
     if (
         flat.__class__ is not tuple

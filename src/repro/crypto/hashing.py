@@ -12,9 +12,9 @@ Digests sit on the simulator's hottest path (every broadcast phase keys
 its quorum state by payload digest), so this module is written for CPython
 speed:
 
-* ``digest`` consults a per-object ``cached_digest`` attribute first, so
-  message objects (payments, batches, certificates) hash their content
-  exactly once over their lifetime;
+* ``digest`` consults a per-object ``cached_digest`` attribute first; a
+  batch memoizes it, over its payments' digests (computed on demand, as
+  xlogs keep payments for good), so a batch is hashed once;
 * ``canonical`` dispatches on exact class identity and returns tuples of
   primitives *unchanged*, avoiding the recursive re-canonicalization the
   original implementation performed on every call.
@@ -75,9 +75,9 @@ def canonical(value: Any) -> Any:
 def digest(value: Any) -> Digest:
     """Collision-free (within a run) 64-bit digest of ``value``.
 
-    Objects exposing a ``cached_digest`` attribute (payments, batches,
-    dependency certificates) answer from their memoized value; everything
-    else is canonicalized and hashed on the spot.
+    Objects exposing a ``cached_digest`` attribute (batches, payments)
+    answer from it; everything else is canonicalized and hashed on the
+    spot.
     """
     cached = getattr(value, "cached_digest", None)
     if cached is not None:

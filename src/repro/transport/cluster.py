@@ -499,6 +499,7 @@ async def _run(
         "views_missing": views_missing,
         # The pacer's (transport/collector.py) share of wall time.
         "full_collections_by_replica": _by_replica(paced, "full_collections"),
+        "peak_rss_mb_by_replica": _by_replica(paced, "peak_rss_mb"),
         "full_collection_share": round(
             sum(reading["full_seconds"] for reading in paced.values())
             / (max(len(paced), 1) * wall_elapsed), 4

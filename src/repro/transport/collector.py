@@ -34,6 +34,7 @@ automatic collections the pacer is inert, not wrong.
 from __future__ import annotations
 
 import gc
+from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 from typing import Dict, Optional
 
@@ -109,6 +110,8 @@ def release() -> None:
 
 def reading() -> Dict[str, float]:
     """The ``"collector"`` control reading: full collections timed while
-    held, their seconds, and the seconds automatic ones were held off."""
+    held, their seconds, the seconds automatic ones were held off, and
+    the process's peak RSS (``ru_maxrss`` is KiB on Linux)."""
     held = 0.0 if _held_since is None else perf_counter() - _held_since
-    return {**_stats, "held_off_seconds": _stats["held_off_seconds"] + held}
+    return {**_stats, "held_off_seconds": _stats["held_off_seconds"] + held,
+            "peak_rss_mb": round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 1)}

@@ -311,11 +311,32 @@ class TestLazyCreditPayload:
         assert pickle.dumps(clone) == pickle.dumps(message)  # re-logged packed
         assert probe.calls == 0
         assert clone.payments == payments
-        assert clone.payments[1].submitted_at == 2.5
+        assert clone.payments[1].submitted_at is None  # core fields only
         assert probe.calls == 2
         assert clone.payments is clone.payments  # built once, then a slot
         with pytest.raises(AttributeError):
             clone.no_such_field
+
+    def test_a_payout_s_certificates_do_not_ride_its_credit(
+        self, setup, keychain
+    ):
+        """The signature and digest bind core fields only, so that is all
+        a CREDIT ships: over a certificate-bearing payout it pickles to
+        the bytes of one over the bare payout, and still mints."""
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        funding = _certificate(keys, (Payment("carl", 1, "alice", 50),))
+        bare = Payment("alice", 1, "bob", 10)
+        payout = Payment("alice", 1, "bob", 10, deps=(funding,),
+                         submitted_at=2.5)
+        credits = [CreditMessage.create(keys[i], 0, (payout,)) for i in (0, 1)]
+        assert pickle.dumps(credits[0]) == pickle.dumps(
+            CreditMessage.create(keys[0], 0, (bare,))
+        )
+        assert collector.add_credit(0, _over_the_wire(credits[0])) == []
+        minted = collector.add_credit(1, _over_the_wire(credits[1]))
+        assert [cert.payment for cert in minted] == [bare]
+        assert verify_certificate(minted[0], directory, keychain)
 
     def test_non_first_and_straggler_credits_build_no_payment(
         self, setup, keychain, monkeypatch

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.brb.batching import Batch
 from repro.core.payment import Payment
 from repro.crypto import (
     CryptoError,
@@ -66,16 +67,17 @@ class TestDigest:
         assert digest(value) == digest(value)
 
     def test_second_digest_of_same_message_hits_cache(self, monkeypatch):
-        """Memoization regression: digesting a message object twice must
-        answer from the per-object cache, not re-canonicalize."""
-        payment = Payment("alice", 1, "bob", 5)
-        first = digest(payment)
+        """Memoization regression: digesting a batch twice must answer
+        from the per-object cache, not re-canonicalize its payments
+        (which compute their own digests on demand, holding nothing)."""
+        batch = Batch([Payment("alice", 1, "bob", 5)])
+        first = digest(batch)
         monkeypatch.setattr(
             Payment,
             "canonical",
             lambda self: pytest.fail("cache miss: canonical() recomputed"),
         )
-        assert digest(payment) == first
+        assert digest(batch) == first
 
     def test_equal_payments_equal_digest_across_objects(self):
         a = Payment("alice", 1, "bob", 5)

@@ -132,6 +132,8 @@ def test_bench_mode_confirms_every_payment_on_every_replica(monkeypatch):
     assert report["wire_bytes_per_payment"] > 0
     assert report["views_missing"] == []
     assert sorted(report["full_collections_by_replica"]) == list("0123")
+    peak = report["peak_rss_mb_by_replica"]
+    assert sorted(peak) == list("0123") and min(peak.values()) > 0
     # The pacer's counters are the process's; this one has run many
     # deployments, so only the CLI's fresh processes can pin <= 1/20.
     assert report["full_collection_share"] >= 0.0
