@@ -1,8 +1,11 @@
-"""Live safety-invariant monitoring of correct replicas (DESIGN §4).
+"""Safety-invariant monitoring of correct replicas (DESIGN §4).
 
-The :class:`InvariantMonitor` samples the *correct* replicas of a running
-system on a simulated-time cadence — during the run, not only at the end —
-and asserts the five safety invariants online:
+The :class:`InvariantMonitor` checks *views* of the correct replicas
+during a run, not only at its end.  A view (:func:`replica_state_view`)
+is its one input on both backends: the simulator takes views from the
+replica objects on a simulated-time cadence (:meth:`~InvariantMonitor.watch`);
+the live cluster's parent receives them as the ``"state"`` reading and
+hands them to :meth:`~InvariantMonitor.sample`.  Every sample asserts:
 
 1. **non-negative balances** — no correct replica ever records a negative
    balance;
@@ -14,130 +17,191 @@ and asserts the five safety invariants online:
    one ``(beneficiary, amount)``;
 4. **conservation of value** — Astro I (and the consensus baseline)
    settle atomically, so each replica's total balance equals its genesis
-   total; Astro II never credits directly, so per client
-   ``bal[c] == genesis[c] − Σ xlog[c] + Σ materialized dependencies``,
-   with each materialized dependency resolved against the crediting
-   payment in some correct replica's xlog (an f+1 certificate implies at
-   least one correct settler logged it — a dependency no correct replica
-   can vouch for is itself a violation);
+   total; Astro II never credits directly, so per client (in genesis or
+   holding a balance) ``bal[c] == genesis[c] − Σ xlog[c] + Σ materialized
+   dependencies``, with each materialized dependency resolved against the
+   crediting payment in some correct replica's xlog (an f+1 certificate
+   implies at least one correct settler logged it — a dependency no
+   correct replica can vouch for is itself a violation);
 5. **cross-replica convergence** — within a shard, every correct
    replica's xlog for a client is a prefix of the longest one.
 
-Violations are recorded with their simulated first-violation time;
-:meth:`verdict` summarizes for timeline results and
-``BENCH_byzantine.json``.
-
-The monitor is strictly read-only, but its sampling events take
-``(time, seq)`` keys of their own; byte-identity tests run the attacks
-without a monitor and compare histories instead.
+A replica missing from a sample keeps its last view: a crashed correct
+replica's frozen state must still satisfy every invariant.  Violations
+are recorded with their first-violation time; :meth:`verdict`
+summarizes for timeline results, live reports and
+``BENCH_byzantine.json``.  The monitor is strictly read-only, but
+:meth:`~InvariantMonitor.watch`'s sampling events take ``(time, seq)``
+keys of their own; byte-identity tests run the attacks without a
+monitor and compare histories instead.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["InvariantMonitor"]
+__all__ = ["InvariantMonitor", "genesis_view", "replica_state_view"]
 
 #: Stop appending violation records past this many (a broken run can
 #: violate at every sample; the first few carry all the signal).
 _MAX_RECORDED = 100
 
+View = Dict[str, Any]
+
+
+def replica_state_view(replica: Any) -> View:
+    """Picklable capture of what the monitor checks of ``replica``:
+    ``balances`` and ``seqnums`` (client → int), ``xlogs`` (client →
+    tuple of payments) and, for Astro II, ``used_deps`` (client → the
+    dependency ids it materialized)."""
+    state = replica.state
+    view: View = {
+        "balances": dict(state.balances.items()),
+        "seqnums": dict(state.seqnums.items()),
+        "xlogs": {owner: tuple(log) for owner, log in state.xlogs.items()},
+    }
+    used_deps = getattr(replica, "_used_deps", None)
+    if used_deps is not None:
+        view["used_deps"] = {c: tuple(deps) for c, deps in used_deps.items()}
+    return view
+
+
+def genesis_view(balances: Dict[Any, int], deps: bool) -> View:
+    """The view of a replica that has settled nothing yet (``deps``:
+    an Astro II one)."""
+    view: View = {"balances": dict(balances), "seqnums": {}, "xlogs": {}}
+    if deps:
+        view["used_deps"] = {}
+    return view
+
 
 class InvariantMonitor:
-    """Samples correct replicas of ``system`` every ``interval`` sim-seconds.
+    """Checks the five invariants over views of the correct replicas.
 
-    ``byzantine_ids`` are excluded from sampling (their state is allowed
-    to be arbitrary).  Crashed correct replicas stay included: their
-    frozen state must still satisfy every invariant.  ``until`` bounds
-    rescheduling so drain loops (``run_until_idle``) terminate; the
-    final post-run state can be checked explicitly with :meth:`sample`.
+    ``genesis`` maps each correct replica's node id to its view before
+    the run: the baseline conservation is checked against, and the view
+    a replica keeps until one of its own arrives.  Views with
+    ``used_deps`` are Astro II's; the others settle atomically.
+    ``directory`` groups replicas by shard for convergence (``None``:
+    one group).
     """
 
     def __init__(
         self,
-        system: Any,
-        interval: float = 1.0,
-        byzantine_ids: Sequence[int] = (),
-        start: Optional[float] = None,
-        until: Optional[float] = None,
-        autostart: bool = True,
+        genesis: Dict[int, View],
+        directory: Any = None,
         dep_grace: int = 0,
     ) -> None:
-        self.system = system
-        self.interval = float(interval)
-        self.byzantine = frozenset(byzantine_ids)
-        self.until = until
+        if not genesis:
+            raise ValueError("no correct replicas left to monitor")
         #: Samples an unknown dependency may stay unresolved before it is
         #: recorded.  0 (simulator: all replicas sampled at one instant)
-        #: records immediately.  Live feeds capture replicas milliseconds
+        #: records immediately.  Live views are captured milliseconds
         #: apart, so a dependency materialized mid-round can precede its
         #: crediting payment's appearance in a settler's view by one
         #: sample — ``dep_grace=1`` absorbs exactly that skew.
         self.dep_grace = int(dep_grace)
         self.samples = 0
         self.violations: List[Dict[str, Any]] = []
-        self.replicas = [
-            system.replica_by_node(node_id)
-            for node_id in system.replica_node_ids
-            if node_id not in self.byzantine
-        ]
-        if not self.replicas:
-            raise ValueError("no correct replicas left to monitor")
-        #: Astro II replicas materialize dependencies (``_used_deps``);
-        #: Astro I and the consensus baseline settle atomically.
+        #: The last view of every correct replica, by node id.
+        self._views = dict(genesis)
         self.mode = (
-            "deps" if hasattr(self.replicas[0], "_used_deps") else "atomic"
+            "deps" if "used_deps" in next(iter(genesis.values())) else "atomic"
         )
-        #: Genesis snapshot per correct replica, taken at construction
-        #: (the monitor must be created before the run starts).
-        self._genesis = [dict(r.state.balances) for r in self.replicas]
-        self._genesis_totals = [sum(g.values()) for g in self._genesis]
+        self._genesis = {
+            node_id: dict(view["balances"]) for node_id, view in genesis.items()
+        }
         #: Convergence groups: replicas of one shard agree on xlogs.
-        self._groups = self._shard_groups()
-        #: (replica, client) -> xlog length at the previous sample.
-        self._prev_len: Dict[Tuple[int, Any], int] = {}
+        groups: Dict[Any, List[int]] = {}
+        for node_id in self._views:
+            shard = directory.shard_of_replica(node_id) if directory else None
+            groups.setdefault(shard, []).append(node_id)
+        self._groups = list(groups.values())
         #: Global settled-payment index: identifier -> (beneficiary,
         #: amount).  Grows across replicas *and* samples, so a conflicting
         #: late settle is caught against history.
         self._payment_index: Dict[Any, Tuple[Any, int]] = {}
         #: (replica, dep_id) -> sample number first seen unresolved.
         self._dep_pending: Dict[Tuple[int, str], int] = {}
+        #: What :meth:`watch` samples: replica objects and their clock.
+        self.replicas: List[Any] = []
+        self._sim: Any = None
         self._stopped = False
-        if autostart:
-            first = (start if start is not None else system.sim.now) + self.interval
-            system.sim.schedule_at(first, self._tick)
-        # With ``autostart=False`` the owner drives :meth:`sample`
-        # explicitly (live-cluster feeds have no simulator to tick on;
-        # they pass wall-clock ``now`` instead).
 
     # ------------------------------------------------------------------
-    # Scheduling
+    # The simulator's cadence
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.sample()
-        next_at = self.system.sim.now + self.interval
-        if self.until is None or next_at <= self.until + 1e-9:
-            self.system.sim.schedule_at(next_at, self._tick)
+    @classmethod
+    def watch(
+        cls,
+        system: Any,
+        interval: float = 1.0,
+        byzantine_ids: Sequence[int] = (),
+        until: Optional[float] = None,
+    ) -> "InvariantMonitor":
+        """Monitor a simulated ``system`` every ``interval`` sim-seconds.
+
+        ``byzantine_ids`` are not sampled (their state is allowed to be
+        arbitrary); crashed correct replicas are.  ``until`` bounds
+        rescheduling so drain loops (``run_until_idle``) terminate; the
+        final post-run state is checked with :meth:`sample_replicas`.
+        Create it before the run starts: the current views are genesis.
+        """
+        byzantine = frozenset(byzantine_ids)
+        replicas = [
+            system.replica_by_node(node_id)
+            for node_id in system.replica_node_ids
+            if node_id not in byzantine
+        ]
+        monitor = cls(
+            {r.node_id: replica_state_view(r) for r in replicas},
+            getattr(system, "directory", None),
+        )
+        monitor.replicas = replicas
+        sim = monitor._sim = system.sim
+        interval = float(interval)
+
+        def tick() -> None:
+            if monitor._stopped:
+                return
+            monitor.sample_replicas()
+            next_at = sim.now + interval
+            if until is None or next_at <= until + 1e-9:
+                sim.schedule_at(next_at, tick)
+
+        sim.schedule_at(sim.now + interval, tick)
+        return monitor
+
+    def sample_replicas(self) -> None:
+        """:meth:`sample` the replicas :meth:`watch` attached, now."""
+        self.sample(
+            self._sim.now,
+            {r.node_id: replica_state_view(r) for r in self.replicas},
+        )
 
     def stop(self) -> None:
+        """End :meth:`watch`'s cadence."""
         self._stopped = True
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sample(self, now: Optional[float] = None) -> None:
-        """Check all five invariants against current replica state."""
-        if now is None:
-            now = self.system.sim.now
+    def sample(self, now: float, views: Dict[int, View]) -> None:
+        """Check all five invariants at ``now``.  ``views`` maps node ids
+        to fresh views; a correct replica missing from it keeps its last
+        view, and a view of any other node is ignored."""
+        current = self._views
+        previous = dict(current)
+        for node_id, view in views.items():
+            if node_id in current:
+                current[node_id] = view
         self.samples += 1
-        for idx, replica in enumerate(self.replicas):
-            self._check_balances(now, replica)
-            self._check_sequences(now, replica)
-            self._index_payments(now, replica)
-        for idx, replica in enumerate(self.replicas):
-            self._check_conservation(now, idx, replica)
+        for node_id, view in current.items():
+            self._check_balances(now, node_id, view)
+            self._check_sequences(now, node_id, view, previous[node_id])
+            self._index_payments(now, node_id, view)
+        for node_id, view in current.items():
+            self._check_conservation(now, node_id, view)
         self._check_convergence(now)
 
     def first_violation(self) -> Optional[float]:
@@ -161,76 +225,75 @@ class InvariantMonitor:
             record.update(detail)
             self.violations.append(record)
 
-    def _check_balances(self, now: float, replica: Any) -> None:
-        for client, balance in replica.state.balances.items():
+    def _check_balances(self, now: float, node_id: int, view: View) -> None:
+        for client, balance in view["balances"].items():
             if balance < 0:
                 self._record(
-                    now, "non_negative", replica=replica.node_id,
+                    now, "non_negative", replica=node_id,
                     client=repr(client), balance=balance,
                 )
 
-    def _check_sequences(self, now: float, replica: Any) -> None:
-        state = replica.state
-        for client, log in state.xlogs.items():
-            entries = log.entries()
-            for position, payment in enumerate(entries):
+    def _check_sequences(
+        self, now: float, node_id: int, view: View, previous: View
+    ) -> None:
+        seqnums = view["seqnums"]
+        before = previous["xlogs"]
+        for client, log in view["xlogs"].items():
+            for position, payment in enumerate(log):
                 if payment.seq != position + 1:
                     self._record(
-                        now, "sequence", replica=replica.node_id,
+                        now, "sequence", replica=node_id,
                         client=repr(client), expected=position + 1,
                         got=payment.seq,
                     )
                     break
-            if state.seqnums.get(client, 0) != len(entries):
+            if seqnums.get(client, 0) != len(log):
                 self._record(
-                    now, "sequence", replica=replica.node_id,
-                    client=repr(client), seqnum=state.seqnums.get(client, 0),
-                    xlog_len=len(entries),
+                    now, "sequence", replica=node_id,
+                    client=repr(client), seqnum=seqnums.get(client, 0),
+                    xlog_len=len(log),
                 )
-            key = (replica.node_id, client)
-            previous = self._prev_len.get(key, 0)
-            if len(entries) < previous:
+            if len(log) < len(before.get(client, ())):
                 self._record(
-                    now, "sequence", replica=replica.node_id,
-                    client=repr(client), shrank_from=previous,
-                    shrank_to=len(entries),
+                    now, "sequence", replica=node_id,
+                    client=repr(client), shrank_from=len(before[client]),
+                    shrank_to=len(log),
                 )
-            self._prev_len[key] = len(entries)
 
-    def _index_payments(self, now: float, replica: Any) -> None:
+    def _index_payments(self, now: float, node_id: int, view: View) -> None:
         index = self._payment_index
-        for client, log in replica.state.xlogs.items():
-            for payment in log.entries():
+        for log in view["xlogs"].values():
+            for payment in log:
                 seen = index.get(payment.identifier)
                 effect = (payment.beneficiary, payment.amount)
                 if seen is None:
                     index[payment.identifier] = effect
                 elif seen != effect:
                     self._record(
-                        now, "double_spend", replica=replica.node_id,
+                        now, "double_spend", replica=node_id,
                         identifier=repr(payment.identifier),
                         first=repr(seen), second=repr(effect),
                     )
 
-    def _check_conservation(self, now: float, idx: int, replica: Any) -> None:
-        state = replica.state
+    def _check_conservation(self, now: float, node_id: int, view: View) -> None:
+        balances = view["balances"]
+        genesis = self._genesis[node_id]
         if self.mode == "atomic":
-            total = sum(state.balances.values())
-            if total != self._genesis_totals[idx]:
+            total = sum(balances.values())
+            if total != sum(genesis.values()):
                 self._record(
-                    now, "conservation", replica=replica.node_id,
-                    total=total, genesis=self._genesis_totals[idx],
+                    now, "conservation", replica=node_id,
+                    total=total, genesis=sum(genesis.values()),
                 )
             return
-        genesis = self._genesis[idx]
-        used_deps = replica._used_deps
+        xlogs = view["xlogs"]
+        used_deps = view["used_deps"]
         index = self._payment_index
-        for client, initial in genesis.items():
-            spent = 0
-            log = state.xlogs.get(client)
-            if log is not None:
-                for payment in log.entries():
-                    spent += payment.amount
+        # Genesis clients first, then any other client holding a balance:
+        # a balance minted for a client outside genesis is no less a
+        # violation.
+        for client in {**genesis, **balances}:
+            spent = sum(payment.amount for payment in xlogs.get(client, ()))
             credited = 0
             unresolved = 0
             for dep_id in used_deps.get(client, ()):
@@ -239,56 +302,41 @@ class InvariantMonitor:
                     # No correct replica can (yet) vouch for this
                     # dependency.  Past the grace window it means a
                     # fabricated certificate was materialized.
-                    key = (replica.node_id, repr(dep_id))
+                    key = (node_id, repr(dep_id))
                     first = self._dep_pending.setdefault(key, self.samples)
                     if self.samples - first >= self.dep_grace:
                         self._record(
-                            now, "conservation", replica=replica.node_id,
+                            now, "conservation", replica=node_id,
                             client=repr(client), unknown_dep=repr(dep_id),
                         )
                     unresolved += 1
                     continue
-                self._dep_pending.pop((replica.node_id, repr(dep_id)), None)
+                self._dep_pending.pop((node_id, repr(dep_id)), None)
                 credited += effect[1]
             if unresolved and self.dep_grace > 0:
                 # Credits cannot be summed yet; re-check next sample.
                 continue
-            expected = initial - spent + credited
-            if state.balances.get(client, 0) != expected:
+            expected = genesis.get(client, 0) - spent + credited
+            if balances.get(client, 0) != expected:
                 self._record(
-                    now, "conservation", replica=replica.node_id,
-                    client=repr(client), balance=state.balances.get(client, 0),
+                    now, "conservation", replica=node_id,
+                    client=repr(client), balance=balances.get(client, 0),
                     expected=expected,
                 )
 
     def _check_convergence(self, now: float) -> None:
         for group in self._groups:
-            clients: Dict[Any, List[Any]] = {}
-            for replica in group:
-                for client, log in replica.state.xlogs.items():
-                    if len(log):
+            clients: Dict[Any, List[Tuple[Any, ...]]] = {}
+            for node_id in group:
+                for client, log in self._views[node_id]["xlogs"].items():
+                    if log:
                         clients.setdefault(client, []).append(log)
             for client, logs in clients.items():
                 reference = max(logs, key=len)
                 for log in logs:
-                    if log is reference:
-                        continue
-                    if not log.is_prefix_of(reference):
+                    if log != reference[: len(log)]:
                         self._record(
                             now, "convergence", client=repr(client),
                             lengths=[len(entry) for entry in logs],
                         )
                         break
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _shard_groups(self) -> List[List[Any]]:
-        directory = getattr(self.system, "directory", None)
-        if directory is None:
-            return [list(self.replicas)]
-        groups: Dict[Any, List[Any]] = {}
-        for replica in self.replicas:
-            shard = directory.shard_of_replica(replica.node_id)
-            groups.setdefault(shard, []).append(replica)
-        return list(groups.values())

@@ -89,7 +89,7 @@ def run_adversary_cell(
         {"attack": attack, "at": attack_at, "count": adversary_count},
         seed=seed,
     )
-    monitor = InvariantMonitor(
+    monitor = InvariantMonitor.watch(
         built,
         interval=monitor_interval,
         byzantine_ids=adversary.byzantine_ids,
@@ -104,7 +104,7 @@ def run_adversary_cell(
         split=attack_offset,  # the adversary *is* the fault
     )
     monitor.stop()
-    monitor.sample()  # final state, after the window closed
+    monitor.sample_replicas()  # final state, after the window closed
     return {
         "system": system,
         "attack": attack,

@@ -26,7 +26,8 @@ any instant.  Everything it must not lose flows through this module:
   continuing the fold — a damaged frame mid-file, a single-pickle
   snapshot written before the log existed, a tail that does not start
   where the folded history ends — is :class:`WalCorruption`, raised
-  before any replica state is touched.
+  before any replica state is touched.  The WAL is read the same way
+  (:func:`_frames`), and nothing is truncated before it is read whole.
 
 Recovery replays the WAL suffix past the checkpoint onto the restored
 state and must land exactly on the pre-crash SHA-256 state fingerprint —
@@ -146,12 +147,45 @@ def restore_account_state(state: AccountState, data: Dict[str, Any]) -> None:
     state.refill(data)
 
 
+def _damaged(kind: str, path: str, offset: int, what: str) -> WalCorruption:
+    return WalCorruption(
+        f"{kind} log {path}: {what} at byte {offset} is not a {kind} frame"
+    )
+
+
+def _frames(path: str, kind: str) -> Iterator[Tuple[int, bytes]]:
+    """``(offset, body)`` of each complete frame of the ``kind`` log at
+    ``path``.  A missing file or a torn tail ends it: a SIGKILL
+    mid-append can only leave a prefix of a valid frame at the end of
+    the file.  A header no append writes is damage — framing cannot
+    resynchronize past it, and the frames behind it are no torn tail."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        offset = 0
+        while True:
+            header = fh.read(4)
+            if len(header) < 4:
+                return  # end of the log, or a torn header
+            length = _unpack_header(header)[0]
+            if length == 0 or length > MAX_FRAME_BYTES:
+                raise _damaged(kind, path, offset, f"a {length}-byte header")
+            body = fh.read(length)
+            if len(body) < length:
+                return  # torn last frame
+            yield offset, body
+            offset += 4 + length
+
+
 class WriteAheadLog:
     """Append-only record file: length-framed pickles, flushed per record.
 
     A SIGKILL can land mid-write, leaving a torn final record; recovery
     scans to the last complete record and truncates the torn tail before
-    appending again (framing cannot resynchronize past a bad header).
+    appending again.  Damage anywhere else is :class:`WalCorruption`,
+    raised by the scan, before anything is truncated.
     """
 
     def __init__(self, path: str) -> None:
@@ -181,28 +215,14 @@ class WriteAheadLog:
             yield record
 
     def _read(self) -> Iterator[Tuple[Any, int]]:
-        """``(record, end offset)`` of each complete record; a missing
-        file, a corrupt header or a torn tail ends it silently."""
-        try:
-            fh = open(self.path, "rb")
-        except FileNotFoundError:
-            return
-        with fh:
-            offset = 0
-            while True:
-                header = fh.read(4)
-                length = _unpack_header(header)[0] if len(header) == 4 else 0
-                if length == 0 or length > MAX_FRAME_BYTES:
-                    return  # end of file, or a corrupt header
-                body = fh.read(length)
-                if len(body) < length:
-                    return  # torn tail
-                try:
-                    record = pickle.loads(body)
-                except Exception:
-                    return
-                offset += 4 + length
-                yield record, offset
+        """``(record, end offset)`` of each complete record (see
+        :func:`_frames`); a body that does not unpickle raises."""
+        for offset, body in _frames(self.path, "write-ahead"):
+            try:
+                record = pickle.loads(body)
+            except Exception as exc:
+                raise _damaged("write-ahead", self.path, offset, repr(exc))
+            yield record, offset + 4 + len(body)
 
     # -- append-side writing -------------------------------------------
     def open_for_append(self) -> int:
@@ -334,7 +354,7 @@ class CheckpointLog:
         head: Optional[Dict[str, Any]] = None
         histories: Dict[Tuple[str, ...], Any] = {}
         valid = 0
-        for offset, body in self._bodies():
+        for offset, body in _frames(self.path, "checkpoint"):
             try:
                 tag, head, tails = pickle.loads(body)
                 if tag != _CHECKPOINT or not isinstance(head, dict):
@@ -350,7 +370,7 @@ class CheckpointLog:
             except WalCorruption:
                 raise
             except Exception as exc:
-                raise self._damaged(offset, repr(exc)) from exc
+                raise _damaged("checkpoint", self.path, offset, repr(exc))
             valid = offset + 4 + len(body)
         self._valid = valid
         self._written = {
@@ -362,34 +382,6 @@ class CheckpointLog:
             for path, history in histories.items()
         }
         return head
-
-    def _bodies(self) -> Iterator[Tuple[int, bytes]]:
-        """``(offset, body)`` of each complete frame.  A missing file or
-        a torn tail ends it; a header no append writes raises."""
-        try:
-            fh = open(self.path, "rb")
-        except FileNotFoundError:
-            return
-        with fh:
-            offset = 0
-            while True:
-                header = fh.read(4)
-                if len(header) < 4:
-                    return  # end of the log, or a torn header
-                length = _unpack_header(header)[0]
-                if length == 0 or length > MAX_FRAME_BYTES:
-                    raise self._damaged(offset, f"a {length}-byte header")
-                body = fh.read(length)
-                if len(body) < length:
-                    return  # torn last frame: the previous one stands
-                yield offset, body
-                offset += 4 + length
-
-    def _damaged(self, offset: int, what: str) -> WalCorruption:
-        return WalCorruption(
-            f"checkpoint log {self.path}: {what} at byte {offset} "
-            "is not a checkpoint frame"
-        )
 
     @staticmethod
     def _fold(path: Tuple[str, ...], have: Any, tail: Any) -> Any:

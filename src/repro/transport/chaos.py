@@ -33,11 +33,10 @@ the fault-free run on both.
 The live side implements transport shaping via :class:`LinkFault`
 control messages (applied to :meth:`TcpTransport.set_link_fault` inside
 each replica process) and process faults via SIGKILL/respawn in the
-cluster parent.  :class:`LiveMonitorFeed` adapts periodic replica state
-views into the ``system`` shape
-:class:`~repro.adversary.monitor.InvariantMonitor` samples, so the same
-five safety invariants verified under simulated attacks run against the
-real cluster, in every run's verdict.
+cluster parent.  Safety under a timeline is not checked here: the
+cluster parent hands the replicas' ``"state"`` readings — views in the
+one format :class:`~repro.adversary.monitor.InvariantMonitor` checks on
+both backends — straight to the monitor.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from typing import (
     Any,
     Awaitable,
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -58,19 +56,14 @@ from typing import (
     Union,
 )
 
-from ..core.persistence import state_fingerprint
-from ..core.xlog import ExclusiveLog
-
 __all__ = [
     "FaultEvent",
     "LinkFault",
     "LiveFaultInjector",
-    "LiveMonitorFeed",
     "apply_link_fault",
     "apply_timeline",
     "check_replica_ids",
     "parse_timeline",
-    "replica_state_view",
 ]
 
 
@@ -260,23 +253,6 @@ def apply_link_fault(transport: Any, fault: LinkFault) -> None:
         )
 
 
-def replica_state_view(replica: Any) -> Dict[str, Any]:
-    """Picklable capture of the state the invariant monitor samples."""
-    state = replica.state
-    view: Dict[str, Any] = {
-        "balances": dict(state.balances),
-        "seqnums": dict(state.seqnums),
-        "xlogs": {
-            owner: tuple(log._entries) for owner, log in state.xlogs.items()
-        },
-        "fingerprint": state_fingerprint(state),
-    }
-    used_deps = getattr(replica, "_used_deps", None)
-    if used_deps is not None:
-        view["used_deps"] = {c: set(s) for c, s in used_deps.items()}
-    return view
-
-
 # ----------------------------------------------------------------------
 # Live fault injector
 # ----------------------------------------------------------------------
@@ -352,95 +328,3 @@ class LiveFaultInjector:
             for node_id in self.replica_ids:
                 self._link_fn(node_id, LinkFault(None, clear=True))
             self.log.append((now, "heal", None))
-
-
-# ----------------------------------------------------------------------
-# Monitor feed: live snapshots → the `system` shape InvariantMonitor reads
-# ----------------------------------------------------------------------
-class _SampledState:
-    """Plain-dict stand-in for one sampled account state.
-
-    The invariant monitor only *reads* mapping attributes, and
-    :meth:`_ReplicaView.update` replaces them wholesale from each
-    snapshot — a real (array-backed) :class:`AccountState` would be
-    pointless indirection here.
-    """
-
-    __slots__ = ("balances", "seqnums", "xlogs")
-
-    def __init__(self, genesis: Dict[Any, int]) -> None:
-        self.balances: Dict[Any, int] = dict(genesis)
-        self.seqnums: Dict[Any, int] = {client: 0 for client in genesis}
-        self.xlogs: Dict[Any, ExclusiveLog] = {
-            client: ExclusiveLog(client) for client in genesis
-        }
-
-
-class _ReplicaView:
-    """Frozen-until-updated stand-in for one replica's sampled state."""
-
-    def __init__(self, node_id: int, genesis: Dict[Any, int], deps: bool) -> None:
-        self.node_id = node_id
-        self.state = _SampledState(genesis)
-        if deps:
-            self._used_deps: Dict[Any, set] = {}
-        self.fingerprint: Optional[str] = None
-
-    def update(self, view: Dict[str, Any]) -> None:
-        state = self.state
-        state.balances = dict(view["balances"])
-        state.seqnums = dict(view["seqnums"])
-        xlogs: Dict[Any, ExclusiveLog] = {}
-        for owner, entries in view["xlogs"].items():
-            log = ExclusiveLog(owner)
-            log._entries = list(entries)
-            xlogs[owner] = log
-        state.xlogs = xlogs
-        if "used_deps" in view and hasattr(self, "_used_deps"):
-            self._used_deps = {c: set(s) for c, s in view["used_deps"].items()}
-        self.fingerprint = view.get("fingerprint")
-
-
-class LiveMonitorFeed:
-    """``system``-shaped adapter over live replica snapshots.
-
-    Construct before the run (the monitor captures genesis balances from
-    it), then :meth:`update` it with each arriving ``"state"`` reading
-    (:func:`replica_state_view`, as served over the cluster's control
-    channel).
-    A crashed replica's view simply stops updating — its frozen state
-    must still satisfy every invariant, exactly the monitor's contract
-    for crashed-but-correct replicas.  Use ``autostart=False`` when
-    constructing the monitor and drive ``monitor.sample(now)`` from the
-    parent's control loop.
-    """
-
-    def __init__(
-        self,
-        replica_ids: Iterable[int],
-        genesis: Dict[Any, int],
-        directory: Any,
-        deps: bool,
-    ) -> None:
-        self.replica_node_ids = list(replica_ids)
-        self.directory = directory
-        self._views = {
-            node_id: _ReplicaView(node_id, genesis, deps)
-            for node_id in self.replica_node_ids
-        }
-        #: Never consulted with ``autostart=False``; present so a
-        #: mistaken autostart fails loudly instead of mysteriously.
-        self.sim = None
-
-    def replica_by_node(self, node_id: int) -> _ReplicaView:
-        return self._views[node_id]
-
-    def update(self, node_id: int, view: Dict[str, Any]) -> None:
-        replica = self._views.get(node_id)
-        if replica is not None:
-            replica.update(view)
-
-    def fingerprints(self) -> Dict[int, Optional[str]]:
-        return {
-            node_id: view.fingerprint for node_id, view in self._views.items()
-        }

@@ -43,10 +43,11 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..adversary.monitor import InvariantMonitor, genesis_view
 from ..core.persistence import ReplicaStore, WalCorruption
 from ..sim.metrics import summarize_values
 from ..workloads.base import make_workload, resolve_workload_name
-from .chaos import check_replica_ids, parse_timeline
+from .chaos import LiveFaultInjector, check_replica_ids, parse_timeline
 from .live import (
     ReplicaHost,
     Shutdown,
@@ -345,18 +346,15 @@ async def _run(
     """One scenario against the live cluster: warm-up, the measurement
     window with the fault timeline ``events`` running (none in bench
     mode), recoveries, drain, and the verdict every report carries."""
-    from ..adversary.monitor import InvariantMonitor
-    from .chaos import LiveFaultInjector, LiveMonitorFeed
-
-    directory = _build_directory(args.n, list(genesis))
-    feed = LiveMonitorFeed(
-        range(args.n), genesis, directory, deps=args.system == "astro2"
-    )
-    # dep_grace=1: live views are captured milliseconds apart, so a
-    # freshly materialized dependency may precede its crediting payment
-    # in a settler's view by one sample.
+    # Every replica starts from the genesis view, and keeps its last
+    # view while it sends none.  dep_grace=1: live views are captured
+    # milliseconds apart, so a freshly materialized dependency may
+    # precede its crediting payment in a settler's view by one sample.
+    start = genesis_view(genesis, deps=args.system == "astro2")
     monitor = InvariantMonitor(
-        feed, interval=MONITOR_INTERVAL, autostart=False, dep_grace=1
+        dict.fromkeys(range(args.n), start),
+        _build_directory(args.n, list(genesis)),
+        dep_grace=1,
     )
 
     clock = transport.clock
@@ -397,9 +395,7 @@ async def _run(
     async def sample(timeout: float) -> Dict[int, Any]:
         """One monitor sample over whoever answers within ``timeout``."""
         views = await loadgen.collect("state", timeout)
-        for node_id, view in views.items():
-            feed.update(node_id, view)
-        monitor.sample(now=clock.now - t0)
+        monitor.sample(clock.now - t0, views)
         return views
 
     monitor_stop = asyncio.Event()

@@ -16,9 +16,10 @@ or tasks on one loop — and orchestrating them is
   :class:`ControlReply` ``(tag, node_id, body)`` on the replicas'
   ordinary authenticated connections (:func:`serve_control`); readings
   ``"stats"`` (settled/rejected/held/queued counters), ``"state"`` (the
-  view the invariant monitor samples), ``"wire"`` (bytes and payloads
-  this process wrote to its sockets) and ``"collector"`` (what the
-  full-collection pacer of :mod:`repro.transport.collector` did here);
+  view the invariant monitor checks, plus the state fingerprint),
+  ``"wire"`` (bytes and payloads this process wrote to its sockets) and
+  ``"collector"`` (what the full-collection pacer of
+  :mod:`repro.transport.collector` did here);
 * :class:`_LoadGen` — the open-loop client population, paced against
   the clock; ``collect(what, timeout)`` gathers a reading from all N
   replicas or whoever answers in time.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..adversary.monitor import replica_state_view
 from ..core.astro1 import Astro1Replica
 from ..core.astro2 import Astro2Replica
 from ..core.config import AstroConfig
@@ -40,11 +42,12 @@ from ..core.persistence import (
     CatchUpRequest,
     ReplicaStore,
     serve_catch_up,
+    state_fingerprint,
 )
 from ..crypto.keys import Keychain
 from ..workloads.base import resolve_workload_name, workload_genesis
 from . import collector
-from .chaos import LinkFault, apply_link_fault, replica_state_view
+from .chaos import LinkFault, apply_link_fault
 from .tcp import TcpTransport
 
 __all__ = [
@@ -108,6 +111,14 @@ def _stats_reading(replica: Any) -> Dict[str, int]:
     }
 
 
+def _state_reading(replica: Any) -> Dict[str, Any]:
+    """The invariant monitor's view of ``replica``, plus the state
+    fingerprint the verdict compares across replicas."""
+    view = replica_state_view(replica)
+    view["fingerprint"] = state_fingerprint(replica.state)
+    return view
+
+
 def _wire_reading(node: Any) -> Dict[str, int]:
     """Socket counters of ``node.transport`` — a replica's, or the load
     generator's own (``cluster._wire_cost`` sums both)."""
@@ -123,7 +134,7 @@ def serve_control(transport: Any, replica: Any) -> None:
     a query for an unknown reading is ignored, as any garbage must be."""
     readings = {
         "stats": _stats_reading,
-        "state": replica_state_view,
+        "state": _state_reading,
         "wire": _wire_reading,
         "collector": lambda _replica: collector.reading(),
     }

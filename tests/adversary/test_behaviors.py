@@ -38,7 +38,7 @@ def run_attacked(system_name, attack):
     adversary = install_adversary(
         system, {"attack": attack, "at": ARM_AT}, seed=7
     )
-    monitor = InvariantMonitor(
+    monitor = InvariantMonitor.watch(
         system, interval=0.25, byzantine_ids=adversary.byzantine_ids,
         until=END,
     )
@@ -46,7 +46,7 @@ def run_attacked(system_name, attack):
         system, num_clients=6, warmup=WARMUP, window=WINDOW, seed=7,
     )
     monitor.stop()
-    monitor.sample()
+    monitor.sample_replicas()
     return system, adversary, monitor, result
 
 

@@ -77,6 +77,8 @@ def test_wal_tolerates_torn_tail_and_truncates_on_reopen(tmp_path):
 
 
 def test_wal_stops_at_corrupt_header(tmp_path):
+    """A header no append writes is not a torn tail, even at the end of
+    the file: the scan raises instead of reading it as the end."""
     path = tmp_path / "corrupt.wal"
     wal = WriteAheadLog(str(path))
     wal.open_for_append()
@@ -84,8 +86,51 @@ def test_wal_stops_at_corrupt_header(tmp_path):
     wal.close()
     with open(path, "ab") as fh:
         fh.write(b"\xff\xff\xff\xff" + b"garbage beyond a huge header")
-    scanned, _ = wal.scan()
-    assert scanned == [("a",)]
+    with pytest.raises(WalCorruption, match="4294967295-byte header"):
+        wal.scan()
+
+
+def _record_offset(path, index):
+    """Byte offset of WAL record ``index`` (which must exist)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    offset = 0
+    for _ in range(index):
+        offset += 4 + int.from_bytes(data[offset : offset + 4], "big")
+    assert offset + 4 <= len(data)
+    return offset
+
+
+def _set_record_header(path, index, header):
+    """Overwrite the header of WAL record ``index`` in place."""
+    offset = _record_offset(path, index)
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(header)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"\xff\xff\xff\xff", bytes(4), b"\x00\x00\x00\x05"],
+    ids=["oversized", "zero", "unpickleable"],
+)
+def test_wal_damaged_mid_file_is_refused_untouched(tmp_path, header):
+    """A bad header, a zero one, or a complete body that does not
+    unpickle, in the middle of the log: reopening raises and truncates
+    nothing (it used to read two records and cut the file to them)."""
+    path = tmp_path / "damaged.wal"
+    wal = WriteAheadLog(str(path))
+    wal.open_for_append()
+    for index in range(10):
+        wal.append(("deliver", 0, index, "payload"))
+    wal.close()
+    size = os.path.getsize(path)
+    _set_record_header(path, 2, header)
+    with pytest.raises(WalCorruption, match="at byte"):
+        wal.open_for_append()
+    assert os.path.getsize(path) == size
+    with pytest.raises(WalCorruption):
+        list(wal.iter_records())
 
 
 # ---------------------------------------------------------------------------
@@ -917,23 +962,40 @@ def test_a_checkpoint_written_during_an_import_covers_it(name, tmp_path):
     assert not any([replica.import_batch(*entry) for entry in batches])
 
 
-def _zero_record_header(path, index):
-    """Corrupt WAL record ``index`` in place (a zero length header): the
-    scan treats it as end-of-log, so only ``index`` records stay readable."""
+def _tear_wal_at(path, index):
+    """Cut the WAL inside record ``index``, as a torn append would leave
+    it: only ``index`` records stay readable."""
+    offset = _record_offset(path, index)
     with open(path, "r+b") as fh:
-        data = fh.read()
-        offset = 0
-        for _ in range(index):
-            offset += 4 + int.from_bytes(data[offset : offset + 4], "big")
-        assert offset + 4 <= len(data)
-        fh.seek(offset)
-        fh.write(bytes(4))
+        fh.truncate(offset + 6)
+
+
+def test_a_wal_damaged_mid_file_is_refused_untouched(tmp_path):
+    """Recovery over a WAL with a damaged record in the middle raises
+    before it touches replica state or truncates a byte of the log."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=9)
+    _bind_all(system, tmp_path, snapshot_interval=10_000)
+    _run_workload(system, 12)
+    for replica in system.replicas:
+        replica._wal.close()
+    path = system.replicas[0]._wal.wal.path
+    _set_record_header(path, 2, b"\xff\xff\xff\xff")
+    size = os.path.getsize(path)
+
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=9).replicas[0]
+    before = state_fingerprint(rebuilt.state)
+    reopened = ReplicaStore(str(tmp_path), rebuilt.node_id)
+    with pytest.raises(WalCorruption, match="4294967295-byte header"):
+        rebuilt.bind_persistence(reopened)
+    assert state_fingerprint(rebuilt.state) == before
+    assert rebuilt._wal is None and not reopened.recording
+    assert os.path.getsize(path) == size
 
 
 @pytest.mark.parametrize("name", ["astro1", "astro2", "bft"])
 def test_snapshot_the_wal_cannot_back_is_refused_untouched(name, tmp_path):
-    """One bad record in the middle of the WAL leaves fewer readable
-    records than the snapshot covers.  Recovering anyway would restart
+    """A WAL torn behind its checkpoint leaves fewer readable records
+    than the snapshot covers.  Recovering anyway would restart
     ``wal.count`` below the stamp and append new records at indices the
     *next* recovery skips — so the shared skeleton refuses, for every
     replica kind, before touching any state."""
@@ -948,7 +1010,7 @@ def test_snapshot_the_wal_cannot_back_is_refused_untouched(name, tmp_path):
         replica._wal.close()
     stamped = store.load_snapshot()["wal_count"]
     assert stamped >= 2
-    _zero_record_header(store.wal.path, 1)
+    _tear_wal_at(store.wal.path, 1)
 
     rebuilt = SYSTEM_BUILDERS[name](4, seed=9).replicas[0]
     before = state_fingerprint(rebuilt.state)
@@ -959,7 +1021,7 @@ def test_snapshot_the_wal_cannot_back_is_refused_untouched(name, tmp_path):
         rebuilt.bind_persistence(reopened)
     assert state_fingerprint(rebuilt.state) == before
     assert rebuilt._wal is None and not reopened.recording
-    # The damaged log was not truncated behind the operator's back.
+    # The torn log was not truncated behind the operator's back.
     assert os.path.getsize(store.wal.path) == size
 
 

@@ -1,12 +1,12 @@
-"""Chaos harness: timeline grammar, injectors, link faults, monitor feed.
+"""Chaos harness: timeline grammar, injectors, link faults, monitor input.
 
 The point of the harness is that ONE timeline spec drives both backends:
 the parsed events are scheduled on the simulator's ``FaultInjector`` by
 :func:`apply_timeline` and executed by a :class:`LiveFaultInjector`
 wired to process kill/restart callables.  These tests pin the grammar
 (and what it rejects), both injectors' logs, TCP-level link-fault
-shaping, and the live adapter that feeds the invariant monitor replica
-snapshots instead of simulator objects.
+shaping, and the live monitor input: ``"state"`` readings, fed to the
+invariant monitor as the views it checks on both backends.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.adversary.monitor import InvariantMonitor
+from repro.adversary.monitor import (
+    InvariantMonitor,
+    genesis_view,
+    replica_state_view,
+)
 from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
 from repro.core.payment import Payment
 from repro.core.persistence import state_fingerprint
@@ -29,14 +33,13 @@ from repro.transport.chaos import (
     FaultEvent,
     LinkFault,
     LiveFaultInjector,
-    LiveMonitorFeed,
     apply_link_fault,
     apply_timeline,
     check_replica_ids,
     parse_timeline,
-    replica_state_view,
 )
 from repro.transport.cluster import ReplicaProcessError, _ClusterProcs
+from repro.transport.live import _state_reading
 from repro.transport.tcp import TcpTransport
 
 SECRET = b"chaos-test-secret"
@@ -297,7 +300,7 @@ def test_link_fault_pickle_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Live monitor feed: snapshots from a driven system
+# Live monitor input: "state" readings of a driven system, fed as views
 # ---------------------------------------------------------------------------
 def _driven_astro2():
     system = SYSTEM_BUILDERS["astro2"](4, seed=11)
@@ -308,63 +311,61 @@ def _driven_astro2():
     return system
 
 
+def _live_monitor(system, dep_grace=1):
+    """A monitor built as the cluster's parent builds it: from the
+    genesis view, every replica alike."""
+    genesis = genesis_view(system.genesis, deps=True)
+    return InvariantMonitor(
+        dict.fromkeys(range(4), genesis), system.directory, dep_grace
+    )
+
+
+def _readings(system, skip=()):
+    """Each replica's ``"state"`` reading after the wire round trip."""
+    return {
+        r.node_id: pickle.loads(pickle.dumps(_state_reading(r)))
+        for r in system.replicas
+        if r.node_id not in skip
+    }
+
+
 def test_live_feed_samples_real_snapshots_safe():
     system = _driven_astro2()
-    feed = LiveMonitorFeed(
-        range(4), dict(system.genesis), system.directory, deps=True
-    )
-    monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
+    monitor = _live_monitor(system)
     assert monitor.mode == "deps"
-
     for round_no in (1, 2):
-        for replica in system.replicas:
-            feed.update(replica.node_id, replica_state_view(replica))
-        monitor.sample(now=float(round_no))
+        monitor.sample(float(round_no), _readings(system))
     assert monitor.verdict()["ok"]
-    expected = {
-        r.node_id: state_fingerprint(r.state) for r in system.replicas
-    }
-    assert feed.fingerprints() == expected
-    # The wire round trip preserves the view verbatim.
-    view = replica_state_view(system.replicas[0])
-    assert pickle.loads(pickle.dumps(view))["fingerprint"] == (
-        view["fingerprint"]
-    )
+
+
+def test_state_reading_carries_the_state_fingerprint():
+    """The verdict compares the readings' fingerprints; each must be the
+    replica's own, and the rest of the reading the monitor's view."""
+    system = _driven_astro2()
+    for replica in system.replicas:
+        reading = _state_reading(replica)
+        assert reading.pop("fingerprint") == state_fingerprint(replica.state)
+        assert reading == replica_state_view(replica)
 
 
 def test_live_feed_frozen_crashed_view_stays_safe():
-    """A crashed replica's view stops updating; old state must still pass."""
+    """A crashed replica sends no view; its last one must still pass."""
     system = _driven_astro2()
-    feed = LiveMonitorFeed(
-        range(4), dict(system.genesis), system.directory, deps=True
-    )
-    monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
-    for replica in system.replicas:
-        feed.update(replica.node_id, replica_state_view(replica))
-    monitor.sample(now=1.0)
-    # Replica 1 "crashes": rounds 2..4 only update the survivors.
+    monitor = _live_monitor(system)
+    monitor.sample(1.0, _readings(system))
+    # Replica 1 "crashes": rounds 2..4 only carry the survivors.
     for round_no in (2, 3, 4):
-        for replica in system.replicas:
-            if replica.node_id == 1:
-                continue
-            feed.update(replica.node_id, replica_state_view(replica))
-        monitor.sample(now=float(round_no))
+        monitor.sample(float(round_no), _readings(system, skip=(1,)))
     assert monitor.verdict()["ok"]
 
 
 def test_live_feed_flags_tampered_balance():
     system = _driven_astro2()
-    feed = LiveMonitorFeed(
-        range(4), dict(system.genesis), system.directory, deps=True
-    )
-    monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
-    for replica in system.replicas:
-        view = replica_state_view(replica)
-        if replica.node_id == 2:
-            victim = next(iter(view["balances"]))
-            view["balances"][victim] = -5
-        feed.update(replica.node_id, view)
-    monitor.sample(now=1.0)
+    monitor = _live_monitor(system)
+    readings = _readings(system)
+    victim = next(iter(readings[2]["balances"]))
+    readings[2]["balances"][victim] = -5
+    monitor.sample(1.0, readings)
     verdict = monitor.verdict()
     assert not verdict["ok"]
     assert any(
@@ -374,19 +375,19 @@ def test_live_feed_flags_tampered_balance():
 
 
 def test_atomic_mode_detected_without_deps():
-    feed = LiveMonitorFeed(range(4), {"a": 10}, None, deps=False)
-    monitor = InvariantMonitor(feed, autostart=False)
+    genesis = genesis_view({"a": 10}, deps=False)
+    monitor = InvariantMonitor(dict.fromkeys(range(4), genesis))
     assert monitor.mode == "atomic"
-    monitor.sample(now=0.5)
+    monitor.sample(0.5, {})
     assert monitor.verdict()["ok"]
 
 
 # ---------------------------------------------------------------------------
 # dep_grace: sampling skew between live captures
 # ---------------------------------------------------------------------------
-def _deps_feed() -> LiveMonitorFeed:
-    genesis = {"a": 100, "z": 100}
-    return LiveMonitorFeed(range(2), genesis, None, deps=True)
+def _deps_monitor(dep_grace: int) -> InvariantMonitor:
+    genesis = genesis_view({"a": 100, "z": 100}, deps=True)
+    return InvariantMonitor(dict.fromkeys(range(2), genesis), None, dep_grace)
 
 
 def _settler_view(resolved_credit: bool) -> Dict[str, Any]:
@@ -395,8 +396,7 @@ def _settler_view(resolved_credit: bool) -> Dict[str, Any]:
         "balances": {"a": 105 if resolved_credit else 100, "z": 100},
         "seqnums": {},
         "xlogs": {},
-        "used_deps": {"a": {("z", 1)}},
-        "fingerprint": "irrelevant",
+        "used_deps": {"a": (("z", 1),)},
     }
 
 
@@ -406,33 +406,27 @@ def _crediting_view() -> Dict[str, Any]:
         "balances": {"a": 100, "z": 95},
         "seqnums": {"z": 1},
         "xlogs": {"z": (Payment("z", 1, "a", 5),)},
-        "fingerprint": "irrelevant",
         "used_deps": {},
     }
 
 
 def test_dep_grace_absorbs_one_sample_of_skew():
-    feed = _deps_feed()
-    monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
+    monitor = _deps_monitor(dep_grace=1)
     # Round 1: the settler's capture arrived before the crediting
     # replica's — the dependency looks unknown for exactly one sample.
-    feed.update(0, _settler_view(True))
-    monitor.sample(now=1.0)
+    monitor.sample(1.0, {0: _settler_view(True)})
     assert monitor.verdict()["ok"]
     # Round 2: the crediting payment shows up; the dependency resolves.
-    feed.update(1, _crediting_view())
-    monitor.sample(now=2.0)
-    monitor.sample(now=3.0)
+    monitor.sample(2.0, {1: _crediting_view()})
+    monitor.sample(3.0, {})
     assert monitor.verdict()["ok"]
 
 
 def test_dep_grace_still_flags_fabricated_certificates():
-    feed = _deps_feed()
-    monitor = InvariantMonitor(feed, autostart=False, dep_grace=1)
-    feed.update(0, _settler_view(True))
-    monitor.sample(now=1.0)
+    monitor = _deps_monitor(dep_grace=1)
+    monitor.sample(1.0, {0: _settler_view(True)})
     assert monitor.verdict()["ok"]  # within grace
-    monitor.sample(now=2.0)  # never resolves: flag it
+    monitor.sample(2.0, {})  # never resolves: flag it
     verdict = monitor.verdict()
     assert not verdict["ok"]
     assert any(
@@ -442,10 +436,8 @@ def test_dep_grace_still_flags_fabricated_certificates():
 
 
 def test_dep_grace_zero_keeps_simulator_strictness():
-    feed = _deps_feed()
-    monitor = InvariantMonitor(feed, autostart=False, dep_grace=0)
-    feed.update(0, _settler_view(True))
-    monitor.sample(now=1.0)
+    monitor = _deps_monitor(dep_grace=0)
+    monitor.sample(1.0, {0: _settler_view(True)})
     assert not monitor.verdict()["ok"]
 
 
