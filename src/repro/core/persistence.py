@@ -1,38 +1,43 @@
-"""Durable replica state: write-ahead log, checkpoint log, peer catch-up.
+"""Durable replica state: one write-ahead log per replica, peer catch-up.
 
 A live replica process (``repro.transport.cluster``) can be SIGKILLed at
-any instant.  Everything it must not lose flows through this module:
+any instant.  Everything it must not lose flows through this module into
+one **append-only write-ahead log** (WAL), ``replica-N.wal``, each record
+a length-framed pickle (the same compact ``__reduce__`` wire encodings
+the transport ships, see :mod:`repro.transport.framing`), flushed as
+written:
 
-* an **append-only write-ahead log** (WAL) of applied events — delivered
-  batches, applied CREDITs, executed consensus slots, and launched-but-
-  not-yet-delivered broadcasts — each record a length-framed pickle (the
-  same compact ``__reduce__`` wire encodings the transport ships, see
-  :mod:`repro.transport.framing`), flushed before the event is applied;
-  it is never truncated, because its delivery history doubles as the
-  serving side of the peer **catch-up** protocol a restarted replica
-  uses to fetch batches it missed while dead;
-* an **append-only checkpoint log** (:class:`CheckpointLog`) that bounds
-  replay time.  Every 256 WAL records the replica's capture is appended
-  as one frame in the WAL's framing: the head state whole (slabs,
-  collector, pending certificates, queues, the BRB layer's delivery
-  frontier, counters, ``wal_count``) and each grow-only history (:data:`HISTORIES`: xlogs,
-  the ACK guard's payment log, ``usedDeps``) as the tail added since the
-  previous frame (projections are derived).  A checkpoint writes what changed,
-  not what exists.  Loading *folds* the complete frames back into the
-  capture of the last one.  A torn last frame (a SIGKILL mid-write)
-  leaves the previous checkpoint standing and is truncated before the
-  next append — safe, because the never-truncated WAL still backs that
-  checkpoint's ``wal_count``.  Anything else that is not a frame
-  continuing the fold — a damaged frame mid-file, a single-pickle
-  snapshot written before the log existed, a tail that does not start
-  where the folded history ends — is :class:`WalCorruption`, raised
-  before any replica state is touched.  The WAL is read the same way
-  (:func:`_frames`), and nothing is truncated before it is read whole.
+* applied events — delivered batches, applied CREDITs, executed
+  consensus slots, and launched-but-not-yet-delivered broadcasts — each
+  logged before the event is applied;
+* **checkpoints**, which bound replay time.  Every 256 records the
+  replica's capture is appended as one ``("checkpoint", body)`` record:
+  ``body`` pickles the head state whole (slabs, collector, pending
+  certificates, queues, the BRB layer's delivery frontier, counters) and
+  each grow-only history (:data:`HISTORIES`: xlogs, the ACK guard's
+  payment log, ``usedDeps``) as the tail added since the previous
+  checkpoint (projections are derived).  A checkpoint writes what
+  changed, not what exists, and its position in the log is what it
+  covers.
 
-Recovery replays the WAL suffix past the checkpoint onto the restored
-state and must land exactly on the pre-crash SHA-256 state fingerprint —
-periodic ``fp`` records make divergence a hard
-:class:`WalCorruption` error instead of silent drift.
+The log is never truncated, because its delivery history doubles as the
+serving side of the peer **catch-up** protocol a restarted replica uses
+to fetch batches it missed while dead; ``body`` stays bytes there, so
+serving skips a checkpoint without building its objects.
+
+Recovery (:meth:`ReplicaStore.recover`) reads the log once: it *folds*
+every checkpoint into the capture of the last one and replays the
+records after it onto the restored state, which must land exactly on the
+pre-crash SHA-256 state fingerprint — periodic ``fp`` records make
+divergence a hard :class:`WalCorruption` error instead of silent drift.
+A torn last record (a SIGKILL mid-write) ends the log and is truncated
+before the next append; a torn checkpoint leaves the one before it
+standing, and the records between them are replayed.  Anything else — a
+damaged record mid-file, a checkpoint whose tails do not continue the
+fold — is :class:`WalCorruption`, raised before any replica state is
+touched or any byte truncated.  A store from a tree that kept its
+checkpoints in a separate ``.snap`` file has none in its WAL: it replays
+the whole log, and the ``.snap`` is left as it is.
 
 Persistence is **off by default** (``replica._wal is None``): simulator
 runs never touch this module, keeping the golden byte-identity suites
@@ -49,13 +54,12 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..brb.interface import DeliveryFrontier
-from ..transport.framing import MAX_FRAME_BYTES, FrameError, encode_frame
+from ..transport.framing import MAX_FRAME_BYTES, encode_frame
 from .accounts import AccountState
 
 __all__ = [
     "CatchUpReply",
     "CatchUpRequest",
-    "CheckpointLog",
     "RecoveryReport",
     "ReplicaStore",
     "WalCorruption",
@@ -67,9 +71,7 @@ __all__ = [
     "state_fingerprints",
 ]
 
-_header = struct.Struct(">I")
-_pack_header = _header.pack
-_unpack_header = _header.unpack_from
+_unpack_header = struct.Struct(">I").unpack_from
 
 #: Default number of WAL records between periodic state-fingerprint
 #: self-check records.
@@ -83,7 +85,7 @@ CATCH_UP_MAX_BATCHES = 512
 
 
 class WalCorruption(Exception):
-    """Recovery replay diverged from the recorded state fingerprint."""
+    """The log is damaged, or replay diverged from a recorded fingerprint."""
 
 
 def state_fingerprint(state: Any) -> str:
@@ -147,36 +149,8 @@ def restore_account_state(state: AccountState, data: Dict[str, Any]) -> None:
     state.refill(data)
 
 
-def _damaged(kind: str, path: str, offset: int, what: str) -> WalCorruption:
-    return WalCorruption(
-        f"{kind} log {path}: {what} at byte {offset} is not a {kind} frame"
-    )
-
-
-def _frames(path: str, kind: str) -> Iterator[Tuple[int, bytes]]:
-    """``(offset, body)`` of each complete frame of the ``kind`` log at
-    ``path``.  A missing file or a torn tail ends it: a SIGKILL
-    mid-append can only leave a prefix of a valid frame at the end of
-    the file.  A header no append writes is damage — framing cannot
-    resynchronize past it, and the frames behind it are no torn tail."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return
-    with fh:
-        offset = 0
-        while True:
-            header = fh.read(4)
-            if len(header) < 4:
-                return  # end of the log, or a torn header
-            length = _unpack_header(header)[0]
-            if length == 0 or length > MAX_FRAME_BYTES:
-                raise _damaged(kind, path, offset, f"a {length}-byte header")
-            body = fh.read(length)
-            if len(body) < length:
-                return  # torn last frame
-            yield offset, body
-            offset += 4 + length
+def _damaged(path: str, offset: int, what: str) -> WalCorruption:
+    return WalCorruption(f"write-ahead log {path}: {what} at byte {offset}")
 
 
 class WriteAheadLog:
@@ -215,14 +189,34 @@ class WriteAheadLog:
             yield record
 
     def _read(self) -> Iterator[Tuple[Any, int]]:
-        """``(record, end offset)`` of each complete record (see
-        :func:`_frames`); a body that does not unpickle raises."""
-        for offset, body in _frames(self.path, "write-ahead"):
-            try:
-                record = pickle.loads(body)
-            except Exception as exc:
-                raise _damaged("write-ahead", self.path, offset, repr(exc))
-            yield record, offset + 4 + len(body)
+        """``(record, end offset)`` of each complete record.  A missing
+        file or a torn tail ends it: a SIGKILL mid-append can only leave
+        a prefix of a valid frame at the end of the file.  A header no
+        append writes, or a body that does not unpickle, is damage —
+        framing cannot resynchronize past it, and the records behind it
+        are no torn tail."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            offset = 0
+            while True:
+                header = fh.read(4)
+                if len(header) < 4:
+                    return  # end of the log, or a torn header
+                length = _unpack_header(header)[0]
+                if length == 0 or length > MAX_FRAME_BYTES:
+                    raise _damaged(self.path, offset, f"a {length}-byte header")
+                body = fh.read(length)
+                if len(body) < length:
+                    return  # torn last record
+                try:
+                    record = pickle.loads(body)
+                except Exception as exc:
+                    raise _damaged(self.path, offset, repr(exc))
+                offset += 4 + length
+                yield record, offset
 
     # -- append-side writing -------------------------------------------
     def open_for_append(self) -> int:
@@ -270,7 +264,7 @@ HISTORIES: Dict[Tuple[str, ...], bool] = {
     ("used_deps",): True,  # Astro II usedDeps: client -> {dep_id: None}
 }
 
-#: First element of every checkpoint frame.
+#: Kind of a checkpoint record: ``("checkpoint", body)``.
 _CHECKPOINT = "checkpoint"
 
 #: A history the capture does not have (not a replica kind's field).
@@ -326,127 +320,13 @@ def _grow(have: Any, start: int, tail: Any) -> Any:
     return have
 
 
-class CheckpointLog:
-    """Append-only log of a replica's checkpoints (the ``.snap`` file).
-
-    Each frame — the WAL's length-framed pickle — is ``("checkpoint",
-    head, tails)``: the capture minus its :data:`HISTORIES`, whole, and
-    per history the ``(start, items)`` it gained since the previous
-    frame (per owner for a keyed one, which lists only the owners that
-    are new or grew).  The log remembers how much of each history it
-    holds — from its own appends, or from the fold when it was read — so
-    a replica recovered from it continues the same log.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._file: Optional[Any] = None
-        #: Bytes of complete frames on disk; ``None`` until read.
-        self._valid: Optional[int] = None
-        #: Items of each history in the log: a count per flat history,
-        #: a count per owner per keyed one.
-        self._written: Dict[Tuple[str, ...], Any] = {}
-
-    def load(self) -> Optional[Dict[str, Any]]:
-        """The capture of the last complete checkpoint, folded from every
-        frame (``None``: no complete frame).  A torn last frame is
-        skipped; a damaged frame anywhere is :class:`WalCorruption`."""
-        head: Optional[Dict[str, Any]] = None
-        histories: Dict[Tuple[str, ...], Any] = {}
-        valid = 0
-        for offset, body in _frames(self.path, "checkpoint"):
-            try:
-                tag, head, tails = pickle.loads(body)
-                if tag != _CHECKPOINT or not isinstance(head, dict):
-                    raise ValueError("not a checkpoint frame")
-                for path, tail in tails.items():
-                    *parents, leaf = path
-                    node = head
-                    for key in parents:
-                        node = node[key]
-                    node[leaf] = histories[path] = self._fold(
-                        path, histories.get(path), tail
-                    )
-            except WalCorruption:
-                raise
-            except Exception as exc:
-                raise _damaged("checkpoint", self.path, offset, repr(exc))
-            valid = offset + 4 + len(body)
-        self._valid = valid
-        self._written = {
-            path: (
-                {owner: len(items) for owner, items in history.items()}
-                if HISTORIES[path]
-                else len(history)
-            )
-            for path, history in histories.items()
-        }
-        return head
-
-    @staticmethod
-    def _fold(path: Tuple[str, ...], have: Any, tail: Any) -> Any:
-        if not HISTORIES[path]:
-            return _grow(have, *tail)
-        have = {} if have is None else have
-        for owner, (start, items) in tail.items():
-            have[owner] = _grow(have.get(owner), start, items)
-        return have
-
-    def append(self, data: Dict[str, Any], wal_count: int) -> None:
-        """Append a checkpoint of ``data`` stamped with ``wal_count``."""
-        if self._file is None:
-            if self._valid is None:
-                self.load()  # continue what is on disk, never rewrite it
-            self._file = open(self.path, "ab")
-            if self._file.tell() != self._valid:
-                self._file.truncate(self._valid)  # a torn last frame
-                self._file.seek(self._valid)
-        head = dict(data)
-        head["wal_count"] = wal_count
-        tails: Dict[Tuple[str, ...], Any] = {}
-        written = dict(self._written)
-        for path, keyed in HISTORIES.items():
-            history = _detach(head, path)
-            if history is _ABSENT:
-                continue
-            if not keyed:
-                start = written.get(path, 0)
-                tails[path] = (start, _tail(history, start))
-                written[path] = len(history)
-                continue
-            marks = written.get(path, {})
-            if not marks.keys() <= history.keys():
-                raise ValueError(f"an owner left the grow-only {path}")
-            grown = {}
-            for owner, items in history.items():
-                start = marks.get(owner)
-                if start != len(items):
-                    grown[owner] = (start or 0, _tail(items, start or 0))
-            tails[path] = grown
-            written[path] = {
-                owner: len(items) for owner, items in history.items()
-            }
-        # The WAL's framing, spelled out rather than via ``encode_frame``:
-        # the repository's benchmark counts this module's ``encode_frame``
-        # calls as WAL records and reconciles them with the WAL on disk.
-        body = pickle.dumps(
-            (_CHECKPOINT, head, tails), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        if len(body) > MAX_FRAME_BYTES:
-            raise FrameError(
-                f"checkpoint of {len(body)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte frame cap"
-            )
-        self._file.write(_pack_header(len(body)) + body)
-        # Flushed like a WAL record: survives SIGKILL of this process.
-        self._file.flush()
-        self._valid += 4 + len(body)
-        self._written = written
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+def _fold_history(path: Tuple[str, ...], have: Any, tail: Any) -> Any:
+    if not HISTORIES[path]:
+        return _grow(have, *tail)
+    have = {} if have is None else have
+    for owner, (start, items) in tail.items():
+        have[owner] = _grow(have.get(owner), start, items)
+    return have
 
 
 class RecoveryReport:
@@ -468,11 +348,11 @@ class RecoveryReport:
 
 
 class ReplicaStore:
-    """One replica's durable storage: a WAL plus a checkpoint log.
+    """One replica's durable storage: its WAL, checkpoints included.
 
     The store starts **not recording**: the owning replica first restores
-    the last checkpoint, replays the WAL suffix (with :attr:`recording`
-    off so replayed events are not re-appended), then calls
+    and replays what :meth:`recover` returns (with :attr:`recording` off
+    so replayed events are not re-appended), then calls
     :meth:`finish_recovery` to begin appending.
     """
 
@@ -487,42 +367,81 @@ class ReplicaStore:
         self.root = root
         self.node_id = node_id
         self.wal = WriteAheadLog(os.path.join(root, f"replica-{node_id}.wal"))
-        self.checkpoints = CheckpointLog(
-            os.path.join(root, f"replica-{node_id}.snap")
-        )
-        self.snapshot_path = self.checkpoints.path
         self.snapshot_interval = snapshot_interval
         self.fingerprint_interval = fingerprint_interval
         self.recording = False
         #: Record index of the last snapshot / fingerprint written.
         self._last_snapshot_at = 0
         self._last_fingerprint_at = 0
-        #: ``(count, valid bytes)`` of the WAL as :meth:`recovery_records`
-        #: read it, for :meth:`finish_recovery` to append after.
+        #: ``(count, valid bytes)`` of the WAL as :meth:`recover` read it,
+        #: for :meth:`finish_recovery` to append after.
         self._scanned: Optional[Tuple[int, int]] = None
+        #: Items of each history the log's checkpoints hold: a count per
+        #: flat history, a count per owner per keyed one.
+        self._written: Dict[Tuple[str, ...], Any] = {}
 
     # -- recovery ------------------------------------------------------
-    def load_snapshot(self) -> Optional[Dict[str, Any]]:
-        """The last complete checkpoint, folded (:class:`CheckpointLog`)."""
-        return self.checkpoints.load()
+    def recover(self) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
+        """``(capture, records)`` in one scan of the WAL: the capture of
+        the last complete checkpoint, folded from every checkpoint on the
+        way (``None``: there is none), and the records after it."""
+        capture: Optional[Dict[str, Any]] = None
+        histories: Dict[Tuple[str, ...], Any] = {}
+        records: List[Any] = []
+        count = valid = 0
+        for record, end in self.wal._read():
+            if record[0] == _CHECKPOINT:
+                capture = self._fold(record[1], histories, valid)
+                records = []
+            else:
+                records.append(record)
+            count += 1
+            valid = end
+        self._scanned = (count, valid)
+        self._written = {
+            path: (
+                {owner: len(items) for owner, items in history.items()}
+                if HISTORIES[path]
+                else len(history)
+            )
+            for path, history in histories.items()
+        }
+        return capture, records
 
-    def recovery_records(self) -> List[Any]:
-        """All complete WAL records, torn tail tolerated."""
-        records, valid = self.wal.scan()
-        self._scanned = (len(records), valid)
-        return records
+    def _fold(
+        self, body: bytes, histories: Dict[Tuple[str, ...], Any], offset: int
+    ) -> Dict[str, Any]:
+        """The capture of the checkpoint at ``offset``, its tails grown
+        onto ``histories`` (those of the checkpoints before it)."""
+        try:
+            head, tails = pickle.loads(body)
+            if not isinstance(head, dict):
+                raise ValueError("not a checkpoint")
+            for path, tail in tails.items():
+                *parents, leaf = path
+                node = head
+                for key in parents:
+                    node = node[key]
+                node[leaf] = histories[path] = _fold_history(
+                    path, histories.get(path), tail
+                )
+        except WalCorruption:
+            raise
+        except Exception as exc:
+            raise _damaged(self.wal.path, offset, f"checkpoint {exc!r}")
+        return head
 
     def finish_recovery(self) -> None:
         """Truncate any torn tail, open for appending, start recording.
 
-        Appends after the records :meth:`recovery_records` read, if it
-        ran; the WAL is then read once per recovery, not twice.
+        Appends after the records :meth:`recover` read, running it if
+        nobody did: the WAL is read once per recovery, and the next
+        checkpoint continues the fold.
         """
         if self._scanned is None:
-            count = self.wal.open_for_append()
-        else:
-            count = self.wal.open_at(*self._scanned)
-            self._scanned = None
+            self.recover()
+        count = self.wal.open_at(*self._scanned)
+        self._scanned = None
         self._last_snapshot_at = count
         self._last_fingerprint_at = count
         self.recording = True
@@ -550,18 +469,45 @@ class ReplicaStore:
         )
 
     def write_snapshot(self, data: Dict[str, Any]) -> None:
-        """Append a checkpoint of ``data`` to the checkpoint log.
+        """Append a checkpoint of ``data`` to the WAL.
 
-        ``data["wal_count"]`` is stamped here: replay after restore
-        starts from this record index.
+        ``body`` is ``(head, tails)``: ``data`` minus its
+        :data:`HISTORIES`, whole, and per history the ``(start, items)``
+        it gained since the log's previous checkpoint (per owner for a
+        keyed one, which lists only the owners that are new or grew).
         """
-        self.checkpoints.append(data, self.wal.count)
+        head = dict(data)
+        tails: Dict[Tuple[str, ...], Any] = {}
+        written = dict(self._written)
+        for path, keyed in HISTORIES.items():
+            history = _detach(head, path)
+            if history is _ABSENT:
+                continue
+            if not keyed:
+                start = written.get(path, 0)
+                tails[path] = (start, _tail(history, start))
+                written[path] = len(history)
+                continue
+            marks = written.get(path, {})
+            if not marks.keys() <= history.keys():
+                raise ValueError(f"an owner left the grow-only {path}")
+            grown = {}
+            for owner, items in history.items():
+                start = marks.get(owner)
+                if start != len(items):
+                    grown[owner] = (start or 0, _tail(items, start or 0))
+            tails[path] = grown
+            written[path] = {
+                owner: len(items) for owner, items in history.items()
+            }
+        body = pickle.dumps((head, tails), protocol=pickle.HIGHEST_PROTOCOL)
+        self.wal.append((_CHECKPOINT, body))
+        self._written = written
         self._last_snapshot_at = self.wal.count
 
     def close(self) -> None:
         self.recording = False
         self.wal.close()
-        self.checkpoints.close()
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +566,8 @@ def serve_catch_up(store: ReplicaStore, request: CatchUpRequest) -> CatchUpReply
 
     The WAL is append-only and never truncated, so it holds this
     replica's full delivery history (including batches it imported via
-    its own catch-up) — a single surviving correct peer suffices.
+    its own catch-up) — a single surviving correct peer suffices.  A
+    checkpoint is skipped as it reads: its ``body`` stays bytes.
 
     ``max_batches`` is the peer's number, so it is clamped here: a huge
     one must not pickle the whole history into one reply, and one below

@@ -15,11 +15,11 @@ replica kind shares have one owner each, here:
   payment leaves the queue only after a non-``WAIT`` settle.  Inherited
   by :class:`AstroReplicaBase` and by the consensus baseline's
   :class:`~repro.consensus.ledger.PaymentLedger`.
-* :class:`Recoverable` — the crash-recovery skeleton (snapshot → restore
-  → replay the WAL suffix → resume appending) with four hooks that
-  ``AstroReplicaBase``, ``Astro2Replica`` and the consensus
-  :class:`~repro.consensus.replica.BftReplica` *extend* with their own
-  record kinds and fields.
+* :class:`Recoverable` — the crash-recovery skeleton (restore the WAL's
+  last checkpoint → replay the records after it → resume appending)
+  with four hooks that ``AstroReplicaBase``, ``Astro2Replica`` and the
+  consensus :class:`~repro.consensus.replica.BftReplica` *extend* with
+  their own record kinds and fields.
 
 They live in this module rather than one of their own because the
 repository's benchmark addresses ``_drain`` by file and function name
@@ -145,36 +145,26 @@ class Recoverable:
     _wal: Optional[ReplicaStore] = None
 
     def bind_persistence(self, store: ReplicaStore) -> RecoveryReport:
-        """Attach a WAL/snapshot store and recover any prior state.
+        """Attach a store, restore its last checkpoint and replay the WAL
+        records after it.
 
         Must run **before** the transport starts: replay re-executes the
         delivery path, and replayed sends (confirms, CREDITs, replies)
         must fall on the floor rather than reach the network.  Replay
         lands exactly on the pre-crash state or raises
-        :class:`WalCorruption` — as does a snapshot the WAL cannot back
-        (fewer readable records than the snapshot covers: new records
-        would be appended at indices the next recovery skips), before any
-        state is touched.
+        :class:`WalCorruption` — as does a damaged log, before any state
+        is touched.
         """
-        snapshot = store.load_snapshot()
-        records = store.recovery_records()
-        replay_from = 0 if snapshot is None else snapshot["wal_count"]
-        if replay_from > len(records):
-            raise WalCorruption(
-                f"replica {self.node_id}: snapshot covers {replay_from} WAL "
-                f"records but only {len(records)} are readable"
-            )
+        snapshot, records = store.recover()
         self._wal = store
         if snapshot is not None:
             self._restore_snapshot(snapshot)
-        for record in records[replay_from:]:
+        for record in records:
             self._replay_record(record)
         store.finish_recovery()
         self._finish_recovery()
         return RecoveryReport(
-            snapshot is not None,
-            len(records) - replay_from,
-            state_fingerprint(self.state),
+            snapshot is not None, len(records), state_fingerprint(self.state)
         )
 
     def _replay_record(self, record: Tuple[Any, ...]) -> None:

@@ -21,7 +21,6 @@ from .metrics import LatencyRecorder, LatencySummary, ThroughputMeter
 from .network import Network, NetworkStats
 from .node import Node
 from .resources import CpuServer, FifoServer, LinkServer
-from .rng import SeedSequence, derive_rng
 
 __all__ = [
     "Event",
@@ -43,6 +42,4 @@ __all__ = [
     "CpuServer",
     "FifoServer",
     "LinkServer",
-    "SeedSequence",
-    "derive_rng",
 ]

@@ -3,32 +3,16 @@
 All stochastic behaviour in the simulator (latency jitter, workload
 generation, replica placement) flows through seeded :class:`random.Random`
 instances derived from a single root seed, so an entire experiment is
-reproducible from one integer.
+reproducible from one integer.  :func:`stable_rng` derives a child
+stream by SHA-256, never ``hash()``: it is the same in every interpreter.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
-__all__ = ["SeedSequence", "derive_rng", "stable_seed", "stable_rng"]
-
-
-def derive_rng(seed: int, *names: object) -> random.Random:
-    """Return a ``random.Random`` deterministically derived from ``seed``.
-
-    ``names`` qualify the stream (e.g. ``derive_rng(7, "latency", 3)``) so
-    independent subsystems draw from independent streams even when they
-    share the root seed.
-
-    .. warning:: the derivation uses ``hash()``, so with string names the
-       stream depends on ``PYTHONHASHSEED``.  Streams whose draws feed
-       *protocol behaviour* (anything compared across fresh interpreters)
-       must use :func:`stable_rng` instead.
-    """
-    key = (seed,) + tuple(str(n) for n in names)
-    return random.Random(hash(key) & 0xFFFFFFFFFFFF)
+__all__ = ["stable_seed", "stable_rng"]
 
 
 def stable_seed(seed: int, *names: object) -> int:
@@ -48,24 +32,3 @@ def stable_rng(seed: int, *names: object) -> random.Random:
     """A ``random.Random`` seeded by :func:`stable_seed` (hashseed-free)."""
     return random.Random(stable_seed(seed, *names))
 
-
-class SeedSequence:
-    """Hands out child seeds for subsystems, deterministically.
-
-    >>> seq = SeedSequence(42)
-    >>> a = seq.next()
-    >>> b = seq.next()
-    >>> a != b
-    True
-    """
-
-    def __init__(self, root: int) -> None:
-        self.root = root
-        self._rng = random.Random(root)
-
-    def next(self) -> int:
-        return self._rng.getrandbits(48)
-
-    def spawn(self, count: int) -> Iterator[int]:
-        for _ in range(count):
-            yield self.next()

@@ -101,7 +101,9 @@ def parse_timeline(spec: str) -> List[FaultEvent]:
     unknown action, a time that is negative or not finite, a negative
     delay, a drop probability outside [0, 1], empty or overlapping
     partition groups (a shared member would block a node from itself),
-    and a body on ``heal``.
+    a body on ``heal``, and — in time order — a ``crash`` of a replica
+    that is down or a ``recover`` of one that is up (live, that would
+    start a second process on the running replica's port).
     """
     events: List[FaultEvent] = []
     for chunk in spec.split(";"):
@@ -158,6 +160,16 @@ def parse_timeline(spec: str) -> List[FaultEvent]:
         else:
             raise ValueError(f"unknown timeline action {action!r}")
     events.sort(key=lambda event: event.at)
+    down = set()
+    for event in events:
+        if event.action in ("crash", "recover"):
+            node = event.args[0]
+            if (node in down) != (event.action == "recover"):
+                raise ValueError(
+                    f"{event.action}:{node}@{event.at:g}: replica {node} "
+                    f"is {'down' if node in down else 'up'} then"
+                )
+            down ^= {node}
     return events
 
 

@@ -171,6 +171,16 @@ class TestTimeline:
             run_timeline(system, num_clients=4, timeline="crash:99@1")
         assert system.faults.log == [] and system.sim.now == 0.0
 
+    @pytest.mark.parametrize("timeline", ["recover:1@1", "crash:1@1;crash:1@2"])
+    def test_timeline_with_a_replica_up_or_down_twice_is_refused(self, timeline):
+        """The live cluster refuses these strings before it spawns (a
+        second replica 1 would fight the running one for its port): the
+        simulator refuses them too, instead of logging the event."""
+        system = build_astro1(4, seed=4)
+        with pytest.raises(ValueError, match="replica 1 is"):
+            run_timeline(system, num_clients=4, timeline=timeline)
+        assert system.faults.log == [] and system.sim.now == 0.0
+
     def test_split_names_a_fault_that_is_not_a_timeline_event(self):
         result = run_timeline(
             build_astro1(4, seed=4), num_clients=4, warmup=1.0, window=3.0,

@@ -31,6 +31,7 @@ from repro.core.persistence import (
     state_fingerprint,
     state_fingerprints,
 )
+from repro.transport.framing import encode_frame
 
 
 # ---------------------------------------------------------------------------
@@ -139,36 +140,42 @@ def test_wal_damaged_mid_file_is_refused_untouched(tmp_path, header):
 def test_store_records_only_after_finish_recovery(tmp_path):
     store = ReplicaStore(str(tmp_path), 0)
     store.record(("deliver", 0, 1, "ignored"))  # recovery in progress
-    assert store.recovery_records() == []
+    assert store.recover() == (None, [])
     store.finish_recovery()
     store.record(("deliver", 0, 1, "kept"))
     store.close()
-    assert ReplicaStore(str(tmp_path), 0).recovery_records() == [
-        ("deliver", 0, 1, "kept")
-    ]
+    assert ReplicaStore(str(tmp_path), 0).recover() == (
+        None,
+        [("deliver", 0, 1, "kept")],
+    )
 
 
-def test_store_snapshot_roundtrip_and_wal_count_stamp(tmp_path):
+def test_store_snapshot_covers_the_records_before_it(tmp_path):
+    """A checkpoint is a record of the WAL: recovery restores it and
+    replays only what was logged after it."""
     store = ReplicaStore(str(tmp_path), 3, snapshot_interval=2)
     store.finish_recovery()
-    assert store.load_snapshot() is None
     store.record(("deliver", 0, 1, "x"))
     store.record(("deliver", 0, 2, "y"))
     assert store.snapshot_due()
     store.write_snapshot({"fingerprint": "abc"})
     assert not store.snapshot_due()
-    loaded = store.load_snapshot()
-    assert loaded["fingerprint"] == "abc"
-    assert loaded["wal_count"] == 2  # replay resumes past both records
+    store.record(("deliver", 0, 3, "z"))
     store.close()
+    assert ReplicaStore(str(tmp_path), 3).recover() == (
+        {"fingerprint": "abc"},
+        [("deliver", 0, 3, "z")],
+    )
+    assert not os.path.exists(tmp_path / "replica-3.snap")
 
 
 def test_store_corrupt_snapshot_is_a_hard_error(tmp_path):
     store = ReplicaStore(str(tmp_path), 1)
-    with open(store.snapshot_path, "wb") as fh:
-        fh.write(b"not a pickle")
-    with pytest.raises(WalCorruption):
-        store.load_snapshot()
+    store.finish_recovery()
+    store.wal.append(("checkpoint", b"not a pickle"))
+    store.close()
+    with pytest.raises(WalCorruption, match="checkpoint"):
+        ReplicaStore(str(tmp_path), 1).recover()
 
 
 def test_fingerprint_intervals(tmp_path):
@@ -183,7 +190,7 @@ def test_fingerprint_intervals(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint log: append-only frames, grow-only histories as tails
+# Checkpoints in the WAL: grow-only histories as tails
 # ---------------------------------------------------------------------------
 def _frame_spans(path):
     """``(offset, length)`` of each length-framed record in ``path``."""
@@ -199,15 +206,34 @@ def _frame_spans(path):
     return spans
 
 
+def _checkpoints(store):
+    """How many checkpoint records ``store``'s WAL holds."""
+    records = store.wal.iter_records()
+    return sum(1 for record in records if record[0] == "checkpoint")
+
+
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("xlog"), st.integers(0, 3)),
         st.tuples(st.just("seen"), st.integers(0, 10**6)),
         st.tuples(st.just("dep"), st.integers(0, 2)),
+        st.tuples(st.just("record"), st.integers(0, 9)),
         st.tuples(st.just("checkpoint"), st.integers(0, 9)),
     ),
     max_size=40,
 )
+
+
+def _expected_recovery(entries):
+    """What :meth:`ReplicaStore.recover` returns over the log ``entries``:
+    the last checkpoint's capture and the records after it."""
+    capture, records = None, []
+    for kind, value in entries:
+        if kind == "checkpoint":
+            capture, records = value, []
+        else:
+            records.append(value)
+    return capture, records
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,9 +245,10 @@ _OPS = st.lists(
 def test_checkpoint_log_folds_to_the_last_complete_checkpoint(
     ops, ending, cut
 ):
-    """Any interleaving of history growth and checkpoints folds back to
-    exactly the capture of the last complete checkpoint.  A torn last
-    frame leaves the one before standing (and is cut off by the next
+    """Any interleaving of records, history growth and checkpoints in one
+    WAL recovers to exactly the capture of the last complete checkpoint
+    and the records after it.  A torn last record — a checkpoint or not —
+    leaves the log before it standing (and is cut off by the next
     append); a damaged header mid-file is refused outright."""
     xlogs = {f"owner-{k}": [] for k in range(4)}
     seen, used, head = {}, {}, 0
@@ -240,7 +267,8 @@ def test_checkpoint_log_folds_to_the_last_complete_checkpoint(
 
     with tempfile.TemporaryDirectory() as root:
         store = ReplicaStore(root, 0)
-        written = []
+        store.finish_recovery()
+        entries = []  # the log, as ("record" | "checkpoint", value)
         for op, value in ops:
             if op == "xlog":
                 owner = f"owner-{value}"
@@ -250,83 +278,90 @@ def test_checkpoint_log_folds_to_the_last_complete_checkpoint(
             elif op == "dep":
                 deps = used.setdefault(f"client-{value}", {})
                 deps[("dep", len(seen))] = None
+            elif op == "record":
+                record = ("deliver", 0, len(entries), "b" * value)
+                store.record(record)
+                entries.append(("record", record))
             else:
                 head = value
                 store.write_snapshot(capture())
-                written.append({**capture(), "wal_count": 0})
+                entries.append(("checkpoint", capture()))
         store.close()
-        spans = _frame_spans(store.snapshot_path)
-        assert len(spans) == len(written)
+        spans = _frame_spans(store.wal.path)
+        assert len(spans) == len(entries)
 
-        expected = written[-1] if written else None
-        if ending == "torn" and written:
+        if ending == "torn" and entries:
             offset, length = spans[-1]
-            with open(store.snapshot_path, "r+b") as fh:
+            with open(store.wal.path, "r+b") as fh:
                 fh.truncate(offset + cut % (4 + length))
-            expected = written[-2] if len(written) > 1 else None
-        elif ending == "damaged" and len(written) > 1:
+            entries.pop()
+        elif ending == "damaged" and len(entries) > 1:
             offset, _ = spans[cut % (len(spans) - 1)]
-            with open(store.snapshot_path, "r+b") as fh:
+            with open(store.wal.path, "r+b") as fh:
                 fh.seek(offset)
                 fh.write(b"\xff\xff\xff\xff" if cut % 2 else bytes(4))
-            with pytest.raises(WalCorruption, match="checkpoint log"):
-                ReplicaStore(root, 0).load_snapshot()
+            with pytest.raises(WalCorruption, match="write-ahead log"):
+                ReplicaStore(root, 0).recover()
             return
         reopened = ReplicaStore(root, 0)
-        assert reopened.load_snapshot() == expected
+        assert reopened.recover() == _expected_recovery(entries)
 
-        # The next append continues the fold (a torn frame is cut off).
+        # The next checkpoint continues the fold (a torn record is cut off).
+        reopened.finish_recovery()
         head = 10
         reopened.write_snapshot(capture())
+        reopened.record(("deliver", 1, 1, "after"))
         reopened.close()
-        assert ReplicaStore(root, 0).load_snapshot() == {
-            **capture(),
-            "wal_count": 0,
-        }
+        assert ReplicaStore(root, 0).recover() == (
+            capture(),
+            [("deliver", 1, 1, "after")],
+        )
 
 
-def test_parent_format_snapshot_is_refused_untouched(tmp_path):
-    """A ``.snap`` that is one whole pickle (what stores wrote before the
-    checkpoint log) is not a frame: refused before any state moves."""
+def test_a_store_from_before_the_one_log_replays_its_whole_wal(tmp_path):
+    """A store written when checkpoints lived in a ``replica-N.snap``
+    beside the WAL: its WAL holds no checkpoint, so recovery replays all
+    of it to the pre-crash state and leaves the ``.snap`` untouched.  The
+    next checkpoint goes into the WAL."""
     system = SYSTEM_BUILDERS["astro2"](4, seed=5)
     _bind_all(system, tmp_path, snapshot_interval=10_000)
     _run_workload(system, 12)
     writer = system.replicas[0]
-    data = dict(writer._snapshot_data(), wal_count=writer._wal.wal.count)
+    before = state_fingerprint(writer.state)
+    logged = writer._wal.wal.count
+    data = dict(writer._snapshot_data(), wal_count=logged)
     for replica in system.replicas:
         replica._wal.close()
-    with open(writer._wal.snapshot_path, "wb") as fh:
-        pickle.dump(data, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    snap = tmp_path / f"replica-{writer.node_id}.snap"
+    snap.write_bytes(encode_frame(("checkpoint", data, {})))
+    parent_snap = snap.read_bytes()
 
     rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5).replicas[0]
-    before = state_fingerprint(rebuilt.state)
-    reopened = ReplicaStore(str(tmp_path), rebuilt.node_id)
-    size = os.path.getsize(reopened.snapshot_path)
-    with pytest.raises(WalCorruption, match="not a checkpoint frame"):
-        rebuilt.bind_persistence(reopened)
-    assert state_fingerprint(rebuilt.state) == before
-    assert rebuilt._wal is None and not reopened.recording
-    assert os.path.getsize(reopened.snapshot_path) == size
+    store = ReplicaStore(str(tmp_path), rebuilt.node_id)
+    report = rebuilt.bind_persistence(store)
+    assert not report.had_snapshot and report.replayed == logged > 0
+    assert report.fingerprint == before
+    _assert_projections_derived([rebuilt])
+    store.write_snapshot(rebuilt._snapshot_data())
+    store.close()
+    assert snap.read_bytes() == parent_snap
+
+    again = SYSTEM_BUILDERS["astro2"](4, seed=5).replicas[0]
+    report = again.bind_persistence(ReplicaStore(str(tmp_path), again.node_id))
+    assert report.had_snapshot and report.replayed == 0
+    assert report.fingerprint == before
+    assert snap.read_bytes() == parent_snap
 
 
 def test_checkpoint_bytes_do_not_grow_with_history(tmp_path):
     """Every client pays its whole balance around a ring, round after
     round: each payment spends the certificate the previous round earned,
-    so nothing but history accumulates.  Each checkpoint only appends to
-    the file, and the last frame is no bigger than the second."""
+    so nothing but history accumulates.  The last checkpoint record is no
+    bigger than the second."""
     system = SYSTEM_BUILDERS["astro2"](4, seed=5)
     _bind_all(system, tmp_path, snapshot_interval=16)
     clients = client_ids_of(system)
     amount = system.genesis[clients[0]]
-    store = system.replicas[0]._wal
-    write, contents = store.write_snapshot, [b""]
-
-    def observed(data):
-        write(data)
-        with open(store.snapshot_path, "rb") as fh:
-            contents.append(fh.read())
-
-    store.write_snapshot = observed
     for _ in range(40):
         for index, client in enumerate(clients):
             system.submit(client, clients[(index + 1) % len(clients)], amount)
@@ -334,10 +369,11 @@ def test_checkpoint_bytes_do_not_grow_with_history(tmp_path):
         _assert_projections_derived(system.replicas)
     assert not system.replicas[0].rejected
     assert system.replicas[0]._used_deps  # certificates were spent
-    frames = []
-    for before, after in zip(contents, contents[1:]):
-        assert after.startswith(before)  # appended, never rewritten
-        frames.append(len(after) - len(before))
+    frames = [
+        len(record[1])
+        for record in system.replicas[0]._wal.wal.iter_records()
+        if record[0] == "checkpoint"
+    ]
     assert len(frames) >= 12
     assert frames[-1] <= 1.5 * frames[1], frames
 
@@ -347,7 +383,8 @@ def test_recovery_unpickles_each_wal_record_once(
     interval, tmp_path, monkeypatch
 ):
     """``bind_persistence`` reads the WAL once: the append side starts
-    from the replay scan's count and length instead of a second scan."""
+    from the replay scan's count and length instead of a second scan.
+    A checkpoint's ``body`` is unpickled a second time, to fold it."""
     system = SYSTEM_BUILDERS["astro2"](4, seed=5)
     _bind_all(system, tmp_path, snapshot_interval=interval)
     for _ in range(4):
@@ -356,7 +393,7 @@ def test_recovery_unpickles_each_wal_record_once(
         replica._wal.close()
     victim = system.replicas[0]
     records, _ = WriteAheadLog(victim._wal.wal.path).scan()
-    frames = len(_frame_spans(victim._wal.snapshot_path))
+    frames = _checkpoints(victim._wal)
     assert len(records) > 8 and (frames > 0) == (interval < len(records))
 
     rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5).replicas[0]
@@ -599,7 +636,8 @@ def test_replay_detects_fingerprint_divergence(tmp_path):
     # Tamper with one delivered batch: replay must land on a different
     # state than the recorded fingerprint and refuse to come up.
     store = ReplicaStore(str(tmp_path), node)
-    records = store.recovery_records()
+    snapshot, records = store.recover()
+    assert snapshot is None
     mutated = []
     poisoned = False
     for record in records:
@@ -718,8 +756,7 @@ def test_two_recoveries_in_a_row_land_on_the_never_crashed_twin(
             )
             assert all(report.had_snapshot for report in reports.values())
         _payout_phase(system, seqs, payer)
-        path = system.replicas[0]._wal.snapshot_path
-        frames.append(len(_frame_spans(path)))
+        frames.append(_checkpoints(system.replicas[0]._wal))
     assert frames[0] < frames[1] < frames[2]  # one log, continued
 
     for mine, theirs in zip(system.replicas, twin.replicas):
@@ -810,8 +847,7 @@ def test_a_payment_held_across_a_checkpoint_stays_held_through_replay(
         for replica in system.replicas:  # drop all in-memory state
             replica._wal.close()
         store = ReplicaStore(str(tmp_path), rep_node)
-        snapshot = store.load_snapshot()
-        tail = store.recovery_records()[snapshot["wal_count"]:]
+        snapshot, tail = store.recover()
         assert list(snapshot["held"][payer]) == [held]
         store.close()
         rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=11)
@@ -921,7 +957,7 @@ def test_a_stale_commit_for_a_replayed_identifier_is_not_delivered(tmp_path):
     rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5)
     _bind_all(rebuilt, tmp_path, snapshot_interval=10**6)
     replica = rebuilt.replicas[1]
-    records = ReplicaStore(str(tmp_path), 1).recovery_records()
+    records = ReplicaStore(str(tmp_path), 1).recover()[1]
     origin, seq, batch = next(r[1:4] for r in records if r[0] == "deliver")
     content = _ack_content(origin, seq, batch.cached_digest)
     proof = tuple(sign(r.key, content) for r in rebuilt.replicas[:3])
@@ -962,14 +998,6 @@ def test_a_checkpoint_written_during_an_import_covers_it(name, tmp_path):
     assert not any([replica.import_batch(*entry) for entry in batches])
 
 
-def _tear_wal_at(path, index):
-    """Cut the WAL inside record ``index``, as a torn append would leave
-    it: only ``index`` records stay readable."""
-    offset = _record_offset(path, index)
-    with open(path, "r+b") as fh:
-        fh.truncate(offset + 6)
-
-
 def test_a_wal_damaged_mid_file_is_refused_untouched(tmp_path):
     """Recovery over a WAL with a damaged record in the middle raises
     before it touches replica state or truncates a byte of the log."""
@@ -990,39 +1018,6 @@ def test_a_wal_damaged_mid_file_is_refused_untouched(tmp_path):
     assert state_fingerprint(rebuilt.state) == before
     assert rebuilt._wal is None and not reopened.recording
     assert os.path.getsize(path) == size
-
-
-@pytest.mark.parametrize("name", ["astro1", "astro2", "bft"])
-def test_snapshot_the_wal_cannot_back_is_refused_untouched(name, tmp_path):
-    """A WAL torn behind its checkpoint leaves fewer readable records
-    than the snapshot covers.  Recovering anyway would restart
-    ``wal.count`` below the stamp and append new records at indices the
-    *next* recovery skips — so the shared skeleton refuses, for every
-    replica kind, before touching any state."""
-    system = SYSTEM_BUILDERS[name](4, seed=9)
-    _bind_all(system, tmp_path, snapshot_interval=2, fingerprint_interval=64)
-    for _ in range(4):  # several rounds: the baseline logs one slot each
-        _run_workload(system, 6)
-    victim = system.replicas[0]
-    store = victim._wal
-    assert store.wal.count >= 4
-    for replica in system.replicas:
-        replica._wal.close()
-    stamped = store.load_snapshot()["wal_count"]
-    assert stamped >= 2
-    _tear_wal_at(store.wal.path, 1)
-
-    rebuilt = SYSTEM_BUILDERS[name](4, seed=9).replicas[0]
-    before = state_fingerprint(rebuilt.state)
-    reopened = ReplicaStore(str(tmp_path), rebuilt.node_id)
-    assert len(reopened.recovery_records()) == 1 < stamped
-    size = os.path.getsize(store.wal.path)
-    with pytest.raises(WalCorruption, match="only 1 are readable"):
-        rebuilt.bind_persistence(reopened)
-    assert state_fingerprint(rebuilt.state) == before
-    assert rebuilt._wal is None and not reopened.recording
-    # The torn log was not truncated behind the operator's back.
-    assert os.path.getsize(store.wal.path) == size
 
 
 # ---------------------------------------------------------------------------
@@ -1199,6 +1194,42 @@ def test_serve_catch_up_reads_no_further_than_it_answers(
     tail = serve_catch_up(store, CatchUpRequest(2, frontier, (), 8))
     assert [seq for _origin, seq, _batch in tail.batches] == [4997, 4998, 4999]
     assert tail.complete
+
+
+def test_serve_catch_up_skips_a_checkpoint_without_unpickling_it(
+    tmp_path, monkeypatch
+):
+    """A checkpoint's ``body`` stays bytes when the WAL is read: serving
+    a log of N records, K of them checkpoints, unpickles N times, and
+    only recovery, which folds each checkpoint, unpickles N + K."""
+    store = ReplicaStore(str(tmp_path), 0)
+    store.finish_recovery()
+    for seq in range(1, 44):
+        store.record(("deliver", 0, seq, f"b{seq}"))
+        if seq % 8 == 0:
+            seen = {index: index for index in range(seq)}
+            store.write_snapshot({"counter": seq, "seen_payments": seen})
+    store.close()
+    records, _valid = store.wal.scan()
+    n, k = len(records), _checkpoints(store)
+    assert (n, k) == (48, 5)
+
+    loads, real_loads = [], pickle.loads
+    monkeypatch.setattr(
+        pickle, "loads", lambda data: loads.append(1) or real_loads(data)
+    )
+    reply = serve_catch_up(store, CatchUpRequest(1, {}, ()))
+    assert len(reply.batches) == 43 and reply.complete
+    assert len(loads) == n
+    loads.clear()
+    capture, tail = ReplicaStore(str(tmp_path), 0).recover()
+    assert len(loads) == n + k
+    monkeypatch.undo()
+    assert capture == {
+        "counter": 40,
+        "seen_payments": {index: index for index in range(40)},
+    }
+    assert [record[2] for record in tail] == [41, 42, 43]
 
 
 def test_catch_up_messages_pickle_roundtrip():

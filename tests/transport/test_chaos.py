@@ -126,11 +126,32 @@ def test_parse_timeline_ignores_empty_chunks():
         "partition:0,1|1,2@4",  # overlapping groups (was the live
         # injector's own check)
         "heal:1@8",  # heal is global; a body would be silently ignored
+        "recover:1@1",  # recovers a replica that is up
+        "crash:1@1;crash:1@2",  # crashes a replica that is down
+        "recover:1@1;crash:1@2",  # in time order, not spec order
+        "crash:1@1;recover:1@2;recover:1@3",
+        "crash:1@1;recover:2@2",  # the other replica is up
     ],
 )
 def test_parse_timeline_rejects_malformed(spec):
     with pytest.raises(ValueError):
         parse_timeline(spec)
+
+
+def test_parse_timeline_names_the_event_that_has_a_replica_down_or_up():
+    with pytest.raises(ValueError, match=r"recover:1@1: replica 1 is up"):
+        parse_timeline("recover:1@1")
+    with pytest.raises(ValueError, match=r"crash:1@2: replica 1 is down"):
+        parse_timeline("crash:1@1;crash:1@2")
+    spec = "crash:1@1;crash:2@1.5;recover:1@2;recover:2@3;crash:1@4;recover:1@5"
+    assert [(e.action, e.args) for e in parse_timeline(spec)] == [
+        ("crash", (1,)),
+        ("crash", (2,)),
+        ("recover", (1,)),
+        ("recover", (2,)),
+        ("crash", (1,)),
+        ("recover", (1,)),
+    ]
 
 
 def test_parse_timeline_normalizes_partition_groups():

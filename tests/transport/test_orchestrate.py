@@ -186,6 +186,24 @@ def test_chaos_mode_kills_and_recovers_a_replica(tmp_path):
     assert recovered["imported"] > 0
 
 
+@pytest.mark.parametrize("chaos", ["recover:1@1", "crash:1@1;crash:1@2"])
+def test_a_replica_recovered_while_up_or_crashed_while_down_starts_nothing(
+    chaos, tmp_path, monkeypatch
+):
+    """``recover:1@1`` used to start a second replica 1 mid-window, which
+    failed to bind the running one's port and took the run down.  The
+    timeline is refused before any replica starts."""
+    started = []
+    monkeypatch.setattr(
+        _ClusterProcs, "spawn", lambda self, node_id, port=0: started.append(node_id)
+    )
+    args = _args(rate=100.0, warmup=1.0, duration=3.0, chaos=chaos)
+    args.workload, args.secret, args.wal_dir = None, "s", str(tmp_path)
+    with pytest.raises(ValueError, match="replica 1 is (up|down) then"):
+        cluster_module.run_cluster(args)
+    assert started == []
+
+
 def _merchant_crash(victim: int, wal_dir) -> dict:
     """The documented chaos command, in-process: ``--workload merchant
     --rate 200 --duration 8 --chaos "crash:V@2;recover:V@5"``."""
