@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one table or figure of the paper (DESIGN.md §3
-maps experiment ids to modules).  ``REPRO_BENCH_SCALE`` ∈ {smoke, quick,
+Each benchmark regenerates one table or figure of the paper; its module
+name says which, and it calls the matching ``repro.bench`` runner.  ``REPRO_BENCH_SCALE`` ∈ {smoke, quick,
 full} controls problem sizes; the default (quick) finishes on a laptop.
 ``REPRO_BENCH_JOBS`` selects the sweep execution backend (serial by
 default; an integer > 1 fans independent scenario jobs across a process

@@ -29,8 +29,9 @@ from ..core.dependencies import (
     credit_content,
     subbatch_digest_of,
 )
-from ..core.messages import SUBMIT_BYTES, ClientSubmit
+from ..core.messages import ClientSubmit
 from ..core.payment import Payment
+from ..crypto import costs
 from ..crypto.signatures import sign
 
 __all__ = [
@@ -490,13 +491,13 @@ class OverloadClient(ByzantineBehavior):
     def _tick(self) -> None:
         if not self.active:
             return
-        ingest_cost = getattr(self.system.config, "ingest_cost", None)
         for _ in range(self.BURST):
             self._next_seq += 1
             bogus = Payment(self._ghost, self._next_seq, self._sink, 1)
             self.tampered += 1
             self._raw_send(
-                self.victim, ClientSubmit(bogus), SUBMIT_BYTES, ingest_cost
+                self.victim, ClientSubmit(bogus), costs.PAYMENT_BYTES,
+                costs.INGEST_PER_REQUEST,
             )
         self.replica.set_timer(self.TICK, self._tick)
 

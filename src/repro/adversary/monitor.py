@@ -1,4 +1,4 @@
-"""Safety-invariant monitoring of correct replicas (DESIGN §4).
+"""Safety-invariant monitoring of correct replicas.
 
 The :class:`InvariantMonitor` checks *views* of the correct replicas
 during a run, not only at its end.  A view (:func:`replica_state_view`)

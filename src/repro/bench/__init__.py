@@ -1,8 +1,9 @@
 """Benchmark harness: per-figure/table experiment definitions.
 
 Each experiment module reproduces one element of the paper's evaluation
-(see DESIGN.md §3 for the index) and prints the same rows/series the
-paper reports.  ``repro.bench.scale`` controls problem sizes
+(``fig3``, ``fig4``, ``robustness`` for Figs. 5–7, ``fig8``, ``table1``,
+``ablations``, ``adversary``; ``benchmarks/`` holds one test per figure
+or table) and prints the same rows/series the paper reports.  ``repro.bench.scale`` controls problem sizes
 (``REPRO_BENCH_SCALE`` ∈ smoke/quick/full); ``repro.bench.parallel``
 fans the independent cells of each sweep across a process pool
 (``REPRO_BENCH_JOBS``, default serial) with deterministic, submission-

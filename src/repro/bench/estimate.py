@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..brb.batching import DEFAULT_BATCH_SIZE as _BATCH
-from ..brb.batching import Batch
 from ..brb.quorums import byzantine_quorum, max_faulty
 from ..crypto import costs
 from ..sim.node import DEFAULT_BANDWIDTH as _NIC_BYTES_PER_SEC
@@ -45,10 +44,9 @@ __all__ = [
 
 #: The model's constants are the simulator's own: node resources
 #: (``sim.node``: the t2.medium profile of §VI-A), the paper batch size
-#: the per-batch costs amortize over (``brb.batching``), and the wire
-#: bytes of one payment inside a batch.
-_PAYMENT_BYTES = Batch.PAYMENT_BYTES
-_BATCH_BYTES = 48 + _BATCH * _PAYMENT_BYTES
+#: the per-batch costs amortize over (``brb.batching``), and every CPU
+#: cost and wire size in the cost model (``crypto.costs``).
+_BATCH_BYTES = costs.HEADER_BYTES + _BATCH * costs.PAYMENT_BYTES
 
 #: Anchor probes offer this fraction of the analytic capacity: safely
 #: *below* saturation, where the bottleneck resource's measured
@@ -134,7 +132,7 @@ def _per_batch_cpu_astro2(
     groups = min(n, _BATCH)
     prepare = (
         costs.MESSAGE_OVERHEAD
-        + costs.PER_BYTE_CPU * _BATCH * _PAYMENT_BYTES
+        + costs.PER_BYTE_CPU * _BATCH * costs.PAYMENT_BYTES
         + costs.HASH_PER_PAYMENT * _BATCH
         + costs.ECDSA_SIGN
         + costs.SEND_OVERHEAD
@@ -145,11 +143,13 @@ def _per_batch_cpu_astro2(
         (groups * costs.SEND_OVERHEAD + n * costs.MESSAGE_OVERHEAD) / amortize
         + groups * costs.ECDSA_SIGN
         + n * costs.ECDSA_VERIFY
-        + costs.PER_BYTE_CPU * _BATCH * _PAYMENT_BYTES
+        + costs.PER_BYTE_CPU * _BATCH * costs.PAYMENT_BYTES
     )
     # Per-payment work: settle everywhere; ingest/confirm only for the
     # representative's own 1/N share of clients.
-    per_payment = 1.5e-6 + (35e-6 + 3e-6) / n
+    per_payment = costs.SETTLE_PER_PAYMENT + (
+        costs.INGEST_PER_REQUEST + costs.CONFIRM_PER_PAYMENT
+    ) / n
     return prepare + commit + credits + per_payment * _BATCH
 
 
@@ -168,10 +168,12 @@ def _per_batch_cpu_astro1(n: int) -> float:
         + costs.MAC_COMPUTE
     )
     payload = (
-        costs.PER_BYTE_CPU * _BATCH * _PAYMENT_BYTES
+        costs.PER_BYTE_CPU * _BATCH * costs.PAYMENT_BYTES
         + costs.HASH_PER_PAYMENT * _BATCH
     )
-    per_payment = 1.5e-6 + (35e-6 + 3e-6) / n
+    per_payment = costs.SETTLE_PER_PAYMENT + (
+        costs.INGEST_PER_REQUEST + costs.CONFIRM_PER_PAYMENT
+    ) / n
     return 2 * n * per_message + 2 * payload + per_payment * _BATCH
 
 
@@ -181,18 +183,23 @@ def _per_batch_cpu_bft(n: int) -> float:
     The leader fans the (wire-amplified) PROPOSE to N-1 replicas and
     absorbs the two all-to-all quorum phases (~2N control messages per
     instance); every client request costs ingestion at *each* replica.
-    ``overhead_factor`` (JVM/BFT-SMaRt calibration, see BftConfig) scales
-    the per-message costs.
+    ``BFT_OVERHEAD_FACTOR`` (the JVM/BFT-SMaRt calibration) scales the
+    per-message costs.
     """
-    overhead_factor = 5.0
+    overhead_factor = costs.BFT_OVERHEAD_FACTOR
     per_control = (costs.MESSAGE_OVERHEAD + costs.MAC_VERIFY) * overhead_factor
     propose_send = (
         (costs.SEND_OVERHEAD + costs.MAC_COMPUTE) * overhead_factor * n
-        + costs.PER_BYTE_CPU * _BATCH * _PAYMENT_BYTES * 5.0  # wire amplification
+        + costs.PER_BYTE_CPU * _BATCH * costs.PAYMENT_BYTES
+        * costs.BFT_PROPOSE_WIRE_AMPLIFICATION
     )
-    # request_cost=15e-6 per payment at each replica, ×overhead_factor;
-    # settle + reply per executed payment.
-    per_payment = 15e-6 * overhead_factor + 1.5e-6 + 4e-6
+    # Request ingestion at each replica, ×overhead_factor; settle + reply
+    # per executed payment.
+    per_payment = (
+        costs.BFT_REQUEST * overhead_factor
+        + costs.SETTLE_PER_PAYMENT
+        + costs.BFT_REPLY
+    )
     return propose_send + 2 * n * per_control + per_payment * _BATCH
 
 
@@ -212,12 +219,12 @@ def _per_batch_nic_astro2(
     """
     f = max_faulty(n)
     quorum = byzantine_quorum(n, f)
-    commit = 48 + quorum * 72
+    commit = costs.HEADER_BYTES + quorum * costs.CERT_ENTRY_BYTES
     amortize = credit_amortization(n, credit_coalesce_delay)
     credits = (
-        min(n, _BATCH) * 48 / amortize
+        min(n, _BATCH) * costs.HEADER_BYTES / amortize
         + min(n, _BATCH) * costs.SIGNATURE_BYTES
-        + _BATCH * _PAYMENT_BYTES
+        + _BATCH * costs.PAYMENT_BYTES
     )
     return (_BATCH_BYTES + commit + credits) / _NIC_BYTES_PER_SEC
 
@@ -232,8 +239,8 @@ def _per_batch_nic_astro1(n: int) -> float:
 def _per_batch_nic_bft(n: int) -> float:
     """The leader serializes the wire-amplified PROPOSE towards N-1
     replicas per batch, plus the two control-phase broadcasts."""
-    propose = (n - 1) * _BATCH_BYTES * 5.0  # propose_wire_amplification
-    control = 2 * (n - 1) * 80
+    propose = (n - 1) * _BATCH_BYTES * costs.BFT_PROPOSE_WIRE_AMPLIFICATION
+    control = 2 * (n - 1) * costs.BFT_CONTROL_BYTES
     return (propose + control) / _NIC_BYTES_PER_SEC
 
 

@@ -7,7 +7,8 @@ qualitative claim.  ``REPRO_BENCH_SCALE=full`` restores the paper's
 parameters; ``REPRO_BENCH_SCALE=smoke`` shrinks further for CI.
 
 The scale knob never changes protocol logic — only N, durations, and
-sweep granularity.  DESIGN.md §3 records the per-experiment defaults.
+sweep granularity.  The per-experiment sizes are the fields of
+:class:`BenchScale`, one instance per scale below.
 The orthogonal ``REPRO_BENCH_JOBS`` knob (see ``repro.bench.parallel``)
 controls how many scenario jobs of a sweep run concurrently; it never
 changes results at all.

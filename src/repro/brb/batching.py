@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
+from ..crypto import costs
 from ..crypto.hashing import Digest, digest
 from ..transport.interface import Clock, TimerHandle
 
@@ -34,11 +35,7 @@ T = TypeVar("T")
 class Batch:
     """An immutable batch of payments broadcast as one BRB payload."""
 
-    __slots__ = ("items", "batch_items", "size_bytes", "_digest", "_canonical")
-
-    #: Wire size of one payment: spender, beneficiary, amount, sequence
-    #: number, and client authentication data — "roughly 100 bytes" (§VI-B).
-    PAYMENT_BYTES = 100
+    __slots__ = ("items", "batch_items", "size_bytes", "_digest")
 
     def __init__(self, items: Sequence[Any]) -> None:
         if not items:
@@ -47,10 +44,9 @@ class Batch:
         self.batch_items = len(self.items)
         size = 0
         for item in self.items:
-            size += getattr(item, "wire_bytes", self.PAYMENT_BYTES)
+            size += getattr(item, "wire_bytes", costs.PAYMENT_BYTES)
         self.size_bytes = size
         self._digest: Optional[Digest] = None
-        self._canonical: Optional[tuple] = None
 
     @property
     def cached_digest(self) -> Digest:
@@ -70,15 +66,6 @@ class Batch:
             except AttributeError:
                 parts = tuple([digest(item) for item in self.items])
             value = self._digest = hash(("batch", parts)) & 0xFFFFFFFFFFFFFFFF
-        return value
-
-    def canonical(self) -> tuple:
-        value = self._canonical
-        if value is None:
-            value = self._canonical = tuple(
-                item.canonical() if hasattr(item, "canonical") else item
-                for item in self.items
-            )
         return value
 
     def __reduce__(self):

@@ -30,9 +30,6 @@ from .quorums import byzantine_quorum, max_faulty
 
 __all__ = ["BrachaBroadcast", "BrbPrepare", "BrbEcho", "BrbReady"]
 
-#: Wire overhead of a protocol message (headers + MAC tag).
-_HEADER_BYTES = 48
-
 
 class BrbPrepare:
     __slots__ = ("seq", "payload", "size")
@@ -128,7 +125,7 @@ class BrachaBroadcast(BroadcastLayer):
     # ------------------------------------------------------------------
     def broadcast(self, seq: int, payload: Any, payload_bytes: int) -> None:
         """PREPARE phase: send the payload to all replicas (Listing 5 l.2)."""
-        size = _HEADER_BYTES + payload_bytes
+        size = costs.HEADER_BYTES + payload_bytes
         message = BrbPrepare(seq, payload, size)
         cost = self._payload_recv_cost(size, payload)
         self.node.broadcast(

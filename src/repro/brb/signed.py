@@ -34,10 +34,7 @@ from .quorums import byzantine_quorum, max_faulty
 
 __all__ = ["SignedBroadcast", "SbPrepare", "SbAck", "SbCommit"]
 
-_HEADER_BYTES = 48
-_ACK_BYTES = _HEADER_BYTES + costs.SIGNATURE_BYTES
-#: Per-signature wire cost inside a COMMIT certificate (sig + signer id).
-_CERT_ENTRY_BYTES = costs.SIGNATURE_BYTES + 8
+_ACK_BYTES = costs.HEADER_BYTES + costs.SIGNATURE_BYTES
 
 
 class SbPrepare:
@@ -164,7 +161,7 @@ class SignedBroadcast(BroadcastLayer):
     # API
     # ------------------------------------------------------------------
     def broadcast(self, seq: int, payload: Any, payload_bytes: int) -> None:
-        size = _HEADER_BYTES + payload_bytes
+        size = costs.HEADER_BYTES + payload_bytes
         message = SbPrepare(seq, payload, size)
         cost = (
             costs.MESSAGE_OVERHEAD
@@ -271,7 +268,7 @@ class SignedBroadcast(BroadcastLayer):
         self, seq: int, payload_digest: Digest, bucket: Dict[int, Signature]
     ) -> None:
         proof = tuple(bucket.values())[: self.ack_quorum]
-        size = _HEADER_BYTES + len(proof) * _CERT_ENTRY_BYTES
+        size = costs.HEADER_BYTES + len(proof) * costs.CERT_ENTRY_BYTES
         commit = SbCommit(self.node.node_id, seq, payload_digest, proof, size)
         # Receivers verify the whole certificate: 2f+1 signature checks.
         cost = (

@@ -15,11 +15,9 @@ __all__ = ["BftConfig"]
 class BftConfig:
     """Parameters of one BFT-SMaRt-style deployment.
 
-    ``overhead_factor`` scales per-message/request CPU costs relative to
-    the Go-based Astro prototypes, standing in for the JVM runtime,
-    per-connection handling, and MAC-vector authenticators of BFT-SMaRt
-    (the paper's footnote 1 contrasts 3.5 kLOC of Go against 13.5 kLOC of
-    Java).  Calibrated against the Fig. 3 anchors; see EXPERIMENTS.md.
+    The baseline's CPU costs and its calibration against the paper's
+    Fig. 3 anchors are constants of the cost model,
+    :mod:`repro.crypto.costs` (``BFT_*``).
     """
 
     num_replicas: int = 4
@@ -36,23 +34,6 @@ class BftConfig:
     request_timeout: float = 2.0
     #: How often replicas scan for timed-out requests.
     timeout_check_interval: float = 0.25
-    #: CPU cost multiplier vs the Go cost model (see class docstring).
-    overhead_factor: float = 5.0
-    #: Wire amplification of the leader's large fan-out PROPOSE messages:
-    #: per-connection framing, JVM serialization, and TCP behaviour over
-    #: ~N simultaneous streams reduce effective goodput well below the
-    #: NIC rate.  Calibrated against the Fig. 3 baseline anchors
-    #: (N=4 ≈ 10K pps, N=100 ≈ 334 pps).
-    propose_wire_amplification: float = 5.0
-    #: CPU time to apply one ordered payment.
-    settle_cost: float = 1.5e-6
-    #: CPU time per client request at *each* replica (deserialize + MAC).
-    request_cost: float = 15e-6
-    #: CPU time to emit one client reply.
-    reply_cost: float = 4e-6
-    #: Extra fixed time for a joining/syncing replica to rebuild state
-    #: during a view change, per unit of pending state.
-    sync_processing_cost: float = 30e-6
 
     def __post_init__(self) -> None:
         if self.f is None:

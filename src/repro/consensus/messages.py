@@ -13,7 +13,6 @@ from typing import Any, Dict, Tuple
 from ..crypto.hashing import Digest
 
 __all__ = [
-    "SUBMIT_BYTES_DEFAULT",
     "ClientRequest",
     "Propose",
     "Write",
@@ -23,10 +22,6 @@ __all__ = [
     "StopData",
     "Sync",
 ]
-
-
-#: Wire size of a client request (§VI-B: ~100 bytes).
-SUBMIT_BYTES_DEFAULT = 100
 
 
 class ClientRequest:

@@ -12,7 +12,7 @@ when one exceeds the request timeout they STOP the current view.  On
 SYNC message.  Ordering halts between STOP and SYNC — the throughput gap
 of Figs. 5–7.
 
-Simplifications vs a production implementation (documented per DESIGN.md):
+Simplifications vs a production implementation:
 re-proposal choice prefers write-certified values (sufficient for the
 single-leader-failure scenarios evaluated, where decided values always
 carry write certificates in the collected state); checkpoints/garbage
@@ -48,7 +48,6 @@ from .messages import (
 
 __all__ = ["BftReplica"]
 
-_CONTROL_BYTES = 80  # WRITE/ACCEPT: header + digest
 _REPLY_BYTES = 64
 
 
@@ -97,8 +96,6 @@ class BftReplica(Recoverable, ProtocolEndpoint):
         self.in_view_change = False
         self._leader_now = False
         self._refresh_leader_flag()
-        #: Per-request ingestion cost, cached off the config object.
-        self._request_cost = config.request_cost * config.overhead_factor
         self.ledger = PaymentLedger(
             genesis, on_settle=self._on_settle, interner=interner
         )
@@ -166,11 +163,13 @@ class BftReplica(Recoverable, ProtocolEndpoint):
             + costs.PER_BYTE_CPU * size
             + extra
         )
-        return base * self.config.overhead_factor
+        return base * costs.BFT_OVERHEAD_FACTOR
 
     def _send_cost(self) -> float:
         # BFT-SMaRt authenticates each copy with a per-recipient MAC.
-        return (costs.SEND_OVERHEAD + costs.MAC_COMPUTE) * self.config.overhead_factor
+        return (
+            (costs.SEND_OVERHEAD + costs.MAC_COMPUTE) * costs.BFT_OVERHEAD_FACTOR
+        )
 
     def _broadcast(self, message: Any, size: int, extra_recv: float = 0.0) -> None:
         cost = self._recv_cost(size, extra_recv)
@@ -188,7 +187,7 @@ class BftReplica(Recoverable, ProtocolEndpoint):
     def submit_local(self, payment: Payment) -> None:
         """Inject a request as if multicast by a client (one replica's
         share; the system object fans out to all replicas)."""
-        self.charge(self._request_cost)
+        self.charge(costs.BFT_REQUEST * costs.BFT_OVERHEAD_FACTOR)
         self.receive_request(payment)
 
     def receive_request(self, payment: Payment) -> None:
@@ -236,7 +235,8 @@ class BftReplica(Recoverable, ProtocolEndpoint):
             self._next_propose += 1
             self._outstanding += 1
             size = int(
-                (48 + batch.size_bytes) * self.config.propose_wire_amplification
+                (costs.HEADER_BYTES + batch.size_bytes)
+                * costs.BFT_PROPOSE_WIRE_AMPLIFICATION
             )
             message = Propose(self.view, seq, batch, size)
             self._broadcast(
@@ -265,7 +265,7 @@ class BftReplica(Recoverable, ProtocolEndpoint):
             return
         instance.write_sent = True
         message = Write(self.view, seq, instance.digest)
-        self._broadcast(message, _CONTROL_BYTES)
+        self._broadcast(message, costs.BFT_CONTROL_BYTES)
         self._apply_write(self.node_id, message)
 
     def _on_write(self, src: int, message: Write) -> None:
@@ -289,7 +289,7 @@ class BftReplica(Recoverable, ProtocolEndpoint):
         ):
             instance.accept_sent = True
             accept = Accept(self.view, message.seq, message.batch_digest)
-            self._broadcast(accept, _CONTROL_BYTES)
+            self._broadcast(accept, costs.BFT_CONTROL_BYTES)
             self._apply_accept(self.node_id, accept)
 
     def _on_accept(self, src: int, message: Accept) -> None:
@@ -328,7 +328,7 @@ class BftReplica(Recoverable, ProtocolEndpoint):
                 # payments touch the ledger.
                 wal.record(("exec", self._last_executed, batch))
             self.charge(
-                (self.config.settle_cost + self.config.reply_cost)
+                (costs.SETTLE_PER_PAYMENT + costs.BFT_REPLY)
                 * batch.batch_items
             )
             for payment in batch:
@@ -373,7 +373,7 @@ class BftReplica(Recoverable, ProtocolEndpoint):
     def _send_stop(self, new_view: int) -> None:
         self._stop_sent.add(new_view)
         message = Stop(new_view)
-        self._broadcast(message, _CONTROL_BYTES)
+        self._broadcast(message, costs.BFT_CONTROL_BYTES)
         self._apply_stop(self.node_id, message)
 
     def _on_stop(self, src: int, message: Stop) -> None:
@@ -471,7 +471,7 @@ class BftReplica(Recoverable, ProtocolEndpoint):
         reproposals = {seq: batch for seq, (batch, _) in sorted(chosen.items())}
         size = 128 + self.n * 16 + sum(b.size_bytes for b in reproposals.values())
         sync = Sync(new_view, base, reproposals, size)
-        extra = self.config.sync_processing_cost * max(len(reproposals), 1)
+        extra = costs.BFT_SYNC_PER_INSTANCE * max(len(reproposals), 1)
         for dst in self.peers:
             if dst == self.node_id:
                 continue

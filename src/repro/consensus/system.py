@@ -15,12 +15,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment, PaymentId
 from ..core.system import SimulatedSystem
+from ..crypto import costs
 from ..sim.events import Simulator
 from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.node import Node
 from .config import BftConfig
-from .messages import SUBMIT_BYTES_DEFAULT, ClientRequest, Reply
+from .messages import ClientRequest, Reply
 from .replica import BftReplica
 
 __all__ = ["BftSystem", "BftClientNode"]
@@ -62,11 +63,11 @@ class BftClientNode(Node):
         self._next_seq += 1
         self._in_flight[payment.identifier] = (payment, self.sim.now)
         request = ClientRequest(payment)
-        config = self.system.config
-        cost = config.request_cost * config.overhead_factor
+        cost = costs.BFT_REQUEST * costs.BFT_OVERHEAD_FACTOR
         for replica in self.system.replicas:
             self.send(
-                replica.node_id, request, size=SUBMIT_BYTES_DEFAULT, recv_cost=cost
+                replica.node_id, request, size=costs.PAYMENT_BYTES,
+                recv_cost=cost,
             )
         return payment
 

@@ -15,7 +15,6 @@ from .dependencies import (
     CreditMessage,
     DependencyCertificate,
     DependencyCollector,
-    certificate_wire_bytes,
     credit_content,
     subbatch_digest_of,
     verify_certificate,
@@ -37,7 +36,6 @@ __all__ = [
     "CreditMessage",
     "DependencyCertificate",
     "DependencyCollector",
-    "certificate_wire_bytes",
     "credit_content",
     "subbatch_digest_of",
     "verify_certificate",

@@ -510,10 +510,11 @@ class Astro2Replica(AstroReplicaBase):
         # A held payment was accepted: a retry of it must not be.
         self._accept_through(p.identifier for q in self._held.values() for p in q)
         # Rebuild the ACK-guard conflict log from every payment this
-        # replica durably knows: payments ACKed between the last WAL
-        # record and the crash are unavoidably forgotten, but quorum
-        # intersection still protects safety globally (2f+1 ACKs need
-        # f+1 correct replicas, and at most this one is amnesiac).
+        # replica durably knows.  Payments ACKed after the last WAL record
+        # are forgotten, and that is a known safety gap (ROADMAP item 1):
+        # two ACK quorums share f+1 replicas, and with f Byzantine ones
+        # among them this replica may be the only correct one, so ACKing a
+        # conflicting payload after recovery lets both deliver.
         seen = self._seen_payments
         for log in self.state.xlogs.values():
             for payment in log._entries:

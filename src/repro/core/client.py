@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from ..crypto import costs
 from ..sim.events import Simulator
 from ..sim.network import Network
 from ..sim.node import Node
-from .config import AstroConfig
-from .messages import SUBMIT_BYTES, ClientConfirm, ClientSubmit
+from .messages import ClientConfirm, ClientSubmit
 from .payment import ClientId, Payment
 
 __all__ = ["ClientNode"]
@@ -40,13 +40,11 @@ class ClientNode(Node):
         client_id: ClientId,
         network: Network,
         representative: int,
-        config: AstroConfig,
         on_confirm: Optional[ConfirmCallback] = None,
     ) -> None:
         super().__init__(sim, node_id, network)
         self.client_id = client_id
         self.representative = representative
-        self.config = config
         self.on_confirm = on_confirm
         self._next_seq = 1
         self._submit_times: Dict[int, float] = {}
@@ -67,8 +65,8 @@ class ClientNode(Node):
         self.send(
             self.representative,
             ClientSubmit(payment),
-            size=SUBMIT_BYTES,
-            recv_cost=self.config.ingest_cost,
+            size=costs.PAYMENT_BYTES,
+            recv_cost=costs.INGEST_PER_REQUEST,
         )
         return payment
 

@@ -17,7 +17,8 @@ class AstroConfig:
 
     Defaults match the paper's setup: N = 3f+1 replicas (§VI-A), batches
     of 256 payments (§VI-A), t2.medium-like resources (2 vCores, 30 MiB/s
-    — set on the simulated nodes).
+    — set on the simulated nodes).  The CPU costs a replica charges are
+    constants of the cost model, :mod:`repro.crypto.costs`.
     """
 
     num_replicas: int = 4
@@ -28,14 +29,6 @@ class AstroConfig:
     #: little latency for much better amortization of per-batch signature
     #: work when client load is spread over many representatives.
     batch_delay: float = 0.05
-    #: CPU time to apply one settled payment (balance/sn/xlog updates).
-    settle_cost: float = 1.5e-6
-    #: CPU time to ingest one client request at the representative
-    #: (deserialize + authenticate client data, connection handling,
-    #: §VI-B).  Calibrated against the paper's N=4 anchors.
-    ingest_cost: float = 35e-6
-    #: CPU time to produce a client confirmation.
-    confirm_cost: float = 3e-6
     #: Astro II only: number of shards (§V).
     num_shards: int = 1
     #: Astro II only: CREDIT transport-coalescing window (seconds).  0

@@ -62,7 +62,6 @@ __all__ = [
     "credit_content",
     "subbatch_digest_of",
     "verify_certificate",
-    "certificate_wire_bytes",
 ]
 
 
@@ -137,7 +136,10 @@ class CreditMessage:
             else subbatch_digest_of(payments)
         )
         self.signature = signature
-        self.size = 48 + costs.SIGNATURE_BYTES + 100 * len(payments)
+        self.size = (
+            costs.HEADER_BYTES + costs.SIGNATURE_BYTES
+            + costs.PAYMENT_BYTES * len(payments)
+        )
         self._packed: Optional[Tuple[tuple, tuple]] = None
 
     def __getattr__(self, name: str):
@@ -186,7 +188,9 @@ def _credit_from_wire(
     message.subbatch_digest = subbatch_digest
     message.signature = signature
     count = len(flat) // 4 if flat.__class__ is tuple else 0
-    message.size = 48 + costs.SIGNATURE_BYTES + 100 * count
+    message.size = (
+        costs.HEADER_BYTES + costs.SIGNATURE_BYTES + costs.PAYMENT_BYTES * count
+    )
     message._packed = (flat, extras)
     return message
 
@@ -289,7 +293,7 @@ class DependencyCertificate:
     @property
     def wire_bytes(self) -> int:
         """Serialized size: payment reference plus the f+1 signatures."""
-        return 40 + len(self.signatures) * (costs.SIGNATURE_BYTES + 8)
+        return 40 + len(self.signatures) * costs.CERT_ENTRY_BYTES
 
     def canonical(self) -> tuple:
         # Not memoized: xlogs keep a payout's certificates for good.
@@ -389,11 +393,6 @@ def verify_certificate(
             return False
         signers.add(owner)
     return len(signers) >= needed
-
-
-def certificate_wire_bytes(f: int) -> int:
-    """Wire size of one dependency attached to an outgoing payment."""
-    return 40 + (f + 1) * (costs.SIGNATURE_BYTES + 8)
 
 
 class DependencyCollector:

@@ -13,10 +13,6 @@ from .payment import Payment
 
 __all__ = ["ClientSubmit", "ClientConfirm"]
 
-#: Wire size of a client request: three fields plus client authentication
-#: data, "roughly 100 bytes" (§VI-B).
-SUBMIT_BYTES = 100
-
 CONFIRM_BYTES = 64
 
 

@@ -17,6 +17,8 @@ from itertools import chain
 from sys import intern
 from typing import Hashable, Optional, Sequence, Tuple
 
+from ..crypto import costs
+
 __all__ = [
     "Payment",
     "PaymentId",
@@ -95,12 +97,12 @@ class Payment:
         self.core = (spender, seq, beneficiary, amount)
         #: Serialized size: ~100 bytes (§VI-B) plus attached dependencies.
         if deps:
-            wire = 100
+            wire = costs.PAYMENT_BYTES
             for dep in deps:
                 wire += getattr(dep, "wire_bytes", 0)
             self.wire_bytes = wire
         else:
-            self.wire_bytes = 100
+            self.wire_bytes = costs.PAYMENT_BYTES
         self._core_digest: Optional[int] = None
 
     def core_canonical(self) -> tuple:

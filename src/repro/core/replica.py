@@ -41,6 +41,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..brb.batching import Batch, Batcher
 from ..brb.interface import DeliveryFrontier
+from ..crypto import costs
 from ..transport.endpoint import ProtocolEndpoint
 from ..transport.interface import Transport
 from .accounts import AccountState
@@ -231,10 +232,6 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         #: Cached reference to the directory's client → representative
         #: dict; consulted once per payment on several hot paths.
         self._rep_map = directory.rep_map
-        #: Per-payment cost constants, cached off the config object.
-        self._ingest_cost = config.ingest_cost
-        self._settle_cost = config.settle_cost
-        self._confirm_cost = config.confirm_cost
         self.batcher: Batcher[Payment] = Batcher(
             transport.clock,
             self._flush_batch,
@@ -273,7 +270,7 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         Used by load generators; charges the same ingestion CPU a real
         client request would.
         """
-        self.charge(self._ingest_cost)
+        self.charge(costs.INGEST_PER_REQUEST)
         self.ingest(payment)
 
     def ingest(self, payment: Payment) -> None:
@@ -348,7 +345,7 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         """Process a BRB-delivered batch of payments."""
         if not self.alive:
             return
-        self.charge(self._settle_cost * batch.batch_items)
+        self.charge(costs.SETTLE_PER_PAYMENT * batch.batch_items)
         # Local bindings: this loop runs once per payment per replica and
         # dominates the settle path at high offered rates.
         rep_get = self._rep_map.get
@@ -382,7 +379,7 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
     # ------------------------------------------------------------------
     def _confirm(self, payment: Payment) -> None:
         """Notify the spender that her payment settled (we are her rep)."""
-        self.charge(self._confirm_cost)
+        self.charge(costs.CONFIRM_PER_PAYMENT)
         now = self.clock.now
         for hook in self.confirm_hooks:
             hook(payment, now)

@@ -188,7 +188,6 @@ class _AstroSystemBase(SimulatedSystem):
             client,
             self.network,
             representative,
-            self.config,
             on_confirm=on_confirm,
         )
         self._replica_by_node[representative].client_nodes[client] = node_id

@@ -1,15 +1,17 @@
 """Simulated cryptography substrate.
 
-Provides structurally unforgeable signatures and MACs plus a CPU cost
-model, standing in for Go's ECDSA P-256 / HMAC implementations used by the
-paper (§VI-A).  See DESIGN.md §1 for why the substitution preserves the
-protocols' behaviour.
+Provides structurally unforgeable signatures plus the simulator's cost
+model (:mod:`repro.crypto.costs`: CPU costs, Astro I's MACs included, and
+wire sizes), standing in for Go's ECDSA P-256 / HMAC implementations used
+by the paper (§VI-A).  The substitution preserves the protocols'
+behaviour because they rely only on what the stand-ins keep: signatures
+are unforgeable and binding (``signatures``), and digests are
+collision-free within a run (``hashing``).
 """
 
 from . import costs
 from .hashing import Digest, canonical, digest
 from .keys import CryptoError, Keychain, KeyPair, client_owner, replica_owner
-from .mac import MacAuthenticator, MacTag
 from .signatures import Signature, sign, verify
 
 __all__ = [
@@ -22,8 +24,6 @@ __all__ = [
     "KeyPair",
     "client_owner",
     "replica_owner",
-    "MacAuthenticator",
-    "MacTag",
     "Signature",
     "sign",
     "verify",

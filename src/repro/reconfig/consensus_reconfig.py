@@ -12,9 +12,8 @@ plus state to the joiner.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..consensus.config import BftConfig
 from ..consensus.system import BftSystem
 from ..core.payment import Payment
 from ..crypto import costs
@@ -26,7 +25,6 @@ def measure_consensus_join_latency(
     num_replicas: int,
     state_bytes: int = 10_000,
     seed: int = 0,
-    config: Optional[BftConfig] = None,
 ) -> float:
     """Join latency at system size ``num_replicas`` (one sequential join).
 
@@ -36,8 +34,6 @@ def measure_consensus_join_latency(
     ordered consensus decision plus the view-manager round and state
     shipment to the joiner.
     """
-    if config is None:
-        config = BftConfig(num_replicas=num_replicas, batch_delay=0.001)
     system = BftSystem(num_replicas=num_replicas, genesis={"reconfig": 1}, seed=seed)
     start = system.sim.now
     done: List[float] = []
@@ -62,12 +58,12 @@ def measure_consensus_join_latency(
     leader = system.replicas[0]
     rtt = 2 * latency_model.expected(leader.node_id, num_replicas - 1)
     transfer = state_bytes / leader.link.bandwidth
-    ops_in_log = state_bytes / 100  # ~100 bytes per logged payment
-    replay = config.overhead_factor * ops_in_log * (
-        config.request_cost + config.settle_cost
+    ops_in_log = state_bytes / costs.PAYMENT_BYTES
+    replay = costs.BFT_OVERHEAD_FACTOR * ops_in_log * (
+        costs.BFT_REQUEST + costs.SETTLE_PER_PAYMENT
     )
     processing = (
-        config.overhead_factor
+        costs.BFT_OVERHEAD_FACTOR
         * (costs.MESSAGE_OVERHEAD * num_replicas + costs.PER_BYTE_CPU * state_bytes)
     )
     return (ordered_at - start) + rtt + transfer + replay + processing

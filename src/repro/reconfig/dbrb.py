@@ -22,8 +22,6 @@ from .views import View
 
 __all__ = ["DynamicBroadcast"]
 
-_HEADER = 48
-
 
 class _DbrbMessage:
     __slots__ = ("kind", "view_number", "origin", "seq", "payload", "size")
@@ -80,10 +78,12 @@ class DynamicBroadcast:
     # ------------------------------------------------------------------
     # API
     # ------------------------------------------------------------------
-    def broadcast(self, seq: int, payload: Any, payload_bytes: int = 100) -> None:
+    def broadcast(
+        self, seq: int, payload: Any, payload_bytes: int = costs.PAYMENT_BYTES
+    ) -> None:
         self._undelivered_own[seq] = (payload, payload_bytes)
         self._send("prepare", self.view.number, self.node.node_id, seq,
-                   payload, _HEADER + payload_bytes)
+                   payload, costs.HEADER_BYTES + payload_bytes)
 
     def install_view(self, new_view: View) -> None:
         """Adopt a newly installed view; restart undelivered instances."""
@@ -101,7 +101,7 @@ class DynamicBroadcast:
         """
         for seq, (payload, payload_bytes) in list(self._undelivered_own.items()):
             self._send("prepare", self.view.number, self.node.node_id, seq,
-                       payload, _HEADER + payload_bytes)
+                       payload, costs.HEADER_BYTES + payload_bytes)
 
     # ------------------------------------------------------------------
     # Protocol

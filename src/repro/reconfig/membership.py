@@ -34,8 +34,6 @@ from .views import View
 
 __all__ = ["ReconfigReplica", "JoinRequest", "ViewProposal", "ViewInstalled"]
 
-_HEADER = 48
-
 
 class JoinRequest:
     __slots__ = ("joiner", "view_number")
@@ -131,7 +129,7 @@ class ReconfigReplica(Node):
             self.send(
                 member,
                 request,
-                size=_HEADER + 16,
+                size=costs.HEADER_BYTES + 16,
                 recv_cost=costs.MESSAGE_OVERHEAD + costs.ECDSA_VERIFY,
             )
 
@@ -145,7 +143,7 @@ class ReconfigReplica(Node):
             self.send(
                 member,
                 request,
-                size=_HEADER + 16,
+                size=costs.HEADER_BYTES + 16,
                 recv_cost=costs.MESSAGE_OVERHEAD + costs.ECDSA_VERIFY,
             )
         self._propose(self.view.without_member(self.node_id))
@@ -184,7 +182,8 @@ class ReconfigReplica(Node):
             self.send(
                 member,
                 proposal,
-                size=_HEADER + 32 + 8 * new_view.n + costs.SIGNATURE_BYTES,
+                size=(costs.HEADER_BYTES + 32 + 8 * new_view.n
+                      + costs.SIGNATURE_BYTES),
                 recv_cost=costs.MESSAGE_OVERHEAD + costs.ECDSA_VERIFY,
             )
         self._record_proposal(self.node_id, proposal)
@@ -237,7 +236,7 @@ class ReconfigReplica(Node):
             self.send(
                 member,
                 notice,
-                size=_HEADER + state,
+                size=costs.HEADER_BYTES + state,
                 recv_cost=(
                     costs.MESSAGE_OVERHEAD + costs.PER_BYTE_CPU * state
                 ),

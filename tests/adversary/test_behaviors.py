@@ -1,8 +1,8 @@
 """Every attack, on every applicable system, under live monitoring.
 
-The acceptance bar for the attack library: all five DESIGN §4 safety
-invariants hold at *correct* replicas while each attack runs, checked
-online by the :class:`InvariantMonitor` on a sub-second cadence plus a
+The acceptance bar for the attack library: all five safety invariants
+of ``repro.adversary.monitor`` hold at *correct* replicas while each
+attack runs, checked online by the :class:`InvariantMonitor` on a sub-second cadence plus a
 final post-run sample.  The forged-CREDIT and attacker-sized-signature
 attacks double as regression tests for the PR 5 hardening (first-arrival
 digest validation in ``DependencyCollector.add_credit``; O(1) tuple-shape

@@ -51,6 +51,32 @@ class TestAnalyticCapacity:
             for size in (4, 10, 31, 100):
                 assert analytic_capacity(system, size) > 0
 
+    def test_the_simulator_and_the_curve_read_one_cost_table(
+        self, monkeypatch
+    ):
+        """A per-payment cost has one owner, ``crypto.costs``: raising it
+        moves what a freshly built replica charges to settle a batch and
+        the analytic capacity alike."""
+        from repro.brb.batching import Batch
+        from repro.core.payment import Payment
+        from repro.crypto import costs
+
+        def settle_charge():
+            replica = build_astro2(4, seed=1).replicas[0]
+            charged = []
+            replica.charge = charged.append
+            batch = Batch([Payment("x", seq, "y", 1) for seq in (1, 2, 3)])
+            replica._deliver_batch(1, batch)
+            return charged
+
+        base = costs.SETTLE_PER_PAYMENT
+        before = (settle_charge(), analytic_capacity("astro2", 4))
+        assert before[0] == [3 * base]
+        monkeypatch.setattr(costs, "SETTLE_PER_PAYMENT", 2 * base)
+        after = (settle_charge(), analytic_capacity("astro2", 4))
+        assert after[0] == [3 * (2 * base)]
+        assert after[1] < before[1]
+
     def test_paper_ordering_at_scale(self):
         # §VI-C1: broadcast beats consensus, Astro II beats Astro I.
         for size in (10, 31, 100):

@@ -9,7 +9,6 @@ from repro.core.dependencies import (
     DependencyCertificate,
     DependencyCollector,
     _credit_from_wire,
-    certificate_wire_bytes,
     credit_content,
     subbatch_digest_of,
     verify_certificate,
@@ -142,8 +141,10 @@ class TestCertificateVerification:
         cert = DependencyCertificate(payments[0], 9, payments, signatures)
         assert not verify_certificate(cert, directory, keychain)
 
-    def test_wire_bytes(self):
-        assert certificate_wire_bytes(1) == 40 + 2 * 72
+    def test_wire_bytes(self, setup):
+        directory, keys = setup
+        cert = _certificate(keys, (Payment("alice", 1, "bob", 10),))
+        assert cert.wire_bytes == 40 + 2 * 72  # f+1 = 2 entries at f = 1
 
 
 class TestCertificateEquality:

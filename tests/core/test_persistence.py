@@ -18,6 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
+from repro.brb.batching import Batch
+from repro.brb.bracha import BrbEcho, BrbPrepare
+from repro.brb.signed import SbAck, SbPrepare
 from repro.core.astro2 import Astro2Replica
 from repro.core.payment import Payment
 from repro.core.persistence import (
@@ -31,6 +34,7 @@ from repro.core.persistence import (
     state_fingerprint,
     state_fingerprints,
 )
+from repro.crypto import costs
 from repro.transport.framing import encode_frame
 
 
@@ -620,6 +624,57 @@ def test_replay_without_snapshot_covers_whole_log(name, tmp_path):
     assert report.replayed > 0
     assert state_fingerprint(replica.state) == before
     _assert_projections_derived([replica])
+
+
+def _votes_for(replica, prepare_type, batch):
+    """The votes ``replica`` sends for ``batch`` PREPAREd by replica 0 as
+    its broadcast 1; sends are recorded, not delivered."""
+    node = replica.brb.node
+    sent = []
+    node.send = node.broadcast = lambda _dst, message, *_a, **_kw: (
+        sent.append(message)
+    )
+    size = costs.HEADER_BYTES + batch.size_bytes
+    replica.brb._handle_prepare(0, prepare_type(1, batch, size))
+    return sent
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: ACK/ECHO are not durable before they leave",
+)
+@pytest.mark.parametrize(
+    "name, prepare_type, vote_type",
+    [("astro2", SbPrepare, SbAck), ("astro1", BrbPrepare, BrbEcho)],
+)
+def test_a_recovered_replica_keeps_the_promise_it_made(
+    name, prepare_type, vote_type, tmp_path
+):
+    """Replica 1 votes for A from replica 0, and not for A' (same
+    spender and seq, another beneficiary); crashed and recovered, it must
+    still refuse A'.  One amnesiac correct replica in the intersection of
+    two quorums is enough for both payloads to deliver."""
+    system = SYSTEM_BUILDERS[name](4, seed=5)
+    _bind_all(system, tmp_path)
+    clients = client_ids_of(system)
+    spender = [c for c in clients if system.directory.rep_of(c) == 0][0]
+    first, second = [c for c in clients if c != spender][:2]
+    a = Batch([Payment(spender, 1, first, 1)])
+    a_prime = Batch([Payment(spender, 1, second, 1)])
+    replica = system.replicas[1]
+    votes = [m for m in _votes_for(replica, prepare_type, a)
+             if isinstance(m, vote_type)]
+    assert len(votes) == 1
+    assert not [m for m in _votes_for(replica, prepare_type, a_prime)
+                if isinstance(m, vote_type)]
+    assert replica._wal.wal.count == 0  # the promise left no record
+    for each in system.replicas:
+        each._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS[name](4, seed=5)
+    _bind_all(rebuilt, tmp_path)
+    votes = _votes_for(rebuilt.replicas[1], prepare_type, a_prime)
+    assert not [m for m in votes if isinstance(m, vote_type)]
 
 
 def test_replay_detects_fingerprint_divergence(tmp_path):

@@ -8,7 +8,6 @@ from repro.core.payment import Payment
 from repro.crypto import (
     CryptoError,
     Keychain,
-    MacAuthenticator,
     Signature,
     canonical,
     client_owner,
@@ -141,38 +140,6 @@ class TestSignatures:
         key = keychain.generate("signer")
         if m1 != m2:
             assert sign(key, m1) != sign(key, m2)
-
-
-class TestMac:
-    def test_tag_round_trip(self, keychain):
-        keychain.generate("a")
-        keychain.generate("b")
-        auth = MacAuthenticator(keychain)
-        tag = auth.tag("a", "b", "payload")
-        assert auth.verify(tag, "a", "b", "payload")
-
-    def test_tampered_payload_fails(self, keychain):
-        keychain.generate("a")
-        keychain.generate("b")
-        auth = MacAuthenticator(keychain)
-        tag = auth.tag("a", "b", "payload")
-        assert not auth.verify(tag, "a", "b", "other")
-
-    def test_wrong_pair_fails(self, keychain):
-        for owner in ("a", "b", "c"):
-            keychain.generate(owner)
-        auth = MacAuthenticator(keychain)
-        tag = auth.tag("a", "b", "payload")
-        assert not auth.verify(tag, "a", "c", "payload")
-
-    def test_either_endpoint_can_tag(self, keychain):
-        keychain.generate("a")
-        keychain.generate("b")
-        auth = MacAuthenticator(keychain)
-        tag_ab = auth.tag("a", "b", "m")
-        tag_ba = auth.tag("b", "a", "m")
-        assert auth.verify(tag_ab, "a", "b", "m")
-        assert auth.verify(tag_ba, "b", "a", "m")
 
 
 class TestOwnerNaming:

@@ -1,4 +1,4 @@
-"""Property-based system invariants (DESIGN.md §4).
+"""Property-based system invariants (``repro.adversary.monitor``).
 
 Random workloads over random network schedules must preserve, at every
 correct replica of every system: conservation of value, non-negative

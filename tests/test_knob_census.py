@@ -107,3 +107,18 @@ def test_live_seams_take_no_default_argument_knobs():
         if parameter.default is not inspect.Parameter.empty
     }
     assert not defaulted
+
+
+def test_deployment_configs_carry_only_settings_callers_vary():
+    """A cost or calibration constant is the cost model's
+    (``repro.crypto.costs``), not a config field: each field here is one
+    that a caller sets."""
+    from dataclasses import fields
+
+    from repro.consensus.config import BftConfig
+    from repro.core.config import AstroConfig
+
+    # Growing this number needs two callers that want different values;
+    # with one value in use, make it a constant instead.
+    assert len(fields(AstroConfig)) == 8
+    assert len(fields(BftConfig)) == 7
