@@ -10,8 +10,9 @@ hands them to :meth:`~InvariantMonitor.sample`.  Every sample asserts:
 1. **non-negative balances** — no correct replica ever records a negative
    balance;
 2. **per-client sequence monotonicity** — each xlog is exactly
-   ``1..len``, ``sn[c] == len(xlog[c])`` moves in lockstep, and no xlog
-   ever shrinks between samples;
+   ``1..len`` (a view's xlog is columns whose positions are the seqs),
+   ``sn[c] == len(xlog[c])`` moves in lockstep, and no xlog ever shrinks
+   between samples;
 3. **double-spend freedom** — across every correct replica and every
    sample, a payment identifier ``(spender, seq)`` settles with at most
    one ``(beneficiary, amount)``;
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.xlog import columns_prefix
+
 __all__ = ["InvariantMonitor", "genesis_view", "replica_state_view"]
 
 #: Stop appending violation records past this many (a broken run can
@@ -52,13 +55,14 @@ View = Dict[str, Any]
 def replica_state_view(replica: Any) -> View:
     """Picklable capture of what the monitor checks of ``replica``:
     ``balances`` and ``seqnums`` (client → int), ``xlogs`` (client →
-    tuple of payments) and, for Astro II, ``used_deps`` (client → the
-    dependency ids it materialized)."""
+    :meth:`~repro.core.xlog.ExclusiveLog.columns`: the beneficiaries, the
+    amounts and the dependencies by seq) and, for Astro II, ``used_deps``
+    (client → the dependency ids it materialized)."""
     state = replica.state
     view: View = {
         "balances": dict(state.balances.items()),
         "seqnums": dict(state.seqnums.items()),
-        "xlogs": {owner: tuple(log) for owner, log in state.xlogs.items()},
+        "xlogs": {owner: log.columns() for owner, log in state.xlogs.items()},
     }
     used_deps = getattr(replica, "_used_deps", None)
     if used_deps is not None:
@@ -117,10 +121,11 @@ class InvariantMonitor:
             shard = directory.shard_of_replica(node_id) if directory else None
             groups.setdefault(shard, []).append(node_id)
         self._groups = list(groups.values())
-        #: Global settled-payment index: identifier -> (beneficiary,
-        #: amount).  Grows across replicas *and* samples, so a conflicting
-        #: late settle is caught against history.
-        self._payment_index: Dict[Any, Tuple[Any, int]] = {}
+        #: Global settled-payment index: spender -> the (beneficiaries,
+        #: amounts) columns first seen for each seq.  Grows across
+        #: replicas *and* samples, so a conflicting late settle is caught
+        #: against history.
+        self._payment_index: Dict[Any, Tuple[tuple, Any]] = {}
         #: (replica, dep_id) -> sample number first seen unresolved.
         self._dep_pending: Dict[Tuple[int, str], int] = {}
         #: What :meth:`watch` samples: replica objects and their clock.
@@ -238,42 +243,44 @@ class InvariantMonitor:
     ) -> None:
         seqnums = view["seqnums"]
         before = previous["xlogs"]
-        for client, log in view["xlogs"].items():
-            for position, payment in enumerate(log):
-                if payment.seq != position + 1:
-                    self._record(
-                        now, "sequence", replica=node_id,
-                        client=repr(client), expected=position + 1,
-                        got=payment.seq,
-                    )
-                    break
-            if seqnums.get(client, 0) != len(log):
+        for client, (beneficiaries, _, _) in view["xlogs"].items():
+            size = len(beneficiaries)
+            if seqnums.get(client, 0) != size:
                 self._record(
                     now, "sequence", replica=node_id,
                     client=repr(client), seqnum=seqnums.get(client, 0),
-                    xlog_len=len(log),
+                    xlog_len=size,
                 )
-            if len(log) < len(before.get(client, ())):
+            if client in before and size < len(before[client][0]):
                 self._record(
                     now, "sequence", replica=node_id,
-                    client=repr(client), shrank_from=len(before[client]),
-                    shrank_to=len(log),
+                    client=repr(client), shrank_from=len(before[client][0]),
+                    shrank_to=size,
                 )
 
     def _index_payments(self, now: float, node_id: int, view: View) -> None:
         index = self._payment_index
-        for log in view["xlogs"].values():
-            for payment in log:
-                seen = index.get(payment.identifier)
-                effect = (payment.beneficiary, payment.amount)
-                if seen is None:
-                    index[payment.identifier] = effect
-                elif seen != effect:
-                    self._record(
-                        now, "double_spend", replica=node_id,
-                        identifier=repr(payment.identifier),
-                        first=repr(seen), second=repr(effect),
-                    )
+        for client, (beneficiaries, amounts, _) in view["xlogs"].items():
+            known, known_amounts = index.get(client, ((), amounts[:0]))
+            size = min(len(known), len(beneficiaries))
+            if (
+                beneficiaries[:size] != known[:size]
+                or amounts[:size] != known_amounts[:size]
+            ):
+                for seq in range(1, size + 1):
+                    seen = (known[seq - 1], known_amounts[seq - 1])
+                    effect = (beneficiaries[seq - 1], amounts[seq - 1])
+                    if seen != effect:
+                        self._record(
+                            now, "double_spend", replica=node_id,
+                            identifier=repr((client, seq)),
+                            first=repr(seen), second=repr(effect),
+                        )
+            if len(beneficiaries) > len(known):
+                index[client] = (
+                    known + beneficiaries[size:],
+                    known_amounts + amounts[size:],
+                )
 
     def _check_conservation(self, now: float, node_id: int, view: View) -> None:
         balances = view["balances"]
@@ -293,12 +300,13 @@ class InvariantMonitor:
         # a balance minted for a client outside genesis is no less a
         # violation.
         for client in {**genesis, **balances}:
-            spent = sum(payment.amount for payment in xlogs.get(client, ()))
+            spent = sum(xlogs[client][1]) if client in xlogs else 0
             credited = 0
             unresolved = 0
             for dep_id in used_deps.get(client, ()):
-                effect = index.get(dep_id)
-                if effect is None:
+                spender, seq = dep_id
+                amounts = index.get(spender, ((), ()))[1]
+                if not 0 < seq <= len(amounts):
                     # No correct replica can (yet) vouch for this
                     # dependency.  Past the grace window it means a
                     # fabricated certificate was materialized.
@@ -312,7 +320,7 @@ class InvariantMonitor:
                     unresolved += 1
                     continue
                 self._dep_pending.pop((node_id, repr(dep_id)), None)
-                credited += effect[1]
+                credited += amounts[seq - 1]
             if unresolved and self.dep_grace > 0:
                 # Credits cannot be summed yet; re-check next sample.
                 continue
@@ -329,14 +337,14 @@ class InvariantMonitor:
             clients: Dict[Any, List[Tuple[Any, ...]]] = {}
             for node_id in group:
                 for client, log in self._views[node_id]["xlogs"].items():
-                    if log:
+                    if log[0]:
                         clients.setdefault(client, []).append(log)
             for client, logs in clients.items():
-                reference = max(logs, key=len)
+                longest = max(logs, key=lambda log: len(log[0]))
                 for log in logs:
-                    if log != reference[: len(log)]:
+                    if log != columns_prefix(longest, len(log[0])):
                         self._record(
                             now, "convergence", client=repr(client),
-                            lengths=[len(entry) for entry in logs],
+                            lengths=[len(entry[0]) for entry in logs],
                         )
                         break

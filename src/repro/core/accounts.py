@@ -455,11 +455,12 @@ class AccountState:
 
         The genesis prefix of the balance/seqnum slabs ships as raw int64
         bytes (O(16 bytes/account), no per-client PyObjects in the pickle),
-        with the rare post-genesis members and the non-empty xlogs spelled
-        out per client.
+        with the rare post-genesis members spelled out per client and the
+        non-empty xlogs as copies of their columns, per owner.
         """
         genesis_len = self._genesis_len
         clients = self._interner._clients
+        logs = [log for log in self._xlog_map.values() if log.beneficiaries]
 
         def _extras(slab: array, members: Dict[int, None]) -> List[Any]:
             length = len(slab)
@@ -475,11 +476,9 @@ class AccountState:
             "extra_balances": _extras(self._bal, self._extra_bal),
             "extra_seqnums": _extras(self._seq, self._extra_seq),
             "xlog_extras": [clients[index] for index in self._extra_xlog],
-            "xlog_entries": {
-                log.owner: list(log._entries)
-                for log in self._xlog_map.values()
-                if log._entries
-            },
+            "xlog_beneficiaries": {log.owner: list(log.beneficiaries) for log in logs},
+            "xlog_amounts": {log.owner: log.amounts[:] for log in logs},
+            "xlog_deps": {log.owner: dict(log.deps) for log in logs if log.deps},
         }
 
     def refill(self, data: Mapping[str, Any]) -> None:
@@ -503,8 +502,12 @@ class AccountState:
             self.seqnums[client] = value
         for owner in data["xlog_extras"]:
             self.xlog(owner)
-        for owner, entries in data["xlog_entries"].items():
-            self.xlog(owner)._entries = list(entries)
+        deps = data["xlog_deps"]
+        for owner, beneficiaries in data["xlog_beneficiaries"].items():
+            log = self.xlog(owner)
+            log.beneficiaries[:] = beneficiaries
+            log.amounts[:] = data["xlog_amounts"][owner]
+            log.deps.update(deps.get(owner, ()))
 
     # ------------------------------------------------------------------
     # Introspection (tests, invariants)

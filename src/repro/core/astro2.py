@@ -99,7 +99,9 @@ class Astro2Replica(AstroReplicaBase):
         #: Payments held until the projected balance covers them.
         self._held: Dict[ClientId, Deque[Payment]] = {}
         # --- replica-side state (Listings 6, 9) ---
-        #: Payment-identifier conflict log backing the ACK guard.
+        #: The ACK guard's identifier -> core of the payments ACKed and not
+        #: settled (in flight, awaiting a predecessor, or rejected); a
+        #: settled one is answered by its xlog.
         self._seen_payments: Dict[PaymentId, tuple] = {}
         #: usedDeps (Listing 9 l.39): materialized dependency ids per
         #: client.  A set kept as an insertion-ordered dict: it only
@@ -156,13 +158,21 @@ class Astro2Replica(AstroReplicaBase):
         """
         rep_get = self._rep_map.get
         seen = self._seen_payments
+        settled = self.state.seqnums.get
+        unsettled = []
         for payment in batch.items:
-            if rep_get(payment.spender) != origin:
+            spender = payment.spender
+            if rep_get(spender) != origin:
                 return False
+            if payment.seq <= settled(spender, 0):
+                if self.state.xlog(spender)[payment.seq - 1].core != payment.core:
+                    return False
+                continue
             previous = seen.get(payment.identifier)
             if previous is not None and previous != payment.core:
                 return False
-        for payment in batch.items:
+            unsettled.append(payment)
+        for payment in unsettled:
             seen[payment.identifier] = payment.core
         return True
 
@@ -327,6 +337,7 @@ class Astro2Replica(AstroReplicaBase):
             self.rejected.append(payment)
             return None
         self.settled_count += 1
+        self._seen_payments.pop(payment.identifier, None)
         self._credit_buffer.append(payment)
         if self._rep_map.get(spender) == self.node_id:
             self._confirm(payment)
@@ -481,7 +492,7 @@ class Astro2Replica(AstroReplicaBase):
         data = super()._snapshot_data()
         # State WAL replay cannot rebuild (CREDIT aggregation is cumulative;
         # projections are derived), pickled via the ``__reduce__`` wire
-        # forms.  ``seen_payments`` guards ACKed, undelivered payments;
+        # forms.  ``seen_payments`` guards ACKed, unsettled payments;
         # deriving ``used_deps`` would re-verify every certificate.
         data["deps"] = {c: list(certs) for c, certs in self._deps.items()}
         data["held"] = {c: list(q) for c, q in self._held.items()}
@@ -509,16 +520,14 @@ class Astro2Replica(AstroReplicaBase):
         super()._finish_recovery()
         # A held payment was accepted: a retry of it must not be.
         self._accept_through(p.identifier for q in self._held.values() for p in q)
-        # Rebuild the ACK-guard conflict log from every payment this
-        # replica durably knows.  Payments ACKed after the last WAL record
-        # are forgotten, and that is a known safety gap (ROADMAP item 1):
-        # two ACK quorums share f+1 replicas, and with f Byzantine ones
-        # among them this replica may be the only correct one, so ACKing a
-        # conflicting payload after recovery lets both deliver.
+        # Guard every unsettled payment this replica durably knows (the
+        # xlogs answer for the settled ones).  Payments ACKed after the
+        # last WAL record are forgotten, and that is a known safety gap
+        # (ROADMAP item 1): two ACK quorums share f+1 replicas, and with f
+        # Byzantine ones among them this replica may be the only correct
+        # one, so ACKing a conflicting payload after recovery lets both
+        # deliver.
         seen = self._seen_payments
-        for log in self.state.xlogs.values():
-            for payment in log._entries:
-                seen.setdefault(payment.identifier, payment.core)
         unsettled: Dict[ClientId, List[Payment]] = {}
         queues = [queue.values() for queue in self._awaiting_seq.values()]
         queues += [batch.items for batch in self._launched_pending.values()]

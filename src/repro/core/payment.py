@@ -46,11 +46,13 @@ class Payment:
     excluded from the canonical form, so it never affects digests or
     signatures.
 
-    Payments are immutable, and every replica's xlogs keep each settled
-    one for good, so an instance holds what is read per payment (the
-    identifier, core tuple, wire size and memoized core digest) and
-    shares its interned string ids with every payment naming them.  The
-    full canonical form and digest are computed on demand.
+    Payments are immutable.  An instance lives while its payment is in
+    flight (batches, WAL records, CREDIT sub-batches); an xlog keeps a
+    settled one as two column cells and rebuilds it on demand.  It holds
+    what is read per payment (the identifier, core tuple, wire size and
+    memoized core digest) and shares its interned string ids with every
+    payment, and xlog column, naming them.  The full canonical form and
+    digest are computed on demand.
     """
 
     __slots__ = (

@@ -13,12 +13,12 @@ written:
 * **checkpoints**, which bound replay time.  Every 256 records the
   replica's capture is appended as one ``("checkpoint", body)`` record:
   ``body`` pickles the head state whole (slabs, collector, pending
-  certificates, queues, the BRB layer's delivery frontier, counters) and
-  each grow-only history (:data:`HISTORIES`: xlogs, the ACK guard's
-  payment log, ``usedDeps``) as the tail added since the previous
-  checkpoint (projections are derived).  A checkpoint writes what
-  changed, not what exists, and its position in the log is what it
-  covers.
+  certificates, queues, the ACK guard's unsettled payments, the BRB
+  layer's delivery frontier, counters) and each grow-only history
+  (:data:`HISTORIES`: the xlogs' columns, ``usedDeps``) as the tail
+  added since the previous checkpoint (projections are derived).  A
+  checkpoint writes what changed, not what exists, and its position in
+  the log is what it covers.
 
 The log is never truncated, because its delivery history doubles as the
 serving side of the peer **catch-up** protocol a restarted replica uses
@@ -50,6 +50,7 @@ import hashlib
 import os
 import pickle
 import struct
+from array import array
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -114,7 +115,7 @@ def _genesis_digest(state: AccountState) -> str:
 
 
 #: The one snapshot encoding :func:`restore_account_state` accepts.
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 
 def snapshot_account_state(state: AccountState) -> Dict[str, Any]:
@@ -254,15 +255,16 @@ class WriteAheadLog:
             self._file = None
 
 
-#: The grow-only histories of a replica capture, by their path in it,
-#: mapped to whether they are *keyed* (a dict of histories, one per
-#: owner) or flat.  A history is a list or an insertion-ordered dict that
-#: is only ever appended to, so "what was written" is a length.
-HISTORIES: Dict[Tuple[str, ...], bool] = {
-    ("account", "xlog_entries"): True,  # owner -> settled payments
-    ("seen_payments",): False,  # Astro II ACK guard: identifier -> core
-    ("used_deps",): True,  # Astro II usedDeps: client -> {dep_id: None}
-}
+#: The grow-only histories of a replica capture, by their path in it:
+#: dicts of one history per owner.  A history is a list, an array or an
+#: insertion-ordered dict that is only ever appended to, so "what was
+#: written" is a length.
+HISTORIES: Tuple[Tuple[str, ...], ...] = (
+    ("account", "xlog_beneficiaries"),  # owner -> beneficiary per seq
+    ("account", "xlog_amounts"),  # owner -> int64 amount per seq
+    ("account", "xlog_deps"),  # owner -> {seq: certificates}
+    ("used_deps",),  # Astro II usedDeps: client -> {dep_id: None}
+)
 
 #: Kind of a checkpoint record: ``("checkpoint", body)``.
 _CHECKPOINT = "checkpoint"
@@ -292,9 +294,9 @@ def _tail(history: Any, start: int) -> Any:
             f"a grow-only history shrank from {start} to {len(history)} "
             "items since the last checkpoint"
         )
-    if isinstance(history, list):
-        return history[start:]
-    return dict(islice(history.items(), start, None))
+    if isinstance(history, dict):
+        return dict(islice(history.items(), start, None))
+    return history[start:]
 
 
 def _grow(have: Any, start: int, tail: Any) -> Any:
@@ -305,24 +307,24 @@ def _grow(have: Any, start: int, tail: Any) -> Any:
             f"checkpoint tail starts at item {start} but the folded "
             f"history holds {size}"
         )
-    if type(tail) not in (list, dict) or (
+    if type(tail) not in (list, array, dict) or (
         have is not None and type(have) is not type(tail)
     ):
         raise WalCorruption(f"checkpoint tail is a {type(tail).__name__}")
     if have is None:
-        have = type(tail)()
-    if isinstance(have, list):
-        have.extend(tail)
-    else:
+        have = tail
+    elif isinstance(have, dict):
         have.update(tail)
+    else:
+        have.extend(tail)
     if len(have) != start + len(tail):
         raise WalCorruption("checkpoint tail repeats an item it continues")
     return have
 
 
 def _fold_history(path: Tuple[str, ...], have: Any, tail: Any) -> Any:
-    if not HISTORIES[path]:
-        return _grow(have, *tail)
+    if path not in HISTORIES:
+        raise WalCorruption(f"checkpoint tail of an unknown history {path}")
     have = {} if have is None else have
     for owner, (start, items) in tail.items():
         have[owner] = _grow(have.get(owner), start, items)
@@ -376,8 +378,7 @@ class ReplicaStore:
         #: ``(count, valid bytes)`` of the WAL as :meth:`recover` read it,
         #: for :meth:`finish_recovery` to append after.
         self._scanned: Optional[Tuple[int, int]] = None
-        #: Items of each history the log's checkpoints hold: a count per
-        #: flat history, a count per owner per keyed one.
+        #: Items of each history the log's checkpoints hold, per owner.
         self._written: Dict[Tuple[str, ...], Any] = {}
 
     # -- recovery ------------------------------------------------------
@@ -399,11 +400,7 @@ class ReplicaStore:
             valid = end
         self._scanned = (count, valid)
         self._written = {
-            path: (
-                {owner: len(items) for owner, items in history.items()}
-                if HISTORIES[path]
-                else len(history)
-            )
+            path: {owner: len(items) for owner, items in history.items()}
             for path, history in histories.items()
         }
         return capture, records
@@ -473,20 +470,15 @@ class ReplicaStore:
 
         ``body`` is ``(head, tails)``: ``data`` minus its
         :data:`HISTORIES`, whole, and per history the ``(start, items)``
-        it gained since the log's previous checkpoint (per owner for a
-        keyed one, which lists only the owners that are new or grew).
+        each owner gained since the log's previous checkpoint (only the
+        owners that are new or grew).
         """
         head = dict(data)
         tails: Dict[Tuple[str, ...], Any] = {}
         written = dict(self._written)
-        for path, keyed in HISTORIES.items():
+        for path in HISTORIES:
             history = _detach(head, path)
             if history is _ABSENT:
-                continue
-            if not keyed:
-                start = written.get(path, 0)
-                tails[path] = (start, _tail(history, start))
-                written[path] = len(history)
                 continue
             marks = written.get(path, {})
             if not marks.keys() <= history.keys():

@@ -366,11 +366,11 @@ class Astro2System(_AstroSystemBase):
         for shard, replica in reference.items():
             total += replica.state.total_balance()
             for xlog in replica.state.xlogs.values():
-                for payment in xlog:
-                    beneficiary = payment.beneficiary
+                effects = zip(xlog.beneficiaries, xlog.amounts)
+                for seq, (beneficiary, amount) in enumerate(effects, 1):
                     ben_shard = self.directory.shard_of_client(beneficiary)
                     ben_replica = reference[ben_shard]
                     used = ben_replica._used_deps.get(beneficiary, ())
-                    if payment.identifier not in used:
-                        outstanding += payment.amount
+                    if (xlog.owner, seq) not in used:
+                        outstanding += amount
         return total + outstanding

@@ -13,8 +13,9 @@ its quorum state by payload digest), so this module is written for CPython
 speed:
 
 * ``digest`` consults a per-object ``cached_digest`` attribute first; a
-  batch memoizes it, over its payments' digests (computed on demand, as
-  xlogs keep payments for good), so a batch is hashed once;
+  batch memoizes it, over its payments' digests (computed on demand, not
+  memoized: the batch's digest is the one read again), so a batch is
+  hashed once;
 * ``canonical`` dispatches on exact class identity and returns tuples of
   primitives *unchanged*, avoiding the recursive re-canonicalization the
   original implementation performed on every call.

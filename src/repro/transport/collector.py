@@ -1,9 +1,10 @@
 """Collector policy for the live loop: full collections are paced.
 
-A live replica keeps every client's xlog: its heap is retained, *acyclic*
-history, which CPython re-traverses in an oldest-generation collection
-whenever it has grown by a quarter, finding nothing — a fifth of
-``live_uniform``'s closed-loop wall time.  The payment path allocates no
+A live replica's heap is mostly retained, *acyclic* state, which CPython
+re-traverses in an oldest-generation collection whenever it has grown by
+a quarter, finding nothing.  Xlogs keep columns, not an object graph per
+settled payment, yet unpaced full collections still cost ``live_uniform``
+13 % of its closed-loop ``pps``.  The payment path allocates no
 reference cycles (``tests/transport/test_collector.py`` pins that, as
 ``tests/sim/test_collector_policy.py`` does for the simulator, whose own
 policy — off inside ``Simulator.run`` — touches disjoint state).

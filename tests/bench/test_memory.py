@@ -1,9 +1,9 @@
 """What a settled payment holds at a replica that decoded it.
 
 Every replica keeps every settled payment in its spender's xlog, so the
-bytes one holds are multiplied by the whole history: a payment shares
-its client ids with every other payment naming them, and keeps no
-canonical form or full digest once its batch's digest is read.
+bytes one holds are multiplied by the whole history: the xlog keeps the
+payment as columns — its beneficiary, shared with every other payment
+naming it, and its amount — and no ``Payment`` object outlives its batch.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from repro.brb.batching import Batch
 from repro.core.payment import Payment
 from repro.transport.framing import decode_exactly_one, encode_frame
 
-#: Ceiling on tracemalloc bytes per settled decoded payment, its xlog
-#: slot included (≈ 293 measured): a payment that keeps its own id
-#: strings, or its canonical form and full digest, exceeds it.
-MAX_BYTES_PER_PAYMENT = 300
+#: Ceiling on tracemalloc bytes per settled decoded payment (≈ 35
+#: measured: a beneficiary slot and an int64 amount, with the columns'
+#: overallocation): an xlog that keeps the ``Payment``, or anything per
+#: payment beside its two cells, exceeds it.
+MAX_BYTES_PER_PAYMENT = 48
 
 
-def test_a_settled_decoded_payment_holds_at_most_300_bytes():
+def test_a_settled_decoded_payment_holds_at_most_48_bytes():
     assert measure_bytes_per_payment() <= MAX_BYTES_PER_PAYMENT
 
 

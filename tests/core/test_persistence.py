@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,20 +250,29 @@ def _expected_recovery(entries):
 def test_checkpoint_log_folds_to_the_last_complete_checkpoint(
     ops, ending, cut
 ):
-    """Any interleaving of records, history growth and checkpoints in one
-    WAL recovers to exactly the capture of the last complete checkpoint
-    and the records after it.  A torn last record — a checkpoint or not —
+    """Any interleaving of records, history growth (lists, arrays and
+    dicts; the ACK guard's map is head state) and checkpoints in one WAL
+    recovers to exactly the capture of the last complete checkpoint and
+    the records after it.  A torn last record — a checkpoint or not —
     leaves the log before it standing (and is cut off by the next
     append); a damaged header mid-file is refused outright."""
     xlogs = {f"owner-{k}": [] for k in range(4)}
     seen, used, head = {}, {}, 0
 
     def capture():
+        grown = {o: e for o, e in xlogs.items() if e}
         return {
             "account": {
-                "format": 2,
+                "format": 3,
                 "balances": bytes([head]) * 8,
-                "xlog_entries": {o: list(e) for o, e in xlogs.items() if e},
+                "xlog_beneficiaries": {o: list(e) for o, e in grown.items()},
+                "xlog_amounts": {
+                    o: array("q", range(len(e))) for o, e in grown.items()
+                },
+                "xlog_deps": {
+                    o: {s: ("cert", s) for s in range(3, len(e) + 1, 3)}
+                    for o, e in grown.items() if len(e) >= 3
+                },
             },
             "seen_payments": dict(seen),
             "used_deps": {c: dict(d) for c, d in used.items()},
@@ -450,7 +460,7 @@ def _populated_state():
     return state
 
 
-def test_array_snapshot_roundtrip_format2():
+def test_array_snapshot_roundtrip_format3():
     from repro.core.accounts import AccountState
     from repro.core.persistence import (
         restore_account_state,
@@ -459,10 +469,13 @@ def test_array_snapshot_roundtrip_format2():
 
     state = _populated_state()
     payload = pickle.loads(pickle.dumps(snapshot_account_state(state)))
-    assert payload["format"] == 2
+    assert payload["format"] == 3
     # Genesis accounts ship as raw slab bytes, not per-client entries.
     assert isinstance(payload["balances"], bytes)
     assert len(payload["balances"]) == 8 * payload["genesis_len"]
+    # Xlogs ship as their columns, not as payments.
+    assert payload["xlog_beneficiaries"]["client-2"] == ["client-0", "client-4"]
+    assert payload["xlog_amounts"]["client-2"] == array("q", [7, 3])
 
     target = AccountState({f"client-{i}": 100 for i in range(6)})
     restore_account_state(target, payload)
@@ -485,7 +498,7 @@ def test_array_snapshot_rejects_mismatched_genesis():
         restore_account_state(other, payload)
 
 
-@pytest.mark.parametrize("tag", ["missing", 1, 3, "2"])
+@pytest.mark.parametrize("tag", ["missing", 1, 2, "3"])
 def test_snapshot_unsupported_format_rejected_untouched(tag):
     from repro.core.persistence import (
         restore_account_state,
@@ -1114,8 +1127,9 @@ def test_fresh_snapshot_is_small_and_holds_no_key_material():
     for derived in ("projected", "attached_projection", "verified_certs"):
         assert derived not in data
     assert set(HISTORIES) == {
-        ("account", "xlog_entries"),
-        ("seen_payments",),
+        ("account", "xlog_beneficiaries"),
+        ("account", "xlog_amounts"),
+        ("account", "xlog_deps"),
         ("used_deps",),
     }
     blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1150,6 +1164,40 @@ def test_snapshot_holding_a_collector_object_is_refused_untouched(tmp_path):
     assert state_fingerprint(rebuilt.state) == before
     assert rebuilt._collector is collector
     assert collector.minted_subbatches == 0
+
+
+def test_a_checkpoint_of_the_payment_object_format_is_refused_untouched(
+    tmp_path,
+):
+    """What format 2 wrote: xlogs as lists of payments and the ACK
+    guard's map as a grow-only history, both as tails.  Recovery refuses
+    it before the account state is touched (a format-2 account capture
+    alone is refused by ``restore_account_state``, above)."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=10_000)
+    _run_workload(system, 12)
+    writer = system.replicas[0]
+    head = writer._snapshot_data()
+    account = head["account"] = dict(head["account"], format=2)
+    for key in ("xlog_beneficiaries", "xlog_amounts", "xlog_deps"):
+        del account[key]
+    entries = {o: list(log) for o, log in writer.state.xlogs.items() if log}
+    tails = {
+        ("account", "xlog_entries"): {o: (0, e) for o, e in entries.items()},
+        ("seen_payments",): (0, {("client-0", 1): ("client-0", 1, "x", 1)}),
+        ("used_deps",): {},
+    }
+    writer._wal.wal.append(("checkpoint", pickle.dumps((head, tails))))
+    for replica in system.replicas:
+        replica._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5).replicas[0]
+    before = state_fingerprint(rebuilt.state)
+    with pytest.raises(WalCorruption, match="unknown history"):
+        rebuilt.bind_persistence(ReplicaStore(str(tmp_path), rebuilt.node_id))
+    assert state_fingerprint(rebuilt.state) == before
+    assert not any(rebuilt.state.xlogs.values())
+    assert rebuilt._seen_payments == {}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+from array import array
 from typing import Any, Dict, List
 
 import pytest
@@ -23,7 +24,6 @@ from repro.adversary.monitor import (
     replica_state_view,
 )
 from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
-from repro.core.payment import Payment
 from repro.core.persistence import state_fingerprint
 from repro.sim.events import Simulator
 from repro.sim.faults import FaultInjector
@@ -426,7 +426,7 @@ def _crediting_view() -> Dict[str, Any]:
     return {
         "balances": {"a": 100, "z": 95},
         "seqnums": {"z": 1},
-        "xlogs": {"z": (Payment("z", 1, "a", 5),)},
+        "xlogs": {"z": (("a",), array("q", [5]), {})},
         "used_deps": {},
     }
 
