@@ -29,13 +29,8 @@ SEED = 0
 
 def _deps_settled(system) -> int:
     """Settled payments carrying dependency certificates (replica 0)."""
-    replica = system.replicas[0]
-    return sum(
-        1
-        for xlog in replica.state.xlogs.values()
-        for payment in xlog
-        if payment.deps
-    )
+    accounts = system.replicas[0].state.accounts()
+    return sum(len(xlog.deps) for _, _, _, xlog in accounts)
 
 
 def test_workload_sweep(scale, monkeypatch):

@@ -53,16 +53,17 @@ View = Dict[str, Any]
 
 
 def replica_state_view(replica: Any) -> View:
-    """Picklable capture of what the monitor checks of ``replica``:
+    """Picklable capture of what the monitor checks of ``replica``, over
+    the members of its state (:meth:`~repro.core.accounts.AccountState.accounts`):
     ``balances`` and ``seqnums`` (client → int), ``xlogs`` (client →
     :meth:`~repro.core.xlog.ExclusiveLog.columns`: the beneficiaries, the
     amounts and the dependencies by seq) and, for Astro II, ``used_deps``
     (client → the dependency ids it materialized)."""
-    state = replica.state
+    accounts = list(replica.state.accounts())
     view: View = {
-        "balances": dict(state.balances.items()),
-        "seqnums": dict(state.seqnums.items()),
-        "xlogs": {owner: log.columns() for owner, log in state.xlogs.items()},
+        "balances": {client: balance for client, balance, _, _ in accounts},
+        "seqnums": {client: seqnum for client, _, seqnum, _ in accounts},
+        "xlogs": {client: log.columns() for client, _, _, log in accounts},
     }
     used_deps = getattr(replica, "_used_deps", None)
     if used_deps is not None:

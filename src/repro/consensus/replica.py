@@ -17,7 +17,8 @@ re-proposal choice prefers write-certified values (sufficient for the
 single-leader-failure scenarios evaluated, where decided values always
 carry write certificates in the collected state); checkpoints/garbage
 collection are omitted; request retransmission is unnecessary because the
-simulated network never loses messages between correct replicas.
+simulated network never loses messages between correct replicas.  The
+baseline runs in the simulator only, so it keeps no durable state.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from ..transport.endpoint import ProtocolEndpoint
 from ..transport.interface import Transport
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment, PaymentId
-from ..core.replica import Recoverable
 from .config import BftConfig
 from .ledger import PaymentLedger
 from .messages import (
@@ -67,7 +67,7 @@ class _Instance:
         self.decided = False
 
 
-class BftReplica(Recoverable, ProtocolEndpoint):
+class BftReplica(ProtocolEndpoint):
     """One replica of the consensus-based payment system.
 
     A plain protocol object over a
@@ -319,14 +319,9 @@ class BftReplica(Recoverable, ProtocolEndpoint):
     # Execution
     # ------------------------------------------------------------------
     def _execute_ready(self) -> None:
-        wal = self._wal
         while self._last_executed + 1 in self._decided_batches:
             self._last_executed += 1
             batch = self._decided_batches[self._last_executed]
-            if wal is not None:
-                # Write-ahead: the decided slot is durable before its
-                # payments touch the ledger.
-                wal.record(("exec", self._last_executed, batch))
             self.charge(
                 (costs.SETTLE_PER_PAYMENT + costs.BFT_REPLY)
                 * batch.batch_items
@@ -334,8 +329,6 @@ class BftReplica(Recoverable, ProtocolEndpoint):
             for payment in batch:
                 self._pending.pop(payment.identifier, None)
                 self.ledger.apply(payment)
-        if wal is not None:
-            self._wal_checkpoint()
 
     def _on_settle(self, payment: Payment) -> None:
         self.executed_count += 1
@@ -526,45 +519,6 @@ class BftReplica(Recoverable, ProtocolEndpoint):
                 if key not in reproposed:
                     self._request_queue.append(payment)
             self._schedule_flush()
-
-    # ------------------------------------------------------------------
-    # Durable state & crash recovery (live cluster only)
-    #
-    # The consensus baseline logs one ``exec`` record per decided slot
-    # (write-ahead of execution); replay re-applies the slots past the
-    # snapshot in order.
-    # ------------------------------------------------------------------
-    def _replay_record(self, record: Tuple[Any, ...]) -> None:
-        if record[0] != "exec":
-            super()._replay_record(record)
-        elif record[1] > self._last_executed:
-            self._last_executed = record[1]
-            for payment in record[2]:
-                self.ledger.apply(payment)
-
-    def _snapshot_data(self) -> Dict[str, Any]:
-        data = super()._snapshot_data()
-        ledger = self.ledger
-        data.update(
-            settled_count=ledger.settled_count,
-            waiting={c: dict(q) for c, q in ledger._awaiting_seq.items()},
-            last_executed=self._last_executed,
-            executed_count=self.executed_count,
-        )
-        return data
-
-    def _restore_snapshot(self, data: Dict[str, Any]) -> None:
-        super()._restore_snapshot(data)
-        ledger = self.ledger
-        ledger.settled_count = data["settled_count"]
-        ledger._awaiting_seq = {c: dict(q) for c, q in data["waiting"].items()}
-        self._last_executed = data["last_executed"]
-        self.executed_count = data["executed_count"]
-
-    def _finish_recovery(self) -> None:
-        # Slots above the replayed frontier must be re-decided; the
-        # ordering protocol (or a view change) re-proposes them.
-        self._next_propose = max(self._next_propose, self._last_executed + 1)
 
     # ------------------------------------------------------------------
     # Introspection

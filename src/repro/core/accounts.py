@@ -2,31 +2,26 @@
 
 This is the local state every replica maintains (Listing 2):
 ``sn[..]`` (last settled sequence number per client), ``bal[..]``
-(balances), and ``xlogs[..]``.  The same structure backs Astro I,
-Astro II, and the consensus baseline — the systems differ in *how* they
-agree on what to apply, not in the applied state.
+(balances), and ``xlogs[..]``, over one set of clients.  The same
+structure backs Astro I, Astro II, and the consensus baseline — the
+systems differ in *how* they agree on what to apply, not in the applied
+state.
 
-Storage layout (the millions-of-users refactor): client ids are interned
-to dense int indices (:class:`~repro.core.interning.ClientInterner`,
-typically shared by all replicas of a system), and balances and sequence
-numbers live in flat ``array('q')`` slabs — 16 bytes per client per
-replica instead of one PyObject constellation per client.  Xlogs are
-materialized lazily: most of 10⁶ accounts never transact in a run, so an
-unmaterialized member reads as an empty log.  The ``balances`` /
-``seqnums`` / ``xlogs`` attributes remain dict-like views with the exact
-key set and insertion-order iteration of the former plain dicts, so
-every consumer — invariant monitors, auditors, fingerprints, tests —
-observes byte-identical behavior.
+Storage layout: client ids are interned to dense int indices
+(:class:`~repro.core.interning.ClientInterner`, typically shared by all
+replicas of a system), and balances and sequence numbers live in two
+flat ``array('q')`` slabs of equal length — 16 bytes per client per
+replica.  The members are the genesis clients (indices
+``0 .. _genesis_len-1``, implicit) and then, in the order they joined,
+every client the state was written for since: a credited beneficiary, a
+spender, a registered client.  Reads (:meth:`~AccountState.balance`,
+:meth:`~AccountState.seqnum`, :meth:`~AccountState.xlog`,
+:meth:`~AccountState.accounts`) never make a client a member.  Xlogs are
+materialized lazily: most of 10⁶ accounts never transact in a run, and a
+member without a log reads as an empty one.
 
-Invariants the views rely on: (i) a slab slot of a *non-member* index is
-always 0, so ``get(client, 0)`` and arithmetic reads skip membership
-checks entirely; (ii) :class:`AccountState` mutates its slabs and member
-dicts **in place and never rebinds them** — ``balances``/``seqnums`` hold
-the ``array('q')``, the member dict and the interner's index dict
-themselves (one attribute hop fewer on ``seqnums.get``, which the
-replicas' delivery and drain loops call per payment), so a snapshot
-restore goes through :meth:`AccountState.refill` (empty and refill), and
-no module outside this one assigns a store attribute.
+A slab slot of a non-member index is always 0, so point reads and the
+balance total skip membership checks.
 
 Values are int64: balances and sequence numbers beyond ±2⁶³ raise
 ``OverflowError`` (every existing workload stays ≤ ~10¹⁵).
@@ -35,15 +30,8 @@ Values are int64: balances and sequence numbers beyond ±2⁶³ raise
 from __future__ import annotations
 
 from array import array
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from itertools import chain, islice
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .interning import ClientInterner
 from .payment import ClientId, Payment
@@ -52,210 +40,17 @@ from .xlog import ExclusiveLog
 __all__ = ["AccountState"]
 
 
-def _zero_extend(slab: array, index: int) -> None:
-    """Grow ``slab`` in place so ``index`` is addressable (zero-filled)."""
-    slab.frombytes(bytes(8 * (index + 1 - len(slab))))
-
-
-class _SlabView:
-    """Dict-like view over one int64 slab — ``balances`` or ``seqnums``.
-
-    Holds the slab, the post-genesis member dict and the interner's index
-    dict *directly* (``seqnums.get`` runs once per delivered payment), so
-    it stays valid only because :class:`AccountState` never rebinds them.
-    Key set and iteration order match the former plain dicts: genesis
-    clients first, then post-genesis members in first-touch order.
-    """
-
-    __slots__ = ("_state", "_slab", "_extra", "_index", "_genesis_len")
-
-    def __init__(
-        self, state: "AccountState", slab: array, extra: Dict[int, None]
-    ) -> None:
-        self._state = state
-        self._slab = slab
-        self._extra = extra
-        self._index = state._interner._index
-        self._genesis_len = state._genesis_len
-
-    def _indices(self) -> Iterator[int]:
-        yield from range(self._genesis_len)
-        yield from self._extra
-
-    def __len__(self) -> int:
-        return self._genesis_len + len(self._extra)
-
-    def __contains__(self, client: ClientId) -> bool:
-        index = self._index.get(client)
-        if index is None:
-            return False
-        return index < self._genesis_len or index in self._extra
-
-    def __iter__(self) -> Iterator[ClientId]:
-        clients = self._state._interner._clients
-        for index in self._indices():
-            yield clients[index]
-
-    def keys(self) -> List[ClientId]:
-        return list(self)
-
-    def values(self) -> List[int]:
-        slab = self._slab
-        length = len(slab)
-        return [
-            slab[index] if index < length else 0
-            for index in self._indices()
-        ]
-
-    def items(self) -> List[Tuple[ClientId, int]]:
-        clients = self._state._interner._clients
-        slab = self._slab
-        length = len(slab)
-        return [
-            (clients[index], slab[index] if index < length else 0)
-            for index in self._indices()
-        ]
-
-    def __getitem__(self, client: ClientId) -> int:
-        index = self._index.get(client)
-        if index is None or not (
-            index < self._genesis_len or index in self._extra
-        ):
-            raise KeyError(client)
-        slab = self._slab
-        return slab[index] if index < len(slab) else 0
-
-    def get(self, client: ClientId, default: Optional[int] = None):
-        index = self._index.get(client)
-        if index is None:
-            return default
-        slab = self._slab
-        value = slab[index] if index < len(slab) else 0
-        if value == 0 and not (
-            index < self._genesis_len or index in self._extra
-        ):
-            return default
-        return value
-
-    def __setitem__(self, client: ClientId, value: int) -> None:
-        state = self._state
-        index = state._interner.intern(client)
-        slab = self._slab
-        if index >= len(slab):
-            _zero_extend(slab, index)
-        if index >= self._genesis_len and index not in self._extra:
-            self._extra[index] = None
-            # Only a new ``seqnums`` member changes the snapshot order;
-            # dropping the cache for a new balance member too is harmless.
-            state._snap_order = None
-        slab[index] = value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _SlabView):
-            other = dict(other.items())
-        if isinstance(other, Mapping):
-            return dict(self.items()) == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_SlabView({dict(self.items())!r})"
-
-
-class _XlogsView:
-    """Dict-like view over lazily materialized xlogs.
-
-    Key set and order match the former eager dict: genesis clients
-    first, then post-genesis additions in first-registration order.
-    ``[client]`` materializes a persistent log (mutations stick);
-    iteration yields transient empty logs for members that never
-    transacted, so sampling 10⁶ idle accounts allocates nothing lasting.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: "AccountState") -> None:
-        self._state = state
-
-    def _indices(self) -> Iterator[int]:
-        st = self._state
-        yield from range(st._genesis_len)
-        yield from st._extra_xlog
-
-    def __len__(self) -> int:
-        st = self._state
-        return st._genesis_len + len(st._extra_xlog)
-
-    def __contains__(self, client: ClientId) -> bool:
-        st = self._state
-        index = st._interner._index.get(client)
-        if index is None:
-            return False
-        return index < st._genesis_len or index in st._extra_xlog
-
-    def __iter__(self) -> Iterator[ClientId]:
-        clients = self._state._interner._clients
-        for index in self._indices():
-            yield clients[index]
-
-    def keys(self) -> List[ClientId]:
-        return list(self)
-
-    def values(self) -> List[ExclusiveLog]:
-        return [log for _, log in self.items()]
-
-    def items(self) -> List[Tuple[ClientId, ExclusiveLog]]:
-        st = self._state
-        clients = st._interner._clients
-        materialized = st._xlog_map
-        out: List[Tuple[ClientId, ExclusiveLog]] = []
-        for index in self._indices():
-            client = clients[index]
-            log = materialized.get(index)
-            if log is None:
-                log = ExclusiveLog(client)
-            out.append((client, log))
-        return out
-
-    def __getitem__(self, client: ClientId) -> ExclusiveLog:
-        st = self._state
-        index = st._interner._index.get(client)
-        if index is None or not (
-            index < st._genesis_len or index in st._extra_xlog
-        ):
-            raise KeyError(client)
-        return st._materialize(index, client)
-
-    def get(
-        self, client: ClientId, default: Optional[ExclusiveLog] = None
-    ) -> Optional[ExclusiveLog]:
-        st = self._state
-        index = st._interner._index.get(client)
-        if index is None or not (
-            index < st._genesis_len or index in st._extra_xlog
-        ):
-            return default
-        return st._materialize(index, client)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_XlogsView(members={len(self)})"
-
-
 class AccountState:
-    """Balances, sequence numbers, and xlogs for a set of clients."""
+    """Balances, sequence numbers, and xlogs for one set of clients."""
 
     __slots__ = (
         "_interner",
         "_genesis_len",
         "_bal",
         "_seq",
-        "_extra_bal",
-        "_extra_seq",
-        "_extra_xlog",
+        "_members",
         "_xlog_map",
         "_snap_order",
-        "balances",
-        "seqnums",
-        "xlogs",
     )
 
     def __init__(
@@ -271,74 +66,62 @@ class AccountState:
         if interner is None:
             interner = ClientInterner(genesis)
         self._interner = interner
-        #: Indices ``0 .. _genesis_len-1`` are implicit members of all
-        #: three maps, in genesis order — the zero-overhead common case
-        #: where the (shared) interner starts from this very genesis.
-        genesis_len = 0
-        extra_bal: Dict[int, None] = {}
-        extra_seq: Dict[int, None] = {}
-        extra_xlog: Dict[int, None] = {}
-        prefix = True
-        top = -1
-        for position, client in enumerate(genesis):
-            index = interner.intern(client)
-            if prefix and index == position:
-                genesis_len += 1
-            else:
-                # Interner pre-populated with other clients: the tail of
-                # the genesis set is tracked explicitly (rare path; the
-                # systems always seed the shared interner from genesis).
-                prefix = False
-                extra_bal[index] = None
-                extra_seq[index] = None
-                extra_xlog[index] = None
-            if index > top:
-                top = index
+        # Indices ``0 .. _genesis_len-1`` are implicit members, in genesis
+        # order: the zero-overhead common case where the (shared) interner
+        # starts from this very genesis, recognized with one list compare.
+        names = list(genesis)
+        genesis_len = len(names)
+        if interner._clients[:genesis_len] != names:
+            genesis_len = 0
+            for position, client in enumerate(names):
+                if interner.intern(client) == position == genesis_len:
+                    genesis_len += 1
         self._genesis_len = genesis_len
-        bal = array("q", bytes(8 * (top + 1)))
-        for client, amount in genesis.items():
-            if amount:
-                bal[interner._index[client]] = amount
-        self._bal = bal
-        self._seq = array("q", bytes(8 * (top + 1)))
-        self._extra_bal = extra_bal
-        self._extra_seq = extra_seq
-        self._extra_xlog = extra_xlog
+        self._bal = array("q", islice(genesis.values(), genesis_len))
+        self._seq = array("q", bytes(8 * genesis_len))
+        #: Post-genesis member indices, in the order they joined.
+        self._members: Dict[int, None] = {}
         self._xlog_map: Dict[int, ExclusiveLog] = {}
         #: Cached repr-sorted member indices for :meth:`snapshot`;
-        #: invalidated whenever the seqnum member set changes.
+        #: invalidated whenever a client joins.
         self._snap_order: Optional[List[int]] = None
-        self.balances = _SlabView(self, self._bal, extra_bal)
-        self.seqnums = _SlabView(self, self._seq, extra_seq)
-        self.xlogs = _XlogsView(self)
+        for client, amount in islice(genesis.items(), genesis_len, None):
+            # An interner pre-populated with other clients: the tail of
+            # the genesis set joins explicitly (rare path; the systems
+            # always seed the shared interner from genesis).
+            self._bal[self._member(client)] = amount
 
     # ------------------------------------------------------------------
     # Internal plumbing
     # ------------------------------------------------------------------
-    def _materialize(self, index: int, client: ClientId) -> ExclusiveLog:
+    def _indices(self) -> Iterator[int]:
+        """Member indices: genesis first, then the others as they joined."""
+        return chain(range(self._genesis_len), self._members)
+
+    def _member(self, client: ClientId) -> int:
+        """The index of ``client``, made a member if it is not one."""
+        index = self._interner._index.get(client)
+        if index is None or (
+            index >= self._genesis_len and index not in self._members
+        ):
+            index = self._interner.intern(client)
+            if index >= len(self._bal):
+                zeros = bytes(8 * (index + 1 - len(self._bal)))
+                self._bal.frombytes(zeros)
+                self._seq.frombytes(zeros)
+            self._members[index] = None
+            self._snap_order = None
+        return index
+
+    def _log(self, index: int, client: ClientId) -> ExclusiveLog:
+        """The member at ``index``'s xlog, materialized on first use."""
         log = self._xlog_map.get(index)
         if log is None:
-            log = ExclusiveLog(client)
-            self._xlog_map[index] = log
-            if index >= self._genesis_len and index not in self._extra_xlog:
-                self._extra_xlog[index] = None
+            log = self._xlog_map[index] = ExclusiveLog(client)
         return log
 
-    def _ensure_spender(self, index: int) -> None:
-        """Make ``index`` a member of balances+seqnums (settle paths)."""
-        if index >= self._genesis_len:
-            if index not in self._extra_bal:
-                self._extra_bal[index] = None
-            if index not in self._extra_seq:
-                self._extra_seq[index] = None
-                self._snap_order = None
-        if index >= len(self._bal):
-            _zero_extend(self._bal, index)
-        if index >= len(self._seq):
-            _zero_extend(self._seq, index)
-
     # ------------------------------------------------------------------
-    # Accessors
+    # Readers
     # ------------------------------------------------------------------
     def balance(self, client: ClientId) -> int:
         index = self._interner._index.get(client)
@@ -354,37 +137,44 @@ class AccountState:
         slab = self._seq
         return slab[index] if index < len(slab) else 0
 
-    def xlog(self, client: ClientId) -> ExclusiveLog:
-        return self._materialize(self._interner.intern(client), client)
-
     def knows(self, client: ClientId) -> bool:
         index = self._interner._index.get(client)
         if index is None:
             return False
-        return index < self._genesis_len or index in self._extra_seq
+        return index < self._genesis_len or index in self._members
 
-    def add_client(self, client: ClientId, balance: int = 0) -> None:
-        """Register a new client (reconfiguration path, §A)."""
-        if self.knows(client):
-            raise ValueError(f"client {client!r} already registered")
-        index = self._interner.intern(client)
-        self._ensure_spender(index)
-        self._bal[index] = balance
-        self._seq[index] = 0
-        if index >= self._genesis_len and index not in self._extra_xlog:
-            self._extra_xlog[index] = None
+    def xlog(self, client: ClientId) -> ExclusiveLog:
+        """``client``'s xlog; a non-member's is empty and attached to
+        nothing (reading it neither interns nor registers the client)."""
+        if not self.knows(client):
+            return ExclusiveLog(client)
+        return self._log(self._interner._index[client], client)
+
+    def accounts(self) -> Iterator[Tuple[ClientId, int, int, ExclusiveLog]]:
+        """Every member's ``(client, balance, seqnum, xlog)``, genesis
+        clients first, then the others in the order they joined.  A
+        member without a materialized log reads a fresh empty one, which
+        nothing keeps."""
+        clients = self._interner._clients
+        bal, seq, logs = self._bal, self._seq, self._xlog_map
+        for index in self._indices():
+            client = clients[index]
+            log = logs.get(index)
+            if log is None:
+                log = ExclusiveLog(client)
+            yield client, bal[index], seq[index], log
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def add_client(self, client: ClientId, balance: int = 0) -> None:
+        """Register a new client (reconfiguration path, §A)."""
+        if self.knows(client):
+            raise ValueError(f"client {client!r} already registered")
+        self._bal[self._member(client)] = balance
+
     def credit(self, client: ClientId, amount: int) -> None:
-        index = self._interner.intern(client)
-        slab = self._bal
-        if index >= len(slab):
-            _zero_extend(slab, index)
-        if index >= self._genesis_len and index not in self._extra_bal:
-            self._extra_bal[index] = None
-        slab[index] += amount
+        self._bal[self._member(client)] += amount
 
     def settle_full(self, payment: Payment) -> None:
         """Listing 4: withdraw, deposit, bump sn, append to xlog.
@@ -394,28 +184,15 @@ class AccountState:
         :meth:`try_settle_spend` plus dependency materialization.  Runs
         once per payment per replica — the hottest code in Astro I.
         """
-        interner = self._interner
         spender = payment.spender
-        sp = interner._index.get(spender)
-        if sp is None:
-            sp = interner.intern(spender)
-        self._ensure_spender(sp)
+        sp = self._member(spender)
+        ben = self._member(payment.beneficiary)
         amount = payment.amount
         bal = self._bal
         bal[sp] -= amount
-        ben = interner._index.get(payment.beneficiary)
-        if ben is None:
-            ben = interner.intern(payment.beneficiary)
-        if ben >= len(bal):
-            _zero_extend(bal, ben)
-        if ben >= self._genesis_len and ben not in self._extra_bal:
-            self._extra_bal[ben] = None
         bal[ben] += amount
         self._seq[sp] += 1
-        log = self._xlog_map.get(sp)
-        if log is None:
-            log = self._materialize(sp, spender)
-        log.append(payment)
+        self._log(sp, spender).append(payment)
 
     def try_settle_spend(self, payment: Payment) -> bool:
         """Listing 9's spend half, funds-checked: withdraw, bump sn, append.
@@ -423,28 +200,18 @@ class AccountState:
         The beneficiary side is handled by CREDIT messages / dependency
         certificates, never by a direct deposit.  Returns ``False`` (state
         untouched) when the spender's balance does not cover the amount —
-        Listing 9 l.49, Astro II's drop-without-advancing-sn path.  One
-        interner lookup and int64 slab ops per call: Astro II's hottest
+        Listing 9 l.49, Astro II's drop-without-advancing-sn path.
+        Interner lookups and int64 slab ops only: Astro II's hottest
         code.
         """
-        interner = self._interner
         spender = payment.spender
-        sp = interner._index.get(spender)
-        if sp is None:
-            sp = interner.intern(spender)
-        bal = self._bal
-        balance = bal[sp] if sp < len(bal) else 0
         amount = payment.amount
-        if balance < amount:
+        if self.balance(spender) < amount:
             return False
-        self._ensure_spender(sp)
-        bal = self._bal
-        bal[sp] = balance - amount
+        sp = self._member(spender)
+        self._bal[sp] -= amount
         self._seq[sp] += 1
-        log = self._xlog_map.get(sp)
-        if log is None:
-            log = self._materialize(sp, spender)
-        log.append(payment)
+        self._log(sp, spender).append(payment)
         return True
 
     # ------------------------------------------------------------------
@@ -453,58 +220,40 @@ class AccountState:
     def capture(self) -> Dict[str, Any]:
         """Picklable copy of every store (incl. xlogs).
 
-        The genesis prefix of the balance/seqnum slabs ships as raw int64
-        bytes (O(16 bytes/account), no per-client PyObjects in the pickle),
-        with the rare post-genesis members spelled out per client and the
-        non-empty xlogs as copies of their columns, per owner.
+        The genesis prefix of the slabs ships as raw int64 bytes (O(16
+        bytes/account), no per-client PyObjects in the pickle), the rare
+        post-genesis members as one ``(client, balance, seqnum)`` list in
+        join order, and the non-empty xlogs as copies of their columns,
+        per owner.
         """
         genesis_len = self._genesis_len
         clients = self._interner._clients
+        bal, seq = self._bal, self._seq
         logs = [log for log in self._xlog_map.values() if log.beneficiaries]
-
-        def _extras(slab: array, members: Dict[int, None]) -> List[Any]:
-            length = len(slab)
-            return [
-                (clients[index], slab[index] if index < length else 0)
-                for index in members
-            ]
-
         return {
             "genesis_len": genesis_len,
-            "balances": self._bal[:genesis_len].tobytes(),
-            "seqnums": self._seq[:genesis_len].tobytes(),
-            "extra_balances": _extras(self._bal, self._extra_bal),
-            "extra_seqnums": _extras(self._seq, self._extra_seq),
-            "xlog_extras": [clients[index] for index in self._extra_xlog],
+            "balances": bal[:genesis_len].tobytes(),
+            "seqnums": seq[:genesis_len].tobytes(),
+            "extras": [(clients[i], bal[i], seq[i]) for i in self._members],
             "xlog_beneficiaries": {log.owner: list(log.beneficiaries) for log in logs},
             "xlog_amounts": {log.owner: log.amounts[:] for log in logs},
             "xlog_deps": {log.owner: dict(log.deps) for log in logs if log.deps},
         }
 
     def refill(self, data: Mapping[str, Any]) -> None:
-        """Replace every store's content with a :meth:`capture` — in place.
-
-        Slabs and member dicts are emptied and refilled, never rebound:
-        the views (and any caller holding ``state.balances`` /
-        ``state.seqnums``) keep reading the restored values.
-        """
-        for slab, key in ((self._bal, "balances"), (self._seq, "seqnums")):
-            del slab[:]
-            slab.frombytes(data[key])
-        self._extra_bal.clear()
-        self._extra_seq.clear()
-        self._extra_xlog.clear()
-        self._xlog_map.clear()
+        """Replace every store's content with a :meth:`capture`."""
+        self._bal = array("q", data["balances"])
+        self._seq = array("q", data["seqnums"])
+        self._members = {}
+        self._xlog_map = {}
         self._snap_order = None
-        for client, value in data["extra_balances"]:
-            self.balances[client] = value
-        for client, value in data["extra_seqnums"]:
-            self.seqnums[client] = value
-        for owner in data["xlog_extras"]:
-            self.xlog(owner)
+        for client, balance, seqnum in data["extras"]:
+            index = self._member(client)
+            self._bal[index] = balance
+            self._seq[index] = seqnum
         deps = data["xlog_deps"]
         for owner, beneficiaries in data["xlog_beneficiaries"].items():
-            log = self.xlog(owner)
+            log = self._log(self._member(owner), owner)
             log.beneficiaries[:] = beneficiaries
             log.amounts[:] = data["xlog_amounts"][owner]
             log.deps.update(deps.get(owner, ()))
@@ -518,29 +267,17 @@ class AccountState:
         return sum(self._bal)
 
     def snapshot(self) -> Tuple[Tuple[ClientId, int, int], ...]:
-        """Deterministic (client, balance, sn) tuple for state comparison.
+        """Deterministic ``(client, balance, sn)`` of every member, sorted
+        by ``repr(client)``, for state comparison.
 
-        The repr-sorted member order is cached and invalidated only when
-        the member set changes (``add_client`` / first settle of an
-        unknown spender) — fingerprinting 10⁶ idle accounts no longer
-        re-sorts per sample.
+        The sorted member order is cached and invalidated only when a
+        client joins — fingerprinting 10⁶ idle accounts does not re-sort
+        per sample.
         """
         clients = self._interner._clients
         order = self._snap_order
         if order is None:
-            members = list(range(self._genesis_len))
-            members.extend(self._extra_seq)
-            members.sort(key=lambda index: repr(clients[index]))
-            order = self._snap_order = members
-        bal = self._bal
-        seq = self._seq
-        nb = len(bal)
-        ns = len(seq)
-        return tuple(
-            (
-                clients[index],
-                bal[index] if index < nb else 0,
-                seq[index] if index < ns else 0,
-            )
-            for index in order
-        )
+            order = sorted(self._indices(), key=lambda i: repr(clients[i]))
+            self._snap_order = order
+        bal, seq = self._bal, self._seq
+        return tuple((clients[i], bal[i], seq[i]) for i in order)

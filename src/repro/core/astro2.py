@@ -158,13 +158,13 @@ class Astro2Replica(AstroReplicaBase):
         """
         rep_get = self._rep_map.get
         seen = self._seen_payments
-        settled = self.state.seqnums.get
+        settled = self.state.seqnum
         unsettled = []
         for payment in batch.items:
             spender = payment.spender
             if rep_get(spender) != origin:
                 return False
-            if payment.seq <= settled(spender, 0):
+            if payment.seq <= settled(spender):
                 if self.state.xlog(spender)[payment.seq - 1].core != payment.core:
                     return False
                 continue
@@ -557,10 +557,9 @@ class Astro2Replica(AstroReplicaBase):
             self._projected[client] = self.available_balance(client) - debt
         # Held payments launched since the checkpoint leave the queue; the
         # rest are released against the derived projections.
-        seqnums = self.state.seqnums
         for client, held in list(self._held.items()):
             spends = unsettled.get(client, ())
-            top = max([seqnums.get(client, 0)] + [p.seq for p in spends])
+            top = max([self.state.seqnum(client)] + [p.seq for p in spends])
             while held and held[0].seq <= top:
                 held.popleft()
             self._release_held(client)

@@ -7,9 +7,9 @@ a length-framed pickle (the same compact ``__reduce__`` wire encodings
 the transport ships, see :mod:`repro.transport.framing`), flushed as
 written:
 
-* applied events — delivered batches, applied CREDITs, executed
-  consensus slots, and launched-but-not-yet-delivered broadcasts — each
-  logged before the event is applied;
+* applied events — delivered batches, applied CREDITs, and
+  launched-but-not-yet-delivered broadcasts — each logged before the
+  event is applied;
 * **checkpoints**, which bound replay time.  Every 256 records the
   replica's capture is appended as one ``("checkpoint", body)`` record:
   ``body`` pickles the head state whole (slabs, collector, pending
@@ -114,8 +114,9 @@ def _genesis_digest(state: AccountState) -> str:
     return hashlib.sha256(repr(prefix).encode()).hexdigest()
 
 
-#: The one snapshot encoding :func:`restore_account_state` accepts.
-SNAPSHOT_FORMAT = 3
+#: The one snapshot encoding :func:`restore_account_state` accepts (4:
+#: the post-genesis members as one ``(client, balance, seqnum)`` list).
+SNAPSHOT_FORMAT = 4
 
 
 def snapshot_account_state(state: AccountState) -> Dict[str, Any]:

@@ -4,31 +4,25 @@ A replica (i) ingests payments from the clients it represents, (ii)
 broadcasts them in batches through a BRB layer, and (iii) approves and
 settles every payment delivered by the broadcast (Listings 2–4).  The
 paper defines *one* replica state and *one* approval rule and compares
-three ways of agreeing on what to feed them, so the two pieces every
-replica kind shares have one owner each, here:
-
-* :class:`ApprovalQueue` — the account state plus the per-client
-  sequence-gap queue that implements approval's *wait* (Listing 3), and
-  the ``_drain`` worklist loop over them.  The single hook ``_settle``
-  applies a payment and returns the beneficiary to re-examine, ``None``,
-  or :data:`WAIT` when funds do not cover it yet (criterion (2)); the
-  payment leaves the queue only after a non-``WAIT`` settle.  Inherited
-  by :class:`AstroReplicaBase` and by the consensus baseline's
-  :class:`~repro.consensus.ledger.PaymentLedger`.
-* :class:`Recoverable` — the crash-recovery skeleton (restore the WAL's
-  last checkpoint → replay the records after it → resume appending)
-  with four hooks that ``AstroReplicaBase``, ``Astro2Replica`` and the
-  consensus :class:`~repro.consensus.replica.BftReplica` *extend* with
-  their own record kinds and fields.
-
-They live in this module rather than one of their own because the
-repository's benchmark addresses ``_drain`` by file and function name
-and rebinds this module's ``state_fingerprint`` binding when tracing.
+three ways of agreeing on what to feed them, so the piece every replica
+kind shares has one owner, here: :class:`ApprovalQueue` — the account
+state plus the per-client sequence-gap queue that implements approval's
+*wait* (Listing 3), and the ``_drain`` worklist loop over them.  The
+single hook ``_settle`` applies a payment and returns the beneficiary to
+re-examine, ``None``, or :data:`WAIT` when funds do not cover it yet
+(criterion (2)); the payment leaves the queue only after a non-``WAIT``
+settle.  Inherited by :class:`AstroReplicaBase` and by the consensus
+baseline's :class:`~repro.consensus.ledger.PaymentLedger`.  It lives in
+this module rather than one of its own because the repository's
+benchmark addresses ``_drain`` by file and function name and rebinds
+this module's ``state_fingerprint`` binding when tracing.
 
 :class:`AstroReplicaBase` holds everything else the two Astro variants
 share — batching with flow control, settlement bookkeeping, client
-confirmations; the variants differ in the broadcast protocol and in
-settle semantics.  What it has delivered is its BRB layer's record
+confirmations, and crash recovery over a WAL (live cluster only: the
+consensus baseline runs in the simulator and keeps no durable state);
+the variants differ in the broadcast protocol and in settle semantics.
+What it has delivered is its BRB layer's record
 (:class:`~repro.brb.interface.DeliveryFrontier`): a checkpoint stores
 it, and WAL replay and catch-up imports deliver through the layer
 (:meth:`AstroReplicaBase.import_batch`), which refuses a duplicate.
@@ -59,7 +53,7 @@ from .persistence import (
     state_fingerprint,
 )
 
-__all__ = ["ApprovalQueue", "AstroReplicaBase", "Recoverable", "WAIT"]
+__all__ = ["ApprovalQueue", "AstroReplicaBase", "WAIT"]
 
 #: Confirmation hook: ``fn(payment, settled_at_representative)``.
 ConfirmFn = Callable[[Payment, float], None]
@@ -99,7 +93,7 @@ class ApprovalQueue:
         progress remains.  Runs once per payment per replica.
         """
         awaiting = self._awaiting_seq
-        seqnums = self.state.seqnums
+        seqnum = self.state.seqnum
         settle = self._settle
         while worklist:
             client = worklist.popleft()
@@ -107,7 +101,7 @@ class ApprovalQueue:
             if not queue:
                 continue
             while True:
-                next_seq = seqnums.get(client, 0) + 1
+                next_seq = seqnum(client) + 1
                 payment = queue.get(next_seq)
                 if payment is None:
                     break  # criterion (1): wait for the predecessor
@@ -131,83 +125,7 @@ class ApprovalQueue:
         raise NotImplementedError
 
 
-class Recoverable:
-    """Crash recovery over a :class:`ReplicaStore`, for any replica kind.
-
-    Needs ``self.state`` and ``self.node_id``.  Subclasses extend the
-    four hooks — :meth:`_replay_record`, :meth:`_snapshot_data`,
-    :meth:`_restore_snapshot`, :meth:`_finish_recovery` — with their own
-    record kinds and fields, and call :meth:`_wal_checkpoint` after each
-    durable step.
-    """
-
-    #: Durable state is live-cluster only: ``None`` in simulations, which
-    #: keeps every simulator code path byte-identical.
-    _wal: Optional[ReplicaStore] = None
-
-    def bind_persistence(self, store: ReplicaStore) -> RecoveryReport:
-        """Attach a store, restore its last checkpoint and replay the WAL
-        records after it.
-
-        Must run **before** the transport starts: replay re-executes the
-        delivery path, and replayed sends (confirms, CREDITs, replies)
-        must fall on the floor rather than reach the network.  Replay
-        lands exactly on the pre-crash state or raises
-        :class:`WalCorruption` — as does a damaged log, before any state
-        is touched.
-        """
-        snapshot, records = store.recover()
-        self._wal = store
-        if snapshot is not None:
-            self._restore_snapshot(snapshot)
-        for record in records:
-            self._replay_record(record)
-        store.finish_recovery()
-        self._finish_recovery()
-        return RecoveryReport(
-            snapshot is not None, len(records), state_fingerprint(self.state)
-        )
-
-    def _replay_record(self, record: Tuple[Any, ...]) -> None:
-        """Re-apply one WAL record (``recording`` is off, so nothing is
-        re-appended and no checkpoint fires).  Unknown kinds are ignored
-        (forward compatibility)."""
-        if record[0] == "fp":
-            actual = state_fingerprint(self.state)
-            if record[1] != actual:
-                raise WalCorruption(
-                    f"replica {self.node_id}: replay diverged at WAL "
-                    f"fingerprint {record[1][:12]}.. (got {actual[:12]}..)"
-                )
-
-    def _wal_checkpoint(self) -> None:
-        """Periodic fingerprint self-check + snapshot, driven by record
-        count.  No-ops during replay (``recording`` is off)."""
-        store = self._wal
-        if store.fingerprint_due():
-            store.record_fingerprint(state_fingerprint(self.state))
-        if store.snapshot_due():
-            store.write_snapshot(self._snapshot_data())
-
-    def _snapshot_data(self) -> Dict[str, Any]:
-        """Picklable capture of everything replay cannot reconstruct."""
-        return {
-            "fingerprint": state_fingerprint(self.state),
-            "account": snapshot_account_state(self.state),
-        }
-
-    def _restore_snapshot(self, data: Dict[str, Any]) -> None:
-        restore_account_state(self.state, data["account"])
-        if data["fingerprint"] != state_fingerprint(self.state):
-            raise WalCorruption(
-                f"replica {self.node_id}: snapshot fingerprint mismatch"
-            )
-
-    def _finish_recovery(self) -> None:
-        """Post-replay fixups, once the store records (a launch logs)."""
-
-
-class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
+class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
     """Shared replica behaviour; concrete variants override the hooks.
 
     A replica is a plain protocol object over a
@@ -216,6 +134,10 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
     world; hand it a :class:`~repro.transport.tcp.TcpTransport` and the
     identical code serves real sockets.
     """
+
+    #: Durable state is live-cluster only: ``None`` in simulations, which
+    #: keeps every simulator code path byte-identical.
+    _wal: Optional[ReplicaStore] = None
 
     def __init__(
         self,
@@ -350,7 +272,7 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         # dominates the settle path at high offered rates.
         rep_get = self._rep_map.get
         awaiting = self._awaiting_seq
-        seqnums = self.state.seqnums
+        seqnum = self.state.seqnum
         # Deduplicated in *insertion order* (dict, not set): client ids are
         # strings, and iterating a set of strings would order the drain —
         # and therefore settle/confirm timing — by the interpreter's
@@ -366,7 +288,7 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
             if queue is None:
                 queue = awaiting[spender] = {}
             seq = payment.seq
-            if seq in queue or seq <= seqnums.get(spender, 0):
+            if seq in queue or seq <= seqnum(spender):
                 continue  # duplicate identifier: first delivery wins
             queue[seq] = payment
             touched[spender] = None
@@ -393,8 +315,39 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
 
     # ------------------------------------------------------------------
     # Durable state & crash recovery (live cluster only)
+    #
+    # Restore the WAL's last checkpoint → replay the records after it →
+    # resume appending.  Astro II extends the four hooks
+    # (``_replay_record``, ``_snapshot_data``, ``_restore_snapshot``,
+    # ``_finish_recovery``) with its own record kinds and fields.
     # ------------------------------------------------------------------
+    def bind_persistence(self, store: ReplicaStore) -> RecoveryReport:
+        """Attach a store, restore its last checkpoint and replay the WAL
+        records after it.
+
+        Must run **before** the transport starts: replay re-executes the
+        delivery path, and replayed sends (confirms, CREDITs, replies)
+        must fall on the floor rather than reach the network.  Replay
+        lands exactly on the pre-crash state or raises
+        :class:`WalCorruption` — as does a damaged log, before any state
+        is touched.
+        """
+        snapshot, records = store.recover()
+        self._wal = store
+        if snapshot is not None:
+            self._restore_snapshot(snapshot)
+        for record in records:
+            self._replay_record(record)
+        store.finish_recovery()
+        self._finish_recovery()
+        return RecoveryReport(
+            snapshot is not None, len(records), state_fingerprint(self.state)
+        )
+
     def _replay_record(self, record: Tuple[Any, ...]) -> None:
+        """Re-apply one WAL record (``recording`` is off, so nothing is
+        re-appended and no checkpoint fires).  Unknown kinds are ignored
+        (forward compatibility)."""
         kind = record[0]
         if kind == "deliver":
             self.import_batch(record[1], record[2], record[3])
@@ -403,8 +356,22 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
             if self._broadcast_seq < seq:
                 self._broadcast_seq = seq
             self._launched_pending[seq] = batch
-        else:
-            super()._replay_record(record)
+        elif kind == "fp":
+            actual = state_fingerprint(self.state)
+            if record[1] != actual:
+                raise WalCorruption(
+                    f"replica {self.node_id}: replay diverged at WAL "
+                    f"fingerprint {record[1][:12]}.. (got {actual[:12]}..)"
+                )
+
+    def _wal_checkpoint(self) -> None:
+        """Periodic fingerprint self-check + snapshot, driven by record
+        count.  No-ops during replay (``recording`` is off)."""
+        store = self._wal
+        if store.fingerprint_due():
+            store.record_fingerprint(state_fingerprint(self.state))
+        if store.snapshot_due():
+            store.write_snapshot(self._snapshot_data())
 
     def _on_brb_deliver(self, origin: int, seq: int, batch: Batch) -> None:
         """Variant hook: BRB delivery entry point (replayed verbatim)."""
@@ -421,9 +388,11 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
             self._launched_pending.pop(seq, None)
 
     def _snapshot_data(self) -> Dict[str, Any]:
-        data = super()._snapshot_data()
+        """Picklable capture of everything replay cannot reconstruct."""
         frontier, extra = self.brb.delivered.capture()
-        data.update(
+        return dict(
+            fingerprint=state_fingerprint(self.state),
+            account=snapshot_account_state(self.state),
             settled_count=self.settled_count,
             rejected=list(self.rejected),
             broadcast_seq=self._broadcast_seq,
@@ -432,10 +401,13 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
             extra=extra,
             awaiting={c: dict(q) for c, q in self._awaiting_seq.items()},
         )
-        return data
 
     def _restore_snapshot(self, data: Dict[str, Any]) -> None:
-        super()._restore_snapshot(data)
+        restore_account_state(self.state, data["account"])
+        if data["fingerprint"] != state_fingerprint(self.state):
+            raise WalCorruption(
+                f"replica {self.node_id}: snapshot fingerprint mismatch"
+            )
         self.settled_count = data["settled_count"]
         self.rejected = list(data["rejected"])
         self._broadcast_seq = data["broadcast_seq"]
@@ -449,8 +421,8 @@ class AstroReplicaBase(ApprovalQueue, Recoverable, ProtocolEndpoint):
         payment already broadcast cannot create a duplicate identifier,
         and one retrying a payment that died in the batcher is accepted.
         """
-        accept = self._accept_through
-        accept(self.state.seqnums.items())
+        accept, seqnum, me = self._accept_through, self.state.seqnum, self.node_id
+        accept((c, seqnum(c)) for c, rep in self._rep_map.items() if rep == me)
         accept(p.identifier for b in self._launched_pending.values() for p in b.items)
         accept(p.identifier for q in self._awaiting_seq.values() for p in q.values())
 

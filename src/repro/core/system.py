@@ -95,7 +95,8 @@ class SimulatedSystem:
         return self.replicas[index]
 
     def balances_at(self, index: int = 0) -> Dict[ClientId, int]:
-        return dict(self.replicas[index].state.balances)
+        state = self.replicas[index].state
+        return {client: balance for client, balance, _, _ in state.accounts()}
 
 
 class _AstroSystemBase(SimulatedSystem):
@@ -365,12 +366,12 @@ class Astro2System(_AstroSystemBase):
         outstanding = 0
         for shard, replica in reference.items():
             total += replica.state.total_balance()
-            for xlog in replica.state.xlogs.values():
+            for owner, _, _, xlog in replica.state.accounts():
                 effects = zip(xlog.beneficiaries, xlog.amounts)
                 for seq, (beneficiary, amount) in enumerate(effects, 1):
                     ben_shard = self.directory.shard_of_client(beneficiary)
                     ben_replica = reference[ben_shard]
                     used = ben_replica._used_deps.get(beneficiary, ())
-                    if (xlog.owner, seq) not in used:
+                    if (owner, seq) not in used:
                         outstanding += amount
         return total + outstanding

@@ -88,7 +88,7 @@ def test_forged_credits_never_certify_inflated_amounts():
     # ...yet no inflated amount (forgery pattern: 100·a + 1) ever settled
     # or materialized at a correct replica.
     for replica in correct_replicas(system, adversary):
-        for log in replica.state.xlogs.values():
+        for _, _, _, log in replica.state.accounts():
             for payment in log.entries():
                 assert payment.amount < 10_000
     # Certificates still mint from the >= f+1 correct settlers: progress
@@ -113,12 +113,12 @@ def test_stuffed_certificates_rejected_but_batch_settles():
                     and spender[0] == "ghost"
                 )
         # No ghost client ever gained a balance or an xlog.
-        for client in replica.state.balances:
+        for client, _, _, _ in replica.state.accounts():
             assert not (
                 isinstance(client, tuple) and client
                 and client[0] == "ghost"
             )
-        for log in replica.state.xlogs.values():
+        for _, _, _, log in replica.state.accounts():
             for payment in log.entries():
                 stuffed_seen += sum(
                     1 for cert in payment.deps
@@ -144,7 +144,7 @@ def test_flood_victim_survives():
     )
     replica = system.replica_by_node(victim)
     # The ghost spender never corrupted client state at the victim.
-    for client in replica.state.seqnums:
+    for client, _, _, _ in replica.state.accounts():
         assert not (
             isinstance(client, tuple) and client and client[0] == "flood"
         )
@@ -159,8 +159,7 @@ def test_equivocation_keeps_correct_replicas_convergent():
     replicas = correct_replicas(system, adversary)
     for client in system.genesis:
         logs = [
-            r.state.xlogs[client] for r in replicas
-            if client in r.state.xlogs
+            r.state.xlog(client) for r in replicas
         ]
         reference = max(logs, key=len)
         assert all(log.is_prefix_of(reference) for log in logs)

@@ -1,6 +1,7 @@
 """InvariantMonitor unit tests: each invariant actually detects its
-violation when correct-replica state is tampered with directly, and a
-clean run stays clean."""
+violation when correct-replica state is tampered with directly (through
+``credit`` or the xlog) or a tampered view is sampled, and a clean run
+stays clean."""
 
 import pickle
 
@@ -10,6 +11,7 @@ from repro.adversary import InvariantMonitor
 from repro.adversary.monitor import replica_state_view
 from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
 from repro.core.payment import Payment
+from repro.core.xlog import columns_prefix
 
 
 def build(system_name="astro1", size=4, seed=1):
@@ -29,11 +31,13 @@ def violated(monitor):
     return {violation["invariant"] for violation in monitor.violations}
 
 
-def drop_last_entry(log):
-    """Tamper: cut the last payment off an xlog's columns, which
-    ``ExclusiveLog`` itself never does."""
-    del log.beneficiaries[-1], log.amounts[-1]
-    log.deps.pop(len(log.amounts) + 1, None)
+def set_balance(state, client, balance):
+    """Tamper: overwrite a balance, through ``credit``."""
+    state.credit(client, balance - state.balance(client))
+
+
+def spent_client(replica):
+    return next(c for c, _, seq, _ in replica.state.accounts() if seq)
 
 
 def test_clean_run_is_clean():
@@ -55,7 +59,7 @@ def test_monitor_excludes_byzantine_replicas():
     )
     assert all(r.node_id != last for r in monitor.replicas)
     # Tampering with the Byzantine replica's state is not a violation.
-    system.replica_by_node(last).state.balances["client-0"] = -1
+    set_balance(system.replica_by_node(last).state, "client-0", -1)
     monitor.sample_replicas()
     assert monitor.verdict()["ok"]
 
@@ -63,7 +67,7 @@ def test_monitor_excludes_byzantine_replicas():
 def test_negative_balance_detected():
     system, monitor = build()
     drive(system)
-    system.replicas[0].state.balances["client-0"] = -5
+    set_balance(system.replicas[0].state, "client-0", -5)
     monitor.sample_replicas()
     assert "non_negative" in violated(monitor)
 
@@ -72,8 +76,10 @@ def test_seqnum_xlog_mismatch_detected():
     system, monitor = build()
     drive(system)
     replica = system.replicas[1]
-    client = next(c for c, log in replica.state.xlogs.items() if len(log))
-    replica.state.seqnums[client] += 1
+    client = spent_client(replica)
+    log = replica.state.xlog(client)
+    # An xlog entry the seqnum never counted.
+    log.append(Payment(client, len(log) + 1, "client-0", 1))
     monitor.sample_replicas()
     assert "sequence" in violated(monitor)
 
@@ -84,11 +90,15 @@ def test_xlog_shrink_detected():
     monitor.sample_replicas()
     assert monitor.verdict()["ok"]
     replica = system.replicas[2]
-    client = next(c for c, log in replica.state.xlogs.items() if len(log))
-    drop_last_entry(replica.state.xlogs[client])
-    replica.state.seqnums[client] -= 1
-    monitor.sample_replicas()
-    assert "sequence" in violated(monitor)
+    client = spent_client(replica)
+    # A view whose xlog and seqnum both lost the last payment: consistent
+    # in itself, but shorter than the one sampled before.
+    view = replica_state_view(replica)
+    size = view["seqnums"][client] = view["seqnums"][client] - 1
+    view["xlogs"][client] = columns_prefix(view["xlogs"][client], size)
+    monitor.sample(system.sim.now, {replica.node_id: view})
+    assert [v["invariant"] for v in monitor.violations] == ["sequence"]
+    assert monitor.violations[0]["shrank_to"] == size
 
 
 def test_double_spend_detected():
@@ -99,12 +109,7 @@ def test_double_spend_detected():
     spare = clients[5]
     for replica, beneficiary in ((system.replicas[0], clients[6]),
                                  (system.replicas[1], clients[7])):
-        replica.state.xlogs[spare].append(Payment(spare, 1, beneficiary, 10))
-        replica.state.seqnums[spare] = 1
-        replica.state.balances[spare] -= 10
-        replica.state.balances[beneficiary] = (
-            replica.state.balances.get(beneficiary, 0) + 10
-        )
+        replica.state.settle_full(Payment(spare, 1, beneficiary, 10))
     monitor.sample_replicas()
     assert "double_spend" in violated(monitor)
 
@@ -112,7 +117,7 @@ def test_double_spend_detected():
 def test_conservation_detected_atomic():
     system, monitor = build("astro1")
     drive(system)
-    system.replicas[0].state.balances["client-1"] += 999
+    system.replicas[0].state.credit("client-1", 999)
     monitor.sample_replicas()
     assert "conservation" in violated(monitor)
 
@@ -120,7 +125,7 @@ def test_conservation_detected_atomic():
 def test_conservation_detected_astro2():
     system, monitor = build("astro2")
     drive(system)
-    system.replicas[0].state.balances["client-1"] += 999
+    system.replicas[0].state.credit("client-1", 999)
     monitor.sample_replicas()
     assert "conservation" in violated(monitor)
 
@@ -143,15 +148,8 @@ def test_divergent_xlogs_detected():
     clients = client_ids_of(system)
     spare = clients[5]
     # Same length, different content: neither log is a prefix of the other.
-    system.replicas[0].state.xlogs[spare].append(
-        Payment(spare, 1, clients[6], 10)
-    )
-    system.replicas[1].state.xlogs[spare].append(
-        Payment(spare, 1, clients[6], 20)
-    )
-    for replica in system.replicas[:2]:
-        replica.state.seqnums[spare] = 1
-        replica.state.balances[spare] -= 10
+    system.replicas[0].state.settle_full(Payment(spare, 1, clients[6], 10))
+    system.replicas[1].state.settle_full(Payment(spare, 1, clients[6], 20))
     monitor.sample_replicas()
     assert "convergence" in violated(monitor)
 
@@ -161,7 +159,7 @@ def test_first_violation_time_recorded():
     monitor = InvariantMonitor.watch(system, interval=0.5, until=4.0)
 
     def corrupt():
-        system.replicas[0].state.balances["client-0"] = -1
+        set_balance(system.replicas[0].state, "client-0", -1)
 
     system.sim.schedule_at(2.1, corrupt)
     drive(system, payments=4)
@@ -223,7 +221,7 @@ def test_watch_and_fed_views_give_one_verdict(system_name, tampered):
     )
     drive(system)
     if tampered:
-        system.replicas[0].state.balances["client-1"] += 999
+        system.replicas[0].state.credit("client-1", 999)
     for _ in range(2):
         watched.sample_replicas()
         fed.sample(system.sim.now, {

@@ -200,7 +200,7 @@ class TestTimeline:
         assert result.completed > 0
         settled = [
             payment
-            for log in system.replicas[0].state.xlogs.values()
+            for _, _, _, log in system.replicas[0].state.accounts()
             for payment in log
         ]
         assert len(settled) >= result.completed

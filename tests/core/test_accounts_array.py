@@ -1,32 +1,43 @@
-"""Array-backed account store: interning, views, snapshot cache.
+"""Array-backed account store: interning, readers, snapshot cache.
 
-The dict-of-objects store (`DictAccountState`, defined below; it exists
-only here) is the behavioral reference: both stores expose the same
-mapping views and method surface, and these tests assert they stay
-indistinguishable — including the byte-identity of ``repr(snapshot())``,
-which the golden history fingerprints hash.
+The plain-dict store (`DictAccountState`, defined below; it exists only
+here) is the behavioral reference: both stores expose the same method
+surface, and these tests assert they stay indistinguishable — including
+the byte-identity of ``repr(snapshot())``, which the golden history
+fingerprints hash.
 """
 
 import random
-from typing import Dict, Iterable, Mapping, Tuple
+from array import array
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import pytest
 
+from repro.adversary.monitor import replica_state_view
 from repro.core.accounts import AccountState
 from repro.core.interning import ClientInterner
 from repro.core.payment import ClientId, Payment
+from repro.core.persistence import (
+    restore_account_state,
+    snapshot_account_state,
+    state_fingerprint,
+)
 from repro.core.xlog import ExclusiveLog
 
 
 class DictAccountState:
-    """Reference oracle: the dict-of-objects store `AccountState` replaced.
+    """Reference oracle: a plain-dict account store.
 
-    One dict entry per client in each of three maps plus an eager
-    :class:`ExclusiveLog` — plain-dict logic with no interning, slabs or
-    lazy views, which is what makes it a trustworthy reference.
+    One member set — a dict, client → ``[balance, seqnum, xlog]`` in the
+    order clients joined, genesis first — with an eager
+    :class:`ExclusiveLog` per member.  No interning, slabs or lazy logs,
+    which is what makes it a trustworthy reference.  As in
+    :class:`AccountState`, a write makes a client a member and a read
+    does not.
     """
 
-    __slots__ = ("balances", "seqnums", "xlogs")
+    __slots__ = ("_accounts",)
 
     def __init__(self, genesis: Mapping[ClientId, int]) -> None:
         for client, amount in genesis.items():
@@ -34,85 +45,85 @@ class DictAccountState:
                 raise ValueError(
                     f"negative genesis balance for {client!r}: {amount}"
                 )
-        self.balances: Dict[ClientId, int] = dict(genesis)
-        self.seqnums: Dict[ClientId, int] = {client: 0 for client in genesis}
-        self.xlogs: Dict[ClientId, ExclusiveLog] = {
-            client: ExclusiveLog(client) for client in genesis
+        self._accounts: Dict[ClientId, list] = {
+            client: [amount, 0, ExclusiveLog(client)]
+            for client, amount in genesis.items()
         }
 
+    def _member(self, client: ClientId) -> list:
+        account = self._accounts.get(client)
+        if account is None:
+            account = self._accounts[client] = [0, 0, ExclusiveLog(client)]
+        return account
+
     def balance(self, client: ClientId) -> int:
-        return self.balances.get(client, 0)
+        return self._accounts.get(client, (0,))[0]
 
     def seqnum(self, client: ClientId) -> int:
-        return self.seqnums.get(client, 0)
-
-    def xlog(self, client: ClientId) -> ExclusiveLog:
-        log = self.xlogs.get(client)
-        if log is None:
-            log = ExclusiveLog(client)
-            self.xlogs[client] = log
-        return log
+        return self._accounts.get(client, (0, 0))[1]
 
     def knows(self, client: ClientId) -> bool:
-        return client in self.seqnums
+        return client in self._accounts
+
+    def xlog(self, client: ClientId) -> ExclusiveLog:
+        account = self._accounts.get(client)
+        return ExclusiveLog(client) if account is None else account[2]
+
+    def accounts(self) -> Iterator[Tuple[ClientId, int, int, ExclusiveLog]]:
+        for client, (balance, seqnum, log) in self._accounts.items():
+            yield client, balance, seqnum, log
 
     def add_client(self, client: ClientId, balance: int = 0) -> None:
-        if client in self.seqnums:
+        if client in self._accounts:
             raise ValueError(f"client {client!r} already registered")
-        self.balances[client] = balance
-        self.seqnums[client] = 0
-        self.xlogs[client] = ExclusiveLog(client)
+        self._member(client)[0] = balance
 
     def credit(self, client: ClientId, amount: int) -> None:
-        self.balances[client] = self.balances.get(client, 0) + amount
+        self._member(client)[0] += amount
 
     def settle_full(self, payment: Payment) -> None:
-        spender = payment.spender
-        self.balances[spender] = (
-            self.balances.get(spender, 0) - payment.amount
-        )
+        account = self._member(payment.spender)
+        account[0] -= payment.amount
         self.credit(payment.beneficiary, payment.amount)
-        self.seqnums[spender] = self.seqnums.get(spender, 0) + 1
-        self.xlog(spender).append(payment)
-
-    def settle_spend_only(self, payment: Payment) -> None:
-        spender = payment.spender
-        self.balances[spender] = (
-            self.balances.get(spender, 0) - payment.amount
-        )
-        self.seqnums[spender] = self.seqnums.get(spender, 0) + 1
-        self.xlog(spender).append(payment)
+        account[1] += 1
+        account[2].append(payment)
 
     def try_settle_spend(self, payment: Payment) -> bool:
-        spender = payment.spender
-        if self.balances.get(spender, 0) < payment.amount:
+        if self.balance(payment.spender) < payment.amount:
             return False
-        self.settle_spend_only(payment)
+        account = self._member(payment.spender)
+        account[0] -= payment.amount
+        account[1] += 1
+        account[2].append(payment)
         return True
 
     def total_balance(self) -> int:
-        return sum(self.balances.values())
+        return sum(account[0] for account in self._accounts.values())
 
     def snapshot(self) -> Tuple[Tuple[ClientId, int, int], ...]:
         return tuple(
-            (
-                client,
-                self.balances.get(client, 0),
-                self.seqnums.get(client, 0),
+            (client, balance, seqnum)
+            for client, (balance, seqnum, _) in sorted(
+                self._accounts.items(), key=lambda item: repr(item[0])
             )
-            for client in sorted(self.seqnums, key=repr)
         )
 
-    def clients(self) -> Iterable[ClientId]:
-        return self.seqnums.keys()
+
+def rows(state) -> List[tuple]:
+    """Every member's account, its xlog as the list of its payments."""
+    return [
+        (client, balance, seqnum, list(log))
+        for client, balance, seqnum, log in state.accounts()
+    ]
 
 
 def fresh_snapshot(state):
-    """The pre-cache snapshot formula: re-sort members on every call."""
+    """The uncached snapshot formula: every member, re-sorted per call."""
     return tuple(
-        (client, state.balances.get(client, 0), seq)
-        for client, seq in sorted(
-            state.seqnums.items(), key=lambda item: repr(item[0])
+        sorted(
+            ((client, balance, seqnum)
+             for client, balance, seqnum, _ in state.accounts()),
+            key=lambda row: repr(row[0]),
         )
     )
 
@@ -149,20 +160,29 @@ class TestArrayDictParity:
         arr.credit("late-1", 30)
         ref.credit("late-1", 30)
         seqs = {c: 0 for c in clients}
-        for _ in range(300):
+        for step in range(300):
             spender, beneficiary = rng.sample(clients, 2)
+            if step % 3 == 0:  # Astro II's spend half; may be refused
+                amount = rng.randint(1, 120)
+                payment = Payment(spender, seqs[spender] + 1, beneficiary, amount)
+                settled = arr.try_settle_spend(payment)
+                assert settled == ref.try_settle_spend(payment)
+                seqs[spender] += settled
+                continue
             if arr.balance(spender) < 1:
                 continue
             seqs[spender] += 1
             payment = Payment(spender, seqs[spender], beneficiary, 1)
             arr.settle_full(payment)
             ref.settle_full(payment)
-        assert dict(arr.balances) == dict(ref.balances)
-        assert dict(arr.seqnums) == dict(ref.seqnums)
+        for ghost in ("ghost-0", "ghost-1"):
+            assert len(arr.xlog(ghost)) == len(ref.xlog(ghost)) == 0
+        assert rows(arr) == rows(ref)
         assert arr.snapshot() == ref.snapshot()
         assert repr(arr.snapshot()) == repr(ref.snapshot())
         assert arr.total_balance() == ref.total_balance()
-        for client in clients:
+        for client in clients + ["ghost-0"]:
+            assert arr.knows(client) == ref.knows(client)
             assert list(arr.xlog(client)) == list(ref.xlog(client))
 
     def test_iteration_order_matches_dict_store(self):
@@ -172,9 +192,8 @@ class TestArrayDictParity:
         for state in (arr, ref):
             state.credit("z", 5)
             state.add_client("m")
-        assert list(arr.balances) == list(ref.balances)
-        assert list(arr.seqnums) == list(ref.seqnums)
-        assert list(arr.balances.items()) == list(ref.balances.items())
+        assert rows(arr) == rows(ref)
+        assert [row[0] for row in rows(arr)] == ["b", "a", "z", "m"]
 
     def test_try_settle_spend_rejects_without_state_change(self):
         genesis = {"a": 10, "b": 0}
@@ -216,8 +235,8 @@ class TestSnapshotCache:
         # Settling an unknown spender adds seqnum membership too.
         state.settle_full(Payment("zz", 1, "a", 0))
         assert state.snapshot() == fresh_snapshot(state)
-        # So does a direct seqnums view write (adversary forks do this).
-        state.seqnums["bb"] = 4
+        # So does a credit: a credited account is a member too.
+        state.credit("bb", 4)
         assert state.snapshot() == fresh_snapshot(state)
         assert state.snapshot() != first
 
@@ -226,27 +245,22 @@ class TestSnapshotCache:
         state = AccountState(genesis)
         state.snapshot()
         state.credit("a", 5)
-        state.balances["b"] -= 3
+        state.credit("b", -3)
         assert state.snapshot() == (("a", 15, 0), ("b", 17, 0))
 
 
 class TestViews:
-    def test_get_distinguishes_zero_member_from_absent(self):
-        state = AccountState({"a": 0})
-        assert state.balances.get("a", -1) == 0
-        assert state.balances.get("ghost", -1) == -1
-        assert "a" in state.balances and "ghost" not in state.balances
+    """What the readers show: members only, and a read joins nobody."""
 
-    def test_augmented_assignment_through_views(self):
-        state = AccountState({"a": 10})
-        state.balances["a"] -= 4
-        state.seqnums["a"] += 2
-        assert state.balance("a") == 6
-        assert state.seqnum("a") == 2
+    def test_zero_balance_member_is_distinct_from_absent(self):
+        state = AccountState({"a": 0})
+        assert state.balance("a") == state.balance("ghost") == 0
+        assert state.knows("a") and not state.knows("ghost")
+        assert [row[0] for row in state.accounts()] == ["a"]
 
     def test_xlog_materialization_is_persistent(self):
         state = AccountState({"a": 10, "b": 0})
-        log = state.xlogs["a"]
+        log = state.xlog("a")
         payment = Payment("a", 1, "b", 1)
         state.settle_full(payment)
         # The handle obtained *before* the settle sees the append.
@@ -254,51 +268,67 @@ class TestViews:
 
     def test_xlog_items_are_transient_for_idle_members(self):
         state = AccountState({f"c{i}": 1 for i in range(50)})
-        for _, log in state.xlogs.items():
-            assert len(log) == 0
-        # Iterating must not have materialized anything.
+        assert not any(log for _, _, _, log in state.accounts())
+        # Reading every member must not have materialized anything.
         assert len(state._xlog_map) == 0
 
     def test_view_equality_against_plain_dict(self):
+        """A monitor view is plain dicts over the members."""
         state = AccountState({"a": 5, "b": 7})
-        assert state.balances == {"a": 5, "b": 7}
-        assert dict(state.seqnums) == {"a": 0, "b": 0}
+        view = replica_state_view(SimpleNamespace(state=state))
+        assert view == {
+            "balances": {"a": 5, "b": 7},
+            "seqnums": {"a": 0, "b": 0},
+            "xlogs": {"a": ((), array("q"), {}), "b": ((), array("q"), {})},
+        }
 
     def test_negative_genesis_rejected(self):
         with pytest.raises(ValueError):
             AccountState({"a": -1})
 
-    def test_views_taken_before_restore_read_restored_values(self):
-        """The never-rebind invariant: ``balances``/``seqnums`` hold the
-        slab and member dict themselves, so a restore must refill them in
-        place — a handle cached before it (as the replicas' delivery
-        loops do) keeps reading the live values."""
-        from repro.core.persistence import (
-            restore_account_state,
-            snapshot_account_state,
-        )
-
+    def test_restore_replaces_the_member_set(self):
         genesis = {"a": 10, "b": 0}
         source = AccountState(genesis)
         source.settle_full(Payment("a", 1, "b", 4))
         source.settle_full(Payment("late", 1, "a", 0))  # post-genesis member
         source.credit("walk-in", 9)
-        capture = snapshot_account_state(source)
 
         target = AccountState(genesis)
         target.settle_full(Payment("b", 1, "ghost", 0))  # state to be dropped
-        balances, seqnums = target.balances, target.seqnums
-        assert type(balances) is type(seqnums)
-        stores = ("_bal", "_seq", "_extra_bal", "_extra_seq")
-        before = [getattr(target, name) for name in stores]
-        restore_account_state(target, capture)
-        assert balances is target.balances and seqnums is target.seqnums
-        for name, store in zip(stores, before):
-            assert getattr(target, name) is store, f"{name} was rebound"
-        assert balances == dict(source.balances) == {
-            "a": 6, "b": 4, "late": 0, "walk-in": 9,
-        }
-        assert seqnums == dict(source.seqnums) == {"a": 1, "b": 0, "late": 1}
-        assert "ghost" not in balances and seqnums.get("b") == 0
-        assert list(balances) == list(source.balances)
+        restore_account_state(target, snapshot_account_state(source))
+        assert rows(target) == rows(source)
+        assert [row[:3] for row in rows(target)] == [
+            ("a", 6, 1), ("b", 4, 0), ("late", 0, 1), ("walk-in", 9, 0),
+        ]
+        assert not target.knows("ghost") and target.seqnum("b") == 0
         assert target.snapshot() == source.snapshot()
+
+
+class TestOneMemberSet:
+    """Balances, seqnums and xlogs range over one set of clients."""
+
+    def test_fingerprint_covers_a_credited_account(self):
+        """A credited account that never spent is part of the state the
+        fingerprint witnesses."""
+        five, six = AccountState({"a": 10}), AccountState({"a": 10})
+        five.credit("ghost", 5)
+        six.credit("ghost", 6)
+        assert state_fingerprint(five) != state_fingerprint(six)
+
+    def test_a_read_never_creates_an_account(self):
+        genesis = {"a": 10}
+        interner = ClientInterner(genesis)
+        reader = AccountState(genesis, interner=interner)
+        AccountState(genesis, interner=interner).credit("b", 1)
+        replica = SimpleNamespace(state=reader)
+
+        def observed():
+            view = replica_state_view(replica)
+            keys = {name: list(view[name]) for name in view}
+            return len(interner), reader.knows("ghost"), keys
+
+        before = observed()
+        assert len(reader.xlog("ghost")) == 0
+        assert observed() == before == (2, False, {
+            "balances": ["a"], "seqnums": ["a"], "xlogs": ["a"],
+        })

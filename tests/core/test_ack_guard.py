@@ -116,7 +116,7 @@ def test_xlog_entries_read_back_as_the_settled_payments():
     system.settle_all()
     for replica in system.replicas:
         mine = settled[replica.node_id]
-        for spender, log in replica.state.xlogs.items():
+        for spender, _, _, log in replica.state.accounts():
             assert list(log) == [p for p in mine if p.spender == spender]
         (payout,) = replica.state.xlog("bob")
         assert len(payout.deps) == 2 and payout.deps == mine[-1].deps

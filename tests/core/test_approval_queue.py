@@ -56,7 +56,7 @@ def test_wait_leaves_the_payment_queued_until_a_credit_settles_it():
     assert queue.calls == [("a", 1), ("b", 1), ("a", 1)]
     assert queue._awaiting_seq == {}
     assert queue.settled_count == 2
-    assert dict(queue.state.balances) == {"a": 1, "b": 9}
+    assert [row[:2] for row in queue.state.accounts()] == [("a", 1), ("b", 9)]
 
 
 def test_a_settle_returning_none_leaves_the_queue_without_advancing():

@@ -174,4 +174,4 @@ class TestAccountState:
             seqs[spender] += 1
             state.settle_full(Payment(spender, seqs[spender], beneficiary, amount))
         assert state.total_balance() == 3000
-        assert all(balance >= 0 for balance in state.balances.values())
+        assert all(balance >= 0 for _, balance, _, _ in state.accounts())

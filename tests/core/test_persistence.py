@@ -445,7 +445,7 @@ def test_state_fingerprint_matches_shard_formula():
 
 
 # ---------------------------------------------------------------------------
-# Account-state captures: the format-2 array encoding, and nothing else
+# Account-state captures: the format-4 array encoding, and nothing else
 # ---------------------------------------------------------------------------
 def _populated_state():
     from repro.core.accounts import AccountState
@@ -460,7 +460,7 @@ def _populated_state():
     return state
 
 
-def test_array_snapshot_roundtrip_format3():
+def test_array_snapshot_roundtrip_format4():
     from repro.core.accounts import AccountState
     from repro.core.persistence import (
         restore_account_state,
@@ -469,10 +469,12 @@ def test_array_snapshot_roundtrip_format3():
 
     state = _populated_state()
     payload = pickle.loads(pickle.dumps(snapshot_account_state(state)))
-    assert payload["format"] == 3
+    assert payload["format"] == 4
     # Genesis accounts ship as raw slab bytes, not per-client entries.
     assert isinstance(payload["balances"], bytes)
     assert len(payload["balances"]) == 8 * payload["genesis_len"]
+    # The post-genesis members: one (client, balance, seqnum) list.
+    assert payload["extras"] == [("late", 35, 1)]
     # Xlogs ship as their columns, not as payments.
     assert payload["xlog_beneficiaries"]["client-2"] == ["client-0", "client-4"]
     assert payload["xlog_amounts"]["client-2"] == array("q", [7, 3])
@@ -498,7 +500,7 @@ def test_array_snapshot_rejects_mismatched_genesis():
         restore_account_state(other, payload)
 
 
-@pytest.mark.parametrize("tag", ["missing", 1, 2, "3"])
+@pytest.mark.parametrize("tag", ["missing", 1, 2, 3, "4"])
 def test_snapshot_unsupported_format_rejected_untouched(tag):
     from repro.core.persistence import (
         restore_account_state,
@@ -734,29 +736,6 @@ def test_replay_detects_fingerprint_divergence(tmp_path):
         replica.bind_persistence(ReplicaStore(str(tmp_path), node))
 
 
-def test_bft_exec_replay(tmp_path):
-    system = SYSTEM_BUILDERS["bft"](4, seed=8)
-    for replica in system.replicas:
-        replica.bind_persistence(ReplicaStore(str(tmp_path),
-                                              replica.node_id))
-    _run_workload(system, 12)
-    before = {
-        r.node_id: state_fingerprint(r.ledger.state)
-        for r in system.replicas
-    }
-    executed = {r.node_id: r.executed_count for r in system.replicas}
-    for replica in system.replicas:
-        replica._wal.close()
-
-    rebuilt = SYSTEM_BUILDERS["bft"](4, seed=8)
-    for replica in rebuilt.replicas:
-        report = replica.bind_persistence(
-            ReplicaStore(str(tmp_path), replica.node_id)
-        )
-        assert report.fingerprint == before[replica.node_id]
-        assert replica.executed_count == executed[replica.node_id]
-
-
 def _payout_phase(system, seqs, payer):
     """Everyone else pays ``payer`` 1 per round; ``payer`` then pays out
     more than its genesis balance (under Astro II: attaching the
@@ -781,10 +760,6 @@ def _payout_phase(system, seqs, payer):
         _assert_projections_derived(system.replicas)
 
 
-def _settled(replica):
-    return getattr(replica, "ledger", replica).settled_count
-
-
 def _xlogs(replica):
     """Every xlog entry as its transfer plus the set of certificates it
     carried: certificates attach in CREDIT arrival order, which a
@@ -794,11 +769,11 @@ def _xlogs(replica):
             (payment.core, sorted(cert.dep_id for cert in payment.deps))
             for payment in log
         ]
-        for owner, log in replica.state.xlogs.items()
+        for owner, _, _, log in replica.state.accounts()
     }
 
 
-@pytest.mark.parametrize("name", ["astro1", "astro2", "bft"])
+@pytest.mark.parametrize("name", ["astro1", "astro2"])
 def test_two_recoveries_in_a_row_land_on_the_never_crashed_twin(
     name, tmp_path
 ):
@@ -831,7 +806,7 @@ def test_two_recoveries_in_a_row_land_on_the_never_crashed_twin(
         assert state_fingerprint(mine.state) == state_fingerprint(
             theirs.state
         )
-        assert _settled(mine) == _settled(theirs) > 0
+        assert mine.settled_count == theirs.settled_count > 0
         assert _xlogs(mine) == _xlogs(theirs)
         if name == "astro2":
             assert mine._seen_payments == theirs._seen_payments
@@ -964,7 +939,7 @@ def test_a_payment_that_died_in_the_batcher_is_accepted_again(name, tmp_path):
     _bind_all(system, tmp_path, snapshot_interval=10**6)
     system.submit_payment(retried)
     system.settle_all()
-    assert [r.state.seqnums.get(payer) for r in system.replicas] == [2] * 4
+    assert [r.state.seqnum(payer) for r in system.replicas] == [2] * 4
     assert [r.settled_count for r in system.replicas] == [2] * 4
 
 
@@ -1181,7 +1156,7 @@ def test_a_checkpoint_of_the_payment_object_format_is_refused_untouched(
     account = head["account"] = dict(head["account"], format=2)
     for key in ("xlog_beneficiaries", "xlog_amounts", "xlog_deps"):
         del account[key]
-    entries = {o: list(log) for o, log in writer.state.xlogs.items() if log}
+    entries = {o: list(log) for o, _, _, log in writer.state.accounts() if log}
     tails = {
         ("account", "xlog_entries"): {o: (0, e) for o, e in entries.items()},
         ("seen_payments",): (0, {("client-0", 1): ("client-0", 1, "x", 1)}),
@@ -1196,7 +1171,7 @@ def test_a_checkpoint_of_the_payment_object_format_is_refused_untouched(
     with pytest.raises(WalCorruption, match="unknown history"):
         rebuilt.bind_persistence(ReplicaStore(str(tmp_path), rebuilt.node_id))
     assert state_fingerprint(rebuilt.state) == before
-    assert not any(rebuilt.state.xlogs.values())
+    assert not any(log for _, _, _, log in rebuilt.state.accounts())
     assert rebuilt._seen_payments == {}
 
 

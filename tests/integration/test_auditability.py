@@ -31,7 +31,7 @@ def audit_astro1(replica, initial):
     """Replay settle_full semantics from the logs."""
     balances = dict(initial)
     events = []
-    for client, xlog in replica.state.xlogs.items():
+    for client, _, _, xlog in replica.state.accounts():
         for payment in xlog:
             events.append(payment)
     # Replay is order-insensitive for final balances: each payment is a
@@ -47,7 +47,7 @@ def audit_astro1(replica, initial):
 def audit_astro2(replica, initial):
     """Replay spend-only semantics plus materialized dependencies."""
     balances = dict(initial)
-    for client, xlog in replica.state.xlogs.items():
+    for client, _, _, xlog in replica.state.accounts():
         for payment in xlog:
             balances[payment.spender] -= payment.amount
     for client, used in replica._used_deps.items():
@@ -95,6 +95,6 @@ def test_audit_detects_tampering():
     system.submit("u0", "u1", 50)
     system.settle_all()
     replica = system.replica(0)
-    replica.state.balances["u1"] += 7  # corrupt
+    replica.state.credit("u1", 7)  # corrupt
     audited = audit_astro1(replica, genesis())
     assert audited["u1"] != replica.state.balance("u1")

@@ -42,13 +42,13 @@ def submit_all(system, transfers):
 
 def assert_non_negative(system):
     for replica in system.replicas:
-        for client, balance in replica.state.balances.items():
+        for client, balance, _, _ in replica.state.accounts():
             assert balance >= 0, f"negative balance for {client!r}: {balance}"
 
 
 def assert_xlogs_sequential(system):
     for replica in system.replicas:
-        for xlog in replica.state.xlogs.values():
+        for _, _, _, xlog in replica.state.accounts():
             assert [p.seq for p in xlog] == list(range(1, len(xlog) + 1))
 
 
@@ -56,7 +56,7 @@ def assert_no_double_spend(system):
     """No identifier settles with two different beneficiaries anywhere."""
     seen = {}
     for replica in system.replicas:
-        for xlog in replica.state.xlogs.values():
+        for _, _, _, xlog in replica.state.accounts():
             for payment in xlog:
                 key = payment.identifier
                 fields = (payment.beneficiary, payment.amount)
@@ -169,9 +169,9 @@ def test_astro2_invariants_with_crash(transfers, crash_index, crash_at, seed):
     system.settle_all()
     survivors = [r for r in system.replicas if r.node_id != victim]
     for replica in survivors:
-        for client, balance in replica.state.balances.items():
+        for client, balance, _, _ in replica.state.accounts():
             assert balance >= 0
-        for xlog in replica.state.xlogs.values():
+        for _, _, _, xlog in replica.state.accounts():
             assert [p.seq for p in xlog] == list(range(1, len(xlog) + 1))
     assert_no_double_spend(system)
     # Survivors agree on every client's settled prefix.

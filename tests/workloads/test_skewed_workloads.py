@@ -204,7 +204,7 @@ class TestMerchantEndToEnd:
         assert minted > 0
         deps_settled = sum(
             1
-            for xlog in system.replicas[0].state.xlogs.values()
+            for _, _, _, xlog in system.replicas[0].state.accounts()
             for payment in xlog
             if payment.deps
         )

@@ -196,8 +196,8 @@ class TestWorkloadsOnArrayStore:
         system.settle_all()
         assert driver.confirmed > 100
         state = system.replicas[0].state
-        # Tuple client ids round-trip through the interner and views.
-        assert checking(0) in state.balances
+        # Tuple client ids round-trip through the interner and readers.
+        assert state.knows(checking(0))
         # Σ balances + settled-but-unmaterialized credits is conserved.
         assert system.total_value() == sum(genesis.values())
         assert state.snapshot() == system.replicas[1].state.snapshot()
