@@ -1,7 +1,8 @@
 """Byzantine reliable broadcast layer.
 
 Two BRB implementations back the two Astro variants (§IV):
-:class:`BrachaBroadcast` (echo-based, MACs, O(N²) messages, totality) and
+:class:`BrachaBroadcast` (echo-based, MACs, O(N²) messages, totality;
+with ``install_view`` it is DBRB, Appendix A-C) and
 :class:`SignedBroadcast` (digital signatures, O(N) messages, no totality).
 Batching utilities implement the paper's 1- and 2-level batching scheme.
 """

@@ -15,6 +15,14 @@ WAN settings (§IV-A).  Links are MAC-authenticated; the network substrate
 already prevents spoofing, and MAC verification CPU cost is charged per
 message.  Bracha's protocol provides **totality**: once any correct
 replica delivers, READY amplification drags every correct replica along.
+
+Across reconfigurations this is DBRB (Appendix A-C): every message
+carries the number of the view it was sent in, and
+:meth:`BrachaBroadcast.install_view` restarts the undelivered instances in
+the new view and re-emits the endpoint's own undelivered broadcasts, so a
+broadcast started in view v still delivers at every correct member of the
+final installed view.  Stale-view traffic and anything sent by a
+non-member are dropped on arrival.
 """
 
 from __future__ import annotations
@@ -32,41 +40,41 @@ __all__ = ["BrachaBroadcast", "BrbPrepare", "BrbEcho", "BrbReady"]
 
 
 class BrbPrepare:
-    __slots__ = ("seq", "payload", "size")
+    __slots__ = ("seq", "payload", "size", "view")
 
-    def __init__(self, seq: int, payload: Any, size: int) -> None:
+    def __init__(
+        self, seq: int, payload: Any, size: int, view: int = 0
+    ) -> None:
         self.seq = seq
         self.payload = payload
         self.size = size
+        self.view = view
 
     def __reduce__(self):
-        return (BrbPrepare, (self.seq, self.payload, self.size))
+        return (BrbPrepare, (self.seq, self.payload, self.size, self.view))
 
 
 class BrbEcho:
-    __slots__ = ("origin", "seq", "payload", "size")
+    __slots__ = ("origin", "seq", "payload", "size", "view")
 
-    def __init__(self, origin: int, seq: int, payload: Any, size: int) -> None:
+    def __init__(
+        self, origin: int, seq: int, payload: Any, size: int, view: int = 0
+    ) -> None:
         self.origin = origin
         self.seq = seq
         self.payload = payload
         self.size = size
+        self.view = view
 
     def __reduce__(self):
-        return (BrbEcho, (self.origin, self.seq, self.payload, self.size))
+        return (type(self), (self.origin, self.seq, self.payload, self.size,
+                             self.view))
 
 
-class BrbReady:
-    __slots__ = ("origin", "seq", "payload", "size")
+class BrbReady(BrbEcho):
+    """An ECHO's fields; its type alone routes it to the READY handler."""
 
-    def __init__(self, origin: int, seq: int, payload: Any, size: int) -> None:
-        self.origin = origin
-        self.seq = seq
-        self.payload = payload
-        self.size = size
-
-    def __reduce__(self):
-        return (BrbReady, (self.origin, self.seq, self.payload, self.size))
+    __slots__ = ()
 
 
 class _Instance:
@@ -87,12 +95,14 @@ class _Instance:
 class BrachaBroadcast(BroadcastLayer):
     """Bracha BRB endpoint attached to one replica node.
 
+    ``peers`` are the members of view 0.  An endpoint outside its view
+    (a joiner) may exist, but cannot broadcast.
+
     An instance retires at FIFO delivery once it has sent its ECHO; one
     delivered through READY amplification alone stays until the PREPARE
     it still echoes arrives.
     """
 
-    provides_totality = True
     _instance_type = _Instance
 
     def __init__(
@@ -104,36 +114,66 @@ class BrachaBroadcast(BroadcastLayer):
     ) -> None:
         super().__init__(deliver)
         self.node = node
-        self.peers: List[int] = list(peers)
-        if node.node_id not in self.peers:
-            raise ValueError("broadcast endpoint must be a member of its peer set")
-        self.n = len(self.peers)
+        #: Own broadcasts not delivered yet: seq -> (payload, size).
+        self._own: Dict[int, Tuple[Any, int]] = {}
+        #: Out-of-order complete payloads awaiting FIFO drain.
+        self._completed: Dict[int, Dict[int, Any]] = {}
+        self._adopt(0, list(peers), f)
+        node.on(BrbPrepare, self._on_prepare)
+        node.on(BrbEcho, self._on_echo)
+        node.on(BrbReady, self._on_ready)
+
+    def _adopt(self, view: int, peers: List[int], f: Optional[int]) -> None:
+        #: Number of the installed view; messages of any other are dropped.
+        self.view = view
+        self.peers = peers
+        self._members = frozenset(peers)
+        self.n = len(peers)
         self.f = f if f is not None else max_faulty(self.n)
         self.echo_quorum = byzantine_quorum(self.n, self.f)
         self.ready_quorum = 2 * self.f + 1
         self.amplify_threshold = self.f + 1
         #: Peers minus ourselves, in peer order — the fan-out target list.
-        self._others: List[int] = [p for p in self.peers if p != node.node_id]
-        #: Out-of-order complete payloads awaiting FIFO drain.
-        self._completed: Dict[int, Dict[int, Any]] = {}
-        node.on(BrbPrepare, self._on_prepare)
-        node.on(BrbEcho, self._on_echo)
-        node.on(BrbReady, self._on_ready)
+        self._others = [p for p in peers if p != self.node.node_id]
 
     # ------------------------------------------------------------------
     # API
     # ------------------------------------------------------------------
     def broadcast(self, seq: int, payload: Any, payload_bytes: int) -> None:
         """PREPARE phase: send the payload to all replicas (Listing 5 l.2)."""
+        if self.node.node_id not in self._members:
+            raise ValueError("only a member of the installed view can broadcast")
         size = costs.HEADER_BYTES + payload_bytes
-        message = BrbPrepare(seq, payload, size)
-        cost = self._payload_recv_cost(size, payload)
-        self.node.broadcast(
-            self._others, message, size=size, recv_cost=cost,
-            send_cost=costs.SEND_OVERHEAD,
-        )
-        # Local short-circuit: the broadcaster processes its own PREPARE.
-        self._handle_prepare(self.node.node_id, message)
+        self._own[seq] = (payload, size)
+        self._prepare(seq, payload, size)
+
+    def install_view(self, view: Any) -> None:
+        """Adopt a newer view (anything with ``number`` and ``members``).
+
+        Undelivered instances restart in it, except those already
+        complete and waiting on FIFO; our own undelivered broadcasts are
+        re-emitted.  An older or equal view number is ignored.
+        """
+        if view.number <= self.view:
+            return
+        self._adopt(view.number, sorted(view.members), None)
+        delivered = self.delivered
+        self._instances = {
+            key: instance for key, instance in self._instances.items()
+            if instance.delivered and key not in delivered
+        }
+        self.retry_pending()
+
+    def retry_pending(self) -> None:
+        """Re-emit our undelivered broadcasts in the installed view — on a
+        view change, or when connectivity returns.  Idempotent: a
+        delivered broadcast is never re-sent."""
+        me = self.node.node_id
+        for seq, (payload, size) in list(self._own.items()):
+            if (me, seq) in self.delivered:
+                del self._own[seq]
+            else:
+                self._prepare(seq, payload, size)
 
     def deliver_out_of_band(self, origin: int, seq: int, payload: Any) -> bool:
         """Also drains the FIFO successors the delivery unblocked — after
@@ -145,6 +185,16 @@ class BrachaBroadcast(BroadcastLayer):
             pending.pop(seq, None)
             self._advance(origin, pending)
         return True
+
+    def _prepare(self, seq: int, payload: Any, size: int) -> None:
+        message = BrbPrepare(seq, payload, size, self.view)
+        cost = self._payload_recv_cost(size, payload)
+        self.node.broadcast(
+            self._others, message, size=size, recv_cost=cost,
+            send_cost=costs.SEND_OVERHEAD,
+        )
+        # Local short-circuit: the broadcaster processes its own PREPARE.
+        self._handle_prepare(self.node.node_id, message)
 
     # ------------------------------------------------------------------
     # Cost model
@@ -167,8 +217,11 @@ class BrachaBroadcast(BroadcastLayer):
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
+    # Stale-view traffic and anything a non-member sends are dropped here,
+    # so every vote an instance counts is a member's in the installed view.
     def _on_prepare(self, src: int, message: BrbPrepare) -> None:
-        self._handle_prepare(src, message)
+        if message.view == self.view and src in self._members:
+            self._handle_prepare(src, message)
 
     def _handle_prepare(self, src: int, message: BrbPrepare) -> None:
         # The origin of a PREPARE is its (authenticated) sender, so a
@@ -178,13 +231,15 @@ class BrachaBroadcast(BroadcastLayer):
         if instance is None or instance.echo_sent:
             return
         instance.echo_sent = True
-        echo = BrbEcho(src, message.seq, message.payload, message.size)
+        echo = BrbEcho(src, message.seq, message.payload, message.size,
+                       self.view)
         self._send_and_self_apply(echo, self._apply_echo)
         if instance.delivered and key in self.delivered:
             self._instances.pop(key, None)  # the late ECHO was all it owed
 
     def _on_echo(self, src: int, message: BrbEcho) -> None:
-        self._apply_echo(src, message)
+        if message.view == self.view and src in self._members:
+            self._apply_echo(src, message)
 
     def _apply_echo(self, src: int, message: BrbEcho) -> None:
         instance = self._instance((message.origin, message.seq))
@@ -200,12 +255,11 @@ class BrachaBroadcast(BroadcastLayer):
         voters = entry[1]
         voters.add(src)
         if len(voters) >= self.echo_quorum:
-            instance.ready_sent = True
-            ready = BrbReady(message.origin, message.seq, message.payload, message.size)
-            self._send_and_self_apply(ready, self._apply_ready)
+            self._send_ready(instance, message)
 
     def _on_ready(self, src: int, message: BrbReady) -> None:
-        self._apply_ready(src, message)
+        if message.view == self.view and src in self._members:
+            self._apply_ready(src, message)
 
     def _apply_ready(self, src: int, message: BrbReady) -> None:
         instance = self._instance((message.origin, message.seq))
@@ -224,14 +278,18 @@ class BrachaBroadcast(BroadcastLayer):
             # Amplification: join the READY wave without having seen the
             # echo quorum ourselves (Listing 5 l.26-29).  This is what
             # gives Bracha its totality property.
-            instance.ready_sent = True
-            ready = BrbReady(message.origin, message.seq, message.payload, message.size)
-            self._send_and_self_apply(ready, self._apply_ready)
+            self._send_ready(instance, message)
         if count >= self.ready_quorum and not instance.delivered:
             instance.delivered = True
             pending = self._completed.setdefault(message.origin, {})
             pending[message.seq] = message.payload
             self._advance(message.origin, pending)
+
+    def _send_ready(self, instance: _Instance, message: Any) -> None:
+        instance.ready_sent = True
+        ready = BrbReady(message.origin, message.seq, message.payload,
+                         message.size, self.view)
+        self._send_and_self_apply(ready, self._apply_ready)
 
     # ------------------------------------------------------------------
     # Delivery (FIFO per origin, Listing 5 l.32)
@@ -245,6 +303,8 @@ class BrachaBroadcast(BroadcastLayer):
                 return
             payload = pending.pop(seq)
             delivered.add(origin, seq)
+            if origin == self.node.node_id:
+                self._own.pop(seq, None)
             key = (origin, seq)
             if instances[key].echo_sent:
                 del instances[key]

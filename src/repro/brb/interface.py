@@ -16,6 +16,12 @@ Astro's replication layer is a BRB primitive with the properties of §IV
   the signed protocol does not (Astro II compensates with dependency
   certificates, §IV-A).
 
+Quorums are over *members*: an endpoint's peer set (for Bracha, its
+installed view's members).  A message from a non-member is dropped on
+arrival and a certificate signer who is not a member does not count, so
+f Byzantine members plus any number of outsiders cannot make a correct
+member deliver what no member broadcast.
+
 The layer owns Integrity, across a crash too: its
 :class:`DeliveryFrontier` is the one record of what this replica has
 delivered — live, replayed from its write-ahead log, or imported from a
@@ -26,7 +32,8 @@ delivers, and a message for a delivered identifier is dropped before any
 state is created for it.
 
 Concrete implementations: :class:`~repro.brb.bracha.BrachaBroadcast`
-(Astro I) and :class:`~repro.brb.signed.SignedBroadcast` (Astro II).
+(Astro I, and DBRB across views) and
+:class:`~repro.brb.signed.SignedBroadcast` (Astro II).
 """
 
 from __future__ import annotations
@@ -103,9 +110,6 @@ class BroadcastLayer:
     this replica's identity, and the constructor-supplied deliver callback
     fires exactly once per delivered identifier.
     """
-
-    #: Whether this implementation provides the totality property.
-    provides_totality: bool = False
 
     #: The implementation's per-identifier protocol state.
     _instance_type: Callable[[], Any]

@@ -111,11 +111,13 @@ class _Instance:
 class SignedBroadcast(BroadcastLayer):
     """Signed BRB endpoint attached to one replica node.
 
+    Only members count: a PREPARE, ACK or COMMIT from a non-member is
+    dropped, and a certificate's quorum counts member signers only.
+
     An instance retires at delivery: every later PREPARE, ACK or COMMIT
     for its identifier is dropped on arrival.
     """
 
-    provides_totality = False
     _instance_type = _Instance
 
     def __init__(
@@ -151,6 +153,8 @@ class SignedBroadcast(BroadcastLayer):
         self.n = len(self.peers)
         self.f = f if f is not None else max_faulty(self.n)
         self.ack_quorum = byzantine_quorum(self.n, self.f)
+        self._members = frozenset(self.peers)
+        self._member_signers = frozenset(map(replica_owner, self.peers))
         #: Peers minus ourselves, in peer order — the fan-out target list.
         self._others: List[int] = [p for p in self.peers if p != node.node_id]
         node.on(SbPrepare, self._on_prepare)
@@ -183,7 +187,8 @@ class SignedBroadcast(BroadcastLayer):
     # Handlers
     # ------------------------------------------------------------------
     def _on_prepare(self, src: int, message: SbPrepare) -> None:
-        self._handle_prepare(src, message)
+        if src in self._members:
+            self._handle_prepare(src, message)
 
     def _handle_prepare(self, src: int, message: SbPrepare) -> None:
         instance = self._instance((src, message.seq))
@@ -242,7 +247,8 @@ class SignedBroadcast(BroadcastLayer):
             self._apply_commit(buffered)
 
     def _on_ack(self, src: int, message: SbAck) -> None:
-        self._apply_ack(src, message)
+        if src in self._members:
+            self._apply_ack(src, message)
 
     def _apply_ack(self, src: int, message: SbAck) -> None:
         if message.origin != self.node.node_id:
@@ -253,10 +259,10 @@ class SignedBroadcast(BroadcastLayer):
             # (then perhaps delivered): late ACKs cannot matter, so skip
             # the signature verification.
             return
+        if message.signature.signer != replica_owner(src):
+            return
         content = _ack_content(message.origin, message.seq, message.payload_digest)
         if not verify(self.keychain, message.signature, content):
-            return
-        if message.signature.signer != self._signer_for(src):
             return
         bucket = instance.acks.setdefault(message.payload_digest, {})
         bucket[src] = message.signature
@@ -283,7 +289,8 @@ class SignedBroadcast(BroadcastLayer):
         self._apply_commit(commit)
 
     def _on_commit(self, src: int, message: SbCommit) -> None:
-        self._apply_commit(message)
+        if src in self._members:
+            self._apply_commit(message)
 
     def _apply_commit(self, message: SbCommit) -> None:
         key = (message.origin, message.seq)
@@ -314,12 +321,9 @@ class SignedBroadcast(BroadcastLayer):
         # buckets in _send_commit).
         signers: Set[Hashable] = set()
         for signature in message.proof:
+            if signature.signer not in self._member_signers:
+                continue  # only a member's ACK counts toward the quorum
             if not verify(self.keychain, signature, content):
                 return False
             signers.add(signature.signer)
         return len(signers) >= self.ack_quorum
-
-    @staticmethod
-    def _signer_for(node_id: int) -> Hashable:
-        """Key owner identity expected for a replica node id."""
-        return replica_owner(node_id)

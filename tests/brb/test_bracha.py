@@ -219,11 +219,14 @@ def test_delivered_count():
 
 
 def test_endpoint_must_be_member():
+    """An endpoint outside its view (a joiner) may exist, but only a
+    member of the installed view can broadcast."""
     sim = Simulator()
     network = Network(sim, latency=ConstantLatency(0.01))
-    node = Node(sim, 9, network)
+    layer = BrachaBroadcast(Node(sim, 9, network), [0, 1, 2], lambda o, s, p: None)
     with pytest.raises(ValueError):
-        BrachaBroadcast(node, [0, 1, 2], lambda o, s, p: None)
+        layer.broadcast(1, "x", 100)
+    assert layer._own == {} and layer._instances == {}
 
 
 def test_larger_system_with_f_crashes_still_delivers():
@@ -235,3 +238,18 @@ def test_larger_system_with_f_crashes_still_delivers():
     sim.run_until_idle()
     for i in range(n - f):
         assert delivered[i] == [(0, 1, "resilient")]
+
+
+def test_non_member_readys_cannot_force_delivery():
+    """Votes count only from members: three outsiders READYing a payload
+    replica 0 never broadcast neither amplify nor deliver it."""
+    sim, network, nodes, layers, delivered = build()
+    outsiders = [Node(sim, i, network) for i in (10, 11, 12)]
+    for outsider in outsiders:
+        for dst in range(4):
+            network.send(
+                outsider.node_id, dst, BrbReady(0, 1, "forged", 100), size=100
+            )
+    sim.run_until_idle()
+    assert all(delivered[i] == [] for i in range(4))
+    assert all(layer._instances == {} for layer in layers)

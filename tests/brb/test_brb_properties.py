@@ -7,9 +7,10 @@ every execution.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.brb.bracha import BrachaBroadcast
-from repro.brb.signed import SignedBroadcast
-from repro.crypto import Keychain, replica_owner
+from repro.brb.bracha import BrachaBroadcast, BrbEcho, BrbPrepare, BrbReady
+from repro.brb.signed import SbAck, SbCommit, SbPrepare, SignedBroadcast
+from repro.crypto import Keychain, replica_owner, sign
+from repro.crypto.hashing import digest
 from repro.sim import Network, Node, Simulator, UniformLatency
 
 SETTINGS = dict(
@@ -151,3 +152,67 @@ def test_signed_reliability_with_non_broadcaster_crashes(seed, crash_subset):
         if i in crash_subset:
             continue
         assert delivered[i] == [(0, 1, "payload")]
+
+
+#: Non-member senders: never in any layer's peer set.
+OUTSIDERS = (100, 101, 102)
+
+injection_plan = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # kind: PREPARE, ECHO/ACK, READY/COMMIT
+        st.sampled_from(OUTSIDERS),  # sender
+        st.booleans(),  # identifier: member 0's, or the sender's own
+        st.integers(0, 6),  # target member (mod N)
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _bracha_injection(kind, sender, origin):
+    if kind == 0:
+        return BrbPrepare(1, "forged", 148)
+    return (BrbEcho, BrbReady)[kind - 1](origin, 1, "forged", 148)
+
+
+def _signed_injection(kind, sender, origin, keys):
+    if kind == 0:
+        return SbPrepare(1, "forged", 148)
+    forged = digest("forged")
+    content = ("brb-ack", origin, 1, forged)
+    if kind == 1:
+        return SbAck(origin, 1, forged, sign(keys[sender], content))
+    proof = tuple(sign(keys[o], content) for o in OUTSIDERS)
+    return SbCommit(origin, 1, forged, proof, 264)
+
+
+@settings(**SETTINGS)
+@given(
+    n=st.integers(4, 7),
+    plan=injection_plan,
+    seed=st.integers(0, 2**16),
+    signed=st.booleans(),
+)
+def test_non_members_cannot_make_members_deliver(n, plan, seed, signed):
+    """Outsiders inject PREPAREs, votes (ECHO/READY, or signed ACKs) and
+    certificates (COMMITs signed by all of them) for a forged payload,
+    under member 0's identifier or their own.  Members count only
+    members, so each delivers exactly what member 0 broadcast."""
+    build = build_signed if signed else build_bracha
+    sim, network, layers, delivered = build(n, seed)
+    keys = {}
+    for outsider in OUTSIDERS:
+        Node(sim, outsider, network)
+        if signed:
+            keys[outsider] = layers[0].keychain.generate(replica_owner(outsider))
+    layers[0].broadcast(1, "legit", 100)
+    for kind, sender, own, target in plan:
+        origin = sender if own else 0
+        if signed:
+            message = _signed_injection(kind, sender, origin, keys)
+        else:
+            message = _bracha_injection(kind, sender, origin)
+        network.send(sender, target % n, message, size=148)
+    sim.run_until_idle()
+    for i in range(n):
+        assert delivered[i] == [(0, 1, "legit")]

@@ -227,6 +227,26 @@ def test_ack_signature_must_match_sender():
     assert delivered[0] == [(0, 1, "x")]
 
 
+def test_certificate_counts_member_signers_only():
+    """A Byzantine broadcaster cannot fill its quorum with signatures of
+    replicas outside the peer set, and an outsider's PREPARE is not
+    ACKed."""
+    sim, network, keychain, nodes, keys, layers, delivered = build()
+    outsider = keychain.generate(replica_owner(10))
+    Node(sim, 10, network)
+    sent = spy_sends(nodes[3])
+    network.send(10, 3, SbPrepare(1, "y", 148), size=148)
+    sim.run_until_idle()
+    assert sent == []
+    payload_digest = digest("y")
+    content = ("brb-ack", 0, 1, payload_digest)
+    network.send(0, 3, SbPrepare(1, "y", 148), size=148)
+    proof = tuple(sign(k, content) for k in (keys[0], keys[3], outsider))
+    network.send(0, 3, SbCommit(0, 1, payload_digest, proof, 264), size=264)
+    sim.run_until_idle()
+    assert delivered[3] == []
+
+
 def test_delivered_count_and_membership_validation():
     sim, network, keychain, nodes, keys, layers, delivered = build()
     layers[0].broadcast(1, "x", 100)

@@ -2,7 +2,7 @@
 
 
 from repro.brb.batching import Batch
-from repro.brb.signed import SbCommit, SbPrepare
+from repro.brb.signed import SbAck, SbCommit, SbPrepare
 from repro.core.payment import Payment
 from repro.core.system import Astro1System, Astro2System
 from repro.crypto.hashing import digest
@@ -187,3 +187,51 @@ class TestByzantineFloods:
         system.submit("alice", "bob", 5)
         system.settle_all()
         assert all(count == 1 for count in system.settled_counts())
+
+
+class TestNonMemberAcks:
+    def test_acks_from_another_shard_cannot_certify_an_equivocation(self):
+        """A Byzantine representative equivocates inside its shard
+        (f = 1) and borrows ACKs from the *other* shard's replicas for
+        the conflicting batch.  ACKs and certificate signers count only
+        when they are members of the broadcaster's shard, so the borrowed
+        signatures certify nothing and no correct replica settles a
+        conflicting spend."""
+        genesis = {f"c{i}": 100 for i in range(16)}
+        system = Astro2System(num_replicas=4, num_shards=2, genesis=genesis, seed=1)
+        byzantine = system.replicas[0]
+        client = next(
+            c for c in sorted(system.directory.clients_of_shard(0))
+            if system.directory.rep_of(c) == byzantine.node_id
+        )
+        batches = {
+            "x": Batch([Payment(client, 1, "c1", 10)]),
+            "y": Batch([Payment(client, 1, "c2", 10)]),
+        }
+        targets = {"x": (1, 2), "y": (3, 4, 5)}
+        collected = {name: [] for name in batches}
+        by_digest = {b.cached_digest: name for name, b in batches.items()}
+
+        def collect(src, ack):
+            collected[by_digest[ack.payload_digest]].append(ack.signature)
+
+        byzantine.brb.node.on(SbAck, collect)
+        for name, batch in batches.items():
+            prepare = SbPrepare(1, batch, 48 + batch.size_bytes)
+            for dst in targets[name]:
+                system.network.send(0, dst, prepare, size=prepare.size)
+        system.sim.run(until=system.sim.now + 1.0)
+        for name, batch in batches.items():
+            own = sign(byzantine.key, ("brb-ack", 0, 1, batch.cached_digest))
+            proof = (own, *collected[name])
+            commit = SbCommit(0, 1, batch.cached_digest, proof, 264)
+            for dst in targets[name]:
+                system.network.send(0, dst, commit, size=264)
+        system.settle_all()
+
+        beneficiaries = {
+            replica.node_id: [p.beneficiary for p in replica.state.xlog(client)]
+            for replica in system.replicas[1:4]
+        }
+        assert beneficiaries[1] == beneficiaries[2] == ["c1"]
+        assert beneficiaries[3] in ([], ["c1"])

@@ -153,7 +153,8 @@ def test_different_seeds_differ_in_timing():
 # Hash-seed independence of the *uncovered* protocol paths
 # ---------------------------------------------------------------------------
 # The figure benchmarks are already proven PYTHONHASHSEED-independent;
-# consensus view changes and reconfiguration (membership/DBRB) were not.
+# consensus view changes, reconfiguration (membership) and Bracha across
+# view changes (DBRB) were not.
 # String-keyed sets/dicts iterate in hash-seed-dependent order, so any
 # ordering leak from them into message or certificate assembly shows up
 # as differing histories between fresh interpreters with different seeds.
@@ -186,6 +187,35 @@ print("bft", replica.view, replica.view_changes,
 # Reconfiguration: three consensusless joins growing one system 4 -> 6.
 latencies = measure_astro_join_series([4, 5, 6], seed=3)
 print("reconfig", [latency.hex() for latency in latencies])
+
+# Bracha across views (DBRB): broadcasts in flight while two replicas
+# join and leave restart in every installed view.
+from repro.brb.bracha import BrachaBroadcast
+from repro.reconfig.views import View
+from repro.sim import Network, Node, Simulator, UniformLatency
+
+sim = Simulator()
+network = Network(sim, latency=UniformLatency(0.001, 0.02, seed=5))
+view = View(0, range(4))
+log = []
+layers = [
+    BrachaBroadcast(
+        Node(sim, i, network), range(4),
+        lambda o, s, p, i=i: log.append((i, o, s, p, sim.now.hex())),
+    )
+    for i in range(6)
+]
+for seq in range(1, 5):
+    for origin in range(4):
+        layers[origin].broadcast(seq, ("pay", f"c{origin}", seq), 100)
+    sim.run(until=sim.now + 0.01)
+    view = view.with_member(seq + 3) if seq < 3 else view.without_member(seq + 1)
+    for layer in layers:
+        layer.install_view(view)
+sim.run_until_idle()
+assert all(layers[i].delivered.front == dict.fromkeys(range(4), 4)
+           for i in range(4)), "every broadcast must survive the view changes"
+print("dbrb", view.number, sim.now.hex(), log)
 """
 
 

@@ -2,11 +2,12 @@
 
 The paper pauses payment processing while a new view is agreed and
 resumes in the installed view.  These tests exercise the pause/resume
-hooks together with a DBRB broadcast in flight.
+hooks together with a Bracha broadcast in flight across the view change
+(DBRB, Appendix A-C).
 """
 
+from repro.brb.bracha import BrachaBroadcast
 from repro.crypto import Keychain, replica_owner
-from repro.reconfig.dbrb import DynamicBroadcast
 from repro.reconfig.membership import ReconfigReplica
 from repro.reconfig.views import View
 from repro.sim import ConstantLatency, Network, Simulator
@@ -27,8 +28,8 @@ def test_join_while_broadcast_in_flight_delivers_to_everyone():
             sim, node_id, network, view, keychain, key, state_bytes=1_000
         )
         membership[node_id] = replica
-        layer = DynamicBroadcast(
-            replica, view,
+        layer = BrachaBroadcast(
+            replica, sorted(view.members),
             (lambda i: lambda o, s, p: delivered[i].append((o, s, p)))(node_id),
         )
         broadcast[node_id] = layer
@@ -40,12 +41,12 @@ def test_join_while_broadcast_in_flight_delivers_to_everyone():
     # the membership changes.
     for dst in range(1, 5):
         network.block(0, dst)
-    broadcast[0].broadcast(1, ("pay", "alice", 1, "bob", 10))
+    broadcast[0].broadcast(1, ("pay", "alice", 1, "bob", 10), 100)
     membership[4].request_join()
     sim.run_until_idle()
     network.heal()
-    # Reconnected: DBRB retransmits its pending instance in the current
-    # (post-join) view.
+    # Reconnected: the broadcaster retransmits its pending instance in
+    # the current (post-join) view.
     broadcast[0].retry_pending()
     sim.run_until_idle()
 

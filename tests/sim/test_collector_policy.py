@@ -18,7 +18,7 @@ from repro.bench.parallel import ScenarioJob, execute
 from repro.bench.peak import find_peak
 from repro.bench.runner import setup_open_loop
 from repro.bench.systems import SYSTEM_BUILDERS
-from repro.reconfig.dbrb import DynamicBroadcast
+from repro.brb.bracha import BrachaBroadcast
 from repro.reconfig.views import View
 from repro.sim import ConstantLatency, Network, Node, Simulator
 from repro.sim.events import SimulationError
@@ -85,19 +85,19 @@ def test_adversary_tap_allocates_no_cycles(collector_off):
 
 
 def test_reconfiguration_allocates_no_cycles(collector_off):
-    """Dynamic BRB broadcasts across repeated view changes."""
+    """Bracha broadcasts across repeated view changes (DBRB)."""
     sim = Simulator()
     network = Network(sim, latency=ConstantLatency(0.005))
     view = View(0, range(4))
     layers = [
-        DynamicBroadcast(Node(sim, i, network), view, lambda o, s, p: None)
+        BrachaBroadcast(Node(sim, i, network), range(4), lambda o, s, p: None)
         for i in range(6)
     ]
     gc.collect()
     seq = 0
     while sim.events_executed < EVENTS:
         seq += 1
-        layers[seq % 4].broadcast(seq, f"m{seq}")
+        layers[seq % 4].broadcast((seq - 1) // 4 + 1, f"m{seq}", 100)
         if seq % 50 == 0:
             view = (
                 view.without_member(4)

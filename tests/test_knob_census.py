@@ -4,7 +4,8 @@ undocumented, and a documented knob cannot silently disappear.  The
 live cluster's command-line flags are counted the same way against
 README's "Live cluster" section, the ``Transport`` protocol's members
 against "The transport contract", and the live harness's seams are
-checked for knobs smuggled in as default arguments."""
+checked for knobs smuggled in as default arguments, and the broadcast
+layers are pinned to one Bracha and one signed protocol."""
 
 import inspect
 import pathlib
@@ -122,3 +123,28 @@ def test_deployment_configs_carry_only_settings_callers_vary():
     # with one value in use, make it a constant instead.
     assert len(fields(AstroConfig)) == 8
     assert len(fields(BftConfig)) == 7
+
+
+def test_one_bracha_and_one_signed_broadcast():
+    """Two BRB layers, each with one constructor: a second Bracha (as
+    DBRB once was) or a new behaviour switch on either fails here.
+    Views are a method of Bracha's layer, not a parallel class."""
+    from repro.brb.bracha import BrachaBroadcast
+    from repro.brb.interface import BroadcastLayer
+    from repro.brb.signed import SignedBroadcast
+
+    assert set(BroadcastLayer.__subclasses__()) == {
+        BrachaBroadcast,
+        SignedBroadcast,
+    }
+    parameters = {
+        cls.__name__: list(inspect.signature(cls.__init__).parameters)
+        for cls in (BrachaBroadcast, SignedBroadcast)
+    }
+    assert parameters == {
+        "BrachaBroadcast": ["self", "node", "peers", "deliver", "f"],
+        "SignedBroadcast": [
+            "self", "node", "peers", "deliver", "keychain", "key", "f",
+            "ack_guard", "resend_acks",
+        ],
+    }
