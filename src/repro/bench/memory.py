@@ -5,7 +5,8 @@ account states (default: 4 replicas sharing one
 :class:`~repro.core.interning.ClientInterner`) over populations of
 10⁵–10⁶ clients and reports allocated bytes per account of the
 array-backed store (:class:`~repro.core.accounts.AccountState`, int64
-slabs + interner, lazy sparse xlogs), then bytes per settled payment.
+slabs + interner, lazy sparse xlogs), then bytes per settled payment and
+per certificate an Astro II representative holds pending.
 
 Sizes come from :mod:`tracemalloc` — requested allocation sizes, not
 RSS, so numbers are stable across machines and allocator behavior.
@@ -24,14 +25,17 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..brb.batching import Batch
 from ..core.accounts import AccountState
+from ..core.dependencies import CreditMessage
 from ..core.interning import ClientInterner
 from ..core.payment import Payment
+from ..core.system import Astro2System
 from ..transport.framing import decode_exactly_one, encode_frame
 from ..workloads.uniform import uniform_genesis
 from .report import merge_perf_report, print_table
 
 __all__ = ["measure_bytes_per_account", "measure_bytes_per_payment",
-           "run_memory_cells", "main"]
+           "measure_bytes_per_pending_certificate", "run_memory_cells",
+           "main"]
 
 #: Deployment size of the measured replica group (Astro's N = 3f+1
 #: minimum); the interner is shared across the group, as in a system.
@@ -88,6 +92,46 @@ def measure_bytes_per_payment() -> float:
     return (traced - base) / (32 * len(frames))
 
 
+def measure_bytes_per_pending_certificate() -> float:
+    """Allocated bytes per certificate one Astro II representative holds
+    pending: CREDITs of 512 sub-batches of 32 payments to its clients,
+    one frame from each of N = 4 settlers (pickled before tracing
+    starts), decoded and fed to its ``_apply_credit``.  Genesis balances
+    are ample, so nothing is attached: every certificate stays pending,
+    as under ``live_uniform``, whose sequence numbers stay as small
+    (≈ 141 payments per account)."""
+    genesis = uniform_genesis(1024)
+    system = Astro2System(num_replicas=4, genesis=genesis)
+    representative = system.replicas[0]
+    served = [c for c in genesis if system.directory.rep_of(c) == 0]
+    ids = list(genesis)
+    frames = []
+    for start in range(0, 16_384, 32):
+        subbatch = tuple(
+            Payment(ids[k % 1024], k // 1024 + 1,
+                    served[(7 * k + 1) % len(served)], 1)
+            for k in range(start, start + 32)
+        )
+        frames += [
+            (replica.node_id, encode_frame(
+                CreditMessage.create(replica.key, replica.shard_id, subbatch)
+            ))
+            for replica in system.replicas
+        ]
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for src, frame in frames:
+            representative._apply_credit(src, decode_exactly_one(frame))
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pending = sum(len(refs) for refs in representative._deps.values()) // 2
+    if pending != 16_384:
+        raise RuntimeError(f"{pending} of 16384 certificates pending")
+    return (traced - base) / pending
+
+
 def run_memory_cells(
     clients: Sequence[int] = DEFAULT_CLIENTS,
     num_replicas: int = DEFAULT_REPLICAS,
@@ -102,8 +146,14 @@ def run_memory_cells(
         }
         for num_clients in clients
     ]
-    return {"num_replicas": num_replicas, "cells": cells,
-            "payment_bytes": round(measure_bytes_per_payment(), 1)}
+    return {
+        "num_replicas": num_replicas,
+        "cells": cells,
+        "payment_bytes": round(measure_bytes_per_payment(), 1),
+        "pending_certificate_bytes": round(
+            measure_bytes_per_pending_certificate(), 1
+        ),
+    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -141,7 +191,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             [f"account, {cell['num_clients']} clients",
              cell["array_bytes_per_account"]]
             for cell in section["cells"]
-        ] + [["settled decoded payment", section["payment_bytes"]]],
+        ] + [
+            ["settled decoded payment", section["payment_bytes"]],
+            ["pending certificate (Astro II representative)",
+             section["pending_certificate_bytes"]],
+        ],
         title=f"Account-store memory ({args.replicas} replicas, "
               f"shared interner; report: {path})",
     )

@@ -20,7 +20,7 @@ Differences from Astro I, per the paper's "Comparison" paragraph:
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from collections import deque
 
 from ..brb.batching import Batch, KeyedCoalescer
@@ -34,6 +34,8 @@ from .dependencies import (
     CreditMessage,
     DependencyCertificate,
     DependencyCollector,
+    certificates_of,
+    reference_pairs,
     verify_certificate,
 )
 from .directory import Directory
@@ -82,8 +84,11 @@ class Astro2Replica(AstroReplicaBase):
         )
         # --- representative-side state (Listings 7, 10) ---
         self._collector = DependencyCollector(directory, keychain, node_id)
-        #: Accumulated, not-yet-attached certificates per represented client.
-        self._deps: Dict[ClientId, List[DependencyCertificate]] = {}
+        #: Accumulated, not-yet-attached certificates per represented
+        #: client, in minting order: ``(record, position)`` references
+        #: into the collector's minted sub-batches, held flat
+        #: (``dependencies.reference_pairs``).
+        self._deps: Dict[ClientId, List[Any]] = {}
         #: Optimistic balance view used to decide when a client's payment
         #: can be broadcast (settled balance ± in-flight effects),
         #: *including* certificates not yet attached.
@@ -203,19 +208,25 @@ class Astro2Replica(AstroReplicaBase):
         payments (in the spirit of §VI-A's batching) and changes nothing
         semantically: a certificate is only needed to prove funds the
         replicas have not yet seen materialized.
+
+        The certificates are built here, from the client's ``(record,
+        position)`` references, in minting order and with one unpacked
+        sub-batch per record (``dependencies.certificates_of``); until
+        then a pending certificate is two list slots.
         """
         spender = payment.spender
         attached = self._attached_projection.get(spender, 0)
         if attached >= payment.amount:
             self._attached_projection[spender] = attached - payment.amount
             return payment
-        certs = self._deps.pop(spender, None)
-        if not certs:
+        references = self._deps.pop(spender, None)
+        if not references:
             # Nothing to attach; the hold logic (``_projected``) should
             # have prevented this path, but a Byzantine client bypassing
             # it simply gets its payment rejected at settle.
             self._attached_projection[spender] = attached - payment.amount
             return payment
+        certs = certificates_of(references)
         gained = sum(cert.amount for cert in certs)
         self._attached_projection[spender] = attached + gained - payment.amount
         return Payment(
@@ -223,7 +234,7 @@ class Astro2Replica(AstroReplicaBase):
             payment.seq,
             payment.beneficiary,
             payment.amount,
-            deps=tuple(certs),
+            deps=certs,
             submitted_at=payment.submitted_at,
         )
 
@@ -460,22 +471,24 @@ class Astro2Replica(AstroReplicaBase):
             self._apply_credit(src, message)
 
     def _apply_credit(self, src: int, message: CreditMessage) -> None:
-        certs = self._collector.add_credit(src, message)
-        if not certs:
+        minted = self._collector.add_credit(src, message)
+        if not minted:
             return
         deps = self._deps
         projected = self._projected
         # Replay releases nothing: projections are derived after it.
         held = self._held if self._wal is None or self._wal.recording else ()
-        for cert in certs:
-            payment = cert.payment
-            beneficiary = payment.beneficiary
+        for reference in minted:
+            record, position = reference
+            beneficiary = record.beneficiary(position)
             bucket = deps.get(beneficiary)
             if bucket is None:
-                deps[beneficiary] = [cert]
+                deps[beneficiary] = list(reference)
             else:
-                bucket.append(cert)
-            projected[beneficiary] = projected.get(beneficiary, 0) + payment.amount
+                bucket += reference
+            projected[beneficiary] = (
+                projected.get(beneficiary, 0) + record.amount(position)
+            )
             if beneficiary in held:
                 self._release_held(beneficiary)
 
@@ -492,9 +505,11 @@ class Astro2Replica(AstroReplicaBase):
         data = super()._snapshot_data()
         # State WAL replay cannot rebuild (CREDIT aggregation is cumulative;
         # projections are derived), pickled via the ``__reduce__`` wire
-        # forms.  ``seen_payments`` guards ACKed, unsettled payments;
-        # deriving ``used_deps`` would re-verify every certificate.
-        data["deps"] = {c: list(certs) for c, certs in self._deps.items()}
+        # forms.  ``deps`` pickles each minted sub-batch once, however
+        # many pending references point into it.  ``seen_payments``
+        # guards ACKed, unsettled payments; deriving ``used_deps`` would
+        # re-verify every certificate.
+        data["deps"] = {c: list(refs) for c, refs in self._deps.items()}
         data["held"] = {c: list(q) for c, q in self._held.items()}
         data["collector"] = self._collector.capture()
         data["seen_payments"] = dict(self._seen_payments)
@@ -510,7 +525,7 @@ class Astro2Replica(AstroReplicaBase):
                 "object, not its capture"
             )
         super()._restore_snapshot(data)
-        self._deps = {c: list(certs) for c, certs in data["deps"].items()}
+        self._deps = {c: list(refs) for c, refs in data["deps"].items()}
         self._held = {c: deque(q) for c, q in data["held"].items()}
         self._collector.refill(data["collector"])
         self._seen_payments = dict(data["seen_payments"])
@@ -545,13 +560,17 @@ class Astro2Replica(AstroReplicaBase):
                 used = self._used_deps.get(client, {})
                 riding = {c.dep_id: c.amount for p in spends for c in p.deps}
                 riding = {d: a for d, a in riding.items() if d not in used}
-                pending = {
-                    c.dep_id: c
-                    for c in self._deps.pop(client, ())
-                    if c.dep_id not in used and c.dep_id not in riding
-                }
+                pending = {}
+                for record, position in reference_pairs(
+                    self._deps.pop(client, ())
+                ):
+                    dep_id = record.dep_id(position)
+                    if dep_id not in used and dep_id not in riding:
+                        pending[dep_id] = (record, position)
                 if pending:
-                    self._deps[client] = list(pending.values())
+                    self._deps[client] = [
+                        item for pair in pending.values() for item in pair
+                    ]
                 debt = sum(p.amount for p in spends) - sum(riding.values())
             self._attached_projection[client] = self.balance_of(client) - debt
             self._projected[client] = self.available_balance(client) - debt
@@ -572,7 +591,10 @@ class Astro2Replica(AstroReplicaBase):
 
         What a client of this representative could spend right now.
         """
-        pending = sum(cert.amount for cert in self._deps.get(client, ()))
+        pending = sum(
+            record.amount(position)
+            for record, position in reference_pairs(self._deps.get(client, ()))
+        )
         return self.state.balance(client) + pending
 
     @property

@@ -25,6 +25,16 @@ is read, which :meth:`DependencyCollector.add_credit` does for the first
 arrival of a sub-batch only.  CREDITs and certificates cross the wire
 as core fields (``core.payment.pack_payments``), never with the crediting
 payments' own dependencies or ``submitted_at``.
+
+A representative holds its clients' certificates until a payment needs
+them (Listing 7, attached lazily), which under load that never runs an
+account low is for good.  So it does not hold certificates: f+1 CREDITs
+mint one :class:`MintedSubbatch` — shard, digest, the f+1 signatures and
+the sub-batch's packed core fields, held once — and a pending
+certificate is a ``(record, position)`` reference into it.
+:func:`certificates_of` builds the certificates when they are
+attached, with one unpacked sub-batch per record; a checkpoint pickles
+each record once.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from .payment import (
     ClientId,
     Payment,
     PaymentId,
-    pack_payments,
+    flat_cores,
     unpack_payments,
 )
 
@@ -59,7 +69,10 @@ __all__ = [
     "CreditMessage",
     "DependencyCertificate",
     "DependencyCollector",
+    "MintedSubbatch",
+    "certificates_of",
     "credit_content",
+    "reference_pairs",
     "subbatch_digest_of",
     "verify_certificate",
 ]
@@ -166,7 +179,7 @@ class CreditMessage:
         # hash seed, and recomputing it per copy would repeat an
         # O(|sub-batch|) hash at the receiver.
         packed = self._packed
-        flat = pack_payments(self.payments)[0] if packed is None else packed[0]
+        flat = flat_cores(self.payments) if packed is None else packed[0]
         return (
             _credit_from_wire,
             (self.shard_id, flat, (), self.signature, self.subbatch_digest),
@@ -273,7 +286,7 @@ class DependencyCertificate:
         return (
             _certificate_from_wire,
             (self.payment.core, self.shard_id,
-             pack_payments(self.subbatch)[0], self.signatures,
+             flat_cores(self.subbatch), self.signatures,
              self.subbatch_digest),
         )
 
@@ -346,6 +359,78 @@ def _certificate_from_wire(
     )
 
 
+class MintedSubbatch:
+    """A sub-batch that reached f+1 matching CREDITs, held once.
+
+    ``flat`` is the sub-batch's core fields in order
+    (``core.payment.flat_cores``: four per payment), so payment
+    ``position`` is ``flat[4·position : 4·position + 4]``.  A pending
+    certificate is ``(record, position)``; the certificate itself is
+    built when it is attached (:func:`certificates_of`).  Pickled, a
+    record is its four fields, and one pickle writes it once however many
+    certificates point into it.
+    """
+
+    __slots__ = ("shard_id", "subbatch_digest", "signatures", "flat")
+
+    def __init__(
+        self,
+        shard_id: int,
+        subbatch_digest: Digest,
+        signatures: Tuple[Signature, ...],
+        flat: tuple,
+    ) -> None:
+        self.shard_id = shard_id
+        self.subbatch_digest = subbatch_digest
+        self.signatures = signatures
+        self.flat = flat
+
+    def __reduce__(self):
+        return (
+            MintedSubbatch,
+            (self.shard_id, self.subbatch_digest, self.signatures, self.flat),
+        )
+
+    def dep_id(self, position: int) -> PaymentId:
+        """Identifier of the crediting payment at ``position``."""
+        index = 4 * position
+        return (self.flat[index], self.flat[index + 1])
+
+    def beneficiary(self, position: int) -> ClientId:
+        return self.flat[4 * position + 2]
+
+    def amount(self, position: int) -> int:
+        return self.flat[4 * position + 3]
+
+
+def reference_pairs(references: Sequence[Any]):
+    """The ``(record, position)`` pairs of a representative's pending
+    list, which holds them flat — ``[record, position, record, position,
+    …]`` — so a pending certificate costs two list slots, not a tuple."""
+    items = iter(references)
+    return zip(items, items)
+
+
+def certificates_of(
+    references: Sequence[Any],
+) -> Tuple[DependencyCertificate, ...]:
+    """The certificates a flat pending list refers to, in its order, each
+    record's sub-batch unpacked once and shared by its certificates."""
+    subbatches: Dict[MintedSubbatch, Tuple[Payment, ...]] = {}
+    certificates = []
+    for record, position in reference_pairs(references):
+        subbatch = subbatches.get(record)
+        if subbatch is None:
+            subbatch = subbatches[record] = unpack_payments(record.flat)
+        certificates.append(
+            DependencyCertificate(
+                subbatch[position], record.shard_id, subbatch,
+                record.signatures, record.subbatch_digest,
+            )
+        )
+    return tuple(certificates)
+
+
 def verify_certificate(
     cert: DependencyCertificate, directory: Directory, keychain: Keychain
 ) -> bool:
@@ -398,9 +483,13 @@ def verify_certificate(
 class DependencyCollector:
     """Representative-side CREDIT aggregation (Listing 10).
 
-    Collects CREDIT messages per sub-batch; once f+1 distinct settling
-    replicas have signed, mints a :class:`DependencyCertificate` for each
-    payment in the sub-batch whose beneficiary this representative serves.
+    Collects CREDIT messages per sub-batch, buffering the first valid
+    arrival's payload as packed core fields; once f+1 distinct settling
+    replicas have signed, mints one :class:`MintedSubbatch` and returns a
+    ``(record, position)`` reference for each payment in it whose
+    beneficiary this representative serves.  No
+    :class:`DependencyCertificate` is built here: the representative
+    builds them when it attaches them (:func:`certificates_of`).
     """
 
     #: Default compaction bounds.  ``MAX_PENDING`` caps sub-batches still
@@ -429,8 +518,9 @@ class DependencyCollector:
         self.max_certified = max_certified
         #: (shard, subbatch digest) -> settling replica -> signature
         self._partial: Dict[Tuple[int, Digest], Dict[int, Signature]] = {}
-        #: Payments of finished sub-batches (kept until certified).
-        self._payments: Dict[Tuple[int, Digest], Tuple[Payment, ...]] = {}
+        #: Core fields (``flat_cores``) of the sub-batches still short of
+        #: f+1 CREDITs: what the first valid arrival carried.
+        self._payments: Dict[Tuple[int, Digest], tuple] = {}
         #: Insertion-ordered (dict-as-FIFO): certified sub-batch key ->
         #: settler node ids whose CREDITs are still outstanding.
         #: Straggler CREDITs of a minted sub-batch are dropped here
@@ -471,8 +561,12 @@ class DependencyCollector:
             info = self._shard_info[shard] = (members, needed)
         return info
 
-    def add_credit(self, src: int, message: CreditMessage) -> List[DependencyCertificate]:
-        """Process one CREDIT; returns freshly minted certificates (if any)."""
+    def add_credit(
+        self, src: int, message: CreditMessage
+    ) -> List[Tuple[MintedSubbatch, int]]:
+        """Process one CREDIT; returns the ``(record, position)``
+        references it minted for this representative's clients (empty
+        unless it was the f+1-th)."""
         shard = message.shard_id
         info = self._shard_lookup(shard)
         if info is None:
@@ -509,7 +603,10 @@ class DependencyCollector:
             # is actually buffered: later arrivals' payloads are ignored
             # (their signatures endorse the digest, which already matches
             # the buffered payments), so re-hashing them per CREDIT would
-            # spend O(|sub-batch|) per message for nothing.
+            # spend O(|sub-batch|) per message for nothing.  The buffer
+            # keeps the validated payments' core fields, not the frame's:
+            # a ``Payment`` interns its client ids, a decoded frame's
+            # strings are its own copies.
             try:
                 payments = message.payments
             except ValueError:
@@ -517,7 +614,7 @@ class DependencyCollector:
             if subbatch_digest_of(payments) != message.subbatch_digest:
                 return []
             bucket = self._partial[key] = {}
-            self._payments[key] = payments
+            self._payments[key] = flat_cores(payments)
             if len(self._partial) > self.max_pending:
                 self._evict_oldest_pending()
         bucket[src] = message.signature
@@ -531,20 +628,17 @@ class DependencyCollector:
                 self._certified.pop(next(iter(self._certified)))
                 self.evicted_certified += 1
         signatures = tuple(bucket.values())[:needed]
-        subbatch = self._payments.pop(key)
+        record = MintedSubbatch(
+            shard, key[1], signatures, self._payments.pop(key)
+        )
         self._partial.pop(key, None)
         self.minted_subbatches += 1
-        certificates = []
-        for payment in subbatch:
-            if self.directory.rep_of(payment.beneficiary) != self.my_node:
-                continue
-            certificates.append(
-                DependencyCertificate(
-                    payment, shard, subbatch, signatures,
-                    subbatch_digest=key[1],
-                )
-            )
-        return certificates
+        rep_of, me = self.directory.rep_of, self.my_node
+        return [
+            (record, position)
+            for position, beneficiary in enumerate(record.flat[2::4])
+            if rep_of(beneficiary) == me
+        ]
 
     def _evict_oldest_pending(self) -> None:
         """Drop the oldest incomplete sub-batch (GC for stranded CREDITs).

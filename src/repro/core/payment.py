@@ -23,6 +23,7 @@ __all__ = [
     "Payment",
     "PaymentId",
     "ClientId",
+    "flat_cores",
     "pack_payments",
     "unpack_payments",
 ]
@@ -176,16 +177,21 @@ class Payment:
         )
 
 
+def flat_cores(payments: Sequence[Payment]) -> tuple:
+    """Every payment's four core fields in order: one tuple of ``4·k``
+    scalars, the first half of :func:`pack_payments`."""
+    return tuple(chain.from_iterable([p.core for p in payments]))
+
+
 def pack_payments(payments: Sequence[Payment]) -> Tuple[tuple, tuple]:
     """The wire form of a payment sequence: ``(flat, extras)``.
 
-    ``flat`` is every payment's four core fields in order, one tuple of
-    ``4·k`` scalars, so pickle walks one container instead of ``k``
-    nested ``__reduce__`` tuples.  ``extras`` lists ``(index, deps,
-    submitted_at)`` for the payments that carry either — none under
+    ``flat`` is :func:`flat_cores`, so pickle walks one container instead
+    of ``k`` nested ``__reduce__`` tuples.  ``extras`` lists ``(index,
+    deps, submitted_at)`` for the payments that carry either — none under
     uniform load, the credit-funded payouts under merchant load.
     """
-    flat = tuple(chain.from_iterable([p.core for p in payments]))
+    flat = flat_cores(payments)
     extras = tuple([
         (index, p.deps, p.submitted_at)
         for index, p in enumerate(payments)

@@ -13,12 +13,14 @@ written:
 * **checkpoints**, which bound replay time.  Every 256 records the
   replica's capture is appended as one ``("checkpoint", body)`` record:
   ``body`` pickles the head state whole (slabs, collector, pending
-  certificates, queues, the ACK guard's unsettled payments, the BRB
-  layer's delivery frontier, counters) and each grow-only history
-  (:data:`HISTORIES`: the xlogs' columns, ``usedDeps``) as the tail
-  added since the previous checkpoint (projections are derived).  A
-  checkpoint writes what changed, not what exists, and its position in
-  the log is what it covers.
+  certificates — references into minted sub-batches, each written once —,
+  queues, the ACK guard's unsettled payments, the BRB layer's delivery
+  frontier, counters) and each grow-only history (:data:`HISTORIES`: the
+  xlogs' columns, ``usedDeps``) as the tail added since the previous
+  checkpoint (projections are derived).  A checkpoint writes what
+  changed, not what exists, and its position in the log is what it
+  covers.  A record that does not fit a frame fails its event, and every
+  later one, with that :class:`~repro.transport.framing.FrameError`.
 
 The log is never truncated, because its delivery history doubles as the
 serving side of the peer **catch-up** protocol a restarted replica uses
@@ -55,7 +57,7 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..brb.interface import DeliveryFrontier
-from ..transport.framing import MAX_FRAME_BYTES, encode_frame
+from ..transport.framing import MAX_FRAME_BYTES, FrameError, encode_frame
 from .accounts import AccountState
 
 __all__ = [
@@ -114,9 +116,10 @@ def _genesis_digest(state: AccountState) -> str:
     return hashlib.sha256(repr(prefix).encode()).hexdigest()
 
 
-#: The one snapshot encoding :func:`restore_account_state` accepts (4:
-#: the post-genesis members as one ``(client, balance, seqnum)`` list).
-SNAPSHOT_FORMAT = 4
+#: The one snapshot encoding :func:`restore_account_state` accepts (5:
+#: an Astro II representative's pending certificates as ``(record,
+#: position)`` references into minted sub-batches; 4 held them whole).
+SNAPSHOT_FORMAT = 5
 
 
 def snapshot_account_state(state: AccountState) -> Dict[str, Any]:
@@ -243,7 +246,7 @@ class WriteAheadLog:
     def append(self, record: Any) -> None:
         if self._file is None:
             raise RuntimeError("WAL is not open for appending")
-        self._file.write(encode_frame(record))
+        self._file.write(encode_frame(record, MAX_FRAME_BYTES))
         # Flush to the OS: survives SIGKILL of this process (durability
         # against machine crashes would need fsync; process-kill chaos —
         # the failure model here — only needs the page cache).
@@ -381,6 +384,11 @@ class ReplicaStore:
         self._scanned: Optional[Tuple[int, int]] = None
         #: Items of each history the log's checkpoints hold, per owner.
         self._written: Dict[Tuple[str, ...], Any] = {}
+        #: The first append that did not fit a frame.  Latched: every
+        #: later append raises it again at once, so a checkpoint over the
+        #: cap fails the replica's events with its reason instead of being
+        #: rebuilt and re-pickled on each of them.
+        self._failed: Optional[FrameError] = None
 
     # -- recovery ------------------------------------------------------
     def recover(self) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
@@ -445,9 +453,18 @@ class ReplicaStore:
         self.recording = True
 
     # -- appending -----------------------------------------------------
+    def _append(self, record: Tuple[Any, ...]) -> None:
+        if self._failed is not None:
+            raise self._failed
+        try:
+            self.wal.append(record)
+        except FrameError as exc:
+            self._failed = exc
+            raise
+
     def record(self, record: Tuple[Any, ...]) -> None:
         if self.recording:
-            self.wal.append(record)
+            self._append(record)
 
     def fingerprint_due(self) -> bool:
         return (
@@ -457,7 +474,7 @@ class ReplicaStore:
 
     def record_fingerprint(self, fingerprint: str) -> None:
         if self.recording:
-            self.wal.append(("fp", fingerprint))
+            self._append(("fp", fingerprint))
             self._last_fingerprint_at = self.wal.count
 
     def snapshot_due(self) -> bool:
@@ -472,8 +489,11 @@ class ReplicaStore:
         ``body`` is ``(head, tails)``: ``data`` minus its
         :data:`HISTORIES`, whole, and per history the ``(start, items)``
         each owner gained since the log's previous checkpoint (only the
-        owners that are new or grew).
+        owners that are new or grew).  Once an append has not fit a frame
+        it raises that error, before building anything.
         """
+        if self._failed is not None:
+            raise self._failed
         head = dict(data)
         tails: Dict[Tuple[str, ...], Any] = {}
         written = dict(self._written)
@@ -494,7 +514,7 @@ class ReplicaStore:
                 owner: len(items) for owner, items in history.items()
             }
         body = pickle.dumps((head, tails), protocol=pickle.HIGHEST_PROTOCOL)
-        self.wal.append((_CHECKPOINT, body))
+        self._append((_CHECKPOINT, body))
         self._written = written
         self._last_snapshot_at = self.wal.count
 

@@ -332,6 +332,12 @@ async def _wire_cost(loadgen) -> Dict[str, float]:
     }
 
 
+#: The ``"stats"`` reading's transport counters a report carries.
+_TRANSPORT_ERRORS = (
+    "handler_errors", "first_handler_error", "stream_errors", "queue_dropped",
+)
+
+
 def _by_replica(readings: Dict[int, Dict[str, int]], key: str) -> Dict[str, int]:
     """One counter of a control round, keyed the way reports are."""
     return {str(k): readings[k][key] for k in sorted(readings)}
@@ -464,6 +470,13 @@ async def _run(
     # instead).  Stranded is what nobody holds.
     held = _by_replica(final, "held")
     stranded = pending - sum(held.values())
+    # Every live replica is correct, so a handler exception anywhere is a
+    # fault of the program: it fails the verdict, named.
+    transport_errors = {
+        str(k): {key: final[k][key] for key in _TRANSPORT_ERRORS}
+        for k in sorted(final)
+    }
+    handler_errors = sum(r["handler_errors"] for r in final.values())
     wall_elapsed = time.monotonic() - wall_start
     return {
         "system": args.system,
@@ -493,6 +506,7 @@ async def _run(
         "fingerprints": fingerprints,
         "fingerprints_equal": fingerprints_equal,
         "views_missing": views_missing,
+        "transport_errors_by_replica": transport_errors,
         # The pacer's (transport/collector.py) share of wall time.
         "full_collections_by_replica": _by_replica(paced, "full_collections"),
         "peak_rss_mb_by_replica": _by_replica(paced, "peak_rss_mb"),
@@ -506,7 +520,9 @@ async def _run(
             [round(t, 3), action, payload]
             for t, action, payload in injector.log
         ],
-        "ok": agreed and stranded == 0 and verdict["ok"],
+        "ok": (
+            agreed and stranded == 0 and verdict["ok"] and not handler_errors
+        ),
         "wall_elapsed_s": round(wall_elapsed, 3),
     }
 

@@ -15,7 +15,8 @@ or tasks on one loop — and orchestrating them is
 * the **control channel** — :class:`ControlQuery` ``(tag, what)`` →
   :class:`ControlReply` ``(tag, node_id, body)`` on the replicas'
   ordinary authenticated connections (:func:`serve_control`); readings
-  ``"stats"`` (settled/rejected/held/queued counters), ``"state"`` (the
+  ``"stats"`` (settled/rejected/held/queued counters and the transport's
+  error counters), ``"state"`` (the
   view the invariant monitor checks, plus the state fingerprint),
   ``"wire"`` (bytes and payloads this process wrote to its sockets) and
   ``"collector"`` (what the full-collection pacer of
@@ -98,16 +99,23 @@ class Shutdown:
     __slots__ = ()
 
 
-def _stats_reading(replica: Any) -> Dict[str, int]:
+def _stats_reading(replica: Any) -> Dict[str, Any]:
     """Counters of ``replica``: payments settled and rejected; ``held``
     by it as a representative until funds are there (Listing 7; under
     Astro I its own clients' queued ones) and ``queued``, delivered but
-    not yet approved."""
+    not yet approved.  Its transport's error counters ride along: handler
+    exceptions (and the first one, by type and message), broken streams,
+    and payloads evicted from full outbound backlogs."""
+    stats = replica.transport.stats
     return {
         "settled": replica.settled_count,
         "rejected": len(replica.rejected),
         "held": replica.held_payments,
         "queued": replica.queued_payments,
+        "handler_errors": stats.handler_errors,
+        "first_handler_error": stats.first_handler_error,
+        "stream_errors": stats.stream_errors,
+        "queue_dropped": stats.queue_dropped,
     }
 
 

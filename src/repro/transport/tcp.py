@@ -146,6 +146,9 @@ class TransportStats:
         self.stream_errors = 0
         self.handshake_failures = 0
         self.handler_errors = 0
+        #: The first handler exception, named with its payload type and
+        #: message (``None``: no handler raised).
+        self.first_handler_error: Optional[str] = None
         #: Payloads evicted from full per-peer outbound backlogs.
         self.queue_dropped = 0
         #: Payloads discarded by injected link faults (chaos harness).
@@ -628,11 +631,17 @@ class TcpTransport:
             return  # unregistered type: ignored, like Node.handle_unknown
         try:
             handler(src, payload)
-        except Exception:
+        except Exception as exc:
             # A handler bug must not kill the receiver task (and with it
             # the rest of this train and every future frame on the
-            # stream); count it and continue.
-            self.stats.handler_errors += 1
+            # stream); count it, keep the first, and continue.
+            stats = self.stats
+            stats.handler_errors += 1
+            if stats.first_handler_error is None:
+                stats.first_handler_error = (
+                    f"{exc.__class__.__name__} in the "
+                    f"{payload.__class__.__name__} handler: {exc}"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

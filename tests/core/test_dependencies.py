@@ -8,13 +8,15 @@ from repro.core.dependencies import (
     CreditMessage,
     DependencyCertificate,
     DependencyCollector,
+    MintedSubbatch,
     _credit_from_wire,
+    certificates_of,
     credit_content,
     subbatch_digest_of,
     verify_certificate,
 )
 from repro.core.directory import Directory
-from repro.core.payment import Payment, pack_payments
+from repro.core.payment import Payment
 from repro.crypto import replica_owner, sign
 from repro.crypto.signatures import Signature
 
@@ -28,6 +30,13 @@ def setup(keychain):
     directory.register_client("alice", 0)
     directory.register_client("bob", 4)
     return directory, keys
+
+
+def _minted(references):
+    """The certificates ``add_credit``'s ``(record, position)``
+    references stand for, built the way the representative attaches
+    them."""
+    return certificates_of([item for pair in references for item in pair])
 
 
 def _certificate(keys, payments, shard=0, signers=(0, 1)):
@@ -335,7 +344,7 @@ class TestLazyCreditPayload:
             CreditMessage.create(keys[0], 0, (bare,))
         )
         assert collector.add_credit(0, _over_the_wire(credits[0])) == []
-        minted = collector.add_credit(1, _over_the_wire(credits[1]))
+        minted = _minted(collector.add_credit(1, _over_the_wire(credits[1])))
         assert [cert.payment for cert in minted] == [bare]
         assert verify_certificate(minted[0], directory, keychain)
 
@@ -353,15 +362,17 @@ class TestLazyCreditPayload:
         # First arrival: the payload is read, validated and buffered.
         assert collector.add_credit(0, from_wire[0]) == []
         assert probe.calls == 64
-        # Second arrival completes f+1: certificates from the buffer.
+        # Second arrival completes f+1: one record, 64 references into it.
         minted = collector.add_credit(1, from_wire[1])
         assert len(minted) == 64
+        assert len({id(record) for record, _ in minted}) == 1
+        assert [position for _, position in minted] == list(range(64))
         # Stragglers of the minted sub-batch.
         assert collector.add_credit(2, from_wire[2]) == []
         assert collector.add_credit(3, from_wire[3]) == []
         assert probe.calls == 64
         assert collector.certified_count == 0
-        assert verify_certificate(minted[0], directory, keychain)
+        assert verify_certificate(_minted(minted)[0], directory, keychain)
 
     def test_own_delivery_first_means_no_construction_at_all(
         self, setup, keychain, monkeypatch
@@ -402,7 +413,7 @@ class TestLazyCreditPayload:
         assert collector.pending_subbatches == 0
         create = CreditMessage.create
         collector.add_credit(0, create(keys[0], 0, real))
-        minted = collector.add_credit(1, create(keys[1], 0, real))
+        minted = _minted(collector.add_credit(1, create(keys[1], 0, real)))
         assert [cert.amount for cert in minted] == [10]
 
     def test_malformed_straggler_costs_nothing_and_raises_nothing(
@@ -448,7 +459,9 @@ class TestCollectorCapture:
         assert restored.certified_count == 1
         # The half-collected sub-batch completes; the minted one does not
         # re-mint; its stragglers retire the dedup entry.
-        minted = restored.add_credit(1, CreditMessage.create(keys[1], 0, half))
+        minted = _minted(
+            restored.add_credit(1, CreditMessage.create(keys[1], 0, half))
+        )
         assert [cert.amount for cert in minted] == [5]
         assert verify_certificate(minted[0], directory, keychain)
         for node in (2, 3):
@@ -470,7 +483,7 @@ class TestDependencyCollector:
         assert first == []
         second = collector.add_credit(1, CreditMessage.create(keys[1], 0, payments))
         assert len(second) == 1
-        cert = second[0]
+        cert = _minted(second)[0]
         assert cert.beneficiary == "bob"
         assert cert.amount == 10
         assert verify_certificate(cert, directory, keychain)
@@ -527,7 +540,9 @@ class TestDependencyCollector:
         assert collector.pending_subbatches == 0
         # ...so the honest flow still mints a *valid* certificate.
         collector.add_credit(0, CreditMessage.create(keys[0], 0, real))
-        minted = collector.add_credit(1, CreditMessage.create(keys[1], 0, real))
+        minted = _minted(
+            collector.add_credit(1, CreditMessage.create(keys[1], 0, real))
+        )
         assert len(minted) == 1
         assert minted[0].amount == 10
         assert verify_certificate(minted[0], directory, keychain)
@@ -542,7 +557,74 @@ class TestDependencyCollector:
         )
         collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
         minted = collector.add_credit(1, CreditMessage.create(keys[1], 0, payments))
-        assert [cert.beneficiary for cert in minted] == ["bob"]
+        assert [cert.beneficiary for cert in _minted(minted)] == ["bob"]
+
+
+class TestMintedSubbatch:
+    """A minted sub-batch is held once; pending certificates point into
+    it, and are built only when attached."""
+
+    def _mint(self, collector, keys, payments):
+        collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+        return collector.add_credit(
+            1, CreditMessage.create(keys[1], 0, payments)
+        )
+
+    def test_references_read_the_packed_columns(self, setup, keychain):
+        directory, keys = setup
+        directory.register_client("carol", 5)  # another rep in shard 1
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        payments = (
+            Payment("alice", 1, "bob", 10),
+            Payment("alice", 2, "carol", 7),
+            Payment("alice", 3, "bob", 4),
+        )
+        minted = self._mint(collector, keys, payments)
+        assert [position for _, position in minted] == [0, 2]
+        (record, _), _ = minted
+        assert isinstance(record, MintedSubbatch)
+        assert record.flat == sum((p.core for p in payments), ())
+        assert [record.dep_id(p) for _, p in minted] == [
+            ("alice", 1), ("alice", 3)
+        ]
+        assert [record.amount(p) for _, p in minted] == [10, 4]
+        assert {record.beneficiary(p) for _, p in minted} == {"bob"}
+
+    def test_certificates_share_one_subbatch_per_record(
+        self, setup, keychain
+    ):
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        first = self._mint(collector, keys, tuple(
+            Payment("alice", s, "bob", s) for s in (1, 2)
+        ))
+        second = self._mint(collector, keys, (Payment("alice", 3, "bob", 3),))
+        certs = _minted(first + second)
+        assert [cert.amount for cert in certs] == [1, 2, 3]  # minting order
+        assert certs[0].subbatch is certs[1].subbatch
+        assert certs[2].subbatch is not certs[0].subbatch
+        assert all(cert.payment in cert.subbatch for cert in certs)
+        assert all(
+            verify_certificate(cert, directory, keychain) for cert in certs
+        )
+
+    def test_a_record_pickles_once_however_many_point_into_it(
+        self, setup, keychain
+    ):
+        directory, keys = setup
+        collector = DependencyCollector(directory, keychain, my_node=4)
+        payments = tuple(Payment("alice", s, "bob", 1) for s in range(1, 33))
+        references = [
+            item
+            for pair in self._mint(collector, keys, payments)
+            for item in pair
+        ]
+        one = len(pickle.dumps(references[:2], protocol=5))
+        every = len(pickle.dumps(references, protocol=5))
+        assert every - one < 8 * 31  # a memo reference and a position each
+        clone = pickle.loads(pickle.dumps(references, protocol=5))
+        assert len({id(item) for item in clone[::2]}) == 1
+        assert certificates_of(clone) == certificates_of(references)
 
 
 class TestCollectorCompaction:

@@ -23,6 +23,8 @@ from repro.brb.batching import Batch
 from repro.brb.bracha import BrbEcho, BrbPrepare
 from repro.brb.signed import SbAck, SbPrepare
 from repro.core.astro2 import Astro2Replica
+from repro.core import persistence
+from repro.core.dependencies import certificates_of, reference_pairs
 from repro.core.payment import Payment
 from repro.core.persistence import (
     CATCH_UP_MAX_BATCHES,
@@ -36,7 +38,7 @@ from repro.core.persistence import (
     state_fingerprints,
 )
 from repro.crypto import costs
-from repro.transport.framing import encode_frame
+from repro.transport.framing import FrameError, encode_frame
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,7 @@ def test_state_fingerprint_matches_shard_formula():
 
 
 # ---------------------------------------------------------------------------
-# Account-state captures: the format-4 array encoding, and nothing else
+# Account-state captures: the format-5 array encoding, and nothing else
 # ---------------------------------------------------------------------------
 def _populated_state():
     from repro.core.accounts import AccountState
@@ -460,7 +462,7 @@ def _populated_state():
     return state
 
 
-def test_array_snapshot_roundtrip_format4():
+def test_array_snapshot_roundtrip_format5():
     from repro.core.accounts import AccountState
     from repro.core.persistence import (
         restore_account_state,
@@ -469,7 +471,7 @@ def test_array_snapshot_roundtrip_format4():
 
     state = _populated_state()
     payload = pickle.loads(pickle.dumps(snapshot_account_state(state)))
-    assert payload["format"] == 4
+    assert payload["format"] == 5
     # Genesis accounts ship as raw slab bytes, not per-client entries.
     assert isinstance(payload["balances"], bytes)
     assert len(payload["balances"]) == 8 * payload["genesis_len"]
@@ -500,7 +502,7 @@ def test_array_snapshot_rejects_mismatched_genesis():
         restore_account_state(other, payload)
 
 
-@pytest.mark.parametrize("tag", ["missing", 1, 2, 3, "4"])
+@pytest.mark.parametrize("tag", ["missing", 1, 2, 3, 4, "5"])
 def test_snapshot_unsupported_format_rejected_untouched(tag):
     from repro.core.persistence import (
         restore_account_state,
@@ -583,15 +585,15 @@ def _assert_projections_derived(replicas):
                 for cert in payment.deps
                 if cert.dep_id not in used
             }
-            pending = replica._deps.get(client, [])
-            assert not any(cert.dep_id in used for cert in pending)
-            assert not any(cert.dep_id in riding for cert in pending)
+            pending = list(reference_pairs(replica._deps.get(client, [])))
+            assert not any(rec.dep_id(pos) in used for rec, pos in pending)
+            assert not any(rec.dep_id(pos) in riding for rec, pos in pending)
             attached = (
                 replica.state.balance(client)
                 - sum(payment.amount for payment in spends)
                 + sum(riding.values())
             )
-            projected = attached + sum(cert.amount for cert in pending)
+            projected = attached + sum(rec.amount(pos) for rec, pos in pending)
             assert replica._attached_projection.get(client, 0) == attached
             assert replica._projected.get(client, 0) == projected
 
@@ -819,9 +821,9 @@ def test_two_recoveries_in_a_row_land_on_the_never_crashed_twin(
 
 def _pending_dep_ids(replica):
     return {
-        client: {cert.dep_id for cert in certs}
-        for client, certs in replica._deps.items()
-        if certs
+        client: {rec.dep_id(pos) for rec, pos in reference_pairs(refs)}
+        for client, refs in replica._deps.items()
+        if refs
     }
 
 
@@ -1173,6 +1175,106 @@ def test_a_checkpoint_of_the_payment_object_format_is_refused_untouched(
     assert state_fingerprint(rebuilt.state) == before
     assert not any(log for _, _, _, log in rebuilt.state.accounts())
     assert rebuilt._seen_payments == {}
+
+
+def _pending_count(replica):
+    return sum(len(refs) for refs in replica._deps.values()) // 2
+
+
+def test_a_checkpoint_holds_each_minted_subbatch_once(tmp_path):
+    """Uniform load over ample balances: no certificate is ever attached,
+    so each payment leaves one pending at its beneficiary's
+    representative, and every checkpoint writes them all.  A pending
+    certificate is a reference into its sub-batch, and a checkpoint
+    pickles each sub-batch once: ≈ 15 B per certificate here, where a
+    whole ``DependencyCertificate`` re-packing its sub-batch cost ≈ 240."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=64)
+    for _ in range(20):
+        _run_workload(system, 100)
+    assert not any(r.rejected for r in system.replicas)
+    replica = system.replicas[0]
+    pending = _pending_count(replica)
+    assert pending == 2000 // 4  # every payment to its clients, pending
+    deps = replica._snapshot_data()["deps"]
+    cost = len(pickle.dumps(deps, protocol=pickle.HIGHEST_PROTOCOL)) / pending
+    assert cost <= 48, cost
+    # What the checkpoint restores is what the representative held.
+    for replica in system.replicas:
+        replica._wal.close()
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(rebuilt, tmp_path, snapshot_interval=64)
+    for mine, theirs in zip(rebuilt.replicas, system.replicas):
+        assert _pending_dep_ids(mine) == _pending_dep_ids(theirs)
+        assert mine._projected == theirs._projected
+
+
+def test_a_checkpoint_holding_whole_certificates_is_refused_untouched(
+    tmp_path,
+):
+    """What format 4 wrote: each pending certificate whole.  Recovery
+    refuses it by its account capture's tag, before any state — the
+    account table or the pending certificates — is touched."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=10_000)
+    _run_workload(system, 48)
+    writer = system.replicas[0]
+    data = writer._snapshot_data()
+    data["account"] = dict(data["account"], format=4)
+    data["deps"] = {
+        client: list(certificates_of(refs))
+        for client, refs in writer._deps.items()
+    }
+    assert any(data["deps"].values())
+    writer._wal.write_snapshot(data)
+    for replica in system.replicas:
+        replica._wal.close()
+
+    rebuilt = SYSTEM_BUILDERS["astro2"](4, seed=5).replicas[0]
+    before = state_fingerprint(rebuilt.state)
+    with pytest.raises(WalCorruption, match="unsupported snapshot format 4"):
+        rebuilt.bind_persistence(ReplicaStore(str(tmp_path), rebuilt.node_id))
+    assert state_fingerprint(rebuilt.state) == before
+    assert rebuilt._deps == {}
+    assert rebuilt._collector.minted_subbatches == 0
+
+
+def test_a_checkpoint_over_the_frame_cap_fails_once_and_stays_failed(
+    tmp_path, monkeypatch
+):
+    """A checkpoint that does not fit a frame raises ``FrameError``; the
+    store keeps that error, and every later record or checkpoint raises
+    it again at once — nothing is re-pickled, nothing more is appended.
+    Before, each later event rebuilt and re-pickled the checkpoint and
+    failed anew."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=10_000)
+    _run_workload(system, 48)
+    replica = system.replicas[0]
+    store = replica._wal
+    data = replica._snapshot_data()
+    monkeypatch.setattr(persistence, "MAX_FRAME_BYTES", 1024)
+    with pytest.raises(FrameError, match="exceeds the 1024-byte cap") as first:
+        store.write_snapshot(data)
+    count, size = store.wal.count, os.path.getsize(store.wal.path)
+
+    dumps, calls = pickle.dumps, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", counting)
+    for attempt in (
+        lambda: store.write_snapshot(data),
+        lambda: store.record(("fp", "0" * 64)),
+        lambda: store.record_fingerprint("0" * 64),
+    ):
+        with pytest.raises(FrameError) as again:
+            attempt()
+        assert again.value is first.value
+    assert calls == []
+    assert (store.wal.count, os.path.getsize(store.wal.path)) == (count, size)
 
 
 # ---------------------------------------------------------------------------

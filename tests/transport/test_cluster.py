@@ -142,9 +142,7 @@ def test_in_process_cluster_settles_payments(system, boot_hosts):
             await asyncio.sleep(0.02)
         assert sorted(stats) == list(range(n))
         for body in stats.values():
-            assert body == {
-                "settled": num_payments, "rejected": 0, "held": 0, "queued": 0,
-            }
+            assert body == dict(_IDLE_STATS, settled=num_payments)
 
         await loadgen.close()
         for host in hosts:
@@ -156,8 +154,13 @@ def test_in_process_cluster_settles_payments(system, boot_hosts):
 # ---------------------------------------------------------------------------
 # Control channel: one query/reply pair, collected with a deadline
 # ---------------------------------------------------------------------------
-#: The ``"stats"`` reading of a replica nothing was submitted to.
-_IDLE_STATS = {"settled": 0, "rejected": 0, "held": 0, "queued": 0}
+#: The ``"stats"`` reading of a replica nothing was submitted to: its
+#: payment counters, and its transport's error counters.
+_IDLE_STATS = {
+    "settled": 0, "rejected": 0, "held": 0, "queued": 0,
+    "handler_errors": 0, "first_handler_error": None,
+    "stream_errors": 0, "queue_dropped": 0,
+}
 
 
 def _control_scenario(boot_hosts, serving: int, body) -> None:

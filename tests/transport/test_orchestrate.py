@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+from repro.core.astro2 import Astro2Replica
 from repro.transport import cluster as cluster_module
 from repro.transport import live as live_module
 from repro.transport.chaos import parse_timeline
@@ -137,6 +138,36 @@ def test_bench_mode_confirms_every_payment_on_every_replica(monkeypatch):
     # The pacer's counters are the process's; this one has run many
     # deployments, so only the CLI's fresh processes can pin <= 1/20.
     assert report["full_collection_share"] >= 0.0
+
+
+@pytest.mark.slow
+def test_a_handler_exception_fails_the_verdict_and_names_itself(monkeypatch):
+    """Replica 2's CREDIT handler raises once.  The transport counts it
+    and carries on, so every payment still settles everywhere; the
+    report names the exception and is not ok."""
+    on_credit, raised = Astro2Replica._on_credit, []
+
+    def armed(self, src, message):
+        if self.node_id == 2 and not raised:
+            raised.append(src)
+            raise RuntimeError("armed for the test")
+        return on_credit(self, src, message)
+
+    monkeypatch.setattr(Astro2Replica, "_on_credit", armed)
+    report = _run(_args(duration=1.0))
+    assert raised
+    errors = report["transport_errors_by_replica"]
+    assert sorted(errors) == list("0123")
+    assert errors["2"]["handler_errors"] == 1
+    assert errors["2"]["first_handler_error"] == (
+        "RuntimeError in the CreditMessage handler: armed for the test"
+    )
+    for node in "013":
+        assert errors[node]["handler_errors"] == 0
+        assert errors[node]["first_handler_error"] is None
+    assert report["stranded"] == 0 and report["fingerprints_equal"]
+    assert report["monitor"]["ok"]
+    assert not report["ok"]
 
 
 @pytest.mark.slow
