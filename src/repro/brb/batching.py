@@ -13,10 +13,11 @@ The paper's configuration signs one batch of up to 256 payments (§VI-A);
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..crypto import costs
-from ..crypto.hashing import Digest, digest
+from ..crypto.hashing import Digest
 from ..transport.interface import Clock, TimerHandle
 
 __all__ = ["Batch", "Batcher", "KeyedCoalescer",
@@ -31,50 +32,91 @@ DEFAULT_BATCH_DELAY = 0.01
 
 T = TypeVar("T")
 
+_MASK = 0xFFFFFFFFFFFFFFFF
+
 
 class Batch:
-    """An immutable batch of payments broadcast as one BRB payload."""
+    """An immutable batch of payments broadcast as one BRB payload.
 
-    __slots__ = ("items", "batch_items", "size_bytes", "_digest")
+    Held as columns: ``flat``, the core fields in order (four per
+    payment, client ids interned), ``cores`` (one ``(spender, seq,
+    beneficiary, amount)`` per payment), ``extras`` (``position -> (deps,
+    submitted_at)``) and, on first read, ``core_digests``.  A batch built
+    from ``Payment``s — the origin's, every simulated one, whose N
+    replicas share it — also holds them (``held``); one decoded from a
+    frame or a WAL record does not, and ``items`` builds them on read.
+    """
+
+    __slots__ = ("held", "flat", "cores", "extras", "batch_items",
+                 "size_bytes", "_core_digests", "_digest")
 
     def __init__(self, items: Sequence[Any]) -> None:
-        if not items:
+        from ..core.payment import pack_payments
+
+        self.held: Optional[Tuple[Any, ...]] = tuple(items)
+        flat, extras = pack_payments(self.held)
+        self._columns(flat, {index: (deps, at) for index, deps, at in extras})
+
+    def _columns(self, flat: tuple, extras: Dict[int, tuple]) -> None:
+        if not flat:
             raise ValueError("a batch must contain at least one payment")
-        self.items: Tuple[Any, ...] = tuple(items)
-        self.batch_items = len(self.items)
-        size = 0
-        for item in self.items:
-            size += getattr(item, "wire_bytes", costs.PAYMENT_BYTES)
-        self.size_bytes = size
-        self._digest: Optional[Digest] = None
+        fields = iter(flat)
+        self.flat, self.extras = flat, extras
+        self.cores = tuple(zip(fields, fields, fields, fields))
+        self.batch_items = len(self.cores)
+        self.size_bytes = costs.PAYMENT_BYTES * self.batch_items + sum([
+            getattr(dep, "wire_bytes", 0)
+            for deps, _ in extras.values() for dep in deps
+        ])
+        self._core_digests = self._digest = None
+
+    @property
+    def items(self) -> Tuple[Any, ...]:
+        """The payments as objects, built from the columns on first read."""
+        if self.held is None:
+            self.held = tuple(map(self.payment, range(self.batch_items)))
+        return self.held
+
+    def payment(self, position: int) -> Any:
+        """The payment at ``position``: the held one, or one built."""
+        if self.held is not None:
+            return self.held[position]
+        from ..core.payment import Payment
+
+        return Payment(*self.cores[position], *self.extras.get(position, ()))
+
+    @property
+    def core_digests(self) -> List[int]:
+        """Every payment's ``Payment.core_digest`` (CREDIT sub-batches)."""
+        if self._core_digests is None:
+            from ..core.payment import core_digests
+
+            self._core_digests = core_digests(self.flat)
+        return self._core_digests
 
     @property
     def cached_digest(self) -> Digest:
-        """Digest of the batch content, computed once per object.
-
-        Derived from the items' own memoized digests: two batches carry
-        equal content iff their item digest sequences match, which is the
-        same collision-freedom guarantee ``digest`` gives directly.
-        Caching per object is sound because batches are immutable: an
-        equivocating broadcaster necessarily creates distinct objects for
-        its distinct payloads.
-        """
+        """Digest of the batch content, computed once per object: of the
+        payments' full-content digests (``Payment.cached_digest``, from the
+        columns), which match iff the content does.  Sound because batches
+        are immutable: an equivocating broadcaster necessarily creates
+        distinct objects for its distinct payloads."""
         value = self._digest
         if value is None:
-            try:
-                parts = tuple([item.cached_digest for item in self.items])
-            except AttributeError:
-                parts = tuple([digest(item) for item in self.items])
-            value = self._digest = hash(("batch", parts)) & 0xFFFFFFFFFFFFFFFF
+            parts = list(map(_MASK.__and__, map(hash, zip(
+                repeat("payment"), map(tuple.__add__, self.cores, repeat(((),)))
+            ))))
+            for position, (deps, _) in self.extras.items():
+                if deps:
+                    parts[position] = self.payment(position).cached_digest
+            value = self._digest = hash(("batch", tuple(parts))) & _MASK
         return value
 
     def __reduce__(self):
-        # Cross-process form (TCP framing, WAL): the items as one flat
-        # tuple of core fields; sizes and memoized digests are recomputed
-        # on arrival.  Imported here because ``core`` imports this module.
-        from ..core.payment import pack_payments
-
-        return (_batch_from_wire, pack_payments(self.items))
+        # Cross-process form (TCP framing, WAL): the held columns, laid
+        # out as ``pack_payments``; the rest is derived on arrival.
+        extras = tuple([(i, *fields) for i, fields in self.extras.items()])
+        return (_batch_from_wire, (self.flat, extras))
 
     def __iter__(self):
         return iter(self.items)
@@ -87,11 +129,14 @@ class Batch:
 
 
 def _batch_from_wire(flat: tuple, extras: tuple) -> Batch:
-    """Inverse of :meth:`Batch.__reduce__`; malformed columns raise
-    ``ValueError``, which the frame decoder turns into ``FrameError``."""
-    from ..core.payment import unpack_payments
+    """Inverse of :meth:`Batch.__reduce__`, building no ``Payment``; bad
+    columns raise ``ValueError``, which framing makes ``FrameError``."""
+    from ..core.payment import checked_cores
 
-    return Batch(unpack_payments(flat, extras))
+    batch = Batch.__new__(Batch)
+    batch.held = None
+    batch._columns(*checked_cores(flat, extras))
+    return batch
 
 
 class Batcher(Generic[T]):
@@ -222,10 +267,6 @@ class KeyedCoalescer(Generic[T]):
         self._weights[key] = total
         if total >= self.max_size:
             self.flush_key(key)
-
-    def add_many(self, key: Hashable, items: Sequence[T]) -> None:
-        for item in items:
-            self.add(key, item)
 
     def _on_timer(self, key: Hashable) -> None:
         self._timers.pop(key, None)

@@ -42,16 +42,16 @@ class PaymentLedger(ApprovalQueue):
         queue[payment.seq] = payment
         self._drain(deque((spender,)))
 
-    def _settle(self, payment: Payment) -> Any:
+    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
+                position: Optional[int]) -> Any:
         # Executes once per payment per replica — the consensus baseline's
-        # hottest code.  settle_full operates directly on the int64 slabs.
-        if self.state.balance(payment.spender) < payment.amount:
+        # hottest code.  A payment here always waited in the queue.
+        if not self.state.try_settle_spend(index, core, payment.deps, True):
             return WAIT
-        self.state.settle_full(payment)
         self.settled_count += 1
         if self.on_settle is not None:
             self.on_settle(payment)
-        return payment.beneficiary
+        return core[2]
 
     @property
     def waiting_count(self) -> int:

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, islice
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .interning import ClientInterner
-from .payment import ClientId, Payment
+from .payment import ClientId
 from .xlog import ExclusiveLog
 
 __all__ = ["AccountState"]
@@ -104,11 +104,7 @@ class AccountState:
         if index is None or (
             index >= self._genesis_len and index not in self._members
         ):
-            index = self._interner.intern(client)
-            if index >= len(self._bal):
-                zeros = bytes(8 * (index + 1 - len(self._bal)))
-                self._bal.frombytes(zeros)
-                self._seq.frombytes(zeros)
+            index = self.index(client)
             self._members[index] = None
             self._snap_order = None
         return index
@@ -176,42 +172,45 @@ class AccountState:
     def credit(self, client: ClientId, amount: int) -> None:
         self._bal[self._member(client)] += amount
 
-    def settle_full(self, payment: Payment) -> None:
-        """Listing 4: withdraw, deposit, bump sn, append to xlog.
+    def index(self, client: ClientId) -> int:
+        """``client``'s interned index, within the slabs; interning is not
+        membership (its slots read 0 until it joins)."""
+        index = self._interner._index.get(client)
+        if index is None or index >= len(self._seq):
+            index = self._interner.intern(client)
+            if index >= len(self._seq):
+                zeros = bytes(8 * (index + 1 - len(self._seq)))
+                self._bal.frombytes(zeros)
+                self._seq.frombytes(zeros)
+        return index
 
-        This is Astro I's (and the consensus baseline's) settle, where the
-        beneficiary is credited directly.  Astro II uses
-        :meth:`try_settle_spend` plus dependency materialization.  Runs
-        once per payment per replica — the hottest code in Astro I.
-        """
-        spender = payment.spender
-        sp = self._member(spender)
-        ben = self._member(payment.beneficiary)
-        amount = payment.amount
+    def seqnums(self, clients: Iterable[ClientId]) -> List[int]:
+        """:meth:`seqnum` of each client, in one pass."""
+        slab, get = self._seq, self._interner._index.get
+        return [slab[i] if i is not None and i < len(slab) else 0 for i in map(get, clients)]
+
+    def seqnum_reader(self) -> Callable[[int], int]:
+        """The sn at an :meth:`index`, as one C call (the drain's read)."""
+        return self._seq.__getitem__
+
+    def try_settle_spend(
+        self, index: int, core: tuple, deps: tuple = (), deposit: bool = False
+    ) -> bool:
+        """Listing 9's spend: withdraw, bump sn, append ``core`` to the
+        xlog of the spender at ``index``; with ``deposit`` also credit the
+        beneficiary (Listing 4: Astro I, the consensus baseline).  False,
+        state untouched, when the balance does not cover the amount."""
+        spender, _, beneficiary, amount = core
         bal = self._bal
-        bal[sp] -= amount
-        bal[ben] += amount
-        self._seq[sp] += 1
-        self._log(sp, spender).append(payment)
-
-    def try_settle_spend(self, payment: Payment) -> bool:
-        """Listing 9's spend half, funds-checked: withdraw, bump sn, append.
-
-        The beneficiary side is handled by CREDIT messages / dependency
-        certificates, never by a direct deposit.  Returns ``False`` (state
-        untouched) when the spender's balance does not cover the amount —
-        Listing 9 l.49, Astro II's drop-without-advancing-sn path.
-        Interner lookups and int64 slab ops only: Astro II's hottest
-        code.
-        """
-        spender = payment.spender
-        amount = payment.amount
-        if self.balance(spender) < amount:
+        if bal[index] < amount:
             return False
-        sp = self._member(spender)
-        self._bal[sp] -= amount
-        self._seq[sp] += 1
-        self._log(sp, spender).append(payment)
+        if index >= self._genesis_len and index not in self._members:
+            index = self._member(spender)
+        bal[index] -= amount
+        if deposit:
+            bal[self._member(beneficiary)] += amount
+        self._seq[index] += 1
+        self._log(index, spender).append(core, deps)
         return True
 
     # ------------------------------------------------------------------

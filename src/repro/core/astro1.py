@@ -54,23 +54,20 @@ class Astro1Replica(AstroReplicaBase):
         self._deliver_batch(origin, batch)
         self._wal_checkpoint()
 
-    def _settle(self, payment: Payment) -> Any:
+    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
+                position: Optional[int]) -> Any:
         # Criterion (2) of Listing 3: the balance must cover the amount.
         # When it does not, the payment stays queued; a later settle
         # crediting this client re-runs the check (totality of Bracha's
-        # BRB guarantees the credit eventually arrives).
-        state = self.state
-        spender = payment.spender
-        if state.balance(spender) < payment.amount:
-            return WAIT
+        # BRB guarantees the credit eventually arrives).  Otherwise
         # Listing 4: withdraw, deposit, bump sn, append to the xlog.
-        # settle_full works directly on the int64 slabs — two interner
-        # lookups plus C array ops per payment, no per-client PyObjects.
-        state.settle_full(payment)
+        deps = () if payment is None else payment.deps
+        if not self.state.try_settle_spend(index, core, deps, True):
+            return WAIT
         self.settled_count += 1
-        if self._rep_map.get(spender) == self.node_id:
-            self._confirm(payment)
-        return payment.beneficiary
+        if self._rep_map.get(core[0]) == self.node_id:
+            self._confirm(payment or Payment(*core))
+        return core[2]
 
     @property
     def held_payments(self) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from collections import deque
+from operator import le
 
 from ..brb.batching import Batch, KeyedCoalescer
 from ..brb.signed import SignedBroadcast
@@ -45,12 +46,6 @@ from .persistence import WalCorruption
 from .replica import AstroReplicaBase
 
 __all__ = ["Astro2Replica"]
-
-
-def _credit_weight(message: CreditMessage) -> int:
-    """Weight of one buffered CREDIT against the transport window's size
-    cap: its payment count, so the cap bounds bundle wire size."""
-    return len(message.payments)
 
 
 class Astro2Replica(AstroReplicaBase):
@@ -118,8 +113,9 @@ class Astro2Replica(AstroReplicaBase):
         #: payment of the sub-batch (§VI-A's 2-level batching).  Not
         #: checkpointed: ``_cert_valid`` refills it on first sight.
         self._verified_certs: Dict[Tuple[int, int], None] = {}
-        #: Payments settled in the current batch, pending CREDIT fan-out.
-        self._credit_buffer: List[Payment] = []
+        #: Settled in the current delivery, pending CREDIT fan-out:
+        #: positions in the batch, or the waiting ``Payment``.
+        self._credit_buffer: List[Any] = []
         #: Cross-delivery CREDIT coalescer (``credit_coalesce_delay`` > 0):
         #: a *transport* window.  Sub-batches are still cut per delivery —
         #: their composition is a pure function of the origin's batch
@@ -138,7 +134,7 @@ class Astro2Replica(AstroReplicaBase):
                 self._flush_credit_window,
                 max_size=config.batch_size,
                 max_delay=config.credit_coalesce_delay,
-                weight_fn=_credit_weight,
+                weight_fn=lambda message: len(message.flat) // 4,
             )
         #: Per-shard verify-cost bound for sub-batch certificates: a valid
         #: certificate carries at most ``f_shard + 1`` signatures of *its*
@@ -161,24 +157,25 @@ class Astro2Replica(AstroReplicaBase):
         payments (same identifier, different content) at most one can ever
         gather a commit certificate — Astro's double-spend prevention.
         """
-        rep_get = self._rep_map.get
-        seen = self._seen_payments
-        settled = self.state.seqnum
-        unsettled = []
-        for payment in batch.items:
-            spender = payment.spender
-            if rep_get(spender) != origin:
-                return False
-            if payment.seq <= settled(spender):
-                if self.state.xlog(spender)[payment.seq - 1].core != payment.core:
+        flat, seen, state = batch.flat, self._seen_payments, self.state
+        spenders, seqs = flat[0::4], flat[1::4]
+        if list(map(self._rep_map.get, spenders)).count(origin) != len(seqs):
+            return False
+        held = batch.held  # a simulated batch: its replicas share the ids
+        identifiers = [p.identifier for p in held] if held else list(zip(spenders, seqs))
+        settled = state.seqnums(spenders)
+        entries: Any = zip(identifiers, batch.cores)
+        if any(map(le, seqs, settled)) or any(map(seen.__contains__, identifiers)):
+            entries, checked = [], entries
+            for (identifier, core), seqnum in zip(checked, settled):
+                if identifier[1] <= seqnum:
+                    if state.xlog(identifier[0])[identifier[1] - 1].core != core:
+                        return False
+                elif seen.get(identifier, core) != core:
                     return False
-                continue
-            previous = seen.get(payment.identifier)
-            if previous is not None and previous != payment.core:
-                return False
-            unsettled.append(payment)
-        for payment in unsettled:
-            seen[payment.identifier] = payment.core
+                else:
+                    entries.append((identifier, core))
+        seen.update(entries)
         return True
 
     # ------------------------------------------------------------------
@@ -280,8 +277,8 @@ class Astro2Replica(AstroReplicaBase):
         verify_cost = 0.0
         charged: Set[Tuple[int, int]] = set()
         sig_bound = self._cert_sig_bound
-        for payment in batch:
-            for cert in payment.deps:
+        for deps, _ in batch.extras.values():
+            for cert in deps:
                 key = (cert.shard_id, cert.subbatch_digest)
                 if key not in self._verified_certs and key not in charged:
                     charged.add(key)
@@ -298,39 +295,25 @@ class Astro2Replica(AstroReplicaBase):
         if verify_cost:
             self.charge(verify_cost)
         self._deliver_batch(origin, batch)
-        coalescer = self._credit_coalescer
-        if coalescer is None:
-            self._flush_credits()
-        elif self._credit_buffer:
-            # Transport coalescing: cut and sign this delivery's
-            # sub-batches exactly like the per-delivery flush (identical
-            # content and CPU at every settler), but stage the non-self
-            # messages into the per-representative windows instead of
-            # unicasting each right away.
-            settled, self._credit_buffer = self._credit_buffer, []
-            add = coalescer.add
-            for rep_node, payments in self._credit_groups(settled).items():
-                message = self._sign_subbatch(payments)
-                if rep_node == self.node_id:
-                    self._apply_credit(self.node_id, message)
-                else:
-                    add(rep_node, message)
+        self._flush_credits(batch)
         if self._wal is not None:
             self._wal_checkpoint()
 
     # ------------------------------------------------------------------
     # Settlement (Listings 8–9)
     # ------------------------------------------------------------------
-    def _settle(self, payment: Payment) -> None:
+    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
+                position: Optional[int]) -> None:
         # Astro II approval waits only on the sequence number (Listing 8):
         # the funds decision below rejects, it never returns ``WAIT``.
-        spender = payment.spender
-        if payment.deps:
+        spender = core[0]
+        deps = () if payment is None else payment.deps
+        if deps:
             used = self._used_deps.get(spender)
             if used is None:
                 used = self._used_deps[spender] = {}
             # Materialize never-seen-before dependencies (Listing 9 l.44-48).
-            for cert in payment.deps:
+            for cert in deps:
                 if cert.beneficiary != spender:
                     continue
                 if cert.dep_id in used:
@@ -339,19 +322,19 @@ class Astro2Replica(AstroReplicaBase):
                     continue
                 used[cert.dep_id] = None
                 self.state.credit(spender, cert.amount)
-        # Funds check + spend in one pass on the int64 slabs (one
-        # interner lookup per payment) — Astro II's hottest code.
-        if not self.state.try_settle_spend(payment):
+        # Funds check + spend in one pass on the int64 slabs — Astro II's
+        # hottest code.
+        if not self.state.try_settle_spend(index, core, deps):
             # Listing 9 l.49: an underfunded payment is dropped without
             # advancing sn.  Correct representatives prove funds before
             # broadcasting, so this fires only under faulty clients/reps.
-            self.rejected.append(payment)
+            self.rejected.append(payment or Payment(*core))
             return None
         self.settled_count += 1
-        self._seen_payments.pop(payment.identifier, None)
-        self._credit_buffer.append(payment)
+        self._seen_payments.pop(core[:2], None)
+        self._credit_buffer.append(payment if position is None else position)
         if self._rep_map.get(spender) == self.node_id:
-            self._confirm(payment)
+            self._confirm(payment or Payment(*core))
         return None  # no direct deposit — nothing new to re-examine
 
     def _cert_valid(self, cert: DependencyCertificate) -> bool:
@@ -368,32 +351,45 @@ class Astro2Replica(AstroReplicaBase):
     # ------------------------------------------------------------------
     # CREDIT fan-out (Listing 9 l.55-57, 2-level batching §VI-A)
     # ------------------------------------------------------------------
-    def _credit_groups(self, settled: List[Payment]) -> Dict[int, List[Payment]]:
-        """One delivery's sub-batches, keyed by beneficiary representative.
-
-        Astro II's second batching level (§VI-A): the settling replica
-        signs one CREDIT per sub-batch instead of one per payment.  One
-        dict lookup per payment; insertion-ordered, so
-        sub-batch content and emission order are pure functions of the
-        settle order.
-        """
+    def _credit_groups(
+        self, settled: List[Any], batch: Batch
+    ) -> Dict[int, Tuple[List[Any], List[int]]]:
+        """One delivery's sub-batches (flat cores, core digests) by
+        beneficiary representative, from positions in ``batch`` and the
+        waiting ``Payment``s settled with it: Astro II's second batching
+        level (§VI-A), one CREDIT per sub-batch.  Insertion-ordered, so
+        content and emission order are pure functions of settle order."""
         rep_get = self._rep_map.get
-        groups: Dict[int, List[Payment]] = {}
-        for payment in settled:
-            rep_node = rep_get(payment.beneficiary)
-            bucket = groups.get(rep_node)
-            if bucket is None:
-                groups[rep_node] = [payment]
+        cores, digests = batch.cores, batch.core_digests
+        groups: Dict[int, Tuple[List[Any], List[int]]] = {}
+        for item in settled:
+            if item.__class__ is int:
+                core, core_digest = cores[item], digests[item]
             else:
-                bucket.append(payment)
+                core, core_digest = item.core, item.core_digest()
+            rep_node = rep_get(core[2])
+            group = groups.get(rep_node)
+            if group is None:
+                group = groups[rep_node] = ([], [])
+            group[0].extend(core)
+            group[1].append(core_digest)
         return groups
 
-    def _flush_credits(self) -> None:
+    def _flush_credits(self, batch: Batch) -> None:
+        """Sign this delivery's sub-batches; apply, send or stage (the
+        transport window) each for its representative."""
         if not self._credit_buffer:
             return
         settled, self._credit_buffer = self._credit_buffer, []
-        for rep_node, payments in self._credit_groups(settled).items():
-            self._emit_credit(rep_node, payments)
+        coalescer = self._credit_coalescer
+        for rep_node, group in self._credit_groups(settled, batch).items():
+            message = self._sign_subbatch(*group)
+            if rep_node == self.node_id:
+                self._apply_credit(self.node_id, message)
+            elif coalescer is None:
+                self._send_credits(rep_node, [message])
+            else:
+                coalescer.add(rep_node, message)
 
     def _flush_credit_window(
         self, rep_node: int, messages: List[CreditMessage]
@@ -410,7 +406,7 @@ class Astro2Replica(AstroReplicaBase):
             return
         self._send_credits(rep_node, messages)
 
-    def _sign_subbatch(self, payments: List[Payment]) -> CreditMessage:
+    def _sign_subbatch(self, flat: List[Any], digests: List[int]) -> CreditMessage:
         """Sign one per-delivery sub-batch.
 
         One signature per sub-batch is the whole point of the second
@@ -418,7 +414,7 @@ class Astro2Replica(AstroReplicaBase):
         many sub-batches are signed, only how they ship.
         """
         self.charge(costs.ECDSA_SIGN)
-        return CreditMessage.create(self.key, self.shard_id, tuple(payments))
+        return CreditMessage.from_cores(self.key, self.shard_id, tuple(flat), digests)
 
     def _send_credits(
         self, rep_node: int, messages: List[CreditMessage]
@@ -447,13 +443,6 @@ class Astro2Replica(AstroReplicaBase):
             recv_cost=recv_cost,
             send_cost=costs.SEND_OVERHEAD,
         )
-
-    def _emit_credit(self, rep_node: int, payments: List[Payment]) -> None:
-        message = self._sign_subbatch(payments)
-        if rep_node == self.node_id:
-            self._apply_credit(self.node_id, message)
-        else:
-            self._send_credits(rep_node, [message])
 
     def _on_credit(self, src: int, message: CreditMessage) -> None:
         if self._wal is not None:

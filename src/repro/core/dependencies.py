@@ -18,13 +18,11 @@ Per the paper's 2-level batching (§VI-A), a CREDIT covers a *sub-batch*
 (all settled payments of one batch whose beneficiaries share a
 representative) under a single signature.
 
-Every settler ships the sub-batch by value (Listings 9–10), so a
-representative receives each one ``N - 1`` times and needs the payload
-once: a CREDIT from the wire stays packed until :attr:`CreditMessage.payments`
-is read, which :meth:`DependencyCollector.add_credit` does for the first
-arrival of a sub-batch only.  CREDITs and certificates cross the wire
-as core fields (``core.payment.pack_payments``), never with the crediting
-payments' own dependencies or ``submitted_at``.
+Every settler ships the sub-batch by value (Listings 9–10), as core
+fields (``core.payment.pack_payments``) — never with the crediting
+payments' own dependencies or ``submitted_at`` — so a representative
+receives each one ``N - 1`` times and reads its columns: no copy builds a
+``Payment``.
 
 A representative holds its clients' certificates until a payment needs
 them (Listing 7, attached lazily), which under load that never runs an
@@ -60,6 +58,8 @@ from .payment import (
     ClientId,
     Payment,
     PaymentId,
+    checked_cores,
+    core_digests,
     flat_cores,
     unpack_payments,
 )
@@ -73,6 +73,7 @@ __all__ = [
     "certificates_of",
     "credit_content",
     "reference_pairs",
+    "subbatch_digest",
     "subbatch_digest_of",
     "verify_certificate",
 ]
@@ -102,16 +103,12 @@ def subbatch_digest_of(payments: Sequence[Payment]) -> Digest:
     relies on while making re-verification O(|sub-batch|) dictionary
     lookups.
     """
-    return (
-        hash((
-            "subbatch",
-            tuple([
-                cached if (cached := p._core_digest) is not None else p.core_digest()
-                for p in payments
-            ]),
-        ))
-        & _DIGEST_MASK
-    )
+    return subbatch_digest([p.core_digest() for p in payments])
+
+
+def subbatch_digest(core_digests: Sequence[int]) -> Digest:
+    """:func:`subbatch_digest_of`, from the payments' core digests."""
+    return hash(("subbatch", tuple(core_digests))) & _DIGEST_MASK
 
 
 class CreditMessage:
@@ -121,17 +118,17 @@ class CreditMessage:
     sub-batch's beneficiaries.  One signature covers the whole sub-batch
     (2-level batching, §VI-A).
 
-    A message that arrived from the wire or the WAL keeps its sub-batch
-    packed (``core.payment.pack_payments``) and leaves the ``payments``
-    slot empty: reading ``payments`` builds the ``Payment`` objects, once.
-    The collector reads it for the first CREDIT of a sub-batch only, so
-    the other ``N - 1`` copies of every sub-batch cost a signature check
-    and no construction.  A message built locally has the slot filled
-    and reads at slot speed.
+    One from the wire or the WAL, or signed over a batch's columns
+    (:meth:`from_cores`), keeps its sub-batch packed and leaves the
+    ``payments`` slot empty: reading it builds the ``Payment`` objects,
+    once; the collector reads :attr:`flat` instead.  One made by
+    :meth:`create` has the slot filled.  Only one signed over columns
+    here carries ``core_digests``, which spares the collector a second
+    hash of what this replica settled.
     """
 
     __slots__ = ("shard_id", "payments", "subbatch_digest", "signature",
-                 "size", "_packed")
+                 "size", "_packed", "core_digests")
 
     def __init__(
         self,
@@ -154,6 +151,7 @@ class CreditMessage:
             + costs.PAYMENT_BYTES * len(payments)
         )
         self._packed: Optional[Tuple[tuple, tuple]] = None
+        self.core_digests: Optional[Sequence[int]] = None
 
     def __getattr__(self, name: str):
         # Reached only for an empty slot: ``payments`` of a wire-built
@@ -172,17 +170,31 @@ class CreditMessage:
         signature = sign(key, credit_content(shard_id, batch_digest))
         return cls(shard_id, payments, signature, subbatch_digest=batch_digest)
 
+    @staticmethod
+    def from_cores(key, shard_id: int, flat: tuple, core_digests: Sequence[int]):
+        """Sign a sub-batch given as flat core fields and core digests."""
+        batch_digest = subbatch_digest(core_digests)
+        signature = sign(key, credit_content(shard_id, batch_digest))
+        message = _credit_from_wire(shard_id, flat, (), signature, batch_digest)
+        message.core_digests = core_digests
+        return message
+
+    @property
+    def flat(self) -> tuple:
+        """The sub-batch's core fields (``core.payment.flat_cores``)."""
+        packed = self._packed
+        return flat_cores(self.payments) if packed is None else packed[0]
+
     def __reduce__(self):
         # Cross-process form (TCP framing, WAL): the sub-batch's core
         # fields, all that signature and digest bind.  The digest ships
         # along: it is a pure function of content and the shared process
         # hash seed, and recomputing it per copy would repeat an
         # O(|sub-batch|) hash at the receiver.
-        packed = self._packed
-        flat = flat_cores(self.payments) if packed is None else packed[0]
         return (
             _credit_from_wire,
-            (self.shard_id, flat, (), self.signature, self.subbatch_digest),
+            (self.shard_id, self.flat, (), self.signature,
+             self.subbatch_digest),
         )
 
 
@@ -205,6 +217,7 @@ def _credit_from_wire(
         costs.HEADER_BYTES + costs.SIGNATURE_BYTES + costs.PAYMENT_BYTES * count
     )
     message._packed = (flat, extras)
+    message.core_digests = None
     return message
 
 
@@ -599,22 +612,21 @@ class DependencyCollector:
             # ``_payments`` buffer: the collector would mint certificates
             # that ``verify_certificate`` rejects at settle time — *after*
             # ``_apply_credit`` permanently inflated the representative's
-            # projected balances.  Validated only here, where the payload
-            # is actually buffered: later arrivals' payloads are ignored
-            # (their signatures endorse the digest, which already matches
-            # the buffered payments), so re-hashing them per CREDIT would
-            # spend O(|sub-batch|) per message for nothing.  The buffer
-            # keeps the validated payments' core fields, not the frame's:
-            # a ``Payment`` interns its client ids, a decoded frame's
-            # strings are its own copies.
-            try:
-                payments = message.payments
-            except ValueError:
-                return []  # a sub-batch that does not unpack: as forged
-            if subbatch_digest_of(payments) != message.subbatch_digest:
+            # projected balances.  Checked only here, where the payload is
+            # buffered (later arrivals' signatures endorse the digest it
+            # matches).  Checked columns have interned ids; a decoded
+            # frame's are its own copies.
+            flat, digests = message.flat, message.core_digests
+            if digests is None:  # not signed here: check what arrived
+                try:
+                    flat, _ = checked_cores(flat)
+                except ValueError:
+                    return []  # a sub-batch that does not unpack: as forged
+                digests = core_digests(flat)
+            if subbatch_digest(digests) != message.subbatch_digest:
                 return []
             bucket = self._partial[key] = {}
-            self._payments[key] = flat_cores(payments)
+            self._payments[key] = flat
             if len(self._partial) > self.max_pending:
                 self._evict_oldest_pending()
         bucket[src] = message.signature

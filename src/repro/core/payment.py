@@ -8,14 +8,17 @@ double-spend prevention: at most one payment per identifier ever settles.
 
 A payment *sequence* — a batch's items, a CREDIT's sub-batch, the
 sub-batch a certificate covers — has one wire form, owned here:
-:func:`pack_payments` / :func:`unpack_payments`.
+:func:`pack_payments` / :func:`unpack_payments`.  A receiving replica
+reads it as columns (``brb.batching.Batch``, :func:`checked_cores`): a
+``Payment`` is rebuilt only where one is read — at the origin, which
+holds its own, and for one that waits, is rejected or carries extras.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from sys import intern
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..crypto import costs
 
@@ -23,6 +26,8 @@ __all__ = [
     "Payment",
     "PaymentId",
     "ClientId",
+    "checked_cores",
+    "core_digests",
     "flat_cores",
     "pack_payments",
     "unpack_payments",
@@ -47,13 +52,12 @@ class Payment:
     excluded from the canonical form, so it never affects digests or
     signatures.
 
-    Payments are immutable.  An instance lives while its payment is in
-    flight (batches, WAL records, CREDIT sub-batches); an xlog keeps a
-    settled one as two column cells and rebuilds it on demand.  It holds
-    what is read per payment (the identifier, core tuple, wire size and
-    memoized core digest) and shares its interned string ids with every
-    payment, and xlog column, naming them.  The full canonical form and
-    digest are computed on demand.
+    Payments are immutable.  An instance lives where one is read: at its
+    origin, in a simulated batch, while it waits or after its rejection;
+    a receiving replica settles from a batch's columns, and an xlog keeps
+    a settled payment as two column cells.  It holds the identifier, core
+    tuple, wire size and memoized core digest, and shares its interned
+    string ids with every payment and column naming them.
     """
 
     __slots__ = (
@@ -200,34 +204,50 @@ def pack_payments(payments: Sequence[Payment]) -> Tuple[tuple, tuple]:
     return flat, extras
 
 
-def unpack_payments(flat: tuple, extras: tuple = ()) -> Tuple[Payment, ...]:
-    """Rebuild the sequence :func:`pack_payments` flattened.
-
-    The input is a peer's or a disk's: anything but ``4·k`` well-formed
-    core fields and in-range extras raises :class:`ValueError`, also for
-    the fields ``Payment`` refuses: a non-``int`` seq or amount, ``seq <
-    1``, a negative amount.
-    """
-    if (
-        flat.__class__ is not tuple
-        or extras.__class__ is not tuple
-        or len(flat) % 4
-    ):
+def checked_cores(flat: tuple, extras: tuple = ()) -> Tuple[tuple, Dict]:
+    """A peer's or a disk's packed sequence: ``flat`` with its ids
+    interned, and the extras as ``position -> (deps, submitted_at)``.
+    What ``Payment`` would refuse, or malformed extras, raise
+    :class:`ValueError`."""
+    if (flat.__class__ is not tuple or extras.__class__ is not tuple
+            or len(flat) % 4):
         raise ValueError("packed payments: not 4 core fields per payment")
-    columns = [flat[0::4], flat[1::4], flat[2::4], flat[3::4]]
+    seqs, amounts = flat[1::4], flat[3::4]
+    if {*map(type, seqs), *map(type, amounts)} - {int} or seqs and (
+        min(seqs) < 1 or min(amounts) < 0
+    ):
+        raise ValueError("packed payments: a seq or amount out of range")
+    by_position: Dict[int, tuple] = {}
     try:
-        if extras:
-            count = len(flat) // 4
-            deps_column: list = [()] * count
-            submitted_column: list = [None] * count
-            for index, deps, submitted_at in extras:
-                if index.__class__ is not int or not 0 <= index < count:
-                    raise ValueError(f"packed payments: no payment {index!r}")
-                if deps.__class__ is not tuple:
-                    raise ValueError("packed payments: deps is not a tuple")
-                deps_column[index] = deps
-                submitted_column[index] = submitted_at
-            columns += [deps_column, submitted_column]
-        return tuple(map(Payment, *columns))
+        for index, deps, submitted_at in extras:
+            if index.__class__ is not int or not 0 <= index < len(seqs):
+                raise ValueError(f"packed payments: no payment {index!r}")
+            if deps.__class__ is not tuple:
+                raise ValueError("packed payments: deps is not a tuple")
+            by_position[index] = (deps, submitted_at)
     except TypeError as exc:
         raise ValueError(f"packed payments: {exc}") from exc
+    cores = list(flat)
+    try:  # str ids, interned at C speed
+        cores[0::4], cores[2::4] = map(intern, flat[0::4]), map(intern, flat[2::4])
+    except TypeError:
+        cores = [intern(f) if f.__class__ is str else f for f in flat]
+    return tuple(cores), by_position
+
+
+def unpack_payments(flat: tuple, extras: tuple = ()) -> Tuple[Payment, ...]:
+    """Rebuild the sequence :func:`pack_payments` flattened; what
+    :func:`checked_cores` refuses raises :class:`ValueError`."""
+    flat, by_position = checked_cores(flat, extras)
+    fields = iter(flat)
+    return tuple([
+        Payment(*core, *by_position.get(index, ()))
+        for index, core in enumerate(zip(fields, fields, fields, fields))
+    ])
+
+
+def core_digests(flat: tuple) -> List[int]:
+    """Every payment's :meth:`Payment.core_digest`, from flat cores."""
+    fields = iter(flat)
+    cores = zip(fields, fields, fields, fields)
+    return list(map(_MASK.__and__, map(hash, zip(repeat("payment-core"), cores))))

@@ -8,11 +8,10 @@ three ways of agreeing on what to feed them, so the piece every replica
 kind shares has one owner, here: :class:`ApprovalQueue` — the account
 state plus the per-client sequence-gap queue that implements approval's
 *wait* (Listing 3), and the ``_drain`` worklist loop over them.  The
-single hook ``_settle`` applies a payment and returns the beneficiary to
-re-examine, ``None``, or :data:`WAIT` when funds do not cover it yet
-(criterion (2)); the payment leaves the queue only after a non-``WAIT``
-settle.  Inherited by :class:`AstroReplicaBase` and by the consensus
-baseline's :class:`~repro.consensus.ledger.PaymentLedger`.  It lives in
+single hook ``_settle`` applies a payment, given as its core fields, and
+returns the beneficiary to re-examine, ``None``, or :data:`WAIT` when
+funds do not cover it yet (criterion (2)).  Inherited by
+:class:`AstroReplicaBase` and by the consensus baseline's :class:`~repro.consensus.ledger.PaymentLedger`.  It lives in
 this module rather than one of its own because the repository's
 benchmark addresses ``_drain`` by file and function name and rebinds
 this module's ``state_fingerprint`` binding when tracing.
@@ -31,6 +30,7 @@ it, and WAL replay and catch-up imports deliver through the layer
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..brb.batching import Batch, Batcher
@@ -66,10 +66,11 @@ WAIT: Any = object()
 class ApprovalQueue:
     """Replica state (Listing 2) and the approval rule (Listing 3).
 
-    Delivered payments wait in ``_awaiting_seq`` for their client's
-    preceding payment (criterion (1)) and — where the variant says so —
-    for funds (criterion (2)); :meth:`_drain` settles whatever became
-    approvable.
+    A delivered batch is settled from its columns.  A ``Payment`` is
+    built for one that is rejected or carries extras, and for one that
+    must wait — for its client's preceding payment (criterion (1)) or,
+    where the variant says so, for funds (criterion (2)) — in
+    ``_awaiting_seq``; :meth:`_drain` settles whatever became approvable.
     """
 
     def __init__(
@@ -85,39 +86,75 @@ class ApprovalQueue:
         self._awaiting_seq: Dict[ClientId, Dict[int, Payment]] = {}
         self.settled_count = 0
 
-    def _drain(self, worklist: Deque[ClientId]) -> None:
+    def _drain(
+        self,
+        worklist: Deque[ClientId],
+        batch: Optional[Batch] = None,
+        arrived: Optional[Dict[ClientId, Dict[int, int]]] = None,
+    ) -> None:
         """Settle every payment whose approval criteria now hold.
 
+        A client's next payment is at ``sn + 1`` in ``_awaiting_seq``, else
+        in ``arrived`` (seq → position in the ``batch`` being delivered,
+        settled from its columns; built and queued if it must wait).
         Settling a payment may unblock others (its beneficiary can now
         afford queued spends), so this cascades via a worklist until no
         progress remains.  Runs once per payment per replica.
         """
         awaiting = self._awaiting_seq
-        seqnum = self.state.seqnum
+        locate, seqnum_at = self.state.index, self.state.seqnum_reader()
         settle = self._settle
+        if batch is not None:
+            cores, held = batch.cores, batch.held
+            extras = batch.extras if held is None else {}
         while worklist:
             client = worklist.popleft()
+            fresh = arrived.pop(client, None) if arrived else None
             queue = awaiting.get(client)
-            if not queue:
+            if not queue and not fresh:
                 continue
+            index = locate(client)
             while True:
-                next_seq = seqnum(client) + 1
-                payment = queue.get(next_seq)
-                if payment is None:
-                    break  # criterion (1): wait for the predecessor
-                beneficiary = settle(payment)
+                next_seq = seqnum_at(index) + 1
+                payment = queue.get(next_seq) if queue else None
+                if payment is not None:
+                    position, core = None, payment.core
+                else:
+                    position = fresh.pop(next_seq, None) if fresh else None
+                    if position is None:
+                        break  # criterion (1): wait for the predecessor
+                    core = cores[position]
+                    if held is not None:
+                        payment = held[position]
+                    elif position in extras:
+                        payment = batch.payment(position)
+                beneficiary = settle(index, core, payment, position)
                 if beneficiary is WAIT:
+                    if position is not None:
+                        fresh[next_seq] = position
                     break  # criterion (2): wait for credits (Listing 3 l.18)
-                del queue[next_seq]
+                if position is None:
+                    del queue[next_seq]
                 if beneficiary is not None:
                     worklist.append(beneficiary)
-            if not queue:
-                awaiting.pop(client, None)
+            if fresh:  # what must wait; a duplicate identifier: first wins
+                settled = seqnum_at(index)
+                for seq, position in fresh.items():
+                    if seq > settled and not (queue and seq in queue):
+                        if queue is None:
+                            queue = awaiting[client] = {}
+                        queue[seq] = batch.payment(position)
+            if queue is not None and not queue:
+                del awaiting[client]
 
-    def _settle(self, payment: Payment) -> Any:
+    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
+                position: Optional[int]) -> Any:
         """Variant hook: apply the payment (Listing 4 / Listing 9).
 
-        Returns :data:`WAIT` (state untouched) when the payment must stay
+        ``core`` is ``(spender, seq, beneficiary, amount)``, ``index`` the
+        spender's :meth:`AccountState.index`, ``payment`` the object if one
+        exists and ``position`` its place in the delivered batch (``None``
+        if it waited).  Returns :data:`WAIT` (state untouched) when the payment must stay
         queued for funds, the beneficiary to re-examine when the settle
         credited a local balance (Astro I, the consensus ledger), else
         ``None`` (settled or rejected without a local credit, Astro II).
@@ -264,35 +301,27 @@ class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
     # Delivery → approval (Listing 3) → settlement
     # ------------------------------------------------------------------
     def _deliver_batch(self, origin: int, batch: Batch) -> None:
-        """Process a BRB-delivered batch of payments."""
+        """Process a BRB-delivered batch of payments, from its columns."""
         if not self.alive:
             return
         self.charge(costs.SETTLE_PER_PAYMENT * batch.batch_items)
-        # Local bindings: this loop runs once per payment per replica and
-        # dominates the settle path at high offered rates.
         rep_get = self._rep_map.get
-        awaiting = self._awaiting_seq
-        seqnum = self.state.seqnum
-        # Deduplicated in *insertion order* (dict, not set): client ids are
-        # strings, and iterating a set of strings would order the drain —
-        # and therefore settle/confirm timing — by the interpreter's
-        # randomized hash seed, making results differ across processes.
-        touched: Dict[ClientId, None] = {}
-        for payment in batch.items:
+        flat = batch.flat
+        # Spender -> seq -> position in *insertion order* (dicts, not
+        # sets): iterating a set of string ids would order the drain — and
+        # settle/confirm timing — by the interpreter's hash seed.
+        arrived: Dict[ClientId, Dict[int, int]] = {}
+        for position, spender, seq in zip(count(), flat[0::4], flat[1::4]):
             # Defense in depth: a payment may only arrive via its
             # spender's representative (§II).
-            spender = payment.spender
             if rep_get(spender) != origin:
                 continue
-            queue = awaiting.get(spender)
-            if queue is None:
-                queue = awaiting[spender] = {}
-            seq = payment.seq
-            if seq in queue or seq <= seqnum(spender):
-                continue  # duplicate identifier: first delivery wins
-            queue[seq] = payment
-            touched[spender] = None
-        self._drain(deque(touched))
+            fresh = arrived.get(spender)
+            if fresh is None:
+                arrived[spender] = {seq: position}
+            elif seq not in fresh:
+                fresh[seq] = position
+        self._drain(deque(arrived), batch, arrived)
         if origin == self.node_id:
             self._batch_done()
 

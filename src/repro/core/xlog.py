@@ -44,27 +44,29 @@ class ExclusiveLog:
         #: seq -> dependency certificates, for the payments carrying any.
         self.deps: Dict[int, tuple] = {}
 
-    def append(self, payment: Payment) -> None:
-        """Append the owner's next payment.
+    def append(self, core: tuple, deps: tuple = ()) -> None:
+        """Append the owner's next payment, given as its ``(spender, seq,
+        beneficiary, amount)`` core and dependency certificates.
 
         Raises :class:`XlogViolation` if the payment belongs to a
         different spender or does not carry the next sequence number —
         both indicate a bug in the replica, not adversarial input, since
         replicas validate before appending.
         """
-        if payment.spender != self.owner:
+        spender, seq, beneficiary, amount = core
+        if spender != self.owner:
             raise XlogViolation(
-                f"payment by {payment.spender!r} appended to xlog of {self.owner!r}"
+                f"payment by {spender!r} appended to xlog of {self.owner!r}"
             )
         expected = len(self.beneficiaries) + 1
-        if payment.seq != expected:
+        if seq != expected:
             raise XlogViolation(
-                f"xlog of {self.owner!r} expected seq {expected}, got {payment.seq}"
+                f"xlog of {self.owner!r} expected seq {expected}, got {seq}"
             )
-        self.beneficiaries.append(payment.beneficiary)
-        self.amounts.append(payment.amount)
-        if payment.deps:
-            self.deps[expected] = payment.deps
+        self.beneficiaries.append(beneficiary)
+        self.amounts.append(amount)
+        if deps:
+            self.deps[expected] = deps
 
     def columns(self) -> Columns:
         """A copy of ``(beneficiaries, amounts, deps)``, at C speed."""

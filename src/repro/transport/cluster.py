@@ -12,8 +12,9 @@ else differs.  Either way the report (``BENCH_live.json``, or
 throughput, confirm latency, wire cost per payment, and the verdict —
 no payment stranded (unconfirmed and not *held* by a representative
 waiting to prove funds), :class:`~repro.adversary.monitor.InvariantMonitor`
-SAFE over the replicas' sampled state, one state fingerprint — which is
-the exit code.  ``--wal-dir`` gives every replica a WAL and snapshots
+SAFE over the replicas' sampled state, one state fingerprint, no handler
+exception — which is the exit code; ``reasons`` names each failed
+condition.  ``--wal-dir`` gives every replica a WAL and snapshots
 (a timeline that crashes one gets a temp dir).
 
 *Where* a replica runs is the context :class:`_ClusterProcs` is handed:
@@ -463,7 +464,6 @@ async def _run(
     }
     views_missing = sorted(set(range(args.n)) - set(final_views))
     fingerprints_equal = len(set(fingerprints.values())) == 1
-    agreed = fingerprints_equal and not views_missing
     verdict = monitor.verdict()
     # Unconfirmed is not yet failed: a representative *holds* a payment
     # until it can prove funds (Listing 7; Astro I queues it everywhere
@@ -476,7 +476,17 @@ async def _run(
         str(k): {key: final[k][key] for key in _TRANSPORT_ERRORS}
         for k in sorted(final)
     }
-    handler_errors = sum(r["handler_errors"] for r in final.values())
+    # One reason per failed condition of ``ok``.
+    reasons = [reason for failed, reason in (
+        (views_missing, f"views missing: replicas {views_missing}"),
+        (not fingerprints_equal, "fingerprints differ"),
+        (stranded, f"{stranded} payments stranded"),
+        (not verdict["ok"], f"{len(monitor.violations)} monitor violations, "
+                            f"the first at t={verdict['first_violation']}"),
+    ) if failed] + [
+        f"replica {k}: {errors['first_handler_error']} ×{errors['handler_errors']}"
+        for k, errors in transport_errors.items() if errors["handler_errors"]
+    ]
     wall_elapsed = time.monotonic() - wall_start
     return {
         "system": args.system,
@@ -520,9 +530,8 @@ async def _run(
             [round(t, 3), action, payload]
             for t, action, payload in injector.log
         ],
-        "ok": (
-            agreed and stranded == 0 and verdict["ok"] and not handler_errors
-        ),
+        "reasons": reasons,
+        "ok": not reasons,
         "wall_elapsed_s": round(wall_elapsed, 3),
     }
 

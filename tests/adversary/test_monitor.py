@@ -14,6 +14,12 @@ from repro.core.payment import Payment
 from repro.core.xlog import columns_prefix
 
 
+def settle_full(state, payment):
+    """Listing 4 for one ``Payment``: the settle step, depositing."""
+    index = state.index(payment.spender)
+    assert state.try_settle_spend(index, payment.core, payment.deps, True)
+
+
 def build(system_name="astro1", size=4, seed=1):
     system = SYSTEM_BUILDERS[system_name](size, seed=seed)
     monitor = InvariantMonitor.watch(system, interval=0.5, until=2.0)
@@ -79,7 +85,7 @@ def test_seqnum_xlog_mismatch_detected():
     client = spent_client(replica)
     log = replica.state.xlog(client)
     # An xlog entry the seqnum never counted.
-    log.append(Payment(client, len(log) + 1, "client-0", 1))
+    log.append(Payment(client, len(log) + 1, "client-0", 1).core)
     monitor.sample_replicas()
     assert "sequence" in violated(monitor)
 
@@ -109,7 +115,7 @@ def test_double_spend_detected():
     spare = clients[5]
     for replica, beneficiary in ((system.replicas[0], clients[6]),
                                  (system.replicas[1], clients[7])):
-        replica.state.settle_full(Payment(spare, 1, beneficiary, 10))
+        settle_full(replica.state, Payment(spare, 1, beneficiary, 10))
     monitor.sample_replicas()
     assert "double_spend" in violated(monitor)
 
@@ -148,8 +154,8 @@ def test_divergent_xlogs_detected():
     clients = client_ids_of(system)
     spare = clients[5]
     # Same length, different content: neither log is a prefix of the other.
-    system.replicas[0].state.settle_full(Payment(spare, 1, clients[6], 10))
-    system.replicas[1].state.settle_full(Payment(spare, 1, clients[6], 20))
+    settle_full(system.replicas[0].state, Payment(spare, 1, clients[6], 10))
+    settle_full(system.replicas[1].state, Payment(spare, 1, clients[6], 20))
     monitor.sample_replicas()
     assert "convergence" in violated(monitor)
 

@@ -263,12 +263,15 @@ class TestGrouping:
             num_replicas=4, genesis=dict.fromkeys(reps, 10),
             rep_assignment=reps,
         )
-        payments = [Payment("a", 1, "b", 1), Payment("a", 2, "c", 1),
-                    Payment("x", 1, "b", 1)]
-        groups = system.replicas[0]._credit_groups(payments)
+        batch = Batch([Payment("a", 1, "b", 1), Payment("a", 2, "c", 1)])
+        waited = Payment("x", 1, "b", 1)
+        # Settled: positions in the delivered batch, and a waiting payment.
+        groups = system.replicas[0]._credit_groups([0, 1, waited], batch)
         assert set(groups) == {2, 3}
-        assert [p.beneficiary for p in groups[2]] == ["b", "b"]
-        assert [p.beneficiary for p in groups[3]] == ["c"]
+        flat, digests = groups[2]
+        assert flat == ["a", 1, "b", 1, "x", 1, "b", 1]
+        assert digests == [batch.held[0].core_digest(), waited.core_digest()]
+        assert groups[3] == (["a", 2, "c", 1], [batch.held[1].core_digest()])
 
 
 class TestQuorums:

@@ -26,6 +26,12 @@ from repro.core.persistence import (
 from repro.core.xlog import ExclusiveLog
 
 
+def settle_full(state, payment):
+    """Listing 4 for one ``Payment``: the settle step, depositing."""
+    index = state.index(payment.spender)
+    assert state.try_settle_spend(index, payment.core, payment.deps, True)
+
+
 class DictAccountState:
     """Reference oracle: a plain-dict account store.
 
@@ -81,20 +87,19 @@ class DictAccountState:
     def credit(self, client: ClientId, amount: int) -> None:
         self._member(client)[0] += amount
 
-    def settle_full(self, payment: Payment) -> None:
-        account = self._member(payment.spender)
-        account[0] -= payment.amount
-        self.credit(payment.beneficiary, payment.amount)
-        account[1] += 1
-        account[2].append(payment)
+    def index(self, client: ClientId) -> ClientId:
+        return client
 
-    def try_settle_spend(self, payment: Payment) -> bool:
-        if self.balance(payment.spender) < payment.amount:
+    def try_settle_spend(self, index, core, deps=(), deposit=False) -> bool:
+        spender, _, beneficiary, amount = core
+        if self.balance(spender) < amount:
             return False
-        account = self._member(payment.spender)
-        account[0] -= payment.amount
+        account = self._member(spender)
+        account[0] -= amount
+        if deposit:
+            self.credit(beneficiary, amount)
         account[1] += 1
-        account[2].append(payment)
+        account[2].append(core, deps)
         return True
 
     def total_balance(self) -> int:
@@ -165,16 +170,16 @@ class TestArrayDictParity:
             if step % 3 == 0:  # Astro II's spend half; may be refused
                 amount = rng.randint(1, 120)
                 payment = Payment(spender, seqs[spender] + 1, beneficiary, amount)
-                settled = arr.try_settle_spend(payment)
-                assert settled == ref.try_settle_spend(payment)
+                settled = arr.try_settle_spend(arr.index(spender), payment.core)
+                assert settled == ref.try_settle_spend(spender, payment.core)
                 seqs[spender] += settled
                 continue
             if arr.balance(spender) < 1:
                 continue
             seqs[spender] += 1
             payment = Payment(spender, seqs[spender], beneficiary, 1)
-            arr.settle_full(payment)
-            ref.settle_full(payment)
+            settle_full(arr, payment)
+            settle_full(ref, payment)
         for ghost in ("ghost-0", "ghost-1"):
             assert len(arr.xlog(ghost)) == len(ref.xlog(ghost)) == 0
         assert rows(arr) == rows(ref)
@@ -199,10 +204,10 @@ class TestArrayDictParity:
         genesis = {"a": 10, "b": 0}
         arr = AccountState(genesis)
         before = arr.snapshot()
-        assert not arr.try_settle_spend(Payment("a", 1, "b", 11))
+        assert not arr.try_settle_spend(arr.index("a"), ("a", 1, "b", 11))
         assert arr.snapshot() == before
         assert arr.seqnum("a") == 0
-        assert arr.try_settle_spend(Payment("a", 1, "b", 10))
+        assert arr.try_settle_spend(arr.index("a"), ("a", 1, "b", 10))
         assert arr.balance("a") == 0
         assert arr.seqnum("a") == 1
 
@@ -221,7 +226,7 @@ class TestSnapshotCache:
     def test_snapshot_matches_fresh_sort_formula(self):
         genesis = {f"client-{i}": 100 for i in range(6)}
         state = AccountState(genesis)
-        state.settle_full(Payment("client-3", 1, "client-0", 7))
+        settle_full(state, Payment("client-3", 1, "client-0", 7))
         assert state.snapshot() == fresh_snapshot(state)
         assert repr(state.snapshot()) == repr(fresh_snapshot(state))
 
@@ -233,7 +238,7 @@ class TestSnapshotCache:
         state.add_client("g", 3)
         assert state.snapshot() == fresh_snapshot(state)
         # Settling an unknown spender adds seqnum membership too.
-        state.settle_full(Payment("zz", 1, "a", 0))
+        settle_full(state, Payment("zz", 1, "a", 0))
         assert state.snapshot() == fresh_snapshot(state)
         # So does a credit: a credited account is a member too.
         state.credit("bb", 4)
@@ -262,7 +267,7 @@ class TestViews:
         state = AccountState({"a": 10, "b": 0})
         log = state.xlog("a")
         payment = Payment("a", 1, "b", 1)
-        state.settle_full(payment)
+        settle_full(state, payment)
         # The handle obtained *before* the settle sees the append.
         assert list(log) == [payment]
 
@@ -289,12 +294,12 @@ class TestViews:
     def test_restore_replaces_the_member_set(self):
         genesis = {"a": 10, "b": 0}
         source = AccountState(genesis)
-        source.settle_full(Payment("a", 1, "b", 4))
-        source.settle_full(Payment("late", 1, "a", 0))  # post-genesis member
+        settle_full(source, Payment("a", 1, "b", 4))
+        settle_full(source, Payment("late", 1, "a", 0))  # post-genesis member
         source.credit("walk-in", 9)
 
         target = AccountState(genesis)
-        target.settle_full(Payment("b", 1, "ghost", 0))  # state to be dropped
+        settle_full(target, Payment("b", 1, "ghost", 0))  # state to be dropped
         restore_account_state(target, snapshot_account_state(source))
         assert rows(target) == rows(source)
         assert [row[:3] for row in rows(target)] == [

@@ -105,9 +105,10 @@ def test_xlog_entries_read_back_as_the_settled_payments():
     system = build()
     settled = {replica.node_id: [] for replica in system.replicas}
     for replica in system.replicas:
-        def settle(payment, replica=replica, inner=replica._settle):
-            settled[replica.node_id].append(payment)
-            return inner(payment)
+        def settle(index, core, payment, position, replica=replica,
+                   inner=replica._settle):
+            settled[replica.node_id].append(payment)  # held: simulated
+            return inner(index, core, payment, position)
         replica._settle = settle
     system.submit("alice", "bob", 30)
     system.submit("dave", "bob", 5)

@@ -22,19 +22,18 @@ from repro.core.system import Astro1System
 
 
 class _FundsGated(ApprovalQueue):
-    """The smallest heir: Listing 3's criterion (2) over ``settle_full``."""
+    """The smallest heir: Listing 3's criterion (2) over the settle step."""
 
     def __init__(self, genesis):
         super().__init__(genesis)
         self.calls = []
 
-    def _settle(self, payment):
-        self.calls.append(payment.identifier)
-        if self.state.balance(payment.spender) < payment.amount:
+    def _settle(self, index, core, payment, position):
+        self.calls.append(core[:2])
+        if not self.state.try_settle_spend(index, core, (), True):
             return WAIT
-        self.state.settle_full(payment)
         self.settled_count += 1
-        return payment.beneficiary
+        return core[2]
 
     def deliver(self, payment):
         spender = payment.spender
@@ -63,7 +62,7 @@ def test_a_settle_returning_none_leaves_the_queue_without_advancing():
     """Astro II's rejection: not WAIT, so the payment is dropped."""
 
     class _Rejecting(ApprovalQueue):
-        def _settle(self, payment):
+        def _settle(self, index, core, payment, position):
             return None
 
     queue = _Rejecting({"a": 5})

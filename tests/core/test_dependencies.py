@@ -301,7 +301,7 @@ def _over_the_wire(message):
 
 class TestLazyCreditPayload:
     """A CREDIT from the wire keeps its sub-batch packed; the collector
-    reads ``payments`` for the first arrival of a sub-batch only."""
+    reads its columns, so no arrival of a sub-batch builds a payment."""
 
     def test_wire_copy_is_equivalent_and_builds_on_first_read(
         self, setup, monkeypatch
@@ -359,9 +359,9 @@ class TestLazyCreditPayload:
             for i in range(4)
         ]
         probe = _InitProbe(monkeypatch)
-        # First arrival: the payload is read, validated and buffered.
+        # First arrival: the columns are checked, hashed and buffered.
         assert collector.add_credit(0, from_wire[0]) == []
-        assert probe.calls == 64
+        assert probe.calls == 0
         # Second arrival completes f+1: one record, 64 references into it.
         minted = collector.add_credit(1, from_wire[1])
         assert len(minted) == 64
@@ -370,7 +370,7 @@ class TestLazyCreditPayload:
         # Stragglers of the minted sub-batch.
         assert collector.add_credit(2, from_wire[2]) == []
         assert collector.add_credit(3, from_wire[3]) == []
-        assert probe.calls == 64
+        assert probe.calls == 0
         assert collector.certified_count == 0
         assert verify_certificate(_minted(minted)[0], directory, keychain)
 

@@ -8,6 +8,12 @@ from repro.core.payment import Payment
 from repro.core.xlog import ExclusiveLog, XlogViolation
 
 
+def settle_full(state, payment):
+    """Listing 4 for one ``Payment``: the settle step, depositing."""
+    index = state.index(payment.spender)
+    assert state.try_settle_spend(index, payment.core, payment.deps, True)
+
+
 class TestPayment:
     def test_identifier(self):
         payment = Payment("alice", 3, "bob", 10)
@@ -51,33 +57,33 @@ class TestPayment:
 class TestExclusiveLog:
     def test_append_in_order(self):
         log = ExclusiveLog("alice")
-        log.append(Payment("alice", 1, "bob", 1))
-        log.append(Payment("alice", 2, "carol", 2))
+        log.append(Payment("alice", 1, "bob", 1).core)
+        log.append(Payment("alice", 2, "carol", 2).core)
         assert log.last_seq == 2
         assert [p.seq for p in log] == [1, 2]
 
     def test_exclusivity_enforced(self):
         log = ExclusiveLog("alice")
         with pytest.raises(XlogViolation):
-            log.append(Payment("bob", 1, "alice", 1))
+            log.append(Payment("bob", 1, "alice", 1).core)
 
     def test_gap_rejected(self):
         log = ExclusiveLog("alice")
         with pytest.raises(XlogViolation):
-            log.append(Payment("alice", 2, "bob", 1))
+            log.append(Payment("alice", 2, "bob", 1).core)
 
     def test_duplicate_seq_rejected(self):
         log = ExclusiveLog("alice")
-        log.append(Payment("alice", 1, "bob", 1))
+        log.append(Payment("alice", 1, "bob", 1).core)
         with pytest.raises(XlogViolation):
-            log.append(Payment("alice", 1, "carol", 1))
+            log.append(Payment("alice", 1, "carol", 1).core)
 
     def test_prefix_relation(self):
         short = ExclusiveLog("alice")
         long = ExclusiveLog("alice")
         for log in (short, long):
-            log.append(Payment("alice", 1, "bob", 1))
-        long.append(Payment("alice", 2, "bob", 2))
+            log.append(Payment("alice", 1, "bob", 1).core)
+        long.append(Payment("alice", 2, "bob", 2).core)
         assert short.is_prefix_of(long)
         assert not long.is_prefix_of(short)
         assert short.is_prefix_of(short)
@@ -90,13 +96,13 @@ class TestExclusiveLog:
     def test_diverged_logs_not_prefix(self):
         a = ExclusiveLog("alice")
         b = ExclusiveLog("alice")
-        a.append(Payment("alice", 1, "bob", 1))
-        b.append(Payment("alice", 1, "carol", 1))
+        a.append(Payment("alice", 1, "bob", 1).core)
+        b.append(Payment("alice", 1, "carol", 1).core)
         assert not a.is_prefix_of(b)
 
     def test_entries_returns_immutable_snapshot(self):
         log = ExclusiveLog("alice")
-        log.append(Payment("alice", 1, "bob", 1))
+        log.append(Payment("alice", 1, "bob", 1).core)
         entries = log.entries()
         assert isinstance(entries, tuple)
         assert log[0] == entries[0]
@@ -105,7 +111,7 @@ class TestExclusiveLog:
     def test_append_only_property(self, amounts):
         log = ExclusiveLog("c")
         for index, amount in enumerate(amounts, start=1):
-            log.append(Payment("c", index, "d", amount))
+            log.append(Payment("c", index, "d", amount).core)
         assert len(log) == len(amounts)
         assert [p.amount for p in log] == amounts
 
@@ -125,7 +131,7 @@ class TestAccountState:
 
     def test_settle_full_moves_value(self):
         state = AccountState({"a": 100, "b": 0})
-        state.settle_full(Payment("a", 1, "b", 30))
+        settle_full(state, Payment("a", 1, "b", 30))
         assert state.balance("a") == 70
         assert state.balance("b") == 30
         assert state.seqnum("a") == 1
@@ -134,7 +140,7 @@ class TestAccountState:
 
     def test_settle_spend_only_defers_deposit(self):
         state = AccountState({"a": 100, "b": 0})
-        assert state.try_settle_spend(Payment("a", 1, "b", 30)) is True
+        assert state.try_settle_spend(state.index("a"), ("a", 1, "b", 30)) is True
         assert state.balance("a") == 70
         assert state.balance("b") == 0  # credited via dependencies later
         assert state.total_balance() == 70
@@ -172,6 +178,6 @@ class TestAccountState:
             if spender == beneficiary or state.balance(spender) < amount:
                 continue
             seqs[spender] += 1
-            state.settle_full(Payment(spender, seqs[spender], beneficiary, amount))
+            settle_full(state, Payment(spender, seqs[spender], beneficiary, amount))
         assert state.total_balance() == 3000
         assert all(balance >= 0 for _, balance, _, _ in state.accounts())

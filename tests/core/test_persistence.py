@@ -41,6 +41,12 @@ from repro.crypto import costs
 from repro.transport.framing import FrameError, encode_frame
 
 
+def settle_full(state, payment):
+    """Listing 4 for one ``Payment``: the settle step, depositing."""
+    index = state.index(payment.spender)
+    assert state.try_settle_spend(index, payment.core, payment.deps, True)
+
+
 # ---------------------------------------------------------------------------
 # WAL: framing round trip, torn tails, truncation on reopen
 # ---------------------------------------------------------------------------
@@ -454,11 +460,11 @@ def _populated_state():
     from repro.core.payment import Payment
 
     state = AccountState({f"client-{i}": 100 for i in range(6)})
-    state.settle_full(Payment("client-2", 1, "client-0", 7))
-    state.settle_full(Payment("client-2", 2, "client-4", 3))
+    settle_full(state, Payment("client-2", 1, "client-0", 7))
+    settle_full(state, Payment("client-2", 2, "client-4", 3))
     state.add_client("late", 40)
     state.credit("client-1", 11)
-    state.settle_full(Payment("late", 1, "client-5", 5))
+    settle_full(state, Payment("late", 1, "client-5", 5))
     return state
 
 
@@ -1207,6 +1213,37 @@ def test_a_checkpoint_holds_each_minted_subbatch_once(tmp_path):
     for mine, theirs in zip(rebuilt.replicas, system.replicas):
         assert _pending_dep_ids(mine) == _pending_dep_ids(theirs)
         assert mine._projected == theirs._projected
+
+
+def _checkpoint_growth(system, rounds):
+    """Replica 0's largest checkpoint body and its WAL bytes per settled
+    payment, after ``rounds`` more rounds of 100 uniform payments."""
+    for _ in range(rounds):
+        _run_workload(system, 100)
+    replica = system.replicas[0]
+    records, size = WriteAheadLog(replica._wal.wal.path).scan()
+    largest = max(len(r[1]) for r in records if r[0] == "checkpoint")
+    return largest, size / replica.settled_count
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2(a): a checkpoint rewrites every pending "
+    "certificate, so checkpoints grow with history",
+)
+def test_checkpoints_stay_bounded_as_history_grows(tmp_path):
+    """Budget: from K to 4K settled payments under uniform load, the
+    largest checkpoint and the WAL bytes per payment stay within 1.5×.
+    A checkpoint should write what changed since the previous one; today
+    each rewrites the ``deps`` of every certificate still pending, one
+    per payment to the representative's clients, so both grow with K."""
+    system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+    _bind_all(system, tmp_path, snapshot_interval=16)
+    at_k = _checkpoint_growth(system, 10)
+    at_4k = _checkpoint_growth(system, 30)
+    assert system.replicas[0].settled_count == 4000
+    assert at_4k[0] <= 1.5 * at_k[0], ("largest checkpoint", at_k, at_4k)
+    assert at_4k[1] <= 1.5 * at_k[1], ("WAL bytes per payment", at_k, at_4k)
 
 
 def test_a_checkpoint_holding_whole_certificates_is_refused_untouched(

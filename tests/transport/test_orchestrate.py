@@ -118,7 +118,7 @@ def test_bench_mode_confirms_every_payment_on_every_replica(monkeypatch):
     }
     assert set(report["rejected_final"].values()) == {0}
     # Bench mode is the empty timeline, verdict included.
-    assert report["ok"] and report["drained"]
+    assert report["ok"] and report["drained"] and report["reasons"] == []
     assert report["unconfirmed"] == report["stranded"] == 0
     assert report["monitor"]["ok"] and report["fingerprints_equal"]
     assert report["injected"] == [] and report["recoveries"] == {}
@@ -168,6 +168,11 @@ def test_a_handler_exception_fails_the_verdict_and_names_itself(monkeypatch):
     assert report["stranded"] == 0 and report["fingerprints_equal"]
     assert report["monitor"]["ok"]
     assert not report["ok"]
+    # The one failed condition, and it names the exception.
+    assert report["reasons"] == [
+        "replica 2: RuntimeError in the CreditMessage handler: "
+        "armed for the test ×1"
+    ]
 
 
 @pytest.mark.slow
