@@ -3,14 +3,20 @@
 The paper reports settled payments/second ("pps"), average and 95th/99th
 percentile latency, and per-second throughput timelines (Figs. 3–7,
 Table I).  These classes collect exactly those series.
+
+:func:`summarize_values` computes its percentiles and mean with the
+standard library in numpy's order of operations (the default ``linear``
+percentile, the float64 pairwise sum behind ``mean``), so every figure
+and report number stays bit-identical to what ``numpy.percentile`` and
+``ndarray.mean`` gave, while no process of the runtime loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 __all__ = [
     "LatencyRecorder",
@@ -59,19 +65,62 @@ class LatencySummary:
         )
 
 
+def _pairwise_sum(values: Sequence[float], start: int, stop: int) -> float:
+    """numpy's float64 pairwise sum of ``values[start:stop]``, in order:
+    a plain loop under 8 values, eight strided accumulators up to 128,
+    and above that two halves split at a multiple of 8."""
+    n = stop - start
+    if n < 8:
+        return reduce(add, values[start:stop], 0.0)
+    if n <= 128:
+        tail = stop - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = [
+            reduce(add, values[start + lane : tail : 8]) for lane in range(8)
+        ]
+        head = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        return reduce(add, values[tail:stop], head)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, start + half) + _pairwise_sum(
+        values, start + half, stop
+    )
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    """numpy's default (``linear``) percentile of a sorted sample, with
+    its two-sided interpolation."""
+    index = (len(ordered) - 1) * q
+    if index >= len(ordered) - 1:
+        return ordered[-1]
+    below = math.floor(index)
+    t = index - below
+    a, b = ordered[below], ordered[below + 1]
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
 def summarize_values(values: Sequence[float]) -> LatencySummary:
     """Summarize a latency sample sequence.
 
     Shared by :class:`LatencyRecorder` and the live cluster's reports
-    (:mod:`repro.transport.cluster`).
+    (:mod:`repro.transport.cluster`).  Bit-identical to
+    ``numpy.percentile(values, [50, 95, 99])``, ``mean()`` and ``max()``
+    on finite samples; a sample holding both signed zeros may differ in
+    the sign of a zero result (no latency is ``-0.0``: the difference of
+    two equal floats is ``+0.0``).
     """
     if not values:
         return LatencySummary.empty()
-    arr = np.asarray(values)
-    p50, p95, p99 = np.percentile(arr, [50, 95, 99])
+    n = len(values)
+    ordered = sorted(values)
     return LatencySummary(
-        len(arr), float(arr.mean()), float(p50), float(p95), float(p99),
-        float(arr.max()),
+        n,
+        _pairwise_sum(values, 0, n) / n,
+        _percentile(ordered, 0.5),
+        _percentile(ordered, 0.95),
+        _percentile(ordered, 0.99),
+        ordered[-1],
     )
 
 

@@ -13,12 +13,12 @@ handed and knows nothing of what the body means:
   record, framed and flushed on its own.
 
 The payloads are the compact ``__reduce__`` wire classes (Payment,
-Batch, CreditMessage/CreditBundle, Sb*/Brb*, ...), so one serialization
-format covers real sockets between processes and the log on disk.  A
-payment *sequence* inside them is one flat tuple of core fields
-(:func:`repro.core.payment.pack_payments`), not a nest of per-payment
-pickles; and a payload bound for several peers is pickled once, as an
-:class:`Encoded`, which every train then carries as bytes.
+Batch, CreditMessage/CreditBundle, Sb*/Brb*, ClientSubmit/ClientConfirm,
+...), so one serialization format covers real sockets between processes
+and the log on disk.  A payment *sequence* inside them is one flat tuple
+of core fields (:func:`repro.core.payment.pack_payments`), not a nest of
+per-payment pickles; and a payload bound for several peers is pickled
+once, as an :class:`Encoded`, which every train then carries as bytes.
 
 Pickle between mutually authenticated replicas matches the paper's
 trust model: the handshake (:mod:`repro.transport.tcp`) ensures frames

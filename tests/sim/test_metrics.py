@@ -3,9 +3,41 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim.metrics import LatencyRecorder, ThroughputMeter
+from repro.sim.metrics import (
+    LatencyRecorder,
+    ThroughputMeter,
+    summarize_values,
+)
+
+#: Sample sizes at the edges of numpy's pairwise sum: the plain loop
+#: (< 8), one block of eight accumulators (<= 128), and the recursive
+#: splits above it.
+SIZES = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, 20000]
+
+#: Finite floats of either sign; ``x + 0.0`` turns -0.0 into 0.0, the
+#: one value on which the order of ties (numpy's partition and SIMD max
+#: against ``sorted``) shows in a result's sign.
+finite = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda x: x + 0.0
+)
+
+
+@st.composite
+def samples(draw):
+    """A sample of one of :data:`SIZES`: hypothesis cannot draw
+    20,000 floats one by one, so a seeded ``Random`` fills the sample
+    from a drawn palette and from floats of drawn magnitude."""
+    size = draw(st.sampled_from(SIZES))
+    palette = draw(st.lists(finite, min_size=1, max_size=32))
+    rnd = draw(st.randoms(use_true_random=False))
+    share = draw(st.floats(0.0, 1.0))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    return [
+        rnd.choice(palette) if rnd.random() < share else rnd.random() * scale
+        for _ in range(size)
+    ]
 
 
 class TestLatencyRecorder:
@@ -54,6 +86,27 @@ class TestLatencyRecorder:
         assert summary.p50 <= summary.p95 <= summary.p99 <= summary.max
         epsilon = 1e-9
         assert min(samples) - epsilon <= summary.mean <= max(samples) + epsilon
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(samples())
+def test_summary_is_bit_identical_to_numpy(values):
+    """The standard-library summary reproduces numpy's percentile
+    (``linear``), ``mean`` (pairwise sum) and ``max`` bit for bit, so
+    figure numbers did not move when the runtime dropped numpy."""
+    np = pytest.importorskip("numpy")
+    summary = summarize_values(values)
+    array = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p50, p95, p99 = np.percentile(array, [50, 95, 99])
+        expected = [array.mean(), p50, p95, p99, array.max()]
+    got = [summary.mean, summary.p50, summary.p95, summary.p99, summary.max]
+    assert summary.count == len(values)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
 
 
 class TestThroughputMeter:

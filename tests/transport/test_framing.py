@@ -202,10 +202,12 @@ def test_brb_wire_messages_roundtrip(seq, batch):
 
 
 @settings(**SETTINGS)
-@given(payments())
+@given(payments(with_deps=True))
 def test_client_messages_roundtrip(payment):
-    roundtrip(ClientSubmit(payment))
-    roundtrip(ClientConfirm(payment, 12.5))
+    for message in (ClientSubmit(payment), ClientConfirm(payment, 12.5)):
+        decoded = roundtrip(message).payment
+        assert decoded == payment  # core and deps
+        assert decoded.submitted_at == payment.submitted_at
 
 
 # ---------------------------------------------------------------------------

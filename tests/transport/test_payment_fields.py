@@ -4,8 +4,9 @@ The int64 account slabs cannot settle a float (or a ``bool``, which
 would settle as 0/1), and by the time settle raises, the broadcast layer
 has recorded the batch as delivered.  So ``Payment`` refuses such a
 field at construction, and every wire form that carries payments —
-packed columns, a ``Batch`` in a train, a ``ClientSubmit`` — fails to
-decode with :class:`FrameError`, which drops the connection.
+packed columns, a ``Batch`` in a train, a ``ClientSubmit`` or a
+``ClientConfirm`` — fails to decode with :class:`FrameError`, which
+drops the connection.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.brb.batching import Batch, _batch_from_wire
-from repro.core.messages import ClientSubmit
+from repro.core.messages import (
+    ClientConfirm,
+    ClientSubmit,
+    _confirm_from_wire,
+    _submit_from_wire,
+)
 from repro.core.payment import Payment, unpack_payments
 from repro.transport.framing import FrameError, decode_exactly_one, encode_frame
 
@@ -58,7 +64,19 @@ def test_batch_train(seq, amount):
 
 @pytest.mark.parametrize("seq, amount", BAD_FIELDS)
 def test_client_submit(seq, amount):
-    submit = ClientSubmit(Payment("a", 1, "b", 1))
-    submit.payment = _Forged(Payment, "a", seq, "b", amount, (), None)
-    with pytest.raises(FrameError):
-        decode_exactly_one(encode_frame((submit,)))
+    good = ClientSubmit(Payment("c", 1, "d", 2))
+    assert decode_exactly_one(encode_frame((good,))) is not None
+    for fields in (("a", seq, "b", amount), ("a", seq, "b", amount, (), 0.5)):
+        bad = _Forged(_submit_from_wire, *fields)
+        with pytest.raises(FrameError):
+            decode_exactly_one(encode_frame((good, bad)))
+
+
+@pytest.mark.parametrize("seq, amount", BAD_FIELDS)
+def test_client_confirm(seq, amount):
+    good = ClientConfirm(Payment("c", 1, "d", 2), 1.0)
+    assert decode_exactly_one(encode_frame((good,))) is not None
+    for fields in (("a", seq, "b", amount), ("a", seq, "b", amount, (), 0.5)):
+        bad = _Forged(_confirm_from_wire, 1.0, *fields)
+        with pytest.raises(FrameError):
+            decode_exactly_one(encode_frame((good, bad)))
