@@ -2,7 +2,7 @@
 
 The consensus baseline executes payments in decided-sequence order.  It
 is Astro's :class:`~repro.core.replica.ApprovalQueue` — the same account
-state, the same approval rule, the same drain loop — fed one ordered
+state, the same approval rule, the same settle pass — fed one ordered
 payment at a time: like Astro I, an insufficiently funded (or
 out-of-client-order) payment waits until the state allows it, and total
 order makes the outcome identical at every correct replica.
@@ -10,12 +10,11 @@ order makes the outcome identical at every correct replica.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment
-from ..core.replica import WAIT, ApprovalQueue
+from ..core.replica import ApprovalQueue
 
 __all__ = ["PaymentLedger"]
 
@@ -35,23 +34,29 @@ class PaymentLedger(ApprovalQueue):
     def apply(self, payment: Payment) -> None:
         """Apply one ordered payment (settling everything it unblocks)."""
         spender = payment.spender
-        awaiting = self._awaiting_seq
-        queue = awaiting.get(spender)
-        if queue is None:
-            queue = awaiting[spender] = {}
-        queue[payment.seq] = payment
-        self._drain(deque((spender,)))
+        self._awaiting_seq.setdefault(spender, {})[payment.seq] = payment
+        self._drain((), woken=(spender,))
 
-    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
-                position: Optional[int]) -> Any:
-        # Executes once per payment per replica — the consensus baseline's
-        # hottest code.  A payment here always waited in the queue.
-        if not self.state.try_settle_spend(index, core, payment.deps, True):
-            return WAIT
-        self.settled_count += 1
-        if self.on_settle is not None:
-            self.on_settle(payment)
-        return core[2]
+    def _settle(self, runs, batch, stopped) -> List[ClientId]:
+        # The consensus baseline's hottest code: every payment here waited
+        # in the queue, the last one ordered for its identifier.
+        spend, credited = self.state.try_settle_spend, []
+        for spender, index, sn, payments in runs:
+            rest = iter(payments)
+            for payment in rest:
+                if payment.seq <= sn:  # its identifier settled: waits for good
+                    stopped.append((spender, [payment]))
+                elif payment.seq == sn + 1 and spend(
+                        index, payment.core, payment.deps, True):
+                    sn = payment.seq
+                    credited.append(payment.beneficiary)
+                    if self.on_settle is not None:
+                        self.on_settle(payment)
+                else:
+                    stopped.append((spender, [payment, *rest]))
+                    break
+        self.settled_count += len(credited)
+        return credited
 
     @property
     def waiting_count(self) -> int:

@@ -9,7 +9,7 @@ them until enough funds arrive", §IV-A Comparison).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..brb.batching import Batch
 from ..brb.bracha import BrachaBroadcast
@@ -17,8 +17,8 @@ from ..transport.interface import Transport
 from .config import AstroConfig
 from .directory import Directory
 from .interning import ClientInterner
-from .payment import ClientId, Payment
-from .replica import WAIT, AstroReplicaBase
+from .payment import ClientId
+from .replica import AstroReplicaBase
 
 __all__ = ["Astro1Replica"]
 
@@ -54,20 +54,39 @@ class Astro1Replica(AstroReplicaBase):
         self._deliver_batch(origin, batch)
         self._wal_checkpoint()
 
-    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
-                position: Optional[int]) -> Any:
+    def _settle(self, runs, batch, stopped) -> List[ClientId]:
         # Criterion (2) of Listing 3: the balance must cover the amount.
-        # When it does not, the payment stays queued; a later settle
-        # crediting this client re-runs the check (totality of Bracha's
-        # BRB guarantees the credit eventually arrives).  Otherwise
-        # Listing 4: withdraw, deposit, bump sn, append to the xlog.
-        deps = () if payment is None else payment.deps
-        if not self.state.try_settle_spend(index, core, deps, True):
-            return WAIT
-        self.settled_count += 1
-        if self._rep_map.get(core[0]) == self.node_id:
-            self._confirm(payment or Payment(*core))
-        return core[2]
+        # When it does not, the payment waits; a later settle crediting
+        # this client re-runs the check (totality of Bracha's BRB
+        # guarantees the credit eventually arrives).  Otherwise Listing 4:
+        # withdraw, deposit, bump sn, append to the xlog.
+        spend, rep_get = self.state.try_settle_spend, self._rep_map.get
+        credited: List[ClientId] = []
+        if batch is not None:
+            cores, extras = batch.cores, batch.extras
+        for spender, index, sn, items in runs:
+            confirming = rep_get(spender) == self.node_id
+            rest = iter(items)
+            for item in rest:
+                if item.__class__ is int:
+                    core, waited = cores[item], None
+                    deps = extras[item][0] if item in extras else ()
+                else:
+                    core, deps, waited = item.core, item.deps, item
+                seq = core[1]
+                if seq != sn + 1:
+                    if seq <= sn:
+                        continue
+                elif spend(index, core, deps, True):
+                    sn = seq
+                    credited.append(core[2])
+                    if confirming:
+                        self._confirm(waited or batch.payment(item))
+                    continue
+                stopped.append((spender, [item, *rest]))
+                break
+        self.settled_count += len(credited)
+        return credited
 
     @property
     def held_payments(self) -> int:

@@ -163,7 +163,7 @@ class Astro2Replica(AstroReplicaBase):
             return False
         held = batch.held  # a simulated batch: its replicas share the ids
         identifiers = [p.identifier for p in held] if held else list(zip(spenders, seqs))
-        settled = state.seqnums(spenders)
+        settled = state.locate(spenders)[1]
         entries: Any = zip(identifiers, batch.cores)
         if any(map(le, seqs, settled)) or any(map(seen.__contains__, identifiers)):
             entries, checked = [], entries
@@ -302,39 +302,54 @@ class Astro2Replica(AstroReplicaBase):
     # ------------------------------------------------------------------
     # Settlement (Listings 8–9)
     # ------------------------------------------------------------------
-    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
-                position: Optional[int]) -> None:
+    def _settle(self, runs, batch, stopped) -> None:
         # Astro II approval waits only on the sequence number (Listing 8):
-        # the funds decision below rejects, it never returns ``WAIT``.
-        spender = core[0]
-        deps = () if payment is None else payment.deps
-        if deps:
-            used = self._used_deps.get(spender)
-            if used is None:
-                used = self._used_deps[spender] = {}
-            # Materialize never-seen-before dependencies (Listing 9 l.44-48).
-            for cert in deps:
-                if cert.beneficiary != spender:
+        # the funds decision rejects, it never waits.
+        state, used_deps, me = self.state, self._used_deps, self.node_id
+        spend, rep_get, credit = (
+            state.try_settle_spend, self._rep_map.get, self._credit_buffer.append)
+        unseen, settled = self._seen_payments.pop, 0
+        if batch is not None:
+            cores, extras = batch.cores, batch.extras
+        for spender, index, sn, items in runs:
+            confirming = rep_get(spender) == me
+            rest = iter(items)
+            for item in rest:
+                if item.__class__ is int:
+                    core, waited = cores[item], None
+                    deps = extras[item][0] if item in extras else ()
+                else:
+                    core, deps, waited = item.core, item.deps, item
+                seq = core[1]
+                if seq != sn + 1:
+                    if seq > sn:  # criterion (1): wait for the predecessor
+                        stopped.append((spender, [item, *rest]))
+                        break
                     continue
-                if cert.dep_id in used:
-                    continue  # replay: each certificate credits at most once
-                if not self._cert_valid(cert):
+                if deps:
+                    # Materialize never-seen-before dependencies (Listing 9
+                    # l.44-48); each certificate credits at most once.
+                    used = used_deps.setdefault(spender, {})
+                    for cert in deps:
+                        if (cert.beneficiary == spender and cert.dep_id not in used
+                                and self._cert_valid(cert)):
+                            used[cert.dep_id] = None
+                            state.credit(spender, cert.amount)
+                # Funds check + spend in one pass on the int64 slabs.
+                if not spend(index, core, deps):
+                    # Listing 9 l.49: an underfunded payment is dropped
+                    # without advancing sn.  Correct representatives prove
+                    # funds before broadcasting, so this fires only under
+                    # faulty clients/reps.
+                    self.rejected.append(waited or batch.payment(item))
                     continue
-                used[cert.dep_id] = None
-                self.state.credit(spender, cert.amount)
-        # Funds check + spend in one pass on the int64 slabs — Astro II's
-        # hottest code.
-        if not self.state.try_settle_spend(index, core, deps):
-            # Listing 9 l.49: an underfunded payment is dropped without
-            # advancing sn.  Correct representatives prove funds before
-            # broadcasting, so this fires only under faulty clients/reps.
-            self.rejected.append(payment or Payment(*core))
-            return None
-        self.settled_count += 1
-        self._seen_payments.pop(core[:2], None)
-        self._credit_buffer.append(payment if position is None else position)
-        if self._rep_map.get(spender) == self.node_id:
-            self._confirm(payment or Payment(*core))
+                sn = seq
+                settled += 1
+                unseen((spender, seq), None)
+                credit(item)
+                if confirming:
+                    self._confirm(waited or batch.payment(item))
+        self.settled_count += settled
         return None  # no direct deposit — nothing new to re-examine
 
     def _cert_valid(self, cert: DependencyCertificate) -> bool:

@@ -11,7 +11,7 @@ sub-batch a certificate covers — has one wire form, owned here:
 :func:`pack_payments` / :func:`unpack_payments`.  A receiving replica
 reads it as columns (``brb.batching.Batch``, :func:`checked_cores`): a
 ``Payment`` is rebuilt only where one is read — at the origin, which
-holds its own, and for one that waits, is rejected or carries extras.
+holds its own, and for one that waits or is rejected.
 """
 
 from __future__ import annotations

@@ -6,15 +6,25 @@ settles every payment delivered by the broadcast (Listings 2–4).  The
 paper defines *one* replica state and *one* approval rule and compares
 three ways of agreeing on what to feed them, so the piece every replica
 kind shares has one owner, here: :class:`ApprovalQueue` — the account
-state plus the per-client sequence-gap queue that implements approval's
-*wait* (Listing 3), and the ``_drain`` worklist loop over them.  The
-single hook ``_settle`` applies a payment, given as its core fields, and
-returns the beneficiary to re-examine, ``None``, or :data:`WAIT` when
-funds do not cover it yet (criterion (2)).  Inherited by
-:class:`AstroReplicaBase` and by the consensus baseline's :class:`~repro.consensus.ledger.PaymentLedger`.  It lives in
-this module rather than one of its own because the repository's
-benchmark addresses ``_drain`` by file and function name and rebinds
-this module's ``state_fingerprint`` binding when tracing.
+state, the per-client sequence-gap queue that implements approval's
+*wait* (Listing 3), and the settle pass over them.  Inherited by
+:class:`AstroReplicaBase` and by the consensus baseline's
+:class:`~repro.consensus.ledger.PaymentLedger`.
+
+The repository's benchmark (``perfbench/``) binds this code by name; its
+tests (CI's ``unit`` job) fail on a rename:
+
+* its tracer wraps ``AccountState.try_settle_spend``, whose truthy calls
+  it counts and must equal Σ ``settled_count`` — so it runs once per
+  settled payment —, ``Astro2Replica._settle`` (from the class
+  ``__dict__``), and ``AstroReplicaBase._deliver_batch``, ``_confirm``
+  (whose argument must be a ``Payment``: it reads ``identifier``),
+  ``ingest`` and ``_flush_batch``; and it rebinds this module's
+  ``state_fingerprint``;
+* its simulator workloads attribute delivery time to the functions named
+  ``_deliver_batch``, ``_drain``, ``_confirm`` and ``_batch_done`` in this
+  file and ``_on_brb_deliver`` and ``_settle`` in ``core/astro*.py``, so
+  delivery-path code lives in functions of those names.
 
 :class:`AstroReplicaBase` holds everything else the two Astro variants
 share — batching with flow control, settlement bookkeeping, client
@@ -30,7 +40,6 @@ it, and WAL replay and catch-up imports deliver through the layer
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..brb.batching import Batch, Batcher
@@ -53,24 +62,27 @@ from .persistence import (
     state_fingerprint,
 )
 
-__all__ = ["ApprovalQueue", "AstroReplicaBase", "WAIT"]
+__all__ = ["ApprovalQueue", "AstroReplicaBase"]
 
 #: Confirmation hook: ``fn(payment, settled_at_representative)``.
 ConfirmFn = Callable[[Payment, float], None]
 
-#: ``_settle``'s "not yet": approval criterion (2) does not hold, leave
-#: the payment queued until a credit re-examines its spender.
-WAIT: Any = object()
+#: ``(client, index, sn, items)``: the client, its
+#: :meth:`AccountState.index` and settled sequence number, and its
+#: payments in seq order — positions in the delivered batch and waiting
+#: ``Payment``s; a waiting one precedes a later copy of its identifier.
+Run = Tuple[ClientId, int, int, Iterable[Any]]
 
 
 class ApprovalQueue:
     """Replica state (Listing 2) and the approval rule (Listing 3).
 
-    A delivered batch is settled from its columns.  A ``Payment`` is
-    built for one that is rejected or carries extras, and for one that
-    must wait — for its client's preceding payment (criterion (1)) or,
-    where the variant says so, for funds (criterion (2)) — in
-    ``_awaiting_seq``; :meth:`_drain` settles whatever became approvable.
+    Payments settle in runs (:data:`Run`).  The variant's :meth:`_settle`
+    settles whole runs in one loop; a run stops at its first payment that
+    must wait — for the client's preceding payment (criterion (1)) or,
+    where the variant says so, for funds (criterion (2)) — and
+    :meth:`_drain` queues that payment and the rest of its run in
+    ``_awaiting_seq``, which holds a ``Payment`` for each.
     """
 
     def __init__(
@@ -88,76 +100,56 @@ class ApprovalQueue:
 
     def _drain(
         self,
-        worklist: Deque[ClientId],
+        runs: Iterable[Run],
         batch: Optional[Batch] = None,
-        arrived: Optional[Dict[ClientId, Dict[int, int]]] = None,
+        woken: Iterable[ClientId] = (),
     ) -> None:
-        """Settle every payment whose approval criteria now hold.
+        """Settle ``runs`` (their positions are in ``batch``), then every
+        waiting payment whose approval criteria now hold.
 
-        A client's next payment is at ``sn + 1`` in ``_awaiting_seq``, else
-        in ``arrived`` (seq → position in the ``batch`` being delivered,
-        settled from its columns; built and queued if it must wait).
-        Settling a payment may unblock others (its beneficiary can now
-        afford queued spends), so this cascades via a worklist until no
-        progress remains.  Runs once per payment per replica.
+        What a run leaves waits under its seqs; of two payments with one
+        identifier, the first delivered wins.  A settle that credits a
+        local balance (Astro I, the consensus ledger) wakes the
+        beneficiary, whose waiting payments then settle as one run, first
+        woken first: settling may unblock others, so this cascades until
+        no progress remains.
         """
-        awaiting = self._awaiting_seq
-        locate, seqnum_at = self.state.index, self.state.seqnum_reader()
-        settle = self._settle
-        if batch is not None:
-            cores, held = batch.cores, batch.held
-            extras = batch.extras if held is None else {}
-        while worklist:
-            client = worklist.popleft()
-            fresh = arrived.pop(client, None) if arrived else None
-            queue = awaiting.get(client)
-            if not queue and not fresh:
-                continue
-            index = locate(client)
-            while True:
-                next_seq = seqnum_at(index) + 1
-                payment = queue.get(next_seq) if queue else None
-                if payment is not None:
-                    position, core = None, payment.core
-                else:
-                    position = fresh.pop(next_seq, None) if fresh else None
-                    if position is None:
-                        break  # criterion (1): wait for the predecessor
-                    core = cores[position]
-                    if held is not None:
-                        payment = held[position]
-                    elif position in extras:
-                        payment = batch.payment(position)
-                beneficiary = settle(index, core, payment, position)
-                if beneficiary is WAIT:
-                    if position is not None:
-                        fresh[next_seq] = position
-                    break  # criterion (2): wait for credits (Listing 3 l.18)
-                if position is None:
-                    del queue[next_seq]
-                if beneficiary is not None:
-                    worklist.append(beneficiary)
-            if fresh:  # what must wait; a duplicate identifier: first wins
-                settled = seqnum_at(index)
-                for seq, position in fresh.items():
-                    if seq > settled and not (queue and seq in queue):
-                        if queue is None:
-                            queue = awaiting[client] = {}
-                        queue[seq] = batch.payment(position)
-            if queue is not None and not queue:
-                del awaiting[client]
+        awaiting, worklist = self._awaiting_seq, deque(woken)
+        while True:
+            stopped: List[Tuple[ClientId, List[Any]]] = []
+            credited = self._settle(runs, batch, stopped)
+            if credited:
+                worklist += credited
+            for client, items in stopped:
+                queue = awaiting.setdefault(client, {})
+                for item in items:
+                    payment = batch.payment(item) if item.__class__ is int else item
+                    queue.setdefault(payment.seq, payment)
+            while worklist and awaiting:
+                client = worklist.popleft()
+                queue = awaiting.pop(client, None)
+                if queue:
+                    break
+            else:
+                return
+            (index,), (settled,) = self.state.locate((client,))
+            batch = None
+            runs = [(client, index, settled, [queue[seq] for seq in sorted(queue)])]
 
-    def _settle(self, index: int, core: tuple, payment: Optional[Payment],
-                position: Optional[int]) -> Any:
-        """Variant hook: apply the payment (Listing 4 / Listing 9).
+    def _settle(
+        self,
+        runs: Iterable[Run],
+        batch: Optional[Batch],
+        stopped: List[Tuple[ClientId, List[Any]]],
+    ) -> Optional[List[ClientId]]:
+        """Variant hook: settle ``runs`` in one loop (Listing 4 / 9).
 
-        ``core`` is ``(spender, seq, beneficiary, amount)``, ``index`` the
-        spender's :meth:`AccountState.index`, ``payment`` the object if one
-        exists and ``position`` its place in the delivered batch (``None``
-        if it waited).  Returns :data:`WAIT` (state untouched) when the payment must stay
-        queued for funds, the beneficiary to re-examine when the settle
-        credited a local balance (Astro I, the consensus ledger), else
-        ``None`` (settled or rejected without a local credit, Astro II).
+        A payment at or below the settled seq is a later copy: skipped.
+        At a gap, or where the variant waits for funds at one they do not
+        cover, the run stops: ``(client, [it, *the rest])`` goes to
+        ``stopped``.  Else one :meth:`AccountState.try_settle_spend`
+        settles or rejects it.  Returns the beneficiaries a settle
+        credited (Astro I, the ledger), or ``None`` (Astro II).
         """
         raise NotImplementedError
 
@@ -301,27 +293,43 @@ class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
     # Delivery → approval (Listing 3) → settlement
     # ------------------------------------------------------------------
     def _deliver_batch(self, origin: int, batch: Batch) -> None:
-        """Process a BRB-delivered batch of payments, from its columns."""
+        """Process a BRB-delivered batch of payments in one pass over its
+        columns: each spender's positions are one run (:data:`Run`), and
+        runs settle in the order their spenders first appear."""
         if not self.alive:
             return
         self.charge(costs.SETTLE_PER_PAYMENT * batch.batch_items)
-        rep_get = self._rep_map.get
-        flat = batch.flat
-        # Spender -> seq -> position in *insertion order* (dicts, not
-        # sets): iterating a set of string ids would order the drain — and
-        # settle/confirm timing — by the interpreter's hash seed.
-        arrived: Dict[ClientId, Dict[int, int]] = {}
-        for position, spender, seq in zip(count(), flat[0::4], flat[1::4]):
-            # Defense in depth: a payment may only arrive via its
-            # spender's representative (§II).
-            if rep_get(spender) != origin:
-                continue
-            fresh = arrived.get(spender)
-            if fresh is None:
-                arrived[spender] = {seq: position}
-            elif seq not in fresh:
-                fresh[seq] = position
-        self._drain(deque(arrived), batch, arrived)
+        spenders, seqs = batch.flat[0::4], batch.flat[1::4]
+        n, awaiting, rep_get = len(spenders), self._awaiting_seq, self._rep_map.get
+        # Defense in depth: a payment may only arrive via its spender's
+        # representative (§II).
+        via_rep = list(map(rep_get, spenders)).count(origin) == n
+        if via_rep and len(set(spenders)) == n and awaiting.keys().isdisjoint(spenders):
+            clients: Iterable[ClientId] = spenders
+            items: Iterable[Any] = zip(range(n))  # a run of one each
+        else:
+            # Spender -> positions, in insertion order: iterating a set of
+            # string ids would order the settles by the hash seed.
+            runs: Dict[ClientId, List[int]] = {}
+            ordered = True  # every run's seqs rise in batch order
+            for position, spender in enumerate(spenders):
+                if via_rep or rep_get(spender) == origin:
+                    run = runs.setdefault(spender, [])
+                    ordered = ordered and not (run and seqs[position] <= seqs[run[-1]])
+                    run.append(position)
+            clients, items = runs, runs.values()
+            if not (ordered and awaiting.keys().isdisjoint(runs)):
+                items = []
+                for spender, run in runs.items():
+                    # In seq order, a duplicate identifier's first copy
+                    # only, and a waiting payment before a later copy.
+                    first = {seqs[position]: position for position in reversed(run)}
+                    keyed = sorted([(seq, 1, p) for seq, p in first.items()] + [
+                        (seq, 0, p) for seq, p in awaiting.pop(spender, {}).items()
+                    ])
+                    items.append([item for _, _, item in keyed])
+        indices, seqnums = self.state.locate(clients)
+        self._drain(zip(clients, indices, seqnums, items), batch)
         if origin == self.node_id:
             self._batch_done()
 

@@ -105,10 +105,17 @@ def test_xlog_entries_read_back_as_the_settled_payments():
     system = build()
     settled = {replica.node_id: [] for replica in system.replicas}
     for replica in system.replicas:
-        def settle(index, core, payment, position, replica=replica,
+        def settle(runs, batch, stopped, replica=replica,
                    inner=replica._settle):
-            settled[replica.node_id].append(payment)  # held: simulated
-            return inner(index, core, payment, position)
+            runs = [(c, i, sn, list(items)) for c, i, sn, items in runs]
+            result = inner(runs, batch, stopped)
+            for client, _, sn, items in runs:
+                now = replica.state.seqnum(client)
+                for item in items:  # a position of a held batch: simulated
+                    payment = batch.payment(item) if item.__class__ is int else item
+                    if sn < payment.seq <= now:
+                        settled[replica.node_id].append(payment)
+            return result
         replica._settle = settle
     system.submit("alice", "bob", 30)
     system.submit("dave", "bob", 5)

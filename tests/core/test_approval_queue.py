@@ -1,23 +1,24 @@
-"""One approval queue: the drain loop Astro and the baseline share.
+"""One approval queue: the settle pass Astro and the baseline share.
 
 ``ApprovalQueue._drain`` (``core/replica.py``) is the only worklist loop
-in ``src/``; ``AstroReplicaBase`` and the consensus ``PaymentLedger``
-inherit it and differ in the ``_settle`` hook alone.  These tests pin the
-hook's contract on the bare base class and check, payment by payment,
-that the two heirs with the same settle rule (Astro I, the ledger) stay
-in lockstep on one adversarial stream.
+in ``src/``: it settles runs through the variant's ``_settle``, queues
+what a run leaves and re-examines the clients a settle credited.
+``AstroReplicaBase`` and the consensus ``PaymentLedger`` inherit it and
+differ in the ``_settle`` loop alone.  These tests pin the hook's
+contract on the bare base class and check, payment by payment, that the
+two heirs with the same settle rule (Astro I, the ledger) stay in
+lockstep on one adversarial stream.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 
 from repro.brb.batching import Batch
 from repro.consensus.ledger import PaymentLedger
 from repro.core.payment import Payment
 from repro.core.persistence import state_fingerprint
-from repro.core.replica import WAIT, ApprovalQueue
+from repro.core.replica import ApprovalQueue
 from repro.core.system import Astro1System
 
 
@@ -28,24 +29,34 @@ class _FundsGated(ApprovalQueue):
         super().__init__(genesis)
         self.calls = []
 
-    def _settle(self, index, core, payment, position):
-        self.calls.append(core[:2])
-        if not self.state.try_settle_spend(index, core, (), True):
-            return WAIT
-        self.settled_count += 1
-        return core[2]
+    def _settle(self, runs, batch, stopped):
+        credited = []
+        for client, index, sn, items in runs:
+            rest = iter(items)
+            for payment in rest:
+                self.calls.append(payment.identifier)
+                if payment.seq != sn + 1 or not self.state.try_settle_spend(
+                    index, payment.core, (), True
+                ):
+                    stopped.append((client, [payment, *rest]))
+                    break
+                sn = payment.seq
+                self.settled_count += 1
+                credited.append(payment.beneficiary)
+        return credited
 
     def deliver(self, payment):
         spender = payment.spender
         self._awaiting_seq.setdefault(spender, {})[payment.seq] = payment
-        self._drain(deque((spender,)))
+        self._drain((), woken=(spender,))
 
 
 def test_wait_leaves_the_payment_queued_until_a_credit_settles_it():
     queue = _FundsGated({"a": 0, "b": 10})
     spend = Payment("a", 1, "b", 7)
     queue.deliver(spend)
-    # WAIT: asked once, state untouched, still queued under its seq.
+    # A stop for funds: asked once, state untouched, still queued under
+    # its seq.
     assert queue.calls == [("a", 1)]
     assert queue._awaiting_seq == {"a": {1: spend}}
     assert queue.settled_count == 0 and queue.state.seqnum("a") == 0
@@ -59,15 +70,19 @@ def test_wait_leaves_the_payment_queued_until_a_credit_settles_it():
 
 
 def test_a_settle_returning_none_leaves_the_queue_without_advancing():
-    """Astro II's rejection: not WAIT, so the payment is dropped."""
+    """Astro II's rejection: consumed without a stop, so the payment is
+    dropped."""
 
     class _Rejecting(ApprovalQueue):
-        def _settle(self, index, core, payment, position):
+        def _settle(self, runs, batch, stopped):
+            for _client, _index, _sn, items in runs:
+                for _payment in items:
+                    pass
             return None
 
     queue = _Rejecting({"a": 5})
     queue._awaiting_seq["a"] = {1: Payment("a", 1, "b", 9)}
-    queue._drain(deque(("a",)))
+    queue._drain((), woken=("a",))
     assert queue._awaiting_seq == {} and queue.state.seqnum("a") == 0
 
 

@@ -2,26 +2,37 @@
 
 A batch decoded from a frame holds its payments as columns, and the
 replica that delivers it ACKs, settles and signs CREDITs from them: no
-``Payment`` is built unless one must wait, is rejected or carries extras.
+``Payment`` is built unless one must wait or is rejected.
 A simulated batch holds the ``Payment`` objects too.  Both forms must
 settle alike, so the same batch stream reaches two identical systems'
 replica 0, once as decoded frames and once in memory.
+
+A delivered batch settles in one pass: each spender's positions form a
+run, and the variant's ``_settle`` settles whole runs.  The drain it
+replaced — a worklist of clients, ``arrived`` and one ``_settle`` call
+per payment — is kept below as a reference, and the pass must match it
+on drawn streams, for Astro I, Astro II and the consensus ledger.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import count
+from types import MethodType
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.adversary.monitor import replica_state_view
 from repro.brb.batching import Batch
+from repro.consensus.ledger import PaymentLedger
 from repro.core.dependencies import CreditMessage, DependencyCertificate
 from repro.core.payment import Payment
 from repro.core.persistence import state_fingerprint
 from repro.core.system import Astro1System, Astro2System
+from repro.crypto import costs
 from repro.transport.framing import decode_exactly_one, encode_frame
 from repro.workloads.uniform import uniform_genesis
 
@@ -188,3 +199,222 @@ def test_a_waiting_payment_wins_over_a_later_copy_of_its_identifier(name):
     xlog = replica.state.xlog(spender)
     assert [p.beneficiary for p in xlog] == ["c1", "c0"]
     assert replica.queued_payments == 0
+
+
+# -- the settle pass against the per-payment drain it replaced -------------
+#
+# The reference below is the drain a replica ran before it settled whole
+# runs: ``arrived`` (spender -> seq -> position), a worklist of clients,
+# and one ``_settle(index, core, payment, position)`` call per payment,
+# which returned the beneficiary to re-examine, ``None``, or ``WAIT``.
+
+WAIT = object()
+
+
+def _reference_deliver(replica, origin, batch):
+    if not replica.alive:
+        return
+    replica.charge(costs.SETTLE_PER_PAYMENT * batch.batch_items)
+    rep_get, flat = replica._rep_map.get, batch.flat
+    arrived = {}
+    for position, spender, seq in zip(count(), flat[0::4], flat[1::4]):
+        if rep_get(spender) != origin:
+            continue
+        fresh = arrived.get(spender)
+        if fresh is None:
+            arrived[spender] = {seq: position}
+        elif seq not in fresh:
+            fresh[seq] = position
+    _reference_drain(replica, deque(arrived), batch, arrived)
+    if origin == replica.node_id:
+        replica._batch_done()
+
+
+def _reference_apply(ledger, payment):
+    queue = ledger._awaiting_seq.setdefault(payment.spender, {})
+    queue[payment.seq] = payment
+    _reference_drain(ledger, deque((payment.spender,)))
+
+
+def _reference_drain(owner, worklist, batch=None, arrived=None):
+    awaiting, state, settle = owner._awaiting_seq, owner.state, owner.reference_settle
+    if batch is not None:
+        cores, held = batch.cores, batch.held
+        extras = batch.extras if held is None else {}
+    while worklist:
+        client = worklist.popleft()
+        fresh = arrived.pop(client, None) if arrived else None
+        queue = awaiting.get(client)
+        if not queue and not fresh:
+            continue
+        index = state.index(client)
+        while True:
+            next_seq = state.seqnum(client) + 1
+            payment = queue.get(next_seq) if queue else None
+            if payment is not None:
+                position, core = None, payment.core
+            else:
+                position = fresh.pop(next_seq, None) if fresh else None
+                if position is None:
+                    break
+                core = cores[position]
+                if held is not None:
+                    payment = held[position]
+                elif position in extras:
+                    payment = batch.payment(position)
+            beneficiary = settle(index, core, payment, position)
+            if beneficiary is WAIT:
+                if position is not None:
+                    fresh[next_seq] = position
+                break
+            if position is None:
+                del queue[next_seq]
+            if beneficiary is not None:
+                worklist.append(beneficiary)
+        if fresh:
+            settled = state.seqnum(client)
+            for seq, position in fresh.items():
+                if seq > settled and not (queue and seq in queue):
+                    if queue is None:
+                        queue = awaiting[client] = {}
+                    queue[seq] = batch.payment(position)
+        if queue is not None and not queue:
+            del awaiting[client]
+
+
+def _reference_settle_astro1(replica, index, core, payment, position):
+    deps = () if payment is None else payment.deps
+    if not replica.state.try_settle_spend(index, core, deps, True):
+        return WAIT
+    replica.settled_count += 1
+    if replica._rep_map.get(core[0]) == replica.node_id:
+        replica._confirm(payment or Payment(*core))
+    return core[2]
+
+
+def _reference_settle_astro2(replica, index, core, payment, position):
+    spender = core[0]
+    deps = () if payment is None else payment.deps
+    if deps:
+        used = replica._used_deps.setdefault(spender, {})
+        for cert in deps:
+            if cert.beneficiary != spender or cert.dep_id in used:
+                continue
+            if not replica._cert_valid(cert):
+                continue
+            used[cert.dep_id] = None
+            replica.state.credit(spender, cert.amount)
+    if not replica.state.try_settle_spend(index, core, deps):
+        replica.rejected.append(payment or Payment(*core))
+        return None
+    replica.settled_count += 1
+    replica._seen_payments.pop(core[:2], None)
+    replica._credit_buffer.append(payment if position is None else position)
+    if replica._rep_map.get(spender) == replica.node_id:
+        replica._confirm(payment or Payment(*core))
+    return None
+
+
+def _reference_settle_ledger(ledger, index, core, payment, position):
+    if not ledger.state.try_settle_spend(index, core, payment.deps, True):
+        return WAIT
+    ledger.settled_count += 1
+    ledger.on_settle(payment)
+    return core[2]
+
+
+def _with_reference(owner, settle):
+    """Bind the reference drain to ``owner`` (a replica or a ledger)."""
+    owner.reference_settle = MethodType(settle, owner)
+    if isinstance(owner, PaymentLedger):
+        owner.apply = MethodType(_reference_apply, owner)
+    else:
+        owner._deliver_batch = MethodType(_reference_deliver, owner)
+    return owner
+
+
+#: ``STREAMS`` with a switch per batch that keeps only each spender's
+#: first payment, so that both sides of the pass's runs choice (every
+#: spender once, or some twice) are drawn.
+RUN_STREAMS = st.tuples(STREAMS, st.lists(st.booleans(), min_size=10, max_size=10))
+
+
+def _run_stream(system, draws):
+    streams, distinct = draws
+    stream = _stream(system, streams)
+    for (origin, payments), once in zip(stream, distinct):
+        if once:
+            firsts = {}
+            for payment in payments:
+                firsts.setdefault(payment.spender, payment)
+            payments[:] = firsts.values()
+    return stream
+
+
+#: Origin 1's client c1 pays seq 2 (it waits for seq 1), then seq 1 and
+#: another seq 2 in one batch: the waiting payment settles, not the copy.
+LATER_COPY = ([(1, [(0, 2, 0, 1, False, 0)]),
+               (1, [(0, 1, 1, 1, False, 0), (0, 2, 2, 1, False, 0)])], [False] * 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["astro1", "astro2"]), wire=st.booleans(), draws=RUN_STREAMS)
+@example(name="astro1", wire=True, draws=LATER_COPY)
+@example(name="astro2", wire=False, draws=LATER_COPY)
+def test_the_settle_pass_matches_the_per_payment_drain(name, wire, draws):
+    """Replica 0 of two identical systems delivers one drawn stream —
+    decoded frames or in-memory batches — through the settle pass and
+    through the reference drain: the same state, counts, waits,
+    rejections, confirms in order and, in Astro II, the same CREDIT
+    sub-batches per delivery."""
+    pass_system, reference_system = _system(name), _system(name)
+    stream = _run_stream(pass_system, draws)
+    settle = _reference_settle_astro1 if name == "astro1" else _reference_settle_astro2
+    replicas = [pass_system.replicas[0], _with_reference(reference_system.replicas[0], settle)]
+    observed = [_observed(replica) for replica in replicas]
+    seqs = dict.fromkeys(range(4), 0)
+    for origin, payments in stream:
+        seqs[origin] += 1
+        for replica, (_confirms, credits) in zip(replicas, observed):
+            batch = Batch(payments)
+            if wire:
+                batch = decode_exactly_one(encode_frame(batch))
+            credits.append(("delivery", origin, seqs[origin]))
+            _feed(replica, origin, seqs[origin], batch)
+    settled, reference = replicas
+    assert state_fingerprint(settled.state) == state_fingerprint(reference.state)
+    assert replica_state_view(settled) == replica_state_view(reference)
+    assert settled.settled_count == reference.settled_count
+    assert settled.rejected == reference.rejected
+    assert settled._awaiting_seq == reference._awaiting_seq
+    (confirms, credits), (reference_confirms, reference_credits) = observed
+    assert [(p.identifier, p.deps) for p in confirms] == [
+        (p.identifier, p.deps) for p in reference_confirms
+    ]
+    assert credits == reference_credits
+    if name == "astro2":
+        assert settled._seen_payments == reference._seen_payments
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=RUN_STREAMS)
+def test_the_ledger_applies_as_the_per_payment_drain(draws):
+    """The consensus ledger applies the payments of one drawn stream, one
+    at a time, through the settle pass and through the reference drain."""
+    stream = _run_stream(_system("astro1"), draws)
+    ledgers = []
+    for reference in (False, True):
+        settles = []
+        ledger = PaymentLedger(dict.fromkeys(CLIENTS, 12), on_settle=settles.append)
+        if reference:
+            _with_reference(ledger, _reference_settle_ledger)
+        for _origin, payments in stream:
+            for payment in payments:
+                ledger.apply(payment)
+        ledgers.append((ledger, settles))
+    (ledger, settles), (reference, reference_settles) = ledgers
+    assert state_fingerprint(ledger.state) == state_fingerprint(reference.state)
+    assert ledger.settled_count == reference.settled_count
+    assert ledger._awaiting_seq == reference._awaiting_seq
+    assert settles == reference_settles
+    assert [p.identifier for p in settles] == [p.identifier for p in reference_settles]
