@@ -2,7 +2,7 @@
 
 The consensus baseline executes payments in decided-sequence order.  It
 is Astro's :class:`~repro.core.replica.ApprovalQueue` — the same account
-state, the same approval rule, the same settle pass — fed one ordered
+state, the same approval rule, Astro I's settle loop — fed one ordered
 payment at a time: like Astro I, an insufficiently funded (or
 out-of-client-order) payment waits until the state allows it, and total
 order makes the outcome identical at every correct replica.
@@ -10,7 +10,7 @@ order makes the outcome identical at every correct replica.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.interning import ClientInterner
 from ..core.payment import ClientId, Payment
@@ -35,28 +35,13 @@ class PaymentLedger(ApprovalQueue):
         """Apply one ordered payment (settling everything it unblocks)."""
         spender = payment.spender
         self._awaiting_seq.setdefault(spender, {})[payment.seq] = payment
-        self._drain((), woken=(spender,))
+        self._drain((spender,))
 
-    def _settle(self, runs, batch, stopped) -> List[ClientId]:
-        # The consensus baseline's hottest code: every payment here waited
-        # in the queue, the last one ordered for its identifier.
-        spend, credited = self.state.try_settle_spend, []
-        for spender, index, sn, payments in runs:
-            rest = iter(payments)
-            for payment in rest:
-                if payment.seq <= sn:  # its identifier settled: waits for good
-                    stopped.append((spender, [payment]))
-                elif payment.seq == sn + 1 and spend(
-                        index, payment.core, payment.deps, True):
-                    sn = payment.seq
-                    credited.append(payment.beneficiary)
-                    if self.on_settle is not None:
-                        self.on_settle(payment)
-                else:
-                    stopped.append((spender, [payment, *rest]))
-                    break
-        self.settled_count += len(credited)
-        return credited
+    def _confirms_for(self, spender: ClientId) -> bool:
+        return self.on_settle is not None  # every replica replies
+
+    def _confirm(self, payment: Payment) -> None:
+        self.on_settle(payment)
 
     @property
     def waiting_count(self) -> int:

@@ -184,6 +184,14 @@ class AccountState:
                 self._seq.frombytes(zeros)
         return index
 
+    def seqnums(self, clients: Collection[ClientId]) -> List[int]:
+        """:meth:`seqnum` of each client, in one pass; interns nothing."""
+        indices = list(map(self._interner._index.get, clients))
+        try:  # an unknown client's None, or an index past the slabs
+            return list(map(self._seq.__getitem__, indices))
+        except (TypeError, IndexError):
+            return list(map(self.seqnum, clients))
+
     def locate(self, clients: Collection[ClientId]) -> Tuple[List[int], List[int]]:
         """Each client's :meth:`index` and sn, in one pass."""
         indices = list(map(self._interner._index.get, clients))
@@ -216,10 +224,7 @@ class AccountState:
         if deposit:
             bal[self._member(beneficiary)] += amount
         self._seq[index] += 1
-        log = self._xlog_map.get(index)
-        if log is None:
-            log = self._xlog_map[index] = ExclusiveLog(spender)
-        log.append(core, deps)
+        self._log(index, spender).append(core, deps)
         return True
 
     # ------------------------------------------------------------------

@@ -24,7 +24,13 @@ __all__ = ["Astro1Replica"]
 
 
 class Astro1Replica(AstroReplicaBase):
-    """One Astro I replica: Bracha BRB + full-settle payment protocol."""
+    """One Astro I replica: Bracha BRB + full-settle payment protocol.
+
+    It settles with :meth:`ApprovalQueue._settle`, the consensus ledger's
+    loop too: an underfunded payment waits, and a settle that credits
+    its spender re-runs the check (totality of Bracha's BRB guarantees
+    the credit eventually arrives).
+    """
 
     def __init__(
         self,
@@ -53,40 +59,6 @@ class Astro1Replica(AstroReplicaBase):
         self._wal_deliver(origin, seq, batch)
         self._deliver_batch(origin, batch)
         self._wal_checkpoint()
-
-    def _settle(self, runs, batch, stopped) -> List[ClientId]:
-        # Criterion (2) of Listing 3: the balance must cover the amount.
-        # When it does not, the payment waits; a later settle crediting
-        # this client re-runs the check (totality of Bracha's BRB
-        # guarantees the credit eventually arrives).  Otherwise Listing 4:
-        # withdraw, deposit, bump sn, append to the xlog.
-        spend, rep_get = self.state.try_settle_spend, self._rep_map.get
-        credited: List[ClientId] = []
-        if batch is not None:
-            cores, extras = batch.cores, batch.extras
-        for spender, index, sn, items in runs:
-            confirming = rep_get(spender) == self.node_id
-            rest = iter(items)
-            for item in rest:
-                if item.__class__ is int:
-                    core, waited = cores[item], None
-                    deps = extras[item][0] if item in extras else ()
-                else:
-                    core, deps, waited = item.core, item.deps, item
-                seq = core[1]
-                if seq != sn + 1:
-                    if seq <= sn:
-                        continue
-                elif spend(index, core, deps, True):
-                    sn = seq
-                    credited.append(core[2])
-                    if confirming:
-                        self._confirm(waited or batch.payment(item))
-                    continue
-                stopped.append((spender, [item, *rest]))
-                break
-        self.settled_count += len(credited)
-        return credited
 
     @property
     def held_payments(self) -> int:

@@ -163,7 +163,7 @@ class Astro2Replica(AstroReplicaBase):
             return False
         held = batch.held  # a simulated batch: its replicas share the ids
         identifiers = [p.identifier for p in held] if held else list(zip(spenders, seqs))
-        settled = state.locate(spenders)[1]
+        settled = state.seqnums(spenders)
         entries: Any = zip(identifiers, batch.cores)
         if any(map(le, seqs, settled)) or any(map(seen.__contains__, identifiers)):
             entries, checked = [], entries
@@ -309,12 +309,10 @@ class Astro2Replica(AstroReplicaBase):
         spend, rep_get, credit = (
             state.try_settle_spend, self._rep_map.get, self._credit_buffer.append)
         unseen, settled = self._seen_payments.pop, 0
-        if batch is not None:
-            cores, extras = batch.cores, batch.extras
+        cores, extras = batch.cores, batch.extras  # no wake: always a delivery
         for spender, index, sn, items in runs:
             confirming = rep_get(spender) == me
-            rest = iter(items)
-            for item in rest:
+            for item in items:
                 if item.__class__ is int:
                     core, waited = cores[item], None
                     deps = extras[item][0] if item in extras else ()
@@ -323,7 +321,7 @@ class Astro2Replica(AstroReplicaBase):
                 seq = core[1]
                 if seq != sn + 1:
                     if seq > sn:  # criterion (1): wait for the predecessor
-                        stopped.append((spender, [item, *rest]))
+                        stopped.append((spender, item))
                         break
                     continue
                 if deps:

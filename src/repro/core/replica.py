@@ -7,7 +7,8 @@ paper defines *one* replica state and *one* approval rule and compares
 three ways of agreeing on what to feed them, so the piece every replica
 kind shares has one owner, here: :class:`ApprovalQueue` — the account
 state, the per-client sequence-gap queue that implements approval's
-*wait* (Listing 3), and the settle pass over them.  Inherited by
+*wait* (Listing 3), and the settle loop over them, which Astro II alone
+overrides.  Inherited by
 :class:`AstroReplicaBase` and by the consensus baseline's
 :class:`~repro.consensus.ledger.PaymentLedger`.
 
@@ -24,7 +25,12 @@ tests (CI's ``unit`` job) fail on a rename:
 * its simulator workloads attribute delivery time to the functions named
   ``_deliver_batch``, ``_drain``, ``_confirm`` and ``_batch_done`` in this
   file and ``_on_brb_deliver`` and ``_settle`` in ``core/astro*.py``, so
-  delivery-path code lives in functions of those names.
+  delivery-path code lives in functions of those names.  The exception
+  is :meth:`ApprovalQueue._settle`, the loop Astro I shares with the
+  consensus ledger, and the two helpers called once per run,
+  :func:`_walk` and ``_confirms_for``: they live here under other
+  names, so the simulator workloads' ``core.replica.deliver_us_per_payment``
+  does not count them (for ``sim_astro1_n32``, its settle loop).
 
 :class:`AstroReplicaBase` holds everything else the two Astro variants
 share — batching with flow control, settlement bookkeeping, client
@@ -40,6 +46,9 @@ it, and WAL replay and catch-up imports deliver through the layer
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from itertools import chain, count, repeat
+from operator import is_not
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..brb.batching import Batch, Batcher
@@ -69,20 +78,43 @@ ConfirmFn = Callable[[Payment, float], None]
 
 #: ``(client, index, sn, items)``: the client, its
 #: :meth:`AccountState.index` and settled sequence number, and its
-#: payments in seq order — positions in the delivered batch and waiting
-#: ``Payment``s; a waiting one precedes a later copy of its identifier.
+#: payments in seq order: its one position in the delivered batch, or
+#: what a walk of its queue pops from ``sn + 1`` up, one seq at a time
+#: (positions and waiting ``Payment``\ s), so that a run that stops
+#: leaves the rest queued.
 Run = Tuple[ClientId, int, int, Iterable[Any]]
+
+
+def _walk(
+    queue: Dict[int, Any], sn: int, later: Optional[Dict[int, Any]] = None
+) -> Iterable[Any]:
+    """A run over ``queue``: pops it from ``sn + 1`` up, one seq at a time,
+    until a seq is missing; after each payment, a later copy of its
+    identifier that ``later`` holds (tried if the first one is passed over
+    without settling).  Lazy, in C: a run that stops leaves the rest
+    where it was."""
+    if not later:
+        return iter(map(queue.pop, count(sn + 1), repeat(None)).__next__, None)
+    pairs = zip(
+        map(queue.pop, count(sn + 1), repeat(None)),
+        map(later.pop, count(sn + 1), repeat(None)),
+    )
+    return filter(
+        partial(is_not, None), chain.from_iterable(iter(pairs.__next__, (None, None)))
+    )
 
 
 class ApprovalQueue:
     """Replica state (Listing 2) and the approval rule (Listing 3).
 
-    Payments settle in runs (:data:`Run`).  The variant's :meth:`_settle`
-    settles whole runs in one loop; a run stops at its first payment that
-    must wait — for the client's preceding payment (criterion (1)) or,
-    where the variant says so, for funds (criterion (2)) — and
-    :meth:`_drain` queues that payment and the rest of its run in
-    ``_awaiting_seq``, which holds a ``Payment`` for each.
+    Payments settle in runs (:data:`Run`) through :meth:`_settle`, which
+    settles whole runs in one loop.  A run stops at its first payment
+    that must wait — for the client's preceding payment (criterion (1))
+    or, where the variant says so, for funds (criterion (2)) — and that
+    payment goes back to ``_awaiting_seq``, which holds a ``Payment``
+    for each waiting one, under its seq.  A settle that credits a local
+    balance wakes the beneficiary, and :meth:`_drain` settles what it
+    can now afford.
     """
 
     def __init__(
@@ -98,59 +130,80 @@ class ApprovalQueue:
         self._awaiting_seq: Dict[ClientId, Dict[int, Payment]] = {}
         self.settled_count = 0
 
-    def _drain(
-        self,
-        runs: Iterable[Run],
-        batch: Optional[Batch] = None,
-        woken: Iterable[ClientId] = (),
-    ) -> None:
-        """Settle ``runs`` (their positions are in ``batch``), then every
-        waiting payment whose approval criteria now hold.
+    def _drain(self, woken: Iterable[ClientId]) -> None:
+        """Settle the waiting payments of each woken client as one run,
+        first woken first.
 
-        What a run leaves waits under its seqs; of two payments with one
-        identifier, the first delivered wins.  A settle that credits a
-        local balance (Astro I, the consensus ledger) wakes the
-        beneficiary, whose waiting payments then settle as one run, first
-        woken first: settling may unblock others, so this cascades until
-        no progress remains.
+        The run pops the client's queue from ``sn + 1`` upward and stops
+        at the first payment that cannot settle, so a wake that settles
+        nothing touches one entry.  Settling may credit others, who are
+        woken in turn: this cascades until no progress remains.
         """
-        awaiting, worklist = self._awaiting_seq, deque(woken)
-        while True:
-            stopped: List[Tuple[ClientId, List[Any]]] = []
-            credited = self._settle(runs, batch, stopped)
-            if credited:
-                worklist += credited
-            for client, items in stopped:
-                queue = awaiting.setdefault(client, {})
-                for item in items:
-                    payment = batch.payment(item) if item.__class__ is int else item
-                    queue.setdefault(payment.seq, payment)
-            while worklist and awaiting:
-                client = worklist.popleft()
-                queue = awaiting.pop(client, None)
-                if queue:
-                    break
-            else:
-                return
-            (index,), (settled,) = self.state.locate((client,))
-            batch = None
-            runs = [(client, index, settled, [queue[seq] for seq in sorted(queue)])]
+        awaiting, worklist, locate = self._awaiting_seq, deque(woken), self.state.locate
+        while worklist and awaiting:
+            client = worklist.popleft()
+            queue = awaiting.get(client)
+            if not queue:
+                continue
+            (index,), (sn,) = locate((client,))
+            stopped: List[Tuple[ClientId, Any]] = []
+            run = (client, index, sn, _walk(queue, sn))
+            worklist += self._settle([run], None, stopped) or ()
+            for _, payment in stopped:
+                queue[payment.seq] = payment
+            if not queue:
+                del awaiting[client]
 
     def _settle(
         self,
         runs: Iterable[Run],
         batch: Optional[Batch],
-        stopped: List[Tuple[ClientId, List[Any]]],
+        stopped: List[Tuple[ClientId, Any]],
     ) -> Optional[List[ClientId]]:
-        """Variant hook: settle ``runs`` in one loop (Listing 4 / 9).
+        """Settle ``runs`` (their positions are in ``batch``) in one loop:
+        Listing 4's settle, which deposits to the beneficiary (Astro I,
+        the consensus ledger); Astro II overrides it (Listing 9).
 
         A payment at or below the settled seq is a later copy: skipped.
-        At a gap, or where the variant waits for funds at one they do not
-        cover, the run stops: ``(client, [it, *the rest])`` goes to
-        ``stopped``.  Else one :meth:`AccountState.try_settle_spend`
-        settles or rejects it.  Returns the beneficiaries a settle
-        credited (Astro I, the ledger), or ``None`` (Astro II).
+        At a gap, or at one the balance does not cover, the run stops:
+        ``(client, payment)`` goes to ``stopped``, and the payment waits.
+        Else one :meth:`AccountState.try_settle_spend` settles it, and
+        :meth:`_confirm` reports it where :meth:`_confirms_for` says so.
+        Returns the beneficiaries credited, to wake.
         """
+        spend, confirms_for = self.state.try_settle_spend, self._confirms_for
+        credited: List[ClientId] = []
+        if batch is not None:
+            cores, extras = batch.cores, batch.extras
+        for spender, index, sn, items in runs:
+            confirming = confirms_for(spender)
+            for item in items:
+                if item.__class__ is int:
+                    core, waited = cores[item], None
+                    deps = extras[item][0] if item in extras else ()
+                else:
+                    core, deps, waited = item.core, item.deps, item
+                seq = core[1]
+                if seq != sn + 1:
+                    if seq <= sn:
+                        continue
+                elif spend(index, core, deps, True):
+                    sn = seq
+                    credited.append(core[2])
+                    if confirming:
+                        self._confirm(waited or batch.payment(item))
+                    continue
+                stopped.append((spender, item))
+                break
+        self.settled_count += len(credited)
+        return credited
+
+    def _confirms_for(self, spender: ClientId) -> bool:
+        """Whether :meth:`_settle` reports ``spender``'s settles here."""
+        raise NotImplementedError
+
+    def _confirm(self, payment: Payment) -> None:
+        """Report one settled payment."""
         raise NotImplementedError
 
 
@@ -294,7 +347,7 @@ class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
     # ------------------------------------------------------------------
     def _deliver_batch(self, origin: int, batch: Batch) -> None:
         """Process a BRB-delivered batch of payments in one pass over its
-        columns: each spender's positions are one run (:data:`Run`), and
+        columns: each spender's payments are one run (:data:`Run`), and
         runs settle in the order their spenders first appear."""
         if not self.alive:
             return
@@ -304,38 +357,53 @@ class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
         # Defense in depth: a payment may only arrive via its spender's
         # representative (§II).
         via_rep = list(map(rep_get, spenders)).count(origin) == n
+        stopped: List[Tuple[ClientId, Any]] = []
+        # Spender -> seq -> first position, in insertion order: iterating a
+        # set of string ids would order the settles by the hash seed.
+        arrived: Dict[ClientId, Dict[int, int]] = {}
         if via_rep and len(set(spenders)) == n and awaiting.keys().isdisjoint(spenders):
-            clients: Iterable[ClientId] = spenders
-            items: Iterable[Any] = zip(range(n))  # a run of one each
+            # Every spender once, none waiting: a run of one each.
+            indices, seqnums = self.state.locate(spenders)
+            credited = self._settle(
+                zip(spenders, indices, seqnums, zip(range(n))), batch, stopped
+            )
         else:
-            # Spender -> positions, in insertion order: iterating a set of
-            # string ids would order the settles by the hash seed.
-            runs: Dict[ClientId, List[int]] = {}
-            ordered = True  # every run's seqs rise in batch order
-            for position, spender in enumerate(spenders):
+            for position, spender, seq in zip(count(), spenders, seqs):
                 if via_rep or rep_get(spender) == origin:
-                    run = runs.setdefault(spender, [])
-                    ordered = ordered and not (run and seqs[position] <= seqs[run[-1]])
-                    run.append(position)
-            clients, items = runs, runs.values()
-            if not (ordered and awaiting.keys().isdisjoint(runs)):
-                items = []
-                for spender, run in runs.items():
-                    # In seq order, a duplicate identifier's first copy
-                    # only, and a waiting payment before a later copy.
-                    first = {seqs[position]: position for position in reversed(run)}
-                    keyed = sorted([(seq, 1, p) for seq, p in first.items()] + [
-                        (seq, 0, p) for seq, p in awaiting.pop(spender, {}).items()
-                    ])
-                    items.append([item for _, _, item in keyed])
-        indices, seqnums = self.state.locate(clients)
-        self._drain(zip(clients, indices, seqnums, items), batch)
+                    arrived.setdefault(spender, {}).setdefault(seq, position)
+            indices, seqnums = self.state.locate(arrived)
+            runs = []
+            for (spender, fresh), index, sn in zip(arrived.items(), indices, seqnums):
+                # A waiting payment precedes a later copy of its identifier.
+                queue, later = awaiting.setdefault(spender, {}), {}
+                for seq, position in fresh.items():
+                    if seq > sn and queue.setdefault(seq, position) is not position:
+                        later[seq] = position
+                runs.append((spender, index, sn, _walk(queue, sn, later)))
+            credited = self._settle(runs, batch, stopped)
+        for spender, item in stopped:
+            payment = batch.payment(item) if item.__class__ is int else item
+            awaiting.setdefault(spender, {})[payment.seq] = payment
+        for spender, fresh in arrived.items():
+            # What the run left of this batch waits as a ``Payment``.
+            queue = awaiting[spender]
+            if not queue:
+                del awaiting[spender]
+                continue
+            for seq in fresh:
+                if queue.get(seq).__class__ is int:
+                    queue[seq] = batch.payment(queue[seq])
+        if credited:
+            self._drain(credited)
         if origin == self.node_id:
             self._batch_done()
 
     # ------------------------------------------------------------------
     # Confirmation (§III "Client notification")
     # ------------------------------------------------------------------
+    def _confirms_for(self, spender: ClientId) -> bool:
+        return self._rep_map.get(spender) == self.node_id
+
     def _confirm(self, payment: Payment) -> None:
         """Notify the spender that her payment settled (we are her rep)."""
         self.charge(costs.CONFIRM_PER_PAYMENT)

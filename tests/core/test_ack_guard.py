@@ -99,6 +99,18 @@ def test_a_rejected_payment_stays_guarded():
     assert len(acks(replica, rep.node_id, 3, [underfunded])) == 1
 
 
+def test_the_guard_reads_seqnums_without_interning():
+    """A spender the state has never seen reads sn 0 at ACK time; the
+    guard interns it nowhere and grows no slab (delivery does that)."""
+    system = build()
+    rep = system.replicas[0]
+    system.directory.register_client("erin", rep.node_id)
+    replica = a_replica_other_than(system, rep.node_id)
+    state, slots = replica.state, len(replica.state._seq)
+    assert len(acks(replica, rep.node_id, 1, [Payment("erin", 1, "bob", 0)])) == 1
+    assert "erin" not in state._interner._index and len(state._seq) == slots
+
+
 def test_xlog_entries_read_back_as_the_settled_payments():
     """Columns in, payments out: every replica's xlog rebuilds exactly
     the payments it settled, dependency certificates included."""
@@ -107,14 +119,21 @@ def test_xlog_entries_read_back_as_the_settled_payments():
     for replica in system.replicas:
         def settle(runs, batch, stopped, replica=replica,
                    inner=replica._settle):
-            runs = [(c, i, sn, list(items)) for c, i, sn, items in runs]
-            result = inner(runs, batch, stopped)
-            for client, _, sn, items in runs:
-                now = replica.state.seqnum(client)
-                for item in items:  # a position of a held batch: simulated
-                    payment = batch.payment(item) if item.__class__ is int else item
-                    if sn < payment.seq <= now:
-                        settled[replica.node_id].append(payment)
+            runs, read = list(runs), []
+
+            def tapped(items):  # what the settle loop reads of a run
+                for item in items:
+                    read.append(item)
+                    yield item
+
+            result = inner([(c, i, sn, tapped(items)) for c, i, sn, items in runs],
+                           batch, stopped)
+            sns = {client: sn for client, _, sn, _ in runs}
+            for item in read:  # a position of a held batch: simulated
+                payment = batch.payment(item) if item.__class__ is int else item
+                now = replica.state.seqnum(payment.spender)
+                if sns[payment.spender] < payment.seq <= now:
+                    settled[replica.node_id].append(payment)
             return result
         replica._settle = settle
     system.submit("alice", "bob", 30)

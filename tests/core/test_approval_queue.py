@@ -1,13 +1,14 @@
 """One approval queue: the settle pass Astro and the baseline share.
 
-``ApprovalQueue._drain`` (``core/replica.py``) is the only worklist loop
-in ``src/``: it settles runs through the variant's ``_settle``, queues
-what a run leaves and re-examines the clients a settle credited.
-``AstroReplicaBase`` and the consensus ``PaymentLedger`` inherit it and
-differ in the ``_settle`` loop alone.  These tests pin the hook's
-contract on the bare base class and check, payment by payment, that the
-two heirs with the same settle rule (Astro I, the ledger) stay in
-lockstep on one adversarial stream.
+``ApprovalQueue`` (``core/replica.py``) owns the only worklist loop in
+``src/``, ``_drain``: it settles each woken client's waiting payments as
+one run through ``_settle``, puts back the payment a run stopped at and
+wakes the clients a settle credited.  It also owns the deposit-and-wait
+``_settle`` loop that Astro I and the consensus ``PaymentLedger`` both
+run; Astro II overrides it.  These tests pin the hook's contract on the
+bare base class and check, payment by payment, that the two heirs with
+the same settle rule (Astro I, the ledger) stay in lockstep on one
+adversarial stream.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ class _FundsGated(ApprovalQueue):
     def _settle(self, runs, batch, stopped):
         credited = []
         for client, index, sn, items in runs:
-            rest = iter(items)
-            for payment in rest:
+            for payment in items:
                 self.calls.append(payment.identifier)
                 if payment.seq != sn + 1 or not self.state.try_settle_spend(
                     index, payment.core, (), True
                 ):
-                    stopped.append((client, [payment, *rest]))
+                    stopped.append((client, payment))
                     break
                 sn = payment.seq
                 self.settled_count += 1
@@ -48,7 +48,7 @@ class _FundsGated(ApprovalQueue):
     def deliver(self, payment):
         spender = payment.spender
         self._awaiting_seq.setdefault(spender, {})[payment.seq] = payment
-        self._drain((), woken=(spender,))
+        self._drain((spender,))
 
 
 def test_wait_leaves_the_payment_queued_until_a_credit_settles_it():
@@ -82,7 +82,7 @@ def test_a_settle_returning_none_leaves_the_queue_without_advancing():
 
     queue = _Rejecting({"a": 5})
     queue._awaiting_seq["a"] = {1: Payment("a", 1, "b", 9)}
-    queue._drain((), woken=("a",))
+    queue._drain(("a",))
     assert queue._awaiting_seq == {} and queue.state.seqnum("a") == 0
 
 
@@ -132,3 +132,38 @@ def test_ledger_and_astro1_replica_drain_in_lockstep():
     # The stream really exercised both waits and the cascade.
     assert waited >= 5
     assert 0 < ledger.settled_count < 200
+
+
+class _Counted(dict):
+    """A client's queue that counts the entries a drain pops or puts."""
+
+    touched = 0
+
+    def pop(self, *args):
+        self.touched += 1
+        return super().pop(*args)
+
+    def __setitem__(self, key, value):
+        self.touched += 1
+        super().__setitem__(key, value)
+
+
+def test_a_wake_that_cannot_settle_reads_one_held_payment():
+    """Astro I holds an unfunded client's payments in its queue.  Each
+    credit too small to fund the next one wakes the client and touches
+    that one payment (popped, put back), however many wait behind it."""
+    system = Astro1System(num_replicas=4, genesis={"a": 0, "b": 1000}, seed=3)
+    replica, rep_of = system.replica(0), system.directory.rep_of
+    held = [Payment("a", seq, "b", 10) for seq in range(1, 501)]
+    replica._deliver_batch(rep_of("a"), Batch(held))
+    assert replica.queued_payments == 500
+    queue = replica._awaiting_seq["a"] = _Counted(replica._awaiting_seq["a"])
+    for seq in range(1, 10):
+        replica._deliver_batch(rep_of("b"), Batch([Payment("b", seq, "a", 1)]))
+        assert queue.touched == 2 * seq
+    assert replica._awaiting_seq["a"] is queue and len(queue) == 500
+    # The tenth credit funds a#1: popped and settled, a#2 popped and put
+    # back.
+    replica._deliver_batch(rep_of("b"), Batch([Payment("b", 10, "a", 1)]))
+    assert replica.state.seqnum("a") == 1 and queue.touched == 18 + 3
+    assert replica._awaiting_seq["a"] is queue and len(queue) == 499

@@ -356,11 +356,18 @@ def _run_stream(system, draws):
 LATER_COPY = ([(1, [(0, 2, 0, 1, False, 0)]),
                (1, [(0, 1, 1, 1, False, 0), (0, 2, 2, 1, False, 0)])], [False] * 10)
 
+#: Origin 2's second client pays seq 2 (it waits), then seq 1, which
+#: leaves it 2, and another seq 2 carrying a certificate in one batch: in
+#: Astro II the waiting payment is rejected, and the copy then settles.
+REJECTED_COPY = ([(2, [(1, 2, 0, 3, False, 0)]),
+                  (2, [(1, 1, 0, 15, False, 1), (1, 2, 0, 3, False, 2)])], [False] * 10)
+
 
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(["astro1", "astro2"]), wire=st.booleans(), draws=RUN_STREAMS)
 @example(name="astro1", wire=True, draws=LATER_COPY)
 @example(name="astro2", wire=False, draws=LATER_COPY)
+@example(name="astro2", wire=True, draws=REJECTED_COPY)
 def test_the_settle_pass_matches_the_per_payment_drain(name, wire, draws):
     """Replica 0 of two identical systems delivers one drawn stream —
     decoded frames or in-memory batches — through the settle pass and
