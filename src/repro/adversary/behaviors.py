@@ -54,7 +54,6 @@ def _forged_copy(payment: Payment) -> Payment:
         payment.beneficiary,
         payment.amount + 1,
         deps=payment.deps,
-        submitted_at=payment.submitted_at,
     )
 
 
@@ -205,9 +204,7 @@ class EquivocatingRepresentative(ByzantineBehavior):
         ):
             targets = list(targets)
             starve = max(1, len(targets) // 3)
-            forged_batch = Batch(
-                tuple(_forged_copy(p) for p in inner.items)
-            )
+            forged_batch = Batch(tuple(map(_forged_copy, inner)))
             forged = type(payload)(payload.seq, forged_batch, payload.size)
             self.tampered += 1
             honest = targets[:-starve]
@@ -258,10 +255,7 @@ class ForgedCreditSettler(ByzantineBehavior):
     @staticmethod
     def _forge(message: CreditMessage) -> CreditMessage:
         inflated = tuple(
-            Payment(
-                p.spender, p.seq, p.beneficiary, p.amount * 100 + 1,
-                submitted_at=p.submitted_at,
-            )
+            Payment(p.spender, p.seq, p.beneficiary, p.amount * 100 + 1)
             for p in message.payments
         )
         # Same claimed digest and signature, conflicting payload: the
@@ -302,9 +296,7 @@ class CertStuffingRepresentative(ByzantineBehavior):
         if isinstance(payload, SbPrepare) and isinstance(
             payload.payload, Batch
         ):
-            stuffed = Batch(
-                tuple(self._stuff(p) for p in payload.payload.items)
-            )
+            stuffed = Batch(tuple(map(self._stuff, payload.payload)))
             delta = stuffed.size_bytes - payload.payload.size_bytes
             forged = SbPrepare(payload.seq, stuffed, payload.size + delta)
             self.tampered += 1
@@ -341,10 +333,7 @@ class CertStuffingRepresentative(ByzantineBehavior):
             ghost, self.replica.shard_id, subbatch, signatures,
             subbatch_digest=batch_digest,
         )
-        return Payment(
-            payment.spender, payment.seq, payment.beneficiary, payment.amount,
-            deps=payment.deps + (cert,), submitted_at=payment.submitted_at,
-        )
+        return Payment(*payment.core, deps=payment.deps + (cert,))
 
 
 class MuteReplica(ByzantineBehavior):

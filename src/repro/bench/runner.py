@@ -88,11 +88,13 @@ def finish_open_loop(system: Any, driver: OpenLoopDriver) -> None:
 
     When the caller reuses the system for a later run (peak-search warm
     probes), a stale hook would keep counting confirmations into this
-    driver's meters and double-count them against the next run's.
+    driver's meters and double-count them against the next run's.  The
+    submission times of payments that never confirmed go with it.
     """
     remove_hook = getattr(system, "remove_confirm_hook", None)
     if remove_hook is not None:
         remove_hook(driver._on_confirm)
+    driver._submitted.clear()
 
 
 def run_open_loop(

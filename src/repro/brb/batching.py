@@ -38,59 +38,53 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 class Batch:
     """An immutable batch of payments broadcast as one BRB payload.
 
-    Held as columns: ``flat``, the core fields in order (four per
+    Held as columns only: ``flat``, the core fields in order (four per
     payment, client ids interned), ``cores`` (one ``(spender, seq,
-    beneficiary, amount)`` per payment), ``extras`` (``position -> (deps,
-    submitted_at)``) and, on first read, ``core_digests``.  A batch built
-    from ``Payment``s — the origin's, every simulated one, whose N
-    replicas share it — also holds them (``held``); one decoded from a
-    frame or a WAL record does not, and ``items`` builds them on read.
+    beneficiary, amount)`` per payment), ``extras`` (``position ->
+    deps``, for the payments that carry dependency certificates) and, on
+    first read, ``identifiers`` and ``core_digests``.  ``Batch(payments)``
+    packs its payments and keeps none of them; it and a batch decoded
+    from a frame or a WAL record derive the rest from the packed columns
+    alike.  In the simulator a batch's N receivers share one object, and
+    so its columns.  :meth:`payment` and iteration build a ``Payment``
+    from the columns on every read.
     """
 
-    __slots__ = ("held", "flat", "cores", "extras", "batch_items",
-                 "size_bytes", "_core_digests", "_digest")
+    __slots__ = ("flat", "cores", "extras", "batch_items", "size_bytes",
+                 "_identifiers", "_core_digests", "_digest")
 
-    def __init__(self, items: Sequence[Any]) -> None:
-        from ..core.payment import pack_payments
-
-        self.held: Optional[Tuple[Any, ...]] = tuple(items)
-        flat, extras = pack_payments(self.held)
-        self._columns(flat, {index: (deps, at) for index, deps, at in extras})
+    def __init__(self, payments: Sequence[Any]) -> None:
+        flat, extras = pack_payments(payments)
+        self._columns(flat, dict(extras))
 
     def _columns(self, flat: tuple, extras: Dict[int, tuple]) -> None:
         if not flat:
             raise ValueError("a batch must contain at least one payment")
         fields = iter(flat)
-        self.flat, self.extras = flat, extras
-        self.cores = tuple(zip(fields, fields, fields, fields))
-        self.batch_items = len(self.cores)
+        cores = tuple(zip(fields, fields, fields, fields))
+        self.flat, self.cores, self.extras = flat, cores, extras
+        self.batch_items = len(cores)
         self.size_bytes = costs.PAYMENT_BYTES * self.batch_items + sum([
             getattr(dep, "wire_bytes", 0)
-            for deps, _ in extras.values() for dep in deps
+            for deps in extras.values() for dep in deps
         ])
-        self._core_digests = self._digest = None
-
-    @property
-    def items(self) -> Tuple[Any, ...]:
-        """The payments as objects, built from the columns on first read."""
-        if self.held is None:
-            self.held = tuple(map(self.payment, range(self.batch_items)))
-        return self.held
+        self._identifiers = self._core_digests = self._digest = None
 
     def payment(self, position: int) -> Any:
-        """The payment at ``position``: the held one, or one built."""
-        if self.held is not None:
-            return self.held[position]
-        from ..core.payment import Payment
+        """The payment at ``position``, built from the columns."""
+        return Payment(*self.cores[position], self.extras.get(position, ()))
 
-        return Payment(*self.cores[position], *self.extras.get(position, ()))
+    @property
+    def identifiers(self) -> List[Tuple[Any, int]]:
+        """Every payment's ``Payment.identifier`` (the ACK guard's keys)."""
+        if self._identifiers is None:
+            self._identifiers = list(zip(self.flat[0::4], self.flat[1::4]))
+        return self._identifiers
 
     @property
     def core_digests(self) -> List[int]:
         """Every payment's ``Payment.core_digest`` (CREDIT sub-batches)."""
         if self._core_digests is None:
-            from ..core.payment import core_digests
-
             self._core_digests = core_digests(self.flat)
         return self._core_digests
 
@@ -106,20 +100,19 @@ class Batch:
             parts = list(map(_MASK.__and__, map(hash, zip(
                 repeat("payment"), map(tuple.__add__, self.cores, repeat(((),)))
             ))))
-            for position, (deps, _) in self.extras.items():
+            for position, deps in self.extras.items():
                 if deps:
                     parts[position] = self.payment(position).cached_digest
             value = self._digest = hash(("batch", tuple(parts))) & _MASK
         return value
 
     def __reduce__(self):
-        # Cross-process form (TCP framing, WAL): the held columns, laid
-        # out as ``pack_payments``; the rest is derived on arrival.
-        extras = tuple([(i, *fields) for i, fields in self.extras.items()])
-        return (_batch_from_wire, (self.flat, extras))
+        # Cross-process form (TCP framing, WAL): the columns, laid out as
+        # ``pack_payments``; the rest is derived on arrival.
+        return (_batch_from_wire, (self.flat, tuple(self.extras.items())))
 
     def __iter__(self):
-        return iter(self.items)
+        return map(self.payment, range(self.batch_items))
 
     def __len__(self) -> int:
         return self.batch_items
@@ -131,10 +124,7 @@ class Batch:
 def _batch_from_wire(flat: tuple, extras: tuple) -> Batch:
     """Inverse of :meth:`Batch.__reduce__`, building no ``Payment``; bad
     columns raise ``ValueError``, which framing makes ``FrameError``."""
-    from ..core.payment import checked_cores
-
     batch = Batch.__new__(Batch)
-    batch.held = None
     batch._columns(*checked_cores(flat, extras))
     return batch
 
@@ -290,3 +280,12 @@ class KeyedCoalescer(Generic[T]):
     def pending_count(self) -> int:
         return sum(len(bucket) for bucket in self._pending.values())
 
+
+# Bound last: ``core.payment`` needs nothing from here, but importing it
+# runs ``repro.core``'s package init, whose replicas import this module.
+from ..core.payment import (  # noqa: E402
+    Payment,
+    checked_cores,
+    core_digests,
+    pack_payments,
+)

@@ -32,8 +32,11 @@ class PaymentLedger(ApprovalQueue):
         self.on_settle = on_settle
 
     def apply(self, payment: Payment) -> None:
-        """Apply one ordered payment (settling everything it unblocks)."""
+        """Apply one ordered payment (settling everything it unblocks); a
+        copy of an identifier that already settled is dropped."""
         spender = payment.spender
+        if payment.seq <= self.state.seqnum(spender):
+            return
         self._awaiting_seq.setdefault(spender, {})[payment.seq] = payment
         self._drain((spender,))
 

@@ -511,9 +511,9 @@ class BftReplica(ProtocolEndpoint):
             self._outstanding = 0
             # Reintroduce requests that were in flight under the old leader.
             reproposed = {
-                payment.identifier
+                identifier
                 for batch in message.reproposals.values()
-                for payment in batch
+                for identifier in batch.identifiers
             }
             for key, (payment, _) in sorted(self._pending.items(), key=lambda kv: kv[1][1]):
                 if key not in reproposed:

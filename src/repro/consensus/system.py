@@ -56,10 +56,7 @@ class BftClientNode(Node):
         self.on(Reply, self._on_reply)
 
     def pay(self, beneficiary: ClientId, amount: int) -> Payment:
-        payment = Payment(
-            self.client_id, self._next_seq, beneficiary, amount,
-            submitted_at=self.sim.now,
-        )
+        payment = Payment(self.client_id, self._next_seq, beneficiary, amount)
         self._next_seq += 1
         self._in_flight[payment.identifier] = (payment, self.sim.now)
         request = ClientRequest(payment)
@@ -139,9 +136,7 @@ class BftSystem(SimulatedSystem):
 
     def submit_payment(self, payment: Payment) -> None:
         """Inject a request at every replica (client multicast pattern)."""
-        self._submit_times[payment.identifier] = (
-            payment.submitted_at if payment.submitted_at is not None else self.sim.now
-        )
+        self._submit_times[payment.identifier] = self.sim.now
         for replica in self.replicas:
             replica.submit_local(payment)
 

@@ -113,9 +113,11 @@ class Astro2Replica(AstroReplicaBase):
         #: payment of the sub-batch (§VI-A's 2-level batching).  Not
         #: checkpointed: ``_cert_valid`` refills it on first sight.
         self._verified_certs: Dict[Tuple[int, int], None] = {}
-        #: Settled in the current delivery, pending CREDIT fan-out:
-        #: positions in the batch, or the waiting ``Payment``.
-        self._credit_buffer: List[Any] = []
+        #: The current delivery's CREDIT sub-batches, cut by ``_settle``
+        #: and signed by ``_flush_credits``: beneficiary representative ->
+        #: (flat cores, core digests), in settle order — Astro II's second
+        #: batching level (§VI-A), one CREDIT per sub-batch.
+        self._subbatches: Dict[int, Tuple[List[Any], List[int]]] = {}
         #: Cross-delivery CREDIT coalescer (``credit_coalesce_delay`` > 0):
         #: a *transport* window.  Sub-batches are still cut per delivery —
         #: their composition is a pure function of the origin's batch
@@ -161,8 +163,7 @@ class Astro2Replica(AstroReplicaBase):
         spenders, seqs = flat[0::4], flat[1::4]
         if list(map(self._rep_map.get, spenders)).count(origin) != len(seqs):
             return False
-        held = batch.held  # a simulated batch: its replicas share the ids
-        identifiers = [p.identifier for p in held] if held else list(zip(spenders, seqs))
+        identifiers = batch.identifiers  # a simulated batch's replicas share them
         settled = state.seqnums(spenders)
         entries: Any = zip(identifiers, batch.cores)
         if any(map(le, seqs, settled)) or any(map(seen.__contains__, identifiers)):
@@ -226,14 +227,7 @@ class Astro2Replica(AstroReplicaBase):
         certs = certificates_of(references)
         gained = sum(cert.amount for cert in certs)
         self._attached_projection[spender] = attached + gained - payment.amount
-        return Payment(
-            spender,
-            payment.seq,
-            payment.beneficiary,
-            payment.amount,
-            deps=certs,
-            submitted_at=payment.submitted_at,
-        )
+        return Payment(*payment.core, deps=certs)
 
     def _release_held(self, client: ClientId) -> None:
         held = self._held.get(client)
@@ -277,7 +271,7 @@ class Astro2Replica(AstroReplicaBase):
         verify_cost = 0.0
         charged: Set[Tuple[int, int]] = set()
         sig_bound = self._cert_sig_bound
-        for deps, _ in batch.extras.values():
+        for deps in batch.extras.values():
             for cert in deps:
                 key = (cert.shard_id, cert.subbatch_digest)
                 if key not in self._verified_certs and key not in charged:
@@ -295,7 +289,7 @@ class Astro2Replica(AstroReplicaBase):
         if verify_cost:
             self.charge(verify_cost)
         self._deliver_batch(origin, batch)
-        self._flush_credits(batch)
+        self._flush_credits()
         if self._wal is not None:
             self._wal_checkpoint()
 
@@ -304,18 +298,19 @@ class Astro2Replica(AstroReplicaBase):
     # ------------------------------------------------------------------
     def _settle(self, runs, batch, stopped) -> None:
         # Astro II approval waits only on the sequence number (Listing 8):
-        # the funds decision rejects, it never waits.
+        # the funds decision rejects, it never waits.  Each settled payment
+        # joins its beneficiary representative's sub-batch.
         state, used_deps, me = self.state, self._used_deps, self.node_id
-        spend, rep_get, credit = (
-            state.try_settle_spend, self._rep_map.get, self._credit_buffer.append)
-        unseen, settled = self._seen_payments.pop, 0
-        cores, extras = batch.cores, batch.extras  # no wake: always a delivery
+        spend, rep_get = state.try_settle_spend, self._rep_map.get
+        groups, unseen, settled = self._subbatches, self._seen_payments.pop, 0
+        # No wake calls this: ``batch`` is always the delivered one.
+        cores, extras, digests = batch.cores, batch.extras, batch.core_digests
         for spender, index, sn, items in runs:
             confirming = rep_get(spender) == me
             for item in items:
                 if item.__class__ is int:
                     core, waited = cores[item], None
-                    deps = extras[item][0] if item in extras else ()
+                    deps = extras[item] if item in extras else ()
                 else:
                     core, deps, waited = item.core, item.deps, item
                 seq = core[1]
@@ -344,7 +339,13 @@ class Astro2Replica(AstroReplicaBase):
                 sn = seq
                 settled += 1
                 unseen((spender, seq), None)
-                credit(item)
+                rep_node = rep_get(core[2])
+                group = groups.get(rep_node)
+                if group is None:
+                    group = groups[rep_node] = ([], [])
+                group[0].extend(core)
+                group[1].append(
+                    digests[item] if waited is None else waited.core_digest())
                 if confirming:
                     self._confirm(waited or batch.payment(item))
         self.settled_count += settled
@@ -364,38 +365,16 @@ class Astro2Replica(AstroReplicaBase):
     # ------------------------------------------------------------------
     # CREDIT fan-out (Listing 9 l.55-57, 2-level batching §VI-A)
     # ------------------------------------------------------------------
-    def _credit_groups(
-        self, settled: List[Any], batch: Batch
-    ) -> Dict[int, Tuple[List[Any], List[int]]]:
-        """One delivery's sub-batches (flat cores, core digests) by
-        beneficiary representative, from positions in ``batch`` and the
-        waiting ``Payment``s settled with it: Astro II's second batching
-        level (§VI-A), one CREDIT per sub-batch.  Insertion-ordered, so
-        content and emission order are pure functions of settle order."""
-        rep_get = self._rep_map.get
-        cores, digests = batch.cores, batch.core_digests
-        groups: Dict[int, Tuple[List[Any], List[int]]] = {}
-        for item in settled:
-            if item.__class__ is int:
-                core, core_digest = cores[item], digests[item]
-            else:
-                core, core_digest = item.core, item.core_digest()
-            rep_node = rep_get(core[2])
-            group = groups.get(rep_node)
-            if group is None:
-                group = groups[rep_node] = ([], [])
-            group[0].extend(core)
-            group[1].append(core_digest)
-        return groups
-
-    def _flush_credits(self, batch: Batch) -> None:
-        """Sign this delivery's sub-batches; apply, send or stage (the
-        transport window) each for its representative."""
-        if not self._credit_buffer:
+    def _flush_credits(self) -> None:
+        """Sign this delivery's sub-batches, cut by :meth:`_settle`; apply,
+        send or stage (the transport window) each for its representative.
+        The groups are insertion-ordered, so content and emission order
+        are pure functions of settle order."""
+        if not self._subbatches:
             return
-        settled, self._credit_buffer = self._credit_buffer, []
+        groups, self._subbatches = self._subbatches, {}
         coalescer = self._credit_coalescer
-        for rep_node, group in self._credit_groups(settled, batch).items():
+        for rep_node, group in groups.items():
             message = self._sign_subbatch(*group)
             if rep_node == self.node_id:
                 self._apply_credit(self.node_id, message)
@@ -547,7 +526,7 @@ class Astro2Replica(AstroReplicaBase):
         seen = self._seen_payments
         unsettled: Dict[ClientId, List[Payment]] = {}
         queues = [queue.values() for queue in self._awaiting_seq.values()]
-        queues += [batch.items for batch in self._launched_pending.values()]
+        queues += self._launched_pending.values()  # iterating builds payments
         for queue in queues:
             for payment in queue:
                 seen.setdefault(payment.identifier, payment.core)

@@ -53,13 +53,7 @@ class ClientNode(Node):
 
     def pay(self, beneficiary: ClientId, amount: int) -> Payment:
         """Create and submit the next payment (Listing 1)."""
-        payment = Payment(
-            self.client_id,
-            self._next_seq,
-            beneficiary,
-            amount,
-            submitted_at=self.sim.now,
-        )
+        payment = Payment(self.client_id, self._next_seq, beneficiary, amount)
         self._next_seq += 1
         self._submit_times[payment.seq] = self.sim.now
         self.send(

@@ -20,9 +20,8 @@ representative) under a single signature.
 
 Every settler ships the sub-batch by value (Listings 9–10), as core
 fields (``core.payment.pack_payments``) — never with the crediting
-payments' own dependencies or ``submitted_at`` — so a representative
-receives each one ``N - 1`` times and reads its columns: no copy builds a
-``Payment``.
+payments' own dependencies — so a representative receives each one
+``N - 1`` times and reads its columns: no copy builds a ``Payment``.
 
 A representative holds its clients' certificates until a payment needs
 them (Listing 7, attached lazily), which under load that never runs an
@@ -295,7 +294,7 @@ class DependencyCertificate:
         # that the digest, ``__eq__`` and ``verify_certificate`` bind.
         # The crediting payments' own ``deps`` never ship, or every hop
         # of a credit-funded chain would re-embed the history before it
-        # (``Payment.core_canonical``).
+        # (``Payment.core``).
         return (
             _certificate_from_wire,
             (self.payment.core, self.shard_id,
@@ -326,7 +325,7 @@ class DependencyCertificate:
         return (
             "depcert",
             self.shard_id,
-            self.payment.core_canonical(),
+            self.payment.core,
             self.subbatch_digest,
             tuple(s.canonical() for s in self.signatures),
         )

@@ -18,9 +18,9 @@ CONFIRM_BYTES = 64
 
 def _fields(payment: Payment) -> tuple:
     """A payment's wire fields, flat: the four core fields, then ``deps``
-    and ``submitted_at`` only when either is set."""
-    if payment.deps or payment.submitted_at is not None:
-        return (*payment.core, payment.deps, payment.submitted_at)
+    only when it is set."""
+    if payment.deps:
+        return (*payment.core, payment.deps)
     return payment.core
 
 

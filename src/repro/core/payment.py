@@ -10,8 +10,8 @@ A payment *sequence* — a batch's items, a CREDIT's sub-batch, the
 sub-batch a certificate covers — has one wire form, owned here:
 :func:`pack_payments` / :func:`unpack_payments`.  A receiving replica
 reads it as columns (``brb.batching.Batch``, :func:`checked_cores`): a
-``Payment`` is rebuilt only where one is read — at the origin, which
-holds its own, and for one that waits or is rejected.
+``Payment`` is rebuilt only where one is read — for a confirm at the
+spender's representative, and for one that waits or is rejected.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 from itertools import chain, repeat
 from sys import intern
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-from ..crypto import costs
 
 __all__ = [
     "Payment",
@@ -47,17 +45,16 @@ class Payment:
     """One transfer of ``amount`` from ``spender`` to ``beneficiary``.
 
     ``deps`` carries the dependency certificates Astro II attaches to an
-    outgoing payment (Listing 7); it is always empty in Astro I.
-    ``submitted_at`` is measurement metadata (set by load drivers) and is
-    excluded from the canonical form, so it never affects digests or
-    signatures.
+    outgoing payment (Listing 7); it is always empty in Astro I.  A
+    payment carries nothing else: submission times are the client's
+    (the load drivers keep them), and a batch sizes itself.
 
-    Payments are immutable.  An instance lives where one is read: at its
-    origin, in a simulated batch, while it waits or after its rejection;
-    a receiving replica settles from a batch's columns, and an xlog keeps
-    a settled payment as two column cells.  It holds the identifier, core
-    tuple, wire size and memoized core digest, and shares its interned
-    string ids with every payment and column naming them.
+    Payments are immutable.  An instance lives where one is read: at the
+    client edge (submission, confirmation), while it waits or after its
+    rejection; a batch holds only columns, and an xlog keeps a settled
+    payment as two column cells.  It holds the identifier, the core
+    tuple and a memoized core digest, and shares its interned string ids
+    with every payment and column naming them.
     """
 
     __slots__ = (
@@ -66,10 +63,8 @@ class Payment:
         "beneficiary",
         "amount",
         "deps",
-        "submitted_at",
         "identifier",
         "core",
-        "wire_bytes",
         "_core_digest",
     )
 
@@ -80,8 +75,11 @@ class Payment:
         beneficiary: ClientId,
         amount: int,
         deps: tuple = (),
-        submitted_at: Optional[float] = None,
+        _dropped: object = None,
     ) -> None:
+        # ``_dropped``: a sixth field, the submission time that forms
+        # pickled before payments shed it carry (older WAL records and
+        # client messages); accepted so that they load, and dropped.
         if seq.__class__ is not int or amount.__class__ is not int:
             raise TypeError(f"seq and amount must be int: {seq!r}, {amount!r}")
         if spender.__class__ is str:
@@ -97,30 +95,14 @@ class Payment:
         self.beneficiary = beneficiary
         self.amount = amount
         self.deps = deps
-        self.submitted_at = submitted_at
         #: (spender, seq) — the agreement unit (§IV), precomputed.
         self.identifier = (spender, seq)
-        #: Flat canonical form of the transfer itself (see core_canonical).
+        #: Canonical form of the transfer itself, excluding dependencies.
+        #: Dependency certificates bind *this* form of the payment they
+        #: credit: one that re-embedded the crediting payment's own
+        #: certificates would recurse through the whole payment history.
         self.core = (spender, seq, beneficiary, amount)
-        #: Serialized size: ~100 bytes (§VI-B) plus attached dependencies.
-        if deps:
-            wire = costs.PAYMENT_BYTES
-            for dep in deps:
-                wire += getattr(dep, "wire_bytes", 0)
-            self.wire_bytes = wire
-        else:
-            self.wire_bytes = costs.PAYMENT_BYTES
         self._core_digest: Optional[int] = None
-
-    def core_canonical(self) -> tuple:
-        """Canonical form of the transfer itself, excluding dependencies.
-
-        Dependency certificates bind *this* form of the payment they
-        credit: a certificate must not re-embed the crediting payment's
-        own dependency certificates, or canonical forms would recurse
-        through the whole payment history.
-        """
-        return self.core
 
     def core_digest(self) -> int:
         """Memoized 64-bit digest of the core form (sub-batch hashing)."""
@@ -150,19 +132,9 @@ class Payment:
         digests are rebuilt by the receiver — identically, because
         replica processes share one hash seed (``transport.cluster``).
         This roughly halves the bytes per payment versus default slot
-        pickling (which would ship identifier/core/wire_bytes/caches too).
+        pickling (which would ship identifier/core/caches too).
         """
-        return (
-            Payment,
-            (
-                self.spender,
-                self.seq,
-                self.beneficiary,
-                self.amount,
-                self.deps,
-                self.submitted_at,
-            ),
-        )
+        return (Payment, (*self.core, self.deps))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -192,23 +164,21 @@ def pack_payments(payments: Sequence[Payment]) -> Tuple[tuple, tuple]:
 
     ``flat`` is :func:`flat_cores`, so pickle walks one container instead
     of ``k`` nested ``__reduce__`` tuples.  ``extras`` lists ``(index,
-    deps, submitted_at)`` for the payments that carry either — none under
-    uniform load, the credit-funded payouts under merchant load.
+    deps)`` for the payments that carry dependency certificates — none
+    under uniform load, the credit-funded payouts under merchant load.
     """
     flat = flat_cores(payments)
     extras = tuple([
-        (index, p.deps, p.submitted_at)
-        for index, p in enumerate(payments)
-        if p.deps or p.submitted_at is not None
+        (index, p.deps) for index, p in enumerate(payments) if p.deps
     ])
     return flat, extras
 
 
 def checked_cores(flat: tuple, extras: tuple = ()) -> Tuple[tuple, Dict]:
     """A peer's or a disk's packed sequence: ``flat`` with its ids
-    interned, and the extras as ``position -> (deps, submitted_at)``.
-    What ``Payment`` would refuse, or malformed extras, raise
-    :class:`ValueError`."""
+    interned, and the extras as ``position -> deps``.  What ``Payment``
+    would refuse, or malformed extras — an entry that is not ``(index,
+    deps)`` too —, raise :class:`ValueError`."""
     if (flat.__class__ is not tuple or extras.__class__ is not tuple
             or len(flat) % 4):
         raise ValueError("packed payments: not 4 core fields per payment")
@@ -219,12 +189,12 @@ def checked_cores(flat: tuple, extras: tuple = ()) -> Tuple[tuple, Dict]:
         raise ValueError("packed payments: a seq or amount out of range")
     by_position: Dict[int, tuple] = {}
     try:
-        for index, deps, submitted_at in extras:
+        for index, deps in extras:
             if index.__class__ is not int or not 0 <= index < len(seqs):
                 raise ValueError(f"packed payments: no payment {index!r}")
             if deps.__class__ is not tuple:
                 raise ValueError("packed payments: deps is not a tuple")
-            by_position[index] = (deps, submitted_at)
+            by_position[index] = deps
     except TypeError as exc:
         raise ValueError(f"packed payments: {exc}") from exc
     cores = list(flat)
@@ -241,7 +211,7 @@ def unpack_payments(flat: tuple, extras: tuple = ()) -> Tuple[Payment, ...]:
     flat, by_position = checked_cores(flat, extras)
     fields = iter(flat)
     return tuple([
-        Payment(*core, *by_position.get(index, ()))
+        Payment(*core, by_position.get(index, ()))
         for index, core in enumerate(zip(fields, fields, fields, fields))
     ])
 

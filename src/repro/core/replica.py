@@ -25,7 +25,10 @@ tests (CI's ``unit`` job) fail on a rename:
 * its simulator workloads attribute delivery time to the functions named
   ``_deliver_batch``, ``_drain``, ``_confirm`` and ``_batch_done`` in this
   file and ``_on_brb_deliver`` and ``_settle`` in ``core/astro*.py``, so
-  delivery-path code lives in functions of those names.  The exception
+  delivery-path code lives in functions of those names.  Astro II's
+  ``_settle`` also cuts the CREDIT sub-batches, so that work counts as
+  delivery time; the CREDIT share starts at ``_flush_credits`` (its list
+  still names ``_credit_groups``, which no longer exists).  The exception
   is :meth:`ApprovalQueue._settle`, the loop Astro I shares with the
   consensus ledger, and the two helpers called once per run,
   :func:`_walk` and ``_confirms_for``: they live here under other
@@ -180,7 +183,7 @@ class ApprovalQueue:
             for item in items:
                 if item.__class__ is int:
                     core, waited = cores[item], None
-                    deps = extras[item][0] if item in extras else ()
+                    deps = extras[item] if item in extras else ()
                 else:
                     core, deps, waited = item.core, item.deps, item
                 seq = core[1]
@@ -528,7 +531,8 @@ class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
         """
         accept, seqnum, me = self._accept_through, self.state.seqnum, self.node_id
         accept((c, seqnum(c)) for c, rep in self._rep_map.items() if rep == me)
-        accept(p.identifier for b in self._launched_pending.values() for p in b.items)
+        accept(chain.from_iterable(
+            b.identifiers for b in self._launched_pending.values()))
         accept(p.identifier for q in self._awaiting_seq.values() for p in q.values())
 
     def _accept_through(self, identifiers: Iterable[Tuple[ClientId, int]]) -> None:

@@ -80,13 +80,7 @@ class SimulatedSystem:
     def make_payment(
         self, spender: ClientId, beneficiary: ClientId, amount: int
     ) -> Payment:
-        return Payment(
-            spender,
-            self.next_seq(spender),
-            beneficiary,
-            amount,
-            submitted_at=self.sim.now,
-        )
+        return Payment(spender, self.next_seq(spender), beneficiary, amount)
 
     def run(self, until: float) -> None:
         self.sim.run(until=until)
@@ -161,9 +155,7 @@ class _AstroSystemBase(SimulatedSystem):
         seqs = self._next_seq
         seq = seqs.get(spender, 0) + 1
         seqs[spender] = seq
-        payment = Payment(
-            spender, seq, beneficiary, amount, submitted_at=self.sim.now
-        )
+        payment = Payment(spender, seq, beneficiary, amount)
         replica = self._rep_replica.get(spender)
         if replica is None:
             replica = self._rep_replica[spender] = self._replica_by_node[

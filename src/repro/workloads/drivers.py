@@ -9,9 +9,9 @@ second (client-visible confirmations) and confirmation latency.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
-from ..core.payment import ClientId, Payment
+from ..core.payment import ClientId, Payment, PaymentId
 from ..sim.metrics import LatencyRecorder, ThroughputMeter
 
 __all__ = ["OpenLoopDriver", "ClosedLoopDriver"]
@@ -26,7 +26,11 @@ class OpenLoopDriver:
     Arrivals are smoothed over small ticks (5 ms): per tick the
     driver injects ``rate * tick`` payments (with fractional carry), which
     keeps simulator event counts proportional to the injected load while
-    preserving the offered rate exactly.
+    preserving the offered rate exactly.  Latency is the client's: the
+    driver keeps each payment's submission time until its confirmation;
+    a payment that never confirms (rejected, or sent to a crashed
+    representative) keeps its entry until ``finish_open_loop`` clears
+    them.
     """
 
     tick = 0.005
@@ -53,6 +57,8 @@ class OpenLoopDriver:
         self.injected = 0
         self.confirmed = 0
         self._carry = 0.0
+        #: Identifier -> submission time of each unconfirmed payment.
+        self._submitted: Dict[PaymentId, float] = {}
         system.add_confirm_hook(self._on_confirm)
         system.sim.schedule_at(start, self._tick_fn)
 
@@ -65,13 +71,13 @@ class OpenLoopDriver:
         count = int(self._carry)
         self._carry -= count
         next_op = self.workload.next
-        submit = system.submit
+        submit, submitted = system.submit, self._submitted
         injected = 0
         for _ in range(count):
             operation = next_op()
             if operation is None:
                 continue  # read-only op (e.g. Smallbank Balance)
-            submit(*operation)
+            submitted[submit(*operation).identifier] = now
             injected += 1
         self.injected += injected
         system.sim.call_after(self.tick, self._tick_fn)
@@ -80,8 +86,9 @@ class OpenLoopDriver:
         self.confirmed += 1
         if self.meter is not None:
             self.meter.record(settled_at)
-        if self.recorder is not None and payment.submitted_at is not None:
-            self.recorder.record(payment.submitted_at, settled_at)
+        submitted_at = self._submitted.pop(payment.identifier, None)
+        if self.recorder is not None and submitted_at is not None:
+            self.recorder.record(submitted_at, settled_at)
 
 
 class ClosedLoopDriver:

@@ -51,6 +51,6 @@ def test_payments_from_two_frames_share_their_client_ids():
         ])))
         for seq in (1, 2)
     )
-    (a,), (b,) = first.items, second.items
+    (a,), (b,) = first, second
     assert a.spender is b.spender
     assert a.beneficiary is b.beneficiary

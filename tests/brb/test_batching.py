@@ -257,21 +257,34 @@ class TestKeyedCoalescer:
 
 class TestGrouping:
     def test_credit_groups_by_beneficiary_representative(self):
-        """Astro II's second batching level, on the code that runs it."""
-        reps = {"a": 0, "x": 1, "b": 2, "c": 3}
+        """Astro II's second batching level, on the code that runs it: the
+        sub-batches one delivery signs, as ``_sign_subbatch`` receives
+        them, per representative they are sent to."""
+        reps = {"a": 0, "x": 0, "b": 2, "c": 3}
         system = Astro2System(
             num_replicas=4, genesis=dict.fromkeys(reps, 10),
             rep_assignment=reps,
         )
-        batch = Batch([Payment("a", 1, "b", 1), Payment("a", 2, "c", 1)])
+        replica = system.replicas[0]
+        signed, sent_to = [], []
+        sign = replica._sign_subbatch
+        replica._sign_subbatch = lambda *group: signed.append(group) or sign(*group)
+        replica._send_credits = lambda rep_node, _messages: sent_to.append(rep_node)
+        # x's waiting payment settles in x's run, ahead of the batch's x#2
+        # (rejected: underfunded, so it joins no sub-batch).
         waited = Payment("x", 1, "b", 1)
-        # Settled: positions in the delivered batch, and a waiting payment.
-        groups = system.replicas[0]._credit_groups([0, 1, waited], batch)
+        replica._awaiting_seq["x"] = {1: waited}
+        batch = Batch([
+            Payment("a", 1, "b", 1), Payment("a", 2, "c", 1), Payment("x", 2, "b", 100)
+        ])
+        replica._on_brb_deliver(0, 1, batch)
+        groups = dict(zip(sent_to, signed))
+        assert len(groups) == len(signed)
         assert set(groups) == {2, 3}
         flat, digests = groups[2]
         assert flat == ["a", 1, "b", 1, "x", 1, "b", 1]
-        assert digests == [batch.held[0].core_digest(), waited.core_digest()]
-        assert groups[3] == (["a", 2, "c", 1], [batch.held[1].core_digest()])
+        assert digests == [batch.payment(0).core_digest(), waited.core_digest()]
+        assert groups[3] == (["a", 2, "c", 1], [batch.payment(1).core_digest()])
 
 
 class TestQuorums:

@@ -29,12 +29,14 @@ _MALFORMED_COLUMNS = {
     "flat-not-4k": (("a", 1, "b", 5, "a"), ()),
     "flat-not-a-tuple": (["a", 1, "b", 5], ()),
     "flat-a-number": (7, ()),
-    "extras-not-a-tuple": (("a", 1, "b", 5), [(0, (), 1.0)]),
-    "extras-index-out-of-range": (("a", 1, "b", 5), ((1, (), 1.0),)),
-    "extras-index-negative": (("a", 1, "b", 5), ((-1, (), 1.0),)),
-    "extras-index-not-an-int": (("a", 1, "b", 5), (("0", (), 1.0),)),
-    "extras-entry-too-short": (("a", 1, "b", 5), ((0, ()),)),
-    "extras-deps-not-a-tuple": (("a", 1, "b", 5), ((0, None, 1.0),)),
+    "extras-not-a-tuple": (("a", 1, "b", 5), [(0, ())]),
+    "extras-index-out-of-range": (("a", 1, "b", 5), ((1, ()),)),
+    "extras-index-negative": (("a", 1, "b", 5), ((-1, ()),)),
+    "extras-index-not-an-int": (("a", 1, "b", 5), (("0", ()),)),
+    "extras-entry-too-short": (("a", 1, "b", 5), ((0,),)),
+    # The three-field entry ``(index, deps, submitted_at)`` of older forms.
+    "extras-entry-too-long": (("a", 1, "b", 5), ((0, (), 1.0),)),
+    "extras-deps-not-a-tuple": (("a", 1, "b", 5), ((0, None),)),
     "seq-below-1": (("a", 0, "b", 5), ()),
     "seq-not-a-number": (("a", "1", "b", 5), ()),
     "negative-amount": (("a", 1, "b", -5), ()),

@@ -172,3 +172,15 @@ class TestLedger:
         assert ledger.settled_count == 0
         ledger.apply(Payment("a", 1, "x", 1))
         assert ledger.settled_count == 2
+
+    def test_a_copy_of_a_settled_identifier_is_dropped(self):
+        """A re-ordered copy of a payment that already settled must not
+        wait for good behind the spender's settled seq."""
+        from repro.consensus.ledger import PaymentLedger
+        from repro.core.payment import Payment
+
+        ledger = PaymentLedger({"a": 10})
+        for seq in (1, 1, 2):
+            ledger.apply(Payment("a", seq, "x", 1))
+        assert ledger.settled_count == 2
+        assert ledger.waiting_count == 0

@@ -129,7 +129,7 @@ def test_xlog_entries_read_back_as_the_settled_payments():
             result = inner([(c, i, sn, tapped(items)) for c, i, sn, items in runs],
                            batch, stopped)
             sns = {client: sn for client, _, sn, _ in runs}
-            for item in read:  # a position of a held batch: simulated
+            for item in read:  # a position in the batch, or a waiting payment
                 payment = batch.payment(item) if item.__class__ is int else item
                 now = replica.state.seqnum(payment.spender)
                 if sns[payment.spender] < payment.seq <= now:

@@ -1,11 +1,12 @@
 """A receiving replica settles a batch from its columns.
 
-A batch decoded from a frame holds its payments as columns, and the
-replica that delivers it ACKs, settles and signs CREDITs from them: no
-``Payment`` is built unless one must wait or is rejected.
-A simulated batch holds the ``Payment`` objects too.  Both forms must
-settle alike, so the same batch stream reaches two identical systems'
-replica 0, once as decoded frames and once in memory.
+A batch holds its payments as columns, and the replica that delivers
+it ACKs, settles and signs CREDITs from them: no ``Payment`` is built
+unless one must wait, is rejected or is confirmed.  A batch decoded from
+a frame builds its columns from the packed form, one built in memory
+from its payments.  Both must settle alike, so the same batch stream
+reaches two identical systems' replica 0, once as decoded frames and
+once in memory.
 
 A delivered batch settles in one pass: each spender's positions form a
 run, and the variant's ``_settle`` settles whole runs.  The drain it
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.adversary.monitor import replica_state_view
+from repro.bench.runner import run_open_loop
 from repro.brb.batching import Batch
 from repro.consensus.ledger import PaymentLedger
 from repro.core.dependencies import CreditMessage, DependencyCertificate
@@ -132,8 +134,8 @@ def test_decoded_and_in_memory_batches_settle_alike(name, draws):
         seqs[origin] += 1
         frame = encode_frame(Batch(payments))
         from_wire = decode_exactly_one(frame)
-        assert from_wire.held is None
         in_memory = Batch(payments)
+        assert from_wire.cores == in_memory.cores
         assert from_wire.cached_digest == in_memory.cached_digest
         assert (
             _feed(decoded, origin, seqs[origin], from_wire)
@@ -184,6 +186,24 @@ def test_a_receiving_replica_builds_no_payment(monkeypatch):
     assert built == []
 
 
+def test_a_simulated_batch_is_its_columns():
+    """Under uniform load no payment carries anything beyond its core: the
+    batches a simulated Astro II run delivers have no extras, a payment
+    has no slot for a submission time or a wire size, and the open loop
+    still reads every latency from the client side."""
+    system = Astro2System(num_replicas=4, genesis=uniform_genesis(64), seed=1)
+    replica, delivered = system.replicas[0], []
+    deliver = replica._deliver_batch
+    replica._deliver_batch = lambda origin, batch: (
+        delivered.append(batch) or deliver(origin, batch)
+    )
+    result = run_open_loop(system, rate=400, duration=0.5, warmup=0.1)
+    assert delivered and all(batch.extras == {} for batch in delivered)
+    assert {"submitted_at", "wire_bytes"}.isdisjoint(Payment.__slots__)
+    assert result.confirmed == result.injected
+    assert result.latency.count > 0
+
+
 @pytest.mark.parametrize("name", ["astro1", "astro2"])
 def test_a_waiting_payment_wins_over_a_later_copy_of_its_identifier(name):
     """First delivery wins: a payment queued for its predecessor settles
@@ -231,6 +251,8 @@ def _reference_deliver(replica, origin, batch):
 
 
 def _reference_apply(ledger, payment):
+    if payment.seq <= ledger.state.seqnum(payment.spender):
+        return
     queue = ledger._awaiting_seq.setdefault(payment.spender, {})
     queue[payment.seq] = payment
     _reference_drain(ledger, deque((payment.spender,)))
@@ -239,8 +261,7 @@ def _reference_apply(ledger, payment):
 def _reference_drain(owner, worklist, batch=None, arrived=None):
     awaiting, state, settle = owner._awaiting_seq, owner.state, owner.reference_settle
     if batch is not None:
-        cores, held = batch.cores, batch.held
-        extras = batch.extras if held is None else {}
+        cores, extras = batch.cores, batch.extras
     while worklist:
         client = worklist.popleft()
         fresh = arrived.pop(client, None) if arrived else None
@@ -258,9 +279,7 @@ def _reference_drain(owner, worklist, batch=None, arrived=None):
                 if position is None:
                     break
                 core = cores[position]
-                if held is not None:
-                    payment = held[position]
-                elif position in extras:
+                if position in extras:
                     payment = batch.payment(position)
             beneficiary = settle(index, core, payment, position)
             if beneficiary is WAIT:
@@ -309,7 +328,9 @@ def _reference_settle_astro2(replica, index, core, payment, position):
         return None
     replica.settled_count += 1
     replica._seen_payments.pop(core[:2], None)
-    replica._credit_buffer.append(payment if position is None else position)
+    group = replica._subbatches.setdefault(replica._rep_map.get(core[2]), ([], []))
+    group[0].extend(core)
+    group[1].append((payment or Payment(*core)).core_digest())
     if replica._rep_map.get(spender) == replica.node_id:
         replica._confirm(payment or Payment(*core))
     return None

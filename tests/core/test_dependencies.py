@@ -309,7 +309,7 @@ class TestLazyCreditPayload:
         directory, keys = setup
         payments = (
             Payment("alice", 1, "bob", 10),
-            Payment("alice", 2, "bob", 5, submitted_at=2.5),
+            Payment("alice", 2, "bob", 5),
         )
         message = CreditMessage.create(keys[0], 0, payments)
         probe = _InitProbe(monkeypatch)
@@ -321,7 +321,6 @@ class TestLazyCreditPayload:
         assert pickle.dumps(clone) == pickle.dumps(message)  # re-logged packed
         assert probe.calls == 0
         assert clone.payments == payments
-        assert clone.payments[1].submitted_at is None  # core fields only
         assert probe.calls == 2
         assert clone.payments is clone.payments  # built once, then a slot
         with pytest.raises(AttributeError):
@@ -337,8 +336,7 @@ class TestLazyCreditPayload:
         collector = DependencyCollector(directory, keychain, my_node=4)
         funding = _certificate(keys, (Payment("carl", 1, "alice", 50),))
         bare = Payment("alice", 1, "bob", 10)
-        payout = Payment("alice", 1, "bob", 10, deps=(funding,),
-                         submitted_at=2.5)
+        payout = Payment("alice", 1, "bob", 10, deps=(funding,))
         credits = [CreditMessage.create(keys[i], 0, (payout,)) for i in (0, 1)]
         assert pickle.dumps(credits[0]) == pickle.dumps(
             CreditMessage.create(keys[0], 0, (bare,))

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.brb.batching import Batch
 from repro.core.accounts import AccountState
 from repro.core.payment import Payment
 from repro.core.xlog import ExclusiveLog, XlogViolation
@@ -27,21 +28,22 @@ class TestPayment:
         with pytest.raises(ValueError):
             Payment("alice", 1, "bob", -1)
 
+    # Older pickled forms carry a submission time as a sixth field.
     def test_equality_ignores_submitted_at(self):
-        a = Payment("alice", 1, "bob", 10, submitted_at=1.0)
-        b = Payment("alice", 1, "bob", 10, submitted_at=9.0)
+        a = Payment("alice", 1, "bob", 10, (), 1.0)
+        b = Payment("alice", 1, "bob", 10, (), 9.0)
         assert a == b
         assert hash(a) == hash(b)
 
     def test_canonical_excludes_measurement_metadata(self):
-        a = Payment("alice", 1, "bob", 10, submitted_at=1.0)
-        b = Payment("alice", 1, "bob", 10, submitted_at=2.0)
+        a = Payment("alice", 1, "bob", 10, (), 1.0)
+        b = Payment("alice", 1, "bob", 10, (), 2.0)
         assert a.canonical() == b.canonical()
 
     def test_core_canonical_excludes_deps(self):
         plain = Payment("alice", 1, "bob", 10)
         with_dep = Payment("alice", 1, "bob", 10, deps=("marker",))
-        assert plain.core_canonical() == with_dep.core_canonical()
+        assert plain.core == with_dep.core
         assert plain.canonical() != with_dep.canonical()
 
     def test_wire_bytes_grows_with_deps(self):
@@ -50,8 +52,8 @@ class TestPayment:
 
         plain = Payment("alice", 1, "bob", 10)
         heavy = Payment("alice", 1, "bob", 10, deps=(FakeCert(), FakeCert()))
-        assert plain.wire_bytes == 100
-        assert heavy.wire_bytes == 100 + 224
+        assert Batch([plain]).size_bytes == 100
+        assert Batch([heavy]).size_bytes == 100 + 224
 
 
 class TestExclusiveLog:

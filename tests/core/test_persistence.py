@@ -578,7 +578,7 @@ def _assert_projections_derived(replicas):
             payment
             for batch in [*replica._launched_pending.values(),
                           *replica._batch_backlog]
-            for payment in batch.items
+            for payment in batch
         ]
         unsettled += replica.batcher._pending  # released, not yet launched
         represented = replica.directory.rep_map.items()
@@ -722,7 +722,7 @@ def test_replay_detects_fingerprint_divergence(tmp_path):
         if not poisoned and record[0] == "deliver":
             # Same identifier, one unit more: payments are immutable, so
             # the record is rebuilt around a new one.
-            first, *rest = record[3].items
+            first, *rest = record[3]
             forged = Payment(
                 first.spender, first.seq, first.beneficiary, first.amount + 1
             )
@@ -913,7 +913,7 @@ def test_a_payment_held_across_a_checkpoint_stays_held_through_replay(
     assert not system.replicas[rep_node]._held
 
     system, tail = crash_and_rebind(10**6)
-    launched = [p for r in tail if r[0] == "launch" for p in r[2].items]
+    launched = [p for r in tail if r[0] == "launch" for p in r[2]]
     assert [p.identifier for p in launched] == [held.identifier]
     assert not system.replicas[rep_node]._held
     system.submit_payment(Payment(payer, 3, payee, 2))  # all it has left

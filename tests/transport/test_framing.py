@@ -24,7 +24,7 @@ from repro.core.dependencies import (
 )
 from repro.core.messages import ClientConfirm, ClientSubmit
 from repro.core.payment import Payment, pack_payments, unpack_payments
-from repro.crypto import Keychain, replica_owner
+from repro.crypto import Keychain, costs, replica_owner
 from repro.crypto.signatures import Signature, sign
 from repro.transport.framing import (
     HEADER_BYTES,
@@ -74,20 +74,10 @@ def payments(draw, with_deps: bool = False):
         draw(seqs),
         draw(client_ids),
         draw(amounts),
-        submitted_at=draw(
-            st.one_of(st.none(), st.floats(0, 1e6, allow_nan=False))
-        ),
     )
     if with_deps and draw(st.booleans()):
         cert = draw(certificates())
-        payment = Payment(
-            payment.spender,
-            payment.seq,
-            payment.beneficiary,
-            payment.amount,
-            deps=(cert,),
-            submitted_at=payment.submitted_at,
-        )
+        payment = Payment(*payment.core, deps=(cert,))
     return payment
 
 
@@ -149,8 +139,8 @@ def test_signature_roundtrip(signer, token):
 @given(batches())
 def test_batch_roundtrip(batch):
     decoded = roundtrip(batch)
-    assert [p.identifier for p in decoded.items] == [
-        p.identifier for p in batch.items
+    assert [p.identifier for p in decoded] == [
+        p.identifier for p in batch
     ]
     assert decoded.size_bytes == batch.size_bytes
     assert decoded.cached_digest == batch.cached_digest
@@ -207,7 +197,6 @@ def test_client_messages_roundtrip(payment):
     for message in (ClientSubmit(payment), ClientConfirm(payment, 12.5)):
         decoded = roundtrip(message).payment
         assert decoded == payment  # core and deps
-        assert decoded.submitted_at == payment.submitted_at
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +208,11 @@ def test_pack_unpack_roundtrip(items):
     flat, extras = pack_payments(items)
     assert len(flat) == 4 * len(items)
     # Extras only for the payments that need them, in order.
-    assert [index for index, _deps, _at in extras] == [
-        index for index, p in enumerate(items)
-        if p.deps or p.submitted_at is not None
+    assert [index for index, _deps in extras] == [
+        index for index, p in enumerate(items) if p.deps
     ]
     rebuilt = unpack_payments(flat, extras)
     assert rebuilt == tuple(items)  # core and deps
-    assert [p.submitted_at for p in rebuilt] == [p.submitted_at for p in items]
     assert unpack_payments(flat) == tuple(
         Payment(*p.core) for p in items
     )  # cores only: what a certificate ships
@@ -284,7 +271,7 @@ PARENT_CERTIFICATE = (  # cert
 def test_pickles_written_by_the_parent_still_load():
     """Old WAL records replay: the constructors the parent's forms name
     are unchanged, and what loads re-pickles in today's form."""
-    paid = Payment("cl-a", 3, "cl-b", 40, submitted_at=1.5)
+    paid = Payment("cl-a", 3, "cl-b", 40)
     other = Payment("cl-c", 1, "cl-b", 2)
 
     cert = pickle.loads(PARENT_CERTIFICATE)
@@ -298,13 +285,12 @@ def test_pickles_written_by_the_parent_still_load():
     batch = pickle.loads(PARENT_BATCH)
     assert isinstance(batch, Batch)
     payout = Payment("cl-b", 1, "cl-d", 41, deps=(cert,))
-    assert batch.items == (other, payout)
-    assert batch.size_bytes == other.wire_bytes + payout.wire_bytes
+    assert tuple(batch) == (other, payout)
+    assert batch.size_bytes == 2 * costs.PAYMENT_BYTES + cert.wire_bytes
 
     credit = pickle.loads(PARENT_CREDIT)
     assert isinstance(credit, CreditMessage)
     assert credit.payments == (paid, other)
-    assert credit.payments[0].submitted_at == 1.5
     assert (credit.shard_id, credit.subbatch_digest) == (0, 77)
     assert credit.signature == Signature(("replica", 2), 1002)
 
@@ -354,7 +340,7 @@ def test_encoded_decodes_to_the_payload_itself():
     assert first[1] == second[1] == "tail"
     for decoded in (first[0], second[0]):
         assert isinstance(decoded, Batch)
-        assert decoded.items == batch.items
+        assert tuple(decoded) == tuple(batch)
     assert shared.body == pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
 
 
