@@ -9,7 +9,7 @@ produce one-way propagation delays for the simulator's network layer.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "LatencyModel",
@@ -42,6 +42,12 @@ class LatencyModel:
 
     def sample(self, src: int, dst: int) -> float:
         raise NotImplementedError
+
+    def delays(self, src: int, dsts: Sequence[int]) -> List[float]:
+        """One delay per destination, drawn as :meth:`sample` would be in
+        destination order (one call per broadcast)."""
+        sample = self.sample
+        return [sample(src, dst) for dst in dsts]
 
     def expected(self, src: int, dst: int) -> float:
         """Mean one-way delay (used by analytic helpers and tests)."""
@@ -82,14 +88,18 @@ class _PairStreams:
         self._seed = seed
         self._streams: Dict[Tuple[int, int], random.Random] = {}
 
-    def uniform(self, src: int, dst: int, a: float, b: float) -> float:
+    def stream(self, src: int, dst: int) -> random.Random:
+        """The pair's stream, created on its first draw."""
         key = (src, dst)
         rng = self._streams.get(key)
         if rng is None:
             rng = self._streams[key] = random.Random(
                 f"pair-latency:{self._seed}:{src}:{dst}"
             )
-        return rng.uniform(a, b)
+        return rng
+
+    def uniform(self, src: int, dst: int, a: float, b: float) -> float:
+        return self.stream(src, dst).uniform(a, b)
 
 
 class UniformLatency(LatencyModel):
@@ -146,6 +156,8 @@ class RegionLatency(LatencyModel):
         #: Per-(src, dst) jitter streams; None keeps the shared-RNG
         #: sampling.
         self._pairs = _PairStreams(seed) if pair_streams else None
+        #: src -> {dst: (base delay, the pair stream's ``random``)}.
+        self._rows: Dict[int, Dict[int, Tuple[float, Callable[[], float]]]] = {}
         self._delays: Dict[Tuple[str, str], float] = {}
         for (a, b), delay in pair_delays.items():
             self._delays[(a, b)] = delay
@@ -178,6 +190,28 @@ class RegionLatency(LatencyModel):
         if pairs is not None:
             return base * (1.0 + pairs.uniform(src, dst, -jitter, jitter))
         return base * (1.0 + self._uniform(-jitter, jitter))
+
+    def delays(self, src: int, dsts: Sequence[int]) -> List[float]:
+        # With pair streams, each draw is ``random.uniform(-j, j)``
+        # spelled out (``a + (b - a) * random()``) on the pair's cached
+        # stream: the same floats as :meth:`sample`, bit for bit.
+        pairs = self._pairs
+        jitter = self.jitter
+        if pairs is None or jitter <= 0:
+            return super().delays(src, dsts)
+        row = self._rows.setdefault(src, {})
+        low = -jitter
+        span = jitter - low
+        out = []
+        for dst in dsts:
+            cell = row.get(dst)
+            if cell is None:
+                cell = row[dst] = (
+                    self.base_delay(src, dst), pairs.stream(src, dst).random
+                )
+            base, draw = cell
+            out.append(base * (1.0 + (low + span * draw())))
+        return out
 
     def expected(self, src: int, dst: int) -> float:
         return self.base_delay(src, dst)

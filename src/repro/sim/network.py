@@ -3,12 +3,17 @@
 Implements the asynchronous, authenticated point-to-point network assumed
 by the paper (§III): messages between correct nodes are eventually
 delivered, with no bound on delivery time enforced by the protocols.  The
-simulator adds a concrete performance model on top:
+simulator adds a concrete performance model on top.  A hop is two
+calendar steps:
 
-* sender NIC serialization (``size / bandwidth``) through a FIFO link,
-* one-way propagation latency from a :class:`~repro.sim.latency.LatencyModel`,
-* fault-injected extra egress delay (the paper's ``tc netem delay``),
-* receiver CPU service time before the protocol handler runs.
+* at send time, the copy is serialized on the sender's FIFO link
+  (``size / bandwidth``), draws a one-way delay from the
+  :class:`~repro.sim.latency.LatencyModel` (a broadcast: all its copies'
+  in one call) plus any fault-injected egress delay (the paper's ``tc
+  netem delay``), and its arrival is pushed on the calendar;
+* **arrival** charges the receiver's FIFO CPU the receive cost and
+  pushes the service step at the completion time;
+* **service** runs the receiver's handler for the payload's class.
 
 Crashed nodes neither send nor receive; partitions drop messages in both
 directions.  Dropping (rather than erroring) models an asynchronous network
@@ -79,6 +84,8 @@ class Network:
         self._crashed: Set[int] = set()
         self._egress_delay: Dict[int, float] = {}
         self._blocked: Set[Tuple[int, int]] = set()
+        #: The simulator's calendar (compacted in place, never replaced).
+        self._heap = sim._heap
 
     # ------------------------------------------------------------------
     # Membership
@@ -147,10 +154,11 @@ class Network:
     ) -> None:
         """Send ``payload`` from node ``src`` to node ``dst``.
 
-        The message is silently dropped if the source is crashed, the
-        destination is unknown/crashed at delivery time, or the pair is
-        partitioned — the asynchronous-network abstraction has no failure
-        notifications.
+        Serializes, draws the delay and pushes the arrival (module
+        docstring); a loopback copy arrives now.  The message is silently
+        dropped if the source is crashed, the destination is unknown or
+        crashed at arrival or service, or the pair is partitioned — the
+        asynchronous-network abstraction has no failure notifications.
         """
         if src in self._crashed:
             return
@@ -161,18 +169,22 @@ class Network:
         src_node = self.nodes.get(src)
         if src_node is None:
             raise ValueError(f"unknown source node {src}")
+        cost = recv_cost if recv_cost is not None else self.DEFAULT_RECV_CPU
         if src == dst:
-            # Loopback: no NIC serialization or propagation, but the CPU
-            # still processes the message like any other.
-            self._arrive(src, dst, payload, recv_cost)
+            self._arrive(dst, src, payload, cost)
             return
-        serialized_at = src_node.link.transmit(size)
+        link = src_node.link
+        serialized_at = link.occupy(size / link.bandwidth)
         delay = self.latency.sample(src, dst)
         extra = self._egress_delay.get(src)
         if extra:
             delay += extra
-        self.sim.call_at(
-            serialized_at + delay, self._arrive, src, dst, payload, recv_cost
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(
+            self._heap,
+            (serialized_at + delay, seq, self._arrive, (dst, src, payload, cost)),
         )
 
     def broadcast(
@@ -186,12 +198,13 @@ class Network:
         """Send one ``payload`` from ``src`` to every node in ``dsts``.
 
         Exactly equivalent to calling :meth:`send` once per destination in
-        order — same per-copy NIC serialization chain, same latency-model
-        draws, same event ordering — but with the per-copy bookkeeping
-        (stats, fault lookups, link attribute chasing) hoisted out of the
-        loop.  This is the hot path of every quorum protocol's all-to-all
-        phases.  ``dsts`` must not contain ``src`` (loopback handling
-        belongs to :meth:`send`).
+        order — same per-copy link serialization chain, same latency draws
+        (one :meth:`~repro.sim.latency.LatencyModel.delays` call for the
+        copies no partition drops), same sequence numbers, same events —
+        but with the per-copy bookkeeping hoisted out of the loop.  This
+        is the hot path of every quorum protocol's all-to-all phases.
+        ``dsts`` must not contain ``src`` (loopback handling belongs to
+        :meth:`send`).
         """
         if src in self._crashed:
             return
@@ -205,78 +218,72 @@ class Network:
         if stats.track_kinds:
             kind = type(payload).__name__
             stats.by_kind[kind] = stats.by_kind.get(kind, 0) + copies
+        blocked = self._blocked
+        if blocked:
+            dsts = [dst for dst in dsts if (src, dst) not in blocked]
+            stats.messages_dropped += copies - len(dsts)
+        if not dsts:
+            return
+        delays = self.latency.delays(src, dsts)
+        extra = self._egress_delay.get(src)
+        if extra:
+            delays = [delay + extra for delay in delays]
         link = src_node.link
         per = (size / link.bandwidth) / link.rate
-        busy = link._busy_until
-        now = self.sim.now
-        if busy < now:
-            busy = now
-        transmitted = 0
-        sample = self.latency.sample
-        extra = self._egress_delay.get(src)
-        blocked = self._blocked
         sim = self.sim
-        #: (time, seq, dst) arrivals of this broadcast; they ride one
-        #: calendar entry (the arrival train below).
-        arrivals: List[tuple] = []
-        for dst in dsts:
-            if blocked and (src, dst) in blocked:
-                stats.messages_dropped += 1
-                continue
+        busy = link._busy_until
+        if busy < sim.now:
+            busy = sim.now
+        seq = sim._seq
+        arrivals = []
+        for dst, delay in zip(dsts, delays):
             busy += per
-            transmitted += 1
-            delay = sample(src, dst)
-            if extra:
-                delay += extra
-            seq = sim._seq
-            sim._seq = seq + 1
             arrivals.append((busy + delay, seq, dst))
-        if transmitted:
-            link._busy_until = busy
-            link.busy_time += per * transmitted
-            link.jobs_served += transmitted
-        if not arrivals:
-            return
-        # Arrival train: the copies' (time, seq) keys are reserved above —
-        # identical to one :meth:`send` per copy — but only the *head*
-        # arrival occupies the calendar (inlined sim.call_at; never in the
-        # past); delivering it re-pushes the train at the next arrival's
-        # reserved key, so the queue holds O(1) entries per in-flight
-        # broadcast instead of O(N).  Delivery order is unchanged: the heap
-        # pops by the same (time, seq) keys either way.  Sorting is needed
-        # because per-destination latency varies, so arrival times are not
-        # monotonic in destination order.
-        arrivals.sort()
-        time, seq, _dst = arrivals[0]
+            seq += 1
+        sim._seq = seq
+        transmitted = len(arrivals)
+        link._busy_until = busy
+        link.busy_time += per * transmitted
+        link.jobs_served += transmitted
+        # The copies' (time, seq) keys are reserved above, as one send
+        # per copy would, but only the earliest arrival is on the
+        # calendar: the rest ride it as a train, latest first (the list
+        # is popped from its end), and each arrival pushes the next.
+        # The heap pops by the same keys either way.  Sorting is needed
+        # because per-destination delays vary.
+        arrivals.sort(reverse=True)
+        time, seq, dst = arrivals.pop()
+        cost = recv_cost if recv_cost is not None else self.DEFAULT_RECV_CPU
         _heappush(
-            sim._heap,
-            (time, seq, self._train_step, ([0, arrivals, src, payload, recv_cost],)),
+            self._heap, (time, seq, self._arrive, (dst, src, payload, cost, arrivals))
         )
 
-    def _train_step(self, train: list) -> None:
-        """Deliver the train's head arrival and reschedule the remainder."""
-        index, arrivals, src, payload, recv_cost = train
-        dst = arrivals[index][2]
-        index += 1
-        if index < len(arrivals):
-            train[0] = index
-            time, seq, _dst = arrivals[index]
-            _heappush(self.sim._heap, (time, seq, self._train_step, (train,)))
-        self._arrive(src, dst, payload, recv_cost)
-
     def _arrive(
-        self, src: int, dst: int, payload: Any, recv_cost: Optional[float]
+        self, dst: int, src: int, payload: Any, cost: float,
+        train: Optional[List[tuple]] = None,
     ) -> None:
+        """Arrival step: push the train's next arrival, if any; charge
+        ``dst``'s CPU ``cost`` and push the service step at completion."""
+        if train:
+            time, seq, following = train.pop()
+            _heappush(
+                self._heap,
+                (time, seq, self._arrive, (following, src, payload, cost, train)),
+            )
         node = self.nodes.get(dst)
         if node is None or dst in self._crashed:
             self.stats.messages_dropped += 1
             return
-        cost = recv_cost if recv_cost is not None else self.DEFAULT_RECV_CPU
-        node.cpu.submit(cost, self._dispatch, src, dst, payload)
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        _heappush(
+            self._heap, (node.cpu.occupy(cost), seq, self._serve, (node, src, payload))
+        )
 
-    def _dispatch(self, src: int, dst: int, payload: Any) -> None:
-        node = self.nodes.get(dst)
-        if node is None or dst in self._crashed:
+    def _serve(self, node: "Node", src: int, payload: Any) -> None:
+        """Service step: run ``node``'s handler, unless it crashed."""
+        if node.node_id in self._crashed:
             self.stats.messages_dropped += 1
             return
         self.stats.messages_delivered += 1
@@ -287,4 +294,3 @@ class Network:
             node.handle_unknown(src, payload)
         else:
             handler(src, payload)
-

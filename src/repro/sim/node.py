@@ -100,13 +100,12 @@ class Node:
 
         Equivalent to calling :meth:`send` per target, with the per-copy
         overhead hoisted into :meth:`Network.broadcast`.  Send-side CPU is
-        still charged one occupancy per copy so completion times stay
-        identical to the per-send path.
+        still charged one job per copy (in one
+        :meth:`~repro.sim.resources.FifoServer.occupy_many` call), so
+        completion times stay identical to the per-send path.
         """
         if send_cost:
-            occupy = self.cpu.occupy
-            for _ in targets:
-                occupy(send_cost)
+            self.cpu.occupy_many(send_cost, len(targets))
         self.network.broadcast(
             self.node_id, targets, payload, size=size, recv_cost=recv_cost
         )

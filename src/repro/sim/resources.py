@@ -9,12 +9,14 @@ The implementation is O(1) per job: because service is FIFO and
 non-preemptive, it suffices to track the time the server frees up
 (``busy_until``); a job submitted at time *t* completes at
 ``max(t, busy_until) + service_time``.
+
+A server only does that arithmetic and schedules nothing.  The one
+caller that acts at completion is the simulated network: a message's
+arrival step charges the receiver's CPU with :meth:`FifoServer.occupy`
+and pushes the service step at the returned time itself.
 """
 
 from __future__ import annotations
-
-from heapq import heappush as _heappush
-from typing import Any, Callable, Optional
 
 from .events import Simulator
 
@@ -42,45 +44,11 @@ class FifoServer:
         self.busy_time = 0.0
         self.jobs_served = 0
 
-    def submit(
-        self,
-        service_time: float,
-        fn: Optional[Callable[..., Any]] = None,
-        *args: Any,
-    ) -> float:
-        """Enqueue a job; optionally run ``fn(*args)`` at completion.
-
-        Returns the completion time.  ``service_time`` is the nominal cost;
-        the effective occupancy is divided by the server's ``rate``.
-        Completion callbacks are never cancelled, so they ride the
-        simulator's fast (Event-free) scheduling path.
-        """
-        if service_time < 0:
-            raise ValueError(f"negative service time: {service_time}")
-        sim = self.sim
-        effective = service_time / self.rate
-        start = self._busy_until
-        now = sim.now
-        if start < now:
-            start = now
-        done = start + effective
-        self._busy_until = done
-        self.busy_time += effective
-        self.jobs_served += 1
-        if fn is not None:
-            # Inlined sim.call_at: ``done >= now`` holds by construction,
-            # so the past-check is redundant on this per-job path.
-            seq = sim._seq
-            sim._seq = seq + 1
-            _heappush(sim._heap, (done, seq, fn, args))
-        return done
-
     def occupy(self, service_time: float) -> float:
-        """Charge the server without scheduling a completion callback.
+        """Enqueue one job; returns its completion time.
 
-        Used to fold small costs (e.g. send-side syscall overhead) into the
-        server occupancy without paying for an extra event.  This is the
-        hottest FifoServer entry point, hence the hand-inlined body.
+        ``service_time`` is the nominal cost; the effective occupancy is
+        divided by the server's ``rate``.
         """
         if service_time < 0:
             raise ValueError(f"negative service time: {service_time}")
@@ -93,6 +61,30 @@ class FifoServer:
         self._busy_until = done
         self.busy_time += effective
         self.jobs_served += 1
+        return done
+
+    def occupy_many(self, service_time: float, jobs: int) -> float:
+        """``jobs`` :meth:`occupy` calls in one (a broadcast's send cost).
+
+        The occupancy is added once per job, not multiplied, so the
+        server ends bit for bit as after ``jobs`` single calls.
+        """
+        if service_time < 0:
+            raise ValueError(f"negative service time: {service_time}")
+        if jobs <= 0:
+            return self._busy_until
+        effective = service_time / self.rate
+        done = self._busy_until
+        now = self.sim.now
+        if done < now:
+            done = now
+        busy = self.busy_time
+        for _ in range(jobs):
+            done += effective
+            busy += effective
+        self._busy_until = done
+        self.busy_time = busy
+        self.jobs_served += jobs
         return done
 
     @property
@@ -141,11 +133,3 @@ class LinkServer(FifoServer):
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.bandwidth = bandwidth
 
-    def transmit(
-        self,
-        size_bytes: float,
-        fn: Optional[Callable[..., Any]] = None,
-        *args: Any,
-    ) -> float:
-        """Serialize ``size_bytes`` onto the wire; returns completion time."""
-        return self.submit(size_bytes / self.bandwidth, fn, *args)

@@ -335,7 +335,8 @@ async def _wire_cost(loadgen) -> Dict[str, float]:
 
 #: The ``"stats"`` reading's transport counters a report carries.
 _TRANSPORT_ERRORS = (
-    "handler_errors", "first_handler_error", "stream_errors", "queue_dropped",
+    "handler_errors", "first_handler_error", "first_handler_traceback",
+    "stream_errors", "queue_dropped",
 )
 
 

@@ -104,8 +104,9 @@ def _stats_reading(replica: Any) -> Dict[str, Any]:
     by it as a representative until funds are there (Listing 7; under
     Astro I its own clients' queued ones) and ``queued``, delivered but
     not yet approved.  Its transport's error counters ride along: handler
-    exceptions (and the first one, by type and message), broken streams,
-    and payloads evicted from full outbound backlogs."""
+    exceptions (the first one by type and message, and its traceback's
+    innermost frames), broken streams, and payloads evicted from full
+    outbound backlogs."""
     stats = replica.transport.stats
     return {
         "settled": replica.settled_count,
@@ -114,6 +115,7 @@ def _stats_reading(replica: Any) -> Dict[str, Any]:
         "queued": replica.queued_payments,
         "handler_errors": stats.handler_errors,
         "first_handler_error": stats.first_handler_error,
+        "first_handler_traceback": stats.first_handler_traceback,
         "stream_errors": stats.stream_errors,
         "queue_dropped": stats.queue_dropped,
     }

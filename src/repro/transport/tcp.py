@@ -59,6 +59,7 @@ import hmac
 import os
 import random
 import struct
+import traceback
 from collections import deque
 from typing import (
     Any,
@@ -109,6 +110,9 @@ TRAIN_MAX_PAYLOADS = 32
 #: Receiver read chunk.
 _READ_CHUNK = 1 << 16
 
+#: Frames kept of the first handler exception's traceback, innermost.
+_HANDLER_TRACEBACK_FRAMES = 4
+
 
 class HandshakeError(ConnectionError):
     """Peer failed mutual authentication (wrong secret, bad magic, ...)."""
@@ -149,6 +153,9 @@ class TransportStats:
         #: The first handler exception, named with its payload type and
         #: message (``None``: no handler raised).
         self.first_handler_error: Optional[str] = None
+        #: Its traceback, the innermost ``_HANDLER_TRACEBACK_FRAMES``
+        #: frames (where it was raised), formatted.
+        self.first_handler_traceback: Optional[str] = None
         #: Payloads evicted from full per-peer outbound backlogs.
         self.queue_dropped = 0
         #: Payloads discarded by injected link faults (chaos harness).
@@ -641,6 +648,12 @@ class TcpTransport:
                 stats.first_handler_error = (
                     f"{exc.__class__.__name__} in the "
                     f"{payload.__class__.__name__} handler: {exc}"
+                )
+                stats.first_handler_traceback = "".join(
+                    traceback.format_exception(
+                        type(exc), exc, exc.__traceback__,
+                        limit=-_HANDLER_TRACEBACK_FRAMES,
+                    )
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -117,3 +117,36 @@ def test_pair_streams_differ_across_pairs_and_seeds():
     other_seed = europe_wan(8, seed=6, pair_streams=True)
     assert wan.sample(0, 1) != wan.sample(1, 0)
     assert wan.sample(0, 2) != other_seed.sample(0, 2)
+
+
+# ---------------------------------------------------------------------------
+# delays(src, dsts) == one sample per destination, bit for bit
+# ---------------------------------------------------------------------------
+
+_MODELS = {
+    "constant": lambda: ConstantLatency(0.0123),
+    "uniform": lambda: UniformLatency(0.001, 0.03, seed=4),
+    "uniform-pairs": lambda: UniformLatency(0.001, 0.03, seed=4, pair_streams=True),
+    "region": lambda: europe_wan(9, seed=8),
+    "region-pairs": lambda: europe_wan(9, seed=8, pair_streams=True),
+    "region-no-jitter": lambda: europe_wan(9, seed=8, jitter=0.0),
+    "region-pairs-no-jitter": lambda: europe_wan(
+        9, seed=8, jitter=0.0, pair_streams=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_delays_equal_one_sample_per_destination(name):
+    drawn, sampled = _MODELS[name](), _MODELS[name]()
+    draws, samples = [], []
+    for round_index in range(4):
+        for src in range(9):
+            dsts = [(src + k) % 9 for k in range(1, 9 - round_index % 3)]
+            draws += drawn.delays(src, dsts)
+            samples += [sampled.sample(src, dst) for dst in dsts]
+            # A unicast between broadcasts draws from the same stream.
+            draws.append(drawn.sample(src, (src + 1) % 9))
+            samples.append(sampled.sample(src, (src + 1) % 9))
+    assert [d.hex() for d in draws] == [s.hex() for s in samples]
+    assert drawn.delays(0, []) == []

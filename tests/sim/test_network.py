@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.events import Simulator
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.latency import ConstantLatency, LatencyModel, europe_wan
 from repro.sim.network import Network
 from repro.sim.node import Node
 
@@ -55,6 +55,19 @@ def test_crash_at_delivery_time_drops_message():
     sim.run_until_idle()
     assert got == []
     assert network.stats.messages_dropped == 1
+
+
+def test_crash_between_arrival_and_service_drops_message():
+    sim, network, nodes = build(delay=0.01)
+    got = []
+    nodes[1].on(str, lambda src, msg: got.append(msg))
+    nodes[0].send(1, "x", recv_cost=0.5)  # arrives at ≈ 0.01, served ≈ 0.26
+    sim.schedule(0.1, network.crash, 1)
+    sim.run_until_idle()
+    assert got == []
+    assert nodes[1].cpu.jobs_served == 1  # it had arrived
+    assert network.stats.messages_dropped == 1
+    assert network.stats.messages_delivered == 0
 
 
 def test_recover_allows_future_delivery():
@@ -180,12 +193,19 @@ class _PairLatency(LatencyModel):
         return 0.01 + 0.001 * ((7 * src + 13 * dst) % 5)
 
 
-def _fanout_history(fanout, use_broadcast, block=(), crash_at=None):
+def _fanout_history(fanout, use_broadcast, block=(), crash_at=None,
+                    latency=_PairLatency, egress=None, recv_cost=None):
     """History of staggered fan-outs from each of 17 nodes to its next
-    ``fanout`` peers, via ``node.broadcast`` or a ``node.send`` loop."""
+    ``fanout`` peers, via ``node.broadcast`` or a ``node.send`` loop.
+
+    ``latency`` builds the model (models hold RNG state, so each run
+    gets its own); ``egress`` is a ``(node, extra delay)`` injection.
+    The history ends with the victim's CPU backlog when the crash hit:
+    > 0 means a copy had arrived there and was still waiting for service.
+    """
     n = 17
     sim = Simulator()
-    network = Network(sim, latency=_PairLatency())
+    network = Network(sim, latency=latency())
     nodes = [Node(sim, i, network) for i in range(n)]
     history = []
     for node in nodes:
@@ -193,25 +213,34 @@ def _fanout_history(fanout, use_broadcast, block=(), crash_at=None):
                 history.append((sim.now, src, _id, msg)))
     for a, b in block:
         network.block(a, b)
+    if egress is not None:
+        network.set_egress_delay(*egress)
 
     def fan_out(node, targets, payload):
         if use_broadcast:
-            node.broadcast(targets, payload, 120)
+            node.broadcast(targets, payload, 120, recv_cost=recv_cost)
         else:
             for dst in targets:
-                node.send(dst, payload, 120)
+                node.send(dst, payload, 120, recv_cost=recv_cost)
 
     for node in nodes:
         targets = [(node.node_id + k) % n for k in range(1, fanout + 1)]
         sim.schedule(0.001 * node.node_id, fan_out, node, targets,
                      ("payload", node.node_id))
+    backlog_at_crash = []
     if crash_at is not None:
         victim, at = crash_at
-        sim.schedule(at, network.crash, victim)
+
+        def crash():
+            backlog_at_crash.append(nodes[victim].cpu.backlog)
+            network.crash(victim)
+
+        sim.schedule(at, crash)
     sim.run_until_idle()
     stats = network.stats
     return (history, sim.events_executed, sim.now, stats.messages_sent,
-            stats.bytes_sent, stats.messages_delivered, stats.messages_dropped)
+            stats.bytes_sent, stats.messages_delivered, backlog_at_crash,
+            stats.messages_dropped)
 
 
 @pytest.mark.parametrize("fanout", [0, 1, 3, 10, 16])
@@ -238,6 +267,46 @@ def test_broadcast_drops_at_crashed_destination(fanout):
     sends = _fanout_history(fanout, use_broadcast=False, crash_at=crash)
     assert broadcast == sends
     assert broadcast[-1] != 0
+
+
+def _builders_wan():
+    # What the benchmark builders sample from.
+    return europe_wan(17, seed=11, pair_streams=True)
+
+
+@pytest.mark.parametrize("fanout", [1, 3, 10, 16])
+def test_broadcast_identical_to_send_loop_on_the_builders_model(fanout):
+    """Pair-stream WAN delays, an egress delay on one sender, a crash
+    between some copy's arrival and its service, and a partition."""
+    setup = dict(
+        latency=_builders_wan, egress=(2, 0.003), recv_cost=0.01,
+        crash_at=(5, 0.0125), block={(0, 1), (3, 4)},
+    )
+    broadcast = _fanout_history(fanout, use_broadcast=True, **setup)
+    sends = _fanout_history(fanout, use_broadcast=False, **setup)
+    assert broadcast == sends
+    history, *_rest, backlog_at_crash, dropped = broadcast
+    assert backlog_at_crash[0] > 0  # a copy was in service at node 5
+    assert dropped != 0
+    assert any(src == 2 for _at, src, _dst, _msg in history)
+
+
+def test_a_blocked_pair_draws_no_delay_from_a_shared_stream():
+    def run(block):
+        sim = Simulator()
+        model = europe_wan(4, seed=3)  # one RNG shared by every pair
+        network = Network(sim, latency=model)
+        nodes = [Node(sim, i, network) for i in range(4)]
+        if block:
+            network.block(0, 2)
+        nodes[0].broadcast([1, 2, 3], "x", 100)
+        return model._rng.getstate()
+
+    twin = europe_wan(4, seed=3)
+    twin.sample(0, 1)
+    twin.sample(0, 3)
+    assert run(block=True) == twin._rng.getstate()
+    assert run(block=False) != twin._rng.getstate()
 
 
 def test_broadcast_single_calendar_entry():

@@ -159,7 +159,7 @@ def test_in_process_cluster_settles_payments(system, boot_hosts):
 _IDLE_STATS = {
     "settled": 0, "rejected": 0, "held": 0, "queued": 0,
     "handler_errors": 0, "first_handler_error": None,
-    "stream_errors": 0, "queue_dropped": 0,
+    "first_handler_traceback": None, "stream_errors": 0, "queue_dropped": 0,
 }
 
 
@@ -194,6 +194,34 @@ def test_collect_gathers_both_readings_from_every_replica(boot_hosts):
         assert state[0]["fingerprint"] == state[1]["fingerprint"]
         assert state[0]["balances"] == default_genesis(2)
         assert loadgen._waiters == {}
+
+    _control_scenario(boot_hosts, 2, body)
+
+
+def _refuse_the_reply(src, message):
+    raise RuntimeError("a replica takes no replies")
+
+
+def test_a_raising_handler_puts_its_traceback_in_the_stats_reading(boot_hosts):
+    async def body(loadgen, hosts):
+        hosts[1].transport.on(ControlReply, _refuse_the_reply)
+        hosts[0].transport.send(1, ControlReply(1, 1, {}))
+        for _ in range(100):
+            stats = await loadgen.collect("stats")
+            if stats[1]["handler_errors"]:
+                break
+            await asyncio.sleep(0.01)
+        reading = stats[1]
+        assert reading["handler_errors"] == 1
+        assert reading["first_handler_error"] == (
+            "RuntimeError in the ControlReply handler: a replica takes no replies"
+        )
+        traceback = reading["first_handler_traceback"]
+        assert traceback.startswith("Traceback (most recent call last):")
+        assert 'in _refuse_the_reply\n' in traceback
+        assert traceback.endswith("RuntimeError: a replica takes no replies\n")
+        assert traceback.count('  File "') <= 4
+        assert stats[0] == _IDLE_STATS
 
     _control_scenario(boot_hosts, 2, body)
 

@@ -162,9 +162,11 @@ def test_a_handler_exception_fails_the_verdict_and_names_itself(monkeypatch):
     assert errors["2"]["first_handler_error"] == (
         "RuntimeError in the CreditMessage handler: armed for the test"
     )
+    assert "in armed\n" in errors["2"]["first_handler_traceback"]
     for node in "013":
         assert errors[node]["handler_errors"] == 0
         assert errors[node]["first_handler_error"] is None
+        assert errors[node]["first_handler_traceback"] is None
     assert report["stranded"] == 0 and report["fingerprints_equal"]
     assert report["monitor"]["ok"]
     assert not report["ok"]
