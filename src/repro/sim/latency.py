@@ -9,7 +9,8 @@ produce one-way propagation delays for the simulator's network layer.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, List, Sequence, Tuple
 
 __all__ = [
     "LatencyModel",
@@ -151,13 +152,15 @@ class RegionLatency(LatencyModel):
         self.intra_delay = _INTRA_REGION_ONE_WAY
         self.jitter = jitter
         self._rng = random.Random(seed)
-        #: Bound method cached for the per-message sampling hot path.
-        self._uniform = self._rng.uniform
-        #: Per-(src, dst) jitter streams; None keeps the shared-RNG
-        #: sampling.
+        self._random = self._rng.random
+        #: Per-(src, dst) jitter streams; None draws every pair's jitter
+        #: from the one shared RNG.
         self._pairs = _PairStreams(seed) if pair_streams else None
-        #: src -> {dst: (base delay, the pair stream's ``random``)}.
-        self._rows: Dict[int, Dict[int, Tuple[float, Callable[[], float]]]] = {}
+        #: src -> {dst: (base delay, the ``random`` its jitter is drawn
+        #: from)}.
+        self._rows: DefaultDict[
+            int, Dict[int, Tuple[float, Callable[[], float]]]
+        ] = defaultdict(dict)
         self._delays: Dict[Tuple[str, str], float] = {}
         for (a, b), delay in pair_delays.items():
             self._delays[(a, b)] = delay
@@ -173,43 +176,37 @@ class RegionLatency(LatencyModel):
             return self.intra_delay
         return self._delays[(region_a, region_b)]
 
+    def _cell(self, src: int, dst: int) -> Tuple[float, Callable[[], float]]:
+        """The pair's ``(base delay, random)``, ``random`` its stream's or
+        the shared RNG's; built on its first draw, kept in ``src``'s row."""
+        row = self._rows[src]
+        cell = row.get(dst)
+        if cell is None:
+            pairs = self._pairs
+            draw = self._random if pairs is None else pairs.stream(src, dst).random
+            cell = row[dst] = (self.base_delay(src, dst), draw)
+        return cell
+
     def sample(self, src: int, dst: int) -> float:
-        # Inlined region_of/base_delay: one sample per simulated message.
-        assignment = self.assignment
-        count = len(assignment)
-        region_a = assignment[src % count]
-        region_b = assignment[dst % count]
-        if region_a == region_b:
-            base = self.intra_delay
-        else:
-            base = self._delays[(region_a, region_b)]
         jitter = self.jitter
         if jitter <= 0:
-            return base
-        pairs = self._pairs
-        if pairs is not None:
-            return base * (1.0 + pairs.uniform(src, dst, -jitter, jitter))
-        return base * (1.0 + self._uniform(-jitter, jitter))
+            return self.base_delay(src, dst)
+        # ``random.uniform(-j, j)`` spelled out (``a + (b - a) * random()``),
+        # as in :meth:`delays`.
+        base, draw = self._cell(src, dst)
+        return base * (1.0 + (-jitter + (jitter - -jitter) * draw()))
 
     def delays(self, src: int, dsts: Sequence[int]) -> List[float]:
-        # With pair streams, each draw is ``random.uniform(-j, j)``
-        # spelled out (``a + (b - a) * random()``) on the pair's cached
-        # stream: the same floats as :meth:`sample`, bit for bit.
-        pairs = self._pairs
         jitter = self.jitter
-        if pairs is None or jitter <= 0:
+        if jitter <= 0:
             return super().delays(src, dsts)
-        row = self._rows.setdefault(src, {})
+        row = self._rows[src]
+        cell = self._cell
         low = -jitter
         span = jitter - low
         out = []
         for dst in dsts:
-            cell = row.get(dst)
-            if cell is None:
-                cell = row[dst] = (
-                    self.base_delay(src, dst), pairs.stream(src, dst).random
-                )
-            base, draw = cell
+            base, draw = row.get(dst) or cell(src, dst)
             out.append(base * (1.0 + (low + span * draw())))
         return out
 

@@ -234,17 +234,18 @@ class Network:
         busy = link._busy_until
         if busy < sim.now:
             busy = sim.now
+        busy_time = link.busy_time
         seq = sim._seq
         arrivals = []
         for dst, delay in zip(dsts, delays):
             busy += per
+            busy_time += per
             arrivals.append((busy + delay, seq, dst))
             seq += 1
         sim._seq = seq
-        transmitted = len(arrivals)
         link._busy_until = busy
-        link.busy_time += per * transmitted
-        link.jobs_served += transmitted
+        link.busy_time = busy_time
+        link.jobs_served += len(arrivals)
         # The copies' (time, seq) keys are reserved above, as one send
         # per copy would, but only the earliest arrival is on the
         # calendar: the rest ride it as a train, latest first (the list

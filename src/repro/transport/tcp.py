@@ -154,7 +154,8 @@ class TransportStats:
         #: message (``None``: no handler raised).
         self.first_handler_error: Optional[str] = None
         #: Its traceback, the innermost ``_HANDLER_TRACEBACK_FRAMES``
-        #: frames (where it was raised), formatted.
+        #: frames (where it was raised), formatted; the exceptions it
+        #: was raised from or while handling are left out.
         self.first_handler_traceback: Optional[str] = None
         #: Payloads evicted from full per-peer outbound backlogs.
         self.queue_dropped = 0
@@ -652,7 +653,7 @@ class TcpTransport:
                 stats.first_handler_traceback = "".join(
                     traceback.format_exception(
                         type(exc), exc, exc.__traceback__,
-                        limit=-_HANDLER_TRACEBACK_FRAMES,
+                        limit=-_HANDLER_TRACEBACK_FRAMES, chain=False,
                     )
                 )
 

@@ -194,14 +194,17 @@ class _PairLatency(LatencyModel):
 
 
 def _fanout_history(fanout, use_broadcast, block=(), crash_at=None,
-                    latency=_PairLatency, egress=None, recv_cost=None):
-    """History of staggered fan-outs from each of 17 nodes to its next
+                    latency=_PairLatency, egress=None, recv_cost=None,
+                    send_cost=0.0):
+    """History of two staggered fan-outs from each of 17 nodes to its next
     ``fanout`` peers, via ``node.broadcast`` or a ``node.send`` loop.
 
     ``latency`` builds the model (models hold RNG state, so each run
     gets its own); ``egress`` is a ``(node, extra delay)`` injection.
-    The history ends with the victim's CPU backlog when the crash hit:
-    > 0 means a copy had arrived there and was still waiting for service.
+    The history ends with every node's link and CPU busy time (as
+    ``float.hex``) and jobs served, the victim's CPU backlog when the
+    crash hit (> 0: a copy had arrived there and was still waiting for
+    service), and the dropped count.
     """
     n = 17
     sim = Simulator()
@@ -217,16 +220,23 @@ def _fanout_history(fanout, use_broadcast, block=(), crash_at=None,
         network.set_egress_delay(*egress)
 
     def fan_out(node, targets, payload):
+        # 131 B: its link time, unlike 120 B's 2**-18 s, is inexact, so
+        # summing it per copy and multiplying it differ.
         if use_broadcast:
-            node.broadcast(targets, payload, 120, recv_cost=recv_cost)
+            node.broadcast(targets, payload, 131, recv_cost=recv_cost,
+                           send_cost=send_cost)
         else:
             for dst in targets:
-                node.send(dst, payload, 120, recv_cost=recv_cost)
+                node.send(dst, payload, 131, recv_cost=recv_cost,
+                          send_cost=send_cost)
 
     for node in nodes:
         targets = [(node.node_id + k) % n for k in range(1, fanout + 1)]
-        sim.schedule(0.001 * node.node_id, fan_out, node, targets,
-                     ("payload", node.node_id))
+        # A second fan-out 20 µs later adds to the link's busy time; from
+        # six copies on, it queues behind the first.
+        for start in (0.0, 0.00002):
+            sim.schedule(start + 0.001 * node.node_id, fan_out, node, targets,
+                         ("payload", node.node_id))
     backlog_at_crash = []
     if crash_at is not None:
         victim, at = crash_at
@@ -238,9 +248,12 @@ def _fanout_history(fanout, use_broadcast, block=(), crash_at=None,
         sim.schedule(at, crash)
     sim.run_until_idle()
     stats = network.stats
+    servers = [(node.link.busy_time.hex(), node.link.jobs_served,
+                node.cpu.busy_time.hex(), node.cpu.jobs_served)
+               for node in nodes]
     return (history, sim.events_executed, sim.now, stats.messages_sent,
-            stats.bytes_sent, stats.messages_delivered, backlog_at_crash,
-            stats.messages_dropped)
+            stats.bytes_sent, stats.messages_delivered, servers,
+            backlog_at_crash, stats.messages_dropped)
 
 
 @pytest.mark.parametrize("fanout", [0, 1, 3, 10, 16])
@@ -248,7 +261,7 @@ def test_broadcast_history_identical_to_send_loop(fanout):
     broadcast = _fanout_history(fanout, use_broadcast=True)
     sends = _fanout_history(fanout, use_broadcast=False)
     assert broadcast == sends
-    assert len(broadcast[0]) == 17 * fanout
+    assert len(broadcast[0]) == 2 * 17 * fanout
 
 
 @pytest.mark.parametrize("fanout", [1, 3, 10, 16])
@@ -277,10 +290,11 @@ def _builders_wan():
 @pytest.mark.parametrize("fanout", [1, 3, 10, 16])
 def test_broadcast_identical_to_send_loop_on_the_builders_model(fanout):
     """Pair-stream WAN delays, an egress delay on one sender, a crash
-    between some copy's arrival and its service, and a partition."""
+    between some copy's arrival and its service, a send cost and a
+    partition."""
     setup = dict(
         latency=_builders_wan, egress=(2, 0.003), recv_cost=0.01,
-        crash_at=(5, 0.0125), block={(0, 1), (3, 4)},
+        send_cost=0.0007, crash_at=(5, 0.0125), block={(0, 1), (3, 4)},
     )
     broadcast = _fanout_history(fanout, use_broadcast=True, **setup)
     sends = _fanout_history(fanout, use_broadcast=False, **setup)

@@ -202,9 +202,21 @@ def _refuse_the_reply(src, message):
     raise RuntimeError("a replica takes no replies")
 
 
-def test_a_raising_handler_puts_its_traceback_in_the_stats_reading(boot_hosts):
+def _refuse_the_reply_while_handling_a_key_error(src, message):
+    try:
+        {}["reply"]
+    except KeyError:
+        raise RuntimeError("a replica takes no replies")
+
+
+@pytest.mark.parametrize(
+    "handler", [_refuse_the_reply, _refuse_the_reply_while_handling_a_key_error]
+)
+def test_a_raising_handler_puts_its_traceback_in_the_stats_reading(
+    boot_hosts, handler
+):
     async def body(loadgen, hosts):
-        hosts[1].transport.on(ControlReply, _refuse_the_reply)
+        hosts[1].transport.on(ControlReply, handler)
         hosts[0].transport.send(1, ControlReply(1, 1, {}))
         for _ in range(100):
             stats = await loadgen.collect("stats")
@@ -218,8 +230,11 @@ def test_a_raising_handler_puts_its_traceback_in_the_stats_reading(boot_hosts):
         )
         traceback = reading["first_handler_traceback"]
         assert traceback.startswith("Traceback (most recent call last):")
-        assert 'in _refuse_the_reply\n' in traceback
+        assert f"in {handler.__name__}\n" in traceback
         assert traceback.endswith("RuntimeError: a replica takes no replies\n")
+        # One exception's innermost frames: a chain is not printed.
+        assert traceback.count("Traceback (most recent call last):") == 1
+        assert "KeyError" not in traceback
         assert traceback.count('  File "') <= 4
         assert stats[0] == _IDLE_STATS
 
