@@ -30,10 +30,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..crypto import costs
-from ..crypto.hashing import Digest
+from ..crypto.hashing import Digest, digest
 from ..transport.interface import Transport
 from .interface import BroadcastLayer, DeliverFn
-from .interface import _payload_digest, _payload_items
+from .interface import _payload_items
 from .quorums import byzantine_quorum, max_faulty
 
 __all__ = ["BrachaBroadcast", "BrbPrepare", "BrbEcho", "BrbReady"]
@@ -233,47 +233,62 @@ class BrachaBroadcast(BroadcastLayer):
         instance.echo_sent = True
         echo = BrbEcho(src, message.seq, message.payload, message.size,
                        self.view)
-        self._send_and_self_apply(echo, self._apply_echo)
+        self._send_and_self_apply(echo, self._on_echo)
         if instance.delivered and key in self.delivered:
             self._instances.pop(key, None)  # the late ECHO was all it owed
 
-    def _on_echo(self, src: int, message: BrbEcho) -> None:
-        if message.view == self.view and src in self._members:
-            self._apply_echo(src, message)
-
-    def _apply_echo(self, src: int, message: BrbEcho) -> None:
-        instance = self._instance((message.origin, message.seq))
-        if instance is None or instance.ready_sent:
+    # ECHO and READY are the all-to-all phases: each handler is one
+    # frame, reading its instance and the payload digest inline and
+    # calling ``_instance`` only on a miss.  ``own`` is our own vote,
+    # applied locally and counted without the view/member check.
+    def _on_echo(self, src: int, message: BrbEcho, own: bool = False) -> None:
+        if not own and (message.view != self.view or src not in self._members):
+            return
+        key = (message.origin, message.seq)
+        instance = self._instances.get(key)
+        if instance is None:
+            instance = self._instance(key)
+            if instance is None:
+                return
+        if instance.ready_sent:
             # Quorum already reached: late ECHOes can never change our
             # vote, so skip the digest lookup and vote bookkeeping.
             return
-        payload_digest = _payload_digest(message.payload)
+        payload = message.payload
+        payload_digest = getattr(payload, "cached_digest", None)
+        if payload_digest is None:
+            payload_digest = digest(payload)
         entry = instance.echoes.get(payload_digest)
         if entry is None:
-            entry = (message.payload, set())
-            instance.echoes[payload_digest] = entry
+            entry = instance.echoes[payload_digest] = (payload, set())
         voters = entry[1]
         voters.add(src)
         if len(voters) >= self.echo_quorum:
             self._send_ready(instance, message)
 
-    def _on_ready(self, src: int, message: BrbReady) -> None:
-        if message.view == self.view and src in self._members:
-            self._apply_ready(src, message)
-
-    def _apply_ready(self, src: int, message: BrbReady) -> None:
-        instance = self._instance((message.origin, message.seq))
-        if instance is None or (instance.delivered and instance.ready_sent):
+    def _on_ready(self, src: int, message: BrbReady, own: bool = False) -> None:
+        if not own and (message.view != self.view or src not in self._members):
+            return
+        key = (message.origin, message.seq)
+        instance = self._instances.get(key)
+        if instance is None:
+            instance = self._instance(key)
+            if instance is None:
+                return
+        if instance.delivered and instance.ready_sent:
             # Both READY-driven transitions already happened; late READYs
             # are pure noise for this instance.
             return
-        payload_digest = _payload_digest(message.payload)
+        payload = message.payload
+        payload_digest = getattr(payload, "cached_digest", None)
+        if payload_digest is None:
+            payload_digest = digest(payload)
         entry = instance.readys.get(payload_digest)
         if entry is None:
-            entry = (message.payload, set())
-            instance.readys[payload_digest] = entry
-        entry[1].add(src)
-        count = len(entry[1])
+            entry = instance.readys[payload_digest] = (payload, set())
+        voters = entry[1]
+        voters.add(src)
+        count = len(voters)
         if count >= self.amplify_threshold and not instance.ready_sent:
             # Amplification: join the READY wave without having seen the
             # echo quorum ourselves (Listing 5 l.26-29).  This is what
@@ -282,14 +297,14 @@ class BrachaBroadcast(BroadcastLayer):
         if count >= self.ready_quorum and not instance.delivered:
             instance.delivered = True
             pending = self._completed.setdefault(message.origin, {})
-            pending[message.seq] = message.payload
+            pending[message.seq] = payload
             self._advance(message.origin, pending)
 
     def _send_ready(self, instance: _Instance, message: Any) -> None:
         instance.ready_sent = True
         ready = BrbReady(message.origin, message.seq, message.payload,
                          message.size, self.view)
-        self._send_and_self_apply(ready, self._apply_ready)
+        self._send_and_self_apply(ready, self._on_ready)
 
     # ------------------------------------------------------------------
     # Delivery (FIFO per origin, Listing 5 l.32)
@@ -315,7 +330,7 @@ class BrachaBroadcast(BroadcastLayer):
     # Plumbing
     # ------------------------------------------------------------------
     def _send_and_self_apply(
-        self, message: Any, apply: Callable[[int, Any], None]
+        self, message: Any, apply: Callable[..., None]
     ) -> None:
         """Send to all peers and count our own vote locally.
 
@@ -327,4 +342,4 @@ class BrachaBroadcast(BroadcastLayer):
             self._others, message, size=message.size, recv_cost=cost,
             send_cost=costs.SEND_OVERHEAD,
         )
-        apply(self.node.node_id, message)
+        apply(self.node.node_id, message, True)

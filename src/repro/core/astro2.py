@@ -20,7 +20,7 @@ Differences from Astro I, per the paper's "Comparison" paragraph:
 
 from __future__ import annotations
 
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from collections import deque
 from operator import le
 
@@ -369,19 +369,30 @@ class Astro2Replica(AstroReplicaBase):
         """Sign this delivery's sub-batches, cut by :meth:`_settle`; apply,
         send or stage (the transport window) each for its representative.
         The groups are insertion-ordered, so content and emission order
-        are pure functions of settle order."""
+        are pure functions of settle order.  The remote CREDITs leave as
+        one ``send_each`` train, each charged its send CPU right after its
+        signature, as one ``send`` each would be; the train collected so
+        far leaves before a self-credit is applied, whose released
+        payments may reach the network."""
         if not self._subbatches:
             return
         groups, self._subbatches = self._subbatches, {}
-        coalescer = self._credit_coalescer
+        coalescer, me, charge = self._credit_coalescer, self.node_id, self.charge
+        train: List[Tuple[int, Any, int, float]] = []
         for rep_node, group in groups.items():
             message = self._sign_subbatch(*group)
-            if rep_node == self.node_id:
-                self._apply_credit(self.node_id, message)
+            if rep_node == me:
+                if train:
+                    self.send_each(train)
+                    train = []
+                self._apply_credit(me, message)
             elif coalescer is None:
-                self._send_credits(rep_node, [message])
+                charge(costs.SEND_OVERHEAD)
+                train.append(self._credit_envelope(rep_node, (message,)))
             else:
                 coalescer.add(rep_node, message)
+        if train:
+            self.send_each(train)
 
     def _flush_credit_window(
         self, rep_node: int, messages: List[CreditMessage]
@@ -411,7 +422,19 @@ class Astro2Replica(AstroReplicaBase):
     def _send_credits(
         self, rep_node: int, messages: List[CreditMessage]
     ) -> None:
-        """Unicast one or more signed sub-batches as one network message.
+        """Unicast one or more signed sub-batches as one network message."""
+        dst, payload, size, recv_cost = self._credit_envelope(rep_node, messages)
+        self.send(
+            dst, payload, size=size, recv_cost=recv_cost,
+            send_cost=costs.SEND_OVERHEAD,
+        )
+
+    @staticmethod
+    def _credit_envelope(
+        rep_node: int, messages: Sequence[CreditMessage]
+    ) -> Tuple[int, Any, int, float]:
+        """``(rep_node, payload, size, recv_cost)`` for one or more signed
+        sub-batches as one network message.
 
         The receiver verifies each sub-batch's signature individually
         (they feed separate certificates), so only the envelope terms —
@@ -428,13 +451,7 @@ class Astro2Replica(AstroReplicaBase):
             + costs.PER_BYTE_CPU * size
             + costs.ECDSA_VERIFY * len(messages)
         )
-        self.send(
-            rep_node,
-            payload,
-            size=size,
-            recv_cost=recv_cost,
-            send_cost=costs.SEND_OVERHEAD,
-        )
+        return rep_node, payload, size, recv_cost
 
     def _on_credit(self, src: int, message: CreditMessage) -> None:
         if self._wal is not None:

@@ -8,22 +8,38 @@ calendar steps:
 
 * at send time, the copy is serialized on the sender's FIFO link
   (``size / bandwidth``), draws a one-way delay from the
-  :class:`~repro.sim.latency.LatencyModel` (a broadcast: all its copies'
-  in one call) plus any fault-injected egress delay (the paper's ``tc
-  netem delay``), and its arrival is pushed on the calendar;
+  :class:`~repro.sim.latency.LatencyModel` plus any fault-injected egress
+  delay (the paper's ``tc netem delay``), and its arrival is pushed on
+  the calendar.  A fan-out — :meth:`Network.broadcast` (one payload) or
+  :meth:`Network.send_each` (a payload per destination) — draws all its
+  copies' delays in one call and is one *train*: every copy's ``(time,
+  seq)`` key is reserved as one send per copy would, but only the
+  earliest arrival is on the calendar and each arrival pushes the next;
 * **arrival** charges the receiver's FIFO CPU the receive cost and
-  pushes the service step at the completion time;
+  queues the service step at the completion time;
 * **service** runs the receiver's handler for the payload's class.
 
-Crashed nodes neither send nor receive; partitions drop messages in both
-directions.  Dropping (rather than erroring) models an asynchronous network
-in which a message to a dead host is simply never delivered.
+The service steps of one node form a FIFO: its CPU only ever moves
+later and sequence numbers are allocated in order, so they complete in
+``(done, seq)`` order.  Only the first is on the calendar; the rest wait
+in the node's inbox, and each service step pushes the next before its
+handler runs.  A backlogged node thus holds one calendar entry, and the
+heap pops by the same keys as if every step were on it.
+
+Crashed nodes neither send nor receive — a crash is checked at arrival
+and again at service, so it drops every queued service step of the node
+and a recovery lets the later ones run; partitions drop messages in both
+directions.  Dropping (rather than erroring) models an asynchronous
+network in which a message to a dead host is simply never delivered.
 """
 
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .events import Simulator
 from .latency import ConstantLatency, LatencyModel
@@ -162,6 +178,8 @@ class Network:
         """
         if src in self._crashed:
             return
+        if recv_cost is not None and recv_cost < 0:
+            raise ValueError(f"negative receive cost: {recv_cost}")
         self.stats.record_send(payload, size)
         if (src, dst) in self._blocked:
             self.stats.messages_dropped += 1
@@ -208,6 +226,8 @@ class Network:
         """
         if src in self._crashed:
             return
+        if recv_cost is not None and recv_cost < 0:
+            raise ValueError(f"negative receive cost: {recv_cost}")
         src_node = self.nodes.get(src)
         if src_node is None:
             raise ValueError(f"unknown source node {src}")
@@ -224,12 +244,81 @@ class Network:
             stats.messages_dropped += copies - len(dsts)
         if not dsts:
             return
+        link = src_node.link
+        arrivals = self._launch(
+            src, link, dsts, dsts, repeat(size / link.bandwidth / link.rate)
+        )
+        time, seq, dst = arrivals.pop()
+        cost = recv_cost if recv_cost is not None else self.DEFAULT_RECV_CPU
+        _heappush(
+            self._heap, (time, seq, self._arrive, (dst, src, payload, cost, arrivals))
+        )
+
+    def send_each(
+        self, src: int, sends: Sequence[Tuple[int, Any, int, Optional[float]]]
+    ) -> None:
+        """Send each ``(dst, payload, size, recv_cost)`` of ``sends`` from
+        ``src`` — a fan-out whose copies differ per destination.
+
+        Exactly equivalent to one :meth:`send` per item, in order, and
+        built like :meth:`broadcast`: one pass for the statistics and the
+        partition, one :meth:`~repro.sim.latency.LatencyModel.delays`
+        call, one link chain and one arrival train.  No item may address
+        ``src`` (loopback handling belongs to :meth:`send`).
+        """
+        if src in self._crashed:
+            return
+        src_node = self.nodes.get(src)
+        if src_node is None:
+            raise ValueError(f"unknown source node {src}")
+        stats = self.stats
+        for _dst, payload, size, cost in sends:
+            if cost is not None and cost < 0:
+                raise ValueError(f"negative receive cost: {cost}")
+            stats.record_send(payload, size)
+        blocked = self._blocked
+        if blocked:
+            kept = [item for item in sends if (src, item[0]) not in blocked]
+            stats.messages_dropped += len(sends) - len(kept)
+            sends = kept
+        if not sends:
+            return
+        link = src_node.link
+        bandwidth, rate = link.bandwidth, link.rate
+        arrivals = self._launch(
+            src, link, [item[0] for item in sends], sends,
+            [size / bandwidth / rate for _dst, _payload, size, _cost in sends],
+        )
+        time, seq, (dst, payload, _size, cost) = arrivals.pop()
+        if cost is None:
+            cost = self.DEFAULT_RECV_CPU
+        _heappush(
+            self._heap, (time, seq, self._arrive, (dst, src, payload, cost, arrivals))
+        )
+
+    def _launch(
+        self,
+        src: int,
+        link: Any,
+        dsts: Sequence[int],
+        cargo: Iterable[Any],
+        link_times: Iterable[float],
+    ) -> List[tuple]:
+        """Serialize a fan-out's copies on ``src``'s ``link`` in order,
+        draw their delays and reserve their ``(time, seq)`` keys, as one
+        :meth:`send` per copy would.
+
+        Returns the arrivals as ``(time, seq, cargo)`` entries, latest
+        first.  Only the earliest goes on the calendar; the rest ride it
+        as a train (the list is popped from its end) and each arrival
+        pushes the next, so the heap pops by the same keys as after one
+        send per copy.  Sorting is needed because per-destination delays
+        vary.
+        """
         delays = self.latency.delays(src, dsts)
         extra = self._egress_delay.get(src)
         if extra:
             delays = [delay + extra for delay in delays]
-        link = src_node.link
-        per = (size / link.bandwidth) / link.rate
         sim = self.sim
         busy = link._busy_until
         if busy < sim.now:
@@ -237,40 +326,36 @@ class Network:
         busy_time = link.busy_time
         seq = sim._seq
         arrivals = []
-        for dst, delay in zip(dsts, delays):
+        for item, delay, per in zip(cargo, delays, link_times):
             busy += per
             busy_time += per
-            arrivals.append((busy + delay, seq, dst))
+            arrivals.append((busy + delay, seq, item))
             seq += 1
         sim._seq = seq
         link._busy_until = busy
         link.busy_time = busy_time
         link.jobs_served += len(arrivals)
-        # The copies' (time, seq) keys are reserved above, as one send
-        # per copy would, but only the earliest arrival is on the
-        # calendar: the rest ride it as a train, latest first (the list
-        # is popped from its end), and each arrival pushes the next.
-        # The heap pops by the same keys either way.  Sorting is needed
-        # because per-destination delays vary.
         arrivals.sort(reverse=True)
-        time, seq, dst = arrivals.pop()
-        cost = recv_cost if recv_cost is not None else self.DEFAULT_RECV_CPU
-        _heappush(
-            self._heap, (time, seq, self._arrive, (dst, src, payload, cost, arrivals))
-        )
+        return arrivals
 
     def _arrive(
         self, dst: int, src: int, payload: Any, cost: float,
         train: Optional[List[tuple]] = None,
     ) -> None:
         """Arrival step: push the train's next arrival, if any; charge
-        ``dst``'s CPU ``cost`` and push the service step at completion."""
+        ``dst``'s CPU ``cost``; queue the service step (see
+        :meth:`_serve`)."""
         if train:
             time, seq, following = train.pop()
-            _heappush(
-                self._heap,
-                (time, seq, self._arrive, (following, src, payload, cost, train)),
-            )
+            if following.__class__ is tuple:
+                # A send_each copy: its own payload and receive cost.
+                following, next_payload, _size, next_cost = following
+                if next_cost is None:
+                    next_cost = self.DEFAULT_RECV_CPU
+                args = (following, src, next_payload, next_cost, train)
+            else:
+                args = (following, src, payload, cost, train)
+            _heappush(self._heap, (time, seq, self._arrive, args))
         node = self.nodes.get(dst)
         if node is None or dst in self._crashed:
             self.stats.messages_dropped += 1
@@ -278,12 +363,38 @@ class Network:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        _heappush(
-            self._heap, (node.cpu.occupy(cost), seq, self._serve, (node, src, payload))
-        )
+        # ``cpu.occupy(cost)`` inline (one frame less per message); the
+        # send entry points refuse a negative cost.
+        cpu = node.cpu
+        done = cpu._busy_until
+        now = sim.now
+        if done < now:
+            done = now
+        cost /= cpu.rate
+        done += cost
+        cpu._busy_until = done
+        cpu.busy_time += cost
+        cpu.jobs_served += 1
+        # The node's service steps complete in (done, seq) order: its CPU
+        # only ever moves later and seqs are allocated in order.  So only
+        # the first is on the calendar; the rest wait in its inbox.
+        if node._serving:
+            node._inbox.append((done, seq, src, payload))
+        else:
+            node._serving = True
+            _heappush(self._heap, (done, seq, self._serve, (node, src, payload)))
 
     def _serve(self, node: "Node", src: int, payload: Any) -> None:
-        """Service step: run ``node``'s handler, unless it crashed."""
+        """Service step: push ``node``'s next queued service step, if
+        any; run ``node``'s handler, unless it crashed."""
+        inbox = node._inbox
+        if inbox:
+            done, seq, next_src, next_payload = inbox.popleft()
+            _heappush(
+                self._heap, (done, seq, self._serve, (node, next_src, next_payload))
+            )
+        else:
+            node._serving = False
         if node.node_id in self._crashed:
             self.stats.messages_dropped += 1
             return

@@ -15,7 +15,8 @@ the simulator itself, which satisfies
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Type
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple, Type
 
 from .events import Event, Simulator
 from .network import Network
@@ -51,9 +52,14 @@ class Node:
         self.cpu = CpuServer(sim, name=f"cpu[{node_id}]", cores=cores)
         self.link = LinkServer(sim, name=f"nic[{node_id}]", bandwidth=bandwidth)
         #: Modelled local CPU (Transport contract ``charge``); bound once
-        #: since no tap ever intercepts it, unlike ``send``/``broadcast``.
+        #: since no tap ever intercepts it, unlike the three sends.
         self.charge = self.cpu.occupy
         self._handlers: Dict[Type[Any], Callable[[int, Any], None]] = {}
+        #: The network's service FIFO for this node: ``_serving`` while a
+        #: service step of ours is on the calendar, and the ``(done, seq,
+        #: src, payload)`` steps queued behind it (``Network._arrive``).
+        self._serving = False
+        self._inbox: Deque[Tuple[float, int, int, Any]] = deque()
         # The crashed-node set behind ``crashed_view`` is mutated in
         # place, never replaced, so caching the reference makes ``alive``
         # a single set containment test (consulted per payment on hot
@@ -110,6 +116,15 @@ class Node:
             self.node_id, targets, payload, size=size, recv_cost=recv_cost
         )
 
+    def send_each(
+        self, sends: Sequence[Tuple[int, Any, int, Optional[float]]]
+    ) -> None:
+        """Send each ``(dst, payload, size, recv_cost)`` item (no ``dst``
+        may be us): one :meth:`send` per item, as one
+        :meth:`Network.send_each` train.  The caller charges their send
+        CPU (``charge``)."""
+        self.network.send_each(self.node_id, sends)
+
     # ------------------------------------------------------------------
     # Egress taps (Byzantine behaviour injection, repro.adversary)
     # ------------------------------------------------------------------
@@ -118,19 +133,22 @@ class Node:
 
         ``tap.bind(raw_send, raw_broadcast)`` receives the untapped bound
         methods, then ``tap.send`` / ``tap.broadcast`` shadow this
-        instance's :meth:`send` and :meth:`broadcast`.  Installation is
-        per-instance attribute shadowing, so nodes without a tap pay
-        nothing on the hot path, and an installed tap that merely
-        forwards reproduces the untapped history byte-for-byte.
+        instance's :meth:`send` and :meth:`broadcast`, and a loop over
+        ``tap.send`` shadows :meth:`send_each`, so the tap sees every
+        copy of a train too.  Installation is per-instance attribute
+        shadowing, so nodes without a tap pay nothing on the hot path,
+        and an installed tap that merely forwards reproduces the untapped
+        history byte-for-byte (one send per item is what a train is).
         """
         tap.bind(Node.send.__get__(self), Node.broadcast.__get__(self))
         self.send = tap.send            # type: ignore[method-assign]
         self.broadcast = tap.broadcast  # type: ignore[method-assign]
+        self.send_each = _each_through(tap.send)  # type: ignore[method-assign]
 
     def remove_egress_tap(self) -> None:
         """Undo :meth:`install_egress_tap` (idempotent)."""
-        self.__dict__.pop("send", None)
-        self.__dict__.pop("broadcast", None)
+        for name in ("send", "broadcast", "send_each"):
+            self.__dict__.pop(name, None)
 
     # ------------------------------------------------------------------
     # Timers
@@ -152,3 +170,13 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} id={self.node_id}>"
+
+
+def _each_through(send: Callable[..., None]) -> Callable[..., None]:
+    """A ``send_each`` that hands every item to ``send`` in turn."""
+
+    def send_each(sends: Sequence[Tuple[int, Any, int, Optional[float]]]) -> None:
+        for dst, payload, size, recv_cost in sends:
+            send(dst, payload, size=size, recv_cost=recv_cost)
+
+    return send_each

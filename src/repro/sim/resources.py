@@ -12,8 +12,9 @@ non-preemptive, it suffices to track the time the server frees up
 
 A server only does that arithmetic and schedules nothing.  The one
 caller that acts at completion is the simulated network: a message's
-arrival step charges the receiver's CPU with :meth:`FifoServer.occupy`
-and pushes the service step at the returned time itself.
+arrival step charges the receiver's CPU with :meth:`FifoServer.occupy`'s
+arithmetic (inline, one frame less per message) and queues the service
+step at the completion time itself.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ thin delegators.
 
 Delegation rules encoded here (and relied on by ``repro.adversary``):
 
-* ``send`` / ``broadcast`` / ``charge`` are *cached bound methods* of
-  the transport — they sit on per-payment hot paths and a delegating
-  def would add a Python frame to every message.  An egress tap shadows
-  the transport instance's ``send``/``broadcast``, so
+* ``send`` / ``broadcast`` / ``send_each`` / ``charge`` are *cached
+  bound methods* of the transport — they sit on per-payment hot paths
+  and a delegating def would add a Python frame to every message.
+  ``send_each`` carries no send CPU: the caller pays it with
+  ``charge``.  An egress tap shadows the transport instance's three
+  sends, so
   :meth:`install_egress_tap` / :meth:`remove_egress_tap` re-resolve the
   cache; taps MUST be installed through the endpoint, never directly on
   the transport, or replica-originated sends bypass them.
@@ -41,7 +43,7 @@ class ProtocolEndpoint:
         self._sync_egress()
 
     def _sync_egress(self) -> None:
-        """(Re-)cache the transport's current send/broadcast.
+        """(Re-)cache the transport's current send/broadcast/send_each.
 
         Called at construction and around tap install/removal — the
         cached bound methods are the hot-path fast path; the tap
@@ -49,6 +51,7 @@ class ProtocolEndpoint:
         """
         self.send = self.transport.send
         self.broadcast = self.transport.broadcast
+        self.send_each = self.transport.send_each
 
     def on(
         self, message_type: Type[Any], handler: Callable[[int, Any], None]

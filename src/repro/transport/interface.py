@@ -11,12 +11,18 @@ never loads the simulator.
 
 Contract notes (the parts a new backend must get right):
 
-* **send/broadcast are fire-and-forget.**  The asynchronous network
-  abstraction of the paper (§III) has no failure notifications: a send
-  to a dead or unreachable peer is silently dropped.  ``size``,
+* **send/broadcast/send_each are fire-and-forget.**  The asynchronous
+  network abstraction of the paper (§III) has no failure notifications:
+  a send to a dead or unreachable peer is silently dropped.  ``size``,
   ``recv_cost`` and ``send_cost`` describe the *modelled* wire size and
   CPU of the message; the simulator charges them, a real backend may
   ignore them (real wire bytes and CPU are spent for real).
+* **``send_each(sends)`` is a per-destination fan-out.**  Each
+  ``(dst, payload, size, recv_cost)`` item is one ``send``, in order;
+  no item may address the sender itself.  It takes no ``send_cost``:
+  the caller pays the send CPU with ``charge``, in its own order.  The
+  simulator ships the items as one train; a real backend
+  may loop over ``send``.
 * **``charge(cost)`` is modelled local CPU.**  Protocol code calls it
   for work that happens outside a message send (signing its own ACK,
   settling a batch).  The simulator occupies the node's CPU server;
@@ -30,10 +36,12 @@ Contract notes (the parts a new backend must get right):
   :meth:`repro.sim.network.Network.crashed_view`.
 * **Egress taps** (``install_egress_tap`` / ``remove_egress_tap``)
   shadow the instance's ``send``/``broadcast`` with the tap's, binding
-  the raw bound methods via ``tap.bind(raw_send, raw_broadcast)``.
-  Whoever caches a bound ``send``/``broadcast`` must re-resolve it when
-  a tap is armed or removed mid-run (``repro.adversary``):
-  :class:`~repro.transport.endpoint.ProtocolEndpoint` caches both and
+  the raw bound methods via ``tap.bind(raw_send, raw_broadcast)``; a tap
+  sees every item of a ``send_each`` as one ``tap.send``.
+  Whoever caches a bound ``send``/``broadcast``/``send_each`` must
+  re-resolve it when a tap is armed or removed mid-run
+  (``repro.adversary``):
+  :class:`~repro.transport.endpoint.ProtocolEndpoint` caches all three and
   re-syncs in its own ``install_egress_tap``/``remove_egress_tap``, so
   taps are installed *through the endpoint*; the BRB layers hold the
   transport and call ``transport.send(...)`` dynamically.
@@ -47,6 +55,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     Type,
     runtime_checkable,
 )
@@ -120,6 +129,13 @@ class Transport(Protocol):
         recv_cost: Optional[float] = None,
         send_cost: float = 0.0,
     ) -> None:
+        ...
+
+    def send_each(
+        self, sends: Sequence[Tuple[int, Any, int, Optional[float]]]
+    ) -> None:
+        """One ``send(dst, payload, size, recv_cost)`` per item, in order;
+        send CPU is the caller's ``charge``."""
         ...
 
     def on(

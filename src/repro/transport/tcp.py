@@ -405,6 +405,15 @@ class TcpTransport:
                 size=size, recv_cost=recv_cost,
             )
 
+    def send_each(
+        self, sends: Sequence[Tuple[int, Any, int, Optional[float]]]
+    ) -> None:
+        """One :meth:`send` per item, through ``self.send`` (so an
+        installed egress tap sees each)."""
+        send = self.send
+        for dst, payload, size, recv_cost in sends:
+            send(dst, payload, size, recv_cost)
+
     def charge(self, cost: float) -> None:
         """Modelled CPU is a no-op here: the work burned real cycles."""
 

@@ -14,7 +14,10 @@ import functools
 import pytest
 
 from repro.adversary import ATTACKS, InvariantMonitor, install_adversary
-from repro.bench.systems import SYSTEM_BUILDERS
+from repro.adversary.behaviors import ByzantineBehavior
+from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
+from repro.core.dependencies import CreditMessage
+from repro.core.persistence import state_fingerprint
 from repro.bench.timeline import run_timeline
 
 SIZE = 7  # f = 2 Byzantine replicas
@@ -186,6 +189,58 @@ def test_tap_forwards_verbatim_until_armed():
     benign = run(None)
     armed_later = run({"attack": "mute", "at": 100.0})
     assert benign == armed_later
+
+
+class _CountingTap(ByzantineBehavior):
+    """Never armed: forwards verbatim, counting the CREDITs it sees."""
+
+    name = "count"
+
+    def __init__(self):
+        super().__init__()
+        self.credits = 0
+
+    def send(self, dst, payload, *args, **kwargs):
+        self.credits += isinstance(payload, CreditMessage)
+        super().send(dst, payload, *args, **kwargs)
+
+
+def test_unarmed_tap_on_astro2_reproduces_credit_trains():
+    """A tap sees each CREDIT of a per-delivery ``send_each`` train as one
+    send, and forwarding them one by one reproduces the untapped run:
+    clocks, events, every node's CPU and link, every replica's state."""
+    def run(tapped):
+        system = SYSTEM_BUILDERS["astro2"](4, seed=5)
+        replica = system.replica_by_node(system.replica_node_ids[-1])
+        trains = []
+        if tapped:
+            tap = _CountingTap()
+            tap.attach(replica, system, rng=None)
+        else:
+            send_each = replica.send_each
+            replica.send_each = lambda sends: (
+                trains.append(len(sends)), send_each(sends))
+        clients = client_ids_of(system)
+        for round_ in range(3):
+            for index, client in enumerate(clients):
+                system.submit(client, clients[(index + round_ + 1) % len(clients)], 1)
+        system.settle_all()
+        nodes = sorted(system.network.nodes.values(), key=lambda n: n.node_id)
+        stats = system.network.stats
+        history = (
+            system.sim.now.hex(), system.sim.events_executed, system.sim._seq,
+            stats.messages_sent, stats.messages_delivered, stats.bytes_sent,
+            [(n.cpu.busy_time.hex(), n.cpu.jobs_served,
+              n.link.busy_time.hex(), n.link.jobs_served) for n in nodes],
+            [state_fingerprint(r.state) for r in system.replicas],
+        )
+        return history, (tap.credits if tapped else trains)
+
+    untapped, trains = run(tapped=False)
+    tapped, credits = run(tapped=True)
+    assert tapped == untapped
+    assert max(trains) >= 2  # a delivery's CREDITs left as one train
+    assert credits == sum(trains)
 
 
 def test_attack_applicability_enforced():

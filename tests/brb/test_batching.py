@@ -259,7 +259,8 @@ class TestGrouping:
     def test_credit_groups_by_beneficiary_representative(self):
         """Astro II's second batching level, on the code that runs it: the
         sub-batches one delivery signs, as ``_sign_subbatch`` receives
-        them, per representative they are sent to."""
+        them, per representative the transport's ``send_each`` sends
+        them to — one train, one CREDIT per sub-batch."""
         reps = {"a": 0, "x": 0, "b": 2, "c": 3}
         system = Astro2System(
             num_replicas=4, genesis=dict.fromkeys(reps, 10),
@@ -269,7 +270,16 @@ class TestGrouping:
         signed, sent_to = [], []
         sign = replica._sign_subbatch
         replica._sign_subbatch = lambda *group: signed.append(group) or sign(*group)
-        replica._send_credits = lambda rep_node, _messages: sent_to.append(rep_node)
+        trains = []
+        send_each = replica.transport.send_each
+
+        def observe(sends):
+            trains.append(sends)
+            sent_to.extend(dst for dst, *_rest in sends)
+            send_each(sends)
+
+        replica.transport.send_each = observe
+        replica._sync_egress()
         # x's waiting payment settles in x's run, ahead of the batch's x#2
         # (rejected: underfunded, so it joins no sub-batch).
         waited = Payment("x", 1, "b", 1)
@@ -285,6 +295,11 @@ class TestGrouping:
         assert flat == ["a", 1, "b", 1, "x", 1, "b", 1]
         assert digests == [batch.payment(0).core_digest(), waited.core_digest()]
         assert groups[3] == (["a", 2, "c", 1], [batch.payment(1).core_digest()])
+        assert len(trains) == 1
+        assert [
+            (list(message.flat), list(message.core_digests))
+            for _dst, message, _size, _cost in trains[0]
+        ] == [(list(flat), list(digests)) for flat, digests in signed]
 
 
 class TestQuorums:

@@ -2,6 +2,7 @@
 
 
 from repro.core.payment import Payment
+from repro.sim.latency import LatencyModel
 from repro.core.system import Astro2System
 
 GENESIS = {"alice": 100, "bob": 50, "carol": 0, "dave": 25}
@@ -378,3 +379,92 @@ def test_crashed_replica_does_not_flush_coalesced_credits():
     # ever arrived.
     (outstanding,) = rep_bob._collector._certified.values()
     assert outstanding == {victim.node_id}
+
+
+def test_a_saturated_n32_calendar_holds_one_service_step_per_node():
+    """Astro II at N = 32 and 8000 pps backlogs every replica's CPU; the
+    calendar still holds at most one service step per node, the rest
+    waiting in the nodes' inboxes."""
+    from repro.bench.runner import setup_open_loop
+    from repro.bench.systems import SYSTEM_BUILDERS
+
+    system = SYSTEM_BUILDERS["astro2"](32, seed=3)
+    setup_open_loop(system, 8000, 0.1, 0.05, seed=3)
+    sim, network = system.sim, system.network
+    serve, queued = network._serve, []
+
+    def probe():
+        serving = [entry[3][0].node_id for entry in sim._heap
+                   if entry[2] == serve]
+        assert len(serving) == len(set(serving))
+        assert sorted(serving) == sorted(
+            n.node_id for n in network.nodes.values() if n._serving)
+        queued.append(sum(len(n._inbox) for n in network.nodes.values()))
+        sim.schedule(0.005, probe)
+
+    sim.schedule(0.1, probe)
+    system.run(0.25)
+    assert len(queued) >= 30
+    assert max(queued) > 1000  # service steps the calendar does not hold
+
+
+class _IntoReplicaZero(LatencyModel):
+    """1 ms everywhere but into replica 0: 40 ms from 1, 80 ms from 3."""
+
+    SLOW = {(1, 0): 0.04, (3, 0): 0.08}
+
+    def sample(self, src, dst):
+        return self.SLOW.get((src, dst), 0.001)
+
+
+def _flush_one_send_per_credit(replica):
+    """The CREDIT flush as one ``send`` per sub-batch, right after its
+    signature (Listing 9 l.55-57 read literally): the reference."""
+    groups, replica._subbatches = replica._subbatches, {}
+    for rep_node, group in groups.items():
+        message = replica._sign_subbatch(*group)
+        if rep_node == replica.node_id:
+            replica._apply_credit(rep_node, message)
+        else:
+            replica._send_credits(rep_node, [message])
+
+
+def _history_of_a_release_mid_flush(reference):
+    """Replica 0 holds three of h's payments.  A batch from replica 1
+    pays b (rep 2), c (rep 3) and then h; replica 0 delivers it last,
+    with replica 2's CREDIT for h already in, so its own CREDIT mints
+    h's certificate in the middle of its flush and the released payments
+    fill a batch that broadcasts at once."""
+    reps = {"a": 1, "b": 2, "c": 3, "h": 0}
+    system = Astro2System(
+        genesis={"a": 100, "b": 0, "c": 0, "h": 0},
+        config=AstroConfig(num_replicas=4, batch_size=3),
+        rep_assignment=reps, latency=_IntoReplicaZero(),
+    )
+    if reference:
+        for replica in system.replicas:
+            replica._flush_credits = (
+                lambda replica=replica: _flush_one_send_per_credit(replica))
+    network, log = system.network, []
+    serve = network._serve
+
+    def logged(node, src, payload):
+        log.append((system.sim.now.hex(), src, node.node_id,
+                    type(payload).__name__))
+        serve(node, src, payload)
+
+    network._serve = logged
+    for _ in range(3):
+        system.submit("h", "b", 1)
+    assert system.replicas[0].held_payments == 3
+    for beneficiary, amount in (("b", 1), ("c", 1), ("h", 5)):
+        system.submit("a", beneficiary, amount)
+    system.settle_all()
+    assert system.replicas[0].held_payments == 0
+    return log, system.settled_counts()
+
+
+def test_a_credit_train_leaves_before_a_self_credit_releases_payments():
+    train, settled = _history_of_a_release_mid_flush(reference=False)
+    assert train == _history_of_a_release_mid_flush(reference=True)[0]
+    assert settled == [6, 6, 6, 6]

@@ -549,14 +549,16 @@ def _bind_all(system, root, **kwargs):
     whole simulated system, not of recovery.  The simulator's own crash
     model is ROADMAP item 2."""
     network = system.network
-    network.send = network.broadcast = lambda *_args, **_kw: None
+    network.send = network.broadcast = network.send_each = (
+        lambda *_args, **_kw: None
+    )
     try:
         reports = {}
         for replica in system.replicas:
             store = ReplicaStore(str(root), replica.node_id, **kwargs)
             reports[replica.node_id] = replica.bind_persistence(store)
     finally:
-        del network.send, network.broadcast
+        del network.send, network.broadcast, network.send_each
     _assert_projections_derived(system.replicas)
     return reports
 

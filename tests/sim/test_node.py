@@ -67,3 +67,41 @@ def test_messages_between_custom_sizes_account_bandwidth():
     before = nodes[0].link.busy_time
     nodes[0].send(1, b"payload", size=30 * 1024 * 1024)  # 1 second of NIC
     assert nodes[0].link.busy_time - before == pytest.approx(1.0)
+
+
+class _RecordingTap:
+    """Forwards every send, recording what it saw."""
+
+    def __init__(self):
+        self.seen = []
+
+    def bind(self, raw_send, raw_broadcast):
+        self.raw_send, self.raw_broadcast = raw_send, raw_broadcast
+
+    def send(self, dst, payload, size=256, recv_cost=None, send_cost=0.0):
+        self.seen.append((dst, payload, size, recv_cost, send_cost))
+        self.raw_send(dst, payload, size=size, recv_cost=recv_cost,
+                      send_cost=send_cost)
+
+    def broadcast(self, targets, payload, size=256, recv_cost=None,
+                  send_cost=0.0):
+        self.raw_broadcast(targets, payload, size=size, recv_cost=recv_cost,
+                           send_cost=send_cost)
+
+
+def test_egress_tap_sees_every_item_of_send_each():
+    sim, network, nodes = build()
+    got = []
+    for node in nodes[1:]:
+        node.on(str, lambda src, msg: got.append(msg))
+    tap = _RecordingTap()
+    nodes[0].install_egress_tap(tap)
+    sends = [(1, "a", 100, None), (3, "b", 120, 0.001)]
+    nodes[0].send_each(sends)
+    assert tap.seen == [item + (0.0,) for item in sends]
+    nodes[0].remove_egress_tap()
+    nodes[0].send_each([(2, "c", 100, None)])
+    assert len(tap.seen) == 2
+    assert "send_each" not in vars(nodes[0])
+    sim.run_until_idle()
+    assert sorted(got) == ["a", "b", "c"]
