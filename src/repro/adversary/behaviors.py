@@ -26,11 +26,12 @@ from ..core.dependencies import (
     CreditBundle,
     CreditMessage,
     DependencyCertificate,
+    MintedSubbatch,
     credit_content,
-    subbatch_digest_of,
+    subbatch_digest,
 )
 from ..core.messages import ClientSubmit
-from ..core.payment import Payment
+from ..core.payment import Payment, core_digests
 from ..crypto import costs
 from ..crypto.signatures import sign
 
@@ -228,12 +229,12 @@ class ForgedCreditSettler(ByzantineBehavior):
     """CREDITs whose payload disagrees with their signed digest.
 
     Every outgoing CREDIT keeps its (valid) signature and claimed
-    sub-batch digest but ships payments with inflated amounts — the
-    forgery PR 5 hardened :meth:`DependencyCollector.add_credit` against:
-    the collector recomputes ``subbatch_digest_of(payments)`` on first
-    arrival and must discard the message, so no certificate ever binds
-    the inflated amounts.  Certificates still mint from the >= f+1
-    correct settlers.
+    sub-batch digest but ships columns with inflated amounts — the
+    forgery :meth:`DependencyCollector.add_credit` is hardened against:
+    on first arrival the collector checks the columns and hashes them
+    (``subbatch_digest(core_digests(flat))``), finds another digest and
+    discards the message, so no certificate ever binds the inflated
+    amounts.  Certificates still mint from the >= f+1 correct settlers.
     """
 
     name = "forge_credit"
@@ -254,15 +255,13 @@ class ForgedCreditSettler(ByzantineBehavior):
 
     @staticmethod
     def _forge(message: CreditMessage) -> CreditMessage:
-        inflated = tuple(
-            Payment(p.spender, p.seq, p.beneficiary, p.amount * 100 + 1)
-            for p in message.payments
-        )
+        inflated = list(message.flat)
+        inflated[3::4] = [amount * 100 + 1 for amount in inflated[3::4]]
         # Same claimed digest and signature, conflicting payload: the
         # receiver's first-arrival digest check is the only defence.
         return CreditMessage(
-            message.shard_id, inflated, message.signature,
-            subbatch_digest=message.subbatch_digest,
+            message.shard_id, tuple(inflated), message.signature,
+            message.subbatch_digest, None,
         )
 
 
@@ -312,14 +311,11 @@ class CertStuffingRepresentative(ByzantineBehavior):
 
     def _stuff(self, payment: Payment) -> Payment:
         self._ghost_seq += 1
-        ghost = Payment(
-            ("ghost", self.replica.node_id, self._ghost_seq),
-            1,
-            payment.spender,
-            1 << 30,
+        ghost = (
+            ("ghost", self.replica.node_id, self._ghost_seq), 1,
+            payment.spender, 1 << 30,
         )
-        subbatch = (ghost,)
-        batch_digest = subbatch_digest_of(subbatch)
+        batch_digest = subbatch_digest(core_digests(ghost))
         signature = sign(
             self.replica.key,
             credit_content(self.replica.shard_id, batch_digest),
@@ -329,10 +325,10 @@ class CertStuffingRepresentative(ByzantineBehavior):
             signatures = (signature,) * (faulty_bound + 2)  # oversized
         else:
             signatures = (signature,)  # undersized (distinct signers < f+1)
-        cert = DependencyCertificate(
-            ghost, self.replica.shard_id, subbatch, signatures,
-            subbatch_digest=batch_digest,
+        record = MintedSubbatch(
+            self.replica.shard_id, batch_digest, signatures, ghost
         )
+        cert = DependencyCertificate(record, 0)
         return Payment(*payment.core, deps=payment.deps + (cert,))
 
 

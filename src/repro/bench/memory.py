@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import tracemalloc
+from sys import intern
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..brb.batching import Batch
 from ..core.accounts import AccountState
 from ..core.dependencies import CreditMessage
 from ..core.interning import ClientInterner
-from ..core.payment import Payment
+from ..core.payment import Payment, core_digests
 from ..core.system import Astro2System
 from ..transport.framing import decode_exactly_one, encode_frame
 from ..workloads.uniform import uniform_genesis
@@ -104,19 +105,21 @@ def measure_bytes_per_pending_certificate() -> float:
     genesis = uniform_genesis(1024)
     system = Astro2System(num_replicas=4, genesis=genesis)
     representative = system.replicas[0]
-    served = [c for c in genesis if system.directory.rep_of(c) == 0]
-    ids = list(genesis)
+    # Ids interned before tracing, as at a replica that has seen them.
+    ids = list(map(intern, genesis))
+    served = [c for c in ids if system.directory.rep_of(c) == 0]
     frames = []
     for start in range(0, 16_384, 32):
-        subbatch = tuple(
-            Payment(ids[k % 1024], k // 1024 + 1,
-                    served[(7 * k + 1) % len(served)], 1)
-            for k in range(start, start + 32)
-        )
+        flat = tuple([
+            field for k in range(start, start + 32)
+            for field in (ids[k % 1024], k // 1024 + 1,
+                          served[(7 * k + 1) % len(served)], 1)
+        ])
+        digests = core_digests(flat)
         frames += [
-            (replica.node_id, encode_frame(
-                CreditMessage.create(replica.key, replica.shard_id, subbatch)
-            ))
+            (replica.node_id, encode_frame(CreditMessage.from_cores(
+                replica.key, replica.shard_id, flat, digests
+            )))
             for replica in system.replicas
         ]
     tracemalloc.start()

@@ -123,9 +123,16 @@ class Batch:
 
 def _batch_from_wire(flat: tuple, extras: tuple) -> Batch:
     """Inverse of :meth:`Batch.__reduce__`, building no ``Payment``; bad
-    columns raise ``ValueError``, which framing makes ``FrameError``."""
+    columns, or a dependency that is not a certificate, raise
+    ``ValueError``, which framing makes ``FrameError``."""
+    flat, by_position = checked_cores(flat, extras)
+    for deps in by_position.values():
+        for dep in deps:
+            if dep.__class__ is not DependencyCertificate:
+                raise ValueError("packed payments: a dependency that is "
+                                 "not a certificate")
     batch = Batch.__new__(Batch)
-    batch._columns(*checked_cores(flat, extras))
+    batch._columns(flat, by_position)
     return batch
 
 
@@ -281,8 +288,10 @@ class KeyedCoalescer(Generic[T]):
         return sum(len(bucket) for bucket in self._pending.values())
 
 
-# Bound last: ``core.payment`` needs nothing from here, but importing it
-# runs ``repro.core``'s package init, whose replicas import this module.
+# Bound last: ``core.payment`` and ``core.dependencies`` need nothing from
+# here, but importing them runs ``repro.core``'s package init, whose
+# replicas import this module.
+from ..core.dependencies import DependencyCertificate  # noqa: E402
 from ..core.payment import (  # noqa: E402
     Payment,
     checked_cores,

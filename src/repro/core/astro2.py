@@ -108,11 +108,12 @@ class Astro2Replica(AstroReplicaBase):
         #: grows, so a checkpoint writes only what it gained since the
         #: previous one (``core.persistence.HISTORIES``).
         self._used_deps: Dict[ClientId, Dict[PaymentId, None]] = {}
-        #: Sub-batch certificates already verified on this replica, keyed
-        #: by (shard, sub-batch digest).  One verification covers every
-        #: payment of the sub-batch (§VI-A's 2-level batching).  Not
+        #: Sub-batch certificates already verified on this replica:
+        #: (shard, sub-batch digest) -> the verified columns.  One
+        #: verification covers every payment of the sub-batch (§VI-A's
+        #: 2-level batching) — of *those* columns only.  Not
         #: checkpointed: ``_cert_valid`` refills it on first sight.
-        self._verified_certs: Dict[Tuple[int, int], None] = {}
+        self._verified_certs: Dict[Tuple[int, int], tuple] = {}
         #: The current delivery's CREDIT sub-batches, cut by ``_settle``
         #: and signed by ``_flush_credits``: beneficiary representative ->
         #: (flat cores, core digests), in settle order — Astro II's second
@@ -207,10 +208,10 @@ class Astro2Replica(AstroReplicaBase):
         semantically: a certificate is only needed to prove funds the
         replicas have not yet seen materialized.
 
-        The certificates are built here, from the client's ``(record,
-        position)`` references, in minting order and with one unpacked
-        sub-batch per record (``dependencies.certificates_of``); until
-        then a pending certificate is two list slots.
+        The certificates are the client's ``(record, position)``
+        references, wrapped here in minting order
+        (``dependencies.certificates_of``); until then a pending
+        certificate is two list slots.
         """
         spender = payment.spender
         attached = self._attached_projection.get(spender, 0)
@@ -273,7 +274,8 @@ class Astro2Replica(AstroReplicaBase):
         sig_bound = self._cert_sig_bound
         for deps in batch.extras.values():
             for cert in deps:
-                key = (cert.shard_id, cert.subbatch_digest)
+                record = cert.record
+                key = (record.shard_id, record.subbatch_digest)
                 if key not in self._verified_certs and key not in charged:
                     charged.add(key)
                     # Clamp at the *certificate's* shard bound: an
@@ -281,8 +283,8 @@ class Astro2Replica(AstroReplicaBase):
                     # verify_certificate's length check before any
                     # signature is examined, so it cannot occupy more CPU
                     # than an honest certificate of that shard.
-                    sigs = len(cert.signatures)
-                    bound = sig_bound(cert.shard_id)
+                    sigs = len(record.signatures)
+                    bound = sig_bound(record.shard_id)
                     if sigs > bound:
                         sigs = bound
                     verify_cost += costs.ECDSA_VERIFY * sigs
@@ -352,13 +354,17 @@ class Astro2Replica(AstroReplicaBase):
         return None  # no direct deposit — nothing new to re-examine
 
     def _cert_valid(self, cert: DependencyCertificate) -> bool:
-        key = (cert.shard_id, cert.subbatch_digest)
-        if key in self._verified_certs:
-            # The sub-batch is already proven settled by f+1 replicas of
-            # its shard; only this payment's membership needs checking.
-            return cert.payment in cert.subbatch
+        record = cert.record
+        key = (record.shard_id, record.subbatch_digest)
+        verified = self._verified_certs.get(key)
+        if verified is not None:
+            # f+1 replicas of the shard signed the digest of ``verified``:
+            # a certificate carrying other columns under it proves nothing.
+            flat = record.flat
+            return (flat is verified or flat == verified) and (
+                0 <= cert.position < len(flat) // 4)
         if verify_certificate(cert, self.directory, self.keychain):
-            self._verified_certs[key] = None
+            self._verified_certs[key] = record.flat
             return True
         return False
 

@@ -19,23 +19,26 @@ Per the paper's 2-level batching (§VI-A), a CREDIT covers a *sub-batch*
 representative) under a single signature.
 
 Every settler ships the sub-batch by value (Listings 9–10), as core
-fields (``core.payment.pack_payments``) — never with the crediting
+fields (``core.payment.flat_cores``) — never with the crediting
 payments' own dependencies — so a representative receives each one
-``N - 1`` times and reads its columns: no copy builds a ``Payment``.
+``N - 1`` times and reads its columns: no CREDIT holds a ``Payment``.
 
-A representative holds its clients' certificates until a payment needs
-them (Listing 7, attached lazily), which under load that never runs an
-account low is for good.  So it does not hold certificates: f+1 CREDITs
-mint one :class:`MintedSubbatch` — shard, digest, the f+1 signatures and
-the sub-batch's packed core fields, held once — and a pending
-certificate is a ``(record, position)`` reference into it.
-:func:`certificates_of` builds the certificates when they are
-attached, with one unpacked sub-batch per record; a checkpoint pickles
-each record once.
+f+1 matching CREDITs mint one :class:`MintedSubbatch` — shard, digest,
+the f+1 signatures and the sub-batch's columns, held once — and a
+certificate is a position in it: :class:`DependencyCertificate` holds
+``(record, position)`` and reads everything else from the record.  A
+representative keeps a client's pending certificates as those pairs
+until a payment needs them (Listing 7, attached lazily), and
+:func:`certificates_of` wraps them, unpacking nothing.  The wire and WAL
+form is the reference too, so pickle's memo writes each sub-batch once
+per frame, WAL record or checkpoint, however many certificates point
+into it; its decoder checks the record's field types and columns once.
+Verification hashes the record's columns and range-checks the position.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
@@ -59,8 +62,6 @@ from .payment import (
     PaymentId,
     checked_cores,
     core_digests,
-    flat_cores,
-    unpack_payments,
 )
 
 __all__ = [
@@ -115,74 +116,41 @@ class CreditMessage:
 
     Unicast by each settling replica to the representative of the
     sub-batch's beneficiaries.  One signature covers the whole sub-batch
-    (2-level batching, §VI-A).
-
-    One from the wire or the WAL, or signed over a batch's columns
-    (:meth:`from_cores`), keeps its sub-batch packed and leaves the
-    ``payments`` slot empty: reading it builds the ``Payment`` objects,
-    once; the collector reads :attr:`flat` instead.  One made by
-    :meth:`create` has the slot filled.  Only one signed over columns
-    here carries ``core_digests``, which spares the collector a second
-    hash of what this replica settled.
+    (2-level batching, §VI-A), held as its core fields in order
+    (``flat``, four per payment, :func:`core.payment.flat_cores`): no
+    ``Payment`` is built for it on either side.  ``core_digests`` is set
+    only on one signed here (:meth:`from_cores`), which spares the
+    collector a second hash of what this replica settled; one from the
+    wire or the WAL has ``None`` there, and its columns are checked
+    where they are first buffered (:meth:`DependencyCollector.add_credit`).
     """
 
-    __slots__ = ("shard_id", "payments", "subbatch_digest", "signature",
-                 "size", "_packed", "core_digests")
+    __slots__ = ("shard_id", "flat", "subbatch_digest", "signature", "size",
+                 "core_digests")
 
-    def __init__(
-        self,
-        shard_id: int,
-        payments: Tuple[Payment, ...],
-        signature: Signature,
-        subbatch_digest: Optional[Digest] = None,
-    ) -> None:
+    def __init__(self, shard_id: int, flat: tuple, signature: Signature,
+                 subbatch_digest: Digest,
+                 core_digests: Optional[Sequence[int]]) -> None:
+        # ``core_digests`` has no default: the oldest wire forms called
+        # this constructor over ``Payment`` tuples, and must fail to load
+        # rather than load as columns.
         self.shard_id = shard_id
-        self.payments = payments
-        # The digest is derivable from ``payments``; accepting it as an
-        # argument avoids recomputing an O(|sub-batch|) hash per message.
-        self.subbatch_digest = (
-            subbatch_digest if subbatch_digest is not None
-            else subbatch_digest_of(payments)
-        )
+        self.flat = flat
+        self.subbatch_digest = subbatch_digest
         self.signature = signature
+        count = len(flat) // 4 if flat.__class__ is tuple else 0
         self.size = (
             costs.HEADER_BYTES + costs.SIGNATURE_BYTES
-            + costs.PAYMENT_BYTES * len(payments)
+            + costs.PAYMENT_BYTES * count
         )
-        self._packed: Optional[Tuple[tuple, tuple]] = None
-        self.core_digests: Optional[Sequence[int]] = None
-
-    def __getattr__(self, name: str):
-        # Reached only for an empty slot: ``payments`` of a wire-built
-        # message.  A sub-batch that does not unpack raises ValueError.
-        if name != "payments":
-            raise AttributeError(name)
-        payments = self.payments = unpack_payments(*self._packed)
-        return payments
-
-    @classmethod
-    def create(
-        cls, key, shard_id: int, payments: Sequence[Payment]
-    ) -> "CreditMessage":
-        payments = tuple(payments)
-        batch_digest = subbatch_digest_of(payments)
-        signature = sign(key, credit_content(shard_id, batch_digest))
-        return cls(shard_id, payments, signature, subbatch_digest=batch_digest)
+        self.core_digests = core_digests
 
     @staticmethod
     def from_cores(key, shard_id: int, flat: tuple, core_digests: Sequence[int]):
         """Sign a sub-batch given as flat core fields and core digests."""
-        batch_digest = subbatch_digest(core_digests)
-        signature = sign(key, credit_content(shard_id, batch_digest))
-        message = _credit_from_wire(shard_id, flat, (), signature, batch_digest)
-        message.core_digests = core_digests
-        return message
-
-    @property
-    def flat(self) -> tuple:
-        """The sub-batch's core fields (``core.payment.flat_cores``)."""
-        packed = self._packed
-        return flat_cores(self.payments) if packed is None else packed[0]
+        digest = subbatch_digest(core_digests)
+        signature = sign(key, credit_content(shard_id, digest))
+        return CreditMessage(shard_id, flat, signature, digest, core_digests)
 
     def __reduce__(self):
         # Cross-process form (TCP framing, WAL): the sub-batch's core
@@ -204,20 +172,16 @@ def _credit_from_wire(
     signature: Signature,
     subbatch_digest: Digest,
 ) -> CreditMessage:
-    """Inverse of :meth:`CreditMessage.__reduce__`: nothing is unpacked
-    here, so a malformed sub-batch surfaces where it is read.  Older WAL
-    records carry the payouts' ``extras`` too, and still replay."""
-    message = CreditMessage.__new__(CreditMessage)
-    message.shard_id = shard_id
-    message.subbatch_digest = subbatch_digest
-    message.signature = signature
-    count = len(flat) // 4 if flat.__class__ is tuple else 0
-    message.size = (
-        costs.HEADER_BYTES + costs.SIGNATURE_BYTES + costs.PAYMENT_BYTES * count
-    )
-    message._packed = (flat, extras)
-    message.core_digests = None
-    return message
+    """Inverse of :meth:`CreditMessage.__reduce__`.  The routing fields
+    must be an ``int`` shard, an ``int`` digest and a ``Signature``, or
+    :class:`ValueError` (a ``FrameError`` in a frame); the columns are
+    checked where they are first buffered, so a straggler's are never
+    read.  Older WAL records carry the payouts' ``extras`` too, and
+    still replay."""
+    if (shard_id.__class__ is not int or subbatch_digest.__class__ is not int
+            or signature.__class__ is not Signature):
+        raise ValueError("CREDIT: shard, digest or signature mistyped")
+    return CreditMessage(shard_id, flat, signature, subbatch_digest, None)
 
 
 class CreditBundle:
@@ -260,127 +224,16 @@ class CreditBundle:
         return (CreditBundle, (self.messages,))
 
 
-class DependencyCertificate:
-    """f+1 signed approvals proving one incoming payment exists (§IV-A).
-
-    ``payment`` is the crediting payment; ``subbatch`` is the sub-batch the
-    signatures cover (membership of ``payment`` in it is part of
-    verification); ``signatures`` are the f+1 distinct replica signatures
-    over the sub-batch.
-    """
-
-    __slots__ = ("payment", "shard_id", "subbatch", "subbatch_digest",
-                 "signatures")
-
-    def __init__(
-        self,
-        payment: Payment,
-        shard_id: int,
-        subbatch: Tuple[Payment, ...],
-        signatures: Tuple[Signature, ...],
-        subbatch_digest: Optional[Digest] = None,
-    ) -> None:
-        self.payment = payment
-        self.shard_id = shard_id
-        self.subbatch = subbatch
-        self.subbatch_digest = (
-            subbatch_digest if subbatch_digest is not None
-            else subbatch_digest_of(subbatch)
-        )
-        self.signatures = signatures
-
-    def __reduce__(self):
-        # Cross-process form (TCP framing, WAL): core fields only — all
-        # that the digest, ``__eq__`` and ``verify_certificate`` bind.
-        # The crediting payments' own ``deps`` never ship, or every hop
-        # of a credit-funded chain would re-embed the history before it
-        # (``Payment.core``).
-        return (
-            _certificate_from_wire,
-            (self.payment.core, self.shard_id,
-             flat_cores(self.subbatch), self.signatures,
-             self.subbatch_digest),
-        )
-
-    @property
-    def dep_id(self) -> PaymentId:
-        """Identifier under which replay protection tracks this dependency."""
-        return self.payment.identifier
-
-    @property
-    def amount(self) -> int:
-        return self.payment.amount
-
-    @property
-    def beneficiary(self) -> ClientId:
-        return self.payment.beneficiary
-
-    @property
-    def wire_bytes(self) -> int:
-        """Serialized size: payment reference plus the f+1 signatures."""
-        return 40 + len(self.signatures) * costs.CERT_ENTRY_BYTES
-
-    def canonical(self) -> tuple:
-        # Not memoized: xlogs keep a payout's certificates for good.
-        return (
-            "depcert",
-            self.shard_id,
-            self.payment.core,
-            self.subbatch_digest,
-            tuple(s.canonical() for s in self.signatures),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        # Value equality: two unpickled copies of one certificate (and so
-        # of any payout carrying it, via ``Payment.__eq__``'s ``deps ==``)
-        # are the same certificate to the live monitor's convergence check.
-        return (
-            isinstance(other, DependencyCertificate)
-            and self.shard_id == other.shard_id
-            and self.payment.core == other.payment.core
-            and self.subbatch_digest == other.subbatch_digest
-            and self.signatures == other.signatures
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.shard_id, self.payment.core, self.subbatch_digest,
-             self.signatures)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<DependencyCertificate {self.payment!r} "
-            f"sigs={len(self.signatures)} shard={self.shard_id}>"
-        )
-
-
-def _certificate_from_wire(
-    core: tuple,
-    shard_id: int,
-    flat: tuple,
-    signatures: Tuple[Signature, ...],
-    subbatch_digest: Digest,
-) -> DependencyCertificate:
-    """Inverse of :meth:`DependencyCertificate.__reduce__` (malformed
-    columns raise, which the frame decoder turns into ``FrameError``)."""
-    spender, seq, beneficiary, amount = core
-    return DependencyCertificate(
-        Payment(spender, seq, beneficiary, amount), shard_id,
-        unpack_payments(flat), signatures, subbatch_digest,
-    )
-
-
 class MintedSubbatch:
     """A sub-batch that reached f+1 matching CREDITs, held once.
 
     ``flat`` is the sub-batch's core fields in order
     (``core.payment.flat_cores``: four per payment), so payment
-    ``position`` is ``flat[4·position : 4·position + 4]``.  A pending
-    certificate is ``(record, position)``; the certificate itself is
-    built when it is attached (:func:`certificates_of`).  Pickled, a
-    record is its four fields, and one pickle writes it once however many
-    certificates point into it.
+    ``position`` is ``flat[4·position : 4·position + 4]``.  Every
+    certificate into it is a ``(record, position)`` reference
+    (:class:`DependencyCertificate`).  Pickled, a record is its four
+    fields, and one pickle writes it once however many certificates
+    point into it.
     """
 
     __slots__ = ("shard_id", "subbatch_digest", "signatures", "flat")
@@ -399,7 +252,7 @@ class MintedSubbatch:
 
     def __reduce__(self):
         return (
-            MintedSubbatch,
+            _subbatch_from_wire,
             (self.shard_id, self.subbatch_digest, self.signatures, self.flat),
         )
 
@@ -415,6 +268,118 @@ class MintedSubbatch:
         return self.flat[4 * position + 3]
 
 
+def _subbatch_from_wire(shard_id: int, subbatch_digest: Digest,
+                        signatures: tuple, flat: tuple) -> MintedSubbatch:
+    """Inverse of :meth:`MintedSubbatch.__reduce__`, run once per record
+    per frame or WAL record: an ``int`` shard and digest, a tuple of
+    signatures and columns :func:`checked_cores` accepts, or
+    :class:`ValueError` (``FrameError`` in a frame, ``WalCorruption`` in
+    the WAL)."""
+    if (shard_id.__class__ is not int or subbatch_digest.__class__ is not int
+            or signatures.__class__ is not tuple
+            or any(s.__class__ is not Signature for s in signatures)):
+        raise ValueError("certificate: shard, digest or signatures mistyped")
+    flat, _ = checked_cores(flat)
+    return MintedSubbatch(shard_id, subbatch_digest, signatures, flat)
+
+
+class DependencyCertificate:
+    """f+1 signed approvals proving one incoming payment exists (§IV-A).
+
+    A position in a minted sub-batch, and nothing else: ``record``
+    carries the shard, the sub-batch digest, the f+1 distinct replica
+    signatures over it and its columns; the crediting payment is the
+    core ``record.flat[4·position : 4·position + 4]``.  Verification
+    checks the signatures over the digest, the digest against the
+    columns, and that ``position`` is in range.
+    """
+
+    __slots__ = ("record", "position")
+
+    def __init__(self, record: MintedSubbatch, position: int) -> None:
+        self.record = record
+        self.position = position
+
+    def __reduce__(self):
+        # Cross-process form (TCP framing, WAL): the reference.  Pickle's
+        # memo writes each record once per frame or WAL record, however
+        # many certificates point into it.  The crediting payments' own
+        # ``deps`` never ship, or every hop of a credit-funded chain
+        # would re-embed the history before it.
+        return (_certificate_from_wire, (self.record, self.position))
+
+    shard_id = property(attrgetter("record.shard_id"))
+    subbatch_digest = property(attrgetter("record.subbatch_digest"))
+    signatures = property(attrgetter("record.signatures"))
+
+    @property
+    def core(self) -> tuple:
+        """The crediting payment's core fields."""
+        index = 4 * self.position
+        return self.record.flat[index:index + 4]
+
+    @property
+    def dep_id(self) -> PaymentId:
+        """Identifier under which replay protection tracks this dependency."""
+        return self.record.dep_id(self.position)
+
+    @property
+    def amount(self) -> int:
+        return self.record.amount(self.position)
+
+    @property
+    def beneficiary(self) -> ClientId:
+        return self.record.beneficiary(self.position)
+
+    @property
+    def wire_bytes(self) -> int:
+        """Serialized size: payment reference plus the f+1 signatures."""
+        return 40 + len(self.record.signatures) * costs.CERT_ENTRY_BYTES
+
+    def canonical(self) -> tuple:
+        # Not memoized: xlogs keep a payout's certificates for good.
+        record = self.record
+        return (
+            "depcert",
+            record.shard_id,
+            self.core,
+            record.subbatch_digest,
+            tuple(s.canonical() for s in record.signatures),
+        )
+
+    def _key(self) -> tuple:
+        record = self.record
+        return (record.shard_id, self.core, record.subbatch_digest,
+                record.signatures)
+
+    def __eq__(self, other: object) -> bool:
+        # Value equality: two unpickled copies of one certificate (and so
+        # of any payout carrying it, via ``Payment.__eq__``'s ``deps ==``)
+        # are the same certificate to the live monitor's convergence check.
+        return (
+            isinstance(other, DependencyCertificate)
+            and self._key() == other._key()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<DependencyCertificate {self.core!r} "
+            f"sigs={len(self.signatures)} shard={self.shard_id}>"
+        )
+
+
+def _certificate_from_wire(record: MintedSubbatch, position: int):
+    """Inverse of :meth:`DependencyCertificate.__reduce__`: a decoded
+    record and a position in it, or :class:`ValueError`."""
+    if (record.__class__ is not MintedSubbatch or position.__class__ is not int
+            or not 0 <= position < len(record.flat) // 4):
+        raise ValueError("certificate: no such position in a minted sub-batch")
+    return DependencyCertificate(record, position)
+
+
 def reference_pairs(references: Sequence[Any]):
     """The ``(record, position)`` pairs of a representative's pending
     list, which holds them flat — ``[record, position, record, position,
@@ -426,35 +391,27 @@ def reference_pairs(references: Sequence[Any]):
 def certificates_of(
     references: Sequence[Any],
 ) -> Tuple[DependencyCertificate, ...]:
-    """The certificates a flat pending list refers to, in its order, each
-    record's sub-batch unpacked once and shared by its certificates."""
-    subbatches: Dict[MintedSubbatch, Tuple[Payment, ...]] = {}
-    certificates = []
-    for record, position in reference_pairs(references):
-        subbatch = subbatches.get(record)
-        if subbatch is None:
-            subbatch = subbatches[record] = unpack_payments(record.flat)
-        certificates.append(
-            DependencyCertificate(
-                subbatch[position], record.shard_id, subbatch,
-                record.signatures, record.subbatch_digest,
-            )
-        )
-    return tuple(certificates)
+    """The certificates a flat pending list refers to, in its order."""
+    return tuple([
+        DependencyCertificate(record, position)
+        for record, position in reference_pairs(references)
+    ])
 
 
 def verify_certificate(
     cert: DependencyCertificate, directory: Directory, keychain: Keychain
 ) -> bool:
-    """Full validity check: signatures, signer membership, payment membership.
+    """Full validity check: signatures, signer membership, the digest of
+    the columns, and the position.
 
     A certificate is valid iff it carries f+1 *distinct* signatures by
-    replicas of the claimed (spender's) shard over the sub-batch content,
-    and the credited payment is a member of that sub-batch.
+    replicas of the claimed (spender's) shard over a digest of its
+    record's columns, and its position lies in them.
     """
+    record = cert.record
     try:
-        members = set(directory.members(cert.shard_id))
-        needed = directory.faulty_bound(cert.shard_id) + 1
+        members = set(directory.members(record.shard_id))
+        needed = directory.faulty_bound(record.shard_id) + 1
     except KeyError:
         return False
     # Signature-count bounds, checked before any signature is examined:
@@ -463,19 +420,19 @@ def verify_certificate(
     # signers already prove the sub-batch), and fewer than f+1 can never
     # reach the distinct-signer threshold.  O(1) rejection keeps the
     # per-certificate verify cost bounded by the honest size.
-    if not (0 < len(cert.signatures) <= needed):
+    if not (0 < len(record.signatures) <= needed):
         return False
-    if cert.payment not in cert.subbatch:
+    if not 0 <= cert.position < len(record.flat) // 4:
         return False
-    if subbatch_digest_of(cert.subbatch) != cert.subbatch_digest:
+    if subbatch_digest(core_digests(record.flat)) != record.subbatch_digest:
         return False  # claimed digest does not match the carried content
-    content = credit_content(cert.shard_id, cert.subbatch_digest)
+    content = credit_content(record.shard_id, record.subbatch_digest)
     # Distinct-signer *count* only: signer identities contain strings, so
     # the set's iteration order is PYTHONHASHSEED-dependent and must never
     # leak into certificate assembly (DependencyCollector builds
     # certificates from its insertion-ordered CREDIT buckets instead).
     signers: Set[Hashable] = set()
-    for signature in cert.signatures:
+    for signature in record.signatures:
         if not isinstance(signature, Signature):
             return False
         owner = signature.signer

@@ -7,11 +7,12 @@ the broadcast layer's agreement property is stated, and the key for
 double-spend prevention: at most one payment per identifier ever settles.
 
 A payment *sequence* — a batch's items, a CREDIT's sub-batch, the
-sub-batch a certificate covers — has one wire form, owned here:
-:func:`pack_payments` / :func:`unpack_payments`.  A receiving replica
-reads it as columns (``brb.batching.Batch``, :func:`checked_cores`): a
-``Payment`` is rebuilt only where one is read — for a confirm at the
-spender's representative, and for one that waits or is rejected.
+sub-batch a certificate covers — has one wire form, owned here: flat
+core fields (:func:`flat_cores`, :func:`pack_payments`), which a
+receiving replica checks and reads as columns (:func:`checked_cores`).
+A ``Payment`` is rebuilt only where one is read — for a confirm at the
+spender's representative, and for one that waits or is rejected —,
+never for a CREDIT or a certificate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "core_digests",
     "flat_cores",
     "pack_payments",
-    "unpack_payments",
 ]
 
 #: Clients are identified by any hashable id (ints in benchmarks,
@@ -203,17 +203,6 @@ def checked_cores(flat: tuple, extras: tuple = ()) -> Tuple[tuple, Dict]:
     except TypeError:
         cores = [intern(f) if f.__class__ is str else f for f in flat]
     return tuple(cores), by_position
-
-
-def unpack_payments(flat: tuple, extras: tuple = ()) -> Tuple[Payment, ...]:
-    """Rebuild the sequence :func:`pack_payments` flattened; what
-    :func:`checked_cores` refuses raises :class:`ValueError`."""
-    flat, by_position = checked_cores(flat, extras)
-    fields = iter(flat)
-    return tuple([
-        Payment(*core, by_position.get(index, ()))
-        for index, core in enumerate(zip(fields, fields, fields, fields))
-    ])
 
 
 def core_digests(flat: tuple) -> List[int]:

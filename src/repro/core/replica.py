@@ -297,6 +297,8 @@ class AstroReplicaBase(ApprovalQueue, ProtocolEndpoint):
             # never does this, so the submission is discarded.
             return
         accepted[spender] = payment.seq
+        if payment.deps:  # the representative's to attach (Listing 7)
+            payment = Payment(*payment.core)
         prepared = self._prepare_outgoing(payment)
         if prepared is not None:
             self.batcher.add(prepared)

@@ -125,8 +125,8 @@ def test_stuffed_certificates_rejected_but_batch_settles():
             for payment in log.entries():
                 stuffed_seen += sum(
                     1 for cert in payment.deps
-                    if isinstance(cert.payment.spender, tuple)
-                    and cert.payment.spender[0] == "ghost"
+                    if isinstance(cert.core[0], tuple)
+                    and cert.core[0][0] == "ghost"
                 )
     # The stuffed batch itself reached correct replicas' xlogs (the
     # attacker's forged digest gathered its own ACK quorum).

@@ -30,7 +30,12 @@ from repro.adversary.monitor import replica_state_view
 from repro.bench.runner import run_open_loop
 from repro.brb.batching import Batch
 from repro.consensus.ledger import PaymentLedger
-from repro.core.dependencies import CreditMessage, DependencyCertificate
+from repro.core.dependencies import (
+    CreditMessage,
+    DependencyCertificate,
+    MintedSubbatch,
+    subbatch_digest,
+)
 from repro.core.payment import Payment
 from repro.core.persistence import state_fingerprint
 from repro.core.system import Astro1System, Astro2System
@@ -59,11 +64,13 @@ def _certificate(spender, serial, amount):
     shard 0 signed a one-payment sub-batch paying it."""
     payer = CLIENTS[(CLIENTS.index(spender) + 1) % len(CLIENTS)]
     credited = Payment(payer, 1000 + serial, spender, amount)
+    flat, digests = credited.core, [credited.core_digest()]
     signatures = tuple(
-        CreditMessage.create(replica.key, 0, (credited,)).signature
+        CreditMessage.from_cores(replica.key, 0, flat, digests).signature
         for replica in SIGNERS
     )
-    return DependencyCertificate(credited, 0, (credited,), signatures)
+    record = MintedSubbatch(0, subbatch_digest(digests), signatures, flat)
+    return DependencyCertificate(record, 0)
 
 
 #: One payment: spender (among the origin's clients unless foreign), seq

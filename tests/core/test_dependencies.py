@@ -12,11 +12,17 @@ from repro.core.dependencies import (
     _credit_from_wire,
     certificates_of,
     credit_content,
+    subbatch_digest,
     subbatch_digest_of,
     verify_certificate,
 )
 from repro.core.directory import Directory
-from repro.core.payment import Payment
+from repro.core.payment import Payment, core_digests, flat_cores
+from repro.transport.framing import (
+    FrameError,
+    decode_exactly_one,
+    encode_frame,
+)
 from repro.crypto import replica_owner, sign
 from repro.crypto.signatures import Signature
 
@@ -39,26 +45,51 @@ def _minted(references):
     return certificates_of([item for pair in references for item in pair])
 
 
+def _credit(key, shard, payments):
+    """A CREDIT signed over ``payments``' columns, as a settler signs one."""
+    flat = flat_cores(payments)
+    return CreditMessage.from_cores(key, shard, flat, core_digests(flat))
+
+
+def _cert(payment, shard, subbatch, signatures, subbatch_digest=None):
+    """The certificate for ``payment`` in ``subbatch``: its position in a
+    record of the sub-batch's columns — one past the end if it is not a
+    member."""
+    subbatch = tuple(subbatch)
+    if subbatch_digest is None:
+        subbatch_digest = subbatch_digest_of(subbatch)
+    record = MintedSubbatch(
+        shard, subbatch_digest, tuple(signatures), flat_cores(subbatch)
+    )
+    members = [p.core for p in subbatch]
+    position = len(members)
+    if payment.core in members:
+        position = members.index(payment.core)
+    return DependencyCertificate(record, position)
+
+
 def _certificate(keys, payments, shard=0, signers=(0, 1)):
     digest_value = subbatch_digest_of(payments)
     content = credit_content(shard, digest_value)
     signatures = tuple(sign(keys[i], content) for i in signers)
-    return DependencyCertificate(payments[0], shard, tuple(payments), signatures)
+    return _cert(payments[0], shard, tuple(payments), signatures)
 
 
 class TestCreditMessage:
     def test_create_signs_subbatch(self, setup, keychain):
         directory, keys = setup
         payments = (Payment("alice", 1, "bob", 10),)
-        message = CreditMessage.create(keys[0], 0, payments)
+        message = _credit(keys[0], 0, payments)
         assert message.subbatch_digest == subbatch_digest_of(payments)
         assert message.size > 100
 
     def test_explicit_digest_must_match_content(self, setup):
         directory, keys = setup
         payments = (Payment("alice", 1, "bob", 10),)
-        message = CreditMessage.create(keys[0], 0, payments)
-        assert message.subbatch_digest == subbatch_digest_of(message.payments)
+        message = _credit(keys[0], 0, payments)
+        assert message.subbatch_digest == subbatch_digest(
+            core_digests(message.flat)
+        )
 
 
 class TestCertificateVerification:
@@ -80,7 +111,7 @@ class TestCertificateVerification:
         digest_value = subbatch_digest_of(payments)
         content = credit_content(0, digest_value)
         signature = sign(keys[0], content)
-        cert = DependencyCertificate(payments[0], 0, payments, (signature, signature))
+        cert = _cert(payments[0], 0, payments, (signature, signature))
         assert not verify_certificate(cert, directory, keychain)
 
     def test_signer_outside_shard_rejected(self, setup, keychain):
@@ -97,7 +128,7 @@ class TestCertificateVerification:
         digest_value = subbatch_digest_of(payments)
         content = credit_content(0, digest_value)
         signatures = (sign(client_key, content), sign(keys[0], content))
-        cert = DependencyCertificate(payments[0], 0, payments, signatures)
+        cert = _cert(payments[0], 0, payments, signatures)
         assert not verify_certificate(cert, directory, keychain)
 
     def test_payment_not_in_subbatch_rejected(self, setup, keychain):
@@ -107,7 +138,7 @@ class TestCertificateVerification:
         digest_value = subbatch_digest_of(subbatch)
         content = credit_content(0, digest_value)
         signatures = tuple(sign(keys[i], content) for i in (0, 1))
-        cert = DependencyCertificate(outsider, 0, subbatch, signatures)
+        cert = _cert(outsider, 0, subbatch, signatures)
         assert not verify_certificate(cert, directory, keychain)
 
     def test_digest_content_mismatch_rejected(self, setup, keychain):
@@ -117,7 +148,7 @@ class TestCertificateVerification:
         wrong_digest = subbatch_digest_of(other)
         content = credit_content(0, wrong_digest)
         signatures = tuple(sign(keys[i], content) for i in (0, 1))
-        cert = DependencyCertificate(
+        cert = _cert(
             subbatch[0], 0, subbatch, signatures, subbatch_digest=wrong_digest
         )
         assert not verify_certificate(cert, directory, keychain)
@@ -138,7 +169,7 @@ class TestCertificateVerification:
     def test_empty_signature_tuple_rejected(self, setup, keychain):
         directory, keys = setup
         payments = (Payment("alice", 1, "bob", 10),)
-        cert = DependencyCertificate(payments[0], 0, payments, ())
+        cert = _cert(payments[0], 0, payments, ())
         assert not verify_certificate(cert, directory, keychain)
 
     def test_unknown_shard_rejected(self, setup, keychain):
@@ -147,7 +178,7 @@ class TestCertificateVerification:
         digest_value = subbatch_digest_of(payments)
         content = credit_content(9, digest_value)
         signatures = tuple(sign(keys[i], content) for i in (0, 1))
-        cert = DependencyCertificate(payments[0], 9, payments, signatures)
+        cert = _cert(payments[0], 9, payments, signatures)
         assert not verify_certificate(cert, directory, keychain)
 
     def test_wire_bytes(self, setup):
@@ -173,7 +204,7 @@ class TestCertificateEquality:
         payments = (Payment("alice", 1, "bob", 10),)
         cert = _certificate(keys, payments, signers=(0, 1))
         other_signers = _certificate(keys, payments, signers=(0, 2))
-        truncated = DependencyCertificate(
+        truncated = _cert(
             payments[0], 0, payments, cert.signatures[:1]
         )
         assert cert != other_signers
@@ -187,10 +218,10 @@ class TestCertificateEquality:
             Payment("alice", 2, "bob", 5),
         )
         cert = _certificate(keys, payments)
-        sibling = DependencyCertificate(
+        sibling = _cert(
             payments[1], 0, payments, cert.signatures
         )
-        moved = DependencyCertificate(
+        moved = _cert(
             payments[0], 1, payments, cert.signatures
         )
         assert cert != sibling
@@ -214,37 +245,39 @@ class TestCertificateWireForm:
     @staticmethod
     def _chain(keys, hops):
         """``hops`` credit-funded spends in a row, one-payment sub-batches:
-        each payment carries the certificate of the one that funded it."""
+        each payment carries the certificate of the one that funded it.
+        Returns the payments and their certificates."""
         clients = [f"c{i}" for i in range(hops + 1)]
-        certs = []
+        payments, certs = [], []
         deps = ()
         for hop in range(hops):
             payment = Payment(clients[hop], 1, clients[hop + 1], 10, deps=deps)
             cert = _certificate(keys, (payment,))
+            payments.append(payment)
             certs.append(cert)
             deps = (cert,)
-        return certs
+        return payments, certs
 
     def test_wire_size_does_not_grow_along_a_chain(self, setup):
         directory, keys = setup
-        certs = self._chain(keys, 8)
-        assert certs[7].payment.deps[0].payment.deps  # history is there...
+        payments, certs = self._chain(keys, 8)
+        assert payments[7].deps[0] == certs[6]  # history is there...
         # Same-width digest and tokens at every hop (a 64-bit hash pickles
         # in 8 or 9 bytes), so the sizes compare exactly.
         wide = 1 << 62
         signatures = tuple(Signature(replica_owner(i), wide) for i in (0, 1))
         sizes = [
-            len(pickle.dumps(DependencyCertificate(
-                cert.payment, 0, cert.subbatch, signatures,
+            len(pickle.dumps(_cert(
+                payment, 0, (payment,), signatures,
                 subbatch_digest=wide,
             ), protocol=5))
-            for cert in certs
+            for payment in payments
         ]
         assert len(set(sizes)) == 1, sizes  # ...and stays home
 
     def test_sibling_deps_do_not_ship(self, setup):
         directory, keys = setup
-        funded = self._chain(keys, 3)[-1].payment  # carries a certificate
+        funded = self._chain(keys, 3)[0][-1]  # carries a certificate
         plain = Payment("zed", 1, "bob", 1)
         with_history = _certificate(keys, (plain, funded))
         without = _certificate(
@@ -254,29 +287,27 @@ class TestCertificateWireForm:
 
     def test_receiver_side_copy_verifies(self, setup, keychain):
         directory, keys = setup
-        for cert in self._chain(keys, 8):
+        for payment, cert in zip(*self._chain(keys, 8)):
             clone = pickle.loads(pickle.dumps(cert))
             assert clone == cert and hash(clone) == hash(cert)
-            assert clone.payment in clone.subbatch
-            assert clone.payment.deps == ()
+            assert clone.core == payment.core
             assert clone.canonical() == cert.canonical()
             assert verify_certificate(clone, directory, keychain)
 
-    def test_forged_membership_survives_the_wire_and_is_rejected(
+    def test_forged_membership_is_refused_on_the_wire_and_rejected(
         self, setup, keychain
     ):
-        """The form can still say 'payment not in sub-batch' — it must, so
-        that the receiver is the one who rejects it."""
+        """A certificate names its payment by position: one for a payment
+        outside the sub-batch points past its end.  It does not decode,
+        and the verifier rejects it where it was built."""
         directory, keys = setup
         payments = (Payment("alice", 1, "bob", 10),)
         honest = _certificate(keys, payments)
-        forged = DependencyCertificate(
-            Payment("alice", 1, "bob", 10_000), 0, payments, honest.signatures
-        )
-        clone = pickle.loads(pickle.dumps(forged))
-        assert clone.payment.amount == 10_000
-        assert clone.payment not in clone.subbatch
-        assert not verify_certificate(clone, directory, keychain)
+        for position in (1, -1):
+            forged = DependencyCertificate(honest.record, position)
+            with pytest.raises(FrameError):
+                decode_exactly_one(encode_frame(forged))
+            assert not verify_certificate(forged, directory, keychain)
 
 
 class _InitProbe:
@@ -303,7 +334,7 @@ class TestLazyCreditPayload:
     """A CREDIT from the wire keeps its sub-batch packed; the collector
     reads its columns, so no arrival of a sub-batch builds a payment."""
 
-    def test_wire_copy_is_equivalent_and_builds_on_first_read(
+    def test_wire_copy_is_equivalent_and_builds_no_payment(
         self, setup, monkeypatch
     ):
         directory, keys = setup
@@ -311,7 +342,7 @@ class TestLazyCreditPayload:
             Payment("alice", 1, "bob", 10),
             Payment("alice", 2, "bob", 5),
         )
-        message = CreditMessage.create(keys[0], 0, payments)
+        message = _credit(keys[0], 0, payments)
         probe = _InitProbe(monkeypatch)
         clone = _over_the_wire(message)
         assert probe.calls == 0
@@ -319,12 +350,10 @@ class TestLazyCreditPayload:
         assert clone.subbatch_digest == message.subbatch_digest
         assert clone.signature == message.signature
         assert pickle.dumps(clone) == pickle.dumps(message)  # re-logged packed
+        assert clone.flat == flat_cores(payments)
         assert probe.calls == 0
-        assert clone.payments == payments
-        assert probe.calls == 2
-        assert clone.payments is clone.payments  # built once, then a slot
         with pytest.raises(AttributeError):
-            clone.no_such_field
+            clone.payments
 
     def test_a_payout_s_certificates_do_not_ride_its_credit(
         self, setup, keychain
@@ -337,13 +366,13 @@ class TestLazyCreditPayload:
         funding = _certificate(keys, (Payment("carl", 1, "alice", 50),))
         bare = Payment("alice", 1, "bob", 10)
         payout = Payment("alice", 1, "bob", 10, deps=(funding,))
-        credits = [CreditMessage.create(keys[i], 0, (payout,)) for i in (0, 1)]
+        credits = [_credit(keys[i], 0, (payout,)) for i in (0, 1)]
         assert pickle.dumps(credits[0]) == pickle.dumps(
-            CreditMessage.create(keys[0], 0, (bare,))
+            _credit(keys[0], 0, (bare,))
         )
         assert collector.add_credit(0, _over_the_wire(credits[0])) == []
         minted = _minted(collector.add_credit(1, _over_the_wire(credits[1])))
-        assert [cert.payment for cert in minted] == [bare]
+        assert [cert.core for cert in minted] == [bare.core]
         assert verify_certificate(minted[0], directory, keychain)
 
     def test_non_first_and_straggler_credits_build_no_payment(
@@ -353,7 +382,7 @@ class TestLazyCreditPayload:
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = tuple(Payment("alice", s, "bob", 1) for s in range(1, 65))
         from_wire = [
-            _over_the_wire(CreditMessage.create(keys[i], 0, payments))
+            _over_the_wire(_credit(keys[i], 0, payments))
             for i in range(4)
         ]
         probe = _InitProbe(monkeypatch)
@@ -381,9 +410,9 @@ class TestLazyCreditPayload:
         collector = DependencyCollector(directory, keychain, my_node=0)
         directory.register_client("carl", 0)
         payments = (Payment("alice", 1, "carl", 10),)
-        own = CreditMessage.create(keys[0], 0, payments)
+        own = _credit(keys[0], 0, payments)
         remote = [
-            _over_the_wire(CreditMessage.create(keys[i], 0, payments))
+            _over_the_wire(_credit(keys[i], 0, payments))
             for i in (1, 2, 3)
         ]
         probe = _InitProbe(monkeypatch)
@@ -409,7 +438,7 @@ class TestLazyCreditPayload:
         )
         assert collector.add_credit(0, poisoned) == []
         assert collector.pending_subbatches == 0
-        create = CreditMessage.create
+        create = _credit
         collector.add_credit(0, create(keys[0], 0, real))
         minted = _minted(collector.add_credit(1, create(keys[1], 0, real)))
         assert [cert.amount for cert in minted] == [10]
@@ -421,7 +450,7 @@ class TestLazyCreditPayload:
         collector = DependencyCollector(directory, keychain, my_node=4)
         real = (Payment("alice", 1, "bob", 10),)
         for node in (0, 1):
-            message = CreditMessage.create(keys[node], 0, real)
+            message = _credit(keys[node], 0, real)
             collector.add_credit(node, message)
         claimed = subbatch_digest_of(real)
         signature = sign(keys[2], credit_content(0, claimed))
@@ -439,9 +468,9 @@ class TestCollectorCapture:
         done = (Payment("alice", 1, "bob", 10),)
         half = (Payment("alice", 2, "bob", 5),)
         for node in (0, 1):
-            message = CreditMessage.create(keys[node], 0, done)
+            message = _credit(keys[node], 0, done)
             collector.add_credit(node, message)
-        collector.add_credit(0, CreditMessage.create(keys[0], 0, half))
+        collector.add_credit(0, _credit(keys[0], 0, half))
         captured = pickle.loads(pickle.dumps(collector.capture()))
         assert set(captured) == {
             "partial", "payments", "certified", "evicted_pending",
@@ -458,13 +487,13 @@ class TestCollectorCapture:
         # The half-collected sub-batch completes; the minted one does not
         # re-mint; its stragglers retire the dedup entry.
         minted = _minted(
-            restored.add_credit(1, CreditMessage.create(keys[1], 0, half))
+            restored.add_credit(1, _credit(keys[1], 0, half))
         )
         assert [cert.amount for cert in minted] == [5]
         assert verify_certificate(minted[0], directory, keychain)
         for node in (2, 3):
             for subbatch in (done, half):
-                message = CreditMessage.create(keys[node], 0, subbatch)
+                message = _credit(keys[node], 0, subbatch)
                 assert restored.add_credit(node, message) == []
         assert restored.certified_count == 0
         # The original was not touched through shared containers.
@@ -477,9 +506,9 @@ class TestDependencyCollector:
         directory, keys = setup
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = (Payment("alice", 1, "bob", 10),)
-        first = collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+        first = collector.add_credit(0, _credit(keys[0], 0, payments))
         assert first == []
-        second = collector.add_credit(1, CreditMessage.create(keys[1], 0, payments))
+        second = collector.add_credit(1, _credit(keys[1], 0, payments))
         assert len(second) == 1
         cert = _minted(second)[0]
         assert cert.beneficiary == "bob"
@@ -490,16 +519,16 @@ class TestDependencyCollector:
         directory, keys = setup
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = (Payment("alice", 1, "bob", 10),)
-        collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
-        collector.add_credit(1, CreditMessage.create(keys[1], 0, payments))
-        third = collector.add_credit(2, CreditMessage.create(keys[2], 0, payments))
+        collector.add_credit(0, _credit(keys[0], 0, payments))
+        collector.add_credit(1, _credit(keys[1], 0, payments))
+        third = collector.add_credit(2, _credit(keys[2], 0, payments))
         assert third == []
 
     def test_duplicate_sender_does_not_advance(self, setup, keychain):
         directory, keys = setup
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = (Payment("alice", 1, "bob", 10),)
-        message = CreditMessage.create(keys[0], 0, payments)
+        message = _credit(keys[0], 0, payments)
         assert collector.add_credit(0, message) == []
         assert collector.add_credit(0, message) == []
 
@@ -508,14 +537,14 @@ class TestDependencyCollector:
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = (Payment("alice", 1, "bob", 10),)
         # Replica 1 relays a message signed by replica 0: signer mismatch.
-        message = CreditMessage.create(keys[0], 0, payments)
+        message = _credit(keys[0], 0, payments)
         assert collector.add_credit(1, message) == []
 
     def test_sender_outside_shard_ignored(self, setup, keychain):
         directory, keys = setup
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = (Payment("alice", 1, "bob", 10),)
-        message = CreditMessage.create(keys[4], 0, payments)
+        message = _credit(keys[4], 0, payments)
         assert collector.add_credit(4, message) == []
 
     def test_forged_payload_credit_rejected(self, setup, keychain):
@@ -531,15 +560,15 @@ class TestDependencyCollector:
         forged = (Payment("alice", 1, "bob", 10_000),)
         claimed_digest = subbatch_digest_of(real)
         signature = sign(keys[0], credit_content(0, claimed_digest))
-        poisoned = CreditMessage(0, forged, signature,
-                                 subbatch_digest=claimed_digest)
+        poisoned = CreditMessage(0, flat_cores(forged), signature,
+                                 claimed_digest, None)
         # The forged first arrival is rejected outright...
         assert collector.add_credit(0, poisoned) == []
         assert collector.pending_subbatches == 0
         # ...so the honest flow still mints a *valid* certificate.
-        collector.add_credit(0, CreditMessage.create(keys[0], 0, real))
+        collector.add_credit(0, _credit(keys[0], 0, real))
         minted = _minted(
-            collector.add_credit(1, CreditMessage.create(keys[1], 0, real))
+            collector.add_credit(1, _credit(keys[1], 0, real))
         )
         assert len(minted) == 1
         assert minted[0].amount == 10
@@ -553,8 +582,8 @@ class TestDependencyCollector:
             Payment("alice", 1, "bob", 10),
             Payment("alice", 2, "carol", 7),
         )
-        collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
-        minted = collector.add_credit(1, CreditMessage.create(keys[1], 0, payments))
+        collector.add_credit(0, _credit(keys[0], 0, payments))
+        minted = collector.add_credit(1, _credit(keys[1], 0, payments))
         assert [cert.beneficiary for cert in _minted(minted)] == ["bob"]
 
 
@@ -563,9 +592,9 @@ class TestMintedSubbatch:
     it, and are built only when attached."""
 
     def _mint(self, collector, keys, payments):
-        collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+        collector.add_credit(0, _credit(keys[0], 0, payments))
         return collector.add_credit(
-            1, CreditMessage.create(keys[1], 0, payments)
+            1, _credit(keys[1], 0, payments)
         )
 
     def test_references_read_the_packed_columns(self, setup, keychain):
@@ -599,9 +628,9 @@ class TestMintedSubbatch:
         second = self._mint(collector, keys, (Payment("alice", 3, "bob", 3),))
         certs = _minted(first + second)
         assert [cert.amount for cert in certs] == [1, 2, 3]  # minting order
-        assert certs[0].subbatch is certs[1].subbatch
-        assert certs[2].subbatch is not certs[0].subbatch
-        assert all(cert.payment in cert.subbatch for cert in certs)
+        assert certs[0].record is certs[1].record
+        assert certs[2].record is not certs[0].record
+        assert [cert.position for cert in certs] == [0, 1, 0]
         assert all(
             verify_certificate(cert, directory, keychain) for cert in certs
         )
@@ -640,7 +669,7 @@ class TestCollectorCompaction:
         )
         for index in range(1, 101):
             payments = self._stranded(keys, index)
-            collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+            collector.add_credit(0, _credit(keys[0], 0, payments))
         assert collector.pending_subbatches <= 8
         assert collector.evicted_pending == 100 - 8
         # _payments stays in lockstep with _partial.
@@ -654,19 +683,19 @@ class TestCollectorCompaction:
             directory, keychain, my_node=4, max_pending=2
         )
         old = self._stranded(keys, 1)
-        collector.add_credit(0, CreditMessage.create(keys[0], 0, old))
+        collector.add_credit(0, _credit(keys[0], 0, old))
         newer = [self._stranded(keys, i) for i in (2, 3)]
         for payments in newer:
-            collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+            collector.add_credit(0, _credit(keys[0], 0, payments))
         # 'old' was evicted; the newest survivor still completes.
         minted = collector.add_credit(
-            1, CreditMessage.create(keys[1], 0, newer[-1])
+            1, _credit(keys[1], 0, newer[-1])
         )
         assert len(minted) == 1
         # A straggler CREDIT for the evicted sub-batch restarts collection
         # from zero instead of erroring.
-        assert collector.add_credit(1, CreditMessage.create(keys[1], 0, old)) == []
-        assert collector.add_credit(0, CreditMessage.create(keys[0], 0, old)) != []
+        assert collector.add_credit(1, _credit(keys[1], 0, old)) == []
+        assert collector.add_credit(0, _credit(keys[0], 0, old)) != []
 
     def test_certified_dedup_memory_bounded(self, setup, keychain):
         directory, keys = setup
@@ -675,9 +704,9 @@ class TestCollectorCompaction:
         )
         for index in range(1, 51):
             payments = self._stranded(keys, index)
-            collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+            collector.add_credit(0, _credit(keys[0], 0, payments))
             minted = collector.add_credit(
-                1, CreditMessage.create(keys[1], 0, payments)
+                1, _credit(keys[1], 0, payments)
             )
             assert len(minted) == 1
         assert collector.certified_count <= 16
@@ -685,7 +714,7 @@ class TestCollectorCompaction:
         # Recent certifications still dedup straggler CREDITs.
         recent = self._stranded(keys, 50)
         assert collector.add_credit(
-            2, CreditMessage.create(keys[2], 0, recent)
+            2, _credit(keys[2], 0, recent)
         ) == []
 
     def test_certified_entry_retires_after_all_settlers_report(
@@ -698,7 +727,7 @@ class TestCollectorCompaction:
         collector = DependencyCollector(directory, keychain, my_node=4)
         payments = (Payment("alice", 1, "bob", 10),)
         messages = {
-            i: CreditMessage.create(keys[i], 0, payments) for i in range(4)
+            i: _credit(keys[i], 0, payments) for i in range(4)
         }
         collector.add_credit(0, messages[0])
         minted = collector.add_credit(1, messages[1])
@@ -721,10 +750,10 @@ class TestCollectorCompaction:
         )
         for index in range(1, 2001):
             payments = (Payment("alice", index, "bob", 1),)
-            collector.add_credit(0, CreditMessage.create(keys[0], 0, payments))
+            collector.add_credit(0, _credit(keys[0], 0, payments))
             if index % 3 == 0:  # two thirds of sub-batches never complete
                 collector.add_credit(
-                    1, CreditMessage.create(keys[1], 0, payments)
+                    1, _credit(keys[1], 0, payments)
                 )
         assert collector.pending_subbatches <= 32
         assert len(collector._payments) <= 32

@@ -163,8 +163,9 @@ def test_forged_cross_shard_certificate_rejected():
     rep = system.representative_of(beneficiary)
     forgers = [system.replica_by_node(node) for node in ben_members[:2]]
     for forger in forgers:
-        message = CreditMessage.create(
-            forger.key, spender_shard, (fake_payment,)
+        message = CreditMessage.from_cores(
+            forger.key, spender_shard, fake_payment.core,
+            [fake_payment.core_digest()],
         )
         rep._apply_credit(forger.node_id, message)
     system.settle_all()

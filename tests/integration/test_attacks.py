@@ -3,6 +3,7 @@
 
 from repro.brb.batching import Batch
 from repro.brb.signed import SbAck, SbCommit, SbPrepare
+from repro.core.dependencies import MintedSubbatch, certificates_of
 from repro.core.payment import Payment
 from repro.core.system import Astro1System, Astro2System
 from repro.crypto.hashing import digest
@@ -72,6 +73,22 @@ class TestForeignClientInjection:
         attacker.brb.broadcast(1, batch, batch.size_bytes)
         system.settle_all()
         assert system.settled_counts() == [0, 0, 0, 0]
+
+    def test_a_client_cannot_attach_dependencies(self):
+        """Certificates are the representative's to attach (Listing 7).
+        A submission carrying ``deps`` — here a string, which every
+        Astro II replica's delivery handler raised on, and which Astro I
+        replicas logged — settles without them."""
+        for system_class in (Astro1System, Astro2System):
+            system = system_class(
+                num_replicas=4, genesis=dict(GENESIS), seed=4
+            )
+            rep = system.representative_of("alice")
+            rep.submit_local(Payment("alice", 1, "bob", 5, deps=("junk",)))
+            system.settle_all()
+            assert system.settled_counts() == [1, 1, 1, 1]
+            for replica in system.replicas:
+                assert replica.state.xlog("alice")[0].deps == ()
 
 
 class TestPartialPaymentsAttack:
@@ -160,6 +177,36 @@ class TestPartialPaymentsAttack:
         # The replayed certificate adds nothing: bob had 10 left, spends 10.
         assert system.total_value() == 100
         assert system.balances_at(0)["bob"] == 0
+
+
+    def test_a_ghost_under_a_verified_digest_credits_nothing(self):
+        """A Byzantine representative reuses the signatures and digest of
+        a certificate every replica has verified, over columns of its own:
+        a ghost payment of 1,000,000 to dave.  The digest binds the
+        columns it was verified for, so the ghost credits nothing and
+        dave's payout is rejected everywhere."""
+        system = Astro2System(num_replicas=4, genesis=dict(GENESIS), seed=6)
+        system.submit("alice", "bob", 60)
+        system.settle_all()
+        system.submit("bob", "carol", 50)   # every replica verifies bob's cert
+        system.settle_all()
+        legit = system.replica(0).state.xlog("bob")[0].deps[0]
+        ghost = MintedSubbatch(
+            legit.shard_id, legit.subbatch_digest, legit.signatures,
+            ("ghost", 1, "dave", 1_000_000),
+        )
+        payout = Payment("dave", 1, "carol", 1_000_000,
+                         deps=certificates_of([ghost, 0]))
+        dave_rep = system.representative_of("dave")
+        batch = Batch([payout])
+        dave_rep.brb.broadcast(
+            dave_rep._broadcast_seq + 1, batch, batch.size_bytes
+        )
+        dave_rep._broadcast_seq += 1
+        system.settle_all()
+        assert system.total_value() == 100
+        for replica in system.replicas:
+            assert replica.state.seqnum("dave") == 0
 
 
 class TestByzantineFloods:

@@ -21,10 +21,21 @@ from repro.core.dependencies import (
     CreditBundle,
     CreditMessage,
     DependencyCertificate,
+    MintedSubbatch,
+    _credit_from_wire,
+    certificates_of,
+    subbatch_digest_of,
 )
 from repro.core.messages import ClientConfirm, ClientSubmit
-from repro.core.payment import Payment, pack_payments, unpack_payments
-from repro.crypto import Keychain, costs, replica_owner
+from repro.core.payment import (
+    Payment,
+    checked_cores,
+    core_digests,
+    flat_cores,
+    pack_payments,
+)
+from repro.core.persistence import WalCorruption, WriteAheadLog
+from repro.crypto import Keychain, replica_owner
 from repro.crypto.signatures import Signature, sign
 from repro.transport.framing import (
     HEADER_BYTES,
@@ -85,7 +96,8 @@ def payments(draw, with_deps: bool = False):
 def credit_messages(draw):
     signer = draw(st.integers(min_value=0, max_value=3))
     items = draw(st.lists(payments(), min_size=1, max_size=4))
-    return CreditMessage.create(_KEYS[signer], 0, tuple(items))
+    flat = flat_cores(items)
+    return CreditMessage.from_cores(_KEYS[signer], 0, flat, core_digests(flat))
 
 
 @st.composite
@@ -104,7 +116,9 @@ def certificates(draw):
             )
         )
     )
-    return DependencyCertificate(items[target], 0, items, sigs)
+    digest_value = subbatch_digest_of(items)
+    record = MintedSubbatch(0, digest_value, sigs, flat_cores(items))
+    return DependencyCertificate(record, target)
 
 
 @st.composite
@@ -166,7 +180,7 @@ def test_credit_bundle_roundtrip(messages):
 @given(certificates())
 def test_dependency_certificate_roundtrip(cert):
     decoded = roundtrip(cert)
-    assert decoded.payment == cert.payment
+    assert decoded.core == cert.core
     assert decoded.signatures == cert.signatures
 
 
@@ -211,19 +225,16 @@ def test_pack_unpack_roundtrip(items):
     assert [index for index, _deps in extras] == [
         index for index, p in enumerate(items) if p.deps
     ]
-    rebuilt = unpack_payments(flat, extras)
-    assert rebuilt == tuple(items)  # core and deps
-    assert unpack_payments(flat) == tuple(
-        Payment(*p.core) for p in items
-    )  # cores only: what a certificate ships
+    cores, by_position = checked_cores(flat, extras)
+    assert cores == flat_cores(items)
+    assert by_position == {i: p.deps for i, p in enumerate(items) if p.deps}
 
 
-#: ``pickle.dumps(obj, protocol=5)`` at bf0ad7e (PR 19), when each class
-#: reduced to its constructor over nested ``Payment`` pickles.  A WAL
-#: written then holds these forms.  ``paid`` = cl-a#3 -> cl-b 40 at t=1.5,
-#: ``other`` = cl-c#1 -> cl-b 2, ``cert`` certifies ``paid`` in
-#: ``(paid, other)`` (digest 77, two signatures), ``payout`` = cl-b#1 ->
-#: cl-d 41 carrying ``cert``.
+#: ``pickle.dumps(obj, protocol=5)`` from a tree whose classes reduced
+#: to their constructors over nested ``Payment`` pickles.  ``paid`` =
+#: cl-a#3 -> cl-b 40 at t=1.5, ``other`` = cl-c#1 -> cl-b 2, ``cert``
+#: certifies ``paid`` in ``(paid, other)`` (digest 77, two signatures),
+#: ``payout`` = cl-b#1 -> cl-d 41 carrying ``cert``.
 PARENT_BATCH = (  # Batch([other, payout])
     b'\x80\x05\x95&\x01\x00\x00\x00\x00\x00\x00\x8c\x12repro.brb.batching'
     b'\x94\x8c\x05Batch\x94\x93\x94\x8c\x12repro.core.payment\x94\x8c\x07Pa'
@@ -268,39 +279,169 @@ PARENT_CERTIFICATE = (  # cert
 )
 
 
-def test_pickles_written_by_the_parent_still_load():
-    """Old WAL records replay: the constructors the parent's forms name
-    are unchanged, and what loads re-pickles in today's form."""
-    paid = Payment("cl-a", 3, "cl-b", 40)
-    other = Payment("cl-c", 1, "cl-b", 2)
+#: ``cert`` and ``Batch([other, payout])`` as a tree that shipped a
+#: certificate as its crediting core, shard, sub-batch columns,
+#: signatures and digest wrote them, before a certificate was a position
+#: in its minted sub-batch.
+WHOLE_CERTIFICATE = (
+    b'\x80\x05\x95\xba\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro'
+    b'.core.dependencies'
+    b'\x94\x8c\x16_certificate_fr'
+    b'om_wire\x94\x93\x94((\x8c\x04cl-a'
+    b'\x94K\x03\x8c\x04cl-b\x94K(t\x94K\x00(h'
+    b'\x03K\x03h\x04K(\x8c\x04cl-c\x94K\x01h\x04'
+    b'K\x02t\x94\x8c\x17repro.crypto'
+    b'.signatures\x94\x8c\tSign'
+    b'ature\x94\x93\x94\x8c\x07replica\x94'
+    b'K\x00\x86\x94M\xe8\x03\x86\x94R\x94h\nh\x0bK\x01\x86'
+    b'\x94M\xe9\x03\x86\x94R\x94\x86\x94KMt\x94R\x94.'
+)
+WHOLE_CERTIFICATE_BATCH = (
+    b'\x80\x05\x95\x08\x01\x00\x00\x00\x00\x00\x00\x8c\x12repro'
+    b'.brb.batching\x94\x8c\x10_b'
+    b'atch_from_wire\x94\x93\x94('
+    b'\x8c\x04cl-c\x94K\x01\x8c\x04cl-b\x94K\x02'
+    b'h\x04K\x01\x8c\x04cl-d\x94K)t\x94K\x01\x8c'
+    b'\x17repro.core.depend'
+    b'encies\x94\x8c\x16_certific'
+    b'ate_from_wire\x94\x93\x94(('
+    b'\x8c\x04cl-a\x94K\x03h\x04K(t\x94K\x00('
+    b'h\nK\x03h\x04K(h\x03K\x01h\x04K\x02t\x94'
+    b'\x8c\x17repro.crypto.sig'
+    b'natures\x94\x8c\tSignatur'
+    b'e\x94\x93\x94\x8c\x07replica\x94K\x00\x86\x94'
+    b'M\xe8\x03\x86\x94R\x94h\x0fh\x10K\x01\x86\x94M\xe9\x03'
+    b'\x86\x94R\x94\x86\x94KMt\x94R\x94\x85\x94\x86\x94\x85\x94'
+    b'\x86\x94R\x94.'
+)
 
-    cert = pickle.loads(PARENT_CERTIFICATE)
-    assert isinstance(cert, DependencyCertificate)
-    assert cert.payment == paid and cert.subbatch == (paid, other)
-    assert (cert.shard_id, cert.subbatch_digest) == (0, 77)
-    assert cert.signatures == (
-        Signature(("replica", 0), 1000), Signature(("replica", 1), 1001)
+
+def _framed(body: bytes) -> bytes:
+    return len(body).to_bytes(HEADER_BYTES, "big") + body
+
+
+@pytest.mark.parametrize("written", [
+    PARENT_CERTIFICATE, PARENT_BATCH, PARENT_CREDIT, PARENT_BUNDLE,
+    WHOLE_CERTIFICATE, WHOLE_CERTIFICATE_BATCH,
+], ids=["certificate", "batch", "credit", "bundle", "whole-certificate",
+        "whole-certificate-batch"])
+def test_payment_based_certificates_and_credits_are_refused(written, tmp_path):
+    """A certificate is a position in its minted sub-batch and a CREDIT
+    its columns: a form that held ``Payment`` objects, or a certificate's
+    payment and sub-batch whole, does not load — in a frame it is a
+    ``FrameError``, in a write-ahead log a ``WalCorruption`` naming the
+    constructor it called."""
+    with pytest.raises(TypeError):
+        pickle.loads(written)
+    with pytest.raises(FrameError):
+        decode_exactly_one(_framed(written))
+    path = tmp_path / "replica-0.wal"
+    path.write_bytes(_framed(written))
+    with pytest.raises(WalCorruption, match="positional argument"):
+        WriteAheadLog(str(path)).scan()
+
+
+_PAID = Payment("cl-a", 3, "cl-b", 40)
+_SIGNATURES = (
+    Signature(("replica", 0), 1000), Signature(("replica", 1), 1001)
+)
+
+
+def _payout(record, position=0):
+    """A batch of one payout carrying the certificate at ``position``."""
+    cert = DependencyCertificate(record, position)
+    return Batch([Payment("cl-b", 1, "cl-d", 41, deps=(cert,))])
+
+
+def test_a_certificate_with_a_mistyped_shard_never_decodes(tmp_path):
+    """A shard of ``[0]`` used to decode and be logged, and then raise
+    ``TypeError`` (unhashable) in the delivery handler.  A certificate's
+    record is checked as it decodes."""
+    record = MintedSubbatch(
+        [0], subbatch_digest_of((_PAID,)), _SIGNATURES, _PAID.core
+    )
+    payout = Payment("cl-b", 1, "cl-d", 41, deps=certificates_of([record, 0]))
+    batch = Batch([payout])
+    with pytest.raises(FrameError):
+        FrameDecoder().feed(encode_frame((batch,)))
+    path = tmp_path / "replica-0.wal"
+    path.write_bytes(encode_frame(("deliver", 0, 1, batch)))
+    with pytest.raises(WalCorruption):
+        WriteAheadLog(str(path)).scan()
+
+
+#: Records and positions no minting replica produces.
+_BAD_CERTIFICATES = {
+    "digest-a-string": ((0, "77", _SIGNATURES, _PAID.core), 0),
+    "signatures-a-list": ((0, 77, list(_SIGNATURES), _PAID.core), 0),
+    "a-signature-a-tuple": (
+        (0, 77, (_SIGNATURES[0], ("replica", 1)), _PAID.core), 0
+    ),
+    "columns-not-4k": ((0, 77, _SIGNATURES, _PAID.core[:3]), 0),
+    "columns-a-negative-amount": (
+        (0, 77, _SIGNATURES, ("cl-a", 3, "cl-b", -40)), 0
+    ),
+    "position-past-the-end": ((0, 77, _SIGNATURES, _PAID.core), 1),
+    "position-negative": ((0, 77, _SIGNATURES, _PAID.core), -1),
+    "position-a-bool": ((0, 77, _SIGNATURES, _PAID.core), False),
+    "position-a-string": ((0, 77, _SIGNATURES, _PAID.core), "0"),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, position", _BAD_CERTIFICATES.values(),
+    ids=_BAD_CERTIFICATES.keys(),
+)
+def test_a_malformed_certificate_is_a_frame_error(fields, position):
+    batch = _payout(MintedSubbatch(*fields), position)
+    with pytest.raises(FrameError):
+        FrameDecoder().feed(encode_frame((batch,)))
+
+
+@pytest.mark.parametrize("shard, digest, signature", [
+    ([0], 77, _SIGNATURES[0]),
+    (0, "77", _SIGNATURES[0]),
+    (0, 77, ("replica", 0)),
+], ids=["shard-a-list", "digest-a-string", "signature-a-tuple"])
+def test_a_credit_with_mistyped_routing_fields_is_a_frame_error(
+    shard, digest, signature
+):
+    forged = _Call(_credit_from_wire, shard, _PAID.core, (), signature, digest)
+    with pytest.raises(FrameError):
+        FrameDecoder().feed(encode_frame((forged,)))
+
+
+def test_a_dependency_that_is_not_a_certificate_is_a_frame_error():
+    extras = ((0, ("not a certificate",)),)
+    forged = _Call(_batch_from_wire, _PAID.core, extras)
+    with pytest.raises(FrameError):
+        FrameDecoder().feed(encode_frame((forged,)))
+
+
+def test_a_minted_subbatch_rides_once_per_frame():
+    """A payout batch carrying k = 8 certificates of one minted sub-batch:
+    each certificate past the first adds less than one byte per field of
+    the sub-batch's columns (a position and a memo reference), where a
+    re-shipped copy of the columns costs a memo reference per id and two
+    or more bytes per int."""
+    paying = tuple(
+        Payment(f"client-{s}", 1000 + s, "merchant", 500 + s)
+        for s in range(16)
+    )
+    record = MintedSubbatch(
+        0, subbatch_digest_of(paying), _SIGNATURES, flat_cores(paying)
     )
 
-    batch = pickle.loads(PARENT_BATCH)
-    assert isinstance(batch, Batch)
-    payout = Payment("cl-b", 1, "cl-d", 41, deps=(cert,))
-    assert tuple(batch) == (other, payout)
-    assert batch.size_bytes == 2 * costs.PAYMENT_BYTES + cert.wire_bytes
+    def payout(k):
+        refs = [item for p in range(k) for item in (record, p)]
+        deps = certificates_of(refs)
+        return Batch([Payment("merchant", 1, "bob", 1, deps=deps)])
 
-    credit = pickle.loads(PARENT_CREDIT)
-    assert isinstance(credit, CreditMessage)
-    assert credit.payments == (paid, other)
-    assert (credit.shard_id, credit.subbatch_digest) == (0, 77)
-    assert credit.signature == Signature(("replica", 2), 1002)
-
-    bundle = pickle.loads(PARENT_BUNDLE)
-    assert isinstance(bundle, CreditBundle)
-    assert [m.payments for m in bundle] == [(paid, other), (other,)]
-    assert bundle.size == CreditBundle((credit, bundle.messages[1])).size
-
-    for loaded in (cert, batch, credit, bundle):
-        roundtrip(loaded)
+    one, eight = (len(encode_frame(payout(k))) for k in (1, 8))
+    assert (eight - one) / 7 < len(record.flat), (one, eight)
+    (certs,) = decode_exactly_one(encode_frame(payout(8))).extras.values()
+    assert len({id(cert.record) for cert in certs}) == 1
+    assert [cert.amount for cert in certs] == [500 + s for s in range(8)]
 
 
 class _Call:
@@ -316,7 +457,7 @@ class _Call:
 
 def test_malformed_columns_never_unpack(malformed_columns):
     with pytest.raises(ValueError):
-        unpack_payments(*malformed_columns)
+        checked_cores(*malformed_columns)
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["plain", "encoded"])

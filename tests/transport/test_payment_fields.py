@@ -20,7 +20,7 @@ from repro.core.messages import (
     _confirm_from_wire,
     _submit_from_wire,
 )
-from repro.core.payment import Payment, unpack_payments
+from repro.core.payment import Payment, checked_cores
 from repro.transport.framing import FrameError, decode_exactly_one, encode_frame
 
 #: (seq, amount) pairs a peer could put on the wire in place of ints.
@@ -47,8 +47,8 @@ def test_payment_refuses_a_non_int_seq_or_amount(seq, amount):
 @pytest.mark.parametrize("seq, amount", BAD_FIELDS)
 def test_packed_columns(seq, amount):
     with pytest.raises(ValueError):
-        unpack_payments(("a", seq, "b", amount))
-    frame = encode_frame(_Forged(unpack_payments, ("a", seq, "b", amount), ()))
+        checked_cores(("a", seq, "b", amount))
+    frame = encode_frame(_Forged(checked_cores, ("a", seq, "b", amount), ()))
     with pytest.raises(FrameError):
         decode_exactly_one(frame)
 
