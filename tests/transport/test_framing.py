@@ -341,6 +341,64 @@ def test_payment_based_certificates_and_credits_are_refused(written, tmp_path):
         WriteAheadLog(str(path)).scan()
 
 
+#: ``pickle.dumps(obj, protocol=5)`` from the tree just before a
+#: certificate became a position in its minted sub-batch, for the forms
+#: that hold no certificate: ``Batch([other, payout])`` with ``payout``
+#: = cl-b#1 -> cl-d 41 and no deps, ``CreditMessage(0, (paid, other),
+#: sig(2), 77)`` and a bundle of it and ``CreditMessage(0, (other,),
+#: sig(3), 78)``.  The CREDIT forms carry the old empty ``extras``.
+PARENT_PLAIN_BATCH = (
+    b'\x80\x05\x95R\x00\x00\x00\x00\x00\x00\x00\x8c\x12repro.brb.batching'
+    b'\x94\x8c\x10_batch_from_wire\x94\x93\x94(\x8c\x04cl-c\x94K\x01\x8c'
+    b'\x04cl-b\x94K\x02h\x04K\x01\x8c\x04cl-d\x94K)t\x94)\x86\x94R\x94.'
+)
+PARENT_COLUMNS_CREDIT = (
+    b'\x80\x05\x95\x9a\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.core.depend'
+    b'encies\x94\x8c\x11_credit_from_wire\x94\x93\x94(K\x00(\x8c\x04cl-a\x94'
+    b'K\x03\x8c\x04cl-b\x94K(\x8c\x04cl-c\x94K\x01h\x04K\x02t\x94)\x8c\x17'
+    b'repro.crypto.signatures\x94\x8c\tSignature\x94\x93\x94\x8c\x07replica'
+    b'\x94K\x02\x86\x94M\xea\x03\x86\x94R\x94KMt\x94R\x94.'
+)
+PARENT_COLUMNS_BUNDLE = (
+    b'\x80\x05\x95\xd9\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.core.depend'
+    b'encies\x94\x8c\x0cCreditBundle\x94\x93\x94h\x00\x8c\x11_credit_from_wi'
+    b're\x94\x93\x94(K\x00(\x8c\x04cl-a\x94K\x03\x8c\x04cl-b\x94K(\x8c\x04'
+    b'cl-c\x94K\x01h\x06K\x02t\x94)\x8c\x17repro.crypto.signatures\x94\x8c'
+    b'\tSignature\x94\x93\x94\x8c\x07replica\x94K\x02\x86\x94M\xea\x03\x86'
+    b'\x94R\x94KMt\x94R\x94h\x04(K\x00(h\x07K\x01h\x06K\x02t\x94)h\x0bh\x0c'
+    b'K\x03\x86\x94M\xeb\x03\x86\x94R\x94KNt\x94R\x94\x86\x94\x85\x94R\x94.'
+)
+
+
+def test_pickles_written_by_the_parent_still_load():
+    """Old WAL records without a certificate replay: the parent's batch,
+    CREDIT and bundle forms load, and re-pickle in today's form."""
+    paid = Payment("cl-a", 3, "cl-b", 40)
+    other = Payment("cl-c", 1, "cl-b", 2)
+
+    batch = pickle.loads(PARENT_PLAIN_BATCH)
+    assert isinstance(batch, Batch)
+    assert tuple(batch) == (other, Payment("cl-b", 1, "cl-d", 41))
+    assert batch.size_bytes == Batch(tuple(batch)).size_bytes
+
+    credit = pickle.loads(PARENT_COLUMNS_CREDIT)
+    assert isinstance(credit, CreditMessage)
+    assert credit.flat == flat_cores((paid, other))
+    assert (credit.shard_id, credit.subbatch_digest) == (0, 77)
+    assert credit.signature == Signature(("replica", 2), 1002)
+
+    bundle = pickle.loads(PARENT_COLUMNS_BUNDLE)
+    assert isinstance(bundle, CreditBundle)
+    assert [m.flat for m in bundle] == [
+        flat_cores((paid, other)), flat_cores((other,))
+    ]
+    assert bundle.messages[1].signature == Signature(("replica", 3), 1003)
+    assert bundle.size == CreditBundle((credit, bundle.messages[1])).size
+
+    for loaded in (batch, credit, bundle):
+        roundtrip(loaded)
+
+
 _PAID = Payment("cl-a", 3, "cl-b", 40)
 _SIGNATURES = (
     Signature(("replica", 0), 1000), Signature(("replica", 1), 1001)
